@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -30,14 +30,10 @@ from scipy.signal import fftconvolve
 from .errors import DomainError, ParameterError, PersistenceError, ShapeError, StructureError
 
 _PARITIES = ("even", "odd", None)
-_MODE_LETTERS = "abcdefgh"
-
-
-class TorusIndex(NamedTuple):
-    """A single Fourier mode: angle wave vector ``k`` and time harmonic ``l``."""
-
-    k: tuple
-    l: int
+# Complex entries (2^18, 4 MiB) allowed in one point block's GEMM output in
+# FourierField.evaluate_complex; points per block = this // coefficient block
+# width (2N+1)^d * P * m.
+_EVAL_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -274,18 +270,27 @@ class FourierField:
         x, y, t, S, scalar = self._normalize_inputs(x, y, t)
         if check_domain:
             self._check_domain(y)
-        modes = np.arange(-self.N, self.N + 1)
-        letters = _MODE_LETTERS[: self.d + 1]
-        operands = [self.coeffs]
-        subs = [letters + "pm"]
-        for a in range(self.d):
-            operands.append(np.exp(1j * np.outer(x[:, a], modes)))
-            subs.append("s" + letters[a])
-        operands.append(np.exp(1j * np.outer(t, modes)))
-        subs.append("s" + letters[self.d])
-        per_power = np.einsum(",".join(subs) + "->spm", *operands, optimize=True)
+        # Separable contraction: one GEMM over the first angle's modes, then
+        # per remaining angle and the time axis a multiply by that axis's
+        # exponential table and a sum, then the action powers.  Points run in
+        # blocks so the GEMM output stays near _EVAL_BLOCK_ENTRIES entries.
+        n = 2 * self.N + 1
+        flat = self.coeffs.reshape(n, -1)
+        P = self.coeffs.shape[-2]
+        block = max(1, _EVAL_BLOCK_ENTRIES // flat.shape[1])
+        angles = np.concatenate([x, t[:, None]], axis=1)
         Y = _power_matrix(y, self.powers)
-        out = np.einsum("spm,sp->sm", per_power, Y)
+        out = np.empty((S, self.m), dtype=complex)
+        for lo in range(0, S, block):
+            hi = min(lo + block, S)
+            # exp(i k a) for k = 0..N; the k < 0 half is its conjugate
+            half = np.exp(1j * (angles[lo:hi, :, None] * np.arange(self.N + 1)))
+            tables = np.concatenate([half[..., :0:-1].conj(), half], axis=2)
+            acc = tables[:, 0] @ flat
+            for a in range(1, self.d + 1):
+                acc = (tables[:, a, None, :] @ acc.reshape(hi - lo, n, -1))[:, 0]
+            out[lo:hi] = np.einsum("spm,sp->sm", acc.reshape(hi - lo, P, self.m),
+                                   Y[lo:hi])
         return out[0] if scalar else out
 
     def evaluate(self, x, y=None, t=None, check_domain: bool = True) -> np.ndarray:

@@ -105,14 +105,24 @@ class MapSystem:
         return float(max(np.max(np.abs(dx)), np.max(np.abs(y2 - y))))
 
 
+def _check_params(kind: str, params: dict, allowed: tuple) -> None:
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ParameterError(
+            f"unknown parameters {unknown} for perturbation kind {kind!r}; "
+            f"valid: {', '.join(allowed) or '(no parameters)'}")
+
+
 def make_flow_perturbation(kind: str, **params) -> FlowSystem:
     """Perturbation factory used by configuration files."""
     if kind in ("single_mode", "standard"):
+        _check_params(kind, params, ("eps", "g_amp", "k", "l"))
         return single_mode_flow(
             eps=float(params.get("eps", 1e-4)),
             g_amp=float(params.get("g_amp", 0.05)),
             k=params.get("k", 1), l=params.get("l", 1))
     if kind in ("none", "zero"):
+        _check_params(kind, params, ())
         return FlowSystem(f=lambda x, y, t: np.zeros(x.shape[0]),
                           g=lambda x, y, t: np.zeros(x.shape[0]), d=1)
     raise ParameterError(f"unknown flow perturbation kind {kind!r}")
@@ -121,7 +131,9 @@ def make_flow_perturbation(kind: str, **params) -> FlowSystem:
 def make_map_perturbation(kind: str, omega: float, **params) -> MapSystem:
     """Map-family factory used by configuration files."""
     if kind in ("cosine_kick", "standard"):
+        _check_params(kind, params, ("eps",))
         return MapSystem(omega=float(omega), eps=float(params.get("eps", 1e-4)))
     if kind in ("none", "zero"):
+        _check_params(kind, params, ())
         return MapSystem(omega=float(omega), eps=0.0)
     raise ParameterError(f"unknown map perturbation kind {kind!r}")

@@ -143,6 +143,15 @@ class TestKamRun:
         assert main(["kam", "run", "--out", out, "--set", "frobnicate=1"]) == 2
         assert main(["kam", "run", "--out", out, "--set", "nonsense"]) == 2
 
+    def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["kam", "run", "--out", out,
+                     "--set", "perturbation.epz=1"]) == 2
+        assert "'epz'" in capsys.readouterr().err
+        assert main(["kam", "run", "--out", out, "--set", "mode=map",
+                     "--set", "perturbation.g_amp=0.1"]) == 2
+        assert not (tmp_path / "kam-flow").exists()
+
     def test_config_file_layering(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 1, "eps0": 1e-3,
@@ -160,6 +169,12 @@ class TestKamRun:
         bad_key.write_text(json.dumps({"frobnicate": 1}))
         assert main(["kam", "run", "--out", str(tmp_path),
                      "--config", str(bad_key)]) == 2
+        nested_typo = tmp_path / "nested_typo.json"
+        nested_typo.write_text(json.dumps(
+            {"perturbation": {"kind": "single_mode", "eps": 1e-4,
+                              "g_ampl": 0.05}}))
+        assert main(["kam", "run", "--out", str(tmp_path),
+                     "--config", str(nested_typo)]) == 2
         not_object = tmp_path / "list.json"
         not_object.write_text("[1, 2]")
         assert main(["kam", "run", "--out", str(tmp_path),

@@ -68,6 +68,72 @@ class TestEvaluation:
         fld.evaluate(x, y_bad, np.zeros(1), check_domain=False)
 
 
+def _random_complex_field(rng, d, N, m=2, q_y=2, r=0.1):
+    P = len(fields.action_powers(d, q_y))
+    shape = (2 * N + 1,) * (d + 1) + (P, m)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[~fields.mode_mask(d, N)] = 0.0
+    return FourierField(d, m, N, q_y, r, coeffs)
+
+
+def _direct_sum(fld, x, y, t):
+    """sum of c[k, l, alpha] y^alpha e^{i(<k, x> + l t)}, one mode at a time."""
+    out = np.zeros((len(x), fld.m), dtype=complex)
+    for idx in np.argwhere(fields.mode_mask(fld.d, fld.N)):
+        k, l = idx[:fld.d] - fld.N, idx[fld.d] - fld.N
+        phase = np.exp(1j * (x @ k + l * t))
+        for p, alpha in enumerate(fld.powers):
+            weight = np.prod(y ** alpha, axis=1)
+            out += (phase * weight)[:, None] * fld.coeffs[tuple(idx) + (p,)]
+    return out
+
+
+class TestEvaluationKernel:
+    """evaluate_complex against the per-mode sum, across point blocks."""
+
+    @staticmethod
+    def _tol(fld):
+        # |y| < 1 and |e^{i..}| = 1, so sum |c| bounds every value
+        return 100 * np.finfo(float).eps * float(np.sum(np.abs(fld.coeffs)))
+
+    @pytest.mark.parametrize("d, N", [(1, 6), (2, 4)])
+    def test_matches_direct_sum(self, rng, d, N):
+        fld = _random_complex_field(rng, d, N)
+        x, y, t = _sample_points(rng, S=60, d=d)
+        got = fld.evaluate_complex(x, y, t)
+        assert got.shape == (60, 2)
+        np.testing.assert_allclose(got, _direct_sum(fld, x, y, t), rtol=0.0,
+                                   atol=self._tol(fld))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_scalar_and_empty_samples(self, rng, d):
+        fld = _random_complex_field(rng, d, N=3)
+        x, y, t = _sample_points(rng, S=1, d=d)
+        xs, ys = (x[0, 0], y[0, 0]) if d == 1 else (x[0], y[0])
+        got = fld.evaluate_complex(xs, ys, t[0])
+        assert got.shape == (2,)
+        np.testing.assert_allclose(got, _direct_sum(fld, x, y, t)[0], rtol=0.0,
+                                   atol=self._tol(fld))
+        empty = fld.evaluate_complex(np.zeros((0, d)), np.zeros((0, d)),
+                                     np.zeros(0))
+        assert empty.shape == (0, 2)
+
+    def test_blocks_agree_with_parts(self, rng):
+        fld = _random_complex_field(rng, d=2, N=6)
+        width = fld.coeffs.size // (2 * fld.N + 1)
+        block = fields._EVAL_BLOCK_ENTRIES // width
+        S = 3 * block + 5
+        x, y, t = _sample_points(rng, S=S, d=2)
+        whole = fld.evaluate_complex(x, y, t)
+        cuts = [0, block // 2, 2 * block + 1, S]
+        parts = np.concatenate([fld.evaluate_complex(x[a:b], y[a:b], t[a:b])
+                                for a, b in zip(cuts[:-1], cuts[1:])])
+        tol = self._tol(fld)
+        np.testing.assert_allclose(whole, parts, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(whole, _direct_sum(fld, x, y, t), rtol=0.0,
+                                   atol=tol)
+
+
 class TestCalculus:
     def test_diff_x_on_harmonic(self, rng):
         fld = harmonic_field(d=1, N=5, k=[3], l=1, amplitude=0.4, kind="cos")
