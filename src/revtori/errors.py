@@ -23,10 +23,6 @@ class ShapeError(ParameterError):
     """Array arguments have incompatible or unexpected shapes."""
 
 
-class ConfigError(ParameterError):
-    """A configuration file or mapping is malformed or has unknown keys."""
-
-
 class ResonanceError(ParameterError):
     """A frequency vector is (numerically) resonant and cannot be certified.
 

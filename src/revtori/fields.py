@@ -6,11 +6,14 @@ A field is a finite sum
                  c[k, l, alpha] * y^alpha * exp(i (<k, x> + l t))
 
 with d angle variables x, d action variables y (|y|_2 <= r), and one time
-angle t.  Components are vector valued (m components).  Coefficients are
-stored densely as a complex array of shape ``(2N+1,)*d + (2N+1,) + (P, m)``
+angle t whose harmonics stop at a time cutoff |l| <= N_t, 0 <= N_t <= N.
+Components are vector valued (m components).  Coefficients are stored
+densely as a complex array of shape ``(2N+1,)*d + (2N_t+1,) + (P, m)``
 where axis ``a`` holds wave number ``k_a = index - N``, the ``d``-th axis
-holds the time harmonic ``l = index - N``, and ``P`` enumerates the action
-multi-powers in graded lexicographic order.
+holds the time harmonic ``l = index - N_t``, and ``P`` enumerates the action
+multi-powers in graded lexicographic order.  Fields of forced flows keep
+N_t = N; autonomous fields (maps and their tori) have N_t = 0, a single
+time slot, and ignore t.
 
 Real fields satisfy c(-k,-l) = conj(c(k,l)).  Parity is tracked per
 component: an "even" component satisfies F(-x, y, -t) = F(x, y, t)
@@ -32,7 +35,7 @@ from .errors import DomainError, ParameterError, PersistenceError, ShapeError, S
 _PARITIES = ("even", "odd", None)
 # Complex entries (2^18, 4 MiB) allowed in one point block's GEMM output in
 # FourierField.evaluate_complex; points per block = this // coefficient block
-# width (2N+1)^d * P * m.
+# width (2N+1)^(d-1) * (2N_t+1) * P * m.
 _EVAL_BLOCK_ENTRIES = 1 << 18
 
 
@@ -81,9 +84,14 @@ def abs_order_grid(n_axes: int, N: int) -> np.ndarray:
     return total
 
 
-def mode_mask(d: int, N: int) -> np.ndarray:
-    """Boolean array over mode axes marking |k|_1 + |l| <= N."""
-    return abs_order_grid(d + 1, N) <= N
+def mode_orders(d: int, N: int, N_t: int) -> np.ndarray:
+    """|k|_1 + |l| over the (2N+1,)*d + (2N_t+1,) mode axes."""
+    return abs_order_grid(d, N)[..., None] + np.abs(np.arange(-N_t, N_t + 1))
+
+
+def mode_mask(d: int, N: int, N_t: int) -> np.ndarray:
+    """Boolean array over the mode axes of mode_orders marking |k|_1 + |l| <= N."""
+    return mode_orders(d, N, N_t) <= N
 
 
 def _reverse_modes(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -162,7 +170,9 @@ class FourierField:
     r : float
         Action radius the field is intended to be used on.
     coeffs : ndarray, complex
-        Shape ``(2N+1,)*(d+1) + (P, m)``.
+        Shape ``(2N+1,)*d + (2N_t+1,) + (P, m)``; the length of the time
+        axis sets the time cutoff :attr:`N_t` (N for forced flows, 0 for
+        autonomous fields).
     parity : tuple or None
         Per-component parity tags ("even", "odd" or None).
     """
@@ -184,10 +194,13 @@ class FourierField:
         if self.r < 0:
             raise ParameterError(f"action radius must be nonnegative, got {self.r}")
         P = len(action_powers(self.d, self.q_y))
-        want = (2 * self.N + 1,) * (self.d + 1) + (P, self.m)
-        if tuple(self.coeffs.shape) != want:
+        shape = tuple(self.coeffs.shape)
+        N_t = shape[self.d] // 2 if len(shape) == self.d + 3 else self.N
+        want = (2 * self.N + 1,) * self.d + (2 * min(N_t, self.N) + 1, P, self.m)
+        if shape != want:
             raise ShapeError(
-                f"coefficient array has shape {self.coeffs.shape}, expected {want}"
+                f"coefficient array has shape {shape}, expected {want} "
+                "(time axis of odd length at most 2N+1)"
             )
         if not np.iscomplexobj(self.coeffs):
             raise ShapeError("coefficient array must be complex")
@@ -208,6 +221,11 @@ class FourierField:
         P = len(action_powers(d, q_y))
         coeffs = np.zeros((2 * N + 1,) * (d + 1) + (P, m), dtype=complex)
         return cls(d, m, N, q_y, r, coeffs, _as_parity(parity, m))
+
+    @property
+    def N_t(self) -> int:
+        """Time cutoff: coefficients vanish unless |l| <= N_t."""
+        return self.coeffs.shape[self.d] // 2
 
     @property
     def powers(self) -> np.ndarray:
@@ -274,8 +292,9 @@ class FourierField:
         # per remaining angle and the time axis a multiply by that axis's
         # exponential table and a sum, then the action powers.  Points run in
         # blocks so the GEMM output stays near _EVAL_BLOCK_ENTRIES entries.
-        n = 2 * self.N + 1
-        flat = self.coeffs.reshape(n, -1)
+        N = self.N
+        sizes = self.coeffs.shape[: self.d + 1]
+        flat = self.coeffs.reshape(sizes[0], -1)
         P = self.coeffs.shape[-2]
         block = max(1, _EVAL_BLOCK_ENTRIES // flat.shape[1])
         angles = np.concatenate([x, t[:, None]], axis=1)
@@ -284,11 +303,13 @@ class FourierField:
         for lo in range(0, S, block):
             hi = min(lo + block, S)
             # exp(i k a) for k = 0..N; the k < 0 half is its conjugate
-            half = np.exp(1j * (angles[lo:hi, :, None] * np.arange(self.N + 1)))
+            half = np.exp(1j * (angles[lo:hi, :, None] * np.arange(N + 1)))
             tables = np.concatenate([half[..., :0:-1].conj(), half], axis=2)
             acc = tables[:, 0] @ flat
             for a in range(1, self.d + 1):
-                acc = (tables[:, a, None, :] @ acc.reshape(hi - lo, n, -1))[:, 0]
+                h = sizes[a] // 2
+                acc = (tables[:, a, None, N - h:N + h + 1]
+                       @ acc.reshape(hi - lo, sizes[a], -1))[:, 0]
             out[lo:hi] = np.einsum("spm,sp->sm", acc.reshape(hi - lo, P, self.m),
                                    Y[lo:hi])
         return out[0] if scalar else out
@@ -298,21 +319,24 @@ class FourierField:
         return self.evaluate_complex(x, y, t, check_domain=check_domain).real
 
     def values_on_grid(self, n: int) -> np.ndarray:
-        """Synthesize values on the uniform (n,)*(d+1) angle/time grid.
+        """Synthesize values on the uniform angle/time grid.
 
-        Grid nodes are 2 pi j / n per axis.  Returns a complex array of
-        shape ``(n,)*(d+1) + (P, m)`` (real up to roundoff for real fields);
-        n must be at least 2N+1.
+        Grid nodes are 2 pi j / n per axis; the time axis has n nodes, or
+        the single node t = 0 when N_t = 0.  Returns a complex array of
+        shape ``(n,)*d + (n_t,) + (P, m)`` (real up to roundoff for real
+        fields); n must be at least 2N+1.
         """
         if n < 2 * self.N + 1:
             raise ShapeError(
                 f"grid size {n} too small for cutoff N = {self.N} (need >= {2 * self.N + 1})"
             )
-        shape = (n,) * (self.d + 1) + self.coeffs.shape[self.d + 1:]
+        N_t = self.N_t
+        n_t = n if N_t else 1
+        shape = (n,) * self.d + (n_t,) + self.coeffs.shape[self.d + 1:]
         big = np.zeros(shape, dtype=complex)
         idx = np.arange(-self.N, self.N + 1) % n
-        big[np.ix_(*([idx] * (self.d + 1)))] = self.coeffs
-        return np.fft.ifftn(big, axes=tuple(range(self.d + 1))) * float(n) ** (self.d + 1)
+        big[np.ix_(*([idx] * self.d), np.arange(-N_t, N_t + 1) % n_t)] = self.coeffs
+        return np.fft.ifftn(big, axes=tuple(range(self.d + 1))) * (float(n) ** self.d * n_t)
 
     def sup_norm(self, s: float = 0.0, r_eff: Optional[float] = None,
                  grid: int = 64) -> SupNormReport:
@@ -362,7 +386,7 @@ class FourierField:
 
     def _weighted_coeff_sums(self, s: float, r_eff: float) -> np.ndarray:
         """Per component: sum over modes/powers of |c| e^{s(|k|+|l|)} r^|alpha|."""
-        weight = np.exp(s * abs_order_grid(self.d + 1, self.N)).ravel()
+        weight = np.exp(s * mode_orders(self.d, self.N, self.N_t)).ravel()
         powers = self.powers
         deg = powers.sum(axis=1)
         rpow = np.where(deg > 0, r_eff ** deg, 1.0)
@@ -373,11 +397,11 @@ class FourierField:
     # algebra
     # ------------------------------------------------------------------ #
 
-    def _padded_to(self, N: int, q_y: int) -> np.ndarray:
-        """Coefficients zero-padded to cutoff N and power degree q_y."""
+    def _padded_to(self, N: int, q_y: int, N_t: int) -> np.ndarray:
+        """Coefficients zero-padded to cutoffs N, N_t and power degree q_y."""
         P_out = len(action_powers(self.d, q_y))
-        out = np.zeros((2 * N + 1,) * (self.d + 1) + (P_out, self.m), dtype=complex)
-        sl = tuple([slice(N - self.N, N + self.N + 1)] * (self.d + 1))
+        out = np.zeros((2 * N + 1,) * self.d + (2 * N_t + 1, P_out, self.m), dtype=complex)
+        sl = _centre(self.d, N, N_t, self.N, self.N_t)
         # graded-lex order nests: powers of degree <= q_y keep their indices
         out[sl + (slice(0, self.coeffs.shape[self.d + 1]), slice(None))] = self.coeffs
         return out
@@ -389,7 +413,8 @@ class FourierField:
             raise ShapeError("can only add fields with matching d and m")
         N = max(self.N, other.N)
         q_y = max(self.q_y, other.q_y)
-        coeffs = self._padded_to(N, q_y) + other._padded_to(N, q_y)
+        N_t = max(self.N_t, other.N_t)
+        coeffs = self._padded_to(N, q_y, N_t) + other._padded_to(N, q_y, N_t)
         parity = _merge_parity(self.parity, other.parity, self.m)
         return FourierField(self.d, self.m, N, q_y, _combine_radius(self, other),
                             coeffs, parity)
@@ -410,17 +435,18 @@ class FourierField:
             )
         N_full = self.N + other.N
         N = N_full if N_out is None else min(int(N_out), N_full)
+        N_t_full = self.N_t + other.N_t
+        N_t = min(N_t_full, N)
         q_y = self.q_y + other.q_y
         m = max(self.m, other.m)
         p1 = self.powers
         p2 = other.powers
         out_powers = action_powers(self.d, q_y)
         index_of = {tuple(a): i for i, a in enumerate(out_powers)}
-        coeffs = np.zeros((2 * N + 1,) * (self.d + 1) + (len(out_powers), m),
+        coeffs = np.zeros((2 * N + 1,) * self.d + (2 * N_t + 1, len(out_powers), m),
                           dtype=complex)
         axes = tuple(range(self.d + 1))
-        lo = N_full - N
-        crop = tuple([slice(lo, lo + 2 * N + 1)] * (self.d + 1))
+        crop = _centre(self.d, N_full, N_t_full, N, N_t)
         for i1, a1 in enumerate(p1):
             for i2, a2 in enumerate(p2):
                 tgt = index_of[tuple(a1 + a2)]
@@ -431,7 +457,7 @@ class FourierField:
                         continue
                     conv = fftconvolve(c1, c2, mode="full", axes=axes)
                     coeffs[..., tgt, c] += conv[crop]
-        coeffs[~mode_mask(self.d, N)] = 0.0
+        coeffs[~mode_mask(self.d, N, N_t)] = 0.0
         parity = _product_parity(self.parity, other.parity, self.m, other.m, m)
         return FourierField(self.d, m, N, q_y, _combine_radius(self, other),
                             coeffs, parity)
@@ -459,9 +485,9 @@ class FourierField:
 
     def diff_t(self) -> "FourierField":
         """Time derivative; flips parity."""
-        modes = 1j * np.arange(-self.N, self.N + 1)
+        modes = 1j * np.arange(-self.N_t, self.N_t + 1)
         shape = [1] * self.coeffs.ndim
-        shape[self.d] = 2 * self.N + 1
+        shape[self.d] = 2 * self.N_t + 1
         coeffs = self.coeffs * modes.reshape(shape)
         parity = None if self.parity is None else tuple(
             _flip_parity(p) for p in self.parity)
@@ -502,11 +528,12 @@ class FourierField:
     def truncate(self, N: Optional[int] = None, q_y: Optional[int] = None) -> "FourierField":
         """Drop modes above cutoff N and powers above degree q_y."""
         N_new = self.N if N is None else min(int(N), self.N)
+        N_t = min(self.N_t, N_new)
         q_new = self.q_y if q_y is None else min(int(q_y), self.q_y)
-        sl = tuple([slice(self.N - N_new, self.N + N_new + 1)] * (self.d + 1))
+        sl = _centre(self.d, self.N, self.N_t, N_new, N_t)
         P_new = len(action_powers(self.d, q_new))
         coeffs = self.coeffs[sl + (slice(0, P_new), slice(None))].copy()
-        coeffs[~mode_mask(self.d, N_new)] = 0.0
+        coeffs[~mode_mask(self.d, N_new, N_t)] = 0.0
         return FourierField(self.d, self.m, N_new, q_new, self.r, coeffs, self.parity)
 
     def component(self, i: int) -> "FourierField":
@@ -533,14 +560,6 @@ class FourierField:
             coeffs = coeffs * np.exp(1j * modes * delta[a]).reshape(shape)
         return replace(self, coeffs=coeffs, parity=None)
 
-    def shift_t(self, delta: float) -> "FourierField":
-        """The field (x, y, t) -> F(x, y, t + delta); parity tags are dropped."""
-        modes = np.arange(-self.N, self.N + 1)
-        shape = [1] * self.coeffs.ndim
-        shape[self.d] = 2 * self.N + 1
-        coeffs = self.coeffs * np.exp(1j * modes * float(delta)).reshape(shape)
-        return replace(self, coeffs=coeffs, parity=None)
-
     # ------------------------------------------------------------------ #
     # mode access
     # ------------------------------------------------------------------ #
@@ -550,9 +569,10 @@ class FourierField:
         k = np.atleast_1d(np.asarray(k, dtype=int))
         if k.shape != (self.d,):
             raise ShapeError(f"wave vector must have shape ({self.d},)")
-        if np.any(np.abs(k) > self.N) or abs(l) > self.N:
-            raise ShapeError(f"mode (k={tuple(k)}, l={l}) outside cutoff N={self.N}")
-        idx = tuple(int(a) + self.N for a in k) + (int(l) + self.N,)
+        if np.any(np.abs(k) > self.N) or abs(l) > self.N_t:
+            raise ShapeError(f"mode (k={tuple(k)}, l={l}) outside cutoffs "
+                             f"N={self.N}, N_t={self.N_t}")
+        idx = tuple(int(a) + self.N for a in k) + (int(l) + self.N_t,)
         return self.coeffs[idx]
 
     def zero_mode(self) -> np.ndarray:
@@ -573,13 +593,6 @@ class FourierField:
         coeffs[sl] = 0.0
         return replace(self, coeffs=coeffs)
 
-    def is_time_independent(self, tol: float = 0.0) -> bool:
-        sl = [slice(None)] * (self.d + 1)
-        sl[self.d] = self.N
-        rest = self.coeffs.copy()
-        rest[tuple(sl)] = 0.0
-        return float(np.max(np.abs(rest))) <= tol if rest.size else True
-
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
@@ -597,7 +610,7 @@ class FourierField:
             power = int(alpha[0]) if self.d == 1 else [int(a) for a in alpha]
             entries.append({
                 "k": [int(a) - self.N for a in mode_idx[: self.d]],
-                "l": int(mode_idx[self.d]) - self.N,
+                "l": int(mode_idx[self.d]) - self.N_t,
                 "power": power,
                 "re": [float(v) for v in block.real],
                 "im": [float(v) for v in block.imag],
@@ -609,6 +622,7 @@ class FourierField:
             "d": self.d,
             "m": self.m,
             "N": self.N,
+            "N_t": self.N_t,
             "q_y": self.q_y,
             "r": float(self.r),
             "parity": None if self.parity is None else list(self.parity),
@@ -617,11 +631,16 @@ class FourierField:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FourierField":
-        """Rebuild a field from :meth:`to_dict` output; validates structure."""
+        """Rebuild a field from :meth:`to_dict` output; validates structure.
+
+        A record without ``N_t`` (written before fields had a time cutoff)
+        loads with N_t = N.
+        """
         try:
             d = int(data["d"])
             m = int(data["m"])
             N = int(data["N"])
+            N_t = int(data.get("N_t", N))
             q_y = int(data["q_y"])
             r = float(data["r"])
             parity = data.get("parity")
@@ -632,10 +651,11 @@ class FourierField:
             parity = tuple(parity)
             if len(parity) != m or any(p not in _PARITIES for p in parity):
                 raise PersistenceError(f"malformed parity tags {parity!r}")
-        field = cls.zeros(d, m, N, q_y, r, parity)
-        powers = field.powers
+        if not 0 <= N_t <= N:
+            raise PersistenceError(f"time cutoff N_t={N_t} outside [0, N={N}]")
+        powers = action_powers(d, q_y)
         index_of = {tuple(a): i for i, a in enumerate(powers)}
-        coeffs = field.coeffs  # zeros; fill in place before returning
+        coeffs = np.zeros((2 * N + 1,) * d + (2 * N_t + 1, len(powers), m), dtype=complex)
         for e in entries:
             try:
                 k = [int(a) for a in e["k"]]
@@ -649,12 +669,12 @@ class FourierField:
                 raise PersistenceError(f"malformed coefficient entry {e!r}") from exc
             if len(k) != d or len(re) != m or len(im) != m:
                 raise PersistenceError(f"coefficient entry has wrong arity: {e!r}")
-            if sum(abs(a) for a in k) + abs(l) > N:
+            if sum(abs(a) for a in k) + abs(l) > N or abs(l) > N_t:
                 raise PersistenceError(
-                    f"coefficient entry outside cutoff N={N}: k={k}, l={l}")
+                    f"coefficient entry outside cutoffs N={N}, N_t={N_t}: k={k}, l={l}")
             if alpha not in index_of:
                 raise PersistenceError(f"unknown action power {power!r}")
-            idx = tuple(a + N for a in k) + (l + N, index_of[alpha])
+            idx = tuple(a + N for a in k) + (l + N_t, index_of[alpha])
             coeffs[idx] = np.array(re) + 1j * np.array(im)
         # verify reality so a hand-edited file cannot smuggle in a complex field
         rev = _reverse_modes(coeffs, d)
@@ -699,6 +719,12 @@ def _combine_radius(f1: FourierField, f2: FourierField) -> float:
     return max(f1.r, f2.r) if np.isinf(r) else float(r)
 
 
+def _centre(d: int, N_from: int, N_t_from: int, N: int, N_t: int) -> tuple:
+    """Slices of the centred (2N+1,)*d + (2N_t+1,) block of wider mode axes."""
+    return ((slice(N_from - N, N_from + N + 1),) * d
+            + (slice(N_t_from - N_t, N_t_from + N_t + 1),))
+
+
 def _power_matrix(y: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Y[s, p] = prod_a y[s, a]^powers[p, a]."""
     S = y.shape[0]
@@ -713,20 +739,26 @@ def _power_matrix(y: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def coeffs_from_samples(values: np.ndarray, d: int, N: int) -> np.ndarray:
     """Extract Fourier coefficients |k|+|l| <= N from uniform grid samples.
 
-    ``values`` has shape ``(n,)*(d+1) + trailing``; the grid is 2 pi j / n
-    per axis and must satisfy n >= 2N+1.  Frequencies above N in the samples
-    alias; callers choose n large enough for their spectra.
+    ``values`` has shape ``(n,)*d + (n_t,) + trailing``; the grid is
+    2 pi j / n per axis and must satisfy n >= 2N+1.  The time axis holds
+    either the same n nodes (time cutoff N_t = N) or the single node t = 0
+    (N_t = 0, an autonomous field); the result has shape
+    ``(2N+1,)*d + (2N_t+1,) + trailing``.  Frequencies above N in the
+    samples alias; callers choose n large enough for their spectra.
     """
     n = values.shape[0]
-    if values.ndim < d + 1 or any(values.shape[a] != n for a in range(d + 1)):
-        raise ShapeError("grid samples must be cubical over the angle/time axes")
+    if values.ndim < d + 1 or any(values.shape[a] != n for a in range(d)) \
+            or values.shape[d] not in (1, n):
+        raise ShapeError("grid samples need n nodes per angle axis and 1 or n time nodes")
     if n < 2 * N + 1:
         raise ShapeError(f"grid size {n} too small for cutoff N = {N}")
-    spec = np.fft.fftn(values, axes=tuple(range(d + 1))) / float(n) ** (d + 1)
+    n_t = values.shape[d]
+    N_t = N if n_t > 1 else 0
+    spec = np.fft.fftn(values, axes=tuple(range(d + 1))) / (float(n) ** d * n_t)
     idx = np.arange(-N, N + 1) % n
-    coeffs = spec[np.ix_(*([idx] * (d + 1)))]
+    coeffs = spec[np.ix_(*([idx] * d), np.arange(-N_t, N_t + 1) % n_t)]
     out = np.ascontiguousarray(coeffs)
-    out[~mode_mask(d, N)] = 0.0
+    out[~mode_mask(d, N, N_t)] = 0.0
     return out
 
 
@@ -735,15 +767,16 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
                             parity_tol: float = 1e-6) -> FourierField:
     """Fit a field to samples on (angle/time grid) x (action nodes).
 
-    ``values`` has shape ``(n,)*(d+1) + (n_y, m)`` with real entries; the
-    action nodes (``y_nodes``, shape (n_y, d)) must determine polynomials of
-    total degree q_y.  When q_y = 0 the action axis may be omitted from
-    ``y_nodes`` (n_y must be 1).
+    ``values`` has shape ``(n,)*d + (n_t,) + (n_y, m)`` with real entries;
+    n_t = n fits a time-dependent field (N_t = N), n_t = 1 (samples at
+    t = 0) an autonomous one (N_t = 0).  The action nodes (``y_nodes``,
+    shape (n_y, d)) must determine polynomials of total degree q_y.  When
+    q_y = 0 the action axis may be omitted from ``y_nodes`` (n_y must be 1).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != d + 3:
         raise ShapeError(
-            f"expected samples of shape (n,)*{d + 1} + (n_y, m), got {values.shape}")
+            f"expected samples of shape (n,)*{d} + (n_t, n_y, m), got {values.shape}")
     n_y, m = values.shape[d + 1], values.shape[d + 2]
     powers = action_powers(d, q_y)
     if q_y == 0:
@@ -765,7 +798,7 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     coeffs = C.reshape(modes.shape[: d + 1] + (len(powers), m))
     parity = _as_parity(parity, m)
     coeffs = _finalize(coeffs, d, parity, tol=parity_tol, what="fitted field")
-    coeffs[~mode_mask(d, N)] = 0.0
+    coeffs[~mode_mask(d, N, coeffs.shape[d] // 2)] = 0.0
     return FourierField(d, m, N, q_y, r, coeffs, parity)
 
 
@@ -788,8 +821,8 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
 
     The angle/time grid has ``n_grid`` (default 2N+2) points per axis; the
     action ball is sampled on a tensor grid of q_y+1 points per dimension.
-    With ``time_independent`` the function is sampled at t = 0 only and all
-    nonzero time harmonics are zeroed exactly.
+    With ``time_independent`` the function is sampled at t = 0 only and the
+    result is an autonomous field (time cutoff N_t = 0).
     """
     n = int(n_grid) if n_grid is not None else 2 * N + 2
     if n < 2 * N + 1:
@@ -800,8 +833,8 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
     axes = np.meshgrid(*([grid] * d), indexing="ij")
     x_flat = np.stack([a.ravel() for a in axes], axis=-1) if d else None
     S = n ** d
-    values = np.empty((n,) * (d + 1) + (n_y, m), dtype=float)
     t_values = [0.0] if time_independent else grid
+    values = np.empty((n,) * d + (len(t_values), n_y, m), dtype=float)
     for it, t in enumerate(t_values):
         for iy in range(n_y):
             y = np.broadcast_to(y_nodes[iy], (S, d))
@@ -809,21 +842,8 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
             out = out.reshape((n,) * d + (m,))
             sl = (slice(None),) * d + (it, iy, slice(None))
             values[sl] = out
-    if time_independent:
-        for it in range(1, n):
-            sl_dst = (slice(None),) * d + (it,)
-            sl_src = (slice(None),) * d + (0,)
-            values[sl_dst] = values[sl_src]
-    field = field_from_grid_samples(values, d, N, q_y, r, y_nodes, parity,
-                                    parity_tol=parity_tol)
-    if time_independent:
-        coeffs = field.coeffs.copy()
-        sl = [slice(None)] * coeffs.ndim
-        keep = coeffs[tuple(sl[: d]) + (slice(N, N + 1),)].copy()
-        coeffs[:] = 0.0
-        coeffs[tuple(sl[: d]) + (slice(N, N + 1),)] = keep
-        field = replace(field, coeffs=coeffs)
-    return field
+    return field_from_grid_samples(values, d, N, q_y, r, y_nodes, parity,
+                                   parity_tol=parity_tol)
 
 
 def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos",
@@ -859,6 +879,7 @@ def stack_components(fields: Sequence[FourierField]) -> FourierField:
         raise ShapeError("need at least one field to stack")
     base = fields[0]
     N = max(f.N for f in fields)
+    N_t = max(f.N_t for f in fields)
     q_y = max(f.q_y for f in fields)
     parts = []
     parity = []
@@ -868,7 +889,7 @@ def stack_components(fields: Sequence[FourierField]) -> FourierField:
             raise ShapeError("all stacked fields must share d")
         if f.m != 1:
             raise ShapeError("can only stack scalar fields")
-        parts.append(f._padded_to(N, q_y))
+        parts.append(f._padded_to(N, q_y, N_t))
         parity.append(None if f.parity is None else f.parity[0])
         eff = np.inf if f.q_y == 0 else f.r
         r = eff if r is None else min(r, eff)

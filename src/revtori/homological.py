@@ -67,10 +67,11 @@ def _common_signature(f: FourierField, g: FourierField) -> Tuple[FourierField, F
         raise ShapeError("perturbation pair must share d and m")
     N = max(f.N, g.N)
     q_y = max(f.q_y, g.q_y)
-    if f.N != N or f.q_y != q_y:
-        f = replace(f, N=N, q_y=q_y, coeffs=f._padded_to(N, q_y))
-    if g.N != N or g.q_y != q_y:
-        g = replace(g, N=N, q_y=q_y, coeffs=g._padded_to(N, q_y))
+    N_t = max(f.N_t, g.N_t)
+    if f.N != N or f.q_y != q_y or f.N_t != N_t:
+        f = replace(f, N=N, q_y=q_y, coeffs=f._padded_to(N, q_y, N_t))
+    if g.N != N or g.q_y != q_y or g.N_t != N_t:
+        g = replace(g, N=N, q_y=q_y, coeffs=g._padded_to(N, q_y, N_t))
     return f, g
 
 
@@ -78,14 +79,6 @@ def _check_window(N: int, freq: Frequency):
     if N > freq.K_max:
         raise ParameterError(
             f"field cutoff N = {N} exceeds the certified window K_max = {freq.K_max}")
-
-
-def _k_norm_grid(d: int, N: int, with_time: bool) -> np.ndarray:
-    """|k|_1 over the mode grid (time axis contributes 0 to |k|_1)."""
-    total = abs_order_grid(d, N)
-    if with_time:
-        total = total[..., None] + np.zeros(2 * N + 1, dtype=int)
-    return total
 
 
 def flow_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
@@ -117,33 +110,42 @@ def map_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
     return np.exp(2j * np.pi * frac) - 1.0
 
 
-def _zero_mode_index(d: int, N: int, with_time: bool) -> tuple:
-    return (N,) * (d + (1 if with_time else 0))
+def _flow_divisors(field: FourierField, freq: Frequency) -> np.ndarray:
+    """Flow divisors over the field's mode axes (time axis cut to N_t)."""
+    N, N_t = field.N, field.N_t
+    return flow_divisors(freq, field.d, N)[..., N - N_t:N + N_t + 1]
 
 
-def _check_divisor_floor(absD: np.ndarray, k_norm: np.ndarray, mask: np.ndarray,
-                         freq: Frequency, d: int, N: int, const: float,
-                         with_time: bool):
-    """SmallDivisorError when any in-window divisor undercuts the floor."""
+def _zero_mode_index(field: FourierField) -> tuple:
+    return (field.N,) * field.d + (field.N_t,)
+
+
+def _check_divisor_floor(absD: np.ndarray, field: FourierField, freq: Frequency,
+                         const: float):
+    """SmallDivisorError when any divisor on the field's support undercuts the floor.
+
+    ``absD`` spans the field's mode axes; the floor depends on |k|_1 only.
+    """
+    d, N, N_t = field.d, field.N, field.N_t
+    k_norm = np.broadcast_to(abs_order_grid(d, N)[..., None], absD.shape)
     floor = _FLOOR_SAFETY * const * freq.kappa / np.maximum(k_norm, 1) ** freq.tau
-    check = mask & (k_norm > 0)
+    check = mode_mask(d, N, N_t) & (k_norm > 0)
     bad = check & (absD < floor)
     if np.any(bad):
         idx = np.unravel_index(int(np.argmin(np.where(bad, absD, np.inf))), absD.shape)
         k = tuple(int(a) - N for a in idx[:d])
-        l = (int(idx[d]) - N) if with_time else 0
-        raise SmallDivisorError((k, l), absD[idx], floor[idx])
+        raise SmallDivisorError((k, int(idx[d]) - N_t), absD[idx], floor[idx])
     good = np.where(check, absD, np.inf)
     return float(np.min(good)) if np.any(check) else np.inf
 
 
-def _angular_mean_check(g: FourierField, with_time: bool, what: str):
-    """The solvability condition: the relevant average of g must vanish."""
-    if with_time:
-        block = np.abs(g.zero_mode())
-        mean = float(np.max(block)) if block.size else 0.0
-    else:
-        mean = float(np.max(np.abs(g.angular_average().coeffs)))
+def _angular_mean_check(g: FourierField, what: str):
+    """The solvability condition: the (k, l) = 0 block of g must vanish.
+
+    For an autonomous field (N_t = 0) this is its whole angular average.
+    """
+    block = np.abs(g.zero_mode())
+    mean = float(np.max(block)) if block.size else 0.0
     scale = float(np.max(np.abs(g.coeffs))) if g.coeffs.size else 0.0
     if mean > _MEAN_TOL * max(scale, 1e-300):
         raise StructureError(
@@ -158,19 +160,17 @@ def _flip(tag):
 def solve_v(g: FourierField, freq: Frequency) -> FourierField:
     """Solve the flow action equation D_omega v = -g; zero mode left at 0."""
     _check_window(g.N, freq)
-    _angular_mean_check(g, with_time=True, what="solve_v")
-    d, N = g.d, g.N
-    D = flow_divisors(freq, d, N)
-    mask = mode_mask(d, N)
-    k_norm = _k_norm_grid(d, N, with_time=True)
-    _check_divisor_floor(np.abs(D), k_norm, mask, freq, d, N, 1.0, with_time=True)
+    _angular_mean_check(g, what="solve_v")
+    zero = _zero_mode_index(g)
+    D = _flow_divisors(g, freq)
+    _check_divisor_floor(np.abs(D), g, freq, 1.0)
     safe = D.copy()
-    safe[_zero_mode_index(d, N, True)] = 1.0
+    safe[zero] = 1.0
     coeffs = 1j * g.coeffs / safe[..., None, None]
-    coeffs[_zero_mode_index(d, N, True)] = 0.0
-    coeffs[~mask] = 0.0
+    coeffs[zero] = 0.0
+    coeffs[~mode_mask(g.d, g.N, g.N_t)] = 0.0
     parity = None if g.parity is None else tuple(_flip(p) for p in g.parity)
-    return FourierField(d, g.m, N, g.q_y, g.r, coeffs, parity)
+    return FourierField(g.d, g.m, g.N, g.q_y, g.r, coeffs, parity)
 
 
 def solve_u(f: FourierField, v: FourierField, freq: Frequency) -> Tuple[FourierField, FourierField]:
@@ -181,22 +181,19 @@ def solve_u(f: FourierField, v: FourierField, freq: Frequency) -> Tuple[FourierF
     """
     f, v = _common_signature(f, v)
     _check_window(f.N, freq)
-    d, N = f.d, f.N
-    zero = _zero_mode_index(d, N, True)
+    zero = _zero_mode_index(f)
     v_coeffs = v.coeffs.copy()
     v_coeffs[zero] = f.coeffs[zero]
     v = replace(v, coeffs=v_coeffs)
-    D = flow_divisors(freq, d, N)
-    mask = mode_mask(d, N)
-    k_norm = _k_norm_grid(d, N, with_time=True)
-    _check_divisor_floor(np.abs(D), k_norm, mask, freq, d, N, 1.0, with_time=True)
+    D = _flow_divisors(f, freq)
+    _check_divisor_floor(np.abs(D), f, freq, 1.0)
     safe = D.copy()
     safe[zero] = 1.0
     coeffs = 1j * (f.coeffs - v.coeffs) / safe[..., None, None]
     coeffs[zero] = 0.0
-    coeffs[~mask] = 0.0
+    coeffs[~mode_mask(f.d, f.N, f.N_t)] = 0.0
     parity = None if f.parity is None else tuple(_flip(p) for p in f.parity)
-    u = FourierField(d, f.m, N, f.q_y, f.r, coeffs, parity)
+    u = FourierField(f.d, f.m, f.N, f.q_y, f.r, coeffs, parity)
     return u, v
 
 
@@ -215,20 +212,13 @@ def solve_flow(f: FourierField, g: FourierField, freq: Frequency) -> Homological
     f, g = _common_signature(f, g)
     v = solve_v(g, freq)
     u, v = solve_u(f, v, freq)
-    D = flow_divisors(freq, f.d, f.N)
-    mask = mode_mask(f.d, f.N)
-    absD = np.where(mask, np.abs(D), np.inf)
-    absD[_zero_mode_index(f.d, f.N, True)] = np.inf
+    absD = np.where(mode_mask(f.d, f.N, f.N_t), np.abs(_flow_divisors(f, freq)), np.inf)
+    absD[_zero_mode_index(f)] = np.inf
     min_div = float(np.min(absD))
     res_u = (_directional_derivative(u, freq) - (v - f)).sup_norm().value
     res_v = (_directional_derivative(v, freq) + g).sup_norm().value
     return HomologicalSolution(u=u, v=v, min_divisor=min_div,
                                residual_u=res_u, residual_v=res_v)
-
-
-def _require_time_independent(field: FourierField, what: str):
-    if not field.is_time_independent(0.0):
-        raise StructureError(f"{what}: map fields cannot carry time harmonics")
 
 
 def solve_map_full(f: FourierField, g: FourierField, freq: Frequency):
@@ -239,29 +229,26 @@ def solve_map_full(f: FourierField, g: FourierField, freq: Frequency):
     is handed back for the caller to carry.
     """
     f, g = _common_signature(f, g)
-    _require_time_independent(f, "solve_map")
-    _require_time_independent(g, "solve_map")
+    if f.N_t > 0:
+        raise StructureError(
+            f"solve_map: map fields cannot carry time harmonics (N_t = {f.N_t})")
     _check_window(f.N, freq)
     d, N = f.d, f.N
     g_mean = g.angular_average()
     g_osc = g.oscillating_part()
-    D = map_divisors(freq, d, N)
-    mask_d = np.ones((2 * N + 1,) * d, dtype=bool)
-    k_norm = _k_norm_grid(d, N, with_time=False)
-    min_div = _check_divisor_floor(np.abs(D), k_norm, mask_d, freq, d, N,
-                                   _MAP_FLOOR_CONST, with_time=False)
-    zero_d = (N,) * d
+    D = map_divisors(freq, d, N)[..., None]  # one time slot, l = 0
+    min_div = _check_divisor_floor(np.abs(D), f, freq, _MAP_FLOOR_CONST)
+    zero = _zero_mode_index(f)
     safe = D.copy()
-    safe[zero_d] = 1.0
-    # expand over (time, P, m) trailing axes; only the l = 0 plane is nonzero
-    denom = safe[(...,) + (None,) * 3]
+    safe[zero] = 1.0
+    denom = safe[..., None, None]
+    mask = mode_mask(d, N, 0)
     v_coeffs = -g_osc.coeffs / denom
-    v_coeffs[zero_d] = f.coeffs[zero_d]
-    mask = mode_mask(d, N)
+    v_coeffs[zero] = f.coeffs[zero]
     v_coeffs[~mask] = 0.0
     v = FourierField(d, g.m, N, g.q_y, g.r, v_coeffs, None)
     u_coeffs = (v.coeffs - f.coeffs) / denom
-    u_coeffs[zero_d + (N,)] = 0.0
+    u_coeffs[zero] = 0.0
     u_coeffs[~mask] = 0.0
     u = FourierField(d, f.m, N, f.q_y, f.r, u_coeffs, None)
     return u, v, g_mean, min_div
@@ -278,7 +265,7 @@ def solve_map(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalS
     combined solutions therefore carry no single pointwise parity, which
     is why their parity tags stay None.
     """
-    _angular_mean_check(g, with_time=False, what="solve_map")
+    _angular_mean_check(g, what="solve_map")
     u, v, _, min_div = solve_map_full(f, g, freq)
     Omega = 2.0 * np.pi * freq.omega
     res_u = (u.shift_x(Omega) - u - (v - f)).sup_norm().value

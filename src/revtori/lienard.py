@@ -26,6 +26,7 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError, ParameterError
 from .integrators import (compose_step, implicit_midpoint_step, leapfrog_step,
                           yoshida_weights)
+from .systems import _check_params
 
 __all__ = [
     "Perturbation", "make_perturbation", "LienardProblem", "make_problem",
@@ -70,14 +71,18 @@ def make_perturbation(kind: str, **params) -> Perturbation:
     "power" is the homogeneous pair f = f_amp x^p cos(2 pi t),
     g = g_amp x^q cos(2 pi t) (defaults p = q = 1); with odd exponents it
     is reversible, and homogeneity makes its pushed-forward growth classes
-    exact, which the class estimator tests lean on.
+    exact, which the class estimator tests lean on.  Parameters the kind
+    does not take raise ParameterError.
     """
     if kind == "none":
+        _check_params(kind, params, ())
+
         def f(x, t):
             return np.zeros_like(np.asarray(x, dtype=float))
 
         return Perturbation(kind=kind, f=f, g=f, params={})
     if kind == "power":
+        _check_params(kind, params, ("f_amp", "g_amp", "p", "q"))
         f_amp = float(params.get("f_amp", 0.05))
         g_amp = float(params.get("g_amp", 0.05))
         p = int(params.get("p", 1))
@@ -95,9 +100,11 @@ def make_perturbation(kind: str, **params) -> Perturbation:
                             params={"f_amp": f_amp, "g_amp": g_amp, "p": p, "q": q},
                             p=p, q=q)
     if kind in ("rational_cubic", "rational_cubic_skew"):
+        skew = kind == "rational_cubic_skew"
+        _check_params(kind, params, ("f_amp", "g_amp") + (("phase",) if skew else ()))
         f_amp = float(params.get("f_amp", 0.05))
         g_amp = float(params.get("g_amp", 0.05))
-        phase = float(params.get("phase", 0.4)) if kind == "rational_cubic_skew" else 0.0
+        phase = float(params.get("phase", 0.4)) if skew else 0.0
 
         def f(x, t):
             x = np.asarray(x, dtype=float)

@@ -14,7 +14,7 @@ invariant torus with rotation vector omega.
 """
 
 import math
-from dataclasses import dataclass, field as _dc_field, replace
+from dataclasses import dataclass, field as _dc_field
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,9 +179,9 @@ class TransformChain:
 class TorusEmbedding:
     """Parametrized invariant torus  K(theta, t) = (theta + x_offset, y).
 
-    For flows K(theta + omega t, t) follows the trajectories; for maps
-    (time-independent) the image of K is invariant and carries rotation
-    vector omega.
+    For flows K(theta + omega t, t) follows the trajectories; for maps the
+    fields are autonomous (time cutoff N_t = 0), the image of K is
+    invariant and carries rotation vector omega.
     """
 
     x_offset: FourierField
@@ -209,9 +209,6 @@ class TorusEmbedding:
         if squeeze:
             return x[0], yv[0]
         return x, yv
-
-    def y_sup(self, grid: int = 128) -> float:
-        return float(self.y.sup_norm(grid=grid).value)
 
     def to_dict(self) -> dict:
         return {
@@ -285,13 +282,17 @@ def _invert_transform(u: FourierField, v: FourierField, xi, eta, t,
         f"(last update {step:.3e})")
 
 
-def _strip_time_harmonics(fld: FourierField) -> FourierField:
-    """Zero every nonzero time harmonic exactly (for time-independent fits)."""
-    sl = [slice(None)] * fld.coeffs.ndim
-    sl[fld.d] = slice(fld.N, fld.N + 1)
-    coeffs = np.zeros_like(fld.coeffs)
-    coeffs[tuple(sl)] = fld.coeffs[tuple(sl)]
-    return replace(fld, coeffs=coeffs)
+def _fit_grid(d: int, n: int, mode: str):
+    """Angles (n,)*d times the time nodes: n of them for flows, t = 0 for maps.
+
+    Returns (theta, t, shape): flattened nodes of shape (S, d) and (S,),
+    and the grid shape (n,)*d + (n_t,) that samples reshape to.
+    """
+    grid = 2.0 * np.pi * np.arange(n) / n
+    t_nodes = grid if mode == "flow" else np.zeros(1)
+    axes = np.meshgrid(*([grid] * d), t_nodes, indexing="ij")
+    theta = np.stack([a.ravel() for a in axes[:d]], axis=-1)
+    return theta, axes[d].ravel(), axes[d].shape
 
 
 # --------------------------------------------------------------------------- #
@@ -367,12 +368,8 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
 
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.
-    grid = 2.0 * np.pi * np.arange(n_fit) / n_fit
-    n_axes = d + 1 if mode == "flow" else d
-    axes = np.meshgrid(*([grid] * n_axes), indexing="ij")
-    xi_flat = np.stack([a.ravel() for a in axes[:d]], axis=-1)
+    xi_flat, t_flat, grid_shape = _fit_grid(d, n_fit, mode)
     S = xi_flat.shape[0]
-    t_flat = axes[d].ravel() if mode == "flow" else np.zeros(S)
     y_nodes = default_action_nodes(d, q_y_fit, r_next)
     n_y = len(y_nodes)
 
@@ -415,15 +412,8 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     nesting_exceeded = y_excursion > r_m
 
     def _fit(vals, N_out, parity):
-        shaped = vals.reshape((n_fit,) * n_axes + (n_y, d))
-        if mode == "map":
-            shaped = np.ascontiguousarray(np.broadcast_to(
-                shaped[..., None, :, :], (n_fit,) * d + (n_fit, n_y, d)))
-        fld = field_from_grid_samples(shaped, d, N_out, q_y_fit, r_next,
-                                      y_nodes=y_nodes, parity=parity)
-        if mode == "map":
-            fld = _strip_time_harmonics(fld)
-        return fld
+        return field_from_grid_samples(vals.reshape(grid_shape + (n_y, d)), d, N_out,
+                                       q_y_fit, r_next, y_nodes=y_nodes, parity=parity)
 
     flow = mode == "flow"
     U = _fit(U_vals, N_UV, ("odd",) * d if flow else None)
@@ -566,11 +556,9 @@ class ConvergenceReport:
         }
 
 
-def _as_field_fn(h, mode: str):
+def _as_field_fn(h):
     """Uniform (x, y, t) -> (S, d) evaluator from a field or a callable."""
     if isinstance(h, FourierField):
-        if mode == "map":
-            return lambda x, y, t: h.evaluate(x, y, None, check_domain=False)
         return lambda x, y, t: h.evaluate(x, y, t, check_domain=False)
     return h
 
@@ -592,9 +580,9 @@ def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
                   n_grid: Optional[int] = None) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
 
-    The chain is evaluated on a product angle(/time) grid and the offsets
-    are fitted by FFT; for maps the result is made exactly
-    time-independent.
+    The chain is evaluated on the angle grid times the time nodes (all of
+    them for flows, t = 0 for maps, whose embedding is autonomous) and the
+    offsets are fitted by FFT.
     """
     d = freq.d
     if N is None:
@@ -602,28 +590,13 @@ def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
     n = int(n_grid) if n_grid is not None else 2 * N + 2
     if n < 2 * N + 1:
         raise ParameterError(f"grid size {n} too small for cutoff N = {N}")
-    grid = 2.0 * np.pi * np.arange(n) / n
-    n_axes = d + 1 if mode == "flow" else d
-    axes = np.meshgrid(*([grid] * n_axes), indexing="ij")
-    theta = np.stack([a.ravel() for a in axes[:d]], axis=-1)
-    S = theta.shape[0]
-    t = axes[d].ravel() if mode == "flow" else np.zeros(S)
-    x, y = chain.evaluate(theta, np.zeros((S, d)), t)
-    off_vals = (x - theta).reshape((n,) * n_axes + (1, d))
-    y_vals = y.reshape((n,) * n_axes + (1, d))
-    if mode == "map":
-        off_vals = np.ascontiguousarray(np.broadcast_to(
-            off_vals[..., None, :, :], (n,) * d + (n, 1, d)))
-        y_vals = np.ascontiguousarray(np.broadcast_to(
-            y_vals[..., None, :, :], (n,) * d + (n, 1, d)))
+    theta, t, grid_shape = _fit_grid(d, n, mode)
+    x, y = chain.evaluate(theta, np.zeros((len(theta), d)), t)
     flow = mode == "flow"
-    x_offset = field_from_grid_samples(off_vals, d, N, 0, 0.0,
-                                       parity=("odd",) * d if flow else None)
-    y_field = field_from_grid_samples(y_vals, d, N, 0, 0.0,
+    x_offset = field_from_grid_samples((x - theta).reshape(grid_shape + (1, d)), d, N,
+                                       0, 0.0, parity=("odd",) * d if flow else None)
+    y_field = field_from_grid_samples(y.reshape(grid_shape + (1, d)), d, N, 0, 0.0,
                                       parity=("even",) * d if flow else None)
-    if mode == "map":
-        x_offset = _strip_time_harmonics(x_offset)
-        y_field = _strip_time_harmonics(y_field)
     return TorusEmbedding(x_offset=x_offset, y=y_field,
                           omega=np.array(freq.omega, dtype=float),
                           r0=float(r0), mode=mode)
@@ -820,8 +793,8 @@ def verify_invariance(embedding: TorusEmbedding, system, omega=None,
     if mode == "flow":
         if not (isinstance(system, (tuple, list)) and len(system) == 2):
             raise ParameterError("flow verification needs the pair (f, g)")
-        f_fn = _as_field_fn(system[0], mode)
-        g_fn = _as_field_fn(system[1], mode)
+        f_fn = _as_field_fn(system[0])
+        g_fn = _as_field_fn(system[1])
         x0, y0 = embedding.evaluate(theta, np.zeros(S))
         z0 = np.concatenate([x0.ravel(), y0.ravel()])
 
@@ -847,8 +820,8 @@ def verify_invariance(embedding: TorusEmbedding, system, omega=None,
     else:
         Omega = 2.0 * np.pi * omega
         if isinstance(system, (tuple, list)) and len(system) == 2:
-            f_fn = _as_field_fn(system[0], mode)
-            g_fn = _as_field_fn(system[1], mode)
+            f_fn = _as_field_fn(system[0])
+            g_fn = _as_field_fn(system[1])
 
             def apply_map(x, y):
                 tt = np.zeros(x.shape[0])

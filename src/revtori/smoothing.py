@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .fields import FourierField, abs_order_grid, action_powers
+from .fields import FourierField, action_powers, mode_orders
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def smooth(field: FourierField, s: float,
     kernel = kernel or SmoothingKernel()
     N_out = min(field.N, kernel.cutoff(s))
     out = field.truncate(N=N_out)
-    sigma = kernel.symbol(s * abs_order_grid(field.d + 1, N_out))
+    sigma = kernel.symbol(s * mode_orders(field.d, N_out, out.N_t))
     coeffs = out.coeffs * sigma[..., None, None]
     return replace(out, coeffs=coeffs)
 
@@ -117,7 +117,7 @@ def approximation_error(field: FourierField, s: float,
                         kernel: Optional[SmoothingKernel] = None) -> float:
     """Coefficient-majorant bound for ||S_s F - F|| on the real domain."""
     kernel = kernel or SmoothingKernel()
-    sigma = kernel.symbol(float(s) * abs_order_grid(field.d + 1, field.N))
+    sigma = kernel.symbol(float(s) * mode_orders(field.d, field.N, field.N_t))
     weights = np.abs(1.0 - sigma).ravel()
     P = len(action_powers(field.d, field.q_y))
     A = np.abs(field.coeffs).reshape(-1, P, field.m)
@@ -125,13 +125,6 @@ def approximation_error(field: FourierField, s: float,
     rpow = np.where(deg > 0, field.r ** deg, 1.0)
     per_comp = np.einsum("xpm,x,p->m", A, weights, rpow)
     return float(np.max(per_comp))
-
-
-def approximation_error_curve(field: FourierField, s_values: Sequence[float],
-                              kernel: Optional[SmoothingKernel] = None) -> np.ndarray:
-    """Rows (s, error majorant) for each smoothing scale."""
-    rows = [(float(s), approximation_error(field, s, kernel)) for s in s_values]
-    return np.array(rows)
 
 
 def synthetic_rough_field(ell_star: float, N: int = 512, seed: int = 0,

@@ -4,25 +4,27 @@ import numpy as np
 import pytest
 
 from revtori import diophantine
-from revtori.fields import FourierField, abs_order_grid, action_powers, mode_mask
+from revtori.fields import FourierField, action_powers, mode_mask, mode_orders
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def random_parity_field(rng, parity, d=1, N=8, q_y=2, r=0.1, m=None,
-                        decay=0.4, amp=1.0):
+                        decay=0.4, amp=1.0, N_t=None):
     """Random real field with exact declared parity.
 
     Coefficients get a mild exponential decay in |k| + |l| so that sup
     norms stay O(amp), and are restricted to the |k|_1 + |l| <= N simplex
-    (the support every solver works on).
+    (the support every solver works on).  N_t (default N) is the time
+    cutoff; N_t = 0 gives an autonomous field.
     """
     m = d if m is None else m
+    N_t = N if N_t is None else N_t
     P = len(action_powers(d, q_y))
-    shape = (2 * N + 1,) * (d + 1) + (P, m)
+    shape = (2 * N + 1,) * d + (2 * N_t + 1, P, m)
     raw = rng.standard_normal(shape)
-    raw *= amp * np.exp(-decay * abs_order_grid(d + 1, N))[..., None, None]
-    raw[~mode_mask(d, N)] = 0.0
+    raw *= amp * np.exp(-decay * mode_orders(d, N, N_t))[..., None, None]
+    raw[~mode_mask(d, N, N_t)] = 0.0
     sl = (slice(None, None, -1),) * (d + 1)
     if parity == "even":
         coeffs = 0.5 * (raw + raw[sl]).astype(complex)

@@ -128,6 +128,17 @@ class TestKamRun:
         assert code == 0
         assert data["failed"] is False
         assert data["invariance_residual"] < 1e-8
+        run_dir = Path(data["run_dir"])
+        code, checked = run_json(capsys, ["verify", str(run_dir)])
+        assert code == 0
+        assert checked["digests_ok"] is True
+        assert checked["invariance_residual"] < 1e-8
+        # a map torus is autonomous: one time slot, no time harmonics
+        embedding = persistence.load_embedding(run_dir / "embedding.json")
+        assert embedding.mode == "map"
+        for fld in (embedding.x_offset, embedding.y):
+            assert fld.N_t == 0
+            assert fld.coeffs.shape[fld.d] == 1
 
     def test_step_failure_exits_3(self, tmp_path):
         code = main(["kam", "run", "--out", str(tmp_path),
@@ -240,6 +251,23 @@ class TestLienardCli:
 
     def test_orbit_bad_n(self):
         assert main(["lienard", "orbit", "--n", "0"]) == 2
+
+    def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path)
+        assert main(["lienard", "poincare", "--out", out,
+                     "--set", "perturbation.f_ampz=1"]) == 2
+        assert "'f_ampz'" in capsys.readouterr().err
+        # phase belongs to rational_cubic_skew only
+        assert main(["lienard", "stability", "--out", out,
+                     "--set", "perturbation.phase=0.3"]) == 2
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps(
+            {"perturbation": {"kind": "rational_cubic", "f_amp": 0.05,
+                              "g_ampl": 0.05}}))
+        assert main(["lienard", "stability", "--out", out,
+                     "--config", str(typo)]) == 2
+        assert "'g_ampl'" in capsys.readouterr().err
+        assert not (tmp_path / "lienard-stability").exists()
 
     def test_poincare_residual_and_iterates(self, tmp_path, capsys):
         csv = tmp_path / "section.csv"

@@ -13,6 +13,7 @@ from revtori import fields
 from revtori.errors import (DomainError, ParameterError, PersistenceError,
                             ShapeError, StructureError)
 from revtori.fields import FourierField, harmonic_field
+from revtori.smoothing import smooth
 
 from conftest import grid_parity_residual, random_parity_field
 
@@ -72,15 +73,15 @@ def _random_complex_field(rng, d, N, m=2, q_y=2, r=0.1):
     P = len(fields.action_powers(d, q_y))
     shape = (2 * N + 1,) * (d + 1) + (P, m)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeffs[~fields.mode_mask(d, N)] = 0.0
+    coeffs[~fields.mode_mask(d, N, N)] = 0.0
     return FourierField(d, m, N, q_y, r, coeffs)
 
 
 def _direct_sum(fld, x, y, t):
     """sum of c[k, l, alpha] y^alpha e^{i(<k, x> + l t)}, one mode at a time."""
     out = np.zeros((len(x), fld.m), dtype=complex)
-    for idx in np.argwhere(fields.mode_mask(fld.d, fld.N)):
-        k, l = idx[:fld.d] - fld.N, idx[fld.d] - fld.N
+    for idx in np.argwhere(fields.mode_mask(fld.d, fld.N, fld.N_t)):
+        k, l = idx[:fld.d] - fld.N, idx[fld.d] - fld.N_t
         phase = np.exp(1j * (x @ k + l * t))
         for p, alpha in enumerate(fld.powers):
             weight = np.prod(y ** alpha, axis=1)
@@ -287,6 +288,98 @@ class TestSerialization:
         victim["im"][0] *= -1.0  # breaks c(-k,-l) = conj(c(k,l))
         with pytest.raises(PersistenceError):
             FourierField.from_dict(data)
+
+
+def _at_l0(fld):
+    """The same coefficients placed at l = 0 of an N_t = N time axis."""
+    coeffs = np.zeros((2 * fld.N + 1,) * (fld.d + 1) + fld.coeffs.shape[-2:],
+                      dtype=complex)
+    coeffs[(slice(None),) * fld.d + (fld.N,)] = fld.coeffs[(slice(None),) * fld.d + (0,)]
+    return FourierField(fld.d, fld.m, fld.N, fld.q_y, fld.r, coeffs, fld.parity)
+
+
+class TestTimeCutoff:
+    """An autonomous field (N_t = 0) against its copy on a full time axis."""
+
+    @staticmethod
+    def _same(short, full, tol=1e-13):
+        assert short.N_t == 0 and full.N_t == full.N
+        assert short.N == full.N and short.q_y == full.q_y
+        assert short.parity == full.parity
+        np.testing.assert_allclose(_at_l0(short).coeffs, full.coeffs,
+                                   rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("d, N", [(1, 6), (2, 4)])
+    def test_operations_agree(self, rng, d, N):
+        a = random_parity_field(rng, "even", d=d, N=N, q_y=2, r=0.1, N_t=0)
+        b = random_parity_field(rng, "odd", d=d, N=N - 1, q_y=2, r=0.1, N_t=0)
+        assert a.coeffs.shape == (2 * N + 1,) * d + (1, 6 if d == 2 else 3, d)
+        a_full, b_full = _at_l0(a), _at_l0(b)
+        assert a_full.N_t == N
+        x, y, t = _sample_points(rng, S=30, d=d)
+        np.testing.assert_allclose(a.evaluate(x, y, t), a_full.evaluate(x, y, t),
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(a.evaluate_complex(x, y, t), _direct_sum(a, x, y, t),
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(a.evaluate(x, y, t), a.evaluate(x, y, 0.0 * t),
+                                   rtol=0.0, atol=0.0)
+        self._same(a.multiply(b), a_full.multiply(b_full))
+        self._same(a.multiply(b, N_out=N), a_full.multiply(b_full, N_out=N))
+        self._same(a + b, a_full + b_full)
+        for j in range(d):
+            self._same(a.diff_x(j), a_full.diff_x(j))
+            self._same(a.diff_y(j), a_full.diff_y(j))
+        assert not np.any(a.diff_t().coeffs)
+        for s in (0.0, 0.3):
+            short, full = a.sup_norm(s, 0.05), a_full.sup_norm(s, 0.05)
+            assert short.value == pytest.approx(full.value, rel=1e-13)
+            assert short.majorant == pytest.approx(full.majorant, rel=1e-13)
+            assert a.majorant(s) == pytest.approx(a_full.majorant(s), rel=1e-13)
+        self._same(smooth(a, 0.4), smooth(a_full, 0.4))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_round_trip_keeps_time_cutoff(self, rng, d):
+        a = random_parity_field(rng, "odd", d=d, N=4, q_y=2, r=0.1, N_t=0)
+        data = a.to_dict()
+        assert data["N_t"] == 0 and all(e["l"] == 0 for e in data["coeffs"])
+        clone = FourierField.from_dict(data)
+        assert clone.N_t == 0 and clone.parity == a.parity
+        assert np.array_equal(clone.coeffs, a.coeffs)
+
+    def test_record_without_time_cutoff_loads_with_full_axis(self, rng):
+        fld = random_parity_field(rng, "even", N=5, q_y=1)
+        data = fld.to_dict()
+        assert data.pop("N_t") == 5
+        clone = FourierField.from_dict(data)
+        assert clone.N_t == 5
+        assert np.array_equal(clone.coeffs, fld.coeffs)
+
+    def test_time_harmonic_outside_cutoff_rejected(self, rng):
+        fld = random_parity_field(rng, "even", N=3, q_y=0, N_t=0)
+        with pytest.raises(ShapeError):
+            fld.mode([0], 1)
+        data = fld.to_dict()
+        data["coeffs"].append({"k": [0], "l": 1, "power": 0,
+                               "re": [1.0], "im": [0.0]})
+        with pytest.raises(PersistenceError):
+            FourierField.from_dict(data)
+
+    @pytest.mark.parametrize("n_t", [2, 7])
+    def test_bad_time_axis_rejected(self, n_t):
+        with pytest.raises(ShapeError):
+            FourierField(1, 1, 2, 0, 0.0, np.zeros((5, n_t, 1, 1), dtype=complex))
+
+    def test_time_independent_fit_has_one_time_slot(self):
+        fld = fields.field_from_function(
+            lambda x, y, t: np.cos(x[:, 0]) + 0.5 * y[:, 0] * np.sin(2 * x[:, 0]),
+            d=1, m=1, N=4, q_y=1, r=0.1, time_independent=True)
+        assert fld.N_t == 0 and fld.coeffs.shape == (9, 1, 2, 1)
+        assert fld.values_on_grid(10).shape == (10, 1, 2, 1)
+        x = np.array([[0.3], [2.0]])
+        y = np.array([[0.05], [-0.02]])
+        expected = np.cos(x[:, 0]) + 0.5 * y[:, 0] * np.sin(2 * x[:, 0])
+        np.testing.assert_allclose(fld.evaluate(x, y, np.array([1.0, 4.0]))[:, 0],
+                                   expected, rtol=0.0, atol=1e-14)
 
 
 def test_jacobian_apply_matches_finite_difference(rng):

@@ -18,7 +18,7 @@ import pytest
 from revtori import diophantine, homological
 from revtori.errors import (ParameterError, ShapeError, SmallDivisorError,
                             StructureError)
-from revtori.fields import FourierField, harmonic_field, mode_mask
+from revtori.fields import field_from_function, harmonic_field
 
 from conftest import GOLDEN, grid_parity_residual, random_parity_field, \
     random_reversible_pair
@@ -148,15 +148,9 @@ class TestFlowSolver:
 
 class TestMapSolver:
     def _pair(self, rng, N=8, q_y=2):
-        f = random_parity_field(rng, "even", d=1, N=N, q_y=q_y, r=0.1)
-        g = random_parity_field(rng, "odd", d=1, N=N, q_y=q_y, r=0.1)
-        # difference equations are posed for time-independent fields
-        strip = np.zeros_like(f.coeffs)
-        strip[:, N] = f.coeffs[:, N]
-        f = dataclasses.replace(f, coeffs=strip)
-        strip = np.zeros_like(g.coeffs)
-        strip[:, N] = g.coeffs[:, N]
-        g = dataclasses.replace(g, coeffs=strip)
+        # difference equations are posed for autonomous fields (N_t = 0)
+        f = random_parity_field(rng, "even", d=1, N=N, q_y=q_y, r=0.1, N_t=0)
+        g = random_parity_field(rng, "odd", d=1, N=N, q_y=q_y, r=0.1, N_t=0)
         return f, g
 
     def test_telescoping_sum_oracle(self, rng, golden):
@@ -213,8 +207,8 @@ class TestMapSolver:
     def test_full_solver_returns_the_mean(self, rng, golden):
         f, _ = self._pair(rng)
         # non-odd g: a pure function of y has a nonzero angular average
-        g = harmonic_field(d=1, N=8, k=[0], l=0, amplitude=0.2, q_y=2,
-                           r=0.1, power=1)
+        g = field_from_function(lambda x, y, t: 0.2 * y[:, 0], d=1, m=1, N=8,
+                                q_y=2, r=0.1, time_independent=True)
         u, v, g_mean, min_div = homological.solve_map_full(f, g, golden)
         assert float(np.max(np.abs(g_mean.coeffs - g.coeffs))) < 1e-15
         assert min_div > 0.0

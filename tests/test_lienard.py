@@ -65,6 +65,17 @@ class TestPerturbationFactory:
         with pytest.raises(ParameterError):
             lienard.make_perturbation("vanderpol")
 
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ParameterError, match="f_ampz"):
+            lienard.make_perturbation("rational_cubic", f_ampz=0.1)
+        with pytest.raises(ParameterError):
+            lienard.make_perturbation("none", f_amp=0.1)
+        # the phase shift is a parameter of the skewed kind only
+        with pytest.raises(ParameterError, match="phase"):
+            lienard.make_perturbation("rational_cubic", phase=0.3)
+        assert lienard.make_perturbation(
+            "rational_cubic_skew", phase=0.3).params["phase"] == 0.3
+
 
 class TestProblem:
     def test_n_must_be_positive_integer(self):

@@ -13,7 +13,7 @@ import pytest
 
 from revtori import diophantine, newton, systems
 from revtori.errors import ParameterError, StructureError
-from revtori.fields import FourierField
+from revtori.fields import FourierField, field_from_function
 
 from conftest import GOLDEN, grid_parity_residual, random_reversible_pair
 
@@ -132,6 +132,25 @@ class TestNewtonStep:
         assert grid_parity_residual(g_next) < 1e-10
         assert grid_parity_residual(transform.u) < 1e-10
         assert grid_parity_residual(transform.v) < 1e-10
+        assert diag["composition_residual"] < 1e-10
+
+    def test_map_step_contracts_on_autonomous_fields(self, golden):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        mapping = systems.MapSystem(omega=GOLDEN, eps=1e-5)
+        f, g = (field_from_function(h, d=1, m=1, N=sched.N[0], q_y=2,
+                                    r=sched.r[0], time_independent=True)
+                for h in (mapping.f, mapping.g))
+        assert f.N_t == g.N_t == 0
+        transform, f_next, g_next, diag = newton.newton_step(
+            f, g, golden, sched, 0, mode="map")
+        for fld in (transform.U, transform.V, f_next, g_next):
+            assert fld.N_t == 0 and fld.coeffs.shape[fld.d] == 1
+        assert f_next.N == g_next.N == sched.N[1]
+        # the oscillating parts are what the map iteration drives to zero
+        for before, after in ((f, f_next), (g, g_next)):
+            osc_in = before.oscillating_part().majorant(0.0, sched.r[0])
+            osc_out = after.oscillating_part().majorant(0.0, sched.r[1])
+            assert osc_out < 0.05 * osc_in
         assert diag["composition_residual"] < 1e-10
 
 
