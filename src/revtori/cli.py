@@ -199,8 +199,7 @@ def _make_problem(cfg, errors):
     from . import lienard
     pert = cfg["perturbation"]
     params = {k: v for k, v in pert.items() if k != "kind"}
-    return lienard.make_problem(int(cfg["n"]), pert.get("kind", "none"),
-                                **params)
+    return lienard.make_problem(cfg["n"], pert.get("kind", "none"), **params)
 
 
 # --------------------------------------------------------------------------- #

@@ -202,6 +202,16 @@ class TestDeterminism:
             b = (tmp_path / "b" / "kam-flow" / name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_repeated_stability_runs_are_byte_identical(self, tmp_path):
+        argv = ["lienard", "stability", "--set", "t_max=5"]
+        for sub in ("a", "b"):
+            assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+        for name in ("manifest.json", "stability.csv"):
+            a = (tmp_path / "a" / "lienard-stability" / name).read_bytes()
+            b = (tmp_path / "b" / "lienard-stability" / name).read_bytes()
+            assert a == b, f"{name} differs between identical runs"
+        assert main(["verify", str(tmp_path / "a" / "lienard-stability")]) == 0
+
 
 class TestShippedConfigs:
     """The demo files under configs/ must stay loadable end to end."""
@@ -269,6 +279,25 @@ class TestLienardCli:
         assert "'g_ampl'" in capsys.readouterr().err
         assert not (tmp_path / "lienard-stability").exists()
 
+    @pytest.mark.parametrize("command,override", [
+        ("stability", "levels=[]"),
+        ("stability", "phases=[]"),
+        ("stability", "t_max=nan"),
+        ("stability", "t_max=Infinity"),
+        ("stability", "dt=NaN"),
+        ("stability", "dt=10"),
+        ("stability", "t_ref=nan"),
+        ("stability", "n=1.5"),
+        ("poincare", "n=1.5"),
+    ])
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, command, override):
+        # a short horizon first, so a missed check cannot run for minutes
+        short = ["--set", "t_max=1"] if command == "stability" else []
+        assert main(["lienard", command, "--out", str(tmp_path), *short,
+                     "--set", override]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_poincare_residual_and_iterates(self, tmp_path, capsys):
         csv = tmp_path / "section.csv"
         code, data = run_json(capsys, [
@@ -289,7 +318,11 @@ class TestLienardCli:
         assert code == 0
         assert data["stable"] is True
         run_dir = tmp_path / "lienard-stability"
-        assert (run_dir / "stability.csv").is_file()
+        lines = (run_dir / "stability.csv").read_text().splitlines()
+        assert lines[0] == ("level,phase,ratio,max_norm,initial_max,"
+                            "energy_drift,failed,t_fail")
+        assert len(lines) == 21
+        assert all(line.endswith(",false,nan") for line in lines[1:])
         man = persistence.load_manifest(run_dir / "manifest.json")
         assert man.command == "lienard stability"
 

@@ -8,6 +8,7 @@ from scipy.special import beta as beta_fn
 
 from revtori import lienard
 from revtori.errors import DomainError, ParameterError
+from revtori.integrators import yoshida_weights
 
 
 def closed_form_period(n: int) -> float:
@@ -65,6 +66,23 @@ class TestPerturbationFactory:
         with pytest.raises(ParameterError):
             lienard.make_perturbation("vanderpol")
 
+    @pytest.mark.parametrize("kind,params", [
+        ("rational_cubic", {"f_amp": 0.3, "g_amp": 0.7}),
+        ("rational_cubic_skew", {"phase": 0.4}),
+        ("power", {"f_amp": 0.1, "g_amp": 0.2, "p": 1, "q": 3}),
+        ("power", {"f_amp": 0.1, "g_amp": 0.2, "p": 2, "q": 5}),
+    ])
+    def test_fused_forcing_matches_f_and_g(self, kind, params):
+        pert = lienard.make_perturbation(kind, **params)
+        x = np.concatenate([np.linspace(-4.0, 4.0, 33), [-1e5, -37.5, 0.0, 61.0, 1e5]])
+        for t in (0.0, 0.13, 0.25, 0.5, 0.91, 7.3):
+            fv, gv = pert.forcing(x, t)
+            np.testing.assert_allclose(fv, pert.f(x, t), rtol=1e-14, atol=0)
+            np.testing.assert_allclose(gv, pert.g(x, t), rtol=1e-14, atol=0)
+
+    def test_zero_forcing_has_no_fused_call(self):
+        assert lienard.make_perturbation("none").forcing is None
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError, match="f_ampz"):
             lienard.make_perturbation("rational_cubic", f_ampz=0.1)
@@ -81,9 +99,33 @@ class TestProblem:
     def test_n_must_be_positive_integer(self):
         with pytest.raises(ParameterError):
             lienard.make_problem(0)
+        for bad in (1.5, 2.0, True, "1"):
+            with pytest.raises(ParameterError):
+                lienard.make_problem(bad)
         with pytest.raises(ParameterError):
             lienard.LienardProblem(n=1.5,
                                    perturbation=lienard.make_perturbation("none"))
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_int_power_matches_pow(self, p, rng):
+        # one rounding per multiplication: within p - 1 units in the last
+        # place of x ** p (exact for p <= 2)
+        x = np.concatenate([rng.uniform(-3.0, 3.0, 4000),
+                            1e3 * rng.standard_normal(4000),
+                            -np.geomspace(1e-3, 1e4, 2000)])
+        ref = x ** p
+        err = np.abs(lienard._int_power(x, p) - ref) / np.spacing(np.abs(ref))
+        assert err.max() <= max(p - 1, 0)
+
+    def test_restoring_and_energy_formulas(self, rng):
+        x, y = rng.uniform(-3.0, 3.0, 50), rng.uniform(-3.0, 3.0, 50)
+        for n in (1, 2, 3):
+            prob = lienard.make_problem(n)
+            np.testing.assert_allclose(prob.restoring(x), x ** (2 * n + 1),
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(prob.energy(x, y),
+                                       (n + 1) * y * y + x ** (2 * n + 2),
+                                       rtol=1e-14, atol=0)
 
     def test_plane_rhs_formula(self):
         prob = lienard.make_problem(2, "power", f_amp=0.1, g_amp=0.2, p=1, q=1)
@@ -362,6 +404,176 @@ class TestStability:
         assert summary["n_orbits"] == 4 and summary["n_failed"] == 0
 
     def test_bad_horizon(self, orbits):
-        with pytest.raises(ParameterError):
-            lienard.lagrange_stability_experiment(
-                lienard.make_problem(1), t_max=-1.0, orbit=orbits[1])
+        prob = lienard.make_problem(1)
+        for t_max, dt, t_ref in ((-1.0, 1 / 64, None), (math.nan, 1 / 64, None),
+                                 (math.inf, 1 / 64, None), (1.0, math.nan, None),
+                                 (1.0, 0.0, None), (1.0, 10.0, None),
+                                 (1.0, 1 / 64, math.nan), (1.0, 1 / 64, -1.0)):
+            with pytest.raises(ParameterError):
+                lienard.lagrange_stability_experiment(
+                    prob, t_max=t_max, dt=dt, t_ref=t_ref, orbit=orbits[1])
+
+    def test_empty_bundle_rejected(self, orbits):
+        prob = lienard.make_problem(1)
+        for levels, phases in (([], (0.0,)), ((1.0,), [])):
+            with pytest.raises(ParameterError, match="at least one"):
+                lienard.lagrange_stability_experiment(
+                    prob, t_max=1.0, levels=levels, phases=phases,
+                    orbit=orbits[1])
+
+    def test_t_fail_is_a_column(self, orbits):
+        prob = lienard.make_problem(1)
+        rep = lienard.lagrange_stability_experiment(
+            prob, t_max=1.0, levels=(1.0, 1e7), phases=(0.0,), orbit=orbits[1])
+        assert lienard.STABILITY_COLUMNS[-1] == "t_fail"
+        survived, failed = rep.csv_rows()
+        assert math.isnan(survived[-1])
+        assert failed[-1] == pytest.approx(1.0 / 64)
+
+
+def _reference_stability(problem, t_max, dt, levels, phases, t_ref, orbit,
+                         order):
+    """Per-step reference for lagrange_stability_experiment.
+
+    f and g are called at both half-kicks of every substep, powers use
+    ``**``, and the checks, the freeze and the maxima run after every step.
+    Returns the per-orbit columns as arrays.
+    """
+    n = problem.n
+    f, g = problem.perturbation.f, problem.perturbation.g
+    plain = problem.perturbation.kind == "none"
+    lam = np.repeat(np.asarray(levels, dtype=float), len(phases))
+    phs = np.tile(np.asarray(phases, dtype=float), len(levels))
+    s0 = phs * orbit.period / (2.0 * np.pi)
+    x = lam * orbit.x0(s0)
+    y = lam ** (n + 1) * orbit.y0(s0)
+    B = len(x)
+
+    E0 = problem.energy(x, y)
+    running = np.abs(x) + np.abs(y)
+    initial = running.copy()
+    drift = np.zeros(B)
+    alive = np.ones(B, dtype=bool)
+    t_fail = np.full(B, math.nan)
+    x_save, y_save = x.copy(), y.copy()
+
+    weights = yoshida_weights(order)
+    n_steps = int(round(t_max / dt))
+    k_ref = int(math.ceil(t_ref / dt))
+    cap = 1e6
+    p21 = 2 * n + 1
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            t_sub = k * dt
+            for w in weights:
+                h = w * dt
+                half = 0.5 * h
+                if plain:
+                    y = y - half * x ** p21
+                    x = x + h * y
+                    y = y - half * x ** p21
+                    t_sub += h
+                else:
+                    y = (y - half * (x ** p21 + g(x, t_sub))) / (1.0 + half * f(x, t_sub))
+                    x = x + h * y
+                    t_sub += h
+                    y = y - half * (x ** p21 + f(x, t_sub) * y + g(x, t_sub))
+            norm = np.abs(x) + np.abs(y)
+            bad = alive & (~np.isfinite(norm) | (norm > cap))
+            if bad.any():
+                t_fail[bad] = (k + 1) * dt
+                alive &= ~bad
+                x[bad] = x_save[bad]
+                y[bad] = y_save[bad]
+                norm = np.abs(x) + np.abs(y)
+            np.copyto(x_save, x, where=alive)
+            np.copyto(y_save, y, where=alive)
+            live_norm = np.where(alive, norm, -np.inf)
+            running = np.maximum(running, live_norm)
+            if k < k_ref:
+                initial = np.maximum(initial, live_norm)
+            E = problem.energy(x, y)
+            dE = np.abs(E - E0) / np.maximum(E0, 1e-300)
+            drift = np.where(alive, np.maximum(drift, dE), drift)
+
+    ratio = np.where(alive, running / initial, np.inf)
+    return {"ratio": ratio, "max_norm": running, "initial_max": initial,
+            "energy_drift": drift, "failed": ~alive, "t_fail": t_fail}
+
+
+class TestStabilityOracle:
+    """The block-checked integrator against the per-step reference loop.
+
+    Powers by multiplication and the once-per-point force evaluation move
+    results by rounding only, hence the relative tolerances; which orbits
+    fail, and when, must agree exactly.  Each case runs with the shipped
+    block cap and with a cap that makes blocks of a few steps, so failures
+    land in row 0 of the first block, mid-block and at later blocks.
+    """
+
+    CASES = {
+        # (a) the shipped forcing, 20 orbits
+        "rational_cubic": dict(n=1, kind="rational_cubic",
+                               params={"f_amp": 0.05, "g_amp": 0.05},
+                               t_max=50.0, t_ref=10.0, order=4,
+                               levels=(1.0, 1.5, 2.0, 2.5, 3.0),
+                               phases=(0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)),
+        # (b) the plain kick-drift-kick control
+        "none": dict(n=1, kind="none", params={}, t_max=50.0, t_ref=10.0,
+                     order=6, levels=(1.0, 2.0, 3.0), phases=(0.0, 1.0, 2.5)),
+        # (c) anti-damping f = -8 (built below): level 1e7 fails at step
+        # 1, levels 0.01 to 10 escape between steps 44 and 169, and level
+        # 1e-4 stays.  The escape is fast on purpose: an orbit that spends
+        # hundreds of steps under-resolved on its way out amplifies
+        # rounding (1e-9 relative at f = -2), whatever the bookkeeping.
+        "failures": dict(n=1, kind="anti_damping", params={},
+                         t_max=3.0, t_ref=1.0, order=4,
+                         levels=(1e-4, 0.01, 0.1, 10.0, 1e7),
+                         phases=(0.0, 2.0, 4.0)),
+        # (d) 190 steps, k_ref = 77: neither a multiple of the small
+        # cap's 5-step blocks; n = 2 and a skewed phase on the way
+        "ragged": dict(n=2, kind="rational_cubic_skew", params={"phase": 0.4},
+                       t_max=190 / 64, t_ref=1.2, order=2,
+                       levels=(1.0, 2.0, 1e7),
+                       phases=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    }
+
+    @pytest.mark.parametrize("cap", [None, 100])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_loop_matches_reference(self, orbits, monkeypatch, case, cap):
+        c = self.CASES[case]
+        if cap is not None:
+            monkeypatch.setattr(lienard, "_STABILITY_BLOCK_ENTRIES", cap)
+        if c["kind"] == "anti_damping":
+            def f(x, t):
+                return np.full_like(np.asarray(x, dtype=float), -8.0)
+
+            def g(x, t):
+                return np.zeros_like(np.asarray(x, dtype=float))
+
+            prob = lienard.LienardProblem(
+                n=c["n"], perturbation=lienard.Perturbation(
+                    kind="anti_damping", f=f, g=g))
+        else:
+            prob = lienard.make_problem(c["n"], c["kind"], **c["params"])
+        args = dict(t_max=c["t_max"], dt=1.0 / 64, levels=c["levels"],
+                    phases=c["phases"], t_ref=c["t_ref"], orbit=orbits[c["n"]],
+                    order=c["order"])
+        rep = lienard.lagrange_stability_experiment(prob, **args)
+        ref = _reference_stability(prob, **args)
+        got = {col: np.array([row[col] for row in rep.rows])
+               for col in ref}
+        np.testing.assert_array_equal(got["failed"], ref["failed"])
+        np.testing.assert_array_equal(got["t_fail"], ref["t_fail"])
+        for col in ("ratio", "max_norm", "initial_max"):
+            np.testing.assert_allclose(got[col], ref[col], rtol=1e-10, atol=0,
+                                       err_msg=col)
+        # drifts are relative energy errors; the control's sit near 1e-12,
+        # where rounding alone moves them by ~1e-14
+        np.testing.assert_allclose(got["energy_drift"], ref["energy_drift"],
+                                   rtol=1e-8, atol=1e-13)
+        if case == "failures":
+            steps = ref["t_fail"][ref["failed"]] * 64
+            assert steps.min() == 1 and steps.max() > 100
+            assert not ref["failed"].all()
