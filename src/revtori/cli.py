@@ -127,6 +127,30 @@ def _apply_override(cfg: dict, item: str, errors) -> None:
     node[parts[-1]] = _parse_value(raw)
 
 
+def _number(cfg: dict, key: str, kind, errors):
+    """cfg[key] as ``kind`` (int or float); anything else exits 2.
+
+    Booleans and, for ints, values with a fractional part are refused
+    rather than truncated.
+    """
+    value = cfg[key]
+    try:
+        out = kind(value)
+        if isinstance(value, bool) or (kind is int and out != float(value)):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise errors.ParameterError(
+            f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
+            f"got {value!r}") from None
+    return out
+
+
+def _numbers(cfg: dict, key: str, errors) -> list:
+    """cfg[key] (a list, or one number) as a list of floats; anything else exits 2."""
+    values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
+    return [_number({key: v}, key, float, errors) for v in values]
+
+
 def _merge_config(args, defaults: dict, errors) -> dict:
     cfg = copy.deepcopy(defaults)
     if getattr(args, "config", None):
@@ -154,11 +178,9 @@ def _resolve_frequency(omega_spec, d: int, tau, K_max: int):
     from . import diophantine
     if isinstance(omega_spec, str):
         omega = diophantine.make_frequency(d, omega_spec)
-    elif isinstance(omega_spec, (int, float)):
-        omega = [float(omega_spec)]
     else:
         omega = [float(v) for v in omega_spec]
-    return diophantine.certify(omega, tau=tau, K_max=int(K_max))
+    return diophantine.certify(omega, tau=tau, K_max=K_max)
 
 
 def _omega_spec(args):
@@ -179,9 +201,17 @@ def _omega_spec(args):
             f"--omega must be comma-separated numbers, got {args.omega!r}")
 
 
+def _perturbation_params(pert_cfg: dict) -> dict:
+    """The numeric parameters of a perturbation section (all but ``kind``)."""
+    from . import errors
+    if not isinstance(pert_cfg, dict):
+        raise errors.ParameterError(f"perturbation must be an object, got {pert_cfg!r}")
+    return {k: _number(pert_cfg, k, float, errors) for k in pert_cfg if k != "kind"}
+
+
 def _build_flow_inputs(pert_cfg: dict):
     from . import systems
-    params = {k: v for k, v in pert_cfg.items() if k != "kind"}
+    params = _perturbation_params(pert_cfg)
     flow = systems.make_flow_perturbation(pert_cfg.get("kind", "standard"),
                                           **params)
     return flow.f, flow.g, None
@@ -189,7 +219,7 @@ def _build_flow_inputs(pert_cfg: dict):
 
 def _build_map_inputs(pert_cfg: dict, omega: float):
     from . import systems
-    params = {k: v for k, v in pert_cfg.items() if k != "kind"}
+    params = _perturbation_params(pert_cfg)
     mapping = systems.make_map_perturbation(pert_cfg.get("kind", "standard"),
                                             omega, **params)
     return mapping.f, mapping.g, mapping
@@ -198,8 +228,8 @@ def _build_map_inputs(pert_cfg: dict, omega: float):
 def _make_problem(cfg, errors):
     from . import lienard
     pert = cfg["perturbation"]
-    params = {k: v for k, v in pert.items() if k != "kind"}
-    return lienard.make_problem(cfg["n"], pert.get("kind", "none"), **params)
+    return lienard.make_problem(cfg["n"], pert.get("kind", "none"),
+                                **_perturbation_params(pert))
 
 
 # --------------------------------------------------------------------------- #
@@ -263,8 +293,12 @@ def _cmd_homsolve(args):
             "sup_u": sol.u.sup_norm().value, "sup_v": sol.v.sup_norm().value}
 
 
-def _write_run_dir(out_root, name, command, cfg, seed, artifacts):
-    """Write artifact files plus the manifest; returns the directory path."""
+def _write_run_dir(out_root, name, command, cfg, seed, artifacts, formats=None):
+    """Write artifact files plus the manifest; returns the directory path.
+
+    ``formats`` maps artifact filenames to the schema versions the manifest
+    records for them.
+    """
     from . import persistence
     run_dir = Path(out_root) / name
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -274,7 +308,8 @@ def _write_run_dir(out_root, name, command, cfg, seed, artifacts):
         writer(path)
         digests[filename] = persistence.sha256_file(path)
     manifest = persistence.RunManifest(name=name, command=command, config=cfg,
-                                       seed=seed, outputs=digests)
+                                       seed=seed, outputs=digests,
+                                       formats=formats or {})
     persistence.write_manifest(run_dir / "manifest.json", manifest)
     return run_dir
 
@@ -287,31 +322,34 @@ def _cmd_kam_run(args):
         raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
     name = cfg["name"] or f"kam-{mode}"
     cfg["name"] = name
-    d = int(cfg["d"])
-    freq = _resolve_frequency(cfg["omega"], d, cfg["tau"], cfg["K_max"])
+    num = {key: _number(cfg, key, kind, errors) for key, kind in (
+        ("d", int), ("K_max", int), ("mu", float), ("eps0", float), ("M", int),
+        ("tol", float), ("q_y", int), ("verify_samples", int),
+        ("verify_dt", float), ("verify_tol", float))}
+    omega = cfg["omega"] if isinstance(cfg["omega"], str) else _numbers(cfg, "omega", errors)
+    tau = None if cfg["tau"] is None else _number(cfg, "tau", float, errors)
+    freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
     cfg["omega"] = [float(w) for w in freq.omega]
-    schedule = newton.make_schedule(d, float(cfg["mu"]), float(cfg["eps0"]),
-                                    int(cfg["M"]))
+    schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
     if mode == "flow":
         f, g, _ = _build_flow_inputs(cfg["perturbation"])
         report = newton.run_kam_flow(
-            f, g, freq, schedule, tol=float(cfg["tol"]), q_y=int(cfg["q_y"]),
-            verify_samples=int(cfg["verify_samples"]),
-            verify_dt=float(cfg["verify_dt"]),
-            verify_tol=float(cfg["verify_tol"]))
+            f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"],
+            verify_samples=num["verify_samples"], verify_dt=num["verify_dt"],
+            verify_tol=num["verify_tol"])
     else:
         f, g, _ = _build_map_inputs(cfg["perturbation"], float(freq.omega[0]))
         report = newton.run_kam_map(
-            f, g, freq, schedule, tol=float(cfg["tol"]), q_y=int(cfg["q_y"]),
-            verify_samples=int(cfg["verify_samples"]),
-            verify_tol=float(cfg["verify_tol"]))
+            f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"],
+            verify_samples=num["verify_samples"], verify_tol=num["verify_tol"])
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,
         [("embedding.json",
           lambda p: persistence.save_embedding(p, report.embedding)),
          ("convergence.csv",
           lambda p: persistence.emit_csv(p, report.csv_header(),
-                                         report.csv_rows()))])
+                                         report.csv_rows()))],
+        formats={"convergence.csv": newton.CONVERGENCE_FORMAT})
     summary = report.summary()
     summary["run_dir"] = str(run_dir)
     if report.failed:
@@ -346,14 +384,16 @@ def _cmd_lienard_poincare(args):
     from . import errors, lienard, persistence
     cfg = _merge_config(args, _POINCARE_DEFAULTS, errors)
     problem = _make_problem(cfg, errors)
-    system = lienard.action_angle(problem, rho_star=float(cfg["rho_star"]))
-    thetas = 2.0 * np.pi * np.arange(int(cfg["theta_points"])) / int(cfg["theta_points"])
-    rhos = np.asarray([float(v) for v in cfg["rho_levels"]])
+    n_steps = _number(cfg, "n_steps", int, errors)
+    theta_points = _number(cfg, "theta_points", int, errors)
+    rhos = np.asarray(_numbers(cfg, "rho_levels", errors))
+    system = lienard.action_angle(problem, rho_star=_number(cfg, "rho_star", float, errors))
+    thetas = 2.0 * np.pi * np.arange(theta_points) / theta_points
     residual = lienard.poincare_reversibility_residual(
-        system, thetas, rhos, n_steps=int(cfg["n_steps"]))
+        system, thetas, rhos, n_steps=n_steps)
     summary = {"n": problem.n, "perturbation": cfg["perturbation"]["kind"],
                "reversibility_residual": residual,
-               "n_steps": int(cfg["n_steps"]),
+               "n_steps": n_steps,
                "warnings": problem.validate()}
     if args.csv:
         TH, RH = np.meshgrid(thetas, rhos, indexing="ij")
@@ -361,7 +401,7 @@ def _cmd_lienard_poincare(args):
         rows = [(i, 0, theta[i], rho[i], False) for i in range(len(theta))]
         for it in range(1, args.iterates + 1):
             res = lienard.poincare_map(system, theta, rho,
-                                       n_steps=int(cfg["n_steps"]))
+                                       n_steps=n_steps)
             theta, rho = np.mod(res.theta, 2.0 * np.pi), res.rho
             rows.extend((i, it, theta[i], rho[i], bool(res.escaped[i]))
                         for i in range(len(theta)))
@@ -378,12 +418,13 @@ def _cmd_lienard_stability(args):
     cfg = _merge_config(args, _STABILITY_DEFAULTS, errors)
     problem = _make_problem(cfg, errors)
     report = lienard.lagrange_stability_experiment(
-        problem, t_max=float(cfg["t_max"]), dt=float(cfg["dt"]),
-        levels=[float(v) for v in cfg["levels"]],
-        phases=[2.0 * np.pi * float(v) for v in cfg["phases"]],
-        threshold=float(cfg["threshold"]),
-        t_ref=None if cfg["t_ref"] is None else float(cfg["t_ref"]),
-        order=int(cfg["order"]))
+        problem, t_max=_number(cfg, "t_max", float, errors),
+        dt=_number(cfg, "dt", float, errors),
+        levels=_numbers(cfg, "levels", errors),
+        phases=[2.0 * np.pi * v for v in _numbers(cfg, "phases", errors)],
+        threshold=_number(cfg, "threshold", float, errors),
+        t_ref=None if cfg["t_ref"] is None else _number(cfg, "t_ref", float, errors),
+        order=_number(cfg, "order", int, errors))
     run_dir = _write_run_dir(
         args.out, cfg["name"], "lienard stability", cfg, args.seed,
         [("stability.csv",
@@ -419,10 +460,11 @@ def _cmd_verify(args):
             _, _, mapping = _build_map_inputs(cfg["perturbation"],
                                               float(embedding.omega[0]))
             system = mapping.A
+        cfg = {"verify_samples": 64, "verify_dt": 1.0, "verify_tol": 1e-12, **cfg}
         inv = newton.verify_invariance(
-            embedding, system, samples=int(cfg.get("verify_samples", 64)),
-            dt=float(cfg.get("verify_dt", 1.0)),
-            tol=float(cfg.get("verify_tol", 1e-12)))
+            embedding, system, samples=_number(cfg, "verify_samples", int, errors),
+            dt=_number(cfg, "verify_dt", float, errors),
+            tol=_number(cfg, "verify_tol", float, errors))
         summary["invariance_residual"] = inv.residual
     return summary
 

@@ -24,6 +24,7 @@ F(-x, y, -t) = -F(x, y, t) (purely imaginary coefficients).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -37,6 +38,10 @@ _PARITIES = ("even", "odd", None)
 # FourierField.evaluate_complex; points per block = this // coefficient block
 # width (2N+1)^(d-1) * (2N_t+1) * P * m.
 _EVAL_BLOCK_ENTRIES = 1 << 18
+# Real entries (2^21, 16 MiB) of derivative tables one GridJet keeps between
+# calls; tables past this are synthesized per call in batches of half as
+# many complex entries and dropped after use.
+_JET_TABLE_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -682,6 +687,157 @@ class FourierField:
         if scale > 0 and float(np.max(np.abs(coeffs - np.conj(rev)))) > 1e-9 * scale:
             raise PersistenceError("field record violates reality symmetry")
         return cls(d, m, N, q_y, r, coeffs, parity)
+
+
+# ---------------------------------------------------------------------- #
+# evaluation near grid nodes
+# ---------------------------------------------------------------------- #
+
+
+def taylor_order(h: float) -> int:
+    """Smallest K >= 0 with h^(K+1) e^h / (K+1)! <= 2^-53.
+
+    With h = N max |delta|_inf this bounds the error of the order-K Taylor
+    polynomial of exp(i <k, delta>), |k|_1 <= N, so the angle Taylor series
+    of a field with cutoff N errs by at most 2^-53 times its majorant.
+    """
+    if not math.isfinite(h) or h < 0:
+        raise DomainError(f"Taylor radius must be finite and nonnegative, got {h}")
+    K, term = 0, h * math.exp(h)
+    while term > 2.0 ** -53:
+        K += 1
+        term *= h / (K + 1)
+    return K
+
+
+def _fold(a: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """Sum the modes -h..h along ``axis`` into their residues mod n.
+
+    At the nodes 2 pi j / n the folded sum equals the unfolded one, for
+    any number of modes.
+    """
+    a = np.moveaxis(a, axis, 0)
+    k = np.arange(a.shape[0]) - a.shape[0] // 2
+    out = np.zeros((n,) + a.shape[1:], dtype=a.dtype)
+    for lo in range(0, a.shape[0], n):  # n consecutive modes hit distinct residues
+        out[k[lo:lo + n] % n] += a[lo:lo + n]
+    return np.moveaxis(out, 0, axis)
+
+
+class GridJet:
+    """A field evaluated at grid nodes plus small angle offsets.
+
+    The grid has nodes 2 pi j / n on each angle axis and ``n_t`` time nodes
+    (n of them, or the single node t = 0).  ``evaluate(delta, y)`` takes one
+    point per node, in the row-major order of ``values_on_grid``, repeated
+    in as many consecutive sheets as the sample holds, and returns the real
+    field at (node + delta, y, node time):
+
+        F(x + delta, y, t) = sum_alpha  d^alpha F(x, y, t) / alpha!  delta^alpha.
+
+    The tables d^alpha F / alpha! on the grid come from one inverse FFT per
+    batch of multi-indices, with modes folded mod n, so the node values are
+    exact for any cutoff N.  The Taylor order K is set per call by
+    :func:`taylor_order` from h = N max |delta|_inf (offsets are first
+    re-anchored to their nearest node, so h <= pi N / n), which bounds the
+    truncation by 2^-53 times the majorant; tables are added on demand.
+    The sum runs by Horner in the first angle's offset, the other angles
+    enter as monomials, and the action powers of y are contracted exactly.
+    At most _JET_TABLE_ENTRIES table entries are kept between calls.
+    """
+
+    def __init__(self, field: FourierField, n: int, n_t: int):
+        if n < 1 or n_t not in (1, n):
+            raise ShapeError(f"grid needs n >= 1 and 1 or n time nodes, got n={n}, n_t={n_t}")
+        self.field = field
+        self.n = int(n)
+        self.max_order = 0
+        self._shape = (self.n,) * field.d + (int(n_t),)
+        self._width = field.coeffs.shape[-2] * field.m
+        self._held = {}  # multi-index -> (nodes, P*m) table
+
+    def evaluate(self, delta, y=None) -> np.ndarray:
+        """Real field values at (node + delta, y), shape (S, m).
+
+        ``delta`` and ``y`` have shape (S, d) (or (S,) when d = 1), S a
+        multiple of the node count; a non-finite offset gives a non-finite
+        value, as a scattered evaluation would.
+        """
+        f = self.field
+        delta, y, _, S, _ = f._normalize_inputs(delta, y, None)
+        nodes = math.prod(self._shape)
+        if S % nodes:
+            raise ShapeError(f"{S} samples do not fill sheets of {nodes} grid nodes")
+        spacing = 2.0 * np.pi / self.n
+        shift = np.rint(delta / spacing)
+        shift[~np.isfinite(shift)] = 0.0
+        delta = delta - shift * spacing
+        finite = np.isfinite(delta)
+        K = taylor_order(f.N * float(np.max(np.abs(delta), initial=0.0, where=finite)))
+        self.max_order = max(self.max_order, K)
+        rows = np.arange(S) % nodes
+        if shift.any():
+            idx = np.unravel_index(rows, self._shape)
+            rows = np.ravel_multi_index(
+                tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(f.d))
+                + idx[f.d:], self._shape)
+        mono = [delta[:, a:a + 1] ** np.arange(K + 1) for a in range(1, f.d)]
+        alphas = _multi_indices(f.d, K)
+        acc = None
+        for a0 in range(K, -1, -1):
+            part = None
+            for alpha, table in self._tables([a for a in alphas if a[0] == a0]):
+                term = table[rows]
+                for a, e in enumerate(alpha[1:]):
+                    if e:
+                        term *= mono[a][:, e:e + 1]
+                if part is None:
+                    part = term
+                else:
+                    part += term
+            if acc is None:
+                acc = part
+            else:
+                acc *= delta[:, :1]
+                acc += part
+        acc = acc.reshape(S, -1, f.m)
+        return np.einsum("spm,sp->sm", acc, _power_matrix(y, f.powers))
+
+    def _tables(self, alphas):
+        """Yield (alpha, table) pairs, synthesizing the missing tables."""
+        missing = [a for a in alphas if a not in self._held]
+        for alpha in alphas:
+            if alpha in self._held:
+                yield alpha, self._held[alpha]
+        per = math.prod(self._shape) * self._width
+        batch = max(1, _JET_TABLE_ENTRIES // (2 * per))
+        for lo in range(0, len(missing), batch):
+            chunk = missing[lo:lo + batch]
+            tables = self._synthesize(chunk)
+            if (len(self._held) + len(chunk)) * per <= _JET_TABLE_ENTRIES:
+                self._held.update(zip(chunk, tables))
+            yield from zip(chunk, tables)
+
+    def _synthesize(self, alphas) -> np.ndarray:
+        """Tables Re d^alpha F / alpha! at the nodes, shape (len, nodes, P*m)."""
+        f = self.field
+        ik = 1j * np.arange(-f.N, f.N + 1)
+        spec = np.empty((len(alphas),) + f.coeffs.shape, dtype=complex)
+        for i, alpha in enumerate(alphas):
+            weight = np.ones(())
+            for e in alpha:
+                weight = weight[..., None] * (ik ** e / math.factorial(e))
+            spec[i] = f.coeffs * weight[..., None, None, None]
+        for axis, size in enumerate(self._shape, start=1):
+            spec = _fold(spec, axis, size)
+        axes = tuple(range(1, f.d + 2))
+        vals = np.fft.ifftn(spec, axes=axes) * math.prod(self._shape)
+        return np.ascontiguousarray(vals.real).reshape(len(alphas), -1, self._width)
+
+
+def _multi_indices(d: int, K: int) -> list:
+    """Multi-indices alpha of length d with |alpha| <= K, graded order."""
+    return [tuple(int(e) for e in a) for a in action_powers(d, K)]
 
 
 # ---------------------------------------------------------------------- #

@@ -783,6 +783,8 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
                              f"got t_max = {t_max}, dt = {dt}")
     if len(levels) == 0 or len(phases) == 0:
         raise ParameterError("levels and phases must each hold at least one value")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ParameterError(f"threshold must be positive and finite, got {threshold}")
     n_steps = int(round(t_max / dt))
     if n_steps < 1:
         raise ParameterError(f"t_max = {t_max} rounds to zero steps of dt = {dt}")

@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError)
-from .fields import (FourierField, action_powers, default_action_nodes,
+from .fields import (FourierField, GridJet, action_powers, default_action_nodes,
                      field_from_function, field_from_grid_samples,
                      jacobian_apply)
 from .homological import solve_flow, solve_map_full
@@ -36,9 +36,15 @@ __all__ = [
     "rotation_number",
 ]
 
-# Columns of the per-step convergence table, in emission order.
+# Columns of the per-step convergence table, in emission order, and the
+# schema version a run manifest records for the table.  Version 2 appended
+# the columns from osc_f on; taylor_order is the largest Taylor order the
+# step's grid jets used.
 CONVERGENCE_COLUMNS = ("m", "sup_f", "sup_g", "min_divisor",
-                       "inversion_iters", "invariance_residual")
+                       "inversion_iters", "invariance_residual",
+                       "osc_f", "osc_g", "c_f", "c_g", "composition_residual",
+                       "n_fit", "y_excursion", "taylor_order")
+CONVERGENCE_FORMAT = "convergence/2"
 
 # A step may push action values past the nominal radius of the current
 # domain by the size of the coordinate change; the polynomial jets stay
@@ -254,24 +260,25 @@ def _y_identity(d: int, q_y: int, r: float) -> FourierField:
     return fld
 
 
-def _invert_transform(u: FourierField, v: FourierField, xi, eta, t,
-                      tol: float = 1e-13, max_iter: int = 50):
+def _invert_transform(u: GridJet, v: GridJet, eta, tol: float = 1e-13,
+                      max_iter: int = 50):
     """Solve  xi = x + u(x, y, t),  eta = y + v(x, y, t)  for (x, y).
 
-    Plain fixed-point iteration; contraction factor is the size of the
-    derivatives of (u, v), far below one for the fields this module
+    (xi, t) runs over the nodes of the jets' grid, one sample of ``eta``
+    per node.  Plain fixed-point iteration; contraction factor is the size
+    of the derivatives of (u, v), far below one for the fields this module
     produces.  The iteration runs on the increments dx = x - xi,
     dy = y - eta rather than on (x, y): forming x and subtracting xi back
     would drown increments near roundoff in the rounding of xi + dx, and
     the fitted transforms at late steps are exactly that small.
     Returns (dx, dy, iterations).
     """
-    dx = np.zeros_like(np.asarray(xi, dtype=float))
-    dy = np.zeros_like(np.asarray(eta, dtype=float))
-    scale = 1.0 + (float(np.max(np.abs(xi))) if np.size(xi) else 0.0)
+    dx = np.zeros_like(eta)
+    dy = np.zeros_like(eta)
+    scale = 1.0 + 2.0 * np.pi * (u.n - 1) / u.n  # 1 + the largest node angle
     for it in range(1, max_iter + 1):
-        dx_new = -u.evaluate(xi + dx, eta + dy, t, check_domain=False)
-        dy_new = -v.evaluate(xi + dx, eta + dy, t, check_domain=False)
+        dx_new = -u.evaluate(dx, eta + dy)
+        dy_new = -v.evaluate(dx, eta + dy)
         step = max(float(np.max(np.abs(dx_new - dx))),
                    float(np.max(np.abs(dy_new - dy))))
         dx, dy = dx_new, dy_new
@@ -280,19 +287,6 @@ def _invert_transform(u: FourierField, v: FourierField, xi, eta, t,
     raise StepFailureError(
         f"transform inversion stalled after {max_iter} iterations "
         f"(last update {step:.3e})")
-
-
-def _fit_grid(d: int, n: int, mode: str):
-    """Angles (n,)*d times the time nodes: n of them for flows, t = 0 for maps.
-
-    Returns (theta, t, shape): flattened nodes of shape (S, d) and (S,),
-    and the grid shape (n,)*d + (n_t,) that samples reshape to.
-    """
-    grid = 2.0 * np.pi * np.arange(n) / n
-    t_nodes = grid if mode == "flow" else np.zeros(1)
-    axes = np.meshgrid(*([grid] * d), t_nodes, indexing="ij")
-    theta = np.stack([a.ravel() for a in axes[:d]], axis=-1)
-    return theta, axes[d].ravel(), axes[d].shape
 
 
 # --------------------------------------------------------------------------- #
@@ -358,82 +352,75 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     sup_u = u.majorant(0.0, r_m)
     sup_v = v.majorant(0.0, r_m)
 
-    if mode == "flow":
-        # Transformed remainders in the old variables:
-        #   T_f = (D_x u) (y + f) + (D_y u) g,   T_g likewise with v.
-        Y = _y_identity(d, q_y_fit, r_m)
-        W = Y + f
-        T_f = jacobian_apply(u, W, "x") + jacobian_apply(u, g, "y")
-        T_g = jacobian_apply(v, W, "x") + jacobian_apply(v, g, "y")
-
     # Sample the new perturbation on (angle/time grid) x (action nodes in
-    # the shrunk ball) by inverting the generator at each node.
-    xi_flat, t_flat, grid_shape = _fit_grid(d, n_fit, mode)
-    S = xi_flat.shape[0]
+    # the shrunk ball) by inverting the generator at each node.  Samples
+    # are stacked in sheets of S grid nodes, one sheet per action node.
+    n_t = n_fit if mode == "flow" else 1
+    grid_shape = (n_fit,) * d + (n_t,)
+    S = n_fit ** d * n_t
     y_nodes = default_action_nodes(d, q_y_fit, r_next)
     n_y = len(y_nodes)
+    eta = np.repeat(y_nodes, S, axis=0)
+    jets = []
 
-    f_vals = np.empty((S, n_y, d))
-    g_vals = np.empty((S, n_y, d))
-    U_vals = np.empty((S, n_y, d))
-    V_vals = np.empty((S, n_y, d))
-    comp_res = 0.0
+    def on_grid(h):
+        jets.append(GridJet(h, n_fit, n_t))
+        return jets[-1]
+
+    u_jet, v_jet = on_grid(u), on_grid(v)
+    dx = np.empty((n_y * S, d))
+    dy = np.empty((n_y * S, d))
     iters = 0
-    y_excursion = 0.0
-    Omega = 2.0 * np.pi * freq.omega if mode == "map" else None
-
     for iy in range(n_y):
-        eta = np.broadcast_to(y_nodes[iy], (S, d))
-        dxs, dys, it = _invert_transform(u, v, xi_flat, eta, t_flat)
-        xs, ys = xi_flat + dxs, eta + dys
+        sheet = slice(iy * S, (iy + 1) * S)
+        dx[sheet], dy[sheet], it = _invert_transform(u_jet, v_jet, eta[sheet])
         iters = max(iters, it)
-        y_excursion = max(y_excursion, float(np.max(np.sqrt(np.sum(ys * ys, axis=1)))))
-        U_vals[:, iy, :] = dxs
-        V_vals[:, iy, :] = dys
-        if mode == "flow":
-            f_vals[:, iy, :] = T_f.evaluate(xs, ys, t_flat, check_domain=False)
-            g_vals[:, iy, :] = T_g.evaluate(xs, ys, t_flat, check_domain=False)
-        else:
-            fx = f.evaluate(xs, ys, None, check_domain=False)
-            gx = g.evaluate(xs, ys, None, check_domain=False)
-            x1 = xs + Omega + ys + fx
-            y1 = ys + gx
-            xs_shift = xs + Omega
-            f_vals[:, iy, :] = (u.evaluate(x1, y1, None, check_domain=False)
-                                - u.evaluate(xs_shift, ys, None, check_domain=False))
-            g_vals[:, iy, :] = (v.evaluate(x1, y1, None, check_domain=False)
-                                - v.evaluate(xs_shift, ys, None, check_domain=False)
-                                + g_mean.evaluate(xs, ys, None, check_domain=False))
-
+    ys = eta + dy
+    y_excursion = float(np.max(np.sqrt(np.sum(ys * ys, axis=1))))
     if y_excursion > _NESTING_SLACK * r_m + 1e-12:
         raise StepFailureError(
             f"step {m}: inverted action values reach |y| = {y_excursion:.3e}, "
             f"far outside the domain radius r = {r_m:.3e}")
     nesting_exceeded = y_excursion > r_m
 
+    if mode == "flow":
+        # Transformed remainders in the old variables:
+        #   T_f = (D_x u) (y + f) + (D_y u) g,   T_g likewise with v.
+        W = _y_identity(d, q_y_fit, r_m) + f
+        f_vals, g_vals = (
+            on_grid(jacobian_apply(w, W, "x") + jacobian_apply(w, g, "y")).evaluate(dx, ys)
+            for w in (u, v))
+    else:
+        # x1 = x + Omega + y + f, y1 = y + g; the shifted generators take
+        # the rotation Omega, so every jet offset stays small.
+        Omega = 2.0 * np.pi * freq.omega
+        u_shift, v_shift = on_grid(u.shift_x(Omega)), on_grid(v.shift_x(Omega))
+        dx1 = dx + ys + on_grid(f).evaluate(dx, ys)
+        y1 = ys + on_grid(g).evaluate(dx, ys)
+        f_vals = u_shift.evaluate(dx1, y1) - u_shift.evaluate(dx, ys)
+        g_vals = (v_shift.evaluate(dx1, y1) - v_shift.evaluate(dx, ys)
+                  + on_grid(g_mean).evaluate(dx, ys))
+
     def _fit(vals, N_out, parity):
+        vals = np.moveaxis(vals.reshape(n_y, S, d), 0, 1)
         return field_from_grid_samples(vals.reshape(grid_shape + (n_y, d)), d, N_out,
                                        q_y_fit, r_next, y_nodes=y_nodes, parity=parity)
 
     flow = mode == "flow"
-    U = _fit(U_vals, N_UV, ("odd",) * d if flow else None)
-    V = _fit(V_vals, N_UV, ("even",) * d if flow else None)
+    U = _fit(dx, N_UV, ("odd",) * d if flow else None)
+    V = _fit(dy, N_UV, ("even",) * d if flow else None)
     f_next = _fit(f_vals, N_next, ("even",) * d if flow else None)
     g_next = _fit(g_vals, N_next, ("odd",) * d if flow else None)
 
     # Cross-check the pair (u, v) / (U, V): pushing the grid forward through
     # xi = x + u and evaluating the fitted inverse there must cancel.
-    for iy in range(n_y):
-        eta = np.broadcast_to(y_nodes[iy], (S, d))
-        u_here = u.evaluate(xi_flat, eta, t_flat, check_domain=False)
-        v_here = v.evaluate(xi_flat, eta, t_flat, check_domain=False)
-        xi_p = xi_flat + u_here
-        eta_p = eta + v_here
-        res_u = np.max(np.abs(u_here + U.evaluate(xi_p, eta_p, t_flat,
-                                                  check_domain=False)))
-        res_v = np.max(np.abs(v_here + V.evaluate(xi_p, eta_p, t_flat,
-                                                  check_domain=False)))
-        comp_res = max(comp_res, float(res_u), float(res_v))
+    zero = np.zeros_like(eta)
+    u_here = u_jet.evaluate(zero, eta)
+    v_here = v_jet.evaluate(zero, eta)
+    U_jet, V_jet = on_grid(U), on_grid(V)
+    res_u = np.max(np.abs(u_here + U_jet.evaluate(u_here, eta + v_here)))
+    res_v = np.max(np.abs(v_here + V_jet.evaluate(u_here, eta + v_here)))
+    comp_res = max(float(res_u), float(res_v))
     tol_comp = max(1e-10, 1e-9 * max(sup_u, sup_v))
     if comp_res > tol_comp:
         raise StepFailureError(
@@ -455,6 +442,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
         "sup_v": float(sup_v),
         "y_excursion": y_excursion,
         "nesting_exceeded": nesting_exceeded,
+        "taylor_order": max(jet.max_order for jet in jets),
     }
     return transform, f_next, g_next, diagnostics
 
@@ -556,6 +544,12 @@ class ConvergenceReport:
         }
 
 
+# Step diagnostics a convergence row carries, as they read without a step.
+_NO_STEP = {"min_divisor": math.nan, "inversion_iters": 0,
+            "composition_residual": math.nan, "n_fit": 0,
+            "y_excursion": math.nan, "taylor_order": 0}
+
+
 def _as_field_fn(h):
     """Uniform (x, y, t) -> (S, d) evaluator from a field or a callable."""
     if isinstance(h, FourierField):
@@ -590,10 +584,17 @@ def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
     n = int(n_grid) if n_grid is not None else 2 * N + 2
     if n < 2 * N + 1:
         raise ParameterError(f"grid size {n} too small for cutoff N = {N}")
-    theta, t, grid_shape = _fit_grid(d, n, mode)
-    x, y = chain.evaluate(theta, np.zeros((len(theta), d)), t)
+    n_t = n if mode == "flow" else 1
+    grid_shape = (n,) * d + (n_t,)
+    # The chain moves each node by the small offsets its steps add up.
+    x = np.zeros((n ** d * n_t, d))
+    y = np.zeros_like(x)
+    for tr in reversed(chain.steps):
+        dx = GridJet(tr.U, n, n_t).evaluate(x, y)
+        dy = GridJet(tr.V, n, n_t).evaluate(x, y)
+        x, y = x + dx, y + dy
     flow = mode == "flow"
-    x_offset = field_from_grid_samples((x - theta).reshape(grid_shape + (1, d)), d, N,
+    x_offset = field_from_grid_samples(x.reshape(grid_shape + (1, d)), d, N,
                                        0, 0.0, parity=("odd",) * d if flow else None)
     y_field = field_from_grid_samples(y.reshape(grid_shape + (1, d)), d, N, 0, 0.0,
                                       parity=("even",) * d if flow else None)
@@ -654,9 +655,7 @@ def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float,
             "osc_f": osc_f, "osc_g": osc_g,
             "c_f": sup_f / schedule.eps[m],
             "c_g": sup_g / (schedule.eps[m] * schedule.s[m] ** d),
-            "min_divisor": math.nan, "inversion_iters": 0,
-            "composition_residual": math.nan,
-            "invariance_residual": math.nan,
+            "invariance_residual": math.nan, **_NO_STEP,
         }
         rows.append(row)
         if tol > 0.0 and max(sup_f, sup_g) < tol:
@@ -678,11 +677,7 @@ def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float,
             failed = True
             failure = str(exc)
             break
-        row.update({
-            "min_divisor": diag["min_divisor"],
-            "inversion_iters": diag["inversion_iters"],
-            "composition_residual": diag["composition_residual"],
-        })
+        row.update({key: diag[key] for key in _NO_STEP})
         if diag["nesting_exceeded"]:
             warnings.append(
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
@@ -707,9 +702,7 @@ def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float,
             "c_f": cur_f.majorant(0.0, r_fin) / schedule.eps[schedule.M],
             "c_g": cur_g.majorant(0.0, r_fin) / (schedule.eps[schedule.M]
                                                  * schedule.s[schedule.M] ** d),
-            "min_divisor": math.nan, "inversion_iters": 0,
-            "composition_residual": math.nan,
-            "invariance_residual": math.nan,
+            "invariance_residual": math.nan, **_NO_STEP,
         })
 
     embedding = fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb)

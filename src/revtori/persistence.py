@@ -129,6 +129,8 @@ class RunManifest:
 
     ``outputs`` maps each artifact filename to its sha256 digest; equality
     of two manifests therefore certifies byte-identical artifacts.
+    ``formats`` maps an artifact filename to the schema version of its
+    content (for example ``convergence/2``), where one is declared.
     """
 
     name: str
@@ -137,12 +139,13 @@ class RunManifest:
     seed: Optional[int] = None
     versions: dict = _dc_field(default_factory=package_versions)
     outputs: dict = _dc_field(default_factory=dict)
+    formats: dict = _dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"format": MANIFEST_FORMAT, "name": self.name,
                 "command": self.command, "config": self.config,
                 "seed": self.seed, "versions": self.versions,
-                "outputs": self.outputs}
+                "outputs": self.outputs, "formats": self.formats}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
@@ -155,7 +158,8 @@ class RunManifest:
             return cls(name=str(data["name"]), command=str(data["command"]),
                        config=dict(data["config"]), seed=data.get("seed"),
                        versions=dict(data.get("versions", {})),
-                       outputs=dict(data.get("outputs", {})))
+                       outputs=dict(data.get("outputs", {})),
+                       formats=dict(data.get("formats", {})))
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(f"malformed run manifest: {exc}") from exc
 

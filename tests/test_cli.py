@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from revtori import persistence
 from revtori.cli import main
-from revtori.newton import CONVERGENCE_COLUMNS
+from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT
 
 from conftest import GOLDEN
 
@@ -104,6 +105,26 @@ class TestKamRun:
         header = (kam_run / "convergence.csv").read_text().splitlines()[0]
         assert tuple(header.split(",")) == CONVERGENCE_COLUMNS
 
+    def test_convergence_table_schema(self, kam_run):
+        man = persistence.load_manifest(kam_run / "manifest.json")
+        assert man.formats == {"convergence.csv": CONVERGENCE_FORMAT}
+        assert CONVERGENCE_FORMAT == "convergence/2"
+        with open(kam_run / "convergence.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == list(CONVERGENCE_COLUMNS)
+        # version 1 columns keep their positions; version 2 appends
+        assert CONVERGENCE_COLUMNS[:6] == ("m", "sup_f", "sup_g", "min_divisor",
+                                           "inversion_iters", "invariance_residual")
+        assert len(rows) == 3  # two steps and the closing row
+        for row in rows[:2]:
+            assert int(row["n_fit"]) > 0 and int(row["taylor_order"]) >= 1
+            for col in ("osc_f", "osc_g", "c_f", "c_g", "composition_residual",
+                        "y_excursion"):
+                assert np.isfinite(float(row[col]))
+        closing = rows[2]
+        assert closing["n_fit"] == "0" and closing["taylor_order"] == "0"
+        assert closing["composition_residual"] == "nan"
+
     def test_verify_accepts_fresh_run(self, kam_run, capsys):
         code, data = run_json(capsys, ["verify", str(kam_run)])
         assert code == 0
@@ -153,6 +174,17 @@ class TestKamRun:
         assert main(["kam", "run", "--out", out, "--set", "omega=0.5"]) == 2
         assert main(["kam", "run", "--out", out, "--set", "frobnicate=1"]) == 2
         assert main(["kam", "run", "--out", out, "--set", "nonsense"]) == 2
+
+    @pytest.mark.parametrize("override", [
+        "M=abc", "M=2.5", "M=true", "eps0=abc", "d=x", "K_max=abc", "tau=abc",
+        'omega=["x"]', "verify_samples=abc", "perturbation.eps=abc",
+        "perturbation=5",
+    ])
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, override):
+        assert main(["kam", "run", "--out", str(tmp_path),
+                     "--set", override]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)
@@ -289,6 +321,14 @@ class TestLienardCli:
         ("stability", "t_ref=nan"),
         ("stability", "n=1.5"),
         ("poincare", "n=1.5"),
+        ("stability", "t_max=abc"),
+        ("stability", 'levels=["a"]'),
+        ("stability", "order=abc"),
+        ("stability", "threshold=nan"),
+        ("stability", "threshold=0"),
+        ("stability", "perturbation.f_amp=abc"),
+        ("poincare", "n_steps=abc"),
+        ("poincare", 'rho_levels=["a"]'),
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, override):
         # a short horizon first, so a missed check cannot run for minutes

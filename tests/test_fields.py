@@ -6,6 +6,8 @@ must match pointwise products, derivatives must match the analytically
 differentiated harmonic.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,127 @@ class TestEvaluationKernel:
         np.testing.assert_allclose(whole, parts, rtol=0.0, atol=tol)
         np.testing.assert_allclose(whole, _direct_sum(fld, x, y, t), rtol=0.0,
                                    atol=tol)
+
+
+def _jet_field(rng, d, N, N_t, m=2, q_y=2, r=0.1):
+    """Random complex field on the |k|_1 + |l| <= N support, time cutoff N_t."""
+    P = len(fields.action_powers(d, q_y))
+    shape = (2 * N + 1,) * d + (2 * N_t + 1, P, m)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[~fields.mode_mask(d, N, N_t)] = 0.0
+    return FourierField(d, m, N, q_y, r, coeffs)
+
+
+def _grid_nodes(d, n, n_t, sheets):
+    """Nodes of the (n,)*d + (n_t,) grid in row-major order, repeated."""
+    grid = 2.0 * np.pi * np.arange(n) / n
+    axes = np.meshgrid(*([grid] * d), grid[:n_t] if n_t > 1 else [0.0],
+                       indexing="ij")
+    x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
+    return np.tile(x, (sheets, 1)), np.tile(axes[d].ravel(), sheets)
+
+
+class TestGridJet:
+    """GridJet against evaluate_complex at grid nodes plus offsets."""
+
+    @pytest.mark.parametrize("d, N, N_t, n", [
+        (1, 6, 0, 16), (1, 6, 6, 16),
+        (1, 12, 12, 16),  # N > n/2: modes fold mod n
+        (2, 4, 0, 9), (2, 4, 4, 9),
+        (2, 6, 6, 7),  # folded at d = 2
+    ])
+    @pytest.mark.parametrize("offset", [0.0, 1e-4, 1.0])
+    def test_matches_scattered_evaluation(self, rng, d, N, N_t, n, offset):
+        fld = _jet_field(rng, d, N, N_t)
+        n_t = n if N_t else 1
+        x, t = _grid_nodes(d, n, n_t, sheets=2)
+        delta = rng.uniform(-offset / N, offset / N, size=x.shape)
+        y = rng.uniform(-1.0, 1.0, size=x.shape)
+        y *= fld.r / np.sqrt(np.sum(y * y, axis=1, keepdims=True))  # on |y| = r
+        y *= rng.uniform(0.0, 1.0, size=(len(y), 1))
+        jet = fields.GridJet(fld, n, n_t)
+        got = jet.evaluate(delta, y)
+        want = fld.evaluate_complex(x + delta, y, t).real
+        assert got.shape == want.shape == (len(x), 2)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * fld.majorant())
+        assert jet.max_order == fields.taylor_order(N * float(np.max(np.abs(delta))))
+
+    @pytest.mark.parametrize("d, N_t", [(1, 0), (1, 5), (2, 0), (2, 5)])
+    def test_zero_offset_is_values_on_grid(self, rng, d, N_t):
+        fld = _jet_field(rng, d, 5, N_t)
+        n = 11
+        n_t = n if N_t else 1
+        jet = fields.GridJet(fld, n, n_t)
+        got = jet.evaluate(np.zeros((n ** d * n_t, d)), None)
+        want = fld.values_on_grid(n)[..., 0, :].real.reshape(-1, 2)
+        np.testing.assert_array_equal(got, want)
+        assert jet.max_order == 0
+
+    def test_time_cutoff_folds_to_one_time_node(self, rng):
+        # a time-dependent field on the single time node t = 0
+        fld = _jet_field(rng, 1, 5, 5)
+        x, t = _grid_nodes(1, 12, 1, sheets=1)
+        delta = rng.uniform(-0.05, 0.05, size=x.shape)
+        got = fields.GridJet(fld, 12, 1).evaluate(delta, None)
+        np.testing.assert_allclose(got, fld.evaluate_complex(x + delta, None, t).real,
+                                   rtol=0.0, atol=1e-14 * fld.majorant())
+
+    def test_offsets_past_half_a_cell_re_anchor(self, rng):
+        fld = _jet_field(rng, 2, 4, 4)
+        n = 9
+        x, t = _grid_nodes(2, n, n, sheets=1)
+        delta = rng.uniform(-3.0, 3.0, size=x.shape) * 2.0 * np.pi / n
+        jet = fields.GridJet(fld, n, n)
+        got = jet.evaluate(delta, None)
+        np.testing.assert_allclose(got, fld.evaluate_complex(x + delta, None, t).real,
+                                   rtol=0.0, atol=1e-14 * fld.majorant())
+        # the order follows the offset from the nearest node, |delta| <= pi / n
+        assert jet.max_order <= fields.taylor_order(fld.N * np.pi / n)
+
+    def test_non_finite_offsets_stay_local(self, rng):
+        fld = _jet_field(rng, 1, 5, 0)
+        x, t = _grid_nodes(1, 12, 1, sheets=1)
+        delta = rng.uniform(-0.01, 0.01, size=x.shape)
+        delta[3], delta[7] = math.nan, math.inf
+        got = fields.GridJet(fld, 12, 1).evaluate(delta, None)
+        bad = np.zeros(12, dtype=bool)
+        bad[[3, 7]] = True
+        assert not np.any(np.isfinite(got[bad]))
+        np.testing.assert_allclose(got[~bad], fld.evaluate_complex(
+            x[~bad] + delta[~bad], None, t[~bad]).real, rtol=0.0,
+            atol=1e-14 * fld.majorant())
+
+    def test_table_memory_stays_under_the_cap(self, rng, monkeypatch):
+        fld = _jet_field(rng, 2, 4, 4)
+        n = 9
+        x, t = _grid_nodes(2, n, n, sheets=1)
+        delta = rng.uniform(-0.1, 0.1, size=x.shape)
+        want = fields.GridJet(fld, n, n).evaluate(delta, None)
+        per = n ** 3 * fld.coeffs.shape[-2] * fld.m
+        monkeypatch.setattr(fields, "_JET_TABLE_ENTRIES", 5 * per)
+        jet = fields.GridJet(fld, n, n)
+        for _ in range(2):  # the second call reuses the held tables
+            np.testing.assert_allclose(jet.evaluate(delta, None), want, rtol=0.0,
+                                       atol=1e-14 * fld.majorant())
+        held = sum(table.size for table in jet._held.values())
+        assert 0 < held <= 5 * per
+        assert len(fields.action_powers(2, jet.max_order)) > 5
+
+    def test_taylor_order_is_the_smallest_that_meets_the_bound(self):
+        assert fields.taylor_order(0.0) == 0
+        for h in (1e-6, 2.4e-3, 0.1, 1.0, 1.65):
+            K = fields.taylor_order(h)
+            bound = [h ** (k + 1) * np.exp(h) / math.factorial(k + 1) for k in (K - 1, K)]
+            assert bound[1] <= 2.0 ** -53 < bound[0]
+        with pytest.raises(DomainError):
+            fields.taylor_order(math.inf)
+
+    def test_bad_grids_and_samples_rejected(self, rng):
+        fld = _jet_field(rng, 1, 3, 3)
+        with pytest.raises(ShapeError):
+            fields.GridJet(fld, 8, 3)
+        with pytest.raises(ShapeError):
+            fields.GridJet(fld, 8, 8).evaluate(np.zeros((65, 1)), None)
 
 
 class TestCalculus:

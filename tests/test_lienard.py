@@ -413,6 +413,13 @@ class TestStability:
                 lienard.lagrange_stability_experiment(
                     prob, t_max=t_max, dt=dt, t_ref=t_ref, orbit=orbits[1])
 
+    def test_bad_threshold(self, orbits):
+        prob = lienard.make_problem(1)
+        for threshold in (math.nan, math.inf, 0.0, -3.0):
+            with pytest.raises(ParameterError, match="threshold"):
+                lienard.lagrange_stability_experiment(
+                    prob, t_max=1.0, threshold=threshold, orbit=orbits[1])
+
     def test_empty_bundle_rejected(self, orbits):
         prob = lienard.make_problem(1)
         for levels, phases in (([], (0.0,)), ((1.0,), [])):

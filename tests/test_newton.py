@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from revtori import diophantine, newton, systems
+from revtori import diophantine, fields, newton, systems
 from revtori.errors import ParameterError, StructureError
 from revtori.fields import FourierField, field_from_function
 
-from conftest import GOLDEN, grid_parity_residual, random_reversible_pair
+from conftest import (GOLDEN, grid_parity_residual, random_parity_field,
+                      random_reversible_pair)
 
 
 class TestSchedule:
@@ -151,6 +152,129 @@ class TestNewtonStep:
             osc_in = before.oscillating_part().majorant(0.0, sched.r[0])
             osc_out = after.oscillating_part().majorant(0.0, sched.r[1])
             assert osc_out < 0.05 * osc_in
+        assert diag["composition_residual"] < 1e-10
+
+
+class _ScatteredJet:
+    """Test-only stand-in for fields.GridJet: the full Fourier sum per point."""
+
+    def __init__(self, field, n, n_t):
+        self.field, self.n, self.n_t = field, n, n_t
+        self.max_order = 0
+
+    def evaluate(self, delta, y=None):
+        d = self.field.d
+        grid = 2.0 * np.pi * np.arange(self.n) / self.n
+        axes = np.meshgrid(*([grid] * d), grid if self.n_t > 1 else [0.0],
+                           indexing="ij")
+        x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
+        sheets = len(delta) // len(x)
+        x, t = np.tile(x, (sheets, 1)), np.tile(axes[d].ravel(), sheets)
+        return self.field.evaluate_complex(x + delta, y, t, check_domain=False).real
+
+
+def _map_pair(sched, eps=1e-5):
+    mapping = systems.MapSystem(omega=GOLDEN, eps=eps)
+    return tuple(field_from_function(h, d=1, m=1, N=sched.N[0], q_y=2,
+                                     r=sched.r[0], time_independent=True)
+                 for h in (mapping.f, mapping.g))
+
+
+class TestGridJetOracle:
+    """newton_step and fit_embedding on grid jets against scattered sums."""
+
+    @pytest.mark.parametrize("mode", ["flow", "map"])
+    def test_step_and_embedding_match_scattered_evaluation(self, golden, rng,
+                                                           monkeypatch, mode):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        if mode == "flow":
+            f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                          r=sched.r[0], amp=1e-5)
+        else:
+            f, g = _map_pair(sched)
+        runs = []
+        for jet in (fields.GridJet, _ScatteredJet):
+            monkeypatch.setattr(newton, "GridJet", jet)
+            tr, f_next, g_next, diag = newton.newton_step(f, g, golden, sched, 0,
+                                                          mode=mode)
+            emb = newton.fit_embedding(newton.TransformChain([tr, tr]), golden,
+                                       sched.r[0], mode)
+            runs.append((tr, f_next, g_next, diag, emb))
+        (tr, f_next, g_next, diag, emb), ref = runs
+        pairs = [(tr.U, ref[0].U), (tr.V, ref[0].V), (f_next, ref[1]),
+                 (g_next, ref[2]), (emb.x_offset, ref[4].x_offset),
+                 (emb.y, ref[4].y)]
+        # Differences are majorants (action powers weighted by r^|alpha|,
+        # which undoes the 1/r^|alpha| of the fit on the action nodes), on
+        # the scale of the evaluated generators: the map remainder is a
+        # difference of u and v values, so it is rounded on their scale.
+        uv = max(diag["sup_u"], diag["sup_v"])
+        for got, want in pairs:
+            scale = max(want.majorant(), uv)
+            assert (got - want).majorant() <= 1e-13 * scale
+        assert abs(diag["composition_residual"]
+                   - ref[3]["composition_residual"]) <= 1e-13 * uv
+        assert diag["inversion_iters"] == ref[3]["inversion_iters"]
+        assert diag["taylor_order"] >= 1
+
+    def test_newton_step_and_fit_embedding_make_no_scattered_call(
+            self, golden, rng, monkeypatch):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                      r=sched.r[0], amp=1e-5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scattered evaluation in a grid-anchored path")
+
+        monkeypatch.setattr(FourierField, "evaluate_complex", refuse)
+        tr, _, _, _ = newton.newton_step(f, g, golden, sched, 0)
+        newton.fit_embedding(newton.TransformChain([tr]), golden, sched.r[0])
+
+
+class TestTwoDimensionalStep:
+    """d = 2 Newton steps (eps0 = 1e-2, N = 3): the oscillating parts contract."""
+
+    @staticmethod
+    def _contracts(f, g, f_next, g_next, sched):
+        for before, after in ((f, f_next), (g, g_next)):
+            osc_in = before.oscillating_part().majorant(0.0, sched.r[0])
+            osc_out = after.oscillating_part().majorant(0.0, sched.r[1])
+            assert osc_out < 0.5 * osc_in
+
+    def test_flow_step(self):
+        freq = diophantine.certify(diophantine.make_frequency(2, "sqrt_prime"))
+        sched = newton.make_schedule(2, 0.1, 1e-2, 2)
+        eps, s0 = 1e-4, sched.s[0]
+
+        # low harmonics with large divisors: at r ~ 0.07 a random field's
+        # small divisors make the linear jet coupling y D_x u outgrow f
+        def harmonics(trig):
+            def h(x, y, t):
+                return np.stack([trig(x[:, 0] + t) + 0.5 * trig(x[:, 0] - x[:, 1]),
+                                 trig(x[:, 1] + t)], axis=-1)
+            return h
+
+        f = field_from_function(lambda x, y, t: eps * harmonics(np.cos)(x, y, t),
+                                2, 2, 3, q_y=2, r=sched.r[0], parity="even")
+        g = field_from_function(lambda x, y, t: eps * s0 * harmonics(np.sin)(x, y, t),
+                                2, 2, 3, q_y=2, r=sched.r[0], parity="odd")
+        tr, f_next, g_next, diag = newton.newton_step(f, g, freq, sched, 0)
+        self._contracts(f, g, f_next, g_next, sched)
+        assert f_next.parity == ("even", "even") and g_next.parity == ("odd", "odd")
+        assert diag["composition_residual"] < 1e-10
+
+    def test_map_step(self, rng):
+        freq = diophantine.certify(diophantine.make_frequency(2, "sqrt_prime"))
+        sched = newton.make_schedule(2, 0.1, 1e-2, 2)
+        f = random_parity_field(rng, "even", d=2, N=3, q_y=2, r=sched.r[0],
+                                amp=1e-5, N_t=0)
+        g = random_parity_field(rng, "odd", d=2, N=3, q_y=2, r=sched.r[0],
+                                amp=1e-5, N_t=0)
+        tr, f_next, g_next, diag = newton.newton_step(f, g, freq, sched, 0,
+                                                      mode="map")
+        self._contracts(f, g, f_next, g_next, sched)
+        for fld in (tr.U, tr.V, f_next, g_next):
+            assert fld.N_t == 0
         assert diag["composition_residual"] < 1e-10
 
 

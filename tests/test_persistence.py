@@ -100,12 +100,19 @@ class TestManifest:
         man = persistence.RunManifest(
             name="kam-run", command="kam-run --mode flow",
             config={"eps": 1e-4, "M": 2}, seed=7,
-            outputs={"embedding.json": "00" * 32})
+            outputs={"embedding.json": "00" * 32},
+            formats={"convergence.csv": "convergence/2"})
         path = tmp_path / "manifest.json"
         persistence.write_manifest(path, man)
         back = persistence.load_manifest(path)
         assert back.to_dict() == man.to_dict()
+        assert back.formats == {"convergence.csv": "convergence/2"}
         assert back.versions["numpy"] == np.__version__
+
+    def test_manifest_without_formats_loads(self):
+        data = persistence.RunManifest(name="x", command="y", config={}).to_dict()
+        del data["formats"]
+        assert persistence.RunManifest.from_dict(data).formats == {}
 
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "manifest.json"
