@@ -64,8 +64,11 @@ def implicit_midpoint_step(rhs: Callable, z, t: float, h: float,
 
     The inner fixed point iterates until the update is below ``tol``
     relative to the state scale; ``z`` may be batched (any shape with the
-    phase coordinates in the trailing axes).
+    phase coordinates in the trailing axes).  ``max_iter`` must be at
+    least 1.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     z = np.asarray(z, dtype=float)
     t_mid = t + 0.5 * h
     w = z + h * np.asarray(rhs(z, t_mid), dtype=float)

@@ -24,8 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ParameterError
-from .integrators import (compose_step, implicit_midpoint_step, leapfrog_step,
-                          yoshida_weights)
+from .integrators import implicit_midpoint_step, yoshida_weights
 from .systems import _check_params
 
 __all__ = [
@@ -71,7 +70,8 @@ class Perturbation:
 
     ``forcing(x, t)`` returns the pair (f(x, t), g(x, t)) for a scalar t in
     one call, computing the time factor once; the stability integrator
-    calls it instead of f and g.  It is None for the zero forcing.
+    and the angle/action right-hand side call it instead of f and g.  It
+    is None for the zero forcing.
     ``p`` and ``q`` declare growth exponents: |f| = O(|x|^p) and
     |g| = O(|x|^q) for large |x|.  They stay None for the zero forcing.
     """
@@ -249,6 +249,12 @@ class ReferenceOrbit:
     revolution time T0.  closure_error records how far the generating
     integration landed from its start after one period, symmetry_defect
     the size of the parity components removed by projection.
+
+    coeffs_x and coeffs_y hold the complex modes -K..K; every evaluation
+    is the real part of their sum, taken as one real series in the phase
+    phi = 2 pi s / T0: a table [1, cos(k phi), sin(k phi)], k = 1..K, built
+    once per call, times a (4, 2K + 1) weight matrix whose rows give x0,
+    y0, dx0 and dy0 (derivatives in s).
     """
 
     n: int
@@ -257,30 +263,56 @@ class ReferenceOrbit:
     coeffs_y: np.ndarray
     closure_error: float
     symmetry_defect: float
+    _weights: np.ndarray = _dc_field(init=False, repr=False, compare=False)
 
-    def _eval(self, coeffs: np.ndarray, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        K = (len(coeffs) - 1) // 2
-        modes = np.arange(-K, K + 1)
-        phases = (2.0 * np.pi / self.period) * s.ravel()
-        vals = (np.exp(1j * np.outer(phases, modes)) @ coeffs).real
-        return vals.reshape(s.shape)
+    def __post_init__(self):
+        K = (len(self.coeffs_x) - 1) // 2
+        k = np.arange(1, K + 1)
+        omega = 2.0 * np.pi / self.period
+        values, slopes = [], []
+        for coeffs in (self.coeffs_x, self.coeffs_y):
+            c = np.asarray(coeffs, dtype=complex)
+            # Re sum_k c_k e^(ik phi) = Re c_0 + sum_k>0 cw_k cos + sw_k sin
+            cw = (c[K + k] + c[K - k]).real
+            sw = (c[K - k] - c[K + k]).imag
+            values.append(np.concatenate(([c[K].real], cw, sw)))
+            slopes.append(np.concatenate(([0.0], omega * k * sw, -omega * k * cw)))
+        object.__setattr__(self, "_weights", np.array(values + slopes))
+
+    def _series(self, phi, rows: slice):
+        """The weight rows ``rows`` of the series at phases phi, one table."""
+        phi = np.asarray(phi, dtype=float)
+        K = (self._weights.shape[1] - 1) // 2
+        arg = np.multiply.outer(phi.ravel(), np.arange(1.0, K + 1))
+        table = np.empty((arg.shape[0], 2 * K + 1))
+        table[:, 0] = 1.0
+        np.cos(arg, out=table[:, 1:K + 1])
+        np.sin(arg, out=table[:, K + 1:])
+        vals = self._weights[rows] @ table.T
+        return tuple(v.reshape(phi.shape) for v in vals)
+
+    def _at(self, s, rows):
+        phi = (2.0 * np.pi / self.period) * np.asarray(s, dtype=float)
+        return self._series(phi, rows)
+
+    def angle_data(self, theta, derivatives: bool = False):
+        """(x0, y0) at the angle theta = 2 pi s / T0, from one table.
+
+        With ``derivatives`` also dx0 and dy0 (in s) from the same table.
+        """
+        return self._series(theta, slice(0, 4 if derivatives else 2))
 
     def x0(self, s):
-        return self._eval(self.coeffs_x, s)
+        return self._at(s, slice(0, 1))[0]
 
     def y0(self, s):
-        return self._eval(self.coeffs_y, s)
+        return self._at(s, slice(1, 2))[0]
 
     def dx0(self, s):
-        K = (len(self.coeffs_x) - 1) // 2
-        modes = np.arange(-K, K + 1)
-        return self._eval(self.coeffs_x * 1j * modes * (2.0 * np.pi / self.period), s)
+        return self._at(s, slice(2, 3))[0]
 
     def dy0(self, s):
-        K = (len(self.coeffs_y) - 1) // 2
-        modes = np.arange(-K, K + 1)
-        return self._eval(self.coeffs_y * 1j * modes * (2.0 * np.pi / self.period), s)
+        return self._at(s, slice(3, 4))[0]
 
     def amplitude(self, samples: int = 4096) -> float:
         s = self.period * np.arange(samples) / samples
@@ -289,7 +321,8 @@ class ReferenceOrbit:
     def energy_residual(self, samples: int = 2048) -> float:
         """sup |(n+1) y0^2 + x0^(2n+2) - (n+1)| over one period."""
         s = self.period * np.arange(samples) / samples
-        E = (self.n + 1) * self.y0(s) ** 2 + self.x0(s) ** (2 * self.n + 2)
+        x0, y0 = self._at(s, slice(0, 2))
+        E = (self.n + 1) * y0 ** 2 + x0 ** (2 * self.n + 2)
         return float(np.max(np.abs(E - (self.n + 1))))
 
     def symmetry_residual(self, samples: int = 1024) -> float:
@@ -328,28 +361,42 @@ def compute_reference_orbit(n: int, n_samples: int = 8192,
     turning point (a quarter period, by symmetry); the samples come from a
     sixth-order symmetric composition at fixed step, which keeps the
     energy error at roundoff over a single revolution.  The parity parts
-    that should vanish are projected away after measuring them.
+    that should vanish are projected away after measuring them.  The kept
+    band reaches up to n_samples // 4 modes and at least 8, so n_samples
+    must leave n_samples // 4 > 8.
+
+    The stepping loop runs on Python floats: each stage is the
+    kick-drift-kick leapfrog with step w h, and its closing force is the
+    next stage's opening force, so it is computed once.  Every operation
+    is the one the leapfrog makes, in the same order, so the samples are
+    the same floats.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
+    if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
+            or n_samples // 4 <= 8):
+        raise ParameterError(
+            f"n_samples must be an integer with n_samples // 4 > 8, got {n_samples!r}")
     n = int(n)
+    n_samples = int(n_samples)
     T0 = 4.0 * _quarter_period(n, rtol=rtol)
     h = T0 / n_samples
-    weights = yoshida_weights(6)
-
-    def force(x, t):
-        return -x ** (2 * n + 1)
-
-    def base(state, t, hh):
-        return leapfrog_step(force, state[0], state[1], t, hh)
+    stages = [(w * h, 0.5 * (w * h)) for w in yoshida_weights(6).tolist()]
+    p = 2 * n + 1
 
     xs = np.empty(n_samples)
     ys = np.empty(n_samples)
-    state = (0.0, 1.0)
+    x, y = 0.0, 1.0
+    force = -x ** p
     for j in range(n_samples):
-        xs[j], ys[j] = state
-        state = compose_step(base, state, j * h, h, weights)
-    closure = max(abs(state[0] - 0.0), abs(state[1] - 1.0))
+        xs[j] = x
+        ys[j] = y
+        for hw, half in stages:
+            y = y + half * force
+            x = x + hw * y
+            force = -x ** p
+            y = y + half * force
+    closure = max(abs(x - 0.0), abs(y - 1.0))
 
     cx = np.fft.fft(xs) / n_samples
     cy = np.fft.fft(ys) / n_samples
@@ -401,10 +448,6 @@ class TransformedSystem:
     def n(self) -> int:
         return self.problem.n
 
-    def _angle_data(self, theta):
-        s = np.asarray(theta, dtype=float) * self.orbit.period / (2.0 * np.pi)
-        return self.orbit.x0(s), self.orbit.y0(s)
-
     def _check_rho(self, rho, floor, what: str):
         rho = np.asarray(rho, dtype=float)
         if np.any(rho < floor):
@@ -416,7 +459,7 @@ class TransformedSystem:
     def psi(self, theta, rho):
         """Angle/action to plane coordinates; needs rho > 0."""
         rho = self._check_rho(rho, 0.0, "psi")
-        x0, y0 = self._angle_data(theta)
+        x0, y0 = self.orbit.angle_data(theta)
         x = self.c ** self.alpha * rho ** self.alpha * x0
         y = self.c ** self.beta * rho ** self.beta * y0
         return x, y
@@ -426,9 +469,7 @@ class TransformedSystem:
         rho = self._check_rho(np.atleast_1d(rho), 0.0, "psi_jacobian")
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         T0 = self.orbit.period
-        s = theta * T0 / (2.0 * np.pi)
-        x0, y0 = self.orbit.x0(s), self.orbit.y0(s)
-        dx0, dy0 = self.orbit.dx0(s), self.orbit.dy0(s)
+        x0, y0, dx0, dy0 = self.orbit.angle_data(theta, derivatives=True)
         ca, cb = self.c ** self.alpha, self.c ** self.beta
         J = np.empty(theta.shape + (2, 2))
         J[..., 0, 0] = ca * rho ** self.alpha * dx0 * T0 / (2.0 * np.pi)
@@ -437,28 +478,37 @@ class TransformedSystem:
         J[..., 1, 1] = self.beta * cb * rho ** (self.beta - 1.0) * y0
         return J
 
+    def _drifts(self, theta, rho, t):
+        """(F2, F1) from one orbit table and one forcing evaluation.
+
+        The forcing is read at X = c^alpha rho^alpha x0(theta); a scalar t
+        takes the perturbation's fused ``forcing`` call, an array t (or a
+        perturbation without one) takes f and g.
+        """
+        x0, y0 = self.orbit.angle_data(theta)
+        ca = self.c ** self.alpha
+        ra = rho ** self.alpha
+        X = ca * ra * x0
+        pert = self.problem.perturbation
+        if pert.forcing is not None and np.ndim(t) == 0:
+            fv, gv = pert.forcing(X, t)
+        else:
+            fv, gv = pert.f(X, t), pert.g(X, t)
+        F1 = -(self.orbit.period / (2.0 * np.pi)) * y0 * (
+            self.c * rho * y0 * fv + ca * ra * gv)
+        F2 = (self.alpha * self.c * x0 * y0 * fv
+              + self.alpha * ca * rho ** (self.alpha - 1.0) * x0 * gv)
+        return F2, F1
+
     def F1(self, theta, rho, t, check_domain: bool = True):
         """Action drift; decays relative to rho by one angular power of x."""
         floor = self.rho_star if check_domain else 0.0
-        rho = self._check_rho(rho, floor, "F1")
-        x0, y0 = self._angle_data(theta)
-        T0 = self.orbit.period
-        X = self.c ** self.alpha * rho ** self.alpha * x0
-        fv = self.problem.perturbation.f(X, t)
-        gv = self.problem.perturbation.g(X, t)
-        return -(T0 / (2.0 * np.pi)) * y0 * (
-            self.c * rho * y0 * fv + self.c ** self.alpha * rho ** self.alpha * gv)
+        return self._drifts(theta, self._check_rho(rho, floor, "F1"), t)[1]
 
     def F2(self, theta, rho, t, check_domain: bool = True):
         """Angle-speed correction on top of the twist."""
         floor = self.rho_star if check_domain else 0.0
-        rho = self._check_rho(rho, floor, "F2")
-        x0, y0 = self._angle_data(theta)
-        X = self.c ** self.alpha * rho ** self.alpha * x0
-        fv = self.problem.perturbation.f(X, t)
-        gv = self.problem.perturbation.g(X, t)
-        return (self.alpha * self.c * x0 * y0 * fv
-                + self.alpha * self.c ** self.alpha * rho ** (self.alpha - 1.0) * x0 * gv)
+        return self._drifts(theta, self._check_rho(rho, floor, "F2"), t)[0]
 
     def twist(self, rho):
         rho = self._check_rho(rho, 0.0, "twist")
@@ -467,8 +517,8 @@ class TransformedSystem:
     def rhs(self, theta, rho, t, check_domain: bool = True):
         floor = self.rho_star if check_domain else 0.0
         rho = self._check_rho(rho, floor, "rhs")
-        return (self.twist(rho) + self.F2(theta, rho, t, check_domain=False),
-                self.F1(theta, rho, t, check_domain=False))
+        F2, F1 = self._drifts(theta, rho, t)
+        return self.twist(rho) + F2, F1
 
 
 def action_angle(problem: LienardProblem, orbit: Optional[ReferenceOrbit] = None,
@@ -642,12 +692,20 @@ def poincare_map(system: TransformedSystem, theta, rho, n_steps: int = 256,
     the reversibility P G P = G with G(theta, rho) = (-theta, rho) up to
     the inner solve tolerance.  Samples whose action falls below the
     validity floor are frozen where that happened and flagged escaped
-    instead of raising.
+    instead of raising.  n_steps must be a positive integer and the
+    samples finite, at least one of them.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float)).copy()
     rho = np.atleast_1d(np.asarray(rho, dtype=float)).copy()
     if theta.shape != rho.shape:
         raise ParameterError("theta and rho must have matching shapes")
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
+            or n_steps < 1):
+        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
+    if theta.size == 0:
+        raise ParameterError("the section map needs at least one sample")
+    if not (np.isfinite(theta).all() and np.isfinite(rho).all()):
+        raise ParameterError("theta and rho must be finite")
     floor = system.rho_star
     escaped = rho < floor
     z = np.stack([theta, rho], axis=-1)
@@ -803,9 +861,9 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
             return pert.f(x, t), pert.g(x, t)
     lam = np.repeat(np.asarray(levels, dtype=float), len(phases))
     phs = np.tile(np.asarray(phases, dtype=float), len(levels))
-    s0 = phs * orbit.period / (2.0 * np.pi)
-    x = lam * orbit.x0(s0)
-    y = lam ** (n + 1) * orbit.y0(s0)
+    x0, y0 = orbit.angle_data(phs)
+    x = lam * x0
+    y = lam ** (n + 1) * y0
     B = len(x)
 
     E0 = problem.energy(x, y)

@@ -294,6 +294,13 @@ class TestLienardCli:
     def test_orbit_bad_n(self):
         assert main(["lienard", "orbit", "--n", "0"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-5", "8", "35"])
+    def test_orbit_too_few_samples_exits_2(self, capsys, samples):
+        # the kept band needs samples // 4 > 8 modes to stay unaliased
+        assert main(["lienard", "orbit", "--samples", samples]) == 2
+        assert "n_samples" in capsys.readouterr().err
+        assert main(["lienard", "orbit", "--samples", "36"]) == 0
+
     def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)
         assert main(["lienard", "poincare", "--out", out,
@@ -329,6 +336,11 @@ class TestLienardCli:
         ("stability", "perturbation.f_amp=abc"),
         ("poincare", "n_steps=abc"),
         ("poincare", 'rho_levels=["a"]'),
+        ("poincare", "n_steps=0"),
+        ("poincare", "n_steps=-3"),
+        ("poincare", "theta_points=0"),
+        ("poincare", "rho_levels=[]"),
+        ("poincare", "rho_levels=[NaN]"),
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, override):
         # a short horizon first, so a missed check cannot run for minutes

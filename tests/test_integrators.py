@@ -117,6 +117,17 @@ def test_implicit_midpoint_batched_matches_scalar():
         assert np.allclose(single, row_out, atol=1e-14)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_implicit_midpoint_needs_an_iteration(max_iter):
+    with pytest.raises(ParameterError, match="max_iter"):
+        integrators.implicit_midpoint_step(pendulum_rhs, np.array([0.8, 0.3]),
+                                           0.0, 0.05, max_iter=max_iter)
+    # one iteration is enough for a field that does not depend on z
+    z = integrators.implicit_midpoint_step(lambda zz, t: np.ones(2),
+                                           np.zeros(2), 0.0, 0.5, max_iter=1)
+    np.testing.assert_array_equal(z, [0.5, 0.5])
+
+
 def test_integrate_recording():
     def step(state, t, h):
         return state + h

@@ -200,6 +200,16 @@ class TestReferenceOrbit:
         with pytest.raises(ParameterError):
             lienard.compute_reference_orbit(0)
 
+    @pytest.mark.parametrize("n_samples", [0, -5, 8, 35, 64.0, True])
+    def test_bad_sample_count(self, n_samples):
+        with pytest.raises(ParameterError, match="n_samples"):
+            lienard.compute_reference_orbit(1, n_samples=n_samples)
+
+    def test_smallest_sample_count_keeps_its_band(self):
+        # 36 samples: 9 > 8 modes of room, the kept band stays below it
+        orb = lienard.compute_reference_orbit(1, n_samples=36)
+        assert (len(orb.coeffs_x) - 1) // 2 < 36 // 4
+
 
 class TestActionAngle:
     def test_psi_lands_on_the_energy_level(self, rational_system, rng):
@@ -361,6 +371,27 @@ class TestPoincare:
     def test_shape_mismatch(self, rational_system):
         with pytest.raises(ParameterError):
             lienard.poincare_map(rational_system, np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
+    def test_bad_step_count(self, rational_system, n_steps):
+        with pytest.raises(ParameterError, match="n_steps"):
+            lienard.poincare_map(rational_system, [0.3], [1.0], n_steps=n_steps)
+        with pytest.raises(ParameterError, match="n_steps"):
+            lienard.poincare_reversibility_residual(rational_system,
+                                                    n_steps=n_steps)
+
+    @pytest.mark.parametrize("theta,rho", [
+        ([], []), ([0.3], [math.nan]), ([math.inf], [1.0])])
+    def test_bad_samples(self, rational_system, theta, rho):
+        with pytest.raises(ParameterError):
+            lienard.poincare_map(rational_system, theta, rho)
+
+    @pytest.mark.parametrize("thetas,rhos", [
+        ([], [1.0]), ([0.3], []), ([0.3], [math.nan])])
+    def test_bad_residual_grid(self, rational_system, thetas, rhos):
+        with pytest.raises(ParameterError):
+            lienard.poincare_reversibility_residual(rational_system, thetas,
+                                                    rhos, n_steps=4)
 
 
 class TestStability:
@@ -584,3 +615,220 @@ class TestStabilityOracle:
             steps = ref["t_fail"][ref["failed"]] * 64
             assert steps.min() == 1 and steps.max() > 100
             assert not ref["failed"].all()
+
+
+# --------------------------------------------------------------------------- #
+# the section map's old evaluation path, kept as an oracle
+# --------------------------------------------------------------------------- #
+
+def _old_eval(orbit, coeffs, s):
+    """Complex-exponential table over modes -K..K, real part of the sum."""
+    s = np.asarray(s, dtype=float)
+    K = (len(coeffs) - 1) // 2
+    modes = np.arange(-K, K + 1)
+    phases = (2.0 * np.pi / orbit.period) * s.ravel()
+    vals = (np.exp(1j * np.outer(phases, modes)) @ coeffs).real
+    return vals.reshape(s.shape)
+
+
+def _old_orbit_values(orbit, s):
+    """x0, y0, dx0, dy0, each from its own table."""
+    K = (len(orbit.coeffs_x) - 1) // 2
+    dmul = 1j * np.arange(-K, K + 1) * (2.0 * np.pi / orbit.period)
+    return (_old_eval(orbit, orbit.coeffs_x, s), _old_eval(orbit, orbit.coeffs_y, s),
+            _old_eval(orbit, orbit.coeffs_x * dmul, s),
+            _old_eval(orbit, orbit.coeffs_y * dmul, s))
+
+
+def _old_angle_data(sys_, theta):
+    s = np.asarray(theta, dtype=float) * sys_.orbit.period / (2.0 * np.pi)
+    return _old_eval(sys_.orbit, sys_.orbit.coeffs_x, s), \
+        _old_eval(sys_.orbit, sys_.orbit.coeffs_y, s)
+
+
+def _old_F1(sys_, theta, rho, t):
+    x0, y0 = _old_angle_data(sys_, theta)
+    T0 = sys_.orbit.period
+    X = sys_.c ** sys_.alpha * rho ** sys_.alpha * x0
+    fv = sys_.problem.perturbation.f(X, t)
+    gv = sys_.problem.perturbation.g(X, t)
+    return -(T0 / (2.0 * np.pi)) * y0 * (
+        sys_.c * rho * y0 * fv + sys_.c ** sys_.alpha * rho ** sys_.alpha * gv)
+
+
+def _old_F2(sys_, theta, rho, t):
+    x0, y0 = _old_angle_data(sys_, theta)
+    X = sys_.c ** sys_.alpha * rho ** sys_.alpha * x0
+    fv = sys_.problem.perturbation.f(X, t)
+    gv = sys_.problem.perturbation.g(X, t)
+    return (sys_.alpha * sys_.c * x0 * y0 * fv
+            + sys_.alpha * sys_.c ** sys_.alpha * rho ** (sys_.alpha - 1.0) * x0 * gv)
+
+
+def _old_rhs(sys_, theta, rho, t, check_domain=True):
+    rho = np.asarray(rho, dtype=float)
+    return (sys_.c0 * rho ** (2.0 * sys_.beta - 1.0) + _old_F2(sys_, theta, rho, t),
+            _old_F1(sys_, theta, rho, t))
+
+
+def _old_reference_orbit(n, n_samples=8192, rtol=1e-13):
+    """The generating loop on numpy scalars through compose_step."""
+    from revtori.integrators import compose_step, leapfrog_step
+    T0 = 4.0 * lienard._quarter_period(n, rtol=rtol)
+    h = T0 / n_samples
+    weights = yoshida_weights(6)
+
+    def force(x, t):
+        return -x ** (2 * n + 1)
+
+    def base(state, t, hh):
+        return leapfrog_step(force, state[0], state[1], t, hh)
+
+    xs = np.empty(n_samples)
+    ys = np.empty(n_samples)
+    state = (0.0, 1.0)
+    for j in range(n_samples):
+        xs[j], ys[j] = state
+        state = compose_step(base, state, j * h, h, weights)
+    closure = max(abs(state[0] - 0.0), abs(state[1] - 1.0))
+
+    cx = np.fft.fft(xs) / n_samples
+    cy = np.fft.fft(ys) / n_samples
+    K_max = n_samples // 4
+    mags = np.maximum(np.abs(cx), np.abs(cy))
+    tail = np.arange(1, K_max)
+    keep = tail[np.maximum(mags[tail], mags[-tail]) > 1e-14 * mags.max()]
+    K = max(int(keep.max()) if keep.size else 1, 8)
+    idx = np.arange(-K, K + 1) % n_samples
+    cx, cy = cx[idx], cy[idx]
+    defect = max(float(np.max(np.abs(cx.real))), float(np.max(np.abs(cy.imag))))
+    return {"period": T0, "coeffs_x": 1j * cx.imag, "coeffs_y": cy.real + 0j,
+            "closure_error": closure, "symmetry_defect": defect}
+
+
+def _oracle_systems(orbits):
+    kinds = {
+        "none": {},
+        "power": {"f_amp": 0.04, "g_amp": 0.03, "p": 1, "q": 3},
+        "rational_cubic": {"f_amp": 0.05, "g_amp": 0.05},
+        "rational_cubic_skew": {"f_amp": 0.05, "g_amp": 0.07, "phase": 0.4},
+    }
+    systems = {kind: lienard.action_angle(
+        lienard.make_problem(2 if kind == "power" else 1, kind, **params),
+        orbit=orbits[2 if kind == "power" else 1])
+        for kind, params in kinds.items()}
+    # a hand-built pair without the fused call goes through f and g
+    base = lienard.make_perturbation("rational_cubic", f_amp=0.05, g_amp=0.05)
+    unfused = lienard.Perturbation(kind="unfused", f=base.f, g=base.g, p=0, q=1)
+    systems["unfused"] = lienard.action_angle(
+        lienard.LienardProblem(n=1, perturbation=unfused), orbit=orbits[1])
+    return systems
+
+
+class TestSectionMapOracle:
+    """One real table and one forcing call against the old composition.
+
+    The old path built a complex-exponential table for each of x0 and y0
+    and called f and g separately in F1 and F2; the new one shares a
+    sin/cos table and a forcing evaluation, so values move by rounding
+    only.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orbit_values_match_complex_table(self, orbits, n):
+        orb = orbits[n]
+        # several periods either side of zero, not on the sample grid
+        s = orb.period * np.linspace(-3.3, 4.7, 301)
+        got = (orb.x0(s), orb.y0(s), orb.dx0(s), orb.dy0(s))
+        want = _old_orbit_values(orb, s)
+        for name, g, w in zip(("x0", "y0", "dx0", "dy0"), got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14, err_msg=name)
+        # the old path's own phase, so both see the same rounded angle
+        theta = (2.0 * np.pi / orb.period) * s
+        for g, w in zip(orb.angle_data(theta, derivatives=True), want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+        # scalar in, 0-d out, as before
+        assert orb.x0(0.3).shape == ()
+        assert orb.angle_data(0.3)[1].shape == ()
+
+    @pytest.mark.parametrize("t_kind", ["scalar", "array"])
+    @pytest.mark.parametrize("kind", ["none", "power", "rational_cubic",
+                                      "rational_cubic_skew", "unfused"])
+    def test_drifts_match_old_composition(self, orbits, kind, t_kind):
+        sys_ = _oracle_systems(orbits)[kind]
+        theta = 2.0 * np.pi * (np.arange(40) + 0.37) / 40 - 3.0
+        rho = np.linspace(0.3, 5.0, 40)
+        t = 0.3125 if t_kind == "scalar" else (np.arange(40) + 0.11) / 40
+        new_rhs = sys_.rhs(theta, rho, t)
+        old_rhs = _old_rhs(sys_, theta, rho, t)
+        pairs = [("rhs theta", new_rhs[0], old_rhs[0]),
+                 ("rhs rho", new_rhs[1], old_rhs[1]),
+                 ("F1", sys_.F1(theta, rho, t), _old_F1(sys_, theta, rho, t)),
+                 ("F2", sys_.F2(theta, rho, t), _old_F2(sys_, theta, rho, t))]
+        for name, got, want in pairs:
+            scale = max(float(np.max(np.abs(want))), 1e-300)
+            assert np.max(np.abs(got - want)) <= 1e-14 * scale, name
+        if kind == "none":
+            assert not np.any(pairs[2][1]) and not np.any(pairs[3][1])
+
+    def test_fused_call_replaces_f_and_g(self, orbits):
+        # a scalar t makes one forcing call per right-hand side and no f/g call
+        sys_ = _oracle_systems(orbits)["rational_cubic"]
+        pert = sys_.problem.perturbation
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(x, t):
+                calls.append(name)
+                return fn(x, t)
+            return wrapper
+
+        counting = lienard.Perturbation(
+            kind=pert.kind, f=counted("f", pert.f), g=counted("g", pert.g),
+            params=pert.params, p=pert.p, q=pert.q,
+            forcing=counted("forcing", pert.forcing))
+        sys_ = lienard.action_angle(
+            lienard.LienardProblem(n=1, perturbation=counting), orbit=orbits[1])
+        sys_.rhs(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 0.25)
+        assert calls == ["forcing"]
+        calls.clear()
+        sys_.rhs(np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([0.1, 0.3]))
+        assert calls == ["f", "g"]
+
+    def test_section_map_matches_old_path(self, orbits, monkeypatch):
+        # the shipped configs/lienard_poincare.json grid
+        sys_ = _oracle_systems(orbits)["rational_cubic"]
+        thetas = 2.0 * np.pi * np.arange(8) / 8
+        TH, RH = np.meshgrid(thetas, [0.8, 1.2, 1.8, 2.5], indexing="ij")
+        got = lienard.poincare_map(sys_, TH.ravel(), RH.ravel())
+        monkeypatch.setattr(lienard.TransformedSystem, "rhs", _old_rhs)
+        want = lienard.poincare_map(sys_, TH.ravel(), RH.ravel())
+        np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got.rho, want.rho, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(got.escaped, want.escaped)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orbit_coefficients_bit_identical(self, orbits, n):
+        want = _old_reference_orbit(n)
+        orb = orbits[n]
+        for name in ("period", "closure_error", "symmetry_defect"):
+            assert getattr(orb, name) == want[name], name
+        for name in ("coeffs_x", "coeffs_y"):
+            np.testing.assert_array_equal(getattr(orb, name), want[name],
+                                          err_msg=name)
+
+    def test_domain_errors_still_raise(self, orbits):
+        sys_ = _oracle_systems(orbits)["rational_cubic"]
+        low = 0.5 * sys_.rho_star
+        for method in (sys_.F1, sys_.F2, sys_.rhs):
+            with pytest.raises(DomainError):
+                method(0.3, low, 0.0)
+            with pytest.raises(DomainError):
+                method(0.3, -1.0, 0.0, check_domain=False)
+            assert np.all(np.isfinite(method(0.3, low, 0.0, check_domain=False)))
+        with pytest.raises(DomainError):
+            sys_.twist(-1.0)
+        with pytest.raises(DomainError):
+            sys_.psi(0.3, -1.0)
+        with pytest.raises(DomainError):
+            sys_.psi_jacobian(0.3, -1.0)
