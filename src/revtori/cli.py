@@ -209,20 +209,18 @@ def _perturbation_params(pert_cfg: dict) -> dict:
     return {k: _number(pert_cfg, k, float, errors) for k in pert_cfg if k != "kind"}
 
 
-def _build_flow_inputs(pert_cfg: dict):
-    from . import systems
+def _build_inputs(mode, pert_cfg: dict, omega: float):
+    """The perturbation pair (f, g) of a kam config's flow or map."""
+    from . import errors, systems
     params = _perturbation_params(pert_cfg)
-    flow = systems.make_flow_perturbation(pert_cfg.get("kind", "standard"),
-                                          **params)
-    return flow.f, flow.g, None
-
-
-def _build_map_inputs(pert_cfg: dict, omega: float):
-    from . import systems
-    params = _perturbation_params(pert_cfg)
-    mapping = systems.make_map_perturbation(pert_cfg.get("kind", "standard"),
-                                            omega, **params)
-    return mapping.f, mapping.g, mapping
+    kind = pert_cfg.get("kind", "standard")
+    if mode == "flow":
+        system = systems.make_flow_perturbation(kind, **params)
+    elif mode == "map":
+        system = systems.make_map_perturbation(kind, omega, **params)
+    else:
+        raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
+    return system.f, system.g
 
 
 def _make_problem(cfg, errors):
@@ -318,8 +316,6 @@ def _cmd_kam_run(args):
     from . import errors, newton, persistence
     cfg = _merge_config(args, _KAM_DEFAULTS, errors)
     mode = cfg["mode"]
-    if mode not in ("flow", "map"):
-        raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
     name = cfg["name"] or f"kam-{mode}"
     cfg["name"] = name
     num = {key: _number(cfg, key, kind, errors) for key, kind in (
@@ -331,17 +327,11 @@ def _cmd_kam_run(args):
     freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
-    if mode == "flow":
-        f, g, _ = _build_flow_inputs(cfg["perturbation"])
-        report = newton.run_kam_flow(
-            f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"],
-            verify_samples=num["verify_samples"], verify_dt=num["verify_dt"],
-            verify_tol=num["verify_tol"])
-    else:
-        f, g, _ = _build_map_inputs(cfg["perturbation"], float(freq.omega[0]))
-        report = newton.run_kam_map(
-            f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"],
-            verify_samples=num["verify_samples"], verify_tol=num["verify_tol"])
+    f, g = _build_inputs(mode, cfg["perturbation"], float(freq.omega[0]))
+    report = newton._run(
+        mode, f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"],
+        verify_samples=num["verify_samples"], verify_dt=num["verify_dt"],
+        verify_tol=num["verify_tol"])
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,
         [("embedding.json",
@@ -369,7 +359,6 @@ def _cmd_lienard_orbit(args):
         "closure_error": orbit.closure_error,
         "symmetry_defect": orbit.symmetry_defect,
         "energy_residual": orbit.energy_residual(),
-        "symmetry_residual": orbit.symmetry_residual(),
     }
     if args.csv:
         s = orbit.period * np.arange(args.csv_samples) / args.csv_samples
@@ -383,6 +372,8 @@ def _cmd_lienard_poincare(args):
     import numpy as np
     from . import errors, lienard, persistence
     cfg = _merge_config(args, _POINCARE_DEFAULTS, errors)
+    if args.iterates < 0:
+        raise errors.ParameterError(f"--iterates must be >= 0, got {args.iterates}")
     problem = _make_problem(cfg, errors)
     n_steps = _number(cfg, "n_steps", int, errors)
     theta_points = _number(cfg, "theta_points", int, errors)
@@ -453,13 +444,8 @@ def _cmd_verify(args):
     if "embedding.json" in manifest.outputs:
         cfg = manifest.config
         embedding = persistence.load_embedding(run_dir / "embedding.json")
-        if embedding.mode == "flow":
-            f, g, _ = _build_flow_inputs(cfg["perturbation"])
-            system = (f, g)
-        else:
-            _, _, mapping = _build_map_inputs(cfg["perturbation"],
-                                              float(embedding.omega[0]))
-            system = mapping.A
+        system = _build_inputs(embedding.mode, cfg["perturbation"],
+                               float(embedding.omega[0]))
         cfg = {"verify_samples": 64, "verify_dt": 1.0, "verify_tol": 1e-12, **cfg}
         inv = newton.verify_invariance(
             embedding, system, samples=_number(cfg, "verify_samples", int, errors),

@@ -325,12 +325,6 @@ class ReferenceOrbit:
         E = (self.n + 1) * y0 ** 2 + x0 ** (2 * self.n + 2)
         return float(np.max(np.abs(E - (self.n + 1))))
 
-    def symmetry_residual(self, samples: int = 1024) -> float:
-        s = self.period * (np.arange(samples) + 0.31) / samples
-        rx = np.max(np.abs(self.x0(s) + self.x0(-s)))
-        ry = np.max(np.abs(self.y0(s) - self.y0(-s)))
-        return float(max(rx, ry))
-
     def periodicity_residual(self) -> float:
         return float(self.closure_error)
 
@@ -524,12 +518,12 @@ class TransformedSystem:
 def action_angle(problem: LienardProblem, orbit: Optional[ReferenceOrbit] = None,
                  rho_star: float = 0.25) -> TransformedSystem:
     """Build the angle/action system for a problem (reference orbit included)."""
+    if not (math.isfinite(rho_star) and rho_star > 0.0):
+        raise ParameterError(f"rho_star must be positive and finite, got {rho_star}")
     orbit = orbit if orbit is not None else compute_reference_orbit(problem.n)
     if orbit.n != problem.n:
         raise ParameterError(
             f"reference orbit was computed for n = {orbit.n}, problem has n = {problem.n}")
-    if rho_star <= 0.0:
-        raise ParameterError(f"rho_star must be positive, got {rho_star}")
     n = problem.n
     alpha = 1.0 / (n + 2.0)
     beta = 1.0 - alpha

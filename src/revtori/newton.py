@@ -11,6 +11,13 @@ analogous reversibility for maps.  Each step solves the linearized
 they generate, and re-expands the remainder on a shrinking analyticity
 schedule.  The output is a chain of transforms whose composition embeds an
 invariant torus with rotation vector omega.
+
+Flows and maps share one iteration.  The ``mode`` string ("flow" or "map")
+selects one of two private dynamics objects, ``_FLOW`` and ``_MAP``, which
+supply only what differs: the homological solve, the transformed remainder
+on grid jets, the number of time slots (autonomous map fields have one),
+the parity tags of (f, g) and (U, V), and one step of the true dynamics
+for the invariance check.
 """
 
 import math
@@ -233,8 +240,10 @@ class TorusEmbedding:
                 f"not a torus embedding record: format = {data.get('format')!r}"
                 if isinstance(data, dict) else "torus embedding record must be a dict")
         mode = data.get("mode")
-        if mode not in ("flow", "map"):
-            raise PersistenceError(f"unknown embedding mode {mode!r}")
+        try:
+            _dynamics(mode)
+        except ParameterError:
+            raise PersistenceError(f"unknown embedding mode {mode!r}") from None
         try:
             x_offset = FourierField.from_dict(data["x_offset"])
             y = FourierField.from_dict(data["y"])
@@ -290,6 +299,119 @@ def _invert_transform(u: GridJet, v: GridJet, eta, tol: float = 1e-13,
 
 
 # --------------------------------------------------------------------------- #
+# flows and maps
+# --------------------------------------------------------------------------- #
+
+@dataclass(frozen=True)
+class _Dynamics:
+    """What a forced flow and a map do differently; one instance of each.
+
+    solve returns (u, v, g_mean, min_divisor), g_mean being the mean of g a
+    map carries along; remainder gives the transformed (f, g) at the grid
+    nodes moved by dx, at actions ys.  Autonomous fields have one time slot.
+    The parity pairs tag (f, g) and (U, V), and the embedding like (U, V).
+    advance returns one step of the true dynamics, the angle the torus
+    turns by and the time it ends at.
+    """
+
+    mode: str
+    solve: Callable
+    remainder: Callable
+    autonomous: bool
+    fg_parity: tuple
+    uv_parity: tuple
+    advance: Callable
+
+    def time_slots(self, n: int) -> int:
+        """Time nodes of an n-node grid: all of them, or t = 0 alone."""
+        return 1 if self.autonomous else n
+
+
+def _solve_flow(f, g, freq):
+    sol = solve_flow(f, g, freq)
+    return sol.u, sol.v, None, sol.min_divisor
+
+
+def _flow_remainder(jet, f, g, u, v, g_mean, freq, r, dx, ys):
+    # Transformed remainders in the old variables:
+    #   T_f = (D_x u) (y + f) + (D_y u) g,   T_g likewise with v.
+    W = _y_identity(f.d, max(f.q_y, g.q_y, 1), r) + f
+    return tuple(jet(jacobian_apply(w, W, "x") + jacobian_apply(w, g, "y")).evaluate(dx, ys)
+                 for w in (u, v))
+
+
+def _map_remainder(jet, f, g, u, v, g_mean, freq, r, dx, ys):
+    # x1 = x + Omega + y + f, y1 = y + g; the shifted generators take the
+    # rotation Omega, so every jet offset stays small.
+    Omega = 2.0 * np.pi * freq.omega
+    u_shift, v_shift = jet(u.shift_x(Omega)), jet(v.shift_x(Omega))
+    dx1 = dx + ys + jet(f).evaluate(dx, ys)
+    y1 = ys + jet(g).evaluate(dx, ys)
+    return (u_shift.evaluate(dx1, y1) - u_shift.evaluate(dx, ys),
+            v_shift.evaluate(dx1, y1) - v_shift.evaluate(dx, ys)
+            + jet(g_mean).evaluate(dx, ys))
+
+
+def _as_pair(system, message: str):
+    """(x, y, t) -> (S, d) evaluators of a pair of fields or callables."""
+    if not (isinstance(system, (tuple, list)) and len(system) == 2):
+        raise ParameterError(message)
+    return tuple((lambda x, y, t, h=h: h.evaluate(x, y, t, check_domain=False))
+                 if isinstance(h, FourierField) else h for h in system)
+
+
+def _flow_advance(system, omega, dt, tol):
+    """Integrate the pair (f, g) over [0, dt] with DOP853 at tolerance tol."""
+    f_fn, g_fn = _as_pair(system, "flow verification needs the pair (f, g)")
+
+    def step(x0, y0):
+        S, d = x0.shape
+
+        def rhs(t, z):
+            x, y, tt = z[: S * d].reshape(S, d), z[S * d:].reshape(S, d), np.full(S, t)
+            dx = omega + y + np.asarray(f_fn(x, y, tt)).reshape(S, d)
+            dy = np.asarray(g_fn(x, y, tt)).reshape(S, d)
+            return np.concatenate([dx.ravel(), dy.ravel()])
+
+        sol = solve_ivp(rhs, (0.0, dt), np.concatenate([x0.ravel(), y0.ravel()]),
+                        method="DOP853", rtol=tol, atol=tol * 1e-3, dense_output=False)
+        if not sol.success:
+            raise StepFailureError(f"verification integration failed: {sol.message}")
+        return sol.y[: S * d, -1].reshape(S, d), sol.y[S * d:, -1].reshape(S, d)
+
+    return step, omega * dt, dt
+
+
+def _map_advance(system, omega, dt, tol):
+    """Apply the map once: a callable A(x, y), or the normal form of a pair (f, g)."""
+    Omega = 2.0 * np.pi * omega
+    if callable(system):
+        return system, Omega, 0.0
+    f_fn, g_fn = _as_pair(system, "map verification needs the pair (f, g) or a callable map")
+
+    def apply_map(x, y):
+        tt = np.zeros(x.shape[0])
+        return (x + Omega + y + np.asarray(f_fn(x, y, tt)).reshape(x.shape),
+                y + np.asarray(g_fn(x, y, tt)).reshape(x.shape))
+
+    return apply_map, Omega, 0.0
+
+
+_FLOW = _Dynamics("flow", _solve_flow, _flow_remainder, autonomous=False,
+                  fg_parity=("even", "odd"), uv_parity=("odd", "even"), advance=_flow_advance)
+_MAP = _Dynamics("map", solve_map_full, _map_remainder, autonomous=True,
+                 fg_parity=(None, None), uv_parity=(None, None), advance=_map_advance)
+
+
+def _dynamics(mode) -> _Dynamics:
+    """The dynamics object of a mode string; ParameterError for anything else."""
+    for dyn in (_FLOW, _MAP):
+        if mode == dyn.mode:
+            return dyn
+    raise ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
+
+
+# --------------------------------------------------------------------------- #
 # one Newton step
 # --------------------------------------------------------------------------- #
 
@@ -319,8 +441,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
         the shrunk domain; diagnostics is a dict with the divisor floor,
         inversion iteration count, composition residual and grid sizes.
     """
-    if mode not in ("flow", "map"):
-        raise ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
+    dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
         raise ParameterError(f"step index {m} outside schedule of {schedule.M} steps")
     d = f.d
@@ -341,21 +462,14 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     n_fit = max(N_next + 2 * N_m + 16, 2 * N_next + 2, 2 * (N_m + 8) + 2)
     N_UV = min(N_m + 8, (n_fit - 1) // 2)
 
-    if mode == "flow":
-        sol = solve_flow(f, g, freq)
-        u, v = sol.u, sol.v
-        g_mean = None
-        min_div = sol.min_divisor
-    else:
-        u, v, g_mean, min_div = solve_map_full(f, g, freq)
+    u, v, g_mean, min_div = dyn.solve(f, g, freq)
 
-    sup_u = u.majorant(0.0, r_m)
-    sup_v = v.majorant(0.0, r_m)
+    sup_u, sup_v = u.majorant(0.0, r_m), v.majorant(0.0, r_m)
 
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.  Samples
     # are stacked in sheets of S grid nodes, one sheet per action node.
-    n_t = n_fit if mode == "flow" else 1
+    n_t = dyn.time_slots(n_fit)
     grid_shape = (n_fit,) * d + (n_t,)
     S = n_fit ** d * n_t
     y_nodes = default_action_nodes(d, q_y_fit, r_next)
@@ -368,8 +482,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
         return jets[-1]
 
     u_jet, v_jet = on_grid(u), on_grid(v)
-    dx = np.empty((n_y * S, d))
-    dy = np.empty((n_y * S, d))
+    dx, dy = np.empty((n_y * S, d)), np.empty((n_y * S, d))
     iters = 0
     for iy in range(n_y):
         sheet = slice(iy * S, (iy + 1) * S)
@@ -383,34 +496,16 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
             f"far outside the domain radius r = {r_m:.3e}")
     nesting_exceeded = y_excursion > r_m
 
-    if mode == "flow":
-        # Transformed remainders in the old variables:
-        #   T_f = (D_x u) (y + f) + (D_y u) g,   T_g likewise with v.
-        W = _y_identity(d, q_y_fit, r_m) + f
-        f_vals, g_vals = (
-            on_grid(jacobian_apply(w, W, "x") + jacobian_apply(w, g, "y")).evaluate(dx, ys)
-            for w in (u, v))
-    else:
-        # x1 = x + Omega + y + f, y1 = y + g; the shifted generators take
-        # the rotation Omega, so every jet offset stays small.
-        Omega = 2.0 * np.pi * freq.omega
-        u_shift, v_shift = on_grid(u.shift_x(Omega)), on_grid(v.shift_x(Omega))
-        dx1 = dx + ys + on_grid(f).evaluate(dx, ys)
-        y1 = ys + on_grid(g).evaluate(dx, ys)
-        f_vals = u_shift.evaluate(dx1, y1) - u_shift.evaluate(dx, ys)
-        g_vals = (v_shift.evaluate(dx1, y1) - v_shift.evaluate(dx, ys)
-                  + on_grid(g_mean).evaluate(dx, ys))
+    f_vals, g_vals = dyn.remainder(on_grid, f, g, u, v, g_mean, freq, r_m, dx, ys)
 
     def _fit(vals, N_out, parity):
         vals = np.moveaxis(vals.reshape(n_y, S, d), 0, 1)
         return field_from_grid_samples(vals.reshape(grid_shape + (n_y, d)), d, N_out,
                                        q_y_fit, r_next, y_nodes=y_nodes, parity=parity)
 
-    flow = mode == "flow"
-    U = _fit(dx, N_UV, ("odd",) * d if flow else None)
-    V = _fit(dy, N_UV, ("even",) * d if flow else None)
-    f_next = _fit(f_vals, N_next, ("even",) * d if flow else None)
-    g_next = _fit(g_vals, N_next, ("odd",) * d if flow else None)
+    U, V = (_fit(vals, N_UV, p) for vals, p in zip((dx, dy), dyn.uv_parity))
+    f_next, g_next = (_fit(vals, N_next, p)
+                      for vals, p in zip((f_vals, g_vals), dyn.fg_parity))
 
     # Cross-check the pair (u, v) / (U, V): pushing the grid forward through
     # xi = x + u and evaluating the fitted inverse there must cancel.
@@ -550,15 +645,20 @@ _NO_STEP = {"min_divisor": math.nan, "inversion_iters": 0,
             "y_excursion": math.nan, "taylor_order": 0}
 
 
-def _as_field_fn(h):
-    """Uniform (x, y, t) -> (S, d) evaluator from a field or a callable."""
-    if isinstance(h, FourierField):
-        return lambda x, y, t: h.evaluate(x, y, t, check_domain=False)
-    return h
+def _row(m: int, f: FourierField, g: FourierField, schedule: Schedule) -> dict:
+    """Convergence row of the pair (f, g) entering step m, before the step."""
+    r = float(schedule.r[m])
+    sup_f, sup_g = f.majorant(0.0, r), g.majorant(0.0, r)
+    return {"m": m, "sup_f": sup_f, "sup_g": sup_g,
+            "osc_f": f.oscillating_part().majorant(0.0, r),
+            "osc_g": g.oscillating_part().majorant(0.0, r),
+            "c_f": sup_f / schedule.eps[m],
+            "c_g": sup_g / (schedule.eps[m] * schedule.s[m] ** schedule.d),
+            "invariance_residual": math.nan, **_NO_STEP}
 
 
 def _materialize(h, what: str, d: int, N: int, q_y: int, r: float,
-                 mode: str, parity) -> FourierField:
+                 autonomous: bool, parity) -> FourierField:
     if isinstance(h, FourierField):
         if h.d != d or h.m != d:
             raise ShapeError(f"{what} must have d = m = {d}")
@@ -566,7 +666,7 @@ def _materialize(h, what: str, d: int, N: int, q_y: int, r: float,
     if not callable(h):
         raise ParameterError(f"{what} must be a FourierField or a callable")
     return field_from_function(h, d, d, N, q_y=q_y, r=r, parity=parity,
-                               time_independent=(mode == "map"))
+                               time_independent=autonomous)
 
 
 def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
@@ -578,13 +678,14 @@ def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
     them for flows, t = 0 for maps, whose embedding is autonomous) and the
     offsets are fitted by FFT.
     """
+    dyn = _dynamics(mode)
     d = freq.d
     if N is None:
         N = max([tr.U.N for tr in chain.steps], default=0) + 8
     n = int(n_grid) if n_grid is not None else 2 * N + 2
     if n < 2 * N + 1:
         raise ParameterError(f"grid size {n} too small for cutoff N = {N}")
-    n_t = n if mode == "flow" else 1
+    n_t = dyn.time_slots(n)
     grid_shape = (n,) * d + (n_t,)
     # The chain moves each node by the small offsets its steps add up.
     x = np.zeros((n ** d * n_t, d))
@@ -593,128 +694,88 @@ def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
         dx = GridJet(tr.U, n, n_t).evaluate(x, y)
         dy = GridJet(tr.V, n, n_t).evaluate(x, y)
         x, y = x + dx, y + dy
-    flow = mode == "flow"
-    x_offset = field_from_grid_samples(x.reshape(grid_shape + (1, d)), d, N,
-                                       0, 0.0, parity=("odd",) * d if flow else None)
-    y_field = field_from_grid_samples(y.reshape(grid_shape + (1, d)), d, N, 0, 0.0,
-                                      parity=("even",) * d if flow else None)
+    x_offset, y_field = (field_from_grid_samples(z.reshape(grid_shape + (1, d)), d, N,
+                                                 0, 0.0, parity=p)
+                         for z, p in zip((x, y), dyn.uv_parity))
     return TorusEmbedding(x_offset=x_offset, y=y_field,
                           omega=np.array(freq.omega, dtype=float),
                           r0=float(r0), mode=mode)
 
 
-def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float,
-         kernel: Optional[SmoothingKernel], q_y: int, verify_steps: bool,
-         verify_samples: int, verify_dt: float, verify_tol: float):
+def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float = 0.0,
+         kernel: Optional[SmoothingKernel] = None, q_y: int = 2,
+         verify_steps: bool = True, verify_samples: int = 64,
+         verify_dt: float = 1.0, verify_tol: float = 1e-12) -> ConvergenceReport:
+    """The Newton iteration behind run_kam_flow and run_kam_map, by mode."""
     d = schedule.d
     if freq.d != d:
         raise ShapeError(f"frequency dimension {freq.d} does not match schedule d = {d}")
     kernel = kernel or SmoothingKernel()
-    flow = mode == "flow"
+    dyn = _dynamics(mode)
     N_master = int(schedule.N[schedule.M])
-    f_field = _materialize(f, "f", d, N_master, q_y, schedule.r[0], mode,
-                           ("even",) * d if flow else None)
-    g_field = _materialize(g, "g", d, N_master, q_y, schedule.r[0], mode,
-                           ("odd",) * d if flow else None)
     system = (f, g)
-
-    dec_f = decompose(f_field, schedule, kernel)
-    dec_g = decompose(g_field, schedule, kernel)
+    dec_f, dec_g = (decompose(_materialize(h, what, d, N_master, q_y, schedule.r[0],
+                                           dyn.autonomous, p), schedule, kernel)
+                    for h, what, p in zip(system, "fg", dyn.fg_parity))
 
     warnings = []
     for nu, (pf, pg) in enumerate(zip(dec_f.pieces, dec_g.pieces)):
-        budget_f = schedule.eps[nu]
-        budget_g = schedule.eps[nu] * schedule.s[nu] ** d
-        mf = pf.majorant(0.0, schedule.r[nu])
-        mg = pg.majorant(0.0, schedule.r[nu])
-        if mf > 10.0 * budget_f:
-            warnings.append(
-                f"f piece {nu} has majorant {mf:.3e}, over 10x the budget "
-                f"{budget_f:.3e}; the schedule may be too optimistic")
-        if mg > 10.0 * budget_g:
-            warnings.append(
-                f"g piece {nu} has majorant {mg:.3e}, over 10x the budget "
-                f"{budget_g:.3e}; the schedule may be too optimistic")
+        eps = schedule.eps[nu]
+        for name, piece, budget in (("f", pf, eps), ("g", pg, eps * schedule.s[nu] ** d)):
+            maj = piece.majorant(0.0, schedule.r[nu])
+            if maj > 10.0 * budget:
+                warnings.append(
+                    f"{name} piece {nu} has majorant {maj:.3e}, over 10x the budget "
+                    f"{budget:.3e}; the schedule may be too optimistic")
 
     chain = TransformChain([])
     cur_f, cur_g = dec_f.pieces[0], dec_g.pieces[0]
     rows = []
-    failed = False
     failure = None
-    embedding = None
     N_emb = int(schedule.N[0]) + 8
 
     for m in range(schedule.M):
-        r_m = float(schedule.r[m])
-        sup_f = cur_f.majorant(0.0, r_m)
-        sup_g = cur_g.majorant(0.0, r_m)
-        osc_f = cur_f.oscillating_part().majorant(0.0, r_m)
-        osc_g = cur_g.oscillating_part().majorant(0.0, r_m)
-        row = {
-            "m": m, "sup_f": sup_f, "sup_g": sup_g,
-            "osc_f": osc_f, "osc_g": osc_g,
-            "c_f": sup_f / schedule.eps[m],
-            "c_g": sup_g / (schedule.eps[m] * schedule.s[m] ** d),
-            "invariance_residual": math.nan, **_NO_STEP,
-        }
+        row = _row(m, cur_f, cur_g, schedule)
         rows.append(row)
-        if tol > 0.0 and max(sup_f, sup_g) < tol:
+        if tol > 0.0 and max(row["sup_f"], row["sup_g"]) < tol:
             break
         try:
             transform, f_next, g_next, diag = newton_step(
                 cur_f, cur_g, freq, schedule, m, mode=mode)
-            rem_f_osc = f_next.oscillating_part().majorant(0.0, schedule.r[m + 1])
-            rem_g_osc = g_next.oscillating_part().majorant(0.0, schedule.r[m + 1])
-            if osc_f > _CONTRACTION_FLOOR and rem_f_osc > _CONTRACTION_RATIO * osc_f:
-                raise StepFailureError(
-                    f"step {m}: no contraction in f "
-                    f"({rem_f_osc:.3e} after {osc_f:.3e})")
-            if osc_g > _CONTRACTION_FLOOR and rem_g_osc > _CONTRACTION_RATIO * osc_g:
-                raise StepFailureError(
-                    f"step {m}: no contraction in g "
-                    f"({rem_g_osc:.3e} after {osc_g:.3e})")
+            for name, h in (("f", f_next), ("g", g_next)):
+                osc = row["osc_" + name]
+                rem = h.oscillating_part().majorant(0.0, schedule.r[m + 1])
+                if osc > _CONTRACTION_FLOOR and rem > _CONTRACTION_RATIO * osc:
+                    raise StepFailureError(
+                        f"step {m}: no contraction in {name} ({rem:.3e} after {osc:.3e})")
         except (StepFailureError, SmallDivisorError) as exc:
-            failed = True
             failure = str(exc)
             break
         row.update({key: diag[key] for key in _NO_STEP})
         if diag["nesting_exceeded"]:
             warnings.append(
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
-                f"nominal radius {r_m:.3e} (within the jet trust region)")
+                f"nominal radius {schedule.r[m]:.3e} (within the jet trust region)")
         chain.steps.append(transform)
         cur_f = f_next + dec_f.pieces[m + 1]
         cur_g = g_next + dec_g.pieces[m + 1]
         if verify_steps:
-            embedding = fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb)
-            inv = verify_invariance(embedding, system, samples=verify_samples,
-                                    dt=verify_dt, tol=verify_tol)
-            row["invariance_residual"] = inv.residual
+            row["invariance_residual"] = verify_invariance(
+                fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb), system,
+                samples=verify_samples, dt=verify_dt, tol=verify_tol).residual
 
-    if not failed and len(chain.steps) == schedule.M:
-        r_fin = float(schedule.r[schedule.M])
-        rows.append({
-            "m": schedule.M,
-            "sup_f": cur_f.majorant(0.0, r_fin),
-            "sup_g": cur_g.majorant(0.0, r_fin),
-            "osc_f": cur_f.oscillating_part().majorant(0.0, r_fin),
-            "osc_g": cur_g.oscillating_part().majorant(0.0, r_fin),
-            "c_f": cur_f.majorant(0.0, r_fin) / schedule.eps[schedule.M],
-            "c_g": cur_g.majorant(0.0, r_fin) / (schedule.eps[schedule.M]
-                                                 * schedule.s[schedule.M] ** d),
-            "invariance_residual": math.nan, **_NO_STEP,
-        })
+    if len(chain.steps) == schedule.M:  # neither failed nor stopped at tol
+        rows.append(_row(schedule.M, cur_f, cur_g, schedule))
 
     embedding = fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb)
-    inv_final = verify_invariance(embedding, system, samples=verify_samples,
-                                  dt=verify_dt, tol=verify_tol)
-    if rows:
-        rows[-1]["invariance_residual"] = inv_final.residual
+    residual = verify_invariance(embedding, system, samples=verify_samples,
+                                 dt=verify_dt, tol=verify_tol).residual
+    rows[-1]["invariance_residual"] = residual
 
     return ConvergenceReport(
         mode=mode, omega=np.array(freq.omega, dtype=float), schedule=schedule,
         rows=rows, chain=chain, embedding=embedding,
-        invariance_residual=inv_final.residual, failed=failed, failure=failure,
+        invariance_residual=residual, failed=failure is not None, failure=failure,
         warnings=warnings)
 
 
@@ -767,72 +828,30 @@ def verify_invariance(embedding: TorusEmbedding, system, omega=None,
     For flows the embedded circle of initial conditions K(theta, 0) is
     integrated for time dt with a high-order adaptive integrator at
     tolerance tol and compared against K(theta + omega dt, dt).  For maps
-    the image A(K(theta)) is compared against K(theta + 2 pi omega).
-    Angle mismatches are wrapped to (-pi, pi].
+    the image A(K(theta)) is compared against K(theta + 2 pi omega); dt and
+    tol play no part.  Angle mismatches are wrapped to (-pi, pi].
 
-    system is the pair (f, g) of fields or callables defining the true
-    dynamics, or, for maps, optionally a single callable
-    A(x, y) -> (x1, y1).
+    system defines the true dynamics.  Flows take the pair (f, g) of
+    fields or callables (x, y, t) -> (S, d).  Maps take either that pair,
+    which becomes the normal form A(x, y) = (x + 2 pi omega + y + f,
+    y + g) with f and g sampled at t = 0, or a callable
+    A(x, y) -> (x1, y1) such as a section map.
     """
-    mode = embedding.mode
     d = embedding.d
     omega = np.atleast_1d(np.asarray(
         embedding.omega if omega is None else omega, dtype=float))
+    step, turn, t_end = _dynamics(embedding.mode).advance(system, omega, dt, tol)
     axes = np.meshgrid(*([2.0 * np.pi * np.arange(samples) / samples] * d),
                        indexing="ij")
     theta = np.stack([a.ravel() for a in axes], axis=-1)
     S = theta.shape[0]
 
-    if mode == "flow":
-        if not (isinstance(system, (tuple, list)) and len(system) == 2):
-            raise ParameterError("flow verification needs the pair (f, g)")
-        f_fn = _as_field_fn(system[0])
-        g_fn = _as_field_fn(system[1])
-        x0, y0 = embedding.evaluate(theta, np.zeros(S))
-        z0 = np.concatenate([x0.ravel(), y0.ravel()])
-
-        def rhs(t, z):
-            x = z[: S * d].reshape(S, d)
-            y = z[S * d:].reshape(S, d)
-            tt = np.full(S, t)
-            dx = omega + y + np.asarray(f_fn(x, y, tt)).reshape(S, d)
-            dy = np.asarray(g_fn(x, y, tt)).reshape(S, d)
-            return np.concatenate([dx.ravel(), dy.ravel()])
-
-        sol = solve_ivp(rhs, (0.0, dt), z0, method="DOP853",
-                        rtol=tol, atol=tol * 1e-3, dense_output=False)
-        if not sol.success:
-            raise StepFailureError(f"verification integration failed: {sol.message}")
-        zT = sol.y[:, -1]
-        xT = zT[: S * d].reshape(S, d)
-        yT = zT[S * d:].reshape(S, d)
-        x_target, y_target = embedding.evaluate(theta + omega * dt,
-                                                np.full(S, dt))
-        x_res = float(np.max(np.abs(_wrap_angle(xT - x_target))))
-        y_res = float(np.max(np.abs(yT - y_target)))
-    else:
-        Omega = 2.0 * np.pi * omega
-        if isinstance(system, (tuple, list)) and len(system) == 2:
-            f_fn = _as_field_fn(system[0])
-            g_fn = _as_field_fn(system[1])
-
-            def apply_map(x, y):
-                tt = np.zeros(x.shape[0])
-                fx = np.asarray(f_fn(x, y, tt)).reshape(x.shape)
-                gx = np.asarray(g_fn(x, y, tt)).reshape(x.shape)
-                return x + Omega + y + fx, y + gx
-        elif callable(system):
-            apply_map = system
-        else:
-            raise ParameterError(
-                "map verification needs the pair (f, g) or a callable map")
-        x0, y0 = embedding.evaluate(theta)
-        x1, y1 = apply_map(x0, y0)
-        x_target, y_target = embedding.evaluate(theta + Omega)
-        x_res = float(np.max(np.abs(_wrap_angle(np.asarray(x1) - x_target))))
-        y_res = float(np.max(np.abs(np.asarray(y1) - y_target)))
-
-    return InvarianceReport(mode=mode, residual=max(x_res, y_res),
+    x0, y0 = embedding.evaluate(theta, np.zeros(S))
+    x1, y1 = step(x0, y0)
+    x_target, y_target = embedding.evaluate(theta + turn, np.full(S, t_end))
+    x_res = float(np.max(np.abs(_wrap_angle(np.asarray(x1) - x_target))))
+    y_res = float(np.max(np.abs(np.asarray(y1) - y_target)))
+    return InvarianceReport(mode=embedding.mode, residual=max(x_res, y_res),
                             x_residual=x_res, y_residual=y_res,
                             samples=samples, dt=float(dt), tol=float(tol))
 

@@ -209,7 +209,7 @@ def test_criterion_07_reference_orbits(capsys):
     for n in (1, 2, 3):
         orbit = lienard.compute_reference_orbit(n)
         worst = max(worst, orbit.energy_residual(),
-                    orbit.symmetry_residual(), orbit.periodicity_residual())
+                    orbit.symmetry_defect, orbit.periodicity_residual())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     _report(capsys, 7, ok, f"reference orbits n=1,2,3: worst residual {worst:.2e} "

@@ -161,6 +161,15 @@ class TestKamRun:
             assert fld.N_t == 0
             assert fld.coeffs.shape[fld.d] == 1
 
+    def test_map_mode_is_deterministic(self, tmp_path):
+        argv = ["kam", "run", "--set", "mode=map", "--set", "M=2",
+                "--set", "eps0=1e-3"]
+        for sub in ("first", "second"):
+            assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+        for name in ("manifest.json", "embedding.json", "convergence.csv"):
+            first = (tmp_path / "first" / "kam-map" / name).read_bytes()
+            assert first == (tmp_path / "second" / "kam-map" / name).read_bytes()
+
     def test_step_failure_exits_3(self, tmp_path):
         code = main(["kam", "run", "--out", str(tmp_path),
                      "--set", "M=1", "--set", "eps0=1e-3",
@@ -341,6 +350,8 @@ class TestLienardCli:
         ("poincare", "theta_points=0"),
         ("poincare", "rho_levels=[]"),
         ("poincare", "rho_levels=[NaN]"),
+        ("poincare", "rho_star=Infinity"),
+        ("poincare", "rho_star=NaN"),
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, override):
         # a short horizon first, so a missed check cannot run for minutes
@@ -362,6 +373,20 @@ class TestLienardCli:
         lines = csv.read_text().splitlines()
         assert lines[0] == "sample,iterate,theta,rho,escaped"
         assert len(lines) == 1 + 8 * 3  # 8 samples, iterates 0..2
+
+    def test_poincare_iterates_must_not_be_negative(self, tmp_path, capsys):
+        csv = tmp_path / "section.csv"
+        short = ["--set", "n_steps=8", "--set", "theta_points=2",
+                 "--set", "rho_levels=[1.2]"]
+        assert main(["lienard", "poincare", "--iterates", "-1",
+                     "--csv", str(csv), *short]) == 2
+        assert "--iterates" in capsys.readouterr().err
+        assert not csv.exists()
+        assert main(["lienard", "poincare", "--iterates", "0",
+                     "--csv", str(csv), *short]) == 0
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 1 + 2  # the two samples at iterate 0
+        assert all(line.split(",")[1] == "0" for line in lines[1:])
 
     def test_stability_run_directory(self, tmp_path, capsys):
         code, data = run_json(capsys, [

@@ -178,7 +178,6 @@ class TestReferenceOrbit:
     def test_residuals_are_tiny(self, orbits, n):
         orb = orbits[n]
         assert orb.energy_residual() < 1e-10
-        assert orb.symmetry_residual() < 1e-10
         assert orb.periodicity_residual() < 1e-10
         assert orb.symmetry_defect < 1e-10
 

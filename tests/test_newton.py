@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from revtori import diophantine, fields, newton, systems
-from revtori.errors import ParameterError, StructureError
+from revtori.errors import ParameterError, PersistenceError, StructureError
 from revtori.fields import FourierField, field_from_function
 
 from conftest import (GOLDEN, grid_parity_residual, random_parity_field,
@@ -333,6 +333,44 @@ class TestFlowRun:
         sched = report.schedule
         order = report.fitted_order()
         assert order >= 1.0 + sched.mu_tilde / 2.0
+
+
+@pytest.fixture(scope="module")
+def map_run(golden):
+    sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+    mapping = systems.MapSystem(omega=GOLDEN, eps=1e-4)
+    return mapping, newton.run_kam_map(mapping.f, mapping.g, golden, sched)
+
+
+class TestMapRun:
+    def test_pair_and_callable_map_give_one_residual(self, map_run):
+        # the pair (f, g) becomes the normal form x + Omega + y + f, y + g,
+        # which computes MapSystem.A operation for operation
+        mapping, report = map_run
+        assert not report.failed
+        pair = newton.verify_invariance(report.embedding, (mapping.f, mapping.g))
+        direct = newton.verify_invariance(report.embedding, mapping.A)
+        assert (pair.x_residual, pair.y_residual) == (direct.x_residual,
+                                                      direct.y_residual)
+        assert pair.residual == direct.residual == report.invariance_residual
+        assert pair.residual < 1e-8
+
+    def test_unknown_mode_and_system_are_rejected(self, map_run, short_run,
+                                                  golden):
+        mapping, report = map_run
+        sched = report.schedule
+        f, g = _map_pair(sched)
+        with pytest.raises(ParameterError, match="banana"):
+            newton.newton_step(f, g, golden, sched, 0, mode="banana")
+        with pytest.raises(ParameterError, match="banana"):
+            newton.fit_embedding(report.chain, golden, sched.r[0], "banana")
+        with pytest.raises(ParameterError, match="callable map"):
+            newton.verify_invariance(report.embedding, 3)
+        with pytest.raises(ParameterError, match="pair"):
+            newton.verify_invariance(short_run[1].embedding, mapping.A)
+        record = dict(report.embedding.to_dict(), mode="banana")
+        with pytest.raises(PersistenceError, match="banana"):
+            newton.TorusEmbedding.from_dict(record)
 
 
 class TestChainAndEmbedding:
