@@ -24,9 +24,7 @@ _EXPORTS = {
     "field_from_function": "fields",
     "field_from_grid_samples": "fields",
     "harmonic_field": "fields",
-    "jacobian_apply": "fields",
     "project_structure": "fields",
-    "stack_components": "fields",
     "Frequency": "diophantine",
     "certify": "diophantine",
     "make_frequency": "diophantine",

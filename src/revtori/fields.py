@@ -26,10 +26,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, ParameterError, PersistenceError, ShapeError, StructureError
 
@@ -141,13 +140,6 @@ def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
             else:
                 raise ParameterError(f"unknown parity tag {tag!r}")
     return out
-
-
-def _combine_parity(p1, p2):
-    """Parity of a product: even*even = odd*odd = even, mixed = odd."""
-    if p1 is None or p2 is None:
-        return None
-    return "even" if p1 == p2 else "odd"
 
 
 def _flip_parity(tag):
@@ -430,52 +422,6 @@ class FourierField:
     def scale(self, c: float) -> "FourierField":
         return replace(self, coeffs=self.coeffs * float(c))
 
-    def multiply(self, other: "FourierField", N_out: Optional[int] = None) -> "FourierField":
-        """Pointwise product, truncated to ``N_out`` (default: exact N1+N2)."""
-        if other.d != self.d:
-            raise ShapeError("can only multiply fields with matching d")
-        if not (self.m == other.m or self.m == 1 or other.m == 1):
-            raise ShapeError(
-                f"component counts {self.m} and {other.m} are not broadcastable"
-            )
-        N_full = self.N + other.N
-        N = N_full if N_out is None else min(int(N_out), N_full)
-        N_t_full = self.N_t + other.N_t
-        N_t = min(N_t_full, N)
-        q_y = self.q_y + other.q_y
-        m = max(self.m, other.m)
-        p1 = self.powers
-        p2 = other.powers
-        out_powers = action_powers(self.d, q_y)
-        index_of = {tuple(a): i for i, a in enumerate(out_powers)}
-        coeffs = np.zeros((2 * N + 1,) * self.d + (2 * N_t + 1, len(out_powers), m),
-                          dtype=complex)
-        axes = tuple(range(self.d + 1))
-        crop = _centre(self.d, N_full, N_t_full, N, N_t)
-        for i1, a1 in enumerate(p1):
-            for i2, a2 in enumerate(p2):
-                tgt = index_of[tuple(a1 + a2)]
-                for c in range(m):
-                    c1 = self.coeffs[..., i1, min(c, self.m - 1)]
-                    c2 = other.coeffs[..., i2, min(c, other.m - 1)]
-                    if not np.any(c1) or not np.any(c2):
-                        continue
-                    conv = fftconvolve(c1, c2, mode="full", axes=axes)
-                    coeffs[..., tgt, c] += conv[crop]
-        coeffs[~mode_mask(self.d, N, N_t)] = 0.0
-        parity = _product_parity(self.parity, other.parity, self.m, other.m, m)
-        return FourierField(self.d, m, N, q_y, _combine_radius(self, other),
-                            coeffs, parity)
-
-    def __mul__(self, other):
-        if isinstance(other, FourierField):
-            return self.multiply(other)
-        if np.isscalar(other):
-            return self.scale(float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def diff_x(self, j: int = 0) -> "FourierField":
         """Derivative in the j-th angle; flips parity."""
         if not 0 <= j < self.d:
@@ -515,21 +461,6 @@ class FourierField:
             coeffs[..., index_of[tuple(b)], :] += a[j] * self.coeffs[..., i, :]
         return FourierField(self.d, self.m, self.N, q_y, self.r, coeffs, self.parity)
 
-    def mul_y(self, j: int = 0) -> "FourierField":
-        """Multiply by the j-th action variable; preserves parity."""
-        if not 0 <= j < self.d:
-            raise ParameterError(f"action index {j} out of range for d = {self.d}")
-        q_y = self.q_y + 1
-        out_powers = action_powers(self.d, q_y)
-        index_of = {tuple(a): i for i, a in enumerate(out_powers)}
-        coeffs = np.zeros(self.coeffs.shape[: self.d + 1] + (len(out_powers), self.m),
-                          dtype=complex)
-        for i, a in enumerate(self.powers):
-            b = a.copy()
-            b[j] += 1
-            coeffs[..., index_of[tuple(b)], :] = self.coeffs[..., i, :]
-        return FourierField(self.d, self.m, self.N, q_y, self.r, coeffs, self.parity)
-
     def truncate(self, N: Optional[int] = None, q_y: Optional[int] = None) -> "FourierField":
         """Drop modes above cutoff N and powers above degree q_y."""
         N_new = self.N if N is None else min(int(N), self.N)
@@ -540,13 +471,6 @@ class FourierField:
         coeffs = self.coeffs[sl + (slice(0, P_new), slice(None))].copy()
         coeffs[~mode_mask(self.d, N_new, N_t)] = 0.0
         return FourierField(self.d, self.m, N_new, q_new, self.r, coeffs, self.parity)
-
-    def component(self, i: int) -> "FourierField":
-        if not 0 <= i < self.m:
-            raise ShapeError(f"component {i} out of range for m = {self.m}")
-        parity = None if self.parity is None else (self.parity[i],)
-        return FourierField(self.d, 1, self.N, self.q_y, self.r,
-                            self.coeffs[..., i:i + 1].copy(), parity)
 
     def flip(self) -> "FourierField":
         """The field (x, y, t) -> F(-x, y, -t)."""
@@ -859,15 +783,6 @@ def _merge_parity(p1, p2, m):
     return tuple(a if a == b else None for a, b in zip(p1, p2))
 
 
-def _product_parity(p1, p2, m1, m2, m):
-    if p1 is None or p2 is None:
-        return None
-    out = []
-    for c in range(m):
-        out.append(_combine_parity(p1[min(c, m1 - 1)], p2[min(c, m2 - 1)]))
-    return tuple(out)
-
-
 def _combine_radius(f1: FourierField, f2: FourierField) -> float:
     eff1 = np.inf if f1.q_y == 0 else f1.r
     eff2 = np.inf if f2.q_y == 0 else f2.r
@@ -1027,56 +942,6 @@ def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos
     field.coeffs[idx_p] += half
     field.coeffs[idx_m] += np.conj(half)
     return field
-
-
-def stack_components(fields: Sequence[FourierField]) -> FourierField:
-    """Stack scalar fields into one vector-valued field."""
-    if not fields:
-        raise ShapeError("need at least one field to stack")
-    base = fields[0]
-    N = max(f.N for f in fields)
-    N_t = max(f.N_t for f in fields)
-    q_y = max(f.q_y for f in fields)
-    parts = []
-    parity = []
-    r = None
-    for f in fields:
-        if f.d != base.d:
-            raise ShapeError("all stacked fields must share d")
-        if f.m != 1:
-            raise ShapeError("can only stack scalar fields")
-        parts.append(f._padded_to(N, q_y, N_t))
-        parity.append(None if f.parity is None else f.parity[0])
-        eff = np.inf if f.q_y == 0 else f.r
-        r = eff if r is None else min(r, eff)
-    if np.isinf(r):
-        r = max(f.r for f in fields)
-    coeffs = np.concatenate(parts, axis=-1)
-    return FourierField(base.d, len(fields), N, q_y, float(r), coeffs, tuple(parity))
-
-
-def jacobian_apply(u: FourierField, w: FourierField, kind: str = "x",
-                   N_out: Optional[int] = None) -> FourierField:
-    """Contract a Jacobian with a vector field:  (D_kind u) . w.
-
-    ``u`` and ``w`` must both have m = d components; the result has m = d
-    components with (result)_i = sum_j d u_i / d(kind)_j * w_j.
-    """
-    if kind not in ("x", "y"):
-        raise ParameterError(f"kind must be 'x' or 'y', got {kind!r}")
-    d = u.d
-    if u.m != d or w.m != d:
-        raise ShapeError("jacobian_apply expects m = d vector fields")
-    rows = []
-    for i in range(d):
-        ui = u.component(i)
-        total = None
-        for j in range(d):
-            dij = ui.diff_x(j) if kind == "x" else ui.diff_y(j)
-            term = dij.multiply(w.component(j), N_out=N_out)
-            total = term if total is None else total + term
-        rows.append(total)
-    return stack_components(rows)
 
 
 def project_structure(field: FourierField, tol: float = 1e-6) -> FourierField:

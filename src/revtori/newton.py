@@ -18,6 +18,11 @@ supply only what differs: the homological solve, the transformed remainder
 on grid jets, the number of time slots (autonomous map fields have one),
 the parity tags of (f, g) and (U, V), and one step of the true dynamics
 for the invariance check.
+
+Both remainders are formed point by point from grid-jet values at the
+inverted sample points and become fields only through the FFT fit: for
+flows, products of the values of f, g and the first derivatives of u and
+v; for maps, differences of the values of the shifted generators.
 """
 
 import math
@@ -30,9 +35,8 @@ from scipy.integrate import solve_ivp
 from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError)
-from .fields import (FourierField, GridJet, action_powers, default_action_nodes,
-                     field_from_function, field_from_grid_samples,
-                     jacobian_apply)
+from .fields import (FourierField, GridJet, default_action_nodes,
+                     field_from_function, field_from_grid_samples)
 from .homological import solve_flow, solve_map_full
 from .smoothing import SmoothingKernel, decompose
 
@@ -256,17 +260,21 @@ class TorusEmbedding:
         return cls(x_offset=x_offset, y=y, omega=omega, r0=r0, mode=mode)
 
 
-def _y_identity(d: int, q_y: int, r: float) -> FourierField:
-    """The vector field Y(x, y, t) = y as a FourierField (needs q_y >= 1)."""
-    if q_y < 1:
-        raise ParameterError("the action identity needs q_y >= 1")
-    fld = FourierField.zeros(d, d, 0, q_y, r, ("even",) * d)
-    index_of = {tuple(a): i for i, a in enumerate(action_powers(d, q_y))}
-    zero_mode = (0,) * (d + 1)
-    for i in range(d):
-        e_i = tuple(1 if j == i else 0 for j in range(d))
-        fld.coeffs[zero_mode + (index_of[e_i], i)] = 1.0
-    return fld
+class _OrderedJet:
+    """A GridJet that folds its Taylor order into a shared running maximum.
+
+    A Newton step reports the largest order its jets used; keeping that
+    maximum (a one-entry list) instead of the jets frees each jet after
+    its last use.
+    """
+
+    def __init__(self, field: FourierField, n: int, n_t: int, orders: list):
+        self.jet, self.n, self._orders = GridJet(field, n, n_t), n, orders
+
+    def evaluate(self, delta, y=None) -> np.ndarray:
+        out = self.jet.evaluate(delta, y)
+        self._orders[0] = max(self._orders[0], self.jet.max_order)
+        return out
 
 
 def _invert_transform(u: GridJet, v: GridJet, eta, tol: float = 1e-13,
@@ -332,15 +340,18 @@ def _solve_flow(f, g, freq):
     return sol.u, sol.v, None, sol.min_divisor
 
 
-def _flow_remainder(jet, f, g, u, v, g_mean, freq, r, dx, ys):
-    # Transformed remainders in the old variables:
+def _flow_remainder(jet, f, g, u, v, g_mean, freq, dx, ys):
+    # Transformed remainders in the old variables, as products of jet values:
     #   T_f = (D_x u) (y + f) + (D_y u) g,   T_g likewise with v.
-    W = _y_identity(f.d, max(f.q_y, g.q_y, 1), r) + f
-    return tuple(jet(jacobian_apply(w, W, "x") + jacobian_apply(w, g, "y")).evaluate(dx, ys)
+    W = ys + jet(f).evaluate(dx, ys)
+    G = jet(g).evaluate(dx, ys)
+    return tuple(sum(jet(w.diff_x(j)).evaluate(dx, ys) * W[:, j:j + 1]
+                     + jet(w.diff_y(j)).evaluate(dx, ys) * G[:, j:j + 1]
+                     for j in range(f.d))
                  for w in (u, v))
 
 
-def _map_remainder(jet, f, g, u, v, g_mean, freq, r, dx, ys):
+def _map_remainder(jet, f, g, u, v, g_mean, freq, dx, ys):
     # x1 = x + Omega + y + f, y1 = y + g; the shifted generators take the
     # rotation Omega, so every jet offset stays small.
     Omega = 2.0 * np.pi * freq.omega
@@ -475,11 +486,10 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     y_nodes = default_action_nodes(d, q_y_fit, r_next)
     n_y = len(y_nodes)
     eta = np.repeat(y_nodes, S, axis=0)
-    jets = []
+    taylor = [0]  # largest Taylor order of the step's jets, which are not kept
 
     def on_grid(h):
-        jets.append(GridJet(h, n_fit, n_t))
-        return jets[-1]
+        return _OrderedJet(h, n_fit, n_t, taylor)
 
     u_jet, v_jet = on_grid(u), on_grid(v)
     dx, dy = np.empty((n_y * S, d)), np.empty((n_y * S, d))
@@ -496,7 +506,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
             f"far outside the domain radius r = {r_m:.3e}")
     nesting_exceeded = y_excursion > r_m
 
-    f_vals, g_vals = dyn.remainder(on_grid, f, g, u, v, g_mean, freq, r_m, dx, ys)
+    f_vals, g_vals = dyn.remainder(on_grid, f, g, u, v, g_mean, freq, dx, ys)
 
     def _fit(vals, N_out, parity):
         vals = np.moveaxis(vals.reshape(n_y, S, d), 0, 1)
@@ -537,7 +547,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
         "sup_v": float(sup_v),
         "y_excursion": y_excursion,
         "nesting_exceeded": nesting_exceeded,
-        "taylor_order": max(jet.max_order for jet in jets),
+        "taylor_order": taylor[0],
     }
     return transform, f_next, g_next, diagnostics
 
@@ -836,7 +846,21 @@ def verify_invariance(embedding: TorusEmbedding, system, omega=None,
     which becomes the normal form A(x, y) = (x + 2 pi omega + y + f,
     y + g) with f and g sampled at t = 0, or a callable
     A(x, y) -> (x1, y1) such as a section map.
+
+    samples must be a positive integer, tol finite and positive, and dt
+    finite and nonzero (negative dt integrates backwards), in either mode;
+    anything else raises ParameterError.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) \
+            or samples < 1:
+        raise ParameterError(f"verification samples must be a positive integer, "
+                             f"got {samples!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"verification tolerance must be finite and positive, "
+                             f"got {tol!r}")
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise ParameterError(f"verification time dt must be finite and nonzero, "
+                             f"got {dt!r}")
     d = embedding.d
     omega = np.atleast_1d(np.asarray(
         embedding.omega if omega is None else omega, dtype=float))

@@ -30,6 +30,13 @@ def kam_run(tmp_path_factory):
     return root / "kam-flow"
 
 
+# Invariance-check settings that test nothing (dt = 0), never finish
+# (tol = 0, dt = NaN) or fail deep in numpy (samples <= 0); each exits 2.
+_BAD_VERIFICATION = ["verify_samples=0", "verify_samples=-2", "verify_tol=0",
+                     "verify_tol=-1", "verify_tol=NaN", "verify_dt=0",
+                     "verify_dt=NaN", "verify_dt=Infinity"]
+
+
 class TestDioph:
     def test_golden_certifies(self, capsys):
         code, data = run_json(capsys, ["dioph"])
@@ -194,6 +201,25 @@ class TestKamRun:
                      "--set", override]) == 2
         assert "error:" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("override", _BAD_VERIFICATION)
+    def test_bad_verification_settings_exit_2(self, tmp_path, capsys, override):
+        assert main(["kam", "run", "--out", str(tmp_path), "--set", "M=1",
+                     "--set", "eps0=1e-3", "--set", override]) == 2
+        assert "verification" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("override", _BAD_VERIFICATION)
+    def test_verify_rejects_bad_verification_settings(self, kam_run, tmp_path,
+                                                      capsys, override):
+        run = tmp_path / "run"
+        shutil.copytree(kam_run, run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        key, value = override.split("=")
+        manifest["config"][key] = json.loads(value)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", str(run)]) == 2
+        assert "verification" in capsys.readouterr().err
 
     def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)

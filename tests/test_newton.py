@@ -155,6 +155,36 @@ class TestNewtonStep:
         assert diag["composition_residual"] < 1e-10
 
 
+class TestFlowRemainder:
+    """T_w = (D_x w)(y + f) + (D_y w) g against a central difference of
+    scattered sums: d/ds w(x + s (y + f), y + s g, t) at s = 0."""
+
+    @pytest.mark.parametrize("d, n", [(1, 12), (2, 6)])
+    def test_matches_directional_difference(self, rng, d, n):
+        r = 0.1
+        f, g = random_reversible_pair(rng, d=d, N=3, q_y=2, r=r, amp=0.1)
+        u = random_parity_field(rng, "odd", d=d, N=4, q_y=2, r=r, amp=0.1)
+        v = random_parity_field(rng, "even", d=d, N=4, q_y=2, r=r, amp=0.1)
+        grid = 2.0 * np.pi * np.arange(n) / n
+        axes = np.meshgrid(*([grid] * (d + 1)), indexing="ij")
+        nodes, t = np.stack([a.ravel() for a in axes[:d]], axis=-1), axes[d].ravel()
+        dx = rng.uniform(-0.2, 0.2, size=nodes.shape)
+        ys = rng.uniform(-0.5 * r, 0.5 * r, size=nodes.shape)
+        got = newton._flow_remainder(lambda h: fields.GridJet(h, n, n),
+                                     f, g, u, v, None, None, dx, ys)
+
+        x = nodes + dx
+        W, G = ys + f.evaluate(x, ys, t), g.evaluate(x, ys, t)
+        step = 1e-4
+        for w, T in zip((u, v), got):
+            fd = (w.evaluate(x + step * W, ys + step * G, t)
+                  - w.evaluate(x - step * W, ys - step * G, t)) / (2.0 * step)
+            scale = float(np.max(np.abs(fd)))
+            assert T.shape == fd.shape
+            # the difference errs by O(step^2) times third derivatives
+            assert float(np.max(np.abs(T - fd))) <= 10.0 * step ** 2 * scale
+
+
 class _ScatteredJet:
     """Test-only stand-in for fields.GridJet: the full Fourier sum per point."""
 
@@ -301,6 +331,20 @@ class TestFlowRun:
         inv = newton.verify_invariance(report.embedding, (flow.f, flow.g),
                                        samples=32, dt=1.0, tol=1e-12)
         assert inv.residual < 1e-8
+
+    def test_verification_settings_are_checked(self, short_run):
+        flow, report = short_run
+        system = (flow.f, flow.g)
+        for bad in ({"samples": 0}, {"samples": -2}, {"samples": 2.5},
+                    {"samples": True}, {"tol": 0.0}, {"tol": -1.0},
+                    {"tol": math.nan}, {"dt": 0.0}, {"dt": math.nan},
+                    {"dt": math.inf}):
+            with pytest.raises(ParameterError, match="verification"):
+                newton.verify_invariance(report.embedding, system, **bad)
+        # a negative time integrates backwards along the same torus
+        back = newton.verify_invariance(report.embedding, system, samples=32,
+                                        dt=-1.0)
+        assert back.residual < 1e-8
 
     def test_corrupted_embedding_is_detected(self, short_run, golden):
         flow, report = short_run
