@@ -37,7 +37,6 @@ _EXPORTS = {
     "HomologicalSolution": "homological",
     "solve_flow": "homological",
     "solve_map": "homological",
-    "solve_map_full": "homological",
     "yoshida_weights": "integrators",
     "implicit_midpoint_step": "integrators",
     "Schedule": "newton",

@@ -23,6 +23,7 @@ are only pulled in inside the command handlers.
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,12 +45,14 @@ def _apply_threads(argv) -> None:
         elif arg.startswith("--threads="):
             explicit = arg.split("=", 1)[1]
     try:
-        value = str(int(explicit)) if explicit is not None else None
+        value = int(explicit) if explicit is not None else None
     except ValueError:
         return  # argparse will produce the proper complaint later
+    if value is not None and value < 1:
+        return  # main refuses it once the arguments are parsed
     for var in _THREAD_VARS:
         if value is not None:
-            os.environ[var] = value
+            os.environ[var] = str(value)
         else:
             os.environ.setdefault(var, "1")
 
@@ -130,18 +133,33 @@ def _apply_override(cfg: dict, item: str, errors) -> None:
 def _number(cfg: dict, key: str, kind, errors):
     """cfg[key] as ``kind`` (int or float); anything else exits 2.
 
-    Booleans and, for ints, values with a fractional part are refused
-    rather than truncated.
+    Booleans, NaN, infinities and, for ints, values with a fractional part
+    are refused rather than truncated.
     """
     value = cfg[key]
     try:
         out = kind(value)
-        if isinstance(value, bool) or (kind is int and out != float(value)):
+        if isinstance(value, bool) or not math.isfinite(out) \
+                or (kind is int and out != float(value)):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise errors.ParameterError(
-            f"config key {key!r} must be {'an integer' if kind is int else 'a number'}, "
-            f"got {value!r}") from None
+            f"config key {key!r} must be "
+            f"{'an integer' if kind is int else 'a finite number'}, got {value!r}") from None
+    return out
+
+
+def _verify_settings(cfg: dict, errors) -> dict:
+    """The invariance-check settings of a kam config, as numbers.
+
+    Keys the config lacks take their ``_KAM_DEFAULTS`` values.
+    """
+    out = {}
+    for key, kind in (("verify_samples", int), ("verify_dt", float), ("verify_tol", float)):
+        try:
+            out[key] = _number({key: cfg.get(key, _KAM_DEFAULTS[key])}, key, kind, errors)
+        except errors.ParameterError as exc:
+            raise errors.ParameterError(f"verification settings: {exc}") from None
     return out
 
 
@@ -241,7 +259,13 @@ def _cmd_dioph(args):
 
 def _cmd_smooth_test(args):
     import numpy as np
-    from . import smoothing
+    from . import errors, smoothing
+    if not (args.s_min > 0 and args.s_max > 0):
+        raise errors.ParameterError(
+            f"--s-min and --s-max must be positive, got {args.s_min} and {args.s_max}")
+    if args.n_scales < 2:
+        raise errors.ParameterError(
+            f"--n-scales must be at least 2 to fit a rate, got {args.n_scales}")
     seed = 0 if args.seed is None else args.seed
     field = smoothing.synthetic_rough_field(args.ell_star, N=args.n_modes,
                                             seed=seed)
@@ -263,32 +287,21 @@ def _cmd_smooth_test(args):
 
 
 def _cmd_homsolve(args):
-    from . import fields, homological, systems
+    from . import newton
     freq = _resolve_frequency(_omega_spec(args), 1, args.tau, args.k_max)
-    if args.mode == "flow":
-        flow = systems.make_flow_perturbation("single_mode", eps=args.eps,
-                                              g_amp=args.g_amp)
-        f = fields.field_from_function(flow.f, d=1, m=1, N=args.n_modes,
-                                       q_y=args.q_y, r=args.r, parity=("even",))
-        g = fields.field_from_function(flow.g, d=1, m=1, N=args.n_modes,
-                                       q_y=args.q_y, r=args.r, parity=("odd",))
-        sol = homological.solve_flow(f, g, freq)
-    else:
-        mapping = systems.make_map_perturbation("standard", float(freq.omega[0]),
-                                                eps=args.eps)
-        f = fields.field_from_function(mapping.f, d=1, m=1, N=args.n_modes,
-                                       q_y=args.q_y, r=args.r,
-                                       time_independent=True)
-        g = fields.field_from_function(mapping.g, d=1, m=1, N=args.n_modes,
-                                       q_y=args.q_y, r=args.r,
-                                       time_independent=True)
-        u, v, g_mean, min_div = homological.solve_map_full(f, g, freq)
-        return {"mode": "map", "min_divisor": min_div,
-                "sup_u": u.sup_norm().value, "sup_v": v.sup_norm().value,
-                "sup_mean_correction": g_mean.sup_norm().value}
-    return {"mode": "flow", "min_divisor": sol.min_divisor,
+    pert = {"kind": "standard", "eps": args.eps}
+    if args.g_amp is not None:
+        pert["g_amp"] = args.g_amp
+    dyn = newton._dynamics(args.mode)
+    f, g = (newton._materialize(h, what, 1, args.n_modes, args.q_y, args.r,
+                                dyn.autonomous, p)
+            for h, what, p in zip(_build_inputs(args.mode, pert, float(freq.omega[0])),
+                                  "fg", dyn.fg_parity))
+    sol = dyn.solve(f, g, freq)
+    return {"mode": args.mode, "min_divisor": sol.min_divisor,
             "residual_u": sol.residual_u, "residual_v": sol.residual_v,
-            "sup_u": sol.u.sup_norm().value, "sup_v": sol.v.sup_norm().value}
+            "sup_u": sol.u.sup_norm().value, "sup_v": sol.v.sup_norm().value,
+            "sup_mean_correction": sol.g_mean.sup_norm().value}
 
 
 def _write_run_dir(out_root, name, command, cfg, seed, artifacts, formats=None):
@@ -320,8 +333,8 @@ def _cmd_kam_run(args):
     cfg["name"] = name
     num = {key: _number(cfg, key, kind, errors) for key, kind in (
         ("d", int), ("K_max", int), ("mu", float), ("eps0", float), ("M", int),
-        ("tol", float), ("q_y", int), ("verify_samples", int),
-        ("verify_dt", float), ("verify_tol", float))}
+        ("tol", float), ("q_y", int))}
+    verify = _verify_settings(cfg, errors)
     omega = cfg["omega"] if isinstance(cfg["omega"], str) else _numbers(cfg, "omega", errors)
     tau = None if cfg["tau"] is None else _number(cfg, "tau", float, errors)
     freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
@@ -329,9 +342,7 @@ def _cmd_kam_run(args):
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
     f, g = _build_inputs(mode, cfg["perturbation"], float(freq.omega[0]))
     report = newton._run(
-        mode, f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"],
-        verify_samples=num["verify_samples"], verify_dt=num["verify_dt"],
-        verify_tol=num["verify_tol"])
+        mode, f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"], **verify)
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,
         [("embedding.json",
@@ -446,11 +457,10 @@ def _cmd_verify(args):
         embedding = persistence.load_embedding(run_dir / "embedding.json")
         system = _build_inputs(embedding.mode, cfg["perturbation"],
                                float(embedding.omega[0]))
-        cfg = {"verify_samples": 64, "verify_dt": 1.0, "verify_tol": 1e-12, **cfg}
+        verify = _verify_settings(cfg, errors)
         inv = newton.verify_invariance(
-            embedding, system, samples=_number(cfg, "verify_samples", int, errors),
-            dt=_number(cfg, "verify_dt", float, errors),
-            tol=_number(cfg, "verify_tol", float, errors))
+            embedding, system, samples=verify["verify_samples"],
+            dt=verify["verify_dt"], tol=verify["verify_tol"])
         summary["invariance_residual"] = inv.residual
     return summary
 
@@ -517,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-y", type=int, default=2)
     p.add_argument("--r", type=float, default=0.1)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--g-amp", type=float, default=0.05)
+    p.add_argument("--g-amp", type=float, default=None,
+                   help="ratio of g to f in flow mode (default: 0.05)")
     p.set_defaults(handler=_cmd_homsolve)
 
     p = sub.add_parser("kam", help="Newton iteration for invariant tori")
@@ -576,6 +587,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from . import errors
     try:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise errors.ParameterError(f"--threads must be at least 1, got {args.threads}")
         summary = args.handler(args)
         code = int(summary.pop("exit_code", 0))
         _print_summary(summary, args.json_summary)

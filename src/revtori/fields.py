@@ -434,16 +434,6 @@ class FourierField:
             _flip_parity(p) for p in self.parity)
         return replace(self, coeffs=coeffs, parity=parity)
 
-    def diff_t(self) -> "FourierField":
-        """Time derivative; flips parity."""
-        modes = 1j * np.arange(-self.N_t, self.N_t + 1)
-        shape = [1] * self.coeffs.ndim
-        shape[self.d] = 2 * self.N_t + 1
-        coeffs = self.coeffs * modes.reshape(shape)
-        parity = None if self.parity is None else tuple(
-            _flip_parity(p) for p in self.parity)
-        return replace(self, coeffs=coeffs, parity=parity)
-
     def diff_y(self, j: int = 0) -> "FourierField":
         """Derivative in the j-th action; preserves parity."""
         if not 0 <= j < self.d:
@@ -508,15 +498,8 @@ class FourierField:
         """The (k, l) = 0 coefficient block, shape (P, m)."""
         return self.mode(np.zeros(self.d, dtype=int), 0)
 
-    def angular_average(self) -> "FourierField":
-        """Keep only the k = 0 modes (still a function of y and t)."""
-        coeffs = np.zeros_like(self.coeffs)
-        sl = tuple([slice(self.N, self.N + 1)] * self.d) + (slice(None),)
-        coeffs[sl] = self.coeffs[sl]
-        return replace(self, coeffs=coeffs)
-
     def oscillating_part(self) -> "FourierField":
-        """Zero out the k = 0 modes (complement of :meth:`angular_average`)."""
+        """Zero out the k = 0 modes, leaving the part that depends on the angles."""
         coeffs = self.coeffs.copy()
         sl = tuple([slice(self.N, self.N + 1)] * self.d) + (slice(None),)
         coeffs[sl] = 0.0
@@ -895,6 +878,8 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
     With ``time_independent`` the function is sampled at t = 0 only and the
     result is an autonomous field (time cutoff N_t = 0).
     """
+    if N < 0:
+        raise ParameterError(f"mode cutoff must be nonnegative, got N = {N}")
     n = int(n_grid) if n_grid is not None else 2 * N + 2
     if n < 2 * N + 1:
         raise ParameterError(f"sampling grid {n} too small for cutoff N = {N}")

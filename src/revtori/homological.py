@@ -4,43 +4,38 @@ Flow case.  Given a perturbed system  dx/dt = omega + y + f,  dy/dt = g,
 the change of variables xi = x + u, eta = y + v removes the first-order
 perturbation when
 
-    D_omega u = v - f      (angle equation)
-    D_omega v = -g         (action equation)
+    D_omega u = v - f,      D_omega v = -g,
 
-with D_omega = <omega, d/dx> + d/dt.  In Fourier modes, with divisor
-D(k, l) = <k, omega> + l,
+with D_omega = <omega, d/dx> + d/dt.  Map case.  For a twist map
+A(x, y) = (x + Omega + y + f, y + g), Omega = 2 pi omega, the analogous
+equations are difference equations along the shift T: x -> x + Omega,
 
-    v_hat = i g_hat / D,     u_hat = i (f_hat - v_hat) / D,
+    u o T - u = v - f,      v o T - v = -(g - g_mean).
 
-the free constant of v chosen as v_hat(0,0) := f_hat(0,0) so the angle
-equation is solvable, and u_hat(0,0) := 0.  For a reversible system
-(f even, g odd) the solutions satisfy u odd and v even.
+In Fourier modes both read
 
-Map case.  For a twist map  A(x, y) = (x + Omega + y + f, y + g)  with
-translation Omega = 2 pi omega, the analogous equations are difference
-equations along the shift T: x -> x + Omega,
+    v_hat = -g_hat / L,     u_hat = (v_hat - f_hat) / L,
 
-    u o T - u = v - f,      v o T - v = -g_osc,
-
-with divisor D(k) = exp(2 pi i <k, omega>) - 1, i.e.
-
-    v_hat = -g_hat / D,     u_hat = (v_hat - f_hat) / D.
-
-g_osc is g minus its angular average; the plain solver requires that
-average to vanish (which parity gives), while :func:`solve_map_full`
-returns the average separately so an iteration can carry it.
+with the divisor L(k, l) = i (<k, omega> + l) for flows and
+L(k) = exp(2 pi i <k, omega>) - 1 for maps, and one kernel solves both.
+At (k, l) = 0, where L vanishes, v takes f's zero mode (the choice that
+makes the angle equation solvable) and u takes 0; g's zero block is split
+off as ``g_mean``.  :func:`solve_flow` requires that block to vanish and
+flips the parity tags (f even, g odd give u odd, v even); :func:`solve_map`
+takes autonomous fields only and hands ``g_mean`` back for the iteration
+to carry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .diophantine import Frequency
 from .errors import ParameterError, ShapeError, SmallDivisorError, StructureError
-from .fields import FourierField, abs_order_grid, mode_mask
+from .fields import FourierField, _flip_parity, abs_order_grid, mode_mask
 
 _MEAN_TOL = 1e-12
 _FLOOR_SAFETY = 0.5
@@ -51,12 +46,14 @@ _MAP_FLOOR_CONST = 2.0 / np.pi
 class HomologicalSolution:
     """Solution pair of the linearized conjugation equations.
 
-    ``residual_u`` and ``residual_v`` are grid sup norms of the defining
-    equations' residuals (zero up to roundoff by construction).
+    ``g_mean`` is the (k, l) = 0 block of g, which the equations cannot
+    remove.  ``residual_u`` and ``residual_v`` are grid sup norms of the
+    defining equations' residuals (zero up to roundoff by construction).
     """
 
     u: FourierField
     v: FourierField
+    g_mean: FourierField
     min_divisor: float
     residual_u: float
     residual_v: float
@@ -73,12 +70,6 @@ def _common_signature(f: FourierField, g: FourierField) -> Tuple[FourierField, F
     if g.N != N or g.q_y != q_y or g.N_t != N_t:
         g = replace(g, N=N, q_y=q_y, coeffs=g._padded_to(N, q_y, N_t))
     return f, g
-
-
-def _check_window(N: int, freq: Frequency):
-    if N > freq.K_max:
-        raise ParameterError(
-            f"field cutoff N = {N} exceeds the certified window K_max = {freq.K_max}")
 
 
 def flow_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
@@ -110,165 +101,94 @@ def map_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
     return np.exp(2j * np.pi * frac) - 1.0
 
 
-def _flow_divisors(field: FourierField, freq: Frequency) -> np.ndarray:
-    """Flow divisors over the field's mode axes (time axis cut to N_t)."""
-    N, N_t = field.N, field.N_t
-    return flow_divisors(freq, field.d, N)[..., N - N_t:N + N_t + 1]
-
-
-def _zero_mode_index(field: FourierField) -> tuple:
-    return (field.N,) * field.d + (field.N_t,)
-
-
-def _check_divisor_floor(absD: np.ndarray, field: FourierField, freq: Frequency,
-                         const: float):
-    """SmallDivisorError when any divisor on the field's support undercuts the floor.
-
-    ``absD`` spans the field's mode axes; the floor depends on |k|_1 only.
-    """
-    d, N, N_t = field.d, field.N, field.N_t
-    k_norm = np.broadcast_to(abs_order_grid(d, N)[..., None], absD.shape)
-    floor = _FLOOR_SAFETY * const * freq.kappa / np.maximum(k_norm, 1) ** freq.tau
-    check = mode_mask(d, N, N_t) & (k_norm > 0)
-    bad = check & (absD < floor)
-    if np.any(bad):
-        idx = np.unravel_index(int(np.argmin(np.where(bad, absD, np.inf))), absD.shape)
-        k = tuple(int(a) - N for a in idx[:d])
-        raise SmallDivisorError((k, int(idx[d]) - N_t), absD[idx], floor[idx])
-    good = np.where(check, absD, np.inf)
-    return float(np.min(good)) if np.any(check) else np.inf
-
-
-def _angular_mean_check(g: FourierField, what: str):
-    """The solvability condition: the (k, l) = 0 block of g must vanish.
-
-    For an autonomous field (N_t = 0) this is its whole angular average.
-    """
-    block = np.abs(g.zero_mode())
-    mean = float(np.max(block)) if block.size else 0.0
-    scale = float(np.max(np.abs(g.coeffs))) if g.coeffs.size else 0.0
+def _check_mean(g: FourierField, what: str):
+    """StructureError unless the (k, l) = 0 block of g vanishes (relative to g)."""
+    mean = float(np.max(np.abs(g.zero_mode())))
+    scale = float(np.max(np.abs(g.coeffs)))
     if mean > _MEAN_TOL * max(scale, 1e-300):
         raise StructureError(
             f"{what}: angular average of the action perturbation must vanish "
             f"(relative size {mean / max(scale, 1e-300):.3e})")
 
 
-def _flip(tag):
-    return {"even": "odd", "odd": "even"}.get(tag)
+def _solve(f: FourierField, g: FourierField, freq: Frequency, L: np.ndarray,
+           floor_const: float, flip_parity: bool) -> HomologicalSolution:
+    """Divide by the divisor table L, shared by flows and maps.
 
-
-def solve_v(g: FourierField, freq: Frequency) -> FourierField:
-    """Solve the flow action equation D_omega v = -g; zero mode left at 0."""
-    _check_window(g.N, freq)
-    _angular_mean_check(g, what="solve_v")
-    zero = _zero_mode_index(g)
-    D = _flow_divisors(g, freq)
-    _check_divisor_floor(np.abs(D), g, freq, 1.0)
-    safe = D.copy()
-    safe[zero] = 1.0
-    coeffs = 1j * g.coeffs / safe[..., None, None]
-    coeffs[zero] = 0.0
-    coeffs[~mode_mask(g.d, g.N, g.N_t)] = 0.0
-    parity = None if g.parity is None else tuple(_flip(p) for p in g.parity)
-    return FourierField(g.d, g.m, g.N, g.q_y, g.r, coeffs, parity)
-
-
-def solve_u(f: FourierField, v: FourierField, freq: Frequency) -> Tuple[FourierField, FourierField]:
-    """Solve the flow angle equation D_omega u = v - f.
-
-    Returns (u, v_completed): the zero mode of v is set to f's zero mode,
-    which is exactly the choice making the equation solvable.
+    f and g share one signature and L spans their mode axes.  Every divisor
+    with k != 0 on the support must clear the floor
+    _FLOOR_SAFETY * floor_const * kappa / |k|_1^tau of the certificate.
+    The solution's parity tags are the flipped tags of (f, g) when
+    ``flip_parity`` holds, None otherwise.
     """
-    f, v = _common_signature(f, v)
-    _check_window(f.N, freq)
-    zero = _zero_mode_index(f)
-    v_coeffs = v.coeffs.copy()
-    v_coeffs[zero] = f.coeffs[zero]
-    v = replace(v, coeffs=v_coeffs)
-    D = _flow_divisors(f, freq)
-    _check_divisor_floor(np.abs(D), f, freq, 1.0)
-    safe = D.copy()
+    d, N, N_t = f.d, f.N, f.N_t
+    if N > freq.K_max:
+        raise ParameterError(
+            f"field cutoff N = {N} exceeds the certified window K_max = {freq.K_max}")
+    zero = (N,) * d + (N_t,)
+    mask = mode_mask(d, N, N_t)
+    absL = np.abs(L)
+    k_norm = np.broadcast_to(abs_order_grid(d, N)[..., None], L.shape)
+    floor = _FLOOR_SAFETY * floor_const * freq.kappa / np.maximum(k_norm, 1) ** freq.tau
+    bad = mask & (k_norm > 0) & (absL < floor)
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmin(np.where(bad, absL, np.inf))), L.shape)
+        raise SmallDivisorError((tuple(int(a) - N for a in idx[:d]), int(idx[d]) - N_t),
+                                absL[idx], floor[idx])
+    support = mask.copy()
+    support[zero] = False
+    min_div = float(np.min(absL[support])) if np.any(support) else np.inf
+
+    g_mean = np.zeros_like(g.coeffs)
+    g_mean[zero] = g.coeffs[zero]
+    safe = L.copy()
     safe[zero] = 1.0
-    coeffs = 1j * (f.coeffs - v.coeffs) / safe[..., None, None]
-    coeffs[zero] = 0.0
-    coeffs[~mode_mask(f.d, f.N, f.N_t)] = 0.0
-    parity = None if f.parity is None else tuple(_flip(p) for p in f.parity)
-    u = FourierField(f.d, f.m, f.N, f.q_y, f.r, coeffs, parity)
-    return u, v
+    safe = safe[..., None, None]
+    v = -g.coeffs / safe
+    v[zero] = f.coeffs[zero]
+    v[~mask] = 0.0
+    u = (v - f.coeffs) / safe
+    u[zero] = 0.0
+    u[~mask] = 0.0
 
+    def field(like, coeffs, tags=None):
+        tags = tuple(map(_flip_parity, tags)) if flip_parity and tags else None
+        return FourierField(d, like.m, N, like.q_y, like.r, coeffs, tags)
 
-def _directional_derivative(u: FourierField, freq: Frequency) -> FourierField:
-    out = u.diff_t()
-    for a in range(u.d):
-        out = out + u.diff_x(a).scale(float(freq.omega[a]))
-    return out
+    Lc = L[..., None, None]
+    return HomologicalSolution(
+        u=field(f, u, f.parity), v=field(g, v, g.parity), g_mean=field(g, g_mean),
+        min_divisor=min_div,
+        residual_u=field(f, Lc * u - (v - f.coeffs)).sup_norm().value,
+        residual_v=field(g, Lc * v + g.coeffs - g_mean).sup_norm().value)
 
 
 def solve_flow(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalSolution:
-    """Solve both flow equations and report divisors and residuals.
+    """Solve both flow equations; g's (k, l) = 0 block must vanish.
 
-    For a reversible pair (f even, g odd) the solution has u odd, v even.
+    For a reversible pair (f, g) even/odd the solution (u, v) is odd/even.
     """
     f, g = _common_signature(f, g)
-    v = solve_v(g, freq)
-    u, v = solve_u(f, v, freq)
-    absD = np.where(mode_mask(f.d, f.N, f.N_t), np.abs(_flow_divisors(f, freq)), np.inf)
-    absD[_zero_mode_index(f)] = np.inf
-    min_div = float(np.min(absD))
-    res_u = (_directional_derivative(u, freq) - (v - f)).sup_norm().value
-    res_v = (_directional_derivative(v, freq) + g).sup_norm().value
-    return HomologicalSolution(u=u, v=v, min_divisor=min_div,
-                               residual_u=res_u, residual_v=res_v)
+    _check_mean(g, "solve_flow")
+    N, N_t = f.N, f.N_t
+    L = 1j * flow_divisors(freq, f.d, N)[..., N - N_t:N + N_t + 1]
+    return _solve(f, g, freq, L, 1.0, flip_parity=True)
 
 
-def solve_map_full(f: FourierField, g: FourierField, freq: Frequency):
-    """Map equations with the angular average of g split off and returned.
+def solve_map(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalSolution:
+    """Solve the map difference equations against g - g_mean.
 
-    Returns (u, v, g_mean, min_divisor): u, v solve the difference
-    equations against g - g_mean, and g_mean (a function of y alone)
-    is handed back for the caller to carry.
+    The angular average g_mean (a function of y alone) is returned in the
+    solution for the caller to carry.  Each input channel produces a
+    reflection symmetry with its own center (the divisor contributes a
+    half-shift e^{-ik Omega/2} per division): for f even and g = 0,
+    u(Omega - x) = -u(x); for g odd and f = 0, v(Omega - x) = v(x) and
+    u(2 Omega - x) = -u(x).  The combined solutions therefore carry no
+    single pointwise parity, which is why their parity tags stay None.
     """
     f, g = _common_signature(f, g)
     if f.N_t > 0:
         raise StructureError(
             f"solve_map: map fields cannot carry time harmonics (N_t = {f.N_t})")
-    _check_window(f.N, freq)
-    d, N = f.d, f.N
-    g_mean = g.angular_average()
-    g_osc = g.oscillating_part()
-    D = map_divisors(freq, d, N)[..., None]  # one time slot, l = 0
-    min_div = _check_divisor_floor(np.abs(D), f, freq, _MAP_FLOOR_CONST)
-    zero = _zero_mode_index(f)
-    safe = D.copy()
-    safe[zero] = 1.0
-    denom = safe[..., None, None]
-    mask = mode_mask(d, N, 0)
-    v_coeffs = -g_osc.coeffs / denom
-    v_coeffs[zero] = f.coeffs[zero]
-    v_coeffs[~mask] = 0.0
-    v = FourierField(d, g.m, N, g.q_y, g.r, v_coeffs, None)
-    u_coeffs = (v.coeffs - f.coeffs) / denom
-    u_coeffs[zero] = 0.0
-    u_coeffs[~mask] = 0.0
-    u = FourierField(d, f.m, N, f.q_y, f.r, u_coeffs, None)
-    return u, v, g_mean, min_div
-
-
-def solve_map(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalSolution:
-    """Solve the map difference equations (plain-parity contract).
-
-    Requires the angular average of g to vanish, which holds when g is odd
-    in the angles.  Each input channel produces a reflection symmetry with
-    its own center (the divisor contributes a half-shift e^{-ik Omega/2}
-    per division): for f even and g = 0, u(Omega - x) = -u(x); for g odd
-    and f = 0, v(Omega - x) = v(x) and u(2 Omega - x) = -u(x).  The
-    combined solutions therefore carry no single pointwise parity, which
-    is why their parity tags stay None.
-    """
-    _angular_mean_check(g, what="solve_map")
-    u, v, _, min_div = solve_map_full(f, g, freq)
-    Omega = 2.0 * np.pi * freq.omega
-    res_u = (u.shift_x(Omega) - u - (v - f)).sup_norm().value
-    res_v = (v.shift_x(Omega) - v + g.oscillating_part()).sup_norm().value
-    return HomologicalSolution(u=u, v=v, min_divisor=min_div,
-                               residual_u=res_u, residual_v=res_v)
+    L = map_divisors(freq, f.d, f.N)[..., None]  # one time slot, l = 0
+    return _solve(f, g, freq, L, _MAP_FLOOR_CONST, flip_parity=False)

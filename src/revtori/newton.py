@@ -32,12 +32,12 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import homological
 from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError)
 from .fields import (FourierField, GridJet, default_action_nodes,
                      field_from_function, field_from_grid_samples)
-from .homological import solve_flow, solve_map_full
 from .smoothing import SmoothingKernel, decompose
 
 __all__ = [
@@ -314,30 +314,27 @@ def _invert_transform(u: GridJet, v: GridJet, eta, tol: float = 1e-13,
 class _Dynamics:
     """What a forced flow and a map do differently; one instance of each.
 
-    solve returns (u, v, g_mean, min_divisor), g_mean being the mean of g a
-    map carries along; remainder gives the transformed (f, g) at the grid
-    nodes moved by dx, at actions ys.  Autonomous fields have one time slot.
-    The parity pairs tag (f, g) and (U, V), and the embedding like (U, V).
-    advance returns one step of the true dynamics, the angle the torus
-    turns by and the time it ends at.
+    remainder gives the transformed (f, g) at the grid nodes moved by dx,
+    at actions ys.  Autonomous fields have one time slot.  The parity
+    pairs tag (f, g) and (U, V), and the embedding like (U, V).  advance
+    returns one step of the true dynamics, the angle the torus turns by
+    and the time it ends at.
     """
 
     mode: str
-    solve: Callable
     remainder: Callable
     autonomous: bool
     fg_parity: tuple
     uv_parity: tuple
     advance: Callable
 
+    def solve(self, f, g, freq) -> "homological.HomologicalSolution":
+        """solve_flow or solve_map, looked up at call time so module wrappers apply."""
+        return getattr(homological, "solve_" + self.mode)(f, g, freq)
+
     def time_slots(self, n: int) -> int:
         """Time nodes of an n-node grid: all of them, or t = 0 alone."""
         return 1 if self.autonomous else n
-
-
-def _solve_flow(f, g, freq):
-    sol = solve_flow(f, g, freq)
-    return sol.u, sol.v, None, sol.min_divisor
 
 
 def _flow_remainder(jet, f, g, u, v, g_mean, freq, dx, ys):
@@ -372,7 +369,12 @@ def _as_pair(system, message: str):
 
 
 def _flow_advance(system, omega, dt, tol):
-    """Integrate the pair (f, g) over [0, dt] with DOP853 at tolerance tol."""
+    """Integrate the pair (f, g) over [0, dt] with DOP853 at tolerance tol.
+
+    A non-finite right-hand side raises StepFailureError at once, rather
+    than leaving the adaptive step control to reject steps for as long as
+    it takes to give up.
+    """
     f_fn, g_fn = _as_pair(system, "flow verification needs the pair (f, g)")
 
     def step(x0, y0):
@@ -382,7 +384,11 @@ def _flow_advance(system, omega, dt, tol):
             x, y, tt = z[: S * d].reshape(S, d), z[S * d:].reshape(S, d), np.full(S, t)
             dx = omega + y + np.asarray(f_fn(x, y, tt)).reshape(S, d)
             dy = np.asarray(g_fn(x, y, tt)).reshape(S, d)
-            return np.concatenate([dx.ravel(), dy.ravel()])
+            out = np.concatenate([dx.ravel(), dy.ravel()])
+            if not np.all(np.isfinite(out)):
+                raise StepFailureError(
+                    f"verification integration: non-finite right-hand side at t = {t}")
+            return out
 
         sol = solve_ivp(rhs, (0.0, dt), np.concatenate([x0.ravel(), y0.ravel()]),
                         method="DOP853", rtol=tol, atol=tol * 1e-3, dense_output=False)
@@ -408,9 +414,9 @@ def _map_advance(system, omega, dt, tol):
     return apply_map, Omega, 0.0
 
 
-_FLOW = _Dynamics("flow", _solve_flow, _flow_remainder, autonomous=False,
+_FLOW = _Dynamics("flow", _flow_remainder, autonomous=False,
                   fg_parity=("even", "odd"), uv_parity=("odd", "even"), advance=_flow_advance)
-_MAP = _Dynamics("map", solve_map_full, _map_remainder, autonomous=True,
+_MAP = _Dynamics("map", _map_remainder, autonomous=True,
                  fg_parity=(None, None), uv_parity=(None, None), advance=_map_advance)
 
 
@@ -473,7 +479,8 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     n_fit = max(N_next + 2 * N_m + 16, 2 * N_next + 2, 2 * (N_m + 8) + 2)
     N_UV = min(N_m + 8, (n_fit - 1) // 2)
 
-    u, v, g_mean, min_div = dyn.solve(f, g, freq)
+    sol = dyn.solve(f, g, freq)
+    u, v, g_mean, min_div = sol.u, sol.v, sol.g_mean, sol.min_divisor
 
     sup_u, sup_v = u.majorant(0.0, r_m), v.majorant(0.0, r_m)
 

@@ -28,29 +28,24 @@ __all__ = ["canonical_json", "save_json", "load_json", "emit_csv",
 MANIFEST_FORMAT = "kam-run/1"
 
 
-def _canonical(obj):
-    """Recursively coerce numpy scalars/arrays and tuples to JSON-safe types."""
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_canonical(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise PersistenceError(f"cannot serialise object of type {type(obj).__name__}")
+def _json_default(obj):
+    """numpy arrays and scalars as Python lists and numbers, for json.dumps."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
+
+    numpy values are written as the Python numbers they hold and tuples as
+    lists; anything else json cannot encode raises PersistenceError.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
+                          default=_json_default) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise PersistenceError(f"cannot serialise: {exc}") from exc
 
 
 def save_json(path, obj) -> None:

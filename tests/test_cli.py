@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -67,6 +68,17 @@ class TestDioph:
     def test_malformed_omega(self):
         assert main(["dioph", "--omega", "1.0,x"]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2(self, monkeypatch, capsys, threads):
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+            monkeypatch.setenv(var, "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(["dioph", "--threads", threads]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "MKL_NUM_THREADS" not in os.environ
+
 
 class TestSmoothTest:
     def test_rate_fits_the_declared_regularity(self, capsys):
@@ -83,6 +95,14 @@ class TestSmoothTest:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flags", [
+        ["--s-min", "0"], ["--s-max", "-0.5"], ["--n-scales", "0"],
+        ["--n-scales", "1"],
+    ])
+    def test_bad_inputs_exit_2(self, capsys, flags):
+        assert main(["smooth-test", "--n-modes", "64", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestHomsolve:
     def test_flow_residuals(self, capsys):
@@ -98,6 +118,23 @@ class TestHomsolve:
         assert code == 0
         assert np.isfinite(data["sup_u"]) and data["sup_u"] > 0
         assert data["min_divisor"] > 0
+        assert data["residual_u"] < 1e-12
+        assert data["residual_v"] < 1e-12
+
+    def test_modes_report_the_same_keys(self, capsys):
+        _, flow = run_json(capsys, ["homsolve", "--mode", "flow"])
+        _, mapping = run_json(capsys, ["homsolve", "--mode", "map"])
+        assert list(flow) == list(mapping)
+        assert flow["sup_mean_correction"] == 0.0
+        assert mapping["sup_mean_correction"] > 0.0
+
+    @pytest.mark.parametrize("flags", [
+        ["--n-modes", "-1"], ["--mode", "map", "--g-amp", "0.1"],
+        ["--eps", "nan"], ["--eps", "inf"], ["--mode", "map", "--eps", "nan"],
+    ])
+    def test_bad_inputs_exit_2(self, capsys, flags):
+        assert main(["homsolve", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestKamRun:
@@ -194,7 +231,8 @@ class TestKamRun:
     @pytest.mark.parametrize("override", [
         "M=abc", "M=2.5", "M=true", "eps0=abc", "d=x", "K_max=abc", "tau=abc",
         'omega=["x"]', "verify_samples=abc", "perturbation.eps=abc",
-        "perturbation=5",
+        "perturbation=5", "perturbation.eps=NaN", "perturbation.eps=Infinity",
+        "mu=-Infinity",
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, override):
         assert main(["kam", "run", "--out", str(tmp_path),
@@ -369,6 +407,8 @@ class TestLienardCli:
         ("stability", "threshold=nan"),
         ("stability", "threshold=0"),
         ("stability", "perturbation.f_amp=abc"),
+        ("stability", "perturbation.f_amp=NaN"),
+        ("poincare", "perturbation.g_amp=Infinity"),
         ("poincare", "n_steps=abc"),
         ("poincare", 'rho_levels=["a"]'),
         ("poincare", "n_steps=0"),

@@ -266,13 +266,6 @@ class TestCalculus:
         got = fld.diff_x(0).evaluate(x, y, t)[:, 0]
         assert np.allclose(got, expected, atol=1e-14)
 
-    def test_diff_t_on_harmonic(self, rng):
-        fld = harmonic_field(d=1, N=5, k=[1], l=-2, amplitude=1.1, kind="sin")
-        x, y, t = _sample_points(rng)
-        expected = 1.1 * (-2.0) * np.cos(x[:, 0] - 2.0 * t)
-        got = fld.diff_t().evaluate(x, y, t)[:, 0]
-        assert np.allclose(got, expected, atol=1e-14)
-
     def test_diff_y_drops_power(self, rng):
         fld = harmonic_field(d=1, N=3, k=[1], l=0, amplitude=2.0, q_y=2,
                              r=0.1, power=2)
@@ -284,7 +277,6 @@ class TestCalculus:
     def test_derivative_parity_flips(self, rng):
         fld = random_parity_field(rng, "even", N=6, q_y=1)
         assert fld.diff_x(0).parity == ("odd",)
-        assert fld.diff_t().parity == ("odd",)
         assert fld.diff_y(0).parity == ("even",)
         assert grid_parity_residual(fld.diff_x(0)) < 1e-12
 
@@ -432,7 +424,6 @@ class TestTimeCutoff:
         for j in range(d):
             self._same(a.diff_x(j), a_full.diff_x(j))
             self._same(a.diff_y(j), a_full.diff_y(j))
-        assert not np.any(a.diff_t().coeffs)
         for s in (0.0, 0.3):
             short, full = a.sup_norm(s, 0.05), a_full.sup_norm(s, 0.05)
             assert short.value == pytest.approx(full.value, rel=1e-13)

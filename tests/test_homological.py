@@ -135,9 +135,10 @@ class TestFlowSolver:
             homological.solve_flow(f, g, freq)
 
     def test_nonzero_action_mean_rejected(self, golden):
+        f = harmonic_field(d=1, N=4, k=[1], l=1, amplitude=0.1)
         g = harmonic_field(d=1, N=4, k=[0], l=0, amplitude=0.3)  # pure mean
         with pytest.raises(StructureError):
-            homological.solve_v(g, golden)
+            homological.solve_flow(f, g, golden)
 
     def test_mismatched_pair_rejected(self, rng, golden):
         f = random_parity_field(rng, "even", d=1, N=4)
@@ -204,14 +205,21 @@ class TestMapSolver:
         with pytest.raises(StructureError):
             homological.solve_map(f, g, golden)
 
-    def test_full_solver_returns_the_mean(self, rng, golden):
-        f, _ = self._pair(rng)
+    def test_nonzero_mean_is_carried(self, rng, golden):
+        f, g_osc = self._pair(rng)
         # non-odd g: a pure function of y has a nonzero angular average
-        g = field_from_function(lambda x, y, t: 0.2 * y[:, 0], d=1, m=1, N=8,
-                                q_y=2, r=0.1, time_independent=True)
-        u, v, g_mean, min_div = homological.solve_map_full(f, g, golden)
-        assert float(np.max(np.abs(g_mean.coeffs - g.coeffs))) < 1e-15
-        assert min_div > 0.0
+        g_mean = field_from_function(lambda x, y, t: 0.2 * y[:, 0], d=1, m=1, N=8,
+                                     q_y=2, r=0.1, time_independent=True)
+        sol = homological.solve_map(f, g_mean, golden)
+        assert float(np.max(np.abs(sol.g_mean.coeffs - g_mean.coeffs))) < 1e-15
+        assert sol.min_divisor > 0.0
+        # with an oscillating part added, v solves against g - g_mean only
+        both = homological.solve_map(f, g_osc + g_mean, golden)
+        plain = homological.solve_map(f, g_osc, golden)
+        assert float(np.max(np.abs(both.g_mean.coeffs - g_mean.coeffs))) < 1e-15
+        assert float(np.max(np.abs(both.v.coeffs - plain.v.coeffs))) < 1e-15
+        assert both.residual_u < 1e-11 and both.residual_v < 1e-11
+        assert not np.any(plain.g_mean.coeffs)
 
 
 def test_divisor_grids_match_direct_formulas(golden):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from revtori import diophantine, fields, newton, systems
-from revtori.errors import ParameterError, PersistenceError, StructureError
+from revtori.errors import (ParameterError, PersistenceError, StepFailureError,
+                            StructureError)
 from revtori.fields import FourierField, field_from_function
 
 from conftest import (GOLDEN, grid_parity_residual, random_parity_field,
@@ -345,6 +346,12 @@ class TestFlowRun:
         back = newton.verify_invariance(report.embedding, system, samples=32,
                                         dt=-1.0)
         assert back.residual < 1e-8
+
+    def test_non_finite_forcing_raises(self, short_run):
+        flow, report = short_run
+        nan_f = lambda x, y, t: np.full(x.shape[0], np.nan)  # noqa: E731
+        with pytest.raises(StepFailureError, match="non-finite"):
+            newton.verify_invariance(report.embedding, (nan_f, flow.g), samples=8)
 
     def test_corrupted_embedding_is_detected(self, short_run, golden):
         flow, report = short_run

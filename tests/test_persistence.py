@@ -36,6 +36,15 @@ class TestCanonicalJson:
         assert data == {"f": 0.1, "i": 7, "b": True,
                         "arr": [0.0, 1.0, 2.0], "tup": [1, 2], "none": None}
 
+    def test_numpy_text_matches_python_text(self):
+        obj = {"a": np.arange(2.0), "b": np.bool_(False), "f": np.float64(-0.0),
+               "i": np.int64(3), "t": (np.float32(0.5), 1e-300)}
+        plain = {"a": [0.0, 1.0], "b": False, "f": -0.0, "i": 3, "t": [0.5, 1e-300]}
+        assert persistence.canonical_json(obj) == persistence.canonical_json(plain)
+        assert persistence.canonical_json(obj) == (
+            '{\n  "a": [\n    0.0,\n    1.0\n  ],\n  "b": false,\n  "f": -0.0,\n'
+            '  "i": 3,\n  "t": [\n    0.5,\n    1e-300\n  ]\n}\n')
+
     def test_float_text_round_trips_exactly(self):
         values = [0.1, 1.0 / 3.0, 2.0 ** -52, 6.23633899902164]
         data = json.loads(persistence.canonical_json({"v": values}))
@@ -44,6 +53,10 @@ class TestCanonicalJson:
     def test_unserialisable_rejected(self):
         with pytest.raises(PersistenceError):
             persistence.canonical_json({"s": {1, 2}})
+        with pytest.raises(PersistenceError):
+            persistence.canonical_json({(1, 2): 0})
+        with pytest.raises(PersistenceError):
+            persistence.canonical_json({"z": np.array([1j])})
 
 
 class TestJsonFiles:
