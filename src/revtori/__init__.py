@@ -29,7 +29,6 @@ _EXPORTS = {
     "certify": "diophantine",
     "make_frequency": "diophantine",
     "russmann_sum": "diophantine",
-    "SmoothingKernel": "smoothing",
     "Decomposition": "smoothing",
     "decompose": "smoothing",
     "smooth": "smoothing",
@@ -42,8 +41,7 @@ _EXPORTS = {
     "Schedule": "newton",
     "make_schedule": "newton",
     "newton_step": "newton",
-    "run_kam_flow": "newton",
-    "run_kam_map": "newton",
+    "run_kam": "newton",
     "fit_embedding": "newton",
     "verify_invariance": "newton",
     "rotation_number": "newton",

@@ -269,13 +269,9 @@ def _cmd_smooth_test(args):
     seed = 0 if args.seed is None else args.seed
     field = smoothing.synthetic_rough_field(args.ell_star, N=args.n_modes,
                                             seed=seed)
-    kernel = smoothing.SmoothingKernel()
     scales = np.geomspace(args.s_max, args.s_min, args.n_scales)
-    errs = []
-    for s in scales:
-        delta = field - smoothing.smooth(field, float(s), kernel)
-        errs.append(delta.sup_norm().value)
-    errs = np.asarray(errs)
+    errs = np.array([(field - smoothing.smooth(field, float(s))).sup_norm()
+                     for s in scales])
     slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
     return {
         "ell_star": args.ell_star,
@@ -300,8 +296,8 @@ def _cmd_homsolve(args):
     sol = dyn.solve(f, g, freq)
     return {"mode": args.mode, "min_divisor": sol.min_divisor,
             "residual_u": sol.residual_u, "residual_v": sol.residual_v,
-            "sup_u": sol.u.sup_norm().value, "sup_v": sol.v.sup_norm().value,
-            "sup_mean_correction": sol.g_mean.sup_norm().value}
+            "sup_u": sol.u.sup_norm(), "sup_v": sol.v.sup_norm(),
+            "sup_mean_correction": sol.g_mean.sup_norm()}
 
 
 def _write_run_dir(out_root, name, command, cfg, seed, artifacts, formats=None):
@@ -341,7 +337,7 @@ def _cmd_kam_run(args):
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
     f, g = _build_inputs(mode, cfg["perturbation"], float(freq.omega[0]))
-    report = newton._run(
+    report = newton.run_kam(
         mode, f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"], **verify)
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,

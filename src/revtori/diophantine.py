@@ -12,6 +12,7 @@ is linear in the number of lattice vectors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +115,8 @@ def certify(omega, tau: float = None, K_max: int = 2000) -> Frequency:
     if tau is None:
         tau = d + 1e-4
     tau = float(tau)
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ParameterError(f"tau must be positive and finite, got {tau}")
     if K_max < 1:
         raise ParameterError(f"K_max must be at least 1, got {K_max}")
     best = np.inf

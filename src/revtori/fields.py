@@ -43,30 +43,6 @@ _EVAL_BLOCK_ENTRIES = 1 << 18
 _JET_TABLE_ENTRIES = 1 << 21
 
 
-@dataclass(frozen=True)
-class SupNormReport:
-    """Sup-norm estimate of a field.
-
-    Attributes
-    ----------
-    value : float
-        Grid supremum of |F| over the real torus, maximised over the action
-        samples {0, +/- r e_i} and components.
-    majorant : float
-        Coefficient majorant max_m sum |c| e^{s(|k|+|l|)} r^{|alpha|}; an
-        upper bound for the sup on the complex strip of width ``s``.
-    grid_size : int
-    s_eff : float
-    r_eff : float
-    """
-
-    value: float
-    majorant: float
-    grid_size: int
-    s_eff: float
-    r_eff: float
-
-
 def action_powers(d: int, q_y: int) -> np.ndarray:
     """Multi-indices alpha with |alpha| <= q_y in graded lexicographic order.
 
@@ -188,8 +164,8 @@ class FourierField:
                 f"invalid field signature d={self.d}, m={self.m}, "
                 f"N={self.N}, q_y={self.q_y}"
             )
-        if self.r < 0:
-            raise ParameterError(f"action radius must be nonnegative, got {self.r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ParameterError(f"action radius must be finite and nonnegative, got {self.r}")
         P = len(action_powers(self.d, self.q_y))
         shape = tuple(self.coeffs.shape)
         N_t = shape[self.d] // 2 if len(shape) == self.d + 3 else self.N
@@ -335,22 +311,18 @@ class FourierField:
         big[np.ix_(*([idx] * self.d), np.arange(-N_t, N_t + 1) % n_t)] = self.coeffs
         return np.fft.ifftn(big, axes=tuple(range(self.d + 1))) * (float(n) ** self.d * n_t)
 
-    def sup_norm(self, s: float = 0.0, r_eff: Optional[float] = None,
-                 grid: int = 64) -> SupNormReport:
-        """Grid supremum and analytic coefficient majorant.
+    def sup_norm(self, r_eff: Optional[float] = None) -> float:
+        """Grid supremum of |F| over the real torus.
 
-        The grid supremum samples the real torus on ``max(grid, 2N+1)``
-        points per axis and the action ball at 0 and +/- r_eff along each
-        axis.  The majorant bounds the sup on the complex strip of width
-        ``s`` and action radius ``r_eff``.
+        The torus is sampled on ``max(64, 2N+1)`` points per axis and the
+        action ball at 0 and +/- r_eff along each axis; the maximum runs
+        over those samples and the components.  :meth:`majorant` bounds it
+        from above.
         """
-        if s < 0:
-            raise DomainError(f"strip width must be nonnegative, got {s}")
         r_eff = self.r if r_eff is None else float(r_eff)
         if r_eff < 0:
             raise DomainError(f"action radius must be nonnegative, got {r_eff}")
-        n = max(int(grid), 2 * self.N + 1)
-        vals = self.values_on_grid(n).real
+        vals = self.values_on_grid(max(64, 2 * self.N + 1)).real
         y_samples = [np.zeros(self.d)]
         if self.q_y > 0 and r_eff > 0:
             for a in range(self.d):
@@ -363,14 +335,7 @@ class FourierField:
             w = np.prod(ys.reshape(1, self.d) ** powers, axis=1)
             pointwise = np.tensordot(vals, w, axes=([self.d + 1], [0]))
             value = max(value, float(np.max(np.abs(pointwise))))
-        per_comp = self._weighted_coeff_sums(s, r_eff)
-        return SupNormReport(
-            value=value,
-            majorant=float(np.max(per_comp)),
-            grid_size=n,
-            s_eff=float(s),
-            r_eff=r_eff,
-        )
+        return value
 
     def majorant(self, s: float = 0.0, r_eff: Optional[float] = None) -> float:
         """Coefficient majorant only (no grid sup); cheap convergence metric."""
@@ -451,16 +416,13 @@ class FourierField:
             coeffs[..., index_of[tuple(b)], :] += a[j] * self.coeffs[..., i, :]
         return FourierField(self.d, self.m, self.N, q_y, self.r, coeffs, self.parity)
 
-    def truncate(self, N: Optional[int] = None, q_y: Optional[int] = None) -> "FourierField":
-        """Drop modes above cutoff N and powers above degree q_y."""
-        N_new = self.N if N is None else min(int(N), self.N)
+    def truncate(self, N: int) -> "FourierField":
+        """Drop modes above cutoff N."""
+        N_new = min(int(N), self.N)
         N_t = min(self.N_t, N_new)
-        q_new = self.q_y if q_y is None else min(int(q_y), self.q_y)
-        sl = _centre(self.d, self.N, self.N_t, N_new, N_t)
-        P_new = len(action_powers(self.d, q_new))
-        coeffs = self.coeffs[sl + (slice(0, P_new), slice(None))].copy()
+        coeffs = self.coeffs[_centre(self.d, self.N, self.N_t, N_new, N_t)].copy()
         coeffs[~mode_mask(self.d, N_new, N_t)] = 0.0
-        return FourierField(self.d, self.m, N_new, q_new, self.r, coeffs, self.parity)
+        return FourierField(self.d, self.m, N_new, self.q_y, self.r, coeffs, self.parity)
 
     def flip(self) -> "FourierField":
         """The field (x, y, t) -> F(-x, y, -t)."""
@@ -817,8 +779,8 @@ def coeffs_from_samples(values: np.ndarray, d: int, N: int) -> np.ndarray:
 
 
 def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: float,
-                            y_nodes: Optional[np.ndarray] = None, parity=None,
-                            parity_tol: float = 1e-6) -> FourierField:
+                            y_nodes: Optional[np.ndarray] = None,
+                            parity=None) -> FourierField:
     """Fit a field to samples on (angle/time grid) x (action nodes).
 
     ``values`` has shape ``(n,)*d + (n_t,) + (n_y, m)`` with real entries;
@@ -851,7 +813,7 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     C = np.moveaxis(C.reshape(len(powers), flat.shape[0], m), 0, 1)
     coeffs = C.reshape(modes.shape[: d + 1] + (len(powers), m))
     parity = _as_parity(parity, m)
-    coeffs = _finalize(coeffs, d, parity, tol=parity_tol, what="fitted field")
+    coeffs = _finalize(coeffs, d, parity, what="fitted field")
     coeffs[~mode_mask(d, N, coeffs.shape[d] // 2)] = 0.0
     return FourierField(d, m, N, q_y, r, coeffs, parity)
 
@@ -860,29 +822,26 @@ def default_action_nodes(d: int, q_y: int, r: float) -> np.ndarray:
     """Tensor grid of action fit nodes: q_y+1 equispaced points in [-r, r]."""
     if q_y == 0:
         return np.zeros((1, d))
-    if r <= 0:
-        raise ParameterError("action powers q_y > 0 need a positive radius r")
+    if not (math.isfinite(r) and r > 0):
+        raise ParameterError(f"action powers q_y > 0 need a positive finite radius r, got {r}")
     line = np.linspace(-r, r, q_y + 1)
     grids = np.meshgrid(*([line] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
 def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
-                        r: float = 0.0, parity=None, time_independent: bool = False,
-                        n_grid: Optional[int] = None,
-                        parity_tol: float = 1e-6) -> FourierField:
+                        r: float = 0.0, parity=None,
+                        time_independent: bool = False) -> FourierField:
     """Sample ``fn(x, y, t) -> (..., m)`` and fit a truncated field.
 
-    The angle/time grid has ``n_grid`` (default 2N+2) points per axis; the
-    action ball is sampled on a tensor grid of q_y+1 points per dimension.
+    The angle/time grid has 2N+2 points per axis; the action ball is
+    sampled on a tensor grid of q_y+1 points per dimension.
     With ``time_independent`` the function is sampled at t = 0 only and the
     result is an autonomous field (time cutoff N_t = 0).
     """
     if N < 0:
         raise ParameterError(f"mode cutoff must be nonnegative, got N = {N}")
-    n = int(n_grid) if n_grid is not None else 2 * N + 2
-    if n < 2 * N + 1:
-        raise ParameterError(f"sampling grid {n} too small for cutoff N = {N}")
+    n = 2 * N + 2
     y_nodes = default_action_nodes(d, q_y, r)
     n_y = len(y_nodes)
     grid = 2.0 * np.pi * np.arange(n) / n
@@ -898,14 +857,12 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
             out = out.reshape((n,) * d + (m,))
             sl = (slice(None),) * d + (it, iy, slice(None))
             values[sl] = out
-    return field_from_grid_samples(values, d, N, q_y, r, y_nodes, parity,
-                                   parity_tol=parity_tol)
+    return field_from_grid_samples(values, d, N, q_y, r, y_nodes, parity)
 
 
 def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos",
-                   m: int = 1, q_y: int = 0, r: float = 0.0, power=None,
-                   component: int = 0) -> FourierField:
-    """A single real harmonic  amplitude * y^power * cos/sin(<k,x> + l t)."""
+                   q_y: int = 0, r: float = 0.0, power=None) -> FourierField:
+    """A single real harmonic  amplitude * y^power * cos/sin(<k,x> + l t), m = 1."""
     if kind not in ("cos", "sin"):
         raise ParameterError(f"kind must be 'cos' or 'sin', got {kind!r}")
     k = np.atleast_1d(np.asarray(k, dtype=int))
@@ -919,11 +876,10 @@ def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos
     index_of = {tuple(a): i for i, a in enumerate(powers)}
     if alpha not in index_of:
         raise ParameterError(f"action power {alpha} exceeds q_y = {q_y}")
-    parity = ["even" if kind == "cos" else "odd"] * m
-    field = FourierField.zeros(d, m, N, q_y, r, tuple(parity))
+    field = FourierField.zeros(d, 1, N, q_y, r, "even" if kind == "cos" else "odd")
     half = amplitude / 2.0 if kind == "cos" else amplitude / 2.0j
-    idx_p = tuple(int(a) + N for a in k) + (l + N, index_of[alpha], component)
-    idx_m = tuple(-int(a) + N for a in k) + (-l + N, index_of[alpha], component)
+    idx_p = tuple(int(a) + N for a in k) + (l + N, index_of[alpha], 0)
+    idx_m = tuple(-int(a) + N for a in k) + (-l + N, index_of[alpha], 0)
     field.coeffs[idx_p] += half
     field.coeffs[idx_m] += np.conj(half)
     return field

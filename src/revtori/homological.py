@@ -159,8 +159,8 @@ def _solve(f: FourierField, g: FourierField, freq: Frequency, L: np.ndarray,
     return HomologicalSolution(
         u=field(f, u, f.parity), v=field(g, v, g.parity), g_mean=field(g, g_mean),
         min_divisor=min_div,
-        residual_u=field(f, Lc * u - (v - f.coeffs)).sup_norm().value,
-        residual_v=field(g, Lc * v + g.coeffs - g_mean).sup_norm().value)
+        residual_u=field(f, Lc * u - (v - f.coeffs)).sup_norm(),
+        residual_v=field(g, Lc * v + g.coeffs - g_mean).sup_norm())
 
 
 def solve_flow(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalSolution:

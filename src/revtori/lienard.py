@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ParameterError
 from .integrators import implicit_midpoint_step, yoshida_weights
-from .systems import _check_params
+from .systems import _check_params, _int_param
 
 __all__ = [
     "Perturbation", "make_perturbation", "LienardProblem", "make_problem",
@@ -41,6 +41,9 @@ STABILITY_COLUMNS = ("level", "phase", "ratio", "max_norm", "initial_max",
 # The stability experiment checks its B orbits once every K steps, on (K, B)
 # buffers of their states; this caps K * B, with K = max(1, cap // B).
 _STABILITY_BLOCK_ENTRIES = 1 << 15
+
+# Relative tolerance of the adaptive solve for the reference orbit's period.
+_PERIOD_RTOL = 1e-13
 
 
 def _int_power(x, p: int):
@@ -110,8 +113,8 @@ def make_perturbation(kind: str, **params) -> Perturbation:
         _check_params(kind, params, ("f_amp", "g_amp", "p", "q"))
         f_amp = float(params.get("f_amp", 0.05))
         g_amp = float(params.get("g_amp", 0.05))
-        p = int(params.get("p", 1))
-        q = int(params.get("q", 1))
+        p = _int_param(kind, params, "p", 1)
+        q = _int_param(kind, params, "q", 1)
 
         def f(x, t):
             x = np.asarray(x, dtype=float)
@@ -314,13 +317,14 @@ class ReferenceOrbit:
     def dy0(self, s):
         return self._at(s, slice(3, 4))[0]
 
-    def amplitude(self, samples: int = 4096) -> float:
-        s = self.period * np.arange(samples) / samples
+    def amplitude(self) -> float:
+        """max |x0| over 4096 samples of one period."""
+        s = self.period * np.arange(4096) / 4096
         return float(np.max(np.abs(self.x0(s))))
 
-    def energy_residual(self, samples: int = 2048) -> float:
-        """sup |(n+1) y0^2 + x0^(2n+2) - (n+1)| over one period."""
-        s = self.period * np.arange(samples) / samples
+    def energy_residual(self) -> float:
+        """sup |(n+1) y0^2 + x0^(2n+2) - (n+1)| over 2048 samples of one period."""
+        s = self.period * np.arange(2048) / 2048
         x0, y0 = self._at(s, slice(0, 2))
         E = (self.n + 1) * y0 ** 2 + x0 ** (2 * self.n + 2)
         return float(np.max(np.abs(E - (self.n + 1))))
@@ -329,7 +333,7 @@ class ReferenceOrbit:
         return float(self.closure_error)
 
 
-def _quarter_period(n: int, rtol: float = 1e-13) -> float:
+def _quarter_period(n: int) -> float:
     """Time for the orbit from (0, 1) to reach its turning point y = 0."""
 
     def rhs(t, z):
@@ -341,14 +345,13 @@ def _quarter_period(n: int, rtol: float = 1e-13) -> float:
     turning.terminal = True
     turning.direction = -1.0
     sol = solve_ivp(rhs, (0.0, 10.0), [0.0, 1.0], method="DOP853",
-                    events=turning, rtol=rtol, atol=1e-15)
+                    events=turning, rtol=_PERIOD_RTOL, atol=1e-15)
     if not sol.t_events[0].size:
         raise ParameterError(f"no turning point found for n = {n}")
     return float(sol.t_events[0][0])
 
 
-def compute_reference_orbit(n: int, n_samples: int = 8192,
-                            rtol: float = 1e-13) -> ReferenceOrbit:
+def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
     """Integrate one period and fit the trigonometric interpolant.
 
     The period comes from a high-order adaptive solve with an event at the
@@ -373,7 +376,7 @@ def compute_reference_orbit(n: int, n_samples: int = 8192,
             f"n_samples must be an integer with n_samples // 4 > 8, got {n_samples!r}")
     n = int(n)
     n_samples = int(n_samples)
-    T0 = 4.0 * _quarter_period(n, rtol=rtol)
+    T0 = 4.0 * _quarter_period(n)
     h = T0 / n_samples
     stages = [(w * h, 0.5 * (w * h)) for w in yoshida_weights(6).tolist()]
     p = 2 * n + 1
@@ -533,23 +536,18 @@ def action_angle(problem: LienardProblem, orbit: Optional[ReferenceOrbit] = None
                              alpha=alpha, beta=beta, c=c, c0=c0)
 
 
-def estimate_rho_star(evaluator: Callable, gamma: float,
-                      rho_grid: Optional[np.ndarray] = None,
-                      theta_points: int = 64, t_points: int = 8,
-                      factor: float = 2.0) -> float:
+def estimate_rho_star(evaluator: Callable, gamma: float) -> float:
     """Smallest action from which the growth bound holds with a factor-2 cushion.
 
     Computes w(rho) = rho^(-gamma) sup_{theta,t} |evaluator(theta, rho, t)|
-    on a grid, takes the plateau value from the largest sampled actions,
-    and returns the smallest rho beyond which w never exceeds factor times
-    that plateau.  Returns inf when no such onset exists in the sampled
-    window.
+    on 29 geometric actions from 0.05 to 64 (64 angles times 8 times each),
+    takes the plateau value from the largest sampled actions, and returns
+    the smallest rho beyond which w never exceeds twice that plateau.
+    Returns inf when no such onset exists in the sampled window.
     """
-    if rho_grid is None:
-        rho_grid = np.geomspace(0.05, 64.0, 29)
-    rho_grid = np.sort(np.asarray(rho_grid, dtype=float))
-    thetas = 2.0 * np.pi * np.arange(theta_points) / theta_points
-    ts = np.arange(t_points) / t_points
+    rho_grid = np.geomspace(0.05, 64.0, 29)
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    ts = np.arange(8) / 8
     TH, TT = np.meshgrid(thetas, ts, indexing="ij")
     TH, TT = TH.ravel(), TT.ravel()
     w = np.empty(len(rho_grid))
@@ -560,7 +558,7 @@ def estimate_rho_star(evaluator: Callable, gamma: float,
     plateau = float(np.median(tail))
     if plateau <= 0.0:
         return float(rho_grid[0])
-    ok = w <= factor * plateau
+    ok = w <= 2.0 * plateau
     for i in range(len(w)):
         if ok[i:].all():
             return float(rho_grid[i])
@@ -602,25 +600,23 @@ def _spectral_diff(values: np.ndarray, order: int, axis: int, period: float) -> 
                        axis=axis).real
 
 
-def p_class_estimate(evaluator: Callable, q: int, p_t: int, gamma: float,
-                     rho_samples: Optional[Sequence] = None,
-                     theta_points: int = 64, t_points: int = 16,
-                     rel_step: float = 1e-2) -> PClassReport:
+def p_class_estimate(evaluator: Callable, q: int, p_t: int,
+                     gamma: float) -> PClassReport:
     """Estimate the growth class of F(theta, rho, t) as rho -> infinity.
 
     For every derivative combination with k + l <= q angle/action orders
     and up to p_t time orders, the weighted quantity
     rho^(l - gamma) |d^k_theta d^l_rho d^p_t F| is sampled on an action
-    ladder (default geometric, 1 to 64) and its log-log growth slope
-    fitted.  Angle and time derivatives are spectral on periodic grids;
-    action derivatives use central differences with relative step
-    rel_step.  Terms whose sups sit at roundoff get slope -inf.
+    ladder (13 geometric actions, 1 to 64) and its log-log growth slope
+    fitted.  Angle and time derivatives are spectral on periodic grids of
+    64 angles and 16 times; action derivatives use central differences
+    with relative step 1e-2.  Terms whose sups sit at roundoff get slope
+    -inf.
     """
     if q < 0 or p_t < 0:
         raise ParameterError("derivative orders must be nonnegative")
-    if rho_samples is None:
-        rho_samples = np.geomspace(1.0, 64.0, 13)
-    rho_samples = np.asarray(rho_samples, dtype=float)
+    rho_samples = np.geomspace(1.0, 64.0, 13)
+    theta_points, t_points = 64, 16
     thetas = 2.0 * np.pi * np.arange(theta_points) / theta_points
     ts = np.arange(t_points) / t_points
     TH, TT = np.meshgrid(thetas, ts, indexing="ij")
@@ -638,7 +634,7 @@ def p_class_estimate(evaluator: Callable, q: int, p_t: int, gamma: float,
         stencil = np.array([(-1.0) ** j * math.comb(l, j) for j in range(l + 1)])
         sups_by_kp = {}
         for rho in rho_samples:
-            h = rel_step * rho
+            h = 1e-2 * rho
             acc = None
             for off, wgt in zip(offsets, stencil):
                 block = grid_eval(rho + off * h)
@@ -678,13 +674,13 @@ class PoincareResult:
     n_steps: int
 
 
-def poincare_map(system: TransformedSystem, theta, rho, n_steps: int = 256,
-                 tol: float = 1e-14) -> PoincareResult:
+def poincare_map(system: TransformedSystem, theta, rho,
+                 n_steps: int = 256) -> PoincareResult:
     """Period-1 return map of the angle/action system, implicit midpoint.
 
     The stepper is time-symmetric, so the discrete section map inherits
     the reversibility P G P = G with G(theta, rho) = (-theta, rho) up to
-    the inner solve tolerance.  Samples whose action falls below the
+    the inner solve tolerance (1e-14).  Samples whose action falls below the
     validity floor are frozen where that happened and flagged escaped
     instead of raising.  n_steps must be a positive integer and the
     samples finite, at least one of them.
@@ -714,7 +710,7 @@ def poincare_map(system: TransformedSystem, theta, rho, n_steps: int = 256,
         return out
 
     for k in range(n_steps):
-        z = implicit_midpoint_step(rhs, z, k * h, h, tol=tol)
+        z = implicit_midpoint_step(rhs, z, k * h, h)
         newly = (~escaped) & (z[..., 1] < floor)
         escaped |= newly
     return PoincareResult(theta=z[..., 0], rho=z[..., 1],
@@ -724,8 +720,7 @@ def poincare_map(system: TransformedSystem, theta, rho, n_steps: int = 256,
 def poincare_reversibility_residual(system: TransformedSystem,
                                     thetas: Optional[np.ndarray] = None,
                                     rhos: Optional[np.ndarray] = None,
-                                    n_steps: int = 256,
-                                    tol: float = 1e-14) -> float:
+                                    n_steps: int = 256) -> float:
     """sup |P G P (z) - G(z)| over a grid, G(theta, rho) = (-theta, rho).
 
     Equality is the reversibility of the section map; for the symmetric
@@ -739,8 +734,8 @@ def poincare_reversibility_residual(system: TransformedSystem,
     TH, RH = np.meshgrid(np.asarray(thetas, float), np.asarray(rhos, float),
                          indexing="ij")
     TH, RH = TH.ravel(), RH.ravel()
-    first = poincare_map(system, TH, RH, n_steps=n_steps, tol=tol)
-    second = poincare_map(system, -first.theta, first.rho, n_steps=n_steps, tol=tol)
+    first = poincare_map(system, TH, RH, n_steps=n_steps)
+    second = poincare_map(system, -first.theta, first.rho, n_steps=n_steps)
     if first.escaped.any() or second.escaped.any():
         return math.inf
     dtheta = np.angle(np.exp(1j * (second.theta - (-TH))))

@@ -38,13 +38,12 @@ from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError)
 from .fields import (FourierField, GridJet, default_action_nodes,
                      field_from_function, field_from_grid_samples)
-from .smoothing import SmoothingKernel, decompose
+from .smoothing import cutoff, decompose
 
 __all__ = [
     "Schedule", "make_schedule", "NearIdentityTransform", "TransformChain",
     "TorusEmbedding", "ConvergenceReport", "InvarianceReport", "newton_step",
-    "run_kam_flow", "run_kam_map", "fit_embedding", "verify_invariance",
-    "rotation_number",
+    "run_kam", "fit_embedding", "verify_invariance", "rotation_number",
 ]
 
 # Columns of the per-step convergence table, in emission order, and the
@@ -64,6 +63,11 @@ CONVERGENCE_FORMAT = "convergence/2"
 _NESTING_SLACK = 2.0
 _CONTRACTION_FLOOR = 1e-14
 _CONTRACTION_RATIO = 0.9
+# The fixed-point inversion of a transform stops once an update is below
+# _INVERT_TOL times the largest node coordinate, and gives up after
+# _INVERT_MAX_ITER iterations.
+_INVERT_TOL = 1e-13
+_INVERT_MAX_ITER = 50
 
 
 # --------------------------------------------------------------------------- #
@@ -103,8 +107,7 @@ class Schedule:
         }
 
 
-def make_schedule(d: int, mu: float, eps0: float, M: int,
-                  kernel: Optional[SmoothingKernel] = None) -> Schedule:
+def make_schedule(d: int, mu: float, eps0: float, M: int) -> Schedule:
     """Build the loss-of-smoothness schedule for M Newton steps.
 
     The exponents are tied together by the smoothness budget:
@@ -134,8 +137,7 @@ def make_schedule(d: int, mu: float, eps0: float, M: int,
         raise ParameterError(
             f"eps0 = {eps0} gives initial strip s0 = {s[0]:.4f} > 1/2; "
             "choose a smaller initial error")
-    kernel = kernel or SmoothingKernel()
-    N = tuple(kernel.cutoff(float(sv)) for sv in s)
+    N = tuple(cutoff(float(sv)) for sv in s)
     return Schedule(d=d, mu=float(mu), ell=ell, tau=tau, mu_tilde=mu_tilde,
                     eps0=float(eps0), M=M, eps=eps, s=s, r=r, N=N)
 
@@ -277,8 +279,7 @@ class _OrderedJet:
         return out
 
 
-def _invert_transform(u: GridJet, v: GridJet, eta, tol: float = 1e-13,
-                      max_iter: int = 50):
+def _invert_transform(u: GridJet, v: GridJet, eta):
     """Solve  xi = x + u(x, y, t),  eta = y + v(x, y, t)  for (x, y).
 
     (xi, t) runs over the nodes of the jets' grid, one sample of ``eta``
@@ -293,16 +294,16 @@ def _invert_transform(u: GridJet, v: GridJet, eta, tol: float = 1e-13,
     dx = np.zeros_like(eta)
     dy = np.zeros_like(eta)
     scale = 1.0 + 2.0 * np.pi * (u.n - 1) / u.n  # 1 + the largest node angle
-    for it in range(1, max_iter + 1):
+    for it in range(1, _INVERT_MAX_ITER + 1):
         dx_new = -u.evaluate(dx, eta + dy)
         dy_new = -v.evaluate(dx, eta + dy)
         step = max(float(np.max(np.abs(dx_new - dx))),
                    float(np.max(np.abs(dy_new - dy))))
         dx, dy = dx_new, dy_new
-        if step <= tol * scale:
+        if step <= _INVERT_TOL * scale:
             return dx, dy, it
     raise StepFailureError(
-        f"transform inversion stalled after {max_iter} iterations "
+        f"transform inversion stalled after {_INVERT_MAX_ITER} iterations "
         f"(last update {step:.3e})")
 
 
@@ -687,21 +688,18 @@ def _materialize(h, what: str, d: int, N: int, q_y: int, r: float,
 
 
 def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
-                  mode: str = "flow", N: Optional[int] = None,
-                  n_grid: Optional[int] = None) -> TorusEmbedding:
+                  mode: str = "flow", N: Optional[int] = None) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
 
-    The chain is evaluated on the angle grid times the time nodes (all of
-    them for flows, t = 0 for maps, whose embedding is autonomous) and the
-    offsets are fitted by FFT.
+    The chain is evaluated on the grid of 2N+2 angle nodes per axis times
+    the time nodes (all of them for flows, t = 0 for maps, whose embedding
+    is autonomous) and the offsets are fitted by FFT.
     """
     dyn = _dynamics(mode)
     d = freq.d
     if N is None:
         N = max([tr.U.N for tr in chain.steps], default=0) + 8
-    n = int(n_grid) if n_grid is not None else 2 * N + 2
-    if n < 2 * N + 1:
-        raise ParameterError(f"grid size {n} too small for cutoff N = {N}")
+    n = 2 * N + 2
     n_t = dyn.time_slots(n)
     grid_shape = (n,) * d + (n_t,)
     # The chain moves each node by the small offsets its steps add up.
@@ -719,20 +717,34 @@ def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
                           r0=float(r0), mode=mode)
 
 
-def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float = 0.0,
-         kernel: Optional[SmoothingKernel] = None, q_y: int = 2,
-         verify_steps: bool = True, verify_samples: int = 64,
-         verify_dt: float = 1.0, verify_tol: float = 1e-12) -> ConvergenceReport:
-    """The Newton iteration behind run_kam_flow and run_kam_map, by mode."""
+def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
+            tol: float = 0.0, q_y: int = 2, verify_samples: int = 64,
+            verify_dt: float = 1.0, verify_tol: float = 1e-12) -> ConvergenceReport:
+    """Run the full Newton iteration for a forced flow or a map.
+
+    mode is "flow", for dx/dt = omega + y + f(x, y, t), dy/dt = g(x, y, t),
+    or "map", for x' = x + 2 pi omega + y + f(x, y), y' = y + g(x, y).  f and
+    g may be FourierFields (m = d components) or callables (x, y, t) ->
+    (S, d); callables are sampled at the finest cutoff of the schedule, at
+    t = 0 alone for maps, and the pair is decomposed into band-limited
+    pieces fed to the steps one scale at a time.  A map carries the angular
+    average of g along rather than solving it away, so a small mean
+    survives in g; convergence is measured on the oscillating parts.
+
+    The run stops early once both majorants fall below tol (when tol > 0).
+    After every step the embedding so far is checked with
+    verify_invariance at verify_samples, verify_dt and verify_tol (maps
+    ignore verify_dt).  A step failure ends the run early with the last
+    good chain; the report carries the failure text.
+    """
     d = schedule.d
     if freq.d != d:
         raise ShapeError(f"frequency dimension {freq.d} does not match schedule d = {d}")
-    kernel = kernel or SmoothingKernel()
     dyn = _dynamics(mode)
     N_master = int(schedule.N[schedule.M])
     system = (f, g)
     dec_f, dec_g = (decompose(_materialize(h, what, d, N_master, q_y, schedule.r[0],
-                                           dyn.autonomous, p), schedule, kernel)
+                                           dyn.autonomous, p), schedule)
                     for h, what, p in zip(system, "fg", dyn.fg_parity))
 
     warnings = []
@@ -776,10 +788,9 @@ def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float = 0.0,
         chain.steps.append(transform)
         cur_f = f_next + dec_f.pieces[m + 1]
         cur_g = g_next + dec_g.pieces[m + 1]
-        if verify_steps:
-            row["invariance_residual"] = verify_invariance(
-                fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb), system,
-                samples=verify_samples, dt=verify_dt, tol=verify_tol).residual
+        row["invariance_residual"] = verify_invariance(
+            fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb), system,
+            samples=verify_samples, dt=verify_dt, tol=verify_tol).residual
 
     if len(chain.steps) == schedule.M:  # neither failed nor stopped at tol
         rows.append(_row(schedule.M, cur_f, cur_g, schedule))
@@ -796,39 +807,6 @@ def _run(mode: str, f, g, freq: Frequency, schedule: Schedule, tol: float = 0.0,
         warnings=warnings)
 
 
-def run_kam_flow(f, g, freq: Frequency, schedule: Schedule, tol: float = 0.0,
-                 kernel: Optional[SmoothingKernel] = None, q_y: int = 2,
-                 verify_steps: bool = True, verify_samples: int = 64,
-                 verify_dt: float = 1.0, verify_tol: float = 1e-12
-                 ) -> ConvergenceReport:
-    """Run the full Newton iteration for a periodically forced flow.
-
-    f and g may be FourierFields (m = d components) or callables
-    (x, y, t) -> (S, d); callables are sampled at the finest cutoff of the
-    schedule and the pair is decomposed into band-limited pieces fed to
-    the steps one scale at a time.  A step failure ends the run early
-    with the last good chain; the report carries the failure text.
-    """
-    return _run("flow", f, g, freq, schedule, tol, kernel, q_y,
-                verify_steps, verify_samples, verify_dt, verify_tol)
-
-
-def run_kam_map(f, g, freq: Frequency, schedule: Schedule, tol: float = 0.0,
-                kernel: Optional[SmoothingKernel] = None, q_y: int = 2,
-                verify_steps: bool = True, verify_samples: int = 64,
-                verify_tol: float = 1e-12) -> ConvergenceReport:
-    """Run the Newton iteration for an exact-symplectic-free reversible map.
-
-    The map is x' = x + 2 pi omega + y + f(x, y), y' = y + g(x, y); f and g
-    must be time-independent (callables receive t = 0 samples only).  The
-    angular average of g is carried along rather than solved away, so a
-    small residual mean survives in g; convergence is measured on the
-    oscillating parts.
-    """
-    return _run("map", f, g, freq, schedule, tol, kernel, q_y,
-                verify_steps, verify_samples, 1.0, verify_tol)
-
-
 # --------------------------------------------------------------------------- #
 # verification
 # --------------------------------------------------------------------------- #
@@ -837,7 +815,7 @@ def _wrap_angle(delta: np.ndarray) -> np.ndarray:
     return (delta + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def verify_invariance(embedding: TorusEmbedding, system, omega=None,
+def verify_invariance(embedding: TorusEmbedding, system,
                       samples: int = 64, dt: float = 1.0,
                       tol: float = 1e-12) -> InvarianceReport:
     """Measure how close an embedding is to an invariant torus.
@@ -869,8 +847,7 @@ def verify_invariance(embedding: TorusEmbedding, system, omega=None,
         raise ParameterError(f"verification time dt must be finite and nonzero, "
                              f"got {dt!r}")
     d = embedding.d
-    omega = np.atleast_1d(np.asarray(
-        embedding.omega if omega is None else omega, dtype=float))
+    omega = np.atleast_1d(np.asarray(embedding.omega, dtype=float))
     step, turn, t_end = _dynamics(embedding.mode).advance(system, omega, dt, tol)
     axes = np.meshgrid(*([2.0 * np.pi * np.arange(samples) / samples] * d),
                        indexing="ij")

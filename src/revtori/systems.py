@@ -7,7 +7,7 @@ construction rather than by truncation.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -93,12 +93,10 @@ class MapSystem:
         ax, ay = self.A(gx, gy)
         return -ax, ay
 
-    def reversibility_residual(self, samples: int = 256,
-                               y_scale: Optional[float] = None) -> float:
-        """sup |G A G A (z) - z| over a deterministic grid (should be ~1e-16)."""
-        y_scale = 0.1 if y_scale is None else float(y_scale)
-        x = 2.0 * np.pi * np.arange(samples) / samples
-        y = y_scale * np.cos(3.0 * x + 0.7)
+    def reversibility_residual(self) -> float:
+        """sup |G A G A (z) - z| over 256 points of a curve (should be ~1e-16)."""
+        x = 2.0 * np.pi * np.arange(256) / 256
+        y = 0.1 * np.cos(3.0 * x + 0.7)
         x1, y1 = self.A(x, y)
         x2, y2 = self.A(-x1, y1)
         dx = np.angle(np.exp(1j * (-x2 - x)))
@@ -113,6 +111,24 @@ def _check_params(kind: str, params: dict, allowed: tuple) -> None:
             f"valid: {', '.join(allowed) or '(no parameters)'}")
 
 
+def _int_param(kind: str, params: dict, key: str, default: int) -> int:
+    """params[key] (or default) as an int.
+
+    A value with a fractional part, a non-finite value or a boolean raises
+    ParameterError instead of being truncated.
+    """
+    value = params.get(key, default)
+    try:
+        whole = not isinstance(value, bool) and float(value).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ParameterError(
+            f"parameter {key!r} of perturbation kind {kind!r} must be an integer, "
+            f"got {value!r}")
+    return int(value)
+
+
 def make_flow_perturbation(kind: str, **params) -> FlowSystem:
     """Perturbation factory used by configuration files."""
     if kind in ("single_mode", "standard"):
@@ -120,7 +136,7 @@ def make_flow_perturbation(kind: str, **params) -> FlowSystem:
         return single_mode_flow(
             eps=float(params.get("eps", 1e-4)),
             g_amp=float(params.get("g_amp", 0.05)),
-            k=params.get("k", 1), l=params.get("l", 1))
+            k=_int_param(kind, params, "k", 1), l=_int_param(kind, params, "l", 1))
     if kind in ("none", "zero"):
         _check_params(kind, params, ())
         return FlowSystem(f=lambda x, y, t: np.zeros(x.shape[0]),

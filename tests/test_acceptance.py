@@ -35,7 +35,7 @@ def flow_m5(golden):
     flow = systems.make_flow_perturbation("single_mode", eps=1e-4,
                                           g_amp=sched.s[0])
     t0 = time.perf_counter()
-    report = newton.run_kam_flow(flow.f, flow.g, golden, sched)
+    report = newton.run_kam("flow", flow.f, flow.g, golden, sched)
     return report, sched, time.perf_counter() - t0
 
 
@@ -45,7 +45,7 @@ def map_m5(golden):
     mapping = systems.make_map_perturbation("cosine_kick", omega=GOLDEN,
                                             eps=1e-4)
     t0 = time.perf_counter()
-    report = newton.run_kam_map(mapping.f, mapping.g, golden, sched)
+    report = newton.run_kam("map", mapping.f, mapping.g, golden, sched)
     return report, mapping, time.perf_counter() - t0
 
 
@@ -149,7 +149,7 @@ def test_criterion_04_smoothing_rates(capsys):
     gaps = {}
     for ell_star in (2.5, 3.1, 4.0):
         field = smoothing.synthetic_rough_field(ell_star, N=512, seed=3)
-        errs = [(field - smoothing.smooth(field, float(s))).sup_norm().value
+        errs = [(field - smoothing.smooth(field, float(s))).sup_norm()
                 for s in scales]
         rate = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
         gaps[ell_star] = abs(rate - ell_star) / ell_star

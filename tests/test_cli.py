@@ -68,6 +68,11 @@ class TestDioph:
     def test_malformed_omega(self):
         assert main(["dioph", "--omega", "1.0,x"]) == 2
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exits_2(self, capsys, tau):
+        assert main(["dioph", "--tau", tau]) == 2
+        assert "tau" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_exit_2(self, monkeypatch, capsys, threads):
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
@@ -97,7 +102,8 @@ class TestSmoothTest:
 
     @pytest.mark.parametrize("flags", [
         ["--s-min", "0"], ["--s-max", "-0.5"], ["--n-scales", "0"],
-        ["--n-scales", "1"],
+        ["--n-scales", "1"], ["--n-modes", "0"], ["--ell-star", "nan"],
+        ["--ell-star", "inf"],
     ])
     def test_bad_inputs_exit_2(self, capsys, flags):
         assert main(["smooth-test", "--n-modes", "64", *flags]) == 2
@@ -131,6 +137,8 @@ class TestHomsolve:
     @pytest.mark.parametrize("flags", [
         ["--n-modes", "-1"], ["--mode", "map", "--g-amp", "0.1"],
         ["--eps", "nan"], ["--eps", "inf"], ["--mode", "map", "--eps", "nan"],
+        ["--tau", "nan"], ["--r", "nan"], ["--r", "inf"],
+        ["--mode", "map", "--r", "nan"], ["--q-y", "0", "--r", "nan"],
     ])
     def test_bad_inputs_exit_2(self, capsys, flags):
         assert main(["homsolve", *flags]) == 2
@@ -232,7 +240,7 @@ class TestKamRun:
         "M=abc", "M=2.5", "M=true", "eps0=abc", "d=x", "K_max=abc", "tau=abc",
         'omega=["x"]', "verify_samples=abc", "perturbation.eps=abc",
         "perturbation=5", "perturbation.eps=NaN", "perturbation.eps=Infinity",
-        "mu=-Infinity",
+        "mu=-Infinity", "perturbation.k=1.5", "perturbation.l=0.5",
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, override):
         assert main(["kam", "run", "--out", str(tmp_path),
@@ -425,6 +433,14 @@ class TestLienardCli:
         assert main(["lienard", command, "--out", str(tmp_path), *short,
                      "--set", override]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key", ["p", "q"])
+    def test_fractional_power_exponent_exits_2(self, tmp_path, capsys, key):
+        assert main(["lienard", "stability", "--out", str(tmp_path),
+                     "--set", "t_max=1", "--set", "perturbation.kind=power",
+                     "--set", f"perturbation.{key}=2.5"]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_poincare_residual_and_iterates(self, tmp_path, capsys):

@@ -670,10 +670,10 @@ def _old_rhs(sys_, theta, rho, t, check_domain=True):
             _old_F1(sys_, theta, rho, t))
 
 
-def _old_reference_orbit(n, n_samples=8192, rtol=1e-13):
+def _old_reference_orbit(n, n_samples=8192):
     """The generating loop on numpy scalars through compose_step."""
     from revtori.integrators import compose_step, leapfrog_step
-    T0 = 4.0 * lienard._quarter_period(n, rtol=rtol)
+    T0 = 4.0 * lienard._quarter_period(n)
     h = T0 / n_samples
     weights = yoshida_weights(6)
 

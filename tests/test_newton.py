@@ -314,7 +314,7 @@ def short_run(golden):
     sched = newton.make_schedule(1, 0.1, 1e-4, 2)
     flow = systems.make_flow_perturbation("single_mode", eps=1e-4,
                                           g_amp=sched.s[0])
-    report = newton.run_kam_flow(flow.f, flow.g, golden, sched)
+    report = newton.run_kam("flow", flow.f, flow.g, golden, sched)
     return flow, report
 
 
@@ -390,7 +390,7 @@ class TestFlowRun:
 def map_run(golden):
     sched = newton.make_schedule(1, 0.1, 1e-3, 2)
     mapping = systems.MapSystem(omega=GOLDEN, eps=1e-4)
-    return mapping, newton.run_kam_map(mapping.f, mapping.g, golden, sched)
+    return mapping, newton.run_kam("map", mapping.f, mapping.g, golden, sched)
 
 
 class TestMapRun:

@@ -2,10 +2,14 @@
 
 The command line entry point pins BLAS thread pools before numpy loads, so
 neither ``import revtori`` nor ``import revtori.cli`` may import numpy.  The
-solver modules may not import ``scipy.signal`` or ``scipy.stats``.
+solver modules may not import ``scipy.signal`` or ``scipy.stats``.  The
+README's library example runs, and every name its module table quotes
+exists in that module.
 """
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +48,38 @@ def test_solver_imports_leave_scipy_signal_and_stats_unloaded():
         "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
         "if m in sys.modules))")
     assert out == "[]", out
+
+
+# --------------------------------------------------------------------------- #
+# the README's library section, executed and cross-checked
+# --------------------------------------------------------------------------- #
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_section() -> str:
+    text = _README.read_text(encoding="utf-8")
+    start = text.index("\n## Library\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
+def test_readme_library_example_runs():
+    section = _library_section()
+    code = section[section.index("```python\n") + len("```python\n"):]
+    code = code[:code.index("```")]
+    namespace = {}
+    exec(compile(code, str(_README), "exec"), namespace)
+    assert not namespace["report"].failed
+    assert namespace["inv"].residual < 1e-8
+
+
+def test_readme_module_table_names_exist():
+    rows = [line for line in _library_section().splitlines()
+            if line.startswith("| `revtori.")]
+    assert len(rows) >= 10
+    for row in rows:
+        cells = row.split("|")
+        module = importlib.import_module(re.findall(r"`([^`]+)`", cells[1])[0])
+        for name in re.findall(r"`([^`]+)`", cells[2]):
+            assert hasattr(module, name), f"README names {module.__name__}.{name}"

@@ -1,5 +1,7 @@
 """Smoothing multiplier, telescoping decomposition, approximation rates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,34 +14,25 @@ from conftest import grid_parity_residual, random_parity_field
 
 class TestKernel:
     def test_symbol_invariants(self):
-        kernel = smoothing.SmoothingKernel()
         rho = np.linspace(0.0, 2.0, 2001)
-        sig = kernel.symbol(rho)
+        sig = smoothing.symbol(rho)
         assert sig[0] == 1.0
-        assert np.all(sig[rho <= kernel.plateau * kernel.a] == 1.0)
-        assert np.all(sig[rho >= kernel.a] == 0.0)
+        assert np.all(sig[rho <= smoothing.PLATEAU * smoothing.SCALE] == 1.0)
+        assert np.all(sig[rho >= smoothing.SCALE] == 0.0)
         assert np.all(np.diff(sig) <= 1e-15)  # monotone descent
         assert np.all((0.0 <= sig) & (sig <= 1.0))
 
     def test_symbol_midpoint_symmetry(self):
         # the quintic step is symmetric about the midpoint of the descent
-        kernel = smoothing.SmoothingKernel()
-        lo, hi = kernel.plateau * kernel.a, kernel.a
+        lo, hi = smoothing.PLATEAU * smoothing.SCALE, smoothing.SCALE
         u = np.linspace(0.0, 1.0, 101)
-        sig = kernel.symbol(lo + u * (hi - lo))
+        sig = smoothing.symbol(lo + u * (hi - lo))
         assert np.allclose(sig + sig[::-1], 1.0, atol=1e-13)
 
     def test_cutoff_ceil(self):
-        kernel = smoothing.SmoothingKernel()
-        assert kernel.cutoff(0.5) == 2
-        assert kernel.cutoff(0.3) == 4
-        assert kernel.cutoff(1.0) == 1
-
-    def test_bad_parameters(self):
-        with pytest.raises(ParameterError):
-            smoothing.SmoothingKernel(a=-1.0)
-        with pytest.raises(ParameterError):
-            smoothing.SmoothingKernel(plateau=1.5)
+        assert smoothing.cutoff(0.5) == 2
+        assert smoothing.cutoff(0.3) == 4
+        assert smoothing.cutoff(1.0) == 1
 
 
 class TestSmooth:
@@ -47,12 +40,12 @@ class TestSmooth:
         # |k| + |l| = 2 and s = 0.2 puts rho = 0.4 below the plateau edge 0.5
         fld = harmonic_field(d=1, N=4, k=[1], l=1, amplitude=0.9)
         out = smoothing.smooth(fld, 0.2)
-        assert np.allclose(out.coeffs, fld.truncate(N=out.N).coeffs, atol=0.0)
+        assert np.allclose(out.coeffs, fld.truncate(out.N).coeffs, atol=0.0)
 
     def test_kills_modes_past_cutoff(self, rng):
         fld = random_parity_field(rng, "even", N=12, q_y=0)
         out = smoothing.smooth(fld, 0.5)
-        assert out.N == 2  # ceil(a/s) with a = 1
+        assert out.N == 2  # ceil(SCALE / s) with SCALE = 1
 
     def test_scale_domain(self, rng):
         fld = random_parity_field(rng, "even", N=4)
@@ -108,21 +101,27 @@ class TestApproximationRate:
         fld = random_parity_field(rng, "even", N=24, q_y=0, decay=0.25)
         for s in (0.5, 0.2, 0.1):
             bound = smoothing.approximation_error(fld, s)
-            actual = (fld - smoothing.smooth(fld, s)).sup_norm().value
+            actual = (fld - smoothing.smooth(fld, s)).sup_norm()
             assert actual <= bound + 1e-14
 
     @pytest.mark.parametrize("ell_star", [2.5, 3.1, 4.0])
     def test_synthetic_field_rate(self, ell_star):
         field = smoothing.synthetic_rough_field(ell_star, N=512, seed=3)
         scales = np.geomspace(0.5, 0.05, 6)
-        errs = [(field - smoothing.smooth(field, float(s))).sup_norm().value
+        errs = [(field - smoothing.smooth(field, float(s))).sup_norm()
                 for s in scales]
         slope = np.polyfit(np.log(scales), np.log(errs), 1)[0]
         assert abs(slope - ell_star) / ell_star < 0.25
 
     def test_synthetic_field_rejects_bad_smoothness(self):
-        with pytest.raises(ParameterError):
-            smoothing.synthetic_rough_field(-1.0)
+        for ell_star in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                smoothing.synthetic_rough_field(ell_star)
+
+    def test_synthetic_field_needs_a_mode(self):
+        for N in (0, -3):
+            with pytest.raises(ParameterError):
+                smoothing.synthetic_rough_field(2.5, N=N)
 
     def test_synthetic_field_seeded(self):
         a = smoothing.synthetic_rough_field(2.5, N=64, seed=7)
