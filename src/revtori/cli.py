@@ -356,7 +356,10 @@ def _cmd_kam_run(args):
 
 def _cmd_lienard_orbit(args):
     import numpy as np
-    from . import lienard, persistence
+    from . import errors, lienard, persistence
+    if args.csv and args.csv_samples < 1:
+        raise errors.ParameterError(
+            f"--csv-samples must be at least 1, got {args.csv_samples}")
     orbit = lienard.compute_reference_orbit(args.n, n_samples=args.samples)
     summary = {
         "n": args.n,

@@ -472,26 +472,26 @@ class FourierField:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict:
-        """Portable dict of the nonzero coefficients, deterministically ordered."""
-        entries = []
-        powers = self.powers
-        nz = np.argwhere(np.abs(self.coeffs).sum(axis=-1) > 0.0)
-        for idx in nz:
-            mode_idx = tuple(int(a) for a in idx[: self.d + 1])
-            p = int(idx[self.d + 1])
-            block = self.coeffs[mode_idx + (p,)]
-            alpha = powers[p]
-            power = int(alpha[0]) if self.d == 1 else [int(a) for a in alpha]
-            entries.append({
-                "k": [int(a) - self.N for a in mode_idx[: self.d]],
-                "l": int(mode_idx[self.d]) - self.N_t,
-                "power": power,
-                "re": [float(v) for v in block.real],
-                "im": [float(v) for v in block.imag],
-            })
-        entries.sort(key=lambda e: (
-            e["power"] if isinstance(e["power"], list) else [e["power"]],
-            e["l"], e["k"]))
+        """Portable dict of the nonzero coefficients, deterministically ordered.
+
+        Entries are sorted by (power, l, k), with power and k compared as
+        lists; ``power`` is a bare int when d = 1.
+        """
+        d = self.d
+        idx = np.nonzero(np.abs(self.coeffs).sum(axis=-1) > 0.0)
+        alpha = self.powers[idx[d + 1]]
+        # np.lexsort sorts by its last key first
+        order = np.lexsort((*idx[d - 1::-1], idx[d], *alpha.T[::-1]))
+        idx = tuple(i[order] for i in idx)
+        alpha = alpha[order]
+        blocks = self.coeffs[idx]
+        entries = [{"k": k, "l": l, "power": power, "re": re, "im": im}
+                   for k, l, power, re, im in zip(
+                       (np.stack(idx[:d], axis=-1) - self.N).tolist(),
+                       (idx[d] - self.N_t).tolist(),
+                       (alpha[:, 0] if d == 1 else alpha).tolist(),
+                       blocks.real.astype(float).tolist(),
+                       blocks.imag.astype(float).tolist())]
         return {
             "d": self.d,
             "m": self.m,

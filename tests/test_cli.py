@@ -11,9 +11,10 @@ import pytest
 
 from revtori import persistence
 from revtori.cli import main
-from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT
+from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT, TorusEmbedding
 
 from conftest import GOLDEN
+from test_persistence import _oracle
 
 
 def run_json(capsys, argv):
@@ -341,6 +342,18 @@ class TestShippedConfigs:
                          "--set", "M=1", "--set", "eps0=1e-3"])
             assert code == 0, name
 
+    @pytest.mark.parametrize("name", ["kam_flow.json", "kam_map.json"])
+    def test_kam_demo_json_is_oracle_text(self, tmp_path, name):
+        # the full cutoff of a two-step run: the flow embedding has 3249 entries
+        code = main(["kam", "run", "--config", str(self.CONFIGS / name),
+                     "--out", str(tmp_path), "--set", "M=2"])
+        assert code == 0
+        (run_dir,) = tmp_path.iterdir()
+        for filename, record in (("embedding.json", TorusEmbedding),
+                                 ("manifest.json", persistence.RunManifest)):
+            text = (run_dir / filename).read_text(encoding="ascii")
+            assert text == _oracle(record.from_dict(json.loads(text)).to_dict())
+
     def test_stability_demo(self, tmp_path):
         code = main(["lienard", "stability",
                      "--config", str(self.CONFIGS / "lienard_stability.json"),
@@ -381,6 +394,19 @@ class TestLienardCli:
         assert main(["lienard", "orbit", "--samples", samples]) == 2
         assert "n_samples" in capsys.readouterr().err
         assert main(["lienard", "orbit", "--samples", "36"]) == 0
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_orbit_no_csv_samples_exits_2(self, tmp_path, capsys, samples):
+        csv = tmp_path / "orbit.csv"
+        argv = ["lienard", "orbit", "--csv", str(csv)]
+        assert main([*argv, f"--csv-samples={samples}"]) == 2
+        assert "--csv-samples" in capsys.readouterr().err
+        assert not csv.exists()
+        with pytest.raises(SystemExit) as err:  # argparse refuses a fraction
+            main([*argv, "--csv-samples=0.5"])
+        assert err.value.code == 2
+        assert main([*argv, "--csv-samples=1"]) == 0
+        assert len(csv.read_text().splitlines()) == 2
 
     def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
         out = str(tmp_path)

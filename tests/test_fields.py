@@ -386,6 +386,80 @@ class TestSerialization:
             FourierField.from_dict(data)
 
 
+def _to_dict_loop(fld):
+    """Reference for FourierField.to_dict: one entry per nonzero block."""
+    entries = []
+    powers = fld.powers
+    nz = np.argwhere(np.abs(fld.coeffs).sum(axis=-1) > 0.0)
+    for idx in nz:
+        mode_idx = tuple(int(a) for a in idx[: fld.d + 1])
+        p = int(idx[fld.d + 1])
+        block = fld.coeffs[mode_idx + (p,)]
+        alpha = powers[p]
+        power = int(alpha[0]) if fld.d == 1 else [int(a) for a in alpha]
+        entries.append({
+            "k": [int(a) - fld.N for a in mode_idx[: fld.d]],
+            "l": int(mode_idx[fld.d]) - fld.N_t,
+            "power": power,
+            "re": [float(v) for v in block.real],
+            "im": [float(v) for v in block.imag],
+        })
+    entries.sort(key=lambda e: (
+        e["power"] if isinstance(e["power"], list) else [e["power"]],
+        e["l"], e["k"]))
+    return {"d": fld.d, "m": fld.m, "N": fld.N, "N_t": fld.N_t, "q_y": fld.q_y,
+            "r": float(fld.r),
+            "parity": None if fld.parity is None else list(fld.parity),
+            "coeffs": entries}
+
+
+class TestToDictOracle:
+    """to_dict against the per-entry loop: equal values, order and types."""
+
+    @staticmethod
+    def _same(fld):
+        data, ref = fld.to_dict(), _to_dict_loop(fld)
+        assert data == ref
+        # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not
+        assert repr(data) == repr(ref)
+        return data
+
+    @pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("q_y", [0, 2])
+    @pytest.mark.parametrize("full_time", [False, True])
+    def test_complex_coefficients_with_zero_blocks(self, rng, d, m, q_y, full_time):
+        N = 4 if d == 1 else 3
+        N_t = N if full_time else 0
+        P = len(fields.action_powers(d, q_y))
+        shape = (2 * N + 1,) * d + (2 * N_t + 1, P, m)
+        support = fields.mode_mask(d, N, N_t)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs[~support] = 0.0
+        coeffs[rng.random(shape[:-1]) < 0.3] = 0.0  # whole (k, l, power) blocks
+        coeffs[rng.random(shape) < 0.2] = 0.0  # single components
+        coeffs.real[rng.random(shape) < 0.1] = -0.0
+        fld = FourierField(d, m, N, q_y, 0.1, coeffs)
+        data = self._same(fld)
+        assert 0 < len(data["coeffs"]) < np.count_nonzero(support) * P
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("q_y", [0, 2])
+    @pytest.mark.parametrize("N_t", [0, None])
+    def test_real_fields_round_trip(self, rng, d, q_y, N_t):
+        for parity, m in (("even", 1), ("odd", 2)):
+            fld = random_parity_field(rng, parity, d=d, N=3, q_y=q_y, r=0.05,
+                                      m=m, N_t=N_t)
+            clone = FourierField.from_dict(self._same(fld))
+            assert clone.N_t == fld.N_t and clone.parity == fld.parity
+            assert np.array_equal(clone.coeffs, fld.coeffs)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_field(self, d):
+        fld = FourierField.zeros(d, 2, 3, q_y=2, r=0.1, parity=("even", "odd"))
+        assert self._same(fld)["coeffs"] == []
+        assert np.array_equal(FourierField.from_dict(fld.to_dict()).coeffs, fld.coeffs)
+
+
 def _at_l0(fld):
     """The same coefficients placed at l = 0 of an N_t = N time axis."""
     coeffs = np.zeros((2 * fld.N + 1,) * (fld.d + 1) + fld.coeffs.shape[-2:],

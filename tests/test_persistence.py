@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from revtori import fields, persistence
 from revtori.errors import PersistenceError
@@ -57,6 +59,101 @@ class TestCanonicalJson:
             persistence.canonical_json({(1, 2): 0})
         with pytest.raises(PersistenceError):
             persistence.canonical_json({"z": np.array([1j])})
+
+
+def _tolist(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
+
+
+def _oracle(obj) -> str:
+    """The text canonical_json must reproduce."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
+                      default=_tolist) + "\n"
+
+
+def _assert_like_oracle(obj):
+    """Same text as the oracle, or PersistenceError where the oracle raises."""
+    try:
+        want = _oracle(obj)
+    except (TypeError, ValueError, RecursionError):
+        with pytest.raises(PersistenceError):
+            persistence.canonical_json(obj)
+    else:
+        assert persistence.canonical_json(obj) == want
+
+
+def _nested(depth, leaf, wrap):
+    for _ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"\n\t', "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "\ud800"])
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("nan"),
+     float("inf"), float("-inf")])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10 ** 40, max_value=10 ** 40) | _FLOATS | _TEXT
+            | _FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+            | st.booleans().map(np.bool_) | st.floats(width=32).map(np.float32)
+            | hnp.arrays(hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.boolean_dtypes(),
+                         hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))
+# Keys json.dumps accepts besides str; mixing incomparable ones raises in both.
+_KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)
+                   | st.dictionaries(st.integers() | _FLOATS, inner, max_size=3)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=24)
+
+
+class TestCanonicalJsonOracle:
+    """canonical_json against json.dumps(sort_keys=True, indent=2)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    def test_generated_values(self, obj):
+        _assert_like_oracle(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {1, 2}, {"s": {1, 2}}, {(1, 2): 0}, {np.int64(1): 0}, np.array([1j]),
+        {"z": np.array([[1.0], [1j]])}, np.complex128(1j), b"bytes", object(),
+        {1: 0, "a": 1}, {None: 0, False: 1}, [10 ** 5000],
+        _nested(10_000, [], lambda o: [o]), _nested(10_000, 0, lambda o: {"a": o}),
+    ])
+    def test_unencodable_raises_persistence_error(self, obj):
+        with pytest.raises((TypeError, ValueError, RecursionError)):
+            _oracle(obj)
+        _assert_like_oracle(obj)
+
+    def test_cycles_raise_persistence_error(self):
+        loop = [1.0]
+        loop.append(loop)
+        table = {"a": []}
+        table["a"].append(table)
+        for obj in (loop, table, {"x": [loop]}):
+            with pytest.raises(ValueError):
+                _oracle(obj)
+            with pytest.raises(PersistenceError):
+                persistence.canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": {}, "b": [], "c": (), "d": [[], {}]},
+        {1: "int", 2.5: "float", False: "bool", float("nan"): "nan", -1: None},
+        {None: 1}, {False: 1}, {float("-inf"): [-0.0]},
+        _nested(200, [1, 2.5], lambda o: [o]),
+        _nested(200, {"x": 1}, lambda o: {"a": o}),
+        {"grid": np.arange(6.0).reshape(2, 3), "n": np.int64(-3), "b": np.bool_(False),
+         "f": np.float64(-0.0), "h": np.float16(0.1), "e": np.zeros((0, 2))},
+    ])
+    def test_edge_cases(self, obj):
+        _oracle(obj)
+        _assert_like_oracle(obj)
 
 
 class TestJsonFiles:
