@@ -475,10 +475,12 @@ class FourierField:
         """Portable dict of the nonzero coefficients, deterministically ordered.
 
         Entries are sorted by (power, l, k), with power and k compared as
-        lists; ``power`` is a bare int when d = 1.
+        lists; ``power`` is a bare int when d = 1.  A block holding NaN
+        counts as nonzero, so a diverged field is written as it is and
+        :meth:`from_dict` rejects it.
         """
         d = self.d
-        idx = np.nonzero(np.abs(self.coeffs).sum(axis=-1) > 0.0)
+        idx = np.nonzero((self.coeffs != 0).any(axis=-1))
         alpha = self.powers[idx[d + 1]]
         # np.lexsort sorts by its last key first
         order = np.lexsort((*idx[d - 1::-1], idx[d], *alpha.T[::-1]))
@@ -543,6 +545,8 @@ class FourierField:
                 raise PersistenceError(f"malformed coefficient entry {e!r}") from exc
             if len(k) != d or len(re) != m or len(im) != m:
                 raise PersistenceError(f"coefficient entry has wrong arity: {e!r}")
+            if not all(map(math.isfinite, re + im)):
+                raise PersistenceError(f"non-finite coefficient at k={k}, l={l}")
             if sum(abs(a) for a in k) + abs(l) > N or abs(l) > N_t:
                 raise PersistenceError(
                     f"coefficient entry outside cutoffs N={N}, N_t={N_t}: k={k}, l={l}")
@@ -854,6 +858,9 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
         for iy in range(n_y):
             y = np.broadcast_to(y_nodes[iy], (S, d))
             out = np.asarray(fn(x_flat, y, np.full(S, t)), dtype=float)
+            if out.size != S * m:
+                raise ShapeError(f"function returned {out.size} values on {S} samples, "
+                                 f"expected {m} per sample")
             out = out.reshape((n,) * d + (m,))
             sl = (slice(None),) * d + (it, iy, slice(None))
             values[sl] = out

@@ -129,7 +129,7 @@ def _solve(f: FourierField, g: FourierField, freq: Frequency, L: np.ndarray,
     mask = mode_mask(d, N, N_t)
     absL = np.abs(L)
     k_norm = np.broadcast_to(abs_order_grid(d, N)[..., None], L.shape)
-    floor = _FLOOR_SAFETY * floor_const * freq.kappa / np.maximum(k_norm, 1) ** freq.tau
+    floor = _FLOOR_SAFETY * floor_const * freq.divisor_floor(k_norm)
     bad = mask & (k_norm > 0) & (absL < floor)
     if np.any(bad):
         idx = np.unravel_index(int(np.argmin(np.where(bad, absL, np.inf))), L.shape)

@@ -28,116 +28,28 @@ __all__ = ["canonical_json", "save_json", "load_json", "emit_csv",
 MANIFEST_FORMAT = "kam-run/1"
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_int_text = int.__repr__
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-# Writers by exact type; subclasses (np.float64 is a float) take _emit's
-# isinstance path, in the order json.dumps tests them.
-_SCALAR_TEXT = {str: _encode_str, int: _int_text, float: _float_text,
-                bool: lambda b: "true" if b else "false",
-                type(None): lambda _: "null"}
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True or key is False or key is None:
-        return _SCALAR_TEXT[type(key)](key)
-    if isinstance(key, int):
-        return _int_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
-def _emit_dict(obj, out, indent) -> None:
-    if not obj:
-        out.append("{}")
-        return
-    inner = indent + "  "
-    lead, sep = "{" + inner, "," + inner
-    for key, value in sorted(obj.items()):
-        head = lead + _encode_str(key if type(key) is str else _key_text(key)) + ": "
-        lead = sep
-        scalar = _SCALAR_TEXT.get(type(value))
-        if scalar is None:
-            out.append(head)
-            _CONTAINER.get(type(value), _emit)(value, out, inner)
-        else:
-            out.append(head + scalar(value))
-    out.append(indent + "}")
-
-
-def _emit_list(obj, out, indent) -> None:
-    if not obj:
-        out.append("[]")
-        return
-    inner = indent + "  "
-    try:
-        texts = [_SCALAR_TEXT[type(value)](value) for value in obj]
-    except KeyError:
-        lead, sep = "[" + inner, "," + inner
-        for value in obj:
-            out.append(lead)
-            lead = sep
-            _CONTAINER.get(type(value), _emit)(value, out, inner)
-        out.append(indent + "]")
-    else:
-        out.append("[" + inner + ("," + inner).join(texts) + indent + "]")
-
-
-def _emit(obj, out, indent) -> None:
-    """Append the JSON text of ``obj`` to the chunk list ``out``.
-
-    ``indent`` is a newline plus the indentation of the current level.  A
-    cycle recurses until RecursionError, which canonical_json reports.
-    """
-    scalar = _SCALAR_TEXT.get(type(obj))
-    if scalar is not None:
-        out.append(scalar(obj))
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif isinstance(obj, int):
-        out.append(_int_text(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, (list, tuple)):
-        _emit_list(obj, out, indent)
-    elif isinstance(obj, dict):
-        _emit_dict(obj, out, indent)
-    elif isinstance(obj, (np.ndarray, np.generic)):
-        _emit(obj.tolist(), out, indent)
-    else:
-        raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
-
-
-_CONTAINER = {list: _emit_list, tuple: _emit_list, dict: _emit_dict}
+def _tolist(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
+    """Deterministic JSON text: sorted keys, compact separators, trailing newline.
 
-    The text is exactly that of ``json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=True)``, with numpy values written as the Python values
-    their ``tolist()`` gives and tuples as lists.  Anything json cannot
+    The text is ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+    plus a newline: ASCII only, floats in their shortest round-trip form,
+    numpy values written as the Python values their ``tolist()`` gives and
+    tuples as lists.  Without indentation CPython runs its C encoder.
+    ``python -m json.tool`` pretty-prints the result.  Anything json cannot
     encode, a cycle, or nesting beyond the recursion limit raises
     PersistenceError.
     """
-    out = []
     try:
-        _emit(obj, out, "\n")
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          default=_tolist) + "\n"
     except (TypeError, ValueError, RecursionError) as exc:
         raise PersistenceError(f"cannot serialise: {exc}") from exc
-    out.append("\n")
-    return "".join(out)
 
 
 def save_json(path, obj) -> None:

@@ -14,7 +14,6 @@ from revtori.cli import main
 from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT, TorusEmbedding
 
 from conftest import GOLDEN
-from test_persistence import _oracle
 
 
 def run_json(capsys, argv):
@@ -192,6 +191,25 @@ class TestKamRun:
         assert main(["verify", str(stale)]) == 4
         assert "digests changed" in capsys.readouterr().err
 
+    def test_verify_accepts_indented_run_directory(self, kam_run, tmp_path, capsys):
+        # run directories written with indent=2 JSON keep verifying
+        old = tmp_path / "indented"
+        shutil.copytree(kam_run, old)
+
+        def write_indented(name, data):
+            text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            (old / name).write_text(text, encoding="ascii")
+
+        write_indented("embedding.json", persistence.load_json(old / "embedding.json"))
+        manifest = persistence.load_json(old / "manifest.json")
+        manifest["outputs"]["embedding.json"] = persistence.sha256_file(old / "embedding.json")
+        write_indented("manifest.json", manifest)
+        code, data = run_json(capsys, ["verify", str(old)])
+        assert code == 0
+        assert data["digests_ok"] is True
+        _, fresh = run_json(capsys, ["verify", str(kam_run)])
+        assert data["invariance_residual"] == fresh["invariance_residual"]
+
     def test_verify_missing_run(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent")]) == 4
 
@@ -344,7 +362,8 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("name", ["kam_flow.json", "kam_map.json"])
     def test_kam_demo_json_is_oracle_text(self, tmp_path, name):
-        # the full cutoff of a two-step run: the flow embedding has 3249 entries
+        # the full cutoff of a two-step run: the flow embedding has 3249 entries;
+        # record -> file -> record must give back the same text
         code = main(["kam", "run", "--config", str(self.CONFIGS / name),
                      "--out", str(tmp_path), "--set", "M=2"])
         assert code == 0
@@ -352,7 +371,17 @@ class TestShippedConfigs:
         for filename, record in (("embedding.json", TorusEmbedding),
                                  ("manifest.json", persistence.RunManifest)):
             text = (run_dir / filename).read_text(encoding="ascii")
-            assert text == _oracle(record.from_dict(json.loads(text)).to_dict())
+            back = record.from_dict(json.loads(text)).to_dict()
+            assert text == persistence.canonical_json(back)
+
+    def test_flow_field_of_wrong_dimension_exits_2(self, tmp_path, capsys):
+        # the built-in perturbations are one-dimensional: d = 2 cannot use them
+        code = main(["kam", "run", "--config", str(self.CONFIGS / "kam_flow.json"),
+                     "--out", str(tmp_path), "--set", "d=2",
+                     "--set", 'omega="sqrt_prime"', "--set", "eps0=1e-2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: function returned 64 values on 64 samples, expected 2 per sample\n"
 
     def test_stability_demo(self, tmp_path):
         code = main(["lienard", "stability",

