@@ -33,13 +33,15 @@ import numpy as np
 from .errors import DomainError, ParameterError, PersistenceError, ShapeError, StructureError
 
 _PARITIES = ("even", "odd", None)
-# Complex entries (2^18, 4 MiB) allowed in one point block's GEMM output in
-# FourierField.evaluate_complex; points per block = this // coefficient block
-# width (2N+1)^(d-1) * (2N_t+1) * P * m.
+# Entries allowed in one point block: complex entries (2^18, 4 MiB) of the
+# GEMM output in FourierField.evaluate_complex, where points per block = this
+# // coefficient block width (2N+1)^(d-1) * (2N_t+1) * P * m, and real entries
+# (2 MiB) of the Horner accumulator in GridJet.evaluate, which runs in blocks
+# of whole sheets (at least one).
 _EVAL_BLOCK_ENTRIES = 1 << 18
 # Real entries (2^21, 16 MiB) of derivative tables one GridJet keeps between
-# calls; tables past this are synthesized per call in batches of half as
-# many complex entries and dropped after use.
+# calls.  Missing tables are synthesized in batches of at most this many real
+# entries; tables past it serve the call that made them and are dropped.
 _JET_TABLE_ENTRIES = 1 << 21
 
 
@@ -292,24 +294,20 @@ class FourierField:
         return self.evaluate_complex(x, y, t, check_domain=check_domain).real
 
     def values_on_grid(self, n: int) -> np.ndarray:
-        """Synthesize values on the uniform angle/time grid.
+        """Synthesize the real field values on the uniform angle/time grid.
 
         Grid nodes are 2 pi j / n per axis; the time axis has n nodes, or
-        the single node t = 0 when N_t = 0.  Returns a complex array of
-        shape ``(n,)*d + (n_t,) + (P, m)`` (real up to roundoff for real
-        fields); n must be at least 2N+1.
+        the single node t = 0 when N_t = 0.  Returns a real array of shape
+        ``(n,)*d + (n_t,) + (P, m)``: the real part of the trigonometric sum
+        at every node and action power, the order-0 table of a
+        :class:`GridJet` on the same grid.  n must be at least 2N+1.
         """
         if n < 2 * self.N + 1:
             raise ShapeError(
                 f"grid size {n} too small for cutoff N = {self.N} (need >= {2 * self.N + 1})"
             )
-        N_t = self.N_t
-        n_t = n if N_t else 1
-        shape = (n,) * self.d + (n_t,) + self.coeffs.shape[self.d + 1:]
-        big = np.zeros(shape, dtype=complex)
-        idx = np.arange(-self.N, self.N + 1) % n
-        big[np.ix_(*([idx] * self.d), np.arange(-N_t, N_t + 1) % n_t)] = self.coeffs
-        return np.fft.ifftn(big, axes=tuple(range(self.d + 1))) * (float(n) ** self.d * n_t)
+        spectrum = _node_spectrum(self, n, n if self.N_t else 1)
+        return _node_tables(spectrum, [(0,) * self.d], self.N, n)[0]
 
     def sup_norm(self, r_eff: Optional[float] = None) -> float:
         """Grid supremum of |F| over the real torus.
@@ -322,7 +320,7 @@ class FourierField:
         r_eff = self.r if r_eff is None else float(r_eff)
         if r_eff < 0:
             raise DomainError(f"action radius must be nonnegative, got {r_eff}")
-        vals = self.values_on_grid(max(64, 2 * self.N + 1)).real
+        vals = self.values_on_grid(max(64, 2 * self.N + 1))
         y_samples = [np.zeros(self.d)]
         if self.q_y > 0 and r_eff > 0:
             for a in range(self.d):
@@ -583,18 +581,75 @@ def taylor_order(h: float) -> int:
     return K
 
 
-def _fold(a: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Sum the modes -h..h along ``axis`` into their residues mod n.
+def _fold(a: np.ndarray, axis: int, k: np.ndarray, n: int, size: int) -> np.ndarray:
+    """Sum the entries of ascending wave numbers ``k`` on ``axis`` mod n.
 
-    At the nodes 2 pi j / n the folded sum equals the unfolded one, for
-    any number of modes.
+    Returns the residues 0..size-1 (size <= n) and drops entries whose
+    residue lies past them.  At the nodes 2 pi j / n the folded sum equals
+    the unfolded one, for any number of modes.
     """
-    a = np.moveaxis(a, axis, 0)
-    k = np.arange(a.shape[0]) - a.shape[0] // 2
-    out = np.zeros((n,) + a.shape[1:], dtype=a.dtype)
-    for lo in range(0, a.shape[0], n):  # n consecutive modes hit distinct residues
-        out[k[lo:lo + n] % n] += a[lo:lo + n]
-    return np.moveaxis(out, 0, axis)
+    res = k % n
+    out = np.zeros(a.shape[:axis] + (size,) + a.shape[axis + 1:], dtype=a.dtype)
+    # runs of consecutive wave numbers with consecutive residues add as slices
+    cuts = np.flatnonzero((np.diff(k) != 1) | (np.diff(res) != 1)) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
+        hi = min(hi, lo + size - int(res[lo]))
+        if hi > lo:
+            pre = (slice(None),) * axis
+            out[pre + (slice(res[lo], res[lo] + hi - lo),)] += a[pre + (slice(lo, hi),)]
+    return out
+
+
+def _half_modes(N: int, n: int) -> np.ndarray:
+    """Wave numbers -N..N whose residue mod n is at most n // 2."""
+    k = np.arange(-N, N + 1)
+    return k[k % n <= n // 2]
+
+
+def _node_spectrum(field: FourierField, n: int, n_t: int) -> np.ndarray:
+    """The field's angle spectrum at the n_t time nodes, made Hermitian.
+
+    With G(k, t) the sum of the time modes at the nodes t = 2 pi j / n_t,
+    H(k, t) = (G(k, t) + conj G(-k, t)) / 2 synthesizes, in the angles, to
+    the real part of the field, and (ik)^alpha H(k, t) to that of its
+    derivative d^alpha.  H is the time sum of the coefficients' Hermitian
+    part (c(k, l) + conj c(-k, -l)) / 2, folded mod n_t, so only the wave
+    numbers of the last angle that a real inverse FFT reads
+    (:func:`_half_modes`) are transformed.  Shape (2N+1,)*(d-1) + (kept,) +
+    (n_t, P, m).
+    """
+    d, c = field.d, field.coeffs
+    half = (slice(None),) * (d - 1) + (_half_modes(field.N, n) + field.N,)
+    herm = 0.5 * (c[half] + np.conj(_reverse_modes(c, d)[half]))
+    G = _fold(herm, d, np.arange(-field.N_t, field.N_t + 1), n_t, n_t)
+    return np.fft.ifft(G, axis=d, norm="forward")
+
+
+def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int) -> np.ndarray:
+    """Real tables sum_k (ik)^alpha / alpha! H(k, t) e^(i <k, x>) at the nodes.
+
+    ``spectrum`` is H from :func:`_node_spectrum`.  Every alpha is weighted
+    in one batch, the angle axes are folded mod n (the last into its
+    residues 0..n//2) and one real inverse FFT gives the tables, shape
+    (len(alphas),) + (n,)*d + (n_t, P, m).
+    """
+    d = len(alphas[0])
+    k = np.arange(-N, N + 1)
+    half = _half_modes(N, n)
+    top = max(max(alpha) for alpha in alphas)
+    # (ik)^e / e! per angle axis and order e
+    powers = [[(1j ** e / math.factorial(e)) * ka.astype(float) ** e for e in range(top + 1)]
+              for ka in [k] * (d - 1) + [half]]
+    spec = np.empty((len(alphas),) + spectrum.shape, dtype=complex)
+    for i, alpha in enumerate(alphas):
+        weight = np.ones(())
+        for a, e in enumerate(alpha):
+            weight = np.multiply.outer(weight, powers[a][e])
+        np.multiply(spectrum, weight[..., None, None, None], out=spec[i])
+    for axis in range(1, d):
+        spec = _fold(spec, axis, k, n, n)
+    spec = _fold(spec, d, half, n, n // 2 + 1)
+    return np.fft.irfftn(spec, s=(n,) * d, axes=tuple(range(1, d + 1)), norm="forward")
 
 
 class GridJet:
@@ -608,15 +663,20 @@ class GridJet:
 
         F(x + delta, y, t) = sum_alpha  d^alpha F(x, y, t) / alpha!  delta^alpha.
 
-    The tables d^alpha F / alpha! on the grid come from one inverse FFT per
-    batch of multi-indices, with modes folded mod n, so the node values are
-    exact for any cutoff N.  The Taylor order K is set per call by
+    The time axis is transformed once, when the jet is made
+    (:func:`_node_spectrum`).  The real tables d^alpha F / alpha! on the
+    grid come from one real inverse FFT over the angles per batch of
+    multi-indices, with modes folded mod n, so the node values are exact
+    for any cutoff N.  The Taylor order K is set per call by
     :func:`taylor_order` from h = N max |delta|_inf (offsets are first
     re-anchored to their nearest node, so h <= pi N / n), which bounds the
-    truncation by 2^-53 times the majorant; tables are added on demand.
-    The sum runs by Horner in the first angle's offset, the other angles
-    enter as monomials, and the action powers of y are contracted exactly.
-    At most _JET_TABLE_ENTRIES table entries are kept between calls.
+    truncation by 2^-53 times the majorant; the tables a call lacks are
+    added in one batch.  Points run in blocks of whole sheets.  The sum
+    runs by Horner in the first angle's offset, the other angles enter as
+    monomials, and the action powers of y are contracted exactly.  The
+    tables broadcast over the sheets; only re-anchored offsets gather rows
+    of them.  At most _JET_TABLE_ENTRIES table entries are kept between
+    calls.
     """
 
     def __init__(self, field: FourierField, n: int, n_t: int):
@@ -627,6 +687,7 @@ class GridJet:
         self.max_order = 0
         self._shape = (self.n,) * field.d + (int(n_t),)
         self._width = field.coeffs.shape[-2] * field.m
+        self._spectrum = _node_spectrum(field, self.n, int(n_t))
         self._held = {}  # multi-index -> (nodes, P*m) table
 
     def evaluate(self, delta, y=None) -> np.ndarray:
@@ -648,64 +709,73 @@ class GridJet:
         finite = np.isfinite(delta)
         K = taylor_order(f.N * float(np.max(np.abs(delta), initial=0.0, where=finite)))
         self.max_order = max(self.max_order, K)
-        rows = np.arange(S) % nodes
+        alphas = _multi_indices(f.d, K)
+        tables = self._tables(alphas)
+        groups = [[(alpha, table) for alpha, table in zip(alphas, tables) if alpha[0] == a0]
+                  for a0 in range(K, -1, -1)]
+        rows = None
         if shift.any():
-            idx = np.unravel_index(rows, self._shape)
+            idx = np.unravel_index(np.arange(S) % nodes, self._shape)
             rows = np.ravel_multi_index(
                 tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(f.d))
                 + idx[f.d:], self._shape)
-        mono = [delta[:, a:a + 1] ** np.arange(K + 1) for a in range(1, f.d)]
-        alphas = _multi_indices(f.d, K)
-        acc = None
-        for a0 in range(K, -1, -1):
-            part = None
-            for alpha, table in self._tables([a for a in alphas if a[0] == a0]):
-                term = table[rows]
-                for a, e in enumerate(alpha[1:]):
-                    if e:
-                        term *= mono[a][:, e:e + 1]
-                if part is None:
-                    part = term
-                else:
-                    part += term
-            if acc is None:
-                acc = part
-            else:
-                acc *= delta[:, :1]
-                acc += part
-        acc = acc.reshape(S, -1, f.m)
-        return np.einsum("spm,sp->sm", acc, _power_matrix(y, f.powers))
+        P = f.coeffs.shape[-2]
+        out = np.empty((S, f.m))
+        block = nodes * max(1, _EVAL_BLOCK_ENTRIES // (nodes * self._width))
+        for lo in range(0, S, block):
+            sheets = slice(lo, min(lo + block, S))
+            dl = delta[sheets].reshape(-1, nodes, f.d)
+            acc = _horner(groups, dl, None if rows is None else rows[sheets])
+            Y = _power_matrix(y[sheets], f.powers).reshape(dl.shape[:2] + (P,))
+            vals = np.einsum("...pm,...p->...m", acc.reshape(acc.shape[:-1] + (P, f.m)), Y)
+            out[sheets] = vals.reshape(-1, f.m)
+        return out
 
-    def _tables(self, alphas):
-        """Yield (alpha, table) pairs, synthesizing the missing tables."""
-        missing = [a for a in alphas if a not in self._held]
-        for alpha in alphas:
-            if alpha in self._held:
-                yield alpha, self._held[alpha]
+    def _tables(self, alphas) -> list:
+        """The (nodes, P*m) tables of ``alphas``, synthesizing the missing ones."""
+        out = {alpha: self._held[alpha] for alpha in alphas if alpha in self._held}
+        missing = [alpha for alpha in alphas if alpha not in out]
         per = math.prod(self._shape) * self._width
-        batch = max(1, _JET_TABLE_ENTRIES // (2 * per))
+        batch = max(1, _JET_TABLE_ENTRIES // per)
         for lo in range(0, len(missing), batch):
             chunk = missing[lo:lo + batch]
-            tables = self._synthesize(chunk)
-            if (len(self._held) + len(chunk)) * per <= _JET_TABLE_ENTRIES:
-                self._held.update(zip(chunk, tables))
-            yield from zip(chunk, tables)
+            tables = _node_tables(self._spectrum, chunk, self.field.N, self.n)
+            made = dict(zip(chunk, tables.reshape(len(chunk), -1, self._width)))
+            out.update(made)
+            if len(self._held) * per + tables.size <= _JET_TABLE_ENTRIES:
+                self._held.update(made)
+        return [out[alpha] for alpha in alphas]
 
-    def _synthesize(self, alphas) -> np.ndarray:
-        """Tables Re d^alpha F / alpha! at the nodes, shape (len, nodes, P*m)."""
-        f = self.field
-        ik = 1j * np.arange(-f.N, f.N + 1)
-        spec = np.empty((len(alphas),) + f.coeffs.shape, dtype=complex)
-        for i, alpha in enumerate(alphas):
-            weight = np.ones(())
-            for e in alpha:
-                weight = weight[..., None] * (ik ** e / math.factorial(e))
-            spec[i] = f.coeffs * weight[..., None, None, None]
-        for axis, size in enumerate(self._shape, start=1):
-            spec = _fold(spec, axis, size)
-        axes = tuple(range(1, f.d + 2))
-        vals = np.fft.ifftn(spec, axes=axes) * math.prod(self._shape)
-        return np.ascontiguousarray(vals.real).reshape(len(alphas), -1, self._width)
+
+def _horner(groups: list, dl: np.ndarray, rows) -> np.ndarray:
+    """sum_alpha table_alpha * dl^alpha on one block of sheets.
+
+    ``groups`` holds the (alpha, table) pairs by first index alpha_0 = K..0,
+    each in graded order, so (alpha_0, 0, ..., 0) leads its group; ``dl``
+    holds the offsets, shape (sheets, nodes, d).  Horner runs in the first
+    angle's offset and the other angles enter as monomials.  The
+    (nodes, P*m) tables broadcast over the sheets, or give the rows
+    ``rows`` where offsets were re-anchored.  The result broadcasts to
+    (sheets, nodes, P*m) and may be a table itself.
+    """
+    mono = [dl[..., a:a + 1] ** np.arange(len(groups)) for a in range(1, dl.shape[-1])]
+    acc = None
+    for i, group in enumerate(groups):
+        part = None
+        for alpha, table in group:
+            term = table if rows is None else table[rows].reshape(dl.shape[:2] + (-1,))
+            if any(alpha[1:]):
+                term = term * math.prod(mono[a][..., e:e + 1]
+                                        for a, e in enumerate(alpha[1:]) if e)
+                if part is not None:
+                    term += part
+            part = term
+        if acc is None:
+            acc = part
+        else:  # the first product is a new array, never a table
+            acc = np.multiply(acc, dl[..., :1], out=acc if i > 1 else None)
+            acc += part
+    return acc
 
 
 def _multi_indices(d: int, K: int) -> list:

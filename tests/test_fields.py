@@ -258,6 +258,123 @@ class TestGridJet:
             fields.GridJet(fld, 8, 8).evaluate(np.zeros((65, 1)), None)
 
 
+def _fold_oracle(a, axis, n):
+    """Sum the centred modes along ``axis`` into their residues mod n."""
+    a = np.moveaxis(a, axis, 0)
+    k = np.arange(a.shape[0]) - a.shape[0] // 2
+    out = np.zeros((n,) + a.shape[1:], dtype=a.dtype)
+    np.add.at(out, k % n, a)
+    return np.moveaxis(out, 0, axis)
+
+
+def _oracle_tables(fld, n, n_t, alphas):
+    """Re d^alpha F / alpha! at the grid nodes, shape (len, nodes, P*m).
+
+    One complex inverse FFT over all angle and time axes per order, of the
+    full spectrum, keeping its real part.
+    """
+    ik = 1j * np.arange(-fld.N, fld.N + 1)
+    out = []
+    for alpha in alphas:
+        weight = np.ones(())
+        for e in alpha:
+            weight = weight[..., None] * (ik ** e / math.factorial(e))
+        spec = fld.coeffs * weight[..., None, None, None]
+        for axis, size in enumerate((n,) * fld.d + (n_t,)):
+            spec = _fold_oracle(spec, axis, size)
+        vals = np.fft.ifftn(spec, axes=tuple(range(fld.d + 1))) * (n ** fld.d * n_t)
+        out.append(vals.real.reshape(-1, fld.coeffs.shape[-2] * fld.m))
+    return out
+
+
+def _table_majorant(fld, alpha):
+    """Per component sum of |c| |k^alpha| / alpha!, a bound on every table entry."""
+    k = np.abs(np.arange(-fld.N, fld.N + 1)).astype(float)
+    weight = np.ones(())
+    for e in alpha:
+        weight = weight[..., None] * (k ** e / math.factorial(e))
+    sums = (np.abs(fld.coeffs) * weight[..., None, None, None]).reshape(-1, fld.m)
+    return float(np.max(sums.sum(axis=0)))
+
+
+class TestGridJetTablesOracle:
+    """Jet tables from one real transform against one complex ifftn per order."""
+
+    @pytest.mark.parametrize("d, N, N_t, n, n_t", [
+        (1, 6, 0, 16, 1), (1, 6, 6, 16, 16),
+        (1, 6, 6, 16, 1),    # N_t > 0 folded onto one time node
+        (1, 12, 12, 16, 16), (1, 12, 12, 15, 1),  # N > n/2, n even and odd
+        (2, 4, 0, 9, 1), (2, 4, 4, 9, 9), (2, 4, 4, 9, 1),
+        (2, 6, 6, 7, 7), (2, 6, 6, 8, 8),  # folded at d = 2
+    ])
+    @pytest.mark.parametrize("kind", ["complex", "even", "odd"])
+    def test_every_table_matches_the_oracle(self, rng, d, N, N_t, n, n_t, kind):
+        if kind == "complex":
+            fld = _jet_field(rng, d, N, N_t)
+        else:
+            fld = random_parity_field(rng, kind, d=d, N=N, N_t=N_t, decay=0.0)
+        alphas = fields._multi_indices(d, 4)
+        got = fields.GridJet(fld, n, n_t)._tables(alphas)
+        for alpha, table, want in zip(alphas, got, _oracle_tables(fld, n, n_t, alphas)):
+            assert table.dtype == np.float64 and table.shape == want.shape
+            np.testing.assert_allclose(table, want, rtol=0.0,
+                                       atol=1e-14 * _table_majorant(fld, alpha))
+
+    @pytest.mark.parametrize("d, N, N_t, n", [(1, 6, 6, 16), (1, 12, 0, 25),
+                                              (2, 4, 4, 9), (2, 3, 0, 8)])
+    def test_values_on_grid_is_the_real_order_zero_table(self, rng, d, N, N_t, n):
+        fld = _jet_field(rng, d, N, N_t)
+        n_t = n if N_t else 1
+        vals = fld.values_on_grid(n)
+        assert vals.dtype == np.float64
+        assert vals.shape == (n,) * d + (n_t, fld.coeffs.shape[-2], fld.m)
+        (want,) = _oracle_tables(fld, n, n_t, [(0,) * d])
+        np.testing.assert_allclose(vals.reshape(want.shape), want, rtol=0.0,
+                                   atol=1e-14 * _table_majorant(fld, (0,) * d))
+
+    @pytest.mark.parametrize("d, N, N_t, n", [(1, 6, 6, 16), (1, 12, 12, 16),
+                                              (2, 4, 4, 9), (2, 6, 0, 7)])
+    def test_tables_in_one_batch_equal_tables_added_on_demand(self, rng, d, N, N_t, n):
+        fld = _jet_field(rng, d, N, N_t)
+        n_t = n if N_t else 1
+        x, _ = _grid_nodes(d, n, n_t, sheets=1)
+
+        def offsets(K):  # the largest offset sets the Taylor order K
+            h = next(h for h in np.geomspace(1e-8, 1.0, 400)
+                     if fields.taylor_order(h) == K)
+            delta = rng.uniform(-h / N, h / N, size=x.shape)
+            delta[0, 0] = h / N
+            return delta
+
+        at_once = fields.GridJet(fld, n, n_t)
+        at_once.evaluate(offsets(4), None)
+        on_demand = fields.GridJet(fld, n, n_t)
+        on_demand.evaluate(offsets(2), None)
+        assert on_demand.max_order == 2 and len(on_demand._held) == len(
+            fields._multi_indices(d, 2))
+        on_demand.evaluate(offsets(4), None)
+        assert at_once.max_order == on_demand.max_order == 4
+        assert at_once._held.keys() == on_demand._held.keys()
+        for alpha, table in at_once._held.items():
+            np.testing.assert_array_equal(table, on_demand._held[alpha])
+
+    @pytest.mark.parametrize("offset", [0.5, 3.0])  # within a cell; re-anchored
+    def test_point_blocks_agree_with_one_block(self, rng, monkeypatch, offset):
+        fld = _jet_field(rng, 2, 4, 4)
+        n = 9
+        x, t = _grid_nodes(2, n, n, sheets=5)
+        delta = rng.uniform(-offset, offset, size=x.shape) * 2.0 * np.pi / n
+        y = rng.uniform(-0.05, 0.05, size=x.shape)
+        whole = fields.GridJet(fld, n, n).evaluate(delta, y)
+        per_sheet = n ** 3 * fld.coeffs.shape[-2] * fld.m
+        monkeypatch.setattr(fields, "_EVAL_BLOCK_ENTRIES", 2 * per_sheet)
+        blocks = fields.GridJet(fld, n, n).evaluate(delta, y)  # sheets 2 + 2 + 1
+        tol = 1e-14 * fld.majorant()
+        np.testing.assert_allclose(blocks, whole, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(blocks, fld.evaluate_complex(x + delta, y, t).real,
+                                   rtol=0.0, atol=tol)
+
+
 class TestCalculus:
     def test_diff_x_on_harmonic(self, rng):
         fld = harmonic_field(d=1, N=5, k=[3], l=1, amplitude=0.4, kind="cos")
