@@ -61,8 +61,6 @@ _EXPORTS = {
     "compute_reference_orbit": "lienard",
     "TransformedSystem": "lienard",
     "action_angle": "lienard",
-    "estimate_rho_star": "lienard",
-    "p_class_estimate": "lienard",
     "poincare_map": "lienard",
     "poincare_reversibility_residual": "lienard",
     "chain_rule_residual": "lienard",

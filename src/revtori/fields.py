@@ -862,6 +862,11 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     t = 0) an autonomous one (N_t = 0).  The action nodes (``y_nodes``,
     shape (n_y, d)) must determine polynomials of total degree q_y.  When
     q_y = 0 the action axis may be omitted from ``y_nodes`` (n_y must be 1).
+
+    The power basis is fitted in the scaled action y / max|y_nodes|, where
+    every coefficient is of the size of the samples, so the reality and
+    parity checks see one relative scale for all powers; the coefficients
+    are divided by scale^|alpha| afterwards.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != d + 3:
@@ -869,6 +874,7 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
             f"expected samples of shape (n,)*{d} + (n_t, n_y, m), got {values.shape}")
     n_y, m = values.shape[d + 1], values.shape[d + 2]
     powers = action_powers(d, q_y)
+    scale = 1.0
     if q_y == 0:
         if n_y != 1:
             raise ShapeError("q_y = 0 requires a single action node")
@@ -877,7 +883,8 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
         if y_nodes is None:
             raise ParameterError("action nodes are required when q_y > 0")
         y_nodes = np.asarray(y_nodes, dtype=float).reshape(n_y, d)
-        V = _power_matrix(y_nodes, powers)
+        scale = float(np.max(np.abs(y_nodes))) or 1.0
+        V = _power_matrix(y_nodes / scale, powers)
         if np.linalg.matrix_rank(V) < len(powers):
             raise ParameterError("action nodes do not determine the power basis")
     modes = coeffs_from_samples(values, d, N)          # (...modes..., n_y, m)
@@ -888,6 +895,7 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     coeffs = C.reshape(modes.shape[: d + 1] + (len(powers), m))
     parity = _as_parity(parity, m)
     coeffs = _finalize(coeffs, d, parity, what="fitted field")
+    coeffs /= (scale ** powers.sum(axis=1).astype(float))[:, None]
     coeffs[~mode_mask(d, N, coeffs.shape[d] // 2)] = 0.0
     return FourierField(d, m, N, q_y, r, coeffs, parity)
 

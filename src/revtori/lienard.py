@@ -11,9 +11,9 @@ with amplitude; rescaling along the reference orbit of x'' + x^(2n+1) = 0
 turns the outer dynamics into a twist system in angle/action coordinates
 (theta, rho), where invariant tori confine every orbit.  This module
 builds the reference orbit, the coordinate change and its pushed-forward
-vector field, growth-class estimates for the perturbation terms, the
-period-1 Poincare section, and a long-time stability experiment in the
-original plane variables.
+vector field, the period-1 Poincare section, and a long-time stability
+experiment in the original plane variables.  A forcing pair (f, g) is one
+callable, ``Perturbation.forcing``, which every one of them reads.
 """
 
 import math
@@ -30,9 +30,9 @@ from .systems import _check_params, _int_param
 __all__ = [
     "Perturbation", "make_perturbation", "LienardProblem", "make_problem",
     "ReferenceOrbit", "compute_reference_orbit", "TransformedSystem",
-    "action_angle", "estimate_rho_star", "PClassReport", "p_class_estimate",
-    "PoincareResult", "poincare_map", "poincare_reversibility_residual",
-    "chain_rule_residual", "StabilityReport", "lagrange_stability_experiment",
+    "action_angle", "PoincareResult", "poincare_map",
+    "poincare_reversibility_residual", "chain_rule_residual",
+    "StabilityReport", "lagrange_stability_experiment",
 ]
 
 STABILITY_COLUMNS = ("level", "phase", "ratio", "max_norm", "initial_max",
@@ -69,46 +69,44 @@ def _int_power(x, p: int):
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Forcing pair (f, g); both callables take (x, t) elementwise.
+    """Forcing pair (f, g) as one callable.
 
-    ``forcing(x, t)`` returns the pair (f(x, t), g(x, t)) for a scalar t in
-    one call, computing the time factor once; the stability integrator
-    and the angle/action right-hand side call it instead of f and g.  It
-    is None for the zero forcing.
-    ``p`` and ``q`` declare growth exponents: |f| = O(|x|^p) and
-    |g| = O(|x|^q) for large |x|.  They stay None for the zero forcing.
+    ``forcing(x, t)`` returns the pair (f(x, t), g(x, t)) elementwise, for
+    a scalar t or an array t that broadcasts against x, computing the time
+    factor once.  ``p`` and ``q`` declare growth exponents:
+    |f| = O(|x|^p) and |g| = O(|x|^q) for large |x|.  They stay None for
+    the zero forcing.
     """
 
     kind: str
-    f: Callable
-    g: Callable
+    forcing: Callable
     params: dict = _dc_field(default_factory=dict)
     p: Optional[int] = None
     q: Optional[int] = None
-    forcing: Optional[Callable] = None
 
 
 def make_perturbation(kind: str, **params) -> Perturbation:
     """Build a forcing pair by name.
 
-    "none" is the unperturbed control.  "rational_cubic" is the bounded
+    "none" is the unperturbed control; its forcing returns zeros, and the
+    stability experiment never calls it.  "rational_cubic" is the bounded
     reversible pair f = f_amp x cos(2 pi t) / (1 + x^2),
     g = g_amp x^3 cos(2 pi t) / (1 + x^2); both are jointly odd in (x, t).
     "rational_cubic_skew" shifts the forcing phase, deliberately breaking
     the parity so reversibility diagnostics have something to catch.
     "power" is the homogeneous pair f = f_amp x^p cos(2 pi t),
     g = g_amp x^q cos(2 pi t) (defaults p = q = 1); with odd exponents it
-    is reversible, and homogeneity makes its pushed-forward growth classes
-    exact, which the class estimator tests lean on.  Parameters the kind
-    does not take raise ParameterError.
+    is reversible.  Parameters the kind does not take raise
+    ParameterError.
     """
     if kind == "none":
         _check_params(kind, params, ())
 
-        def f(x, t):
-            return np.zeros_like(np.asarray(x, dtype=float))
+        def forcing(x, t):
+            zero = np.zeros_like(np.asarray(x, dtype=float))
+            return zero, zero
 
-        return Perturbation(kind=kind, f=f, g=f, params={})
+        return Perturbation(kind=kind, forcing=forcing)
     if kind == "power":
         _check_params(kind, params, ("f_amp", "g_amp", "p", "q"))
         f_amp = float(params.get("f_amp", 0.05))
@@ -116,21 +114,13 @@ def make_perturbation(kind: str, **params) -> Perturbation:
         p = _int_param(kind, params, "p", 1)
         q = _int_param(kind, params, "q", 1)
 
-        def f(x, t):
-            x = np.asarray(x, dtype=float)
-            return f_amp * _int_power(x, p) * np.cos(2.0 * np.pi * np.asarray(t))
-
-        def g(x, t):
-            x = np.asarray(x, dtype=float)
-            return g_amp * _int_power(x, q) * np.cos(2.0 * np.pi * np.asarray(t))
-
         def forcing(x, t):
-            c = math.cos(2.0 * math.pi * t)
+            c = np.cos(2.0 * np.pi * t)
             return (f_amp * c) * _int_power(x, p), (g_amp * c) * _int_power(x, q)
 
-        return Perturbation(kind=kind, f=f, g=g,
+        return Perturbation(kind=kind, forcing=forcing,
                             params={"f_amp": f_amp, "g_amp": g_amp, "p": p, "q": q},
-                            p=p, q=q, forcing=forcing)
+                            p=p, q=q)
     if kind in ("rational_cubic", "rational_cubic_skew"):
         skew = kind == "rational_cubic_skew"
         _check_params(kind, params, ("f_amp", "g_amp") + (("phase",) if skew else ()))
@@ -138,23 +128,15 @@ def make_perturbation(kind: str, **params) -> Perturbation:
         g_amp = float(params.get("g_amp", 0.05))
         phase = float(params.get("phase", 0.4)) if skew else 0.0
 
-        def f(x, t):
-            x = np.asarray(x, dtype=float)
-            return f_amp * x * np.cos(2.0 * np.pi * np.asarray(t) + phase) / (1.0 + x * x)
-
-        def g(x, t):
-            x = np.asarray(x, dtype=float)
-            return g_amp * x ** 3 * np.cos(2.0 * np.pi * np.asarray(t) + phase) / (1.0 + x * x)
-
         def forcing(x, t):
-            c = math.cos(2.0 * math.pi * t + phase)
+            c = np.cos(2.0 * np.pi * t + phase)
             x2 = x * x
             ratio = x / (1.0 + x2)
             return (f_amp * c) * ratio, (g_amp * c) * (x2 * ratio)
 
-        return Perturbation(kind=kind, f=f, g=g,
+        return Perturbation(kind=kind, forcing=forcing,
                             params={"f_amp": f_amp, "g_amp": g_amp, "phase": phase},
-                            p=0, q=1, forcing=forcing)
+                            p=0, q=1)
     raise ParameterError(f"unknown perturbation kind {kind!r}")
 
 
@@ -177,8 +159,8 @@ class LienardProblem:
     def plane_rhs(self, x, y, t):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return y, (-self.restoring(x)
-                   - self.perturbation.f(x, t) * y - self.perturbation.g(x, t))
+        fv, gv = self.perturbation.forcing(x, t)
+        return y, -self.restoring(x) - fv * y - gv
 
     def energy(self, x, y):
         """(n+1) y^2 + x^(2n+2), conserved when the forcing vanishes."""
@@ -205,14 +187,15 @@ class LienardProblem:
         X, T = np.meshgrid(xs, ts, indexing="ij")
         XT, TT = np.meshgrid(tail, ts, indexing="ij")
         pert = self.perturbation
-        for name, fn, declared, admissible in (
-                ("f", pert.f, pert.p, self.n - 1),
-                ("g", pert.g, pert.q, 2 * self.n - 1)):
-            vals = np.asarray(fn(X, T), dtype=float)
+        at, flip_x, flip_t, at_tail = (pert.forcing(x, t) for x, t in (
+            (X, T), (-X, T), (X, -T), (XT, TT)))
+        for i, (name, declared, admissible) in enumerate((
+                ("f", pert.p, self.n - 1), ("g", pert.q, 2 * self.n - 1))):
+            vals = np.asarray(at[i], dtype=float)
             scale = float(np.max(np.abs(vals)))
             if scale > 0.0:
-                odd_x = float(np.max(np.abs(vals + fn(-X, T)))) / scale
-                even_t = float(np.max(np.abs(vals - fn(X, -T)))) / scale
+                odd_x = float(np.max(np.abs(vals + flip_x[i]))) / scale
+                even_t = float(np.max(np.abs(vals - flip_t[i]))) / scale
                 if odd_x > 1e-10:
                     warnings.append(
                         f"{name} is not odd in x (relative residual "
@@ -225,7 +208,7 @@ class LienardProblem:
                 warnings.append(
                     f"{name} declares growth exponent {declared}, above the "
                     f"admissible {admissible} for n = {self.n}")
-            sups = np.max(np.abs(np.asarray(fn(XT, TT), dtype=float)), axis=1)
+            sups = np.max(np.abs(np.asarray(at_tail[i], dtype=float)), axis=1)
             if np.all(sups > 1e-300):
                 slope = float(np.polyfit(np.log(tail), np.log(sups), 1)[0])
                 allowed = admissible if declared is None else declared
@@ -249,7 +232,8 @@ class ReferenceOrbit:
     """Trigonometric interpolant of the orbit of x'' + x^(2n+1) = 0 from (0, 1).
 
     x0 is odd and y0 even in the time parameter s; period is the full
-    revolution time T0.  closure_error records how far the generating
+    revolution time T0, and ``angle_data`` reads the orbit at the phase
+    phi = 2 pi s / T0.  closure_error records how far the generating
     integration landed from its start after one period, symmetry_defect
     the size of the parity components removed by projection.
 
@@ -294,10 +278,6 @@ class ReferenceOrbit:
         vals = self._weights[rows] @ table.T
         return tuple(v.reshape(phi.shape) for v in vals)
 
-    def _at(self, s, rows):
-        phi = (2.0 * np.pi / self.period) * np.asarray(s, dtype=float)
-        return self._series(phi, rows)
-
     def angle_data(self, theta, derivatives: bool = False):
         """(x0, y0) at the angle theta = 2 pi s / T0, from one table.
 
@@ -305,27 +285,19 @@ class ReferenceOrbit:
         """
         return self._series(theta, slice(0, 4 if derivatives else 2))
 
-    def x0(self, s):
-        return self._at(s, slice(0, 1))[0]
-
-    def y0(self, s):
-        return self._at(s, slice(1, 2))[0]
-
-    def dx0(self, s):
-        return self._at(s, slice(2, 3))[0]
-
-    def dy0(self, s):
-        return self._at(s, slice(3, 4))[0]
+    def _period_phases(self, count: int) -> np.ndarray:
+        """Phases 2 pi s / T0 of ``count`` equispaced times s in one period."""
+        s = self.period * np.arange(count) / count
+        return (2.0 * np.pi / self.period) * s
 
     def amplitude(self) -> float:
         """max |x0| over 4096 samples of one period."""
-        s = self.period * np.arange(4096) / 4096
-        return float(np.max(np.abs(self.x0(s))))
+        x0, = self._series(self._period_phases(4096), slice(0, 1))
+        return float(np.max(np.abs(x0)))
 
     def energy_residual(self) -> float:
         """sup |(n+1) y0^2 + x0^(2n+2) - (n+1)| over 2048 samples of one period."""
-        s = self.period * np.arange(2048) / 2048
-        x0, y0 = self._at(s, slice(0, 2))
+        x0, y0 = self.angle_data(self._period_phases(2048))
         E = (self.n + 1) * y0 ** 2 + x0 ** (2 * self.n + 2)
         return float(np.max(np.abs(E - (self.n + 1))))
 
@@ -430,7 +402,8 @@ class TransformedSystem:
 
     with c0 = beta c^(2 beta); F1 is jointly odd and F2 jointly even in
     (theta, t).  The class bounds behind the confinement argument hold for
-    rho >= rho_star; rhs enforces that floor.
+    rho >= rho_star; rhs, the one evaluator of these equations, enforces
+    that floor.
     """
 
     problem: LienardProblem
@@ -475,46 +448,27 @@ class TransformedSystem:
         J[..., 1, 1] = self.beta * cb * rho ** (self.beta - 1.0) * y0
         return J
 
-    def _drifts(self, theta, rho, t):
-        """(F2, F1) from one orbit table and one forcing evaluation.
-
-        The forcing is read at X = c^alpha rho^alpha x0(theta); a scalar t
-        takes the perturbation's fused ``forcing`` call, an array t (or a
-        perturbation without one) takes f and g.
-        """
-        x0, y0 = self.orbit.angle_data(theta)
-        ca = self.c ** self.alpha
-        ra = rho ** self.alpha
-        X = ca * ra * x0
-        pert = self.problem.perturbation
-        if pert.forcing is not None and np.ndim(t) == 0:
-            fv, gv = pert.forcing(X, t)
-        else:
-            fv, gv = pert.f(X, t), pert.g(X, t)
-        F1 = -(self.orbit.period / (2.0 * np.pi)) * y0 * (
-            self.c * rho * y0 * fv + ca * ra * gv)
-        F2 = (self.alpha * self.c * x0 * y0 * fv
-              + self.alpha * ca * rho ** (self.alpha - 1.0) * x0 * gv)
-        return F2, F1
-
-    def F1(self, theta, rho, t, check_domain: bool = True):
-        """Action drift; decays relative to rho by one angular power of x."""
-        floor = self.rho_star if check_domain else 0.0
-        return self._drifts(theta, self._check_rho(rho, floor, "F1"), t)[1]
-
-    def F2(self, theta, rho, t, check_domain: bool = True):
-        """Angle-speed correction on top of the twist."""
-        floor = self.rho_star if check_domain else 0.0
-        return self._drifts(theta, self._check_rho(rho, floor, "F2"), t)[0]
-
     def twist(self, rho):
         rho = self._check_rho(rho, 0.0, "twist")
         return self.c0 * rho ** (2.0 * self.beta - 1.0)
 
     def rhs(self, theta, rho, t, check_domain: bool = True):
+        """(d theta/dt, d rho/dt) = (twist(rho) + F2, F1).
+
+        One orbit table and one forcing call at X = c^alpha rho^alpha
+        x0(theta), for a scalar or an array t.  Actions below rho_star
+        raise DomainError, or below 0 when ``check_domain`` is off.
+        """
         floor = self.rho_star if check_domain else 0.0
         rho = self._check_rho(rho, floor, "rhs")
-        F2, F1 = self._drifts(theta, rho, t)
+        x0, y0 = self.orbit.angle_data(theta)
+        ca = self.c ** self.alpha
+        ra = rho ** self.alpha
+        fv, gv = self.problem.perturbation.forcing(ca * ra * x0, t)
+        F1 = -(self.orbit.period / (2.0 * np.pi)) * y0 * (
+            self.c * rho * y0 * fv + ca * ra * gv)
+        F2 = (self.alpha * self.c * x0 * y0 * fv
+              + self.alpha * ca * rho ** (self.alpha - 1.0) * x0 * gv)
         return self.twist(rho) + F2, F1
 
 
@@ -534,132 +488,6 @@ def action_angle(problem: LienardProblem, orbit: Optional[ReferenceOrbit] = None
     c0 = beta * c ** (2.0 * beta)
     return TransformedSystem(problem=problem, orbit=orbit, rho_star=float(rho_star),
                              alpha=alpha, beta=beta, c=c, c0=c0)
-
-
-def estimate_rho_star(evaluator: Callable, gamma: float) -> float:
-    """Smallest action from which the growth bound holds with a factor-2 cushion.
-
-    Computes w(rho) = rho^(-gamma) sup_{theta,t} |evaluator(theta, rho, t)|
-    on 29 geometric actions from 0.05 to 64 (64 angles times 8 times each),
-    takes the plateau value from the largest sampled actions, and returns
-    the smallest rho beyond which w never exceeds twice that plateau.
-    Returns inf when no such onset exists in the sampled window.
-    """
-    rho_grid = np.geomspace(0.05, 64.0, 29)
-    thetas = 2.0 * np.pi * np.arange(64) / 64
-    ts = np.arange(8) / 8
-    TH, TT = np.meshgrid(thetas, ts, indexing="ij")
-    TH, TT = TH.ravel(), TT.ravel()
-    w = np.empty(len(rho_grid))
-    for i, rho in enumerate(rho_grid):
-        vals = np.asarray(evaluator(TH, np.full_like(TH, rho), TT))
-        w[i] = rho ** (-gamma) * float(np.max(np.abs(vals)))
-    tail = w[2 * len(w) // 3:]
-    plateau = float(np.median(tail))
-    if plateau <= 0.0:
-        return float(rho_grid[0])
-    ok = w <= 2.0 * plateau
-    for i in range(len(w)):
-        if ok[i:].all():
-            return float(rho_grid[i])
-    return math.inf
-
-
-# --------------------------------------------------------------------------- #
-# growth classes
-# --------------------------------------------------------------------------- #
-
-@dataclass
-class PClassReport:
-    """Fitted growth exponents of weighted derivatives of an evaluator.
-
-    Each term dict records the derivative orders (k in theta, l in rho,
-    p in t), the weighted sups along the action ladder, and the fitted
-    log-log slope.  Membership in the class with power gamma means every
-    slope is <= 0 up to fitting noise.
-    """
-
-    gamma: float
-    rho_samples: np.ndarray
-    terms: list
-    max_slope: float
-
-    def member(self, tol: float = 0.1) -> bool:
-        return self.max_slope <= tol
-
-
-def _spectral_diff(values: np.ndarray, order: int, axis: int, period: float) -> np.ndarray:
-    if order == 0:
-        return values
-    n = values.shape[axis]
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    mult = (1j * freqs) ** order
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape),
-                       axis=axis).real
-
-
-def p_class_estimate(evaluator: Callable, q: int, p_t: int,
-                     gamma: float) -> PClassReport:
-    """Estimate the growth class of F(theta, rho, t) as rho -> infinity.
-
-    For every derivative combination with k + l <= q angle/action orders
-    and up to p_t time orders, the weighted quantity
-    rho^(l - gamma) |d^k_theta d^l_rho d^p_t F| is sampled on an action
-    ladder (13 geometric actions, 1 to 64) and its log-log growth slope
-    fitted.  Angle and time derivatives are spectral on periodic grids of
-    64 angles and 16 times; action derivatives use central differences
-    with relative step 1e-2.  Terms whose sups sit at roundoff get slope
-    -inf.
-    """
-    if q < 0 or p_t < 0:
-        raise ParameterError("derivative orders must be nonnegative")
-    rho_samples = np.geomspace(1.0, 64.0, 13)
-    theta_points, t_points = 64, 16
-    thetas = 2.0 * np.pi * np.arange(theta_points) / theta_points
-    ts = np.arange(t_points) / t_points
-    TH, TT = np.meshgrid(thetas, ts, indexing="ij")
-    TH_f, TT_f = TH.ravel(), TT.ravel()
-
-    def grid_eval(rho_val: float) -> np.ndarray:
-        vals = np.asarray(evaluator(TH_f, np.full_like(TH_f, rho_val), TT_f),
-                          dtype=float)
-        return vals.reshape(theta_points, t_points)
-
-    terms = []
-    for l in range(q + 1):
-        # central stencil of width l+1 (binomial weights) in the action
-        offsets = l / 2.0 - np.arange(l + 1)
-        stencil = np.array([(-1.0) ** j * math.comb(l, j) for j in range(l + 1)])
-        sups_by_kp = {}
-        for rho in rho_samples:
-            h = 1e-2 * rho
-            acc = None
-            for off, wgt in zip(offsets, stencil):
-                block = grid_eval(rho + off * h)
-                acc = wgt * block if acc is None else acc + wgt * block
-            D_l = acc / h ** l if l else acc
-            for k in range(q - l + 1):
-                Dk = _spectral_diff(D_l, k, axis=0, period=2.0 * np.pi)
-                for p in range(p_t + 1):
-                    Dkp = _spectral_diff(Dk, p, axis=1, period=1.0)
-                    weight = rho ** (l - gamma)
-                    sups_by_kp.setdefault((k, p), []).append(
-                        weight * float(np.max(np.abs(Dkp))))
-        for (k, p), sups in sorted(sups_by_kp.items()):
-            sups = np.asarray(sups)
-            if np.max(sups) < 1e-250:
-                slope = -math.inf
-            else:
-                slope = float(np.polyfit(np.log(rho_samples),
-                                         np.log(np.maximum(sups, 1e-300)), 1)[0])
-            terms.append({"k": k, "l": l, "p": p, "slope": slope,
-                          "sups": sups.tolist()})
-    finite = [t["slope"] for t in terms if t["slope"] > -math.inf]
-    max_slope = max(finite) if finite else -math.inf
-    return PClassReport(gamma=float(gamma), rho_samples=rho_samples,
-                        terms=terms, max_slope=max_slope)
 
 
 # --------------------------------------------------------------------------- #
@@ -816,7 +644,8 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     symmetric composition (order 2, 4 or 6) of a split step whose velocity
     half-kick handles the f(x, t) y damping term in closed form, so the
     cost per step is a handful of array operations; the unperturbed
-    control drops to a plain kick-drift-kick.  The closing half-kick of one
+    control (kind "none") drops to a plain kick-drift-kick and never calls
+    the forcing.  The closing half-kick of one
     substep and the opening half-kick of the next see the same point, so
     the forces are evaluated once there.  Each orbit reports the ratio of
     its all-time excursion max |x| + |y| to the same max over the initial
@@ -843,11 +672,8 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
 
     n = problem.n
     restoring = problem.restoring
-    pert = problem.perturbation
-    forcing = pert.forcing
-    if forcing is None and pert.kind != "none":
-        def forcing(x, t):
-            return pert.f(x, t), pert.g(x, t)
+    forcing = problem.perturbation.forcing
+    unforced = problem.perturbation.kind == "none"
     lam = np.repeat(np.asarray(levels, dtype=float), len(phases))
     phs = np.tile(np.asarray(phases, dtype=float), len(levels))
     x0, y0 = orbit.angle_data(phs)
@@ -871,7 +697,7 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
 
     def step(x, y, r, t_sub):
         """One composed step from (x, y) with r = restoring(x)."""
-        if forcing is None:
+        if unforced:
             for w in weights:
                 h = w * dt
                 half = 0.5 * h

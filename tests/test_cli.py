@@ -360,6 +360,19 @@ class TestShippedConfigs:
                          "--set", "M=1", "--set", "eps0=1e-3"])
             assert code == 0, name
 
+    @pytest.mark.parametrize("q_y", [3, 4, 6, 8])
+    @pytest.mark.parametrize("name", ["kam_flow.json", "kam_map.json"])
+    def test_kam_demos_take_higher_action_orders(self, tmp_path, capsys,
+                                                 name, q_y):
+        # the action fit scales the nodes to [-1, 1], so higher powers at
+        # the demos' small radius neither fail the rank check nor trip the
+        # reality check
+        code, data = run_json(capsys, [
+            "kam", "run", "--config", str(self.CONFIGS / name),
+            "--out", str(tmp_path), "--set", "M=2", "--set", f"q_y={q_y}"])
+        assert code == 0
+        assert data["invariance_residual"] <= 1e-8
+
     @pytest.mark.parametrize("name", ["kam_flow.json", "kam_map.json"])
     def test_kam_demo_json_is_oracle_text(self, tmp_path, name):
         # the full cutoff of a two-step run: the flow embedding has 3249 entries;

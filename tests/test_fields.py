@@ -470,6 +470,31 @@ class TestStructure:
         with pytest.raises(ParameterError):
             harmonic_field(d=1, N=2, k=[2], l=1, amplitude=1.0)
 
+    def test_fit_recovers_high_action_powers_at_a_small_radius(self, rng):
+        # y^0 .. y^6 at r = 2.5e-3 span 16 decades: the fit must neither
+        # lose the top powers to the rank check nor measure the reality
+        # check against the largest coefficient, c_6 ~ r^-6
+        d, N, q_y, r = 1, 2, 6, 2.5e-3
+        n = 2 * N + 2
+        grid = 2.0 * np.pi * np.arange(n) / n
+        y_nodes = fields.default_action_nodes(d, q_y, r)
+        powers = np.arange(q_y + 1)
+        c = (powers + 1.0) / r ** powers          # every term O(1) at |y| = r
+
+        def fn(x, y, t):
+            return (1.0 + np.cos(x - t)) * np.polynomial.polynomial.polyval(y, c)
+
+        X, T, Y = np.meshgrid(grid, grid, y_nodes[:, 0], indexing="ij")
+        fld = fields.field_from_grid_samples(fn(X, Y, T)[..., None], d, N, q_y, r,
+                                             y_nodes, parity=("even",))
+        np.testing.assert_allclose(fld.coeffs[N, N, :, 0].real * r ** powers,
+                                   powers + 1.0, rtol=1e-10)
+        x = rng.uniform(0.0, 2.0 * np.pi, 50)
+        y = rng.uniform(-r, r, 50)
+        t = rng.uniform(0.0, 1.0, 50)
+        np.testing.assert_allclose(fld.evaluate(x, y, t)[:, 0], fn(x, y, t),
+                                   rtol=1e-10, atol=1e-10)
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self, rng):

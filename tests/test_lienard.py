@@ -1,5 +1,6 @@
-"""Forced oscillator: reference orbit, coordinates, growth classes, stability."""
+"""Forced oscillator: forcing, reference orbit, coordinates, section, stability."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,8 +39,8 @@ class TestPerturbationFactory:
     def test_none_is_zero(self):
         pert = lienard.make_perturbation("none")
         x = np.linspace(-3, 3, 7)
-        assert np.all(pert.f(x, 0.2) == 0.0)
-        assert np.all(pert.g(x, 0.2) == 0.0)
+        fv, gv = pert.forcing(x, 0.2)
+        assert np.all(fv == 0.0) and np.all(gv == 0.0)
         assert pert.p is None and pert.q is None
 
     def test_power_records_exponents(self):
@@ -47,20 +48,21 @@ class TestPerturbationFactory:
                                          p=1, q=3)
         assert (pert.p, pert.q) == (1, 3)
         x = np.array([0.5, 2.0])
-        np.testing.assert_allclose(pert.f(x, 0.0), 0.1 * x, atol=1e-15)
-        np.testing.assert_allclose(pert.g(x, 0.25), 0.0, atol=1e-16)
+        np.testing.assert_allclose(pert.forcing(x, 0.0)[0], 0.1 * x, atol=1e-15)
+        np.testing.assert_allclose(pert.forcing(x, 0.0)[1], 0.2 * x ** 3,
+                                   rtol=1e-15)
+        np.testing.assert_allclose(pert.forcing(x, 0.25)[1], 0.0, atol=1e-16)
 
     def test_rational_cubic_formulas(self):
         pert = lienard.make_perturbation("rational_cubic", f_amp=0.3,
                                          g_amp=0.7)
         x = np.array([-1.5, 0.4, 2.0])
         t = 0.15
+        fv, gv = pert.forcing(x, t)
         np.testing.assert_allclose(
-            pert.f(x, t), 0.3 * x * np.cos(2 * np.pi * t) / (1 + x * x),
-            atol=1e-15)
+            fv, 0.3 * x * np.cos(2 * np.pi * t) / (1 + x * x), atol=1e-15)
         np.testing.assert_allclose(
-            pert.g(x, t), 0.7 * x ** 3 * np.cos(2 * np.pi * t) / (1 + x * x),
-            atol=1e-15)
+            gv, 0.7 * x ** 3 * np.cos(2 * np.pi * t) / (1 + x * x), atol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
@@ -71,17 +73,36 @@ class TestPerturbationFactory:
         ("rational_cubic_skew", {"phase": 0.4}),
         ("power", {"f_amp": 0.1, "g_amp": 0.2, "p": 1, "q": 3}),
         ("power", {"f_amp": 0.1, "g_amp": 0.2, "p": 2, "q": 5}),
+        ("none", {}),
     ])
-    def test_fused_forcing_matches_f_and_g(self, kind, params):
+    def test_forcing_scalar_t_matches_array_t(self, kind, params):
+        # the section map passes a scalar t, the plane checks an array t
         pert = lienard.make_perturbation(kind, **params)
         x = np.concatenate([np.linspace(-4.0, 4.0, 33), [-1e5, -37.5, 0.0, 61.0, 1e5]])
-        for t in (0.0, 0.13, 0.25, 0.5, 0.91, 7.3):
-            fv, gv = pert.forcing(x, t)
-            np.testing.assert_allclose(fv, pert.f(x, t), rtol=1e-14, atol=0)
-            np.testing.assert_allclose(gv, pert.g(x, t), rtol=1e-14, atol=0)
+        for t in (0.0, 0.13, 0.25, 0.5, 0.91, 7.3, -0.37):
+            for got, want in zip(pert.forcing(x, t),
+                                 pert.forcing(x, np.full_like(x, t))):
+                assert got.shape == x.shape
+                np.testing.assert_array_equal(got, want)
 
-    def test_zero_forcing_has_no_fused_call(self):
-        assert lienard.make_perturbation("none").forcing is None
+    def test_zero_forcing_is_not_called_per_step(self, orbits):
+        # the unforced control takes the plain kick-drift-kick branch
+        calls = []
+        zero = lienard.make_perturbation("none").forcing
+
+        def counted(x, t):
+            calls.append(t)
+            return zero(x, t)
+
+        prob = lienard.LienardProblem(
+            n=1, perturbation=lienard.Perturbation(kind="none", forcing=counted))
+        counts = []
+        for t_max in (1.0, 2.0):
+            calls.clear()
+            lienard.lagrange_stability_experiment(prob, t_max=t_max,
+                                                  orbit=orbits[1])
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError, match="f_ampz"):
@@ -158,7 +179,7 @@ class TestProblem:
         # declare linear growth but actually grow cubically
         base = lienard.make_perturbation("power", f_amp=0.05, g_amp=0.05,
                                          p=1, q=3)
-        lying = lienard.Perturbation(kind="power", f=base.f, g=base.g,
+        lying = lienard.Perturbation(kind="power", forcing=base.forcing,
                                      params=base.params, p=1, q=1)
         warnings = lienard.LienardProblem(n=2, perturbation=lying).validate()
         assert any("grows like x^3.00" in w for w in warnings)
@@ -184,16 +205,18 @@ class TestReferenceOrbit:
     def test_interpolant_solves_the_equation(self, orbits):
         # on the reference orbit x' = y and y' = -x^(2n+1)
         orb = orbits[2]
-        s = orb.period * (np.arange(257) + 0.123) / 257
-        np.testing.assert_allclose(orb.dx0(s), orb.y0(s), rtol=0, atol=1e-10)
-        np.testing.assert_allclose(orb.dy0(s), -orb.x0(s) ** 5, rtol=0,
-                                   atol=1e-9)
+        theta = 2.0 * np.pi * (np.arange(257) + 0.123) / 257
+        x0, y0, dx0, dy0 = orb.angle_data(theta, derivatives=True)
+        np.testing.assert_allclose(dx0, y0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dy0, -x0 ** 5, rtol=0, atol=1e-9)
 
     def test_parities(self, orbits):
         orb = orbits[1]
-        s = orb.period * (np.arange(64) + 0.4) / 64
-        np.testing.assert_allclose(orb.x0(-s), -orb.x0(s), atol=1e-13)
-        np.testing.assert_allclose(orb.y0(-s), orb.y0(s), atol=1e-13)
+        theta = 2.0 * np.pi * (np.arange(64) + 0.4) / 64
+        x0, y0 = orb.angle_data(theta)
+        x0m, y0m = orb.angle_data(-theta)
+        np.testing.assert_allclose(x0m, -x0, atol=1e-13)
+        np.testing.assert_allclose(y0m, y0, atol=1e-13)
 
     def test_bad_n(self):
         with pytest.raises(ParameterError):
@@ -254,17 +277,18 @@ class TestActionAngle:
         theta = 2 * np.pi * (np.arange(32) + 0.37) / 32
         rho = np.full_like(theta, 1.3)
         t = (np.arange(32) + 0.11) / 32
-        np.testing.assert_allclose(sys_.F1(-theta, rho, -t),
-                                   -sys_.F1(theta, rho, t), atol=1e-12)
-        np.testing.assert_allclose(sys_.F2(-theta, rho, -t),
-                                   sys_.F2(theta, rho, t), atol=1e-12)
+        speed, F1 = sys_.rhs(theta, rho, t)
+        speed_m, F1_m = sys_.rhs(-theta, rho, -t)
+        np.testing.assert_allclose(F1_m, -F1, atol=1e-12)
+        np.testing.assert_allclose(speed_m - sys_.twist(rho),
+                                   speed - sys_.twist(rho), atol=1e-12)
 
     def test_domain_floor(self, rational_system):
         sys_ = rational_system
         with pytest.raises(DomainError):
-            sys_.F1(0.3, 0.5 * sys_.rho_star, 0.0)
-        val = sys_.F1(0.3, 0.5 * sys_.rho_star, 0.0, check_domain=False)
-        assert np.isfinite(val)
+            sys_.rhs(0.3, 0.5 * sys_.rho_star, 0.0)
+        val = sys_.rhs(0.3, 0.5 * sys_.rho_star, 0.0, check_domain=False)
+        assert np.all(np.isfinite(val))
         with pytest.raises(DomainError):
             sys_.psi(0.3, -1.0)
 
@@ -274,75 +298,6 @@ class TestActionAngle:
         with pytest.raises(ParameterError):
             lienard.action_angle(lienard.make_problem(1), orbit=orbits[1],
                                  rho_star=0.0)
-
-
-class TestGrowthClasses:
-    # the "power" forcing with p = q = 1 is exactly homogeneous after the
-    # coordinate change, so the growth exponents are closed-form:
-    # with alpha = 1/(n+2), the f channel of F1 scales like rho^(1+alpha),
-    # the g channel like rho^(2 alpha), and the f channel of F2 like
-    # rho^alpha.
-    @pytest.mark.parametrize("n,f_amp,g_amp,which,gamma", [
-        (1, 0.05, 0.0, "F1", 4.0 / 3.0),
-        (1, 0.0, 0.05, "F1", 2.0 / 3.0),
-        (1, 0.05, 0.0, "F2", 1.0 / 3.0),
-        (2, 0.05, 0.0, "F1", 5.0 / 4.0),
-    ])
-    def test_homogeneous_forcing_slopes(self, orbits, n, f_amp, g_amp,
-                                        which, gamma):
-        prob = lienard.make_problem(n, "power", f_amp=f_amp, g_amp=g_amp,
-                                    p=1, q=1)
-        sys_ = lienard.action_angle(prob, orbit=orbits[n])
-        ev = getattr(sys_, which)
-
-        def evaluator(th, rh, t):
-            return ev(th, rh, t, check_domain=False)
-
-        rep = lienard.p_class_estimate(evaluator, q=2, p_t=1, gamma=gamma)
-        assert abs(rep.max_slope) < 0.05
-        assert rep.member(tol=0.1)
-        off = lienard.p_class_estimate(evaluator, q=2, p_t=1,
-                                       gamma=gamma - 1.0 / 3.0)
-        assert abs(off.max_slope - 1.0 / 3.0) < 0.05
-        assert not off.member(tol=0.1)
-
-    def test_report_structure(self, rational_system):
-        rep = lienard.p_class_estimate(
-            lambda th, rh, t: rational_system.F1(th, rh, t,
-                                                 check_domain=False),
-            q=1, p_t=1, gamma=2.0 / 3.0)
-        assert {(t["k"], t["l"], t["p"]) for t in rep.terms} == {
-            (0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1)}
-        assert all(len(t["sups"]) == len(rep.rho_samples) for t in rep.terms)
-
-    def test_zero_evaluator_and_bad_orders(self):
-        rep = lienard.p_class_estimate(lambda th, rh, t: 0.0 * th, q=1,
-                                       p_t=0, gamma=1.0)
-        assert rep.max_slope == -math.inf
-        with pytest.raises(ParameterError):
-            lienard.p_class_estimate(lambda th, rh, t: th, q=-1, p_t=0,
-                                     gamma=1.0)
-
-
-class TestRhoStar:
-    def test_onset_of_a_known_bump(self):
-        # w(rho) = 1 + 10 exp(-rho) crosses 2x its plateau at rho = ln 10
-        def evaluator(th, rho, t):
-            return rho * (1.0 + 10.0 * np.exp(-rho))
-
-        rs = lienard.estimate_rho_star(evaluator, gamma=1.0)
-        assert 2.0 < rs < 2.7
-
-    def test_homogeneous_bound_holds_everywhere(self, rational_system):
-        rs = lienard.estimate_rho_star(
-            lambda th, rh, t: rational_system.F1(th, rh, t,
-                                                 check_domain=False),
-            gamma=2.0 / 3.0)
-        assert rs == pytest.approx(0.05)
-
-    def test_divergent_weight_returns_inf(self):
-        rs = lienard.estimate_rho_star(lambda th, rh, t: rh ** 2, gamma=0.0)
-        assert rs == math.inf
 
 
 class TestPoincare:
@@ -472,18 +427,18 @@ def _reference_stability(problem, t_max, dt, levels, phases, t_ref, orbit,
                          order):
     """Per-step reference for lagrange_stability_experiment.
 
-    f and g are called at both half-kicks of every substep, powers use
+    The forcing is called at both half-kicks of every substep, powers use
     ``**``, and the checks, the freeze and the maxima run after every step.
     Returns the per-orbit columns as arrays.
     """
     n = problem.n
-    f, g = problem.perturbation.f, problem.perturbation.g
+    forcing = problem.perturbation.forcing
     plain = problem.perturbation.kind == "none"
     lam = np.repeat(np.asarray(levels, dtype=float), len(phases))
     phs = np.tile(np.asarray(phases, dtype=float), len(levels))
-    s0 = phs * orbit.period / (2.0 * np.pi)
-    x = lam * orbit.x0(s0)
-    y = lam ** (n + 1) * orbit.y0(s0)
+    x0, y0 = orbit.angle_data(phs)
+    x = lam * x0
+    y = lam ** (n + 1) * y0
     B = len(x)
 
     E0 = problem.energy(x, y)
@@ -512,10 +467,12 @@ def _reference_stability(problem, t_max, dt, levels, phases, t_ref, orbit,
                     y = y - half * x ** p21
                     t_sub += h
                 else:
-                    y = (y - half * (x ** p21 + g(x, t_sub))) / (1.0 + half * f(x, t_sub))
+                    fv, gv = forcing(x, t_sub)
+                    y = (y - half * (x ** p21 + gv)) / (1.0 + half * fv)
                     x = x + h * y
                     t_sub += h
-                    y = y - half * (x ** p21 + f(x, t_sub) * y + g(x, t_sub))
+                    fv, gv = forcing(x, t_sub)
+                    y = y - half * (x ** p21 + fv * y + gv)
             norm = np.abs(x) + np.abs(y)
             bad = alive & (~np.isfinite(norm) | (norm > cap))
             if bad.any():
@@ -583,15 +540,13 @@ class TestStabilityOracle:
         if cap is not None:
             monkeypatch.setattr(lienard, "_STABILITY_BLOCK_ENTRIES", cap)
         if c["kind"] == "anti_damping":
-            def f(x, t):
-                return np.full_like(np.asarray(x, dtype=float), -8.0)
-
-            def g(x, t):
-                return np.zeros_like(np.asarray(x, dtype=float))
+            def forcing(x, t):
+                x = np.asarray(x, dtype=float)
+                return np.full_like(x, -8.0), np.zeros_like(x)
 
             prob = lienard.LienardProblem(
                 n=c["n"], perturbation=lienard.Perturbation(
-                    kind="anti_damping", f=f, g=g))
+                    kind="anti_damping", forcing=forcing))
         else:
             prob = lienard.make_problem(c["n"], c["kind"], **c["params"])
         args = dict(t_max=c["t_max"], dt=1.0 / 64, levels=c["levels"],
@@ -649,8 +604,7 @@ def _old_F1(sys_, theta, rho, t):
     x0, y0 = _old_angle_data(sys_, theta)
     T0 = sys_.orbit.period
     X = sys_.c ** sys_.alpha * rho ** sys_.alpha * x0
-    fv = sys_.problem.perturbation.f(X, t)
-    gv = sys_.problem.perturbation.g(X, t)
+    fv, gv = sys_.problem.perturbation.forcing(X, t)
     return -(T0 / (2.0 * np.pi)) * y0 * (
         sys_.c * rho * y0 * fv + sys_.c ** sys_.alpha * rho ** sys_.alpha * gv)
 
@@ -658,8 +612,7 @@ def _old_F1(sys_, theta, rho, t):
 def _old_F2(sys_, theta, rho, t):
     x0, y0 = _old_angle_data(sys_, theta)
     X = sys_.c ** sys_.alpha * rho ** sys_.alpha * x0
-    fv = sys_.problem.perturbation.f(X, t)
-    gv = sys_.problem.perturbation.g(X, t)
+    fv, gv = sys_.problem.perturbation.forcing(X, t)
     return (sys_.alpha * sys_.c * x0 * y0 * fv
             + sys_.alpha * sys_.c ** sys_.alpha * rho ** (sys_.alpha - 1.0) * x0 * gv)
 
@@ -712,25 +665,18 @@ def _oracle_systems(orbits):
         "rational_cubic": {"f_amp": 0.05, "g_amp": 0.05},
         "rational_cubic_skew": {"f_amp": 0.05, "g_amp": 0.07, "phase": 0.4},
     }
-    systems = {kind: lienard.action_angle(
+    return {kind: lienard.action_angle(
         lienard.make_problem(2 if kind == "power" else 1, kind, **params),
         orbit=orbits[2 if kind == "power" else 1])
         for kind, params in kinds.items()}
-    # a hand-built pair without the fused call goes through f and g
-    base = lienard.make_perturbation("rational_cubic", f_amp=0.05, g_amp=0.05)
-    unfused = lienard.Perturbation(kind="unfused", f=base.f, g=base.g, p=0, q=1)
-    systems["unfused"] = lienard.action_angle(
-        lienard.LienardProblem(n=1, perturbation=unfused), orbit=orbits[1])
-    return systems
 
 
 class TestSectionMapOracle:
     """One real table and one forcing call against the old composition.
 
     The old path built a complex-exponential table for each of x0 and y0
-    and called f and g separately in F1 and F2; the new one shares a
-    sin/cos table and a forcing evaluation, so values move by rounding
-    only.
+    and evaluated F1 and F2 separately; the new one shares a sin/cos table
+    and a forcing evaluation, so values move by rounding only.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -738,21 +684,19 @@ class TestSectionMapOracle:
         orb = orbits[n]
         # several periods either side of zero, not on the sample grid
         s = orb.period * np.linspace(-3.3, 4.7, 301)
-        got = (orb.x0(s), orb.y0(s), orb.dx0(s), orb.dy0(s))
         want = _old_orbit_values(orb, s)
-        for name, g, w in zip(("x0", "y0", "dx0", "dy0"), got, want):
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14, err_msg=name)
         # the old path's own phase, so both see the same rounded angle
         theta = (2.0 * np.pi / orb.period) * s
-        for g, w in zip(orb.angle_data(theta, derivatives=True), want):
-            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14)
+        got = orb.angle_data(theta, derivatives=True)
+        for name, g, w in zip(("x0", "y0", "dx0", "dy0"), got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-14, err_msg=name)
         # scalar in, 0-d out, as before
-        assert orb.x0(0.3).shape == ()
+        assert orb.angle_data(0.3)[0].shape == ()
         assert orb.angle_data(0.3)[1].shape == ()
 
     @pytest.mark.parametrize("t_kind", ["scalar", "array"])
     @pytest.mark.parametrize("kind", ["none", "power", "rational_cubic",
-                                      "rational_cubic_skew", "unfused"])
+                                      "rational_cubic_skew"])
     def test_drifts_match_old_composition(self, orbits, kind, t_kind):
         sys_ = _oracle_systems(orbits)[kind]
         theta = 2.0 * np.pi * (np.arange(40) + 0.37) / 40 - 3.0
@@ -761,38 +705,30 @@ class TestSectionMapOracle:
         new_rhs = sys_.rhs(theta, rho, t)
         old_rhs = _old_rhs(sys_, theta, rho, t)
         pairs = [("rhs theta", new_rhs[0], old_rhs[0]),
-                 ("rhs rho", new_rhs[1], old_rhs[1]),
-                 ("F1", sys_.F1(theta, rho, t), _old_F1(sys_, theta, rho, t)),
-                 ("F2", sys_.F2(theta, rho, t), _old_F2(sys_, theta, rho, t))]
+                 ("rhs rho", new_rhs[1], old_rhs[1])]
         for name, got, want in pairs:
             scale = max(float(np.max(np.abs(want))), 1e-300)
             assert np.max(np.abs(got - want)) <= 1e-14 * scale, name
         if kind == "none":
-            assert not np.any(pairs[2][1]) and not np.any(pairs[3][1])
+            assert not np.any(new_rhs[1])
+            np.testing.assert_array_equal(new_rhs[0], sys_.twist(rho))
 
-    def test_fused_call_replaces_f_and_g(self, orbits):
-        # a scalar t makes one forcing call per right-hand side and no f/g call
+    def test_one_forcing_call_per_rhs(self, orbits):
+        # a scalar t and an array t each make one forcing call
         sys_ = _oracle_systems(orbits)["rational_cubic"]
         pert = sys_.problem.perturbation
         calls = []
 
-        def counted(name, fn):
-            def wrapper(x, t):
-                calls.append(name)
-                return fn(x, t)
-            return wrapper
+        def counted(x, t):
+            calls.append(np.shape(t))
+            return pert.forcing(x, t)
 
-        counting = lienard.Perturbation(
-            kind=pert.kind, f=counted("f", pert.f), g=counted("g", pert.g),
-            params=pert.params, p=pert.p, q=pert.q,
-            forcing=counted("forcing", pert.forcing))
+        counting = dataclasses.replace(pert, forcing=counted)
         sys_ = lienard.action_angle(
             lienard.LienardProblem(n=1, perturbation=counting), orbit=orbits[1])
         sys_.rhs(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 0.25)
-        assert calls == ["forcing"]
-        calls.clear()
         sys_.rhs(np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([0.1, 0.3]))
-        assert calls == ["f", "g"]
+        assert calls == [(), (2,)]
 
     def test_section_map_matches_old_path(self, orbits, monkeypatch):
         # the shipped configs/lienard_poincare.json grid
@@ -819,12 +755,11 @@ class TestSectionMapOracle:
     def test_domain_errors_still_raise(self, orbits):
         sys_ = _oracle_systems(orbits)["rational_cubic"]
         low = 0.5 * sys_.rho_star
-        for method in (sys_.F1, sys_.F2, sys_.rhs):
-            with pytest.raises(DomainError):
-                method(0.3, low, 0.0)
-            with pytest.raises(DomainError):
-                method(0.3, -1.0, 0.0, check_domain=False)
-            assert np.all(np.isfinite(method(0.3, low, 0.0, check_domain=False)))
+        with pytest.raises(DomainError):
+            sys_.rhs(0.3, low, 0.0)
+        with pytest.raises(DomainError):
+            sys_.rhs(0.3, -1.0, 0.0, check_domain=False)
+        assert np.all(np.isfinite(sys_.rhs(0.3, low, 0.0, check_domain=False)))
         with pytest.raises(DomainError):
             sys_.twist(-1.0)
         with pytest.raises(DomainError):

@@ -20,6 +20,16 @@ import revtori
 def test_every_export_resolves():
     for name in revtori.__all__:
         assert getattr(revtori, name) is not None, name
+    # a name deleted from a submodule must leave its __all__ too
+    package = Path(revtori.__file__).parent
+    listed = []
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"revtori.{path.stem}")
+        if hasattr(module, "__all__"):
+            listed.append(path.stem)
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert {"newton", "lienard", "persistence"} <= set(listed)
 
 
 def _fresh_interpreter(code: str) -> str:
