@@ -373,8 +373,7 @@ def _cmd_lienard_orbit(args):
     if args.csv:
         s = orbit.period * np.arange(args.csv_samples) / args.csv_samples
         phi = (2.0 * np.pi / orbit.period) * s
-        x0, = orbit._series(phi, slice(0, 1))
-        y0, = orbit._series(phi, slice(1, 2))
+        x0, y0 = orbit.angle_data(phi)
         rows = zip(s, x0, y0)
         persistence.emit_csv(args.csv, ("t", "x", "xdot"), rows)
         summary["csv"] = args.csv

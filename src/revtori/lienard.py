@@ -52,14 +52,17 @@ def _int_power(x, p: int):
     numpy evaluates ``x ** p`` on a float array through libm ``pow``, one
     element at a time, which is an order of magnitude slower than a few
     multiplications.  Each multiplication rounds once, so for p >= 2 the
-    result is within p - 1 units in the last place of ``x ** p``.  p < 1
-    falls back to ``**``.
+    result is within p - 1 units in the last place of ``x ** p``; the
+    products after the first accumulate in place.  p = 1 returns x itself
+    and p < 1 falls back to ``**``.
     """
     if p < 1:
         return x ** p
-    result = x
-    for _ in range(p - 1):
-        result = result * x
+    if p == 1:
+        return x
+    result = x * x
+    for _ in range(p - 2):
+        result *= x
     return result
 
 
@@ -71,11 +74,11 @@ def _int_power(x, p: int):
 class Perturbation:
     """Forcing pair (f, g) as one callable.
 
-    ``forcing(x, t)`` returns the pair (f(x, t), g(x, t)) elementwise, for
-    a scalar t or an array t that broadcasts against x, computing the time
-    factor once.  ``p`` and ``q`` declare growth exponents:
-    |f| = O(|x|^p) and |g| = O(|x|^q) for large |x|.  They stay None for
-    the zero forcing.
+    ``forcing(x, t)`` returns the pair (f(x, t), g(x, t)) elementwise, as
+    new arrays of x's shape, for a scalar t or an array t that broadcasts
+    to that shape, computing the time factor once.  ``p`` and ``q``
+    declare growth exponents: |f| = O(|x|^p) and |g| = O(|x|^q) for large
+    |x|.  They stay None for the zero forcing.
     """
 
     kind: str
@@ -130,9 +133,12 @@ def make_perturbation(kind: str, **params) -> Perturbation:
 
         def forcing(x, t):
             c = np.cos(2.0 * np.pi * t + phase)
-            x2 = x * x
-            ratio = x / (1.0 + x2)
-            return (f_amp * c) * ratio, (g_amp * c) * (x2 * ratio)
+            g = x * x
+            f = x / (1.0 + g)
+            g *= f
+            g *= g_amp * c
+            f *= f_amp * c
+            return f, g
 
         return Perturbation(kind=kind, forcing=forcing,
                             params={"f_amp": f_amp, "g_amp": g_amp, "phase": phase},
@@ -241,7 +247,9 @@ class ReferenceOrbit:
     is the real part of their sum, taken as one real series in the phase
     phi = 2 pi s / T0: a table [1, cos(k phi), sin(k phi)], k = 1..K, built
     once per call, times a (4, 2K + 1) weight matrix whose rows give x0,
-    y0, dx0 and dy0 (derivatives in s).
+    y0, dx0 and dy0 (derivatives in s).  The (x0, y0) rows are always
+    contracted as one pair and the derivative rows as another, so the
+    bits of x0 and y0 do not depend on which rows a caller asks for.
     """
 
     n: int
@@ -266,24 +274,21 @@ class ReferenceOrbit:
             slopes.append(np.concatenate(([0.0], omega * k * sw, -omega * k * cw)))
         object.__setattr__(self, "_weights", np.array(values + slopes))
 
-    def _series(self, phi, rows: slice):
-        """The weight rows ``rows`` of the series at phases phi, one table."""
-        phi = np.asarray(phi, dtype=float)
+    def angle_data(self, theta, derivatives: bool = False):
+        """(x0, y0) at the angle theta = 2 pi s / T0, from one table.
+
+        With ``derivatives`` also dx0 and dy0 (in s) from the same table.
+        """
+        phi = np.asarray(theta, dtype=float)
         K = (self._weights.shape[1] - 1) // 2
         arg = np.multiply.outer(phi.ravel(), np.arange(1.0, K + 1))
         table = np.empty((arg.shape[0], 2 * K + 1))
         table[:, 0] = 1.0
         np.cos(arg, out=table[:, 1:K + 1])
         np.sin(arg, out=table[:, K + 1:])
-        vals = self._weights[rows] @ table.T
-        return tuple(v.reshape(phi.shape) for v in vals)
-
-    def angle_data(self, theta, derivatives: bool = False):
-        """(x0, y0) at the angle theta = 2 pi s / T0, from one table.
-
-        With ``derivatives`` also dx0 and dy0 (in s) from the same table.
-        """
-        return self._series(theta, slice(0, 4 if derivatives else 2))
+        pairs = (slice(0, 2), slice(2, 4)) if derivatives else (slice(0, 2),)
+        return tuple(v.reshape(phi.shape) for rows in pairs
+                     for v in self._weights[rows] @ table.T)
 
     def _period_phases(self, count: int) -> np.ndarray:
         """Phases 2 pi s / T0 of ``count`` equispaced times s in one period."""
@@ -292,7 +297,7 @@ class ReferenceOrbit:
 
     def amplitude(self) -> float:
         """max |x0| over 4096 samples of one period."""
-        x0, = self._series(self._period_phases(4096), slice(0, 1))
+        x0, _ = self.angle_data(self._period_phases(4096))
         return float(np.max(np.abs(x0)))
 
     def energy_residual(self) -> float:
@@ -457,7 +462,9 @@ class TransformedSystem:
 
         One orbit table and one forcing call at X = c^alpha rho^alpha
         x0(theta), for a scalar or an array t.  Actions below rho_star
-        raise DomainError, or below 0 when ``check_domain`` is off.
+        raise DomainError, or below 0 when ``check_domain`` is off; the
+        twist is evaluated here on the checked actions, so the domain is
+        checked once per call.
         """
         floor = self.rho_star if check_domain else 0.0
         rho = self._check_rho(rho, floor, "rhs")
@@ -469,7 +476,7 @@ class TransformedSystem:
             self.c * rho * y0 * fv + ca * ra * gv)
         F2 = (self.alpha * self.c * x0 * y0 * fv
               + self.alpha * ca * rho ** (self.alpha - 1.0) * x0 * gv)
-        return self.twist(rho) + F2, F1
+        return self.c0 * rho ** (2.0 * self.beta - 1.0) + F2, F1
 
 
 def action_angle(problem: LienardProblem, orbit: Optional[ReferenceOrbit] = None,
@@ -645,11 +652,16 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     half-kick handles the f(x, t) y damping term in closed form, so the
     cost per step is a handful of array operations; the unperturbed
     control (kind "none") drops to a plain kick-drift-kick and never calls
-    the forcing.  The closing half-kick of one
-    substep and the opening half-kick of the next see the same point, so
-    the forces are evaluated once there.  Each orbit reports the ratio of
-    its all-time excursion max |x| + |y| to the same max over the initial
-    window t <= t_ref (default min(10, t_max)); an orbit that leaves
+    the forcing.  The closing half-kick of one substep and the opening
+    half-kick of the next see the same point, across step boundaries too,
+    so the forces are evaluated once per point: a composition of S stages
+    calls the forcing S times per step, and again only where a freeze
+    resets x.  Each step restarts its stage time from k dt.  The state
+    and scratch arrays are allocated once, and every kick and drift
+    writes into them, so a step allocates nothing per stage beyond the
+    forcing's own result.  Each orbit reports the ratio of its all-time
+    excursion max |x| + |y| to the same max over the initial window
+    t <= t_ref (default min(10, t_max)); an orbit that leaves
     [-1e6, 1e6] or produces non-finite values is recorded as failed at
     that time and frozen, never raised.  The checks run on blocks of
     steps at once and give the same result as checking after every step.
@@ -671,7 +683,6 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     warnings = problem.validate()
 
     n = problem.n
-    restoring = problem.restoring
     forcing = problem.perturbation.forcing
     unforced = problem.perturbation.kind == "none"
     lam = np.repeat(np.asarray(levels, dtype=float), len(phases))
@@ -688,43 +699,81 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     alive = np.ones(B, dtype=bool)
     t_fail = np.full(B, math.nan)
 
-    weights = yoshida_weights(order)
     k_ref = int(math.ceil(t_ref / dt))
     cap = 1e6
     K = max(1, _STABILITY_BLOCK_ENTRIES // B)
     xs = np.empty((K, B))
     ys = np.empty((K, B))
+    x_start = np.empty(B)
+    y_start = np.empty(B)
 
-    def step(x, y, r, t_sub):
-        """One composed step from (x, y) with r = restoring(x)."""
-        if unforced:
-            for w in weights:
-                h = w * dt
-                half = 0.5 * h
-                y = y - half * r
-                x = x + h * y
-                r = restoring(x)
-                y = y - half * r
-            return x, y, r
-        fv, gv = forcing(x, t_sub)
-        for w in weights:
-            h = w * dt
-            half = 0.5 * h
-            y = (y - half * (r + gv)) / (1.0 + half * fv)
-            x = x + h * y
-            t_sub += h
-            r = restoring(x)
+    # Every ufunc below writes into these buffers, and its constants are
+    # length-B arrays (per stage h and h/2, and the 1 of the implicit
+    # half-kick's denominator), so no call allocates or promotes a scalar.
+    # The stage time advances by the Python float h.
+    stages = [(np.full(B, h), np.full(B, 0.5 * h), h)
+              for h in (float(w) * dt for w in yoshida_weights(order))]
+    one = np.ones(B)
+    r = np.empty(B)
+    sq = np.empty(B)
+    a = np.empty(B)
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+
+    def restore():
+        """r = x^(2n+1) by the multiplications of ``problem.restoring``."""
+        mul(x, x, sq)
+        p = sq
+        for _ in range(n - 1):
+            mul(p, sq, r)
+            p = r
+        mul(x, p, r)
+
+    def kick_drift_kick(fg, t_sub):
+        """One composed step of the unforced control; fg stays None."""
+        for h, half, _ in stages:
+            mul(half, r, a)
+            sub(y, a, y)
+            mul(h, y, a)
+            add(x, a, x)
+            restore()
+            mul(half, r, a)
+            sub(y, a, y)
+        return fg
+
+    def split_step(fg, t_sub):
+        """One composed step; fg is the forcing at the current point."""
+        fv, gv = fg
+        for h, half, dh in stages:
+            # y = (y - half (r + g)) / (1 + half f)
+            add(r, gv, a)
+            mul(half, a, a)
+            sub(y, a, y)
+            mul(half, fv, a)
+            add(one, a, a)
+            div(y, a, y)
+            mul(h, y, a)
+            add(x, a, x)
+            t_sub += dh
+            restore()
             fv, gv = forcing(x, t_sub)
-            y = y - half * (r + fv * y + gv)
-        return x, y, r
+            # y = y - half (r + f y + g)
+            mul(fv, y, a)
+            add(r, a, a)
+            add(a, gv, a)
+            mul(half, a, a)
+            sub(y, a, y)
+        return fv, gv
 
+    step = kick_drift_kick if unforced else split_step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = restoring(x)
+        restore()
+        fg = None if unforced else forcing(x, 0.0)
         for k0 in range(0, n_steps, K):
             count = min(K, n_steps - k0)
-            x_start, y_start = x, y
+            np.copyto(x_start, x)
+            np.copyto(y_start, y)
             for j in range(count):
-                x, y, r = step(x, y, r, (k0 + j) * dt)
+                fg = step(fg, (k0 + j) * dt)
                 xs[j] = x
                 ys[j] = y
             X, Y = xs[:count], ys[:count]
@@ -750,7 +799,10 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
                 # bad one, or the block's start state
                 x[idx] = np.where(last >= 0, X[last, idx], x_start[idx])
                 y[idx] = np.where(last >= 0, Y[last, idx], y_start[idx])
-                r = restoring(x)
+                restore()
+                if not unforced:
+                    fv, gv = fg
+                    fv[idx], gv[idx] = forcing(x[idx], (k0 + count) * dt)
 
     rows = []
     for i in range(B):

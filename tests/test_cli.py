@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revtori import persistence
+from revtori import lienard, persistence
 from revtori.cli import main
 from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT, TorusEmbedding
 
@@ -426,6 +426,13 @@ class TestLienardCli:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,xdot"
         assert len(lines) == 513
+        # the columns are angle_data's values, bit for bit
+        orbit = lienard.compute_reference_orbit(2)
+        s = orbit.period * np.arange(512) / 512
+        x0, y0 = orbit.angle_data((2.0 * np.pi / orbit.period) * s)
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(table[:, 1], x0)
+        assert np.array_equal(table[:, 2], y0)
 
     def test_orbit_bad_n(self):
         assert main(["lienard", "orbit", "--n", "0"]) == 2

@@ -104,6 +104,27 @@ class TestPerturbationFactory:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("order,stages", [(2, 1), (4, 3), (6, 7)])
+    def test_forcing_called_once_per_stage(self, orbits, order, stages):
+        # the closing forcing of one step is the opening forcing of the
+        # next; two horizons cancel the set-up calls
+        base = lienard.make_perturbation("rational_cubic")
+        calls = []
+
+        def counted(x, t):
+            calls.append(t)
+            return base.forcing(x, t)
+
+        prob = lienard.LienardProblem(n=1, perturbation=lienard.Perturbation(
+            base.kind, counted, base.params, base.p, base.q))
+        counts = []
+        for steps in (10, 30):
+            calls.clear()
+            lienard.lagrange_stability_experiment(
+                prob, t_max=steps / 64, orbit=orbits[1], order=order)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 20 * stages
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ParameterError, match="f_ampz"):
             lienard.make_perturbation("rational_cubic", f_ampz=0.1)
@@ -209,6 +230,15 @@ class TestReferenceOrbit:
         x0, y0, dx0, dy0 = orb.angle_data(theta, derivatives=True)
         np.testing.assert_allclose(dx0, y0, rtol=0, atol=1e-10)
         np.testing.assert_allclose(dy0, -x0 ** 5, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_values_do_not_depend_on_rows_requested(self, orbits, n):
+        orb = orbits[n]
+        phi = (2.0 * np.pi / orb.period) * (orb.period * np.arange(512) / 512)
+        plain = orb.angle_data(phi)
+        full = orb.angle_data(phi, derivatives=True)
+        assert np.array_equal(plain[0], full[0])
+        assert np.array_equal(plain[1], full[1])
 
     def test_parities(self, orbits):
         orb = orbits[1]
@@ -531,6 +561,11 @@ class TestStabilityOracle:
                        t_max=190 / 64, t_ref=1.2, order=2,
                        levels=(1.0, 2.0, 1e7),
                        phases=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        # (e) order 6 under a forcing, with n = 2 and the power kind
+        "order6": dict(n=2, kind="power",
+                       params={"f_amp": 0.04, "g_amp": 0.03, "p": 1, "q": 3},
+                       t_max=50.0, t_ref=10.0, order=6,
+                       levels=(1.0, 2.0, 3.0), phases=(0.0, 1.0, 2.5)),
     }
 
     @pytest.mark.parametrize("cap", [None, 100])
