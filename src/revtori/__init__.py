@@ -29,7 +29,6 @@ _EXPORTS = {
     "certify": "diophantine",
     "make_frequency": "diophantine",
     "russmann_sum": "diophantine",
-    "Decomposition": "smoothing",
     "decompose": "smoothing",
     "smooth": "smoothing",
     "synthetic_rough_field": "smoothing",
@@ -45,7 +44,6 @@ _EXPORTS = {
     "fit_embedding": "newton",
     "verify_invariance": "newton",
     "rotation_number": "newton",
-    "TransformChain": "newton",
     "TorusEmbedding": "newton",
     "ConvergenceReport": "newton",
     "FlowSystem": "systems",

@@ -309,23 +309,20 @@ class FourierField:
         spectrum = _node_spectrum(self, n, n if self.N_t else 1)
         return _node_tables(spectrum, [(0,) * self.d], self.N, n)[0]
 
-    def sup_norm(self, r_eff: Optional[float] = None) -> float:
+    def sup_norm(self) -> float:
         """Grid supremum of |F| over the real torus.
 
         The torus is sampled on ``max(64, 2N+1)`` points per axis and the
-        action ball at 0 and +/- r_eff along each axis; the maximum runs
-        over those samples and the components.  :meth:`majorant` bounds it
-        from above.
+        action ball at 0 and +/- r along each axis; the maximum runs over
+        those samples and the components.  :meth:`majorant` bounds it from
+        above.
         """
-        r_eff = self.r if r_eff is None else float(r_eff)
-        if r_eff < 0:
-            raise DomainError(f"action radius must be nonnegative, got {r_eff}")
         vals = self.values_on_grid(max(64, 2 * self.N + 1))
         y_samples = [np.zeros(self.d)]
-        if self.q_y > 0 and r_eff > 0:
+        if self.q_y > 0 and self.r > 0:
             for a in range(self.d):
                 e = np.zeros(self.d)
-                e[a] = r_eff
+                e[a] = self.r
                 y_samples.extend([e, -e])
         powers = self.powers
         value = 0.0
@@ -335,23 +332,20 @@ class FourierField:
             value = max(value, float(np.max(np.abs(pointwise))))
         return value
 
-    def majorant(self, s: float = 0.0, r_eff: Optional[float] = None) -> float:
-        """Coefficient majorant only (no grid sup); cheap convergence metric."""
-        if s < 0:
-            raise DomainError(f"strip width must be nonnegative, got {s}")
+    def majorant(self, r_eff: Optional[float] = None) -> float:
+        """Coefficient majorant only (no grid sup); cheap convergence metric.
+
+        Per component, the sum over modes and action powers of
+        |c| r_eff^|alpha| (r_eff defaults to r); the maximum over components.
+        """
         r_eff = self.r if r_eff is None else float(r_eff)
         if r_eff < 0:
             raise DomainError(f"action radius must be nonnegative, got {r_eff}")
-        return float(np.max(self._weighted_coeff_sums(s, r_eff)))
-
-    def _weighted_coeff_sums(self, s: float, r_eff: float) -> np.ndarray:
-        """Per component: sum over modes/powers of |c| e^{s(|k|+|l|)} r^|alpha|."""
-        weight = np.exp(s * mode_orders(self.d, self.N, self.N_t)).ravel()
         powers = self.powers
         deg = powers.sum(axis=1)
         rpow = np.where(deg > 0, r_eff ** deg, 1.0)
         A = np.abs(self.coeffs).reshape(-1, len(powers), self.m)
-        return np.einsum("xpm,x,p->m", A, weight, rpow)
+        return float(np.max(np.einsum("xpm,p->m", A, rpow)))
 
     # ------------------------------------------------------------------ #
     # algebra
@@ -421,10 +415,6 @@ class FourierField:
         coeffs = self.coeffs[_centre(self.d, self.N, self.N_t, N_new, N_t)].copy()
         coeffs[~mode_mask(self.d, N_new, N_t)] = 0.0
         return FourierField(self.d, self.m, N_new, self.q_y, self.r, coeffs, self.parity)
-
-    def flip(self) -> "FourierField":
-        """The field (x, y, t) -> F(-x, y, -t)."""
-        return replace(self, coeffs=_reverse_modes(self.coeffs, self.d).copy())
 
     def shift_x(self, delta) -> "FourierField":
         """The field (x, y, t) -> F(x + delta, y, t); parity tags are dropped."""

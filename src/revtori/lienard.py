@@ -306,9 +306,6 @@ class ReferenceOrbit:
         E = (self.n + 1) * y0 ** 2 + x0 ** (2 * self.n + 2)
         return float(np.max(np.abs(E - (self.n + 1))))
 
-    def periodicity_residual(self) -> float:
-        return float(self.closure_error)
-
 
 def _quarter_period(n: int) -> float:
     """Time for the orbit from (0, 1) to reach its turning point y = 0."""
@@ -345,7 +342,7 @@ def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
     is the one the leapfrog makes, in the same order, so the samples are
     the same floats.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
             or n_samples // 4 <= 8):
@@ -506,7 +503,6 @@ class PoincareResult:
     theta: np.ndarray
     rho: np.ndarray
     escaped: np.ndarray
-    n_steps: int
 
 
 def poincare_map(system: TransformedSystem, theta, rho,
@@ -548,8 +544,7 @@ def poincare_map(system: TransformedSystem, theta, rho,
         z = implicit_midpoint_step(rhs, z, k * h, h)
         newly = (~escaped) & (z[..., 1] < floor)
         escaped |= newly
-    return PoincareResult(theta=z[..., 0], rho=z[..., 1],
-                          escaped=escaped, n_steps=n_steps)
+    return PoincareResult(theta=z[..., 0], rho=z[..., 1], escaped=escaped)
 
 
 def poincare_reversibility_residual(system: TransformedSystem,

@@ -41,9 +41,9 @@ from .fields import (FourierField, GridJet, default_action_nodes,
 from .smoothing import cutoff, decompose
 
 __all__ = [
-    "Schedule", "make_schedule", "NearIdentityTransform", "TransformChain",
-    "TorusEmbedding", "ConvergenceReport", "InvarianceReport", "newton_step",
-    "run_kam", "fit_embedding", "verify_invariance", "rotation_number",
+    "Schedule", "make_schedule", "NearIdentityTransform", "TorusEmbedding",
+    "ConvergenceReport", "InvarianceReport", "newton_step", "run_kam",
+    "fit_embedding", "verify_invariance", "rotation_number",
 ]
 
 # Columns of the per-step convergence table, in emission order, and the
@@ -116,13 +116,13 @@ def make_schedule(d: int, mu: float, eps0: float, M: int) -> Schedule:
     follow as eps_m = eps0^((1 + mu_tilde)^m), s_m = eps_m^(1/ell),
     r_m = s_m^(d + 1 + mu/10).
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise ParameterError(f"dimension must be a positive integer, got {d!r}")
     if not 0.0 < mu <= 0.5:
         raise ParameterError(f"smoothness margin mu must lie in (0, 0.5], got {mu}")
     if not 0.0 < eps0 < 1.0:
         raise ParameterError(f"initial error eps0 must lie in (0, 1), got {eps0}")
-    if not isinstance(M, (int, np.integer)) or M < 1:
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
         raise ParameterError(f"step count M must be a positive integer, got {M!r}")
     d = int(d)
     M = int(M)
@@ -152,46 +152,14 @@ class NearIdentityTransform:
 
     u and v are the generators produced by the homological solve (the
     inverse direction, xi = x + u(x, y, t)); U and V are their fitted
-    inverses.  composition_residual records sup |u + U o Psi| over the
-    fitting grid, the honest measure of how well the pair inverts.
+    inverses.  The step's diagnostics (composition residual, divisor
+    floor and the like) travel in the dict newton_step returns beside it.
     """
 
     u: FourierField
     v: FourierField
     U: FourierField
     V: FourierField
-    step: int
-    composition_residual: float
-    inversion_iters: int
-    min_divisor: float
-    sup_u: float
-    sup_v: float
-
-
-@dataclass
-class TransformChain:
-    """Composition of near-identity transforms, outermost first.
-
-    evaluate applies the steps innermost-first (last appended first), so
-    the chain realizes step0 o step1 o ... o step_{M-1} acting on new
-    coordinates.
-    """
-
-    steps: list = _dc_field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def evaluate(self, x, y, t=None):
-        """Map points through the full composition; arrays (S, d), t (S,)."""
-        x = np.array(x, dtype=float, copy=True)
-        y = np.array(y, dtype=float, copy=True)
-        for tr in reversed(self.steps):
-            dx = tr.U.evaluate(x, y, t, check_domain=False)
-            dy = tr.V.evaluate(x, y, t, check_domain=False)
-            x = x + dx
-            y = y + dy
-        return x, y
 
 
 @dataclass(frozen=True)
@@ -457,7 +425,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
         transform is the NearIdentityTransform for this step; f_next and
         g_next are the transformed remainders fitted at cutoff N[m+1] on
         the shrunk domain; diagnostics is a dict with the divisor floor,
-        inversion iteration count, composition residual and grid sizes.
+        inversion iteration count, composition residual and grid size.
     """
     dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
@@ -483,7 +451,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     sol = dyn.solve(f, g, freq)
     u, v, g_mean, min_div = sol.u, sol.v, sol.g_mean, sol.min_divisor
 
-    sup_u, sup_v = u.majorant(0.0, r_m), v.majorant(0.0, r_m)
+    sup_u, sup_v = u.majorant(r_m), v.majorant(r_m)
 
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.  Samples
@@ -540,17 +508,12 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
             f"step {m}: transform composition residual {comp_res:.3e} exceeds "
             f"tolerance {tol_comp:.3e}")
 
-    transform = NearIdentityTransform(
-        u=u, v=v, U=U, V=V, step=m, composition_residual=comp_res,
-        inversion_iters=iters, min_divisor=float(min_div),
-        sup_u=float(sup_u), sup_v=float(sup_v))
+    transform = NearIdentityTransform(u=u, v=v, U=U, V=V)
     diagnostics = {
         "min_divisor": float(min_div),
         "inversion_iters": iters,
         "composition_residual": comp_res,
         "n_fit": n_fit,
-        "N_UV": N_UV,
-        "N_next": N_next,
         "sup_u": float(sup_u),
         "sup_v": float(sup_v),
         "y_excursion": y_excursion,
@@ -591,7 +554,7 @@ class ConvergenceReport:
     omega: np.ndarray
     schedule: Schedule
     rows: list
-    chain: TransformChain
+    chain: list
     embedding: Optional[TorusEmbedding]
     invariance_residual: Optional[float]
     failed: bool = False
@@ -600,7 +563,7 @@ class ConvergenceReport:
 
     @property
     def steps_completed(self) -> int:
-        return len(self.chain.steps)
+        return len(self.chain)
 
     @property
     def final_sup_f(self) -> float:
@@ -666,10 +629,10 @@ _NO_STEP = {"min_divisor": math.nan, "inversion_iters": 0,
 def _row(m: int, f: FourierField, g: FourierField, schedule: Schedule) -> dict:
     """Convergence row of the pair (f, g) entering step m, before the step."""
     r = float(schedule.r[m])
-    sup_f, sup_g = f.majorant(0.0, r), g.majorant(0.0, r)
+    sup_f, sup_g = f.majorant(r), g.majorant(r)
     return {"m": m, "sup_f": sup_f, "sup_g": sup_g,
-            "osc_f": f.oscillating_part().majorant(0.0, r),
-            "osc_g": g.oscillating_part().majorant(0.0, r),
+            "osc_f": f.oscillating_part().majorant(r),
+            "osc_g": g.oscillating_part().majorant(r),
             "c_f": sup_f / schedule.eps[m],
             "c_g": sup_g / (schedule.eps[m] * schedule.s[m] ** schedule.d),
             "invariance_residual": math.nan, **_NO_STEP}
@@ -687,25 +650,27 @@ def _materialize(h, what: str, d: int, N: int, q_y: int, r: float,
                                time_independent=autonomous)
 
 
-def fit_embedding(chain: TransformChain, freq: Frequency, r0: float,
+def fit_embedding(chain: list, freq: Frequency, r0: float,
                   mode: str = "flow", N: Optional[int] = None) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
 
-    The chain is evaluated on the grid of 2N+2 angle nodes per axis times
-    the time nodes (all of them for flows, t = 0 for maps, whose embedding
-    is autonomous) and the offsets are fitted by FFT.
+    chain lists the NearIdentityTransforms outermost first and applies
+    innermost first, so it realizes step0 o step1 o ... o step_{M-1} acting
+    on new coordinates.  It is evaluated on the grid of 2N+2 angle nodes
+    per axis times the time nodes (all of them for flows, t = 0 for maps,
+    whose embedding is autonomous) and the offsets are fitted by FFT.
     """
     dyn = _dynamics(mode)
     d = freq.d
     if N is None:
-        N = max([tr.U.N for tr in chain.steps], default=0) + 8
+        N = max([tr.U.N for tr in chain], default=0) + 8
     n = 2 * N + 2
     n_t = dyn.time_slots(n)
     grid_shape = (n,) * d + (n_t,)
     # The chain moves each node by the small offsets its steps add up.
     x = np.zeros((n ** d * n_t, d))
     y = np.zeros_like(x)
-    for tr in reversed(chain.steps):
+    for tr in reversed(chain):
         dx = GridJet(tr.U, n, n_t).evaluate(x, y)
         dy = GridJet(tr.V, n, n_t).evaluate(x, y)
         x, y = x + dx, y + dy
@@ -748,17 +713,17 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
                     for h, what, p in zip(system, "fg", dyn.fg_parity))
 
     warnings = []
-    for nu, (pf, pg) in enumerate(zip(dec_f.pieces, dec_g.pieces)):
+    for nu, (pf, pg) in enumerate(zip(dec_f, dec_g)):
         eps = schedule.eps[nu]
         for name, piece, budget in (("f", pf, eps), ("g", pg, eps * schedule.s[nu] ** d)):
-            maj = piece.majorant(0.0, schedule.r[nu])
+            maj = piece.majorant(schedule.r[nu])
             if maj > 10.0 * budget:
                 warnings.append(
                     f"{name} piece {nu} has majorant {maj:.3e}, over 10x the budget "
                     f"{budget:.3e}; the schedule may be too optimistic")
 
-    chain = TransformChain([])
-    cur_f, cur_g = dec_f.pieces[0], dec_g.pieces[0]
+    chain = []
+    cur_f, cur_g = dec_f[0], dec_g[0]
     rows = []
     failure = None
     N_emb = int(schedule.N[0]) + 8
@@ -773,7 +738,7 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
                 cur_f, cur_g, freq, schedule, m, mode=mode)
             for name, h in (("f", f_next), ("g", g_next)):
                 osc = row["osc_" + name]
-                rem = h.oscillating_part().majorant(0.0, schedule.r[m + 1])
+                rem = h.oscillating_part().majorant(schedule.r[m + 1])
                 if osc > _CONTRACTION_FLOOR and rem > _CONTRACTION_RATIO * osc:
                     raise StepFailureError(
                         f"step {m}: no contraction in {name} ({rem:.3e} after {osc:.3e})")
@@ -785,14 +750,14 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
             warnings.append(
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
                 f"nominal radius {schedule.r[m]:.3e} (within the jet trust region)")
-        chain.steps.append(transform)
-        cur_f = f_next + dec_f.pieces[m + 1]
-        cur_g = g_next + dec_g.pieces[m + 1]
+        chain.append(transform)
+        cur_f = f_next + dec_f[m + 1]
+        cur_g = g_next + dec_g[m + 1]
         row["invariance_residual"] = verify_invariance(
             fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb), system,
             samples=verify_samples, dt=verify_dt, tol=verify_tol).residual
 
-    if len(chain.steps) == schedule.M:  # neither failed nor stopped at tol
+    if len(chain) == schedule.M:  # neither failed nor stopped at tol
         rows.append(_row(schedule.M, cur_f, cur_g, schedule))
 
     embedding = fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb)

@@ -13,8 +13,8 @@ exactly (coefficient by coefficient) with the reality and parity symmetries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -52,34 +52,13 @@ def smooth(field: FourierField, s: float) -> FourierField:
     return replace(out, coeffs=out.coeffs * sigma[..., None, None])
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Telescoping smoothing decomposition of a field.
-
-    pieces[0] = S_{s_0} F and pieces[v] = (S_{s_v} - S_{s_{v-1}}) F, so that
-    the partial sums equal S_{s_v} F exactly.
-    """
-
-    pieces: tuple
-    s_values: tuple
-    source_majorant: float
-
-    def partial_sum(self, up_to: Optional[int] = None) -> FourierField:
-        stop = len(self.pieces) if up_to is None else up_to + 1
-        total = self.pieces[0]
-        for piece in self.pieces[1:stop]:
-            total = total + piece
-        return total
-
-    def piece_majorants(self) -> np.ndarray:
-        return np.array([p.majorant() for p in self.pieces])
-
-
-def decompose(field: FourierField, s_values: Sequence[float]) -> Decomposition:
+def decompose(field: FourierField, s_values: Sequence[float]) -> tuple:
     """Split a field along a decreasing sequence of smoothing scales.
 
-    ``s_values`` may also be any object carrying the scales in an ``s``
-    attribute (a Newton schedule, say).
+    Returns the tuple of telescoping pieces: pieces[0] = S_{s_0} F and
+    pieces[v] = (S_{s_v} - S_{s_{v-1}}) F, so that the partial sums equal
+    S_{s_v} F exactly.  ``s_values`` may also be any object carrying the
+    scales in an ``s`` attribute (a Newton schedule, say).
     """
     s_values = getattr(s_values, "s", s_values)
     s_values = [float(s) for s in s_values]
@@ -93,8 +72,7 @@ def decompose(field: FourierField, s_values: Sequence[float]) -> Decomposition:
         cur = smooth(field, s)
         pieces.append(cur - prev)
         prev = cur
-    return Decomposition(pieces=tuple(pieces), s_values=tuple(s_values),
-                         source_majorant=field.majorant())
+    return tuple(pieces)
 
 
 def approximation_error(field: FourierField, s: float) -> float:

@@ -87,12 +87,6 @@ class MapSystem:
         x1 = x + self.Omega + y - self.eps * np.cos(x)
         return x1, y + self.eps * (np.cos(x1) - np.cos(x))
 
-    def A_inverse(self, x1, y1):
-        """Invert the map through the reversor:  A^{-1} = G o A o G."""
-        gx, gy = -np.asarray(x1, dtype=float), np.asarray(y1, dtype=float)
-        ax, ay = self.A(gx, gy)
-        return -ax, ay
-
     def reversibility_residual(self) -> float:
         """sup |G A G A (z) - z| over 256 points of a curve (should be ~1e-16)."""
         x = 2.0 * np.pi * np.arange(256) / 256

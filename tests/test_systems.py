@@ -91,16 +91,6 @@ class TestMapSystem:
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(y2, y, rtol=0, atol=1e-13)
 
-    def test_inverse_round_trip(self, rng):
-        mp = systems.MapSystem(omega=GOLDEN, eps=2e-3)
-        x = rng.uniform(0, 2 * np.pi, size=64)
-        y = rng.uniform(-0.05, 0.05, size=64)
-        x1, y1 = mp.A(x, y)
-        xb, yb = mp.A_inverse(x1, y1)
-        np.testing.assert_allclose(np.angle(np.exp(1j * (xb - x))), 0.0,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(yb, y, rtol=0, atol=1e-12)
-
     def test_zero_kick_is_rigid_twist(self):
         mp = systems.make_map_perturbation("none", omega=GOLDEN)
         x = np.linspace(0, 5, 9)
