@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as _dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, ParameterError
 from .integrators import implicit_midpoint_step, yoshida_weights
@@ -41,9 +40,6 @@ STABILITY_COLUMNS = ("level", "phase", "ratio", "max_norm", "initial_max",
 # The stability experiment checks its B orbits once every K steps, on (K, B)
 # buffers of their states; this caps K * B, with K = max(1, cap // B).
 _STABILITY_BLOCK_ENTRIES = 1 << 15
-
-# Relative tolerance of the adaptive solve for the reference orbit's period.
-_PERIOD_RTOL = 1e-13
 
 
 def _int_power(x, p: int):
@@ -308,30 +304,24 @@ class ReferenceOrbit:
 
 
 def _quarter_period(n: int) -> float:
-    """Time for the orbit from (0, 1) to reach its turning point y = 0."""
+    """Time for the orbit from (0, 1) to reach its turning point y = 0.
 
-    def rhs(t, z):
-        return [z[1], -z[0] ** (2 * n + 1)]
-
-    def turning(t, z):
-        return z[1]
-
-    turning.terminal = True
-    turning.direction = -1.0
-    sol = solve_ivp(rhs, (0.0, 10.0), [0.0, 1.0], method="DOP853",
-                    events=turning, rtol=_PERIOD_RTOL, atol=1e-15)
-    if not sol.t_events[0].size:
-        raise ParameterError(f"no turning point found for n = {n}")
-    return float(sol.t_events[0][0])
+    The energy (n+1) y^2 + x^(2n+2) = n+1 puts the turning point at
+    A = (n+1)^a with a = 1/(2n+2), and the substitution x = A u turns the
+    time integral of dx / y into T/4 = A a B(a, 1/2), B the Beta function.
+    """
+    a = 1.0 / (2 * n + 2)
+    beta = math.gamma(a) * math.gamma(0.5) / math.gamma(a + 0.5)
+    return (n + 1) ** a * beta * a
 
 
 def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
     """Integrate one period and fit the trigonometric interpolant.
 
-    The period comes from a high-order adaptive solve with an event at the
-    turning point (a quarter period, by symmetry); the samples come from a
-    sixth-order symmetric composition at fixed step, which keeps the
-    energy error at roundoff over a single revolution.  The parity parts
+    The period is four times the closed-form quarter period of
+    ``_quarter_period``; the samples come from a sixth-order symmetric
+    composition at fixed step, which keeps the energy error at roundoff
+    over a single revolution.  The parity parts
     that should vanish are projected away after measuring them.  The kept
     band reaches up to n_samples // 4 modes and at least 8, so n_samples
     must leave n_samples // 4 > 8.

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field as _dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import homological
 from .diophantine import Frequency
@@ -38,6 +37,7 @@ from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError)
 from .fields import (FourierField, GridJet, default_action_nodes,
                      field_from_function, field_from_grid_samples)
+from .integrators import extrapolate
 from .smoothing import cutoff, decompose
 
 __all__ = [
@@ -338,32 +338,28 @@ def _as_pair(system, message: str):
 
 
 def _flow_advance(system, omega, dt, tol):
-    """Integrate the pair (f, g) over [0, dt] with DOP853 at tolerance tol.
+    """Integrate the pair (f, g) over [0, dt] by extrapolation at tolerance tol.
 
-    A non-finite right-hand side raises StepFailureError at once, rather
-    than leaving the adaptive step control to reject steps for as long as
-    it takes to give up.
+    ``integrators.extrapolate`` holds every component to the local error
+    atol + tol |z| with atol = tol * 1e-3.  A non-finite right-hand side, a
+    collapsed step size or too many steps raise StepFailureError.
     """
     f_fn, g_fn = _as_pair(system, "flow verification needs the pair (f, g)")
 
     def step(x0, y0):
         S, d = x0.shape
 
-        def rhs(t, z):
-            x, y, tt = z[: S * d].reshape(S, d), z[S * d:].reshape(S, d), np.full(S, t)
-            dx = omega + y + np.asarray(f_fn(x, y, tt)).reshape(S, d)
-            dy = np.asarray(g_fn(x, y, tt)).reshape(S, d)
-            out = np.concatenate([dx.ravel(), dy.ravel()])
-            if not np.all(np.isfinite(out)):
-                raise StepFailureError(
-                    f"verification integration: non-finite right-hand side at t = {t}")
-            return out
+        def rhs(z, t):
+            x, y = z
+            tt = np.full(S, t)
+            return np.stack([omega + y + np.asarray(f_fn(x, y, tt)).reshape(S, d),
+                             np.asarray(g_fn(x, y, tt)).reshape(S, d)])
 
-        sol = solve_ivp(rhs, (0.0, dt), np.concatenate([x0.ravel(), y0.ravel()]),
-                        method="DOP853", rtol=tol, atol=tol * 1e-3, dense_output=False)
-        if not sol.success:
-            raise StepFailureError(f"verification integration failed: {sol.message}")
-        return sol.y[: S * d, -1].reshape(S, d), sol.y[S * d:, -1].reshape(S, d)
+        try:
+            x1, y1 = extrapolate(rhs, np.stack([x0, y0]), 0.0, dt, tol)
+        except StepFailureError as exc:
+            raise StepFailureError(f"verification integration failed: {exc}") from None
+        return x1, y1
 
     return step, omega * dt, dt
 
@@ -786,10 +782,11 @@ def verify_invariance(embedding: TorusEmbedding, system,
     """Measure how close an embedding is to an invariant torus.
 
     For flows the embedded circle of initial conditions K(theta, 0) is
-    integrated for time dt with a high-order adaptive integrator at
-    tolerance tol and compared against K(theta + omega dt, dt).  For maps
-    the image A(K(theta)) is compared against K(theta + 2 pi omega); dt and
-    tol play no part.  Angle mismatches are wrapped to (-pi, pi].
+    integrated for time dt by Gragg-Bulirsch-Stoer extrapolation
+    (``integrators.extrapolate``) at local relative tolerance tol and
+    compared against K(theta + omega dt, dt).  For maps the image
+    A(K(theta)) is compared against K(theta + 2 pi omega); dt and tol play
+    no part.  Angle mismatches are wrapped to (-pi, pi].
 
     system defines the true dynamics.  Flows take the pair (f, g) of
     fields or callables (x, y, t) -> (S, d).  Maps take either that pair,

@@ -8,6 +8,7 @@ records wall-clock time or machine identity.  A run directory holds
 other files), the torus embedding, and the per-step convergence table.
 """
 
+import functools
 import hashlib
 import json
 import platform
@@ -112,14 +113,24 @@ def sha256_file(path) -> str:
 
 
 def package_versions() -> dict:
-    import scipy
+    """Versions of the package, numpy, scipy and Python, for a manifest."""
+    return {"revtori": _installed_version("revtori"), "numpy": np.__version__,
+            "scipy": _installed_version("scipy"), "python": platform.python_version()}
+
+
+@functools.cache
+def _installed_version(name: str) -> str:
+    """An installed distribution's version from its metadata, or "unknown".
+
+    Reading metadata imports nothing, so recording scipy's version does not
+    load scipy.  The read parses the whole metadata file, milliseconds for
+    scipy's, so it happens once per process.
+    """
+    from importlib.metadata import PackageNotFoundError, version
     try:
-        from importlib.metadata import version
-        own = version("revtori")
-    except Exception:
-        own = "unknown"
-    return {"revtori": own, "numpy": np.__version__,
-            "scipy": scipy.__version__, "python": platform.python_version()}
+        return version(name)
+    except PackageNotFoundError:
+        return "unknown"
 
 
 @dataclass

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revtori import lienard, persistence
+from revtori import integrators, lienard, persistence
 from revtori.cli import main
 from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT, TorusEmbedding
 
@@ -246,6 +246,15 @@ class TestKamRun:
                      "--set", "M=1", "--set", "eps0=1e-3",
                      "--set", "perturbation.eps=0.5"])
         assert code == 3
+
+    def test_verification_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one extrapolation step cannot cover 100 time units to 1e-12
+        monkeypatch.setattr(integrators, "_GBS_MAX_STEPS", 1)
+        code = main(["kam", "run", "--out", str(tmp_path), "--set", "M=1",
+                     "--set", "eps0=1e-3", "--set", "verify_dt=100"])
+        assert code == 3
+        assert "verification integration failed: more than 1 steps" in \
+            capsys.readouterr().err
 
     def test_bad_parameters_exit_2(self, tmp_path):
         out = str(tmp_path)

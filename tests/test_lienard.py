@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import beta as beta_fn
 
 from revtori import lienard
@@ -210,6 +211,20 @@ class TestReferenceOrbit:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_period_matches_beta_integral(self, orbits, n):
         assert abs(orbits[n].period - closed_form_period(n)) < 1e-11
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_quarter_period_matches_an_event_solve(self, n):
+        # the closed form against an independent DOP853 solve to y = 0
+        def turning(t, z):
+            return z[1]
+
+        turning.terminal = True
+        turning.direction = -1.0
+        sol = solve_ivp(lambda t, z: [z[1], -z[0] ** (2 * n + 1)], (0.0, 10.0),
+                        [0.0, 1.0], method="DOP853", events=turning,
+                        rtol=1e-13, atol=1e-15)
+        event = sol.t_events[0][0]
+        assert abs(lienard._quarter_period(n) - event) <= 1e-13 * event
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_amplitude_matches_turning_point(self, orbits, n):

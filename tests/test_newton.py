@@ -6,10 +6,13 @@ short two-step flow run is exercised here.
 """
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from revtori import diophantine, fields, newton, systems
 from revtori.errors import (ParameterError, PersistenceError, StepFailureError,
@@ -357,6 +360,15 @@ class TestFlowRun:
         with pytest.raises(StepFailureError, match="non-finite"):
             newton.verify_invariance(report.embedding, (nan_f, flow.g), samples=8)
 
+    def test_blow_up_fails_the_verification(self, short_run):
+        # dy/dt = 1 + y^2 leaves every bound before t = pi/2 < dt
+        flow, report = short_run
+        blow_up = lambda x, y, t: 1.0 + y[:, 0] ** 2  # noqa: E731
+        with pytest.raises(StepFailureError,
+                           match="verification integration failed: step size"):
+            newton.verify_invariance(report.embedding, (flow.f, blow_up),
+                                     samples=8, dt=2.0)
+
     def test_corrupted_embedding_is_detected(self, short_run, golden):
         flow, report = short_run
         emb = report.embedding
@@ -388,6 +400,63 @@ class TestFlowRun:
         sched = report.schedule
         order = report.fitted_order()
         assert order >= 1.0 + sched.mu_tilde / 2.0
+
+
+def _dop853_advance(system, omega, x0, y0, dt, rtol, atol):
+    """The flow of (f, g) over [0, dt] by scipy's DOP853, as an oracle."""
+    f_fn, g_fn = system
+    S, d = x0.shape
+
+    def rhs(t, z):
+        x, y, tt = z[: S * d].reshape(S, d), z[S * d:].reshape(S, d), np.full(S, t)
+        return np.concatenate([(omega + y + f_fn(x, y, tt).reshape(S, d)).ravel(),
+                               g_fn(x, y, tt).ravel()])
+
+    sol = solve_ivp(rhs, (0.0, dt), np.concatenate([x0.ravel(), y0.ravel()]),
+                    method="DOP853", rtol=rtol, atol=atol)
+    assert sol.success
+    return np.stack([sol.y[: S * d, -1].reshape(S, d), sol.y[S * d:, -1].reshape(S, d)])
+
+
+def _demo_flow_points():
+    """The pair of configs/kam_flow.json and 64 points near its torus."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                      / "kam_flow.json").read_text())
+    pert = dict(cfg["perturbation"])
+    flow = systems.make_flow_perturbation(pert.pop("kind"), **pert)
+    theta = 2.0 * np.pi * np.arange(64)[:, None] / 64
+    return (flow.f, flow.g), theta + 1e-3 * np.sin(theta), 1e-3 * np.cos(theta)
+
+
+def _short_run_points(short_run):
+    flow, report = short_run
+    theta = 2.0 * np.pi * np.arange(64)[:, None] / 64
+    return ((flow.f, flow.g), *report.embedding.evaluate(theta, np.zeros(64)))
+
+
+class TestFlowVerificationOracle:
+    """The extrapolation behind flow verification, held to scipy's DOP853."""
+
+    @pytest.mark.parametrize("dt", [1.0, -1.0])
+    @pytest.mark.parametrize("case", ["kam_flow", "short_run"])
+    def test_matches_dop853(self, short_run, case, dt):
+        system, x0, y0 = (_demo_flow_points() if case == "kam_flow"
+                          else _short_run_points(short_run))
+        omega = np.array([GOLDEN])
+        step, _, _ = newton._flow_advance(system, omega, dt, 1e-12)
+        ours = np.stack(step(x0, y0))
+        theirs = _dop853_advance(system, omega, x0, y0, dt, 1e-12, 1e-15)
+        # both sit at roundoff: a few units in the last place of x ~ 2 pi
+        assert np.max(np.abs(ours - theirs)) < 1e-13
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("dt", [1.0, -1.0])
+    def test_endpoint_error_within_ten_tolerances(self, tol, dt):
+        system, x0, y0 = _demo_flow_points()
+        omega = np.array([GOLDEN])
+        step, _, _ = newton._flow_advance(system, omega, dt, tol)
+        reference = _dop853_advance(system, omega, x0, y0, dt, 1e-13, 1e-16)
+        assert np.max(np.abs(np.stack(step(x0, y0)) - reference)) <= 10.0 * tol
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
 """Package surface: the lazy exports resolve and imports stay light.
 
 The command line entry point pins BLAS thread pools before numpy loads, so
-neither ``import revtori`` nor ``import revtori.cli`` may import numpy.  The
-solver modules may not import ``scipy.signal`` or ``scipy.stats``.  The
-README's library example runs, and every name its module table quotes
-exists in that module.
+neither ``import revtori`` nor ``import revtori.cli`` may import numpy.  No
+module of the package imports scipy, which serves the tests only as an
+oracle, and the map demo and the section map run without
+``scipy.integrate``.  The README's library example runs, and every name its
+module table quotes exists in that module.
 """
 
 import importlib
@@ -50,14 +51,29 @@ def test_imports_leave_numpy_unloaded():
     assert out == "[]", out
 
 
-def test_solver_imports_leave_scipy_signal_and_stats_unloaded():
-    # scipy.signal pulls in scipy.stats: about 0.7 s and 24 MiB at start-up
+def test_module_imports_leave_scipy_unloaded():
+    # scipy.integrate alone costs about 0.8 s at start-up
+    modules = sorted(p.stem for p in Path(revtori.__file__).parent.glob("[!_]*.py"))
     out = _fresh_interpreter(
-        "import sys, revtori.cli, revtori.newton, revtori.persistence, "
-        "revtori.lienard; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
-        "if m in sys.modules))")
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('revtori.' + name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out == "[]", out
+
+
+def test_commands_leave_scipy_integrate_unloaded(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "kam_map.json"
+    out = _fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "from revtori.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['kam', 'run', '--config', {str(config)!r}, "
+        f"'--set', 'M=1', '--out', {str(tmp_path)!r}]),\n"
+        f"             main(['lienard', 'poincare', '--set', 'n_steps=4', "
+        f"'--out', {str(tmp_path)!r}])]\n"
+        "print(codes, 'scipy.integrate' in sys.modules)")
+    assert out == "[0, 0] False", out
 
 
 # --------------------------------------------------------------------------- #
