@@ -244,8 +244,14 @@ def _build_inputs(mode, pert_cfg: dict, omega: float):
 def _make_problem(cfg, errors):
     from . import lienard
     pert = cfg["perturbation"]
-    return lienard.make_problem(cfg["n"], pert.get("kind", "none"),
-                                **_perturbation_params(pert))
+    params = _perturbation_params(pert)
+    return lienard.make_problem(cfg["n"], pert.get("kind", "none"), **params)
+
+
+def _run_name(name, errors) -> str:
+    if not isinstance(name, str):
+        raise errors.ParameterError(f"config key 'name' must be a string, got {name!r}")
+    return name
 
 
 # --------------------------------------------------------------------------- #
@@ -325,8 +331,7 @@ def _cmd_kam_run(args):
     from . import errors, newton, persistence
     cfg = _merge_config(args, _KAM_DEFAULTS, errors)
     mode = cfg["mode"]
-    name = cfg["name"] or f"kam-{mode}"
-    cfg["name"] = name
+    name = cfg["name"] = _run_name(cfg["name"] or f"kam-{mode}", errors)
     num = {key: _number(cfg, key, kind, errors) for key, kind in (
         ("d", int), ("K_max", int), ("mu", float), ("eps0", float), ("M", int),
         ("tol", float), ("q_y", int))}
@@ -394,7 +399,7 @@ def _cmd_lienard_poincare(args):
     thetas = 2.0 * np.pi * np.arange(theta_points) / theta_points
     residual = lienard.poincare_reversibility_residual(
         system, thetas, rhos, n_steps=n_steps)
-    summary = {"n": problem.n, "perturbation": cfg["perturbation"]["kind"],
+    summary = {"n": problem.n, "perturbation": problem.perturbation.kind,
                "reversibility_residual": residual,
                "n_steps": n_steps,
                "warnings": problem.validate()}
@@ -419,6 +424,7 @@ def _cmd_lienard_stability(args):
     import numpy as np
     from . import errors, lienard, persistence
     cfg = _merge_config(args, _STABILITY_DEFAULTS, errors)
+    name = _run_name(cfg["name"], errors)
     problem = _make_problem(cfg, errors)
     report = lienard.lagrange_stability_experiment(
         problem, t_max=_number(cfg, "t_max", float, errors),
@@ -429,7 +435,7 @@ def _cmd_lienard_stability(args):
         t_ref=None if cfg["t_ref"] is None else _number(cfg, "t_ref", float, errors),
         order=_number(cfg, "order", int, errors))
     run_dir = _write_run_dir(
-        args.out, cfg["name"], "lienard stability", cfg, args.seed,
+        args.out, name, "lienard stability", cfg, args.seed,
         [("stability.csv",
           lambda p: persistence.emit_csv(p, report.csv_header(),
                                          report.csv_rows()))])

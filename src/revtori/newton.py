@@ -152,8 +152,8 @@ class NearIdentityTransform:
 
     u and v are the generators produced by the homological solve (the
     inverse direction, xi = x + u(x, y, t)); U and V are their fitted
-    inverses.  The step's diagnostics (composition residual, divisor
-    floor and the like) travel in the dict newton_step returns beside it.
+    inverses.  The step's diagnostics travel beside it in the dict
+    newton_step returns: exactly the step columns of a convergence row.
     """
 
     u: FourierField
@@ -420,8 +420,8 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     (transform, f_next, g_next, diagnostics)
         transform is the NearIdentityTransform for this step; f_next and
         g_next are the transformed remainders fitted at cutoff N[m+1] on
-        the shrunk domain; diagnostics is a dict with the divisor floor,
-        inversion iteration count, composition residual and grid size.
+        the shrunk domain; diagnostics holds exactly the step columns of
+        a convergence row, the keys of _NO_STEP.
     """
     dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
@@ -446,8 +446,6 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
 
     sol = dyn.solve(f, g, freq)
     u, v, g_mean, min_div = sol.u, sol.v, sol.g_mean, sol.min_divisor
-
-    sup_u, sup_v = u.majorant(r_m), v.majorant(r_m)
 
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.  Samples
@@ -476,7 +474,6 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
         raise StepFailureError(
             f"step {m}: inverted action values reach |y| = {y_excursion:.3e}, "
             f"far outside the domain radius r = {r_m:.3e}")
-    nesting_exceeded = y_excursion > r_m
 
     f_vals, g_vals = dyn.remainder(on_grid, f, g, u, v, g_mean, freq, dx, ys)
 
@@ -498,25 +495,16 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     res_u = np.max(np.abs(u_here + U_jet.evaluate(u_here, eta + v_here)))
     res_v = np.max(np.abs(v_here + V_jet.evaluate(u_here, eta + v_here)))
     comp_res = max(float(res_u), float(res_v))
-    tol_comp = max(1e-10, 1e-9 * max(sup_u, sup_v))
+    tol_comp = max(1e-10, 1e-9 * max(u.majorant(r_m), v.majorant(r_m)))
     if comp_res > tol_comp:
         raise StepFailureError(
             f"step {m}: transform composition residual {comp_res:.3e} exceeds "
             f"tolerance {tol_comp:.3e}")
 
-    transform = NearIdentityTransform(u=u, v=v, U=U, V=V)
-    diagnostics = {
-        "min_divisor": float(min_div),
-        "inversion_iters": iters,
-        "composition_residual": comp_res,
-        "n_fit": n_fit,
-        "sup_u": float(sup_u),
-        "sup_v": float(sup_v),
-        "y_excursion": y_excursion,
-        "nesting_exceeded": nesting_exceeded,
-        "taylor_order": taylor[0],
-    }
-    return transform, f_next, g_next, diagnostics
+    diagnostics = {"min_divisor": float(min_div), "inversion_iters": iters,
+                   "composition_residual": comp_res, "n_fit": n_fit,
+                   "y_excursion": y_excursion, "taylor_order": taylor[0]}
+    return NearIdentityTransform(u=u, v=v, U=U, V=V), f_next, g_next, diagnostics
 
 
 # --------------------------------------------------------------------------- #
@@ -616,7 +604,8 @@ class ConvergenceReport:
         }
 
 
-# Step diagnostics a convergence row carries, as they read without a step.
+# The step columns of a convergence row, as they read without a step;
+# newton_step's diagnostics hold exactly these keys.
 _NO_STEP = {"min_divisor": math.nan, "inversion_iters": 0,
             "composition_residual": math.nan, "n_fit": 0,
             "y_excursion": math.nan, "taylor_order": 0}
@@ -646,8 +635,8 @@ def _materialize(h, what: str, d: int, N: int, q_y: int, r: float,
                                time_independent=autonomous)
 
 
-def fit_embedding(chain: list, freq: Frequency, r0: float,
-                  mode: str = "flow", N: Optional[int] = None) -> TorusEmbedding:
+def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
+                  N: int) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
 
     chain lists the NearIdentityTransforms outermost first and applies
@@ -658,8 +647,6 @@ def fit_embedding(chain: list, freq: Frequency, r0: float,
     """
     dyn = _dynamics(mode)
     d = freq.d
-    if N is None:
-        N = max([tr.U.N for tr in chain], default=0) + 8
     n = 2 * N + 2
     n_t = dyn.time_slots(n)
     grid_shape = (n,) * d + (n_t,)
@@ -693,10 +680,12 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
     survives in g; convergence is measured on the oscillating parts.
 
     The run stops early once both majorants fall below tol (when tol > 0).
-    After every step the embedding so far is checked with
-    verify_invariance at verify_samples, verify_dt and verify_tol (maps
-    ignore verify_dt).  A step failure ends the run early with the last
-    good chain; the report carries the failure text.
+    A step failure ends the run early with the last good chain; the report
+    carries the failure text.  After every step the chain so far is fitted
+    and checked once with verify_invariance at verify_samples, verify_dt
+    and verify_tol (maps ignore verify_dt).  The report's embedding and
+    residual, which the last row repeats, are those of the last check, or
+    of the identity embedding when no step completed.
     """
     d = schedule.d
     if freq.d != d:
@@ -718,11 +707,15 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
                     f"{name} piece {nu} has majorant {maj:.3e}, over 10x the budget "
                     f"{budget:.3e}; the schedule may be too optimistic")
 
+    def check(chain):  # each chain is fitted and verified once
+        emb = fit_embedding(chain, freq, schedule.r[0], mode, int(schedule.N[0]) + 8)
+        return emb, verify_invariance(emb, system, samples=verify_samples,
+                                      dt=verify_dt, tol=verify_tol).residual
+
     chain = []
     cur_f, cur_g = dec_f[0], dec_g[0]
     rows = []
     failure = None
-    N_emb = int(schedule.N[0]) + 8
 
     for m in range(schedule.M):
         row = _row(m, cur_f, cur_g, schedule)
@@ -741,24 +734,21 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
         except (StepFailureError, SmallDivisorError) as exc:
             failure = str(exc)
             break
-        row.update({key: diag[key] for key in _NO_STEP})
-        if diag["nesting_exceeded"]:
+        row.update(diag)
+        if diag["y_excursion"] > schedule.r[m]:
             warnings.append(
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
                 f"nominal radius {schedule.r[m]:.3e} (within the jet trust region)")
         chain.append(transform)
         cur_f = f_next + dec_f[m + 1]
         cur_g = g_next + dec_g[m + 1]
-        row["invariance_residual"] = verify_invariance(
-            fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb), system,
-            samples=verify_samples, dt=verify_dt, tol=verify_tol).residual
+        embedding, residual = check(chain)
+        row["invariance_residual"] = residual
 
     if len(chain) == schedule.M:  # neither failed nor stopped at tol
         rows.append(_row(schedule.M, cur_f, cur_g, schedule))
-
-    embedding = fit_embedding(chain, freq, schedule.r[0], mode, N=N_emb)
-    residual = verify_invariance(embedding, system, samples=verify_samples,
-                                 dt=verify_dt, tol=verify_tol).residual
+    if not chain:  # the identity embedding, after a failure or a stop at step 0
+        embedding, residual = check(chain)
     rows[-1]["invariance_residual"] = residual
 
     return ConvergenceReport(

@@ -269,6 +269,7 @@ class TestKamRun:
         'omega=["x"]', "verify_samples=abc", "perturbation.eps=abc",
         "perturbation=5", "perturbation.eps=NaN", "perturbation.eps=Infinity",
         "mu=-Infinity", "perturbation.k=1.5", "perturbation.l=0.5",
+        "name=5", "name.x=1", "name=[1]",
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, override):
         assert main(["kam", "run", "--out", str(tmp_path),
@@ -510,6 +511,10 @@ class TestLienardCli:
         ("poincare", "rho_levels=[NaN]"),
         ("poincare", "rho_star=Infinity"),
         ("poincare", "rho_star=NaN"),
+        ("stability", "name=7"),
+        ("stability", "name=null"),
+        ("stability", "perturbation=3"),
+        ("poincare", "perturbation=[1]"),
     ])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, override):
         # a short horizon first, so a missed check cannot run for minutes
@@ -539,6 +544,14 @@ class TestLienardCli:
         lines = csv.read_text().splitlines()
         assert lines[0] == "sample,iterate,theta,rho,escaped"
         assert len(lines) == 1 + 8 * 3  # 8 samples, iterates 0..2
+
+    def test_poincare_section_without_kind_is_unforced(self, capsys):
+        code, data = run_json(capsys, [
+            "lienard", "poincare", "--set", "perturbation={}",
+            "--set", "n_steps=8", "--set", "theta_points=2",
+            "--set", "rho_levels=[1.2]"])
+        assert code == 0
+        assert data["perturbation"] == "none"
 
     def test_poincare_iterates_must_not_be_negative(self, tmp_path, capsys):
         csv = tmp_path / "section.csv"

@@ -236,7 +236,8 @@ class TestGridJetOracle:
             monkeypatch.setattr(newton, "GridJet", jet)
             tr, f_next, g_next, diag = newton.newton_step(f, g, golden, sched, 0,
                                                           mode=mode)
-            emb = newton.fit_embedding([tr, tr], golden, sched.r[0], mode)
+            emb = newton.fit_embedding([tr, tr], golden, sched.r[0], mode,
+                                       tr.U.N + 8)
             runs.append((tr, f_next, g_next, diag, emb))
         (tr, f_next, g_next, diag, emb), ref = runs
         pairs = [(tr.U, ref[0].U), (tr.V, ref[0].V), (f_next, ref[1]),
@@ -246,7 +247,7 @@ class TestGridJetOracle:
         # which undoes the 1/r^|alpha| of the fit on the action nodes), on
         # the scale of the evaluated generators: the map remainder is a
         # difference of u and v values, so it is rounded on their scale.
-        uv = max(diag["sup_u"], diag["sup_v"])
+        uv = max(tr.u.majorant(sched.r[0]), tr.v.majorant(sched.r[0]))
         for got, want in pairs:
             scale = max(want.majorant(), uv)
             assert (got - want).majorant() <= 1e-13 * scale
@@ -266,7 +267,7 @@ class TestGridJetOracle:
 
         monkeypatch.setattr(FourierField, "evaluate_complex", refuse)
         tr, _, _, _ = newton.newton_step(f, g, golden, sched, 0)
-        newton.fit_embedding([tr], golden, sched.r[0])
+        newton.fit_embedding([tr], golden, sched.r[0], "flow", tr.U.N + 8)
 
 
 class TestTwoDimensionalStep:
@@ -487,7 +488,8 @@ class TestMapRun:
         with pytest.raises(ParameterError, match="banana"):
             newton.newton_step(f, g, golden, sched, 0, mode="banana")
         with pytest.raises(ParameterError, match="banana"):
-            newton.fit_embedding(report.chain, golden, sched.r[0], "banana")
+            newton.fit_embedding(report.chain, golden, sched.r[0], "banana",
+                                 report.chain[0].U.N + 8)
         with pytest.raises(ParameterError, match="callable map"):
             newton.verify_invariance(report.embedding, 3)
         with pytest.raises(ParameterError, match="pair"):
@@ -495,6 +497,85 @@ class TestMapRun:
         record = dict(report.embedding.to_dict(), mode="banana")
         with pytest.raises(PersistenceError, match="banana"):
             newton.TorusEmbedding.from_dict(record)
+
+
+class TestOneCheckPerChain:
+    """run_kam fits and verifies each chain once: max(1, steps) calls of each."""
+
+    @staticmethod
+    def _map_run(monkeypatch, golden, M, eps=1e-4, tol=0.0):
+        calls = {"fit_embedding": 0, "verify_invariance": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(newton, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(newton, name, counted)
+        sched = newton.make_schedule(1, 0.1, 1e-3, M)
+        mapping = systems.MapSystem(omega=GOLDEN, eps=eps)
+        report = newton.run_kam("map", mapping.f, mapping.g, golden, sched, tol=tol)
+        assert report.invariance_residual == report.rows[-1]["invariance_residual"]
+        return report, calls
+
+    def test_completed_run(self, monkeypatch, golden):
+        report, calls = self._map_run(monkeypatch, golden, M=3)
+        assert not report.failed and report.steps_completed == 3
+        assert calls == {"fit_embedding": 3, "verify_invariance": 3}
+        # the closing row repeats the last step's residual
+        assert report.rows[-1]["invariance_residual"] \
+            == report.rows[-2]["invariance_residual"]
+
+    def test_stop_at_tol(self, monkeypatch, golden):
+        full, _ = self._map_run(monkeypatch, golden, M=3)
+        sup = [max(row["sup_f"], row["sup_g"]) for row in full.rows]
+        report, calls = self._map_run(monkeypatch, golden, M=3,
+                                      tol=math.sqrt(sup[1] * sup[2]))
+        assert not report.failed and report.steps_completed == 2
+        assert len(report.rows) == 3
+        assert calls == {"fit_embedding": 2, "verify_invariance": 2}
+        assert report.invariance_residual == full.rows[1]["invariance_residual"]
+
+    def test_failure_at_step_0_checks_the_identity(self, monkeypatch, golden):
+        report, calls = self._map_run(monkeypatch, golden, M=2, eps=0.5)
+        assert report.failed and report.steps_completed == 0
+        assert report.failure.startswith("step 0:")
+        assert calls == {"fit_embedding": 1, "verify_invariance": 1}
+        assert report.embedding.x_offset.majorant() == 0.0
+        assert report.embedding.y.majorant() == 0.0
+
+    def test_failure_at_step_1_keeps_the_last_check(self, monkeypatch, golden):
+        step = newton.newton_step
+
+        def fail_at_1(f, g, freq, schedule, m, **kwargs):
+            if m == 1:
+                raise StepFailureError("step 1: injected failure")
+            return step(f, g, freq, schedule, m, **kwargs)
+
+        monkeypatch.setattr(newton, "newton_step", fail_at_1)
+        report, calls = self._map_run(monkeypatch, golden, M=3)
+        assert report.failed and report.steps_completed == 1
+        assert calls == {"fit_embedding": 1, "verify_invariance": 1}
+        assert report.invariance_residual == report.rows[0]["invariance_residual"]
+
+
+class TestStepRow:
+    """A step returns exactly the step columns of its convergence row."""
+
+    def test_diagnostics_are_the_step_columns(self, golden):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        f, g = _map_pair(sched)
+        _, _, _, diag = newton.newton_step(f, g, golden, sched, 0, mode="map")
+        assert list(diag) == list(newton._NO_STEP)
+
+    def test_excursion_warnings_follow_the_rows(self, golden):
+        # a strong forcing: both steps invert past the nominal radius
+        sched = newton.make_schedule(1, 0.45, 1e-3, 2)
+        flow = systems.make_flow_perturbation("single_mode", eps=0.06, g_amp=0.05)
+        report = newton.run_kam("flow", flow.f, flow.g, golden, sched)
+        assert not report.failed
+        warned = [w.split(":")[0] for w in report.warnings if "action excursion" in w]
+        assert warned == [f"step {row['m']}" for row in report.rows
+                          if row["y_excursion"] > sched.r[row["m"]]]
+        assert warned == ["step 0", "step 1"]
 
 
 class TestChainAndEmbedding:
