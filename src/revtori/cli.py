@@ -228,17 +228,16 @@ def _perturbation_params(pert_cfg: dict) -> dict:
 
 
 def _build_inputs(mode, pert_cfg: dict, omega: float):
-    """The perturbation pair (f, g) of a kam config's flow or map."""
+    """run_kam's system for a kam config: the pair (f, g) of a flow, the map A of a map."""
     from . import errors, systems
     params = _perturbation_params(pert_cfg)
     kind = pert_cfg.get("kind", "standard")
     if mode == "flow":
         system = systems.make_flow_perturbation(kind, **params)
-    elif mode == "map":
-        system = systems.make_map_perturbation(kind, omega, **params)
-    else:
-        raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
-    return system.f, system.g
+        return system.f, system.g
+    if mode == "map":
+        return systems.make_map_perturbation(kind, omega, **params).A
+    raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
 
 
 def _make_problem(cfg, errors):
@@ -300,10 +299,8 @@ def _cmd_homsolve(args):
     if args.g_amp is not None:
         pert["g_amp"] = args.g_amp
     dyn = newton._dynamics(args.mode)
-    f, g = (newton._materialize(h, what, 1, args.n_modes, args.q_y, args.r,
-                                dyn.autonomous, p)
-            for h, what, p in zip(_build_inputs(args.mode, pert, float(freq.omega[0])),
-                                  "fg", dyn.fg_parity))
+    f, g = dyn.sample(_build_inputs(args.mode, pert, float(freq.omega[0])),
+                      freq.omega, 1, args.n_modes, args.q_y, args.r)
     sol = dyn.solve(f, g, freq)
     return {"mode": args.mode, "min_divisor": sol.min_divisor,
             "residual_u": sol.residual_u, "residual_v": sol.residual_v,
@@ -346,9 +343,9 @@ def _cmd_kam_run(args):
     freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
-    f, g = _build_inputs(mode, cfg["perturbation"], float(freq.omega[0]))
+    system = _build_inputs(mode, cfg["perturbation"], float(freq.omega[0]))
     report = newton.run_kam(
-        mode, f, g, freq, schedule, tol=num["tol"], q_y=num["q_y"], **verify)
+        mode, system, freq, schedule, tol=num["tol"], q_y=num["q_y"], **verify)
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,
         [("embedding.json",

@@ -66,7 +66,7 @@ def implicit_midpoint_step(rhs: Callable, z, t: float, h: float, guess=None):
     ``MIDPOINT_TOL`` relative to the state scale, for at most
     ``MIDPOINT_MAX_ITER`` updates; ``z`` may be batched (any shape, as long
     as ``rhs`` reads it).  The start moves the result only within that
-    tolerance.
+    tolerance.  A non-finite update raises StepFailureError at once.
     """
     z = np.asarray(z, dtype=float)
     t_mid = t + 0.5 * h
@@ -81,6 +81,9 @@ def implicit_midpoint_step(rhs: Callable, z, t: float, h: float, guess=None):
         w = w_next
         if delta <= MIDPOINT_TOL * scale:
             return w
+        if not math.isfinite(delta):
+            raise StepFailureError(f"implicit midpoint: non-finite update at t = {t:.6g}, "
+                                   f"h = {h:.3g}")
     raise StepFailureError(
         f"implicit midpoint inner iteration stalled (last update {delta:.3e} "
         f"at t = {t:.6g}, h = {h:.3g})")

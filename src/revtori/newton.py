@@ -14,10 +14,12 @@ invariant torus with rotation vector omega.
 
 Flows and maps share one iteration.  The ``mode`` string ("flow" or "map")
 selects one of two private dynamics objects, ``_FLOW`` and ``_MAP``, which
-supply only what differs: the homological solve, the transformed remainder
-on grid jets, the number of time slots (autonomous map fields have one),
-the parity tags of (f, g) and (U, V), and one step of the true dynamics
-for the invariance check.
+supply only what differs: how the input system is sampled, the homological
+solve, the transformed remainder on grid jets, the number of time slots
+(autonomous map fields have one), the parity tags of (f, g) and (U, V), and
+one step of the true dynamics for the invariance check.  A flow enters as
+the pair (f, g) of callables (x, y, t) -> (S, d), a map as one callable
+A(x, y) -> (x1, y1) whose f = wrap(x1 - x - Omega - y) and g = y1 - y.
 
 Both remainders are formed point by point from grid-jet values at the
 inverted sample points and become fields only through the FFT fit: for
@@ -285,9 +287,10 @@ class _Dynamics:
 
     remainder gives the transformed (f, g) at the grid nodes moved by dx,
     at actions ys.  Autonomous fields have one time slot.  The parity
-    pairs tag (f, g) and (U, V), and the embedding like (U, V).  advance
-    returns one step of the true dynamics, the angle the torus turns by
-    and the time it ends at.
+    pairs tag (f, g) and (U, V), and the embedding like (U, V).  sample
+    fits the (f, g) of an input system, advance returns one step of it, the
+    angle the torus turns by and the time it ends at; both raise
+    ParameterError for a system the mode does not take.
     """
 
     mode: str
@@ -295,6 +298,7 @@ class _Dynamics:
     autonomous: bool
     fg_parity: tuple
     uv_parity: tuple
+    sample: Callable
     advance: Callable
 
     def solve(self, f, g, freq) -> "homological.HomologicalSolution":
@@ -329,12 +333,22 @@ def _map_remainder(jet, f, g, u, v, g_mean, freq, dx, ys):
             + jet(g_mean).evaluate(dx, ys))
 
 
-def _as_pair(system, message: str):
-    """(x, y, t) -> (S, d) evaluators of a pair of fields or callables."""
-    if not (isinstance(system, (tuple, list)) and len(system) == 2):
-        raise ParameterError(message)
-    return tuple((lambda x, y, t, h=h: h.evaluate(x, y, t, check_domain=False))
-                 if isinstance(h, FourierField) else h for h in system)
+def _wrap_angle(delta: np.ndarray) -> np.ndarray:
+    return (delta + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _as_pair(system):
+    """The pair (f, g) of a flow; ParameterError for anything else."""
+    if isinstance(system, (tuple, list)) and len(system) == 2 and all(map(callable, system)):
+        return system
+    raise ParameterError(f"flow mode takes the pair (f, g) of callables (x, y, t) -> (S, d), "
+                         f"not {type(system).__name__}")
+
+
+def _flow_sample(system, omega, d, N, q_y, r):
+    """Fit f and g at cutoff N, each with its parity."""
+    return tuple(field_from_function(h, d, d, N, q_y=q_y, r=r, parity=p)
+                 for h, p in zip(_as_pair(system), _FLOW.fg_parity))
 
 
 def _flow_advance(system, omega, dt, tol):
@@ -344,7 +358,7 @@ def _flow_advance(system, omega, dt, tol):
     atol + tol |z| with atol = tol * 1e-3.  A non-finite right-hand side, a
     collapsed step size or too many steps raise StepFailureError.
     """
-    f_fn, g_fn = _as_pair(system, "flow verification needs the pair (f, g)")
+    f_fn, g_fn = _as_pair(system)
 
     def step(x0, y0):
         S, d = x0.shape
@@ -365,24 +379,33 @@ def _flow_advance(system, omega, dt, tol):
 
 
 def _map_advance(system, omega, dt, tol):
-    """Apply the map once: a callable A(x, y), or the normal form of a pair (f, g)."""
-    Omega = 2.0 * np.pi * omega
-    if callable(system):
-        return system, Omega, 0.0
-    f_fn, g_fn = _as_pair(system, "map verification needs the pair (f, g) or a callable map")
+    """Apply the map A once; the torus turns by 2 pi omega."""
+    if not callable(system):
+        raise ParameterError(f"map mode takes a callable map A(x, y) -> (x1, y1), "
+                             f"not {type(system).__name__}")
+    return system, 2.0 * np.pi * omega, 0.0
 
-    def apply_map(x, y):
-        tt = np.zeros(x.shape[0])
-        return (x + Omega + y + np.asarray(f_fn(x, y, tt)).reshape(x.shape),
-                y + np.asarray(g_fn(x, y, tt)).reshape(x.shape))
 
-    return apply_map, Omega, 0.0
+def _map_sample(system, omega, d, N, q_y, r):
+    """Call A once per action node and fit (f, g) as one field of 2d components."""
+    A, Omega, _ = _map_advance(system, omega, None, None)
+
+    def fg(x, y, t):
+        x1, y1 = A(x, y)
+        return np.concatenate([_wrap_angle(np.reshape(x1, x.shape) - x - Omega - y),
+                               np.reshape(y1, y.shape) - y], axis=-1)
+
+    both = field_from_function(fg, d, 2 * d, N, q_y=q_y, r=r, time_independent=True)
+    return tuple(FourierField(d, d, N, q_y, r, both.coeffs[..., i:i + d].copy())
+                 for i in (0, d))
 
 
 _FLOW = _Dynamics("flow", _flow_remainder, autonomous=False,
-                  fg_parity=("even", "odd"), uv_parity=("odd", "even"), advance=_flow_advance)
+                  fg_parity=("even", "odd"), uv_parity=("odd", "even"),
+                  sample=_flow_sample, advance=_flow_advance)
 _MAP = _Dynamics("map", _map_remainder, autonomous=True,
-                 fg_parity=(None, None), uv_parity=(None, None), advance=_map_advance)
+                 fg_parity=(None, None), uv_parity=(None, None),
+                 sample=_map_sample, advance=_map_advance)
 
 
 def _dynamics(mode) -> _Dynamics:
@@ -623,18 +646,6 @@ def _row(m: int, f: FourierField, g: FourierField, schedule: Schedule) -> dict:
             "invariance_residual": math.nan, **_NO_STEP}
 
 
-def _materialize(h, what: str, d: int, N: int, q_y: int, r: float,
-                 autonomous: bool, parity) -> FourierField:
-    if isinstance(h, FourierField):
-        if h.d != d or h.m != d:
-            raise ShapeError(f"{what} must have d = m = {d}")
-        return h
-    if not callable(h):
-        raise ParameterError(f"{what} must be a FourierField or a callable")
-    return field_from_function(h, d, d, N, q_y=q_y, r=r, parity=parity,
-                               time_independent=autonomous)
-
-
 def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
                   N: int) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
@@ -665,16 +676,17 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
                           r0=float(r0), mode=mode)
 
 
-def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
+def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
             tol: float = 0.0, q_y: int = 2, verify_samples: int = 64,
             verify_dt: float = 1.0, verify_tol: float = 1e-12) -> ConvergenceReport:
     """Run the full Newton iteration for a forced flow or a map.
 
     mode is "flow", for dx/dt = omega + y + f(x, y, t), dy/dt = g(x, y, t),
-    or "map", for x' = x + 2 pi omega + y + f(x, y), y' = y + g(x, y).  f and
-    g may be FourierFields (m = d components) or callables (x, y, t) ->
-    (S, d); callables are sampled at the finest cutoff of the schedule, at
-    t = 0 alone for maps, and the pair is decomposed into band-limited
+    or "map", for x' = x + 2 pi omega + y + f(x, y), y' = y + g(x, y).
+    system is what verify_invariance takes: the pair (f, g) of callables
+    (x, y, t) -> (S, d) for a flow, one callable A(x, y) -> (x1, y1) for a
+    map.  (f, g) is sampled at the finest cutoff of the schedule, a map's
+    with one call of A per action node, and decomposed into band-limited
     pieces fed to the steps one scale at a time.  A map carries the angular
     average of g along rather than solving it away, so a small mean
     survives in g; convergence is measured on the oscillating parts.
@@ -691,11 +703,8 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
     if freq.d != d:
         raise ShapeError(f"frequency dimension {freq.d} does not match schedule d = {d}")
     dyn = _dynamics(mode)
-    N_master = int(schedule.N[schedule.M])
-    system = (f, g)
-    dec_f, dec_g = (decompose(_materialize(h, what, d, N_master, q_y, schedule.r[0],
-                                           dyn.autonomous, p), schedule)
-                    for h, what, p in zip(system, "fg", dyn.fg_parity))
+    dec_f, dec_g = (decompose(h, schedule) for h in dyn.sample(
+        system, freq.omega, d, int(schedule.N[schedule.M]), q_y, schedule.r[0]))
 
     warnings = []
     for nu, (pf, pg) in enumerate(zip(dec_f, dec_g)):
@@ -762,10 +771,6 @@ def run_kam(mode: str, f, g, freq: Frequency, schedule: Schedule, *,
 # verification
 # --------------------------------------------------------------------------- #
 
-def _wrap_angle(delta: np.ndarray) -> np.ndarray:
-    return (delta + np.pi) % (2.0 * np.pi) - np.pi
-
-
 def verify_invariance(embedding: TorusEmbedding, system,
                       samples: int = 64, dt: float = 1.0,
                       tol: float = 1e-12) -> InvarianceReport:
@@ -778,11 +783,9 @@ def verify_invariance(embedding: TorusEmbedding, system,
     A(K(theta)) is compared against K(theta + 2 pi omega); dt and tol play
     no part.  Angle mismatches are wrapped to (-pi, pi].
 
-    system defines the true dynamics.  Flows take the pair (f, g) of
-    fields or callables (x, y, t) -> (S, d).  Maps take either that pair,
-    which becomes the normal form A(x, y) = (x + 2 pi omega + y + f,
-    y + g) with f and g sampled at t = 0, or a callable
-    A(x, y) -> (x1, y1) such as a section map.
+    system defines the true dynamics, as for run_kam: flows take the pair
+    (f, g) of callables (x, y, t) -> (S, d), maps one callable
+    A(x, y) -> (x1, y1) such as a section map, called once.
 
     samples must be a positive integer, tol finite and positive, and dt
     finite and nonzero (negative dt integrates backwards), in either mode;

@@ -70,16 +70,6 @@ class MapSystem:
     def Omega(self) -> float:
         return 2.0 * np.pi * self.omega
 
-    def f(self, x, y, t=None):
-        x = np.asarray(x, dtype=float)
-        return -self.eps * np.cos(x)
-
-    def g(self, x, y, t=None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x1 = x + self.Omega + y - self.eps * np.cos(x)
-        return self.eps * (np.cos(x1) - np.cos(x))
-
     def A(self, x, y):
         """One application of the map; arrays broadcast elementwise."""
         x = np.asarray(x, dtype=float)

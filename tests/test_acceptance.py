@@ -35,7 +35,7 @@ def flow_m5(golden):
     flow = systems.make_flow_perturbation("single_mode", eps=1e-4,
                                           g_amp=sched.s[0])
     t0 = time.perf_counter()
-    report = newton.run_kam("flow", flow.f, flow.g, golden, sched)
+    report = newton.run_kam("flow", (flow.f, flow.g), golden, sched)
     return report, sched, time.perf_counter() - t0
 
 
@@ -45,7 +45,7 @@ def map_m5(golden):
     mapping = systems.make_map_perturbation("cosine_kick", omega=GOLDEN,
                                             eps=1e-4)
     t0 = time.perf_counter()
-    report = newton.run_kam("map", mapping.f, mapping.g, golden, sched)
+    report = newton.run_kam("map", mapping.A, golden, sched)
     return report, mapping, time.perf_counter() - t0
 
 

@@ -111,6 +111,19 @@ def test_extrapolation_gives_up_after_its_step_cap(monkeypatch):
         integrators.extrapolate(harmonic_rhs, [1.0, 0.0], 0.0, 100.0, 1e-12)
 
 
+def test_implicit_midpoint_stops_at_a_non_finite_update():
+    calls = []
+
+    def rhs(z, t):
+        calls.append(t)
+        return np.full_like(z, np.nan) if len(calls) > 1 else -z
+
+    with pytest.raises(StepFailureError, match="non-finite"):
+        integrators.implicit_midpoint_step(rhs, np.ones(2), 0.0, 0.1)
+    # the Euler start, then one update that is not finite
+    assert len(calls) == 2
+
+
 def test_extrapolation_stops_at_a_non_finite_right_hand_side():
     calls = []
 

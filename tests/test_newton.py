@@ -146,10 +146,7 @@ class TestNewtonStep:
 
     def test_map_step_contracts_on_autonomous_fields(self, golden):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        mapping = systems.MapSystem(omega=GOLDEN, eps=1e-5)
-        f, g = (field_from_function(h, d=1, m=1, N=sched.N[0], q_y=2,
-                                    r=sched.r[0], time_independent=True)
-                for h in (mapping.f, mapping.g))
+        f, g = _map_pair(sched)
         assert f.N_t == g.N_t == 0
         transform, f_next, g_next, diag = newton.newton_step(
             f, g, golden, sched, 0, mode="map")
@@ -213,10 +210,10 @@ class _ScatteredJet:
 
 
 def _map_pair(sched, eps=1e-5):
+    """The (f, g) of the cosine kick, sampled from its map at cutoff N[0]."""
     mapping = systems.MapSystem(omega=GOLDEN, eps=eps)
-    return tuple(field_from_function(h, d=1, m=1, N=sched.N[0], q_y=2,
-                                     r=sched.r[0], time_independent=True)
-                 for h in (mapping.f, mapping.g))
+    return newton._MAP.sample(mapping.A, np.array([GOLDEN]), 1, sched.N[0], 2,
+                              sched.r[0])
 
 
 class TestGridJetOracle:
@@ -322,7 +319,7 @@ def short_run(golden):
     sched = newton.make_schedule(1, 0.1, 1e-4, 2)
     flow = systems.make_flow_perturbation("single_mode", eps=1e-4,
                                           g_amp=sched.s[0])
-    report = newton.run_kam("flow", flow.f, flow.g, golden, sched)
+    report = newton.run_kam("flow", (flow.f, flow.g), golden, sched)
     return flow, report
 
 
@@ -464,22 +461,93 @@ class TestFlowVerificationOracle:
 def map_run(golden):
     sched = newton.make_schedule(1, 0.1, 1e-3, 2)
     mapping = systems.MapSystem(omega=GOLDEN, eps=1e-4)
-    return mapping, newton.run_kam("map", mapping.f, mapping.g, golden, sched)
+    return mapping, newton.run_kam("map", mapping.A, golden, sched)
+
+
+class TestMapSampling:
+    """A map enters as one callable A, called once per action node to sample
+    f = wrap(x1 - x - Omega - y) and g = y1 - y, and once per check."""
+
+    def test_one_call_per_action_node_and_per_check(self, golden):
+        mapping = systems.MapSystem(omega=GOLDEN, eps=1e-4)
+        calls = []
+
+        def counted(x, y):
+            calls.append(x.shape)
+            return mapping.A(x, y)
+
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        report = newton.run_kam("map", counted, golden, sched, q_y=2)
+        assert not report.failed and report.steps_completed == 2
+        n = 2 * sched.N[2] + 2
+        assert calls == [(n, 1)] * 3 + [(64, 1)] * 2
+        # the run's residual is that of the map it was given
+        inv = newton.verify_invariance(report.embedding, mapping.A)
+        assert inv.residual == report.invariance_residual < 1e-8
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_samples_are_the_closed_forms(self, eps):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        f, g = _map_pair(sched, eps)
+        Omega = 2.0 * np.pi * GOLDEN
+        n = 2 * sched.N[0] + 2
+        x = 2.0 * np.pi * np.arange(n)[:, None] / n
+        for node in fields.default_action_nodes(1, 2, sched.r[0]):
+            y = np.full_like(x, node[0])
+            x1 = x + Omega + y - eps * np.cos(x)
+            # f is read off x1 ~ 10, so it carries the rounding of x1
+            assert np.max(np.abs(f.evaluate(x, y) + eps * np.cos(x))) \
+                <= 2.0 * np.spacing(np.max(x1))
+            assert np.max(np.abs(g.evaluate(x, y)
+                                 - eps * (np.cos(x1) - np.cos(x)))) <= 1e-15
+
+    def test_two_dimensional_kick_splits_into_components(self):
+        eps = np.array([1e-4, 3e-4])
+        omega = np.array([GOLDEN, math.sqrt(2.0) - 1.0])
+        Omega = 2.0 * np.pi * omega
+
+        def kick(x, y):  # two uncoupled cosine kicks
+            x1 = x + Omega + y - eps * np.cos(x)
+            return x1, y + eps * (np.cos(x1) - np.cos(x))
+
+        f, g = newton._MAP.sample(kick, omega, 2, 4, 0, 0.0)
+        assert (f.d, f.m, g.d, g.m) == (2, 2, 2, 2)
+        grid = 2.0 * np.pi * np.arange(10) / 10
+        x = np.stack([a.ravel() for a in np.meshgrid(grid, grid, indexing="ij")], axis=-1)
+        x1 = x + Omega - eps * np.cos(x)
+        assert np.max(np.abs(f.evaluate(x) + eps * np.cos(x))) <= 2.0 * np.spacing(np.max(x1))
+        assert np.max(np.abs(g.evaluate(x) - eps * (np.cos(x1) - np.cos(x)))) <= 1e-15
+
+    def test_wrapped_angles_give_the_same_run(self, map_run, golden):
+        mapping, report = map_run
+
+        def wrapped(x, y):  # a section map may return its angle mod 2 pi
+            x1, y1 = mapping.A(x, y)
+            return np.mod(x1, 2.0 * np.pi), y1
+
+        other = newton.run_kam("map", wrapped, golden, report.schedule)
+        assert not other.failed and other.steps_completed == report.steps_completed
+        assert len(other.rows) == len(report.rows)
+        for name in ("x_offset", "y"):
+            ours, theirs = getattr(other.embedding, name), getattr(report.embedding, name)
+            assert np.max(np.abs(ours.coeffs - theirs.coeffs)) <= 1e-14
+
+    def test_each_mode_names_what_it_takes(self, map_run, golden):
+        mapping, report = map_run
+        sched = report.schedule
+        flow = systems.make_flow_perturbation("single_mode", eps=1e-4)
+        takes_pair, takes_map = "flow mode takes the pair", "map mode takes a callable map"
+        for mode, system, message in (("map", (flow.f, flow.g), takes_map),
+                                       ("flow", mapping.A, takes_pair),
+                                       ("flow", _map_pair(sched), takes_pair),
+                                       ("map", _map_pair(sched), takes_map)):
+            with pytest.raises(ParameterError, match=message):
+                newton.run_kam(mode, system, golden, sched)
+        with pytest.raises(ParameterError, match=takes_map):
+            newton.verify_invariance(report.embedding, 3)
 
 
 class TestMapRun:
-    def test_pair_and_callable_map_give_one_residual(self, map_run):
-        # the pair (f, g) becomes the normal form x + Omega + y + f, y + g,
-        # which computes MapSystem.A operation for operation
-        mapping, report = map_run
-        assert not report.failed
-        pair = newton.verify_invariance(report.embedding, (mapping.f, mapping.g))
-        direct = newton.verify_invariance(report.embedding, mapping.A)
-        assert (pair.x_residual, pair.y_residual) == (direct.x_residual,
-                                                      direct.y_residual)
-        assert pair.residual == direct.residual == report.invariance_residual
-        assert pair.residual < 1e-8
-
     def test_unknown_mode_and_system_are_rejected(self, map_run, short_run,
                                                   golden):
         mapping, report = map_run
@@ -512,7 +580,7 @@ class TestOneCheckPerChain:
             monkeypatch.setattr(newton, name, counted)
         sched = newton.make_schedule(1, 0.1, 1e-3, M)
         mapping = systems.MapSystem(omega=GOLDEN, eps=eps)
-        report = newton.run_kam("map", mapping.f, mapping.g, golden, sched, tol=tol)
+        report = newton.run_kam("map", mapping.A, golden, sched, tol=tol)
         assert report.invariance_residual == report.rows[-1]["invariance_residual"]
         return report, calls
 
@@ -570,7 +638,7 @@ class TestStepRow:
         # a strong forcing: both steps invert past the nominal radius
         sched = newton.make_schedule(1, 0.45, 1e-3, 2)
         flow = systems.make_flow_perturbation("single_mode", eps=0.06, g_amp=0.05)
-        report = newton.run_kam("flow", flow.f, flow.g, golden, sched)
+        report = newton.run_kam("flow", (flow.f, flow.g), golden, sched)
         assert not report.failed
         warned = [w.split(":")[0] for w in report.warnings if "action excursion" in w]
         assert warned == [f"step {row['m']}" for row in report.rows

@@ -49,9 +49,11 @@ class TestMapSystem:
         x = rng.uniform(0, 2 * np.pi, size=128)
         y = rng.uniform(-0.05, 0.05, size=128)
         x1, y1 = mp.A(x, y)
-        np.testing.assert_allclose(x1, x + mp.Omega + y + mp.f(x, y),
+        # f = -eps cos x and g = eps (cos x1 - cos x), as the docstring says
+        np.testing.assert_allclose(x1, x + mp.Omega + y - mp.eps * np.cos(x),
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(y1, y + mp.g(x, y), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(y1, y + mp.eps * (np.cos(x1) - np.cos(x)),
+                                   rtol=0, atol=1e-14)
 
     def test_matches_conjugated_involution(self, rng):
         # rebuild A from its advertised factorisation G o T o H0 o T^{-1}
