@@ -36,8 +36,9 @@ _PARITIES = ("even", "odd", None)
 # Entries allowed in one point block: complex entries (2^18, 4 MiB) of the
 # GEMM output in FourierField.evaluate_complex, where points per block = this
 # // coefficient block width (2N+1)^(d-1) * (2N_t+1) * P * m, and real entries
-# (2 MiB) of the Horner accumulator in GridJet.evaluate, which runs in blocks
-# of whole sheets (at least one).
+# (2 MiB) of each Horner accumulator of a GridJet (one for the values, one per
+# angle for the x-derivatives), which runs in blocks of whole sheets (at least
+# one).
 _EVAL_BLOCK_ENTRIES = 1 << 18
 # Real entries (2^21, 16 MiB) of derivative tables one GridJet keeps between
 # calls.  Missing tables are synthesized in batches of at most this many real
@@ -667,6 +668,12 @@ class GridJet:
     tables broadcast over the sheets; only re-anchored offsets gather rows
     of them.  At most _JET_TABLE_ENTRIES table entries are kept between
     calls.
+
+    :meth:`evaluate_with_gradient` adds the first derivatives in x and y
+    from the same tables: those of orders up to K + 1 give d/dx at order
+    K, and the Horner accumulator of the values gives d/dy.  So one jet of
+    several fields stacked as components (:func:`stack_components`)
+    serves all their values and derivatives.
     """
 
     def __init__(self, field: FourierField, n: int, n_t: int):
@@ -687,7 +694,27 @@ class GridJet:
         multiple of the node count; a non-finite offset gives a non-finite
         value, as a scattered evaluation would.
         """
+        return self._sums(delta, y, gradient=False)[0]
+
+    def evaluate_with_gradient(self, delta, y) -> tuple:
+        """Values and first derivatives at (node + delta, y).
+
+        Returns (values, d_x, d_y): the values of :meth:`evaluate`, shape
+        (S, m), and d_x[j] = dF/dx_j, d_y[j] = dF/dy_j, shape (d, S, m).
+        At the Taylor order K of the values, d_x[j] sums
+        (alpha_j + 1) T_(alpha + e_j) delta^alpha over |alpha| <= K from the
+        tables of orders up to K + 1, and d_y[j] contracts the Horner
+        accumulator of the values with the derivative in y_j of the action
+        powers.
+        """
+        out = self._sums(delta, y, gradient=True)
+        d = self.field.d
+        return out[0], out[1:d + 1], out[d + 1:]
+
+    def _sums(self, delta, y, gradient: bool) -> np.ndarray:
+        """The values, then (with ``gradient``) d_x and d_y, shape (1 [+ 2d], S, m)."""
         f = self.field
+        d = f.d
         delta, y, _, S, _ = f._normalize_inputs(delta, y, None)
         nodes = math.prod(self._shape)
         if S % nodes:
@@ -699,26 +726,38 @@ class GridJet:
         finite = np.isfinite(delta)
         K = taylor_order(f.N * float(np.max(np.abs(delta), initial=0.0, where=finite)))
         self.max_order = max(self.max_order, K)
-        alphas = _multi_indices(f.d, K)
-        tables = self._tables(alphas)
-        groups = [[(alpha, table) for alpha, table in zip(alphas, tables) if alpha[0] == a0]
-                  for a0 in range(K, -1, -1)]
+        alphas = _multi_indices(d, K + 1 if gradient else K)
+        tables = dict(zip(alphas, self._tables(alphas)))
+        order_K = alphas[:len(_multi_indices(d, K))]  # graded: |alpha| <= K lead
+        sums = [_by_first_index([(a, tables[a], 1.0) for a in order_K], K)]
+        for j in range(d if gradient else 0):
+            # d/d delta_j of sum T_a delta^a is sum (b_j + 1) T_(b + e_j) delta^b
+            sums.append(_by_first_index([(b, tables[b[:j] + (b[j] + 1,) + b[j + 1:]], b[j] + 1.0)
+                                         for b in order_K], K))
         rows = None
         if shift.any():
             idx = np.unravel_index(np.arange(S) % nodes, self._shape)
             rows = np.ravel_multi_index(
-                tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(f.d))
-                + idx[f.d:], self._shape)
-        P = f.coeffs.shape[-2]
-        out = np.empty((S, f.m))
+                tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(d))
+                + idx[d:], self._shape)
+        powers = f.powers
+        P = len(powers)
+        # d/dy_j of y^alpha is alpha_j y^(alpha - e_j)
+        lowered = [np.maximum(powers - e, 0) for e in np.eye(d, dtype=int)] if gradient else []
+        out = np.empty((len(sums) + len(lowered), S, f.m))
         block = nodes * max(1, _EVAL_BLOCK_ENTRIES // (nodes * self._width))
         for lo in range(0, S, block):
             sheets = slice(lo, min(lo + block, S))
-            dl = delta[sheets].reshape(-1, nodes, f.d)
-            acc = _horner(groups, dl, None if rows is None else rows[sheets])
-            Y = _power_matrix(y[sheets], f.powers).reshape(dl.shape[:2] + (P,))
-            vals = np.einsum("...pm,...p->...m", acc.reshape(acc.shape[:-1] + (P, f.m)), Y)
-            out[sheets] = vals.reshape(-1, f.m)
+            dl = delta[sheets].reshape(-1, nodes, d)
+            sub = None if rows is None else rows[sheets]
+            # an accumulator that is a table itself is spread over the sheets
+            accs = [np.broadcast_to(_horner(groups, dl, sub), dl.shape[:2] + (P * f.m,))
+                    .reshape(-1, P, f.m) for groups in sums]
+            Y = _power_matrix(y[sheets], powers)
+            dY = [powers[:, j] * _power_matrix(y[sheets], low) for j, low in enumerate(lowered)]
+            pairs = [(acc, Y) for acc in accs] + [(accs[0], dY_j) for dY_j in dY]
+            for i, (acc, Yi) in enumerate(pairs):
+                out[i, sheets] = np.einsum("spm,sp->sm", acc, Yi)
         return out
 
     def _tables(self, alphas) -> list:
@@ -738,27 +777,29 @@ class GridJet:
 
 
 def _horner(groups: list, dl: np.ndarray, rows) -> np.ndarray:
-    """sum_alpha table_alpha * dl^alpha on one block of sheets.
+    """sum_alpha weight_alpha * table_alpha * dl^alpha on one block of sheets.
 
-    ``groups`` holds the (alpha, table) pairs by first index alpha_0 = K..0,
-    each in graded order, so (alpha_0, 0, ..., 0) leads its group; ``dl``
-    holds the offsets, shape (sheets, nodes, d).  Horner runs in the first
-    angle's offset and the other angles enter as monomials.  The
-    (nodes, P*m) tables broadcast over the sheets, or give the rows
-    ``rows`` where offsets were re-anchored.  The result broadcasts to
-    (sheets, nodes, P*m) and may be a table itself.
+    ``groups`` holds the (alpha, table, weight) entries by first index
+    alpha_0 = K..0 (:func:`_by_first_index`); ``dl`` holds the offsets,
+    shape (sheets, nodes, d).  Horner runs in the first angle's offset and
+    the other angles enter as monomials.  The (nodes, P*m) tables broadcast
+    over the sheets, or give the rows ``rows`` where offsets were
+    re-anchored.  The result broadcasts to (sheets, nodes, P*m) and may be
+    a table itself.
     """
     mono = [dl[..., a:a + 1] ** np.arange(len(groups)) for a in range(1, dl.shape[-1])]
     acc = None
     for i, group in enumerate(groups):
         part = None
-        for alpha, table in group:
+        for alpha, table, weight in group:
             term = table if rows is None else table[rows].reshape(dl.shape[:2] + (-1,))
             if any(alpha[1:]):
-                term = term * math.prod(mono[a][..., e:e + 1]
-                                        for a, e in enumerate(alpha[1:]) if e)
+                term = term * (weight * math.prod(mono[a][..., e:e + 1]
+                                                  for a, e in enumerate(alpha[1:]) if e))
                 if part is not None:
                     term += part
+            elif weight != 1.0:
+                term = term * weight
             part = term
         if acc is None:
             acc = part
@@ -766,6 +807,15 @@ def _horner(groups: list, dl: np.ndarray, rows) -> np.ndarray:
             acc = np.multiply(acc, dl[..., :1], out=acc if i > 1 else None)
             acc += part
     return acc
+
+
+def _by_first_index(entries: list, K: int) -> list:
+    """Horner groups of (alpha, table, weight) entries, |alpha| <= K.
+
+    One group per first index alpha_0 = K..0; the entries come in graded
+    order, so (alpha_0, 0, ..., 0) leads its group.
+    """
+    return [[e for e in entries if e[0][0] == a0] for a0 in range(K, -1, -1)]
 
 
 def _multi_indices(d: int, K: int) -> list:
@@ -890,6 +940,22 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     return FourierField(d, m, N, q_y, r, coeffs, parity)
 
 
+def stack_components(*parts: FourierField) -> FourierField:
+    """The fields' components side by side, as the components of one field.
+
+    Cutoffs and power degree are the largest of the parts, whose
+    coefficients are zero-padded to them; the radius is the largest, and
+    the parity tags are joined (None if a part has none).  One
+    :class:`GridJet` of the result evaluates all the parts at once.
+    """
+    N, N_t, q_y = (max(getattr(p, a) for p in parts) for a in ("N", "N_t", "q_y"))
+    coeffs = np.concatenate([p._padded_to(N, q_y, N_t) for p in parts], axis=-1)
+    parity = None if any(p.parity is None for p in parts) else sum(
+        (p.parity for p in parts), ())
+    return FourierField(parts[0].d, coeffs.shape[-1], N, q_y, max(p.r for p in parts),
+                        coeffs, parity)
+
+
 def default_action_nodes(d: int, q_y: int, r: float) -> np.ndarray:
     """Tensor grid of action fit nodes: q_y+1 equispaced points in [-r, r]."""
     if q_y == 0:
@@ -907,7 +973,9 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
     """Sample ``fn(x, y, t) -> (..., m)`` and fit a truncated field.
 
     The angle/time grid has 2N+2 points per axis; the action ball is
-    sampled on a tensor grid of q_y+1 points per dimension.
+    sampled on a tensor grid of q_y+1 points per dimension.  ``fn`` is
+    called once per action node, on every angle/time node at once: x of
+    shape (S, d), y (S, d) and t (S,).
     With ``time_independent`` the function is sampled at t = 0 only and the
     result is an autonomous field (time cutoff N_t = 0).
     """
@@ -915,23 +983,18 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
         raise ParameterError(f"mode cutoff must be nonnegative, got N = {N}")
     n = 2 * N + 2
     y_nodes = default_action_nodes(d, q_y, r)
-    n_y = len(y_nodes)
     grid = 2.0 * np.pi * np.arange(n) / n
-    axes = np.meshgrid(*([grid] * d), indexing="ij")
-    x_flat = np.stack([a.ravel() for a in axes], axis=-1) if d else None
-    S = n ** d
-    t_values = [0.0] if time_independent else grid
-    values = np.empty((n,) * d + (len(t_values), n_y, m), dtype=float)
-    for it, t in enumerate(t_values):
-        for iy in range(n_y):
-            y = np.broadcast_to(y_nodes[iy], (S, d))
-            out = np.asarray(fn(x_flat, y, np.full(S, t)), dtype=float)
-            if out.size != S * m:
-                raise ShapeError(f"function returned {out.size} values on {S} samples, "
-                                 f"expected {m} per sample")
-            out = out.reshape((n,) * d + (m,))
-            sl = (slice(None),) * d + (it, iy, slice(None))
-            values[sl] = out
+    axes = np.meshgrid(*([grid] * d), [0.0] if time_independent else grid, indexing="ij")
+    x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
+    t = axes[d].ravel()
+    S = len(t)
+    values = np.empty(axes[0].shape + (len(y_nodes), m), dtype=float)
+    for iy, y in enumerate(y_nodes):  # one call per action node
+        out = np.asarray(fn(x, np.broadcast_to(y, (S, d)), t), dtype=float)
+        if out.size != S * m:
+            raise ShapeError(f"function returned {out.size} values on {S} samples, "
+                             f"expected {m} per sample")
+        values[..., iy, :] = out.reshape(axes[0].shape + (m,))
     return field_from_grid_samples(values, d, N, q_y, r, y_nodes, parity)
 
 

@@ -24,11 +24,15 @@ A(x, y) -> (x1, y1) whose f = wrap(x1 - x - Omega - y) and g = y1 - y.
 Both remainders are formed point by point from grid-jet values at the
 inverted sample points and become fields only through the FFT fit: for
 flows, products of the values of f, g and the first derivatives of u and
-v; for maps, differences of the values of the shifted generators.
+v; for maps, differences of the values of the shifted generators.  A
+step builds one grid jet per field pair, the pair stacked as components:
+(u, v), which also gives the flow remainder the first derivatives of u
+and v from its own tables; (f, g), for maps with g_mean and the shifted
+generators; and the fitted inverse (U, V).
 """
 
 import math
-from dataclasses import dataclass, field as _dc_field
+from dataclasses import dataclass, field as _dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +42,7 @@ from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError)
 from .fields import (FourierField, GridJet, default_action_nodes,
-                     field_from_function, field_from_grid_samples)
+                     field_from_function, field_from_grid_samples, stack_components)
 from .integrators import extrapolate
 from .smoothing import cutoff, decompose
 
@@ -241,32 +245,40 @@ class _OrderedJet:
     """
 
     def __init__(self, field: FourierField, n: int, n_t: int, orders: list):
-        self.jet, self.n, self._orders = GridJet(field, n, n_t), n, orders
+        self.jet, self.field, self.n = GridJet(field, n, n_t), field, n
+        self._orders = orders
 
     def evaluate(self, delta, y=None) -> np.ndarray:
-        out = self.jet.evaluate(delta, y)
+        return self._track(self.jet.evaluate(delta, y))
+
+    def evaluate_with_gradient(self, delta, y) -> tuple:
+        return self._track(self.jet.evaluate_with_gradient(delta, y))
+
+    def _track(self, out):
         self._orders[0] = max(self._orders[0], self.jet.max_order)
         return out
 
 
-def _invert_transform(u: GridJet, v: GridJet, eta):
+def _invert_transform(uv: GridJet, eta):
     """Solve  xi = x + u(x, y, t),  eta = y + v(x, y, t)  for (x, y).
 
-    (xi, t) runs over the nodes of the jets' grid, one sample of ``eta``
-    per node.  Plain fixed-point iteration; contraction factor is the size
-    of the derivatives of (u, v), far below one for the fields this module
+    ``uv`` is one jet of the pair (u, v) stacked as components.  (xi, t)
+    runs over the nodes of its grid, one sample of ``eta`` per node.
+    Plain fixed-point iteration; contraction factor is the size of the
+    derivatives of (u, v), far below one for the fields this module
     produces.  The iteration runs on the increments dx = x - xi,
     dy = y - eta rather than on (x, y): forming x and subtracting xi back
     would drown increments near roundoff in the rounding of xi + dx, and
     the fitted transforms at late steps are exactly that small.
     Returns (dx, dy, iterations).
     """
+    d = eta.shape[1]
     dx = np.zeros_like(eta)
     dy = np.zeros_like(eta)
-    scale = 1.0 + 2.0 * np.pi * (u.n - 1) / u.n  # 1 + the largest node angle
+    scale = 1.0 + 2.0 * np.pi * (uv.n - 1) / uv.n  # 1 + the largest node angle
     for it in range(1, _INVERT_MAX_ITER + 1):
-        dx_new = -u.evaluate(dx, eta + dy)
-        dy_new = -v.evaluate(dx, eta + dy)
+        w = uv.evaluate(dx, eta + dy)
+        dx_new, dy_new = -w[:, :d], -w[:, d:]
         step = max(float(np.max(np.abs(dx_new - dx))),
                    float(np.max(np.abs(dy_new - dy))))
         dx, dy = dx_new, dy_new
@@ -310,27 +322,36 @@ class _Dynamics:
         return 1 if self.autonomous else n
 
 
-def _flow_remainder(jet, f, g, u, v, g_mean, freq, dx, ys):
-    # Transformed remainders in the old variables, as products of jet values:
-    #   T_f = (D_x u) (y + f) + (D_y u) g,   T_g likewise with v.
-    W = ys + jet(f).evaluate(dx, ys)
-    G = jet(g).evaluate(dx, ys)
-    return tuple(sum(jet(w.diff_x(j)).evaluate(dx, ys) * W[:, j:j + 1]
-                     + jet(w.diff_y(j)).evaluate(dx, ys) * G[:, j:j + 1]
-                     for j in range(f.d))
-                 for w in (u, v))
+def _flow_remainder(jet, uv, f, g, g_mean, freq, dx, ys):
+    """Transformed remainders in the old variables, as products of jet values.
+
+    T_f = (D_x u)(y + f) + (D_y u) g and T_g likewise with v, at the
+    nodes moved by dx and actions ys.  The values of f and g come from one
+    jet of the pair, the first derivatives of u and v from the step's jet
+    ``uv`` of (u, v); no derivative field is formed.
+    """
+    d = f.d
+    fg = jet(stack_components(f, g)).evaluate(dx, ys)
+    W, G = ys + fg[:, :d], fg[:, d:]
+    _, d_x, d_y = uv.evaluate_with_gradient(dx, ys)
+    T = sum(d_x[j] * W[:, j:j + 1] + d_y[j] * G[:, j:j + 1] for j in range(d))
+    return T[:, :d], T[:, d:]
 
 
-def _map_remainder(jet, f, g, u, v, g_mean, freq, dx, ys):
-    # x1 = x + Omega + y + f, y1 = y + g; the shifted generators take the
-    # rotation Omega, so every jet offset stays small.
+def _map_remainder(jet, uv, f, g, g_mean, freq, dx, ys):
+    """Differences of the shifted generators along one step of the map.
+
+    x1 = x + Omega + y + f, y1 = y + g; the generators shifted by the
+    rotation Omega take the rest, so every jet offset stays small.  One
+    jet holds f, g, g_mean and the shifted pair (u, v) as components.
+    """
+    d = f.d
     Omega = 2.0 * np.pi * freq.omega
-    u_shift, v_shift = jet(u.shift_x(Omega)), jet(v.shift_x(Omega))
-    dx1 = dx + ys + jet(f).evaluate(dx, ys)
-    y1 = ys + jet(g).evaluate(dx, ys)
-    return (u_shift.evaluate(dx1, y1) - u_shift.evaluate(dx, ys),
-            v_shift.evaluate(dx1, y1) - v_shift.evaluate(dx, ys)
-            + jet(g_mean).evaluate(dx, ys))
+    both = jet(stack_components(f, g, g_mean, uv.field.shift_x(Omega)))
+    here = both.evaluate(dx, ys)
+    shifted = both.evaluate(dx + ys + here[:, :d], ys + here[:, d:2 * d])[:, 3 * d:]
+    T = shifted - here[:, 3 * d:]
+    return T[:, :d], T[:, d:] + here[:, 2 * d:3 * d]
 
 
 def _wrap_angle(delta: np.ndarray) -> np.ndarray:
@@ -484,12 +505,12 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     def on_grid(h):
         return _OrderedJet(h, n_fit, n_t, taylor)
 
-    u_jet, v_jet = on_grid(u), on_grid(v)
+    uv_jet = on_grid(stack_components(u, v))
     dx, dy = np.empty((n_y * S, d)), np.empty((n_y * S, d))
     iters = 0
     for iy in range(n_y):
         sheet = slice(iy * S, (iy + 1) * S)
-        dx[sheet], dy[sheet], it = _invert_transform(u_jet, v_jet, eta[sheet])
+        dx[sheet], dy[sheet], it = _invert_transform(uv_jet, eta[sheet])
         iters = max(iters, it)
     ys = eta + dy
     y_excursion = float(np.max(np.sqrt(np.sum(ys * ys, axis=1))))
@@ -498,7 +519,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
             f"step {m}: inverted action values reach |y| = {y_excursion:.3e}, "
             f"far outside the domain radius r = {r_m:.3e}")
 
-    f_vals, g_vals = dyn.remainder(on_grid, f, g, u, v, g_mean, freq, dx, ys)
+    f_vals, g_vals = dyn.remainder(on_grid, uv_jet, f, g, g_mean, freq, dx, ys)
 
     def _fit(vals, N_out, parity):
         vals = np.moveaxis(vals.reshape(n_y, S, d), 0, 1)
@@ -511,13 +532,10 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
 
     # Cross-check the pair (u, v) / (U, V): pushing the grid forward through
     # xi = x + u and evaluating the fitted inverse there must cancel.
-    zero = np.zeros_like(eta)
-    u_here = u_jet.evaluate(zero, eta)
-    v_here = v_jet.evaluate(zero, eta)
-    U_jet, V_jet = on_grid(U), on_grid(V)
-    res_u = np.max(np.abs(u_here + U_jet.evaluate(u_here, eta + v_here)))
-    res_v = np.max(np.abs(v_here + V_jet.evaluate(u_here, eta + v_here)))
-    comp_res = max(float(res_u), float(res_v))
+    uv_here = uv_jet.evaluate(np.zeros_like(eta), eta)
+    u_here, v_here = uv_here[:, :d], uv_here[:, d:]
+    comp_res = float(np.max(np.abs(
+        uv_here + on_grid(stack_components(U, V)).evaluate(u_here, eta + v_here))))
     tol_comp = max(1e-10, 1e-9 * max(u.majorant(r_m), v.majorant(r_m)))
     if comp_res > tol_comp:
         raise StepFailureError(
@@ -646,6 +664,17 @@ def _row(m: int, f: FourierField, g: FourierField, schedule: Schedule) -> dict:
             "invariance_residual": math.nan, **_NO_STEP}
 
 
+def _above_rounding(h: FourierField) -> FourierField:
+    """h with every coefficient |c| <= eps max|c| of its component set to zero.
+
+    eps is the float epsilon.  A component whose largest modulus is NaN
+    keeps all its coefficients, so a diverged fit stays as it is.
+    """
+    a = np.abs(h.coeffs)
+    floor = np.finfo(float).eps * np.max(a.reshape(-1, h.m), axis=0)
+    return replace(h, coeffs=np.where(a <= floor, 0.0, h.coeffs))
+
+
 def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
                   N: int) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
@@ -654,7 +683,12 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
     innermost first, so it realizes step0 o step1 o ... o step_{M-1} acting
     on new coordinates.  It is evaluated on the grid of 2N+2 angle nodes
     per axis times the time nodes (all of them for flows, t = 0 for maps,
-    whose embedding is autonomous) and the offsets are fitted by FFT.
+    whose embedding is autonomous), with one grid jet of (U, V) per
+    transform, and the offsets are fitted by FFT.  Each fitted component
+    keeps only its coefficients above eps times its largest modulus (eps
+    the float epsilon): the rest are rounding noise of the fit, and
+    dropping them makes the embedding that is verified, written and
+    reloaded one and the same.
     """
     dyn = _dynamics(mode)
     d = freq.d
@@ -665,11 +699,10 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
     x = np.zeros((n ** d * n_t, d))
     y = np.zeros_like(x)
     for tr in reversed(chain):
-        dx = GridJet(tr.U, n, n_t).evaluate(x, y)
-        dy = GridJet(tr.V, n, n_t).evaluate(x, y)
-        x, y = x + dx, y + dy
-    x_offset, y_field = (field_from_grid_samples(z.reshape(grid_shape + (1, d)), d, N,
-                                                 0, 0.0, parity=p)
+        w = GridJet(stack_components(tr.U, tr.V), n, n_t).evaluate(x, y)
+        x, y = x + w[:, :d], y + w[:, d:]
+    x_offset, y_field = (_above_rounding(field_from_grid_samples(
+        z.reshape(grid_shape + (1, d)), d, N, 0, 0.0, parity=p))
                          for z, p in zip((x, y), dyn.uv_parity))
     return TorusEmbedding(x_offset=x_offset, y=y_field,
                           omega=np.array(freq.omega, dtype=float),

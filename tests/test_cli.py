@@ -403,8 +403,8 @@ class TestShippedConfigs:
 
     @pytest.mark.parametrize("name", ["kam_flow.json", "kam_map.json"])
     def test_kam_demo_json_is_oracle_text(self, tmp_path, name):
-        # the full cutoff of a two-step run: the flow embedding has 3249 entries;
-        # record -> file -> record must give back the same text
+        # the full cutoff of a two-step run, whose flow embedding keeps 21 of
+        # its 3249 entries; record -> file -> record must give back the same text
         code = main(["kam", "run", "--config", str(self.CONFIGS / name),
                      "--out", str(tmp_path), "--set", "M=2"])
         assert code == 0
@@ -415,6 +415,18 @@ class TestShippedConfigs:
             back = record.from_dict(json.loads(text)).to_dict()
             assert text == persistence.canonical_json(back)
 
+    def test_flow_demo_embedding_is_small_and_verifies(self, tmp_path, capsys):
+        # the embedding keeps each component's coefficients above eps max|c|
+        code, run = run_json(capsys, [
+            "kam", "run", "--config", str(self.CONFIGS / "kam_flow.json"),
+            "--out", str(tmp_path), "--set", "M=2"])
+        assert code == 0
+        run_dir = Path(run["run_dir"])
+        assert (run_dir / "embedding.json").stat().st_size < 8000
+        code, data = run_json(capsys, ["verify", str(run_dir)])
+        assert code == 0 and data["digests_ok"] is True
+        assert data["invariance_residual"] == run["invariance_residual"]
+
     def test_flow_field_of_wrong_dimension_exits_2(self, tmp_path, capsys):
         # the built-in perturbations are one-dimensional: d = 2 cannot use them
         code = main(["kam", "run", "--config", str(self.CONFIGS / "kam_flow.json"),
@@ -422,7 +434,7 @@ class TestShippedConfigs:
                      "--set", 'omega="sqrt_prime"', "--set", "eps0=1e-2"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: function returned 64 values on 64 samples, expected 2 per sample\n"
+        assert err == "error: function returned 512 values on 512 samples, expected 2 per sample\n"
 
     def test_stability_demo(self, tmp_path):
         code = main(["lienard", "stability",

@@ -164,8 +164,9 @@ class TestGridJet:
         (2, 4, 0, 9), (2, 4, 4, 9),
         (2, 6, 6, 7),  # folded at d = 2
     ])
-    @pytest.mark.parametrize("offset", [0.0, 1e-4, 1.0])
-    def test_matches_scattered_evaluation(self, rng, d, N, N_t, n, offset):
+    @pytest.mark.parametrize("offset", [0.0, 1e-4, 1.0,
+                                        3.0])  # past half a cell: re-anchored
+    def test_matches_scattered_evaluation(self, rng, monkeypatch, d, N, N_t, n, offset):
         fld = _jet_field(rng, d, N, N_t)
         n_t = n if N_t else 1
         x, t = _grid_nodes(d, n, n_t, sheets=2)
@@ -178,7 +179,21 @@ class TestGridJet:
         want = fld.evaluate_complex(x + delta, y, t).real
         assert got.shape == want.shape == (len(x), 2)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * fld.majorant())
-        assert jet.max_order == fields.taylor_order(N * float(np.max(np.abs(delta))))
+        spacing = 2.0 * np.pi / n
+        h = N * float(np.max(np.abs(delta - np.rint(delta / spacing) * spacing)))
+        assert jet.max_order == fields.taylor_order(h)
+        # values and first derivatives in one call, in blocks of one sheet each,
+        # against the scattered sums of the derivative fields
+        monkeypatch.setattr(fields, "_EVAL_BLOCK_ENTRIES", 1)
+        vals, d_x, d_y = jet.evaluate_with_gradient(delta, y)
+        assert d_x.shape == d_y.shape == (d, len(x), 2)
+        np.testing.assert_allclose(vals, want, rtol=0.0, atol=1e-14 * fld.majorant())
+        for j in range(d):
+            for got_j, field_j in ((d_x[j], fld.diff_x(j)), (d_y[j], fld.diff_y(j))):
+                np.testing.assert_allclose(
+                    got_j, field_j.evaluate_complex(x + delta, y, t).real,
+                    rtol=0.0, atol=1e-14 * field_j.majorant())
+        assert jet.max_order == fields.taylor_order(h)
 
     @pytest.mark.parametrize("d, N_t", [(1, 0), (1, 5), (2, 0), (2, 5)])
     def test_zero_offset_is_values_on_grid(self, rng, d, N_t):

@@ -14,13 +14,16 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from revtori import diophantine, fields, newton, systems
+from revtori import diophantine, fields, newton, persistence, systems
+from revtori.cli import main
 from revtori.errors import (ParameterError, PersistenceError, StepFailureError,
                             StructureError)
 from revtori.fields import FourierField, field_from_function
 
 from conftest import (GOLDEN, grid_parity_residual, random_parity_field,
                       random_reversible_pair)
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestSchedule:
@@ -176,8 +179,11 @@ class TestFlowRemainder:
         nodes, t = np.stack([a.ravel() for a in axes[:d]], axis=-1), axes[d].ravel()
         dx = rng.uniform(-0.2, 0.2, size=nodes.shape)
         ys = rng.uniform(-0.5 * r, 0.5 * r, size=nodes.shape)
-        got = newton._flow_remainder(lambda h: fields.GridJet(h, n, n),
-                                     f, g, u, v, None, None, dx, ys)
+        def jet(h):
+            return fields.GridJet(h, n, n)
+
+        got = newton._flow_remainder(jet, jet(fields.stack_components(u, v)),
+                                     f, g, None, None, dx, ys)
 
         x = nodes + dx
         W, G = ys + f.evaluate(x, ys, t), g.evaluate(x, ys, t)
@@ -198,15 +204,22 @@ class _ScatteredJet:
         self.field, self.n, self.n_t = field, n, n_t
         self.max_order = 0
 
-    def evaluate(self, delta, y=None):
-        d = self.field.d
+    def evaluate(self, delta, y=None, field=None):
+        field = self.field if field is None else field
+        d = field.d
         grid = 2.0 * np.pi * np.arange(self.n) / self.n
         axes = np.meshgrid(*([grid] * d), grid if self.n_t > 1 else [0.0],
                            indexing="ij")
         x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
         sheets = len(delta) // len(x)
         x, t = np.tile(x, (sheets, 1)), np.tile(axes[d].ravel(), sheets)
-        return self.field.evaluate_complex(x + delta, y, t, check_domain=False).real
+        return field.evaluate_complex(x + delta, y, t, check_domain=False).real
+
+    def evaluate_with_gradient(self, delta, y=None):
+        d = self.field.d
+        return (self.evaluate(delta, y),
+                np.stack([self.evaluate(delta, y, self.field.diff_x(j)) for j in range(d)]),
+                np.stack([self.evaluate(delta, y, self.field.diff_y(j)) for j in range(d)]))
 
 
 def _map_pair(sched, eps=1e-5):
@@ -265,6 +278,58 @@ class TestGridJetOracle:
         monkeypatch.setattr(FourierField, "evaluate_complex", refuse)
         tr, _, _, _ = newton.newton_step(f, g, golden, sched, 0)
         newton.fit_embedding([tr], golden, sched.r[0], "flow", tr.U.N + 8)
+
+
+@pytest.fixture
+def jets_made(monkeypatch):
+    """The fields of the grid jets newton builds while the test runs."""
+    made = []
+
+    class CountedJet(fields.GridJet):
+        def __init__(self, field, n, n_t):
+            made.append(field)
+            super().__init__(field, n, n_t)
+
+    monkeypatch.setattr(newton, "GridJet", CountedJet)
+    return made
+
+
+class TestOneJetPerFieldPair:
+    """A step evaluates its fields through one grid jet per field pair."""
+
+    def test_flow_and_map_steps_build_three_jets(self, golden, rng, monkeypatch,
+                                                 jets_made):
+        def refuse(*args, **kwargs):
+            raise AssertionError("derivative field formed in a Newton step")
+
+        monkeypatch.setattr(FourierField, "diff_x", refuse)
+        monkeypatch.setattr(FourierField, "diff_y", refuse)
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                      r=sched.r[0], amp=1e-5)
+        newton.newton_step(f, g, golden, sched, 0)
+        # (u, v), (f, g), (U, V)
+        assert [jet.m for jet in jets_made] == [2, 2, 2]
+        jets_made.clear()
+        newton.newton_step(*_map_pair(sched), golden, sched, 0, mode="map")
+        # (u, v), (f, g, g_mean, u and v shifted by Omega), (U, V)
+        assert [jet.m for jet in jets_made] == [2, 5, 2]
+
+    def test_fit_embedding_builds_one_jet_per_transform(self, golden, rng, jets_made):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                      r=sched.r[0], amp=1e-5)
+        tr, _, _, _ = newton.newton_step(f, g, golden, sched, 0)
+        jets_made.clear()
+        newton.fit_embedding([tr, tr, tr], golden, sched.r[0], "flow", tr.U.N + 8)
+        assert len(jets_made) == 3
+
+    def test_flow_demo_run_builds_nine_jets(self, tmp_path, jets_made):
+        # two steps of three jets, then chains of one and two transforms
+        code = main(["kam", "run", "--config", str(_CONFIGS / "kam_flow.json"),
+                     "--out", str(tmp_path), "--set", "M=2"])
+        assert code == 0
+        assert len(jets_made) == 9
 
 
 class TestTwoDimensionalStep:
@@ -418,8 +483,7 @@ def _dop853_advance(system, omega, x0, y0, dt, rtol, atol):
 
 def _demo_flow_points():
     """The pair of configs/kam_flow.json and 64 points near its torus."""
-    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs"
-                      / "kam_flow.json").read_text())
+    cfg = json.loads((_CONFIGS / "kam_flow.json").read_text())
     pert = dict(cfg["perturbation"])
     flow = systems.make_flow_perturbation(pert.pop("kind"), **pert)
     theta = 2.0 * np.pi * np.arange(64)[:, None] / 64
@@ -652,3 +716,49 @@ class TestChainAndEmbedding:
         rot = newton.rotation_number(mp.A, (np.zeros((1, 1)),
                                             np.zeros((1, 1))), n_iter=2048)
         assert np.atleast_1d(rot)[0] == pytest.approx(GOLDEN, abs=1e-10)
+
+
+class TestEmbeddingFloor:
+    """fit_embedding keeps each component's coefficients above eps max|c|."""
+
+    def test_kept_coefficients_exceed_the_floor(self, short_run):
+        emb = short_run[1].embedding
+        for h in (emb.x_offset, emb.y):
+            for c in np.abs(h.coeffs).reshape(-1, h.m).T:
+                assert np.all(c[c > 0] > np.finfo(float).eps * c.max())
+
+    def test_floor_moves_values_by_rounding_only(self, short_run, golden, rng,
+                                                monkeypatch):
+        _, report = short_run
+        N = int(report.schedule.N[0]) + 8
+        emb = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow", N)
+        for got, want in ((emb.x_offset, report.embedding.x_offset),
+                          (emb.y, report.embedding.y)):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        # the fit of the same grid samples without the floor
+        monkeypatch.setattr(newton, "_above_rounding", lambda h: h)
+        raw = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow", N)
+        for kept, full in ((emb.x_offset, raw.x_offset), (emb.y, raw.y)):
+            assert np.count_nonzero(kept.coeffs) < np.count_nonzero(full.coeffs)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(256, 1))
+        t = rng.uniform(0.0, 2.0 * np.pi, size=256)
+        for got, want in zip(emb.evaluate(theta, t), raw.evaluate(theta, t)):
+            assert float(np.max(np.abs(got - want))) <= 1e-18
+
+    def test_reloaded_embedding_passes_the_reality_check(self, short_run, tmp_path):
+        emb = short_run[1].embedding
+        path = tmp_path / "embedding.json"
+        persistence.save_embedding(path, emb)
+        back = newton.TorusEmbedding.from_dict(json.loads(path.read_text()))
+        for got, want in ((back.x_offset, emb.x_offset), (back.y, emb.y)):
+            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        persistence.load_embedding(path)  # parity tags hold as well
+
+    def test_non_finite_component_is_kept_whole(self):
+        h = fields.harmonic_field(1, 4, [1], 0, 1.0, q_y=0)
+        h.coeffs[tuple(4 + np.array([2, 0])) + (0, 0)] = 1e-20
+        h.coeffs[tuple(4 + np.array([3, 0])) + (0, 0)] = math.nan
+        kept = newton._above_rounding(h)
+        assert np.count_nonzero(kept.coeffs) == np.count_nonzero(h.coeffs) == 4
+        with pytest.raises(PersistenceError, match="non-finite"):
+            FourierField.from_dict(kept.to_dict())
