@@ -28,33 +28,10 @@ import os
 import sys
 from pathlib import Path
 
+from . import errors
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _apply_threads(argv) -> None:
-    """Pin BLAS/OpenMP pools from --threads before numpy import.
-
-    An explicit flag overrides the environment; otherwise existing
-    settings are respected and the default of one thread is filled in.
-    """
-    explicit = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            explicit = argv[i + 1]
-        elif arg.startswith("--threads="):
-            explicit = arg.split("=", 1)[1]
-    try:
-        value = int(explicit) if explicit is not None else None
-    except ValueError:
-        return  # argparse will produce the proper complaint later
-    if value is not None and value < 1:
-        return  # main refuses it once the arguments are parsed
-    for var in _THREAD_VARS:
-        if value is not None:
-            os.environ[var] = str(value)
-        else:
-            os.environ.setdefault(var, "1")
 
 
 # --------------------------------------------------------------------------- #
@@ -109,7 +86,7 @@ def _parse_value(raw: str):
         return raw
 
 
-def _apply_override(cfg: dict, item: str, errors) -> None:
+def _apply_override(cfg: dict, item: str) -> None:
     if "=" not in item:
         raise errors.ParameterError(f"--set expects KEY=VALUE, got {item!r}")
     key, raw = item.split("=", 1)
@@ -130,7 +107,7 @@ def _apply_override(cfg: dict, item: str, errors) -> None:
     node[parts[-1]] = _parse_value(raw)
 
 
-def _number(cfg: dict, key: str, kind, errors):
+def _number(cfg: dict, key: str, kind):
     """cfg[key] as ``kind`` (int or float); anything else exits 2.
 
     Booleans, NaN, infinities and, for ints, values with a fractional part
@@ -149,7 +126,7 @@ def _number(cfg: dict, key: str, kind, errors):
     return out
 
 
-def _verify_settings(cfg: dict, errors) -> dict:
+def _verify_settings(cfg: dict) -> dict:
     """The invariance-check settings of a kam config, as numbers.
 
     Keys the config lacks take their ``_KAM_DEFAULTS`` values.
@@ -157,19 +134,19 @@ def _verify_settings(cfg: dict, errors) -> dict:
     out = {}
     for key, kind in (("verify_samples", int), ("verify_dt", float), ("verify_tol", float)):
         try:
-            out[key] = _number({key: cfg.get(key, _KAM_DEFAULTS[key])}, key, kind, errors)
+            out[key] = _number({key: cfg.get(key, _KAM_DEFAULTS[key])}, key, kind)
         except errors.ParameterError as exc:
             raise errors.ParameterError(f"verification settings: {exc}") from None
     return out
 
 
-def _numbers(cfg: dict, key: str, errors) -> list:
+def _numbers(cfg: dict, key: str) -> list:
     """cfg[key] (a list, or one number) as a list of floats; anything else exits 2."""
     values = cfg[key] if isinstance(cfg[key], list) else [cfg[key]]
-    return [_number({key: v}, key, float, errors) for v in values]
+    return [_number({key: v}, key, float) for v in values]
 
 
-def _merge_config(args, defaults: dict, errors) -> dict:
+def _merge_config(args, defaults: dict) -> dict:
     cfg = copy.deepcopy(defaults)
     if getattr(args, "config", None):
         from . import persistence
@@ -188,7 +165,7 @@ def _merge_config(args, defaults: dict, errors) -> dict:
             else:
                 cfg[key] = value
     for item in getattr(args, "overrides", []) or []:
-        _apply_override(cfg, item, errors)
+        _apply_override(cfg, item)
     return cfg
 
 
@@ -207,29 +184,26 @@ def _omega_spec(args):
         return args.kind
     tokens = [tok.strip() for tok in args.omega.split(",") if tok.strip()]
     if not tokens:
-        from . import errors
         raise errors.ParameterError("--omega is empty")
     try:
         return [float(tok) for tok in tokens]
     except ValueError:
         if len(tokens) == 1:
             return tokens[0]
-        from . import errors
         raise errors.ParameterError(
             f"--omega must be comma-separated numbers, got {args.omega!r}")
 
 
 def _perturbation_params(pert_cfg: dict) -> dict:
     """The numeric parameters of a perturbation section (all but ``kind``)."""
-    from . import errors
     if not isinstance(pert_cfg, dict):
         raise errors.ParameterError(f"perturbation must be an object, got {pert_cfg!r}")
-    return {k: _number(pert_cfg, k, float, errors) for k in pert_cfg if k != "kind"}
+    return {k: _number(pert_cfg, k, float) for k in pert_cfg if k != "kind"}
 
 
 def _build_inputs(mode, pert_cfg: dict, omega: float):
     """run_kam's system for a kam config: the pair (f, g) of a flow, the map A of a map."""
-    from . import errors, systems
+    from . import systems
     params = _perturbation_params(pert_cfg)
     kind = pert_cfg.get("kind", "standard")
     if mode == "flow":
@@ -240,14 +214,14 @@ def _build_inputs(mode, pert_cfg: dict, omega: float):
     raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
 
 
-def _make_problem(cfg, errors):
+def _make_problem(cfg):
     from . import lienard
     pert = cfg["perturbation"]
     params = _perturbation_params(pert)
     return lienard.make_problem(cfg["n"], pert.get("kind", "none"), **params)
 
 
-def _run_name(name, errors) -> str:
+def _run_name(name) -> str:
     """The run directory's name: a single path component, so the run stays under --out."""
     if not isinstance(name, str):
         raise errors.ParameterError(f"config key 'name' must be a string, got {name!r}")
@@ -269,7 +243,7 @@ def _cmd_dioph(args):
 
 def _cmd_smooth_test(args):
     import numpy as np
-    from . import errors, smoothing
+    from . import smoothing
     if not (args.s_min > 0 and args.s_max > 0):
         raise errors.ParameterError(
             f"--s-min and --s-max must be positive, got {args.s_min} and {args.s_max}")
@@ -299,12 +273,12 @@ def _cmd_homsolve(args):
     if args.g_amp is not None:
         pert["g_amp"] = args.g_amp
     dyn = newton._dynamics(args.mode)
-    f, g = dyn.sample(_build_inputs(args.mode, pert, float(freq.omega[0])),
-                      freq.omega, 1, args.n_modes, args.q_y, args.r)
-    sol = dyn.solve(f, g, freq)
+    sol = dyn.solve(dyn.sample(_build_inputs(args.mode, pert, float(freq.omega[0])),
+                               freq.omega, 1, args.n_modes, args.q_y, args.r), freq)
     return {"mode": args.mode, "min_divisor": sol.min_divisor,
             "residual_u": sol.residual_u, "residual_v": sol.residual_v,
-            "sup_u": sol.u.sup_norm(), "sup_v": sol.v.sup_norm(),
+            "sup_u": sol.uv.components(0, 1).sup_norm(),
+            "sup_v": sol.uv.components(1, 2).sup_norm(),
             "sup_mean_correction": sol.g_mean.sup_norm()}
 
 
@@ -330,16 +304,16 @@ def _write_run_dir(out_root, name, command, cfg, seed, artifacts, formats=None):
 
 
 def _cmd_kam_run(args):
-    from . import errors, newton, persistence
-    cfg = _merge_config(args, _KAM_DEFAULTS, errors)
+    from . import newton, persistence
+    cfg = _merge_config(args, _KAM_DEFAULTS)
     mode = cfg["mode"]
-    name = cfg["name"] = _run_name(cfg["name"] or f"kam-{mode}", errors)
-    num = {key: _number(cfg, key, kind, errors) for key, kind in (
+    name = cfg["name"] = _run_name(cfg["name"] or f"kam-{mode}")
+    num = {key: _number(cfg, key, kind) for key, kind in (
         ("d", int), ("K_max", int), ("mu", float), ("eps0", float), ("M", int),
         ("tol", float), ("q_y", int))}
-    verify = _verify_settings(cfg, errors)
-    omega = cfg["omega"] if isinstance(cfg["omega"], str) else _numbers(cfg, "omega", errors)
-    tau = None if cfg["tau"] is None else _number(cfg, "tau", float, errors)
+    verify = _verify_settings(cfg)
+    omega = cfg["omega"] if isinstance(cfg["omega"], str) else _numbers(cfg, "omega")
+    tau = None if cfg["tau"] is None else _number(cfg, "tau", float)
     freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
@@ -363,7 +337,7 @@ def _cmd_kam_run(args):
 
 def _cmd_lienard_orbit(args):
     import numpy as np
-    from . import errors, lienard, persistence
+    from . import lienard, persistence
     if args.csv and args.csv_samples < 1:
         raise errors.ParameterError(
             f"--csv-samples must be at least 1, got {args.csv_samples}")
@@ -389,15 +363,15 @@ def _cmd_lienard_orbit(args):
 
 def _cmd_lienard_poincare(args):
     import numpy as np
-    from . import errors, lienard, persistence
-    cfg = _merge_config(args, _POINCARE_DEFAULTS, errors)
+    from . import lienard, persistence
+    cfg = _merge_config(args, _POINCARE_DEFAULTS)
     if args.iterates < 0:
         raise errors.ParameterError(f"--iterates must be >= 0, got {args.iterates}")
-    problem = _make_problem(cfg, errors)
-    n_steps = _number(cfg, "n_steps", int, errors)
-    theta_points = _number(cfg, "theta_points", int, errors)
-    rhos = np.asarray(_numbers(cfg, "rho_levels", errors))
-    system = lienard.action_angle(problem, rho_star=_number(cfg, "rho_star", float, errors))
+    problem = _make_problem(cfg)
+    n_steps = _number(cfg, "n_steps", int)
+    theta_points = _number(cfg, "theta_points", int)
+    rhos = np.asarray(_numbers(cfg, "rho_levels"))
+    system = lienard.action_angle(problem, rho_star=_number(cfg, "rho_star", float))
     thetas = 2.0 * np.pi * np.arange(theta_points) / theta_points
     residual = lienard.poincare_reversibility_residual(
         system, thetas, rhos, n_steps=n_steps)
@@ -424,18 +398,18 @@ def _cmd_lienard_poincare(args):
 
 def _cmd_lienard_stability(args):
     import numpy as np
-    from . import errors, lienard, persistence
-    cfg = _merge_config(args, _STABILITY_DEFAULTS, errors)
-    name = _run_name(cfg["name"], errors)
-    problem = _make_problem(cfg, errors)
+    from . import lienard, persistence
+    cfg = _merge_config(args, _STABILITY_DEFAULTS)
+    name = _run_name(cfg["name"])
+    problem = _make_problem(cfg)
     report = lienard.lagrange_stability_experiment(
-        problem, t_max=_number(cfg, "t_max", float, errors),
-        dt=_number(cfg, "dt", float, errors),
-        levels=_numbers(cfg, "levels", errors),
-        phases=[2.0 * np.pi * v for v in _numbers(cfg, "phases", errors)],
-        threshold=_number(cfg, "threshold", float, errors),
-        t_ref=None if cfg["t_ref"] is None else _number(cfg, "t_ref", float, errors),
-        order=_number(cfg, "order", int, errors))
+        problem, t_max=_number(cfg, "t_max", float),
+        dt=_number(cfg, "dt", float),
+        levels=_numbers(cfg, "levels"),
+        phases=[2.0 * np.pi * v for v in _numbers(cfg, "phases")],
+        threshold=_number(cfg, "threshold", float),
+        t_ref=None if cfg["t_ref"] is None else _number(cfg, "t_ref", float),
+        order=_number(cfg, "order", int))
     run_dir = _write_run_dir(
         args.out, name, "lienard stability", cfg, args.seed,
         [("stability.csv",
@@ -447,7 +421,7 @@ def _cmd_lienard_stability(args):
 
 
 def _cmd_verify(args):
-    from . import errors, newton, persistence
+    from . import newton, persistence
     run_dir = Path(args.run)
     manifest = persistence.load_manifest(run_dir / "manifest.json")
     stale = []
@@ -466,7 +440,7 @@ def _cmd_verify(args):
         embedding = persistence.load_embedding(run_dir / "embedding.json")
         system = _build_inputs(embedding.mode, cfg["perturbation"],
                                float(embedding.omega[0]))
-        verify = _verify_settings(cfg, errors)
+        verify = _verify_settings(cfg)
         inv = newton.verify_invariance(
             embedding, system, samples=verify["verify_samples"],
             dt=verify["verify_dt"], tol=verify["verify_tol"])
@@ -590,14 +564,19 @@ def _print_summary(summary: dict, as_json: bool) -> None:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _apply_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from . import errors
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise errors.ParameterError(f"--threads must be at least 1, got {args.threads}")
+        threads = getattr(args, "threads", None)
+        if threads is not None and threads < 1:
+            raise errors.ParameterError(f"--threads must be at least 1, got {threads}")
+        # Pin the BLAS/OpenMP pools before a handler first imports numpy: an
+        # explicit --threads overrides the environment, otherwise existing
+        # settings stand and unset ones get one thread.
+        for var in _THREAD_VARS:
+            if threads is None:
+                os.environ.setdefault(var, "1")
+            else:
+                os.environ[var] = str(threads)
         summary = args.handler(args)
         code = int(summary.pop("exit_code", 0))
         _print_summary(summary, args.json_summary)

@@ -171,13 +171,13 @@ def russmann_sum(freq, n: int) -> float:
     return 2.0 * total  # the other half of the lattice contributes equally
 
 
-def make_frequency(d: int, kind: str = "golden", omega=None) -> np.ndarray:
+def make_frequency(d: int, kind: str = "golden") -> np.ndarray:
     """Standard badly-approximable frequency vectors (uncertified).
 
     kind = "golden" gives (sqrt(5)-1)/2 (d = 1 only); "sqrt_prime" gives
-    omega_i = frac(sqrt(p_i)) over the first d primes; "custom" passes a
-    user-supplied vector through.  Run the result through `certify` to get
-    a Frequency with an actual constant attached.
+    omega_i = frac(sqrt(p_i)) over the first d primes.  Run the result
+    through `certify` to get a Frequency with an actual constant attached;
+    `certify` also takes any other vector directly.
     """
     if d < 1:
         raise ParameterError(f"need d >= 1, got {d}")
@@ -189,13 +189,6 @@ def make_frequency(d: int, kind: str = "golden", omega=None) -> np.ndarray:
         primes = _first_primes(d)
         om = np.sqrt(np.array(primes, dtype=float))
         return om - np.floor(om)
-    if kind == "custom":
-        if omega is None:
-            raise ParameterError("custom frequency requires omega")
-        om = np.atleast_1d(np.asarray(omega, dtype=float))
-        if om.size != d:
-            raise ParameterError(f"omega has size {om.size}, expected {d}")
-        return om.copy()
     raise ParameterError(f"unknown frequency kind {kind!r}")
 
 

@@ -84,40 +84,34 @@ def _reverse_modes(coeffs: np.ndarray, d: int) -> np.ndarray:
 
 def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
               what: str = "field") -> np.ndarray:
-    """Verify reality/parity up to ``tol`` (relative) and project exactly."""
-    scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-    if scale == 0.0:
-        return coeffs.copy()
+    """Verify reality/parity up to ``tol`` and project exactly.
+
+    Each component's deviations are relative to its own largest
+    coefficient, so a small component of a stacked pair is held to its own
+    scale, not to that of its largest neighbour.
+    """
+    axes = tuple(range(coeffs.ndim - 1))
+    scale = np.max(np.abs(coeffs), axis=axes, initial=0.0)
+
+    def check(dev, i, fault):
+        if dev > tol * scale[i]:
+            raise StructureError(
+                f"{what}: component {i} {fault} (relative deviation {dev / scale[i]:.3e})")
+
     rev = _reverse_modes(coeffs, d)
-    dev = float(np.max(np.abs(coeffs - np.conj(rev))))
-    if dev > tol * scale:
-        raise StructureError(
-            f"{what}: reality symmetry violated (relative deviation {dev / scale:.3e})"
-        )
+    for i, dev in enumerate(np.max(np.abs(coeffs - np.conj(rev)), axis=axes, initial=0.0)):
+        check(dev, i, "violates reality symmetry")
     out = 0.5 * (coeffs + np.conj(rev))
-    if parity is not None:
-        for i, tag in enumerate(parity):
-            if tag is None:
-                continue
-            comp = out[..., i]
-            if tag == "even":
-                pdev = float(np.max(np.abs(comp.imag)))
-                if pdev > tol * scale:
-                    raise StructureError(
-                        f"{what}: component {i} not even "
-                        f"(relative deviation {pdev / scale:.3e})"
-                    )
-                out[..., i] = comp.real
-            elif tag == "odd":
-                pdev = float(np.max(np.abs(comp.real)))
-                if pdev > tol * scale:
-                    raise StructureError(
-                        f"{what}: component {i} not odd "
-                        f"(relative deviation {pdev / scale:.3e})"
-                    )
-                out[..., i] = 1j * comp.imag
-            else:
-                raise ParameterError(f"unknown parity tag {tag!r}")
+    for i, tag in enumerate(parity or ()):
+        comp = out[..., i]
+        if tag == "even":
+            check(np.max(np.abs(comp.imag)), i, "not even")
+            out[..., i] = comp.real
+        elif tag == "odd":
+            check(np.max(np.abs(comp.real)), i, "not odd")
+            out[..., i] = 1j * comp.imag
+        elif tag is not None:
+            raise ParameterError(f"unknown parity tag {tag!r}")
     return out
 
 
@@ -448,6 +442,13 @@ class FourierField:
     def zero_mode(self) -> np.ndarray:
         """The (k, l) = 0 coefficient block, shape (P, m)."""
         return self.mode(np.zeros(self.d, dtype=int), 0)
+
+    def components(self, lo: int, hi: int) -> "FourierField":
+        """Components lo..hi-1 as a field of their own; undoes :func:`stack_components`."""
+        if not 0 <= lo < hi <= self.m:
+            raise ShapeError(f"components {lo}..{hi - 1} outside 0..{self.m - 1}")
+        parity = None if self.parity is None else self.parity[lo:hi]
+        return replace(self, m=hi - lo, coeffs=self.coeffs[..., lo:hi].copy(), parity=parity)
 
     def oscillating_part(self) -> "FourierField":
         """Zero out the k = 0 modes, leaving the part that depends on the angles."""
@@ -936,7 +937,6 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     parity = _as_parity(parity, m)
     coeffs = _finalize(coeffs, d, parity, what="fitted field")
     coeffs /= (scale ** powers.sum(axis=1).astype(float))[:, None]
-    coeffs[~mode_mask(d, N, coeffs.shape[d] // 2)] = 0.0
     return FourierField(d, m, N, q_y, r, coeffs, parity)
 
 

@@ -20,16 +20,16 @@ with the divisor L(k, l) = i (<k, omega> + l) for flows and
 L(k) = exp(2 pi i <k, omega>) - 1 for maps, and one kernel solves both.
 At (k, l) = 0, where L vanishes, v takes f's zero mode (the choice that
 makes the angle equation solvable) and u takes 0; g's zero block is split
-off as ``g_mean``.  :func:`solve_flow` requires that block to vanish and
-flips the parity tags (f even, g odd give u odd, v even); :func:`solve_map`
-takes autonomous fields only and hands ``g_mean`` back for the iteration
-to carry.
+off as ``g_mean``.  A pair is one field of 2d components: both solvers
+take fg, f then g, and return uv, u then v.  :func:`solve_flow` requires
+g's zero block to vanish and flips the parity tags (f even, g odd give
+u odd, v even); :func:`solve_map` takes autonomous fields only and hands
+``g_mean`` back for the iteration to carry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,30 +46,17 @@ _MAP_FLOOR_CONST = 2.0 / np.pi
 class HomologicalSolution:
     """Solution pair of the linearized conjugation equations.
 
-    ``g_mean`` is the (k, l) = 0 block of g, which the equations cannot
-    remove.  ``residual_u`` and ``residual_v`` are grid sup norms of the
-    defining equations' residuals (zero up to roundoff by construction).
+    ``uv`` holds u then v as the 2d components of one field.  ``g_mean``
+    is the (k, l) = 0 block of g, which the equations cannot remove.
+    ``residual_u`` and ``residual_v`` are grid sup norms of the defining
+    equations' residuals (zero up to roundoff by construction).
     """
 
-    u: FourierField
-    v: FourierField
+    uv: FourierField
     g_mean: FourierField
     min_divisor: float
     residual_u: float
     residual_v: float
-
-
-def _common_signature(f: FourierField, g: FourierField) -> Tuple[FourierField, FourierField]:
-    if f.d != g.d or f.m != g.m:
-        raise ShapeError("perturbation pair must share d and m")
-    N = max(f.N, g.N)
-    q_y = max(f.q_y, g.q_y)
-    N_t = max(f.N_t, g.N_t)
-    if f.N != N or f.q_y != q_y or f.N_t != N_t:
-        f = replace(f, N=N, q_y=q_y, coeffs=f._padded_to(N, q_y, N_t))
-    if g.N != N or g.q_y != q_y or g.N_t != N_t:
-        g = replace(g, N=N, q_y=q_y, coeffs=g._padded_to(N, q_y, N_t))
-    return f, g
 
 
 def flow_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
@@ -101,27 +88,27 @@ def map_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
     return np.exp(2j * np.pi * frac) - 1.0
 
 
-def _check_mean(g: FourierField, what: str):
+def _check_mean(fg: FourierField, what: str):
     """StructureError unless the (k, l) = 0 block of g vanishes (relative to g)."""
-    mean = float(np.max(np.abs(g.zero_mode())))
-    scale = float(np.max(np.abs(g.coeffs)))
+    mean = float(np.max(np.abs(fg.zero_mode()[:, fg.d:])))
+    scale = float(np.max(np.abs(fg.coeffs[..., fg.d:])))
     if mean > _MEAN_TOL * max(scale, 1e-300):
         raise StructureError(
             f"{what}: angular average of the action perturbation must vanish "
             f"(relative size {mean / max(scale, 1e-300):.3e})")
 
 
-def _solve(f: FourierField, g: FourierField, freq: Frequency, L: np.ndarray,
+def _solve(fg: FourierField, freq: Frequency, L: np.ndarray,
            floor_const: float, flip_parity: bool) -> HomologicalSolution:
     """Divide by the divisor table L, shared by flows and maps.
 
-    f and g share one signature and L spans their mode axes.  Every divisor
-    with k != 0 on the support must clear the floor
+    L spans the mode axes of the pair field fg.  Every divisor with k != 0
+    on the support must clear the floor
     _FLOOR_SAFETY * floor_const * kappa / |k|_1^tau of the certificate.
-    The solution's parity tags are the flipped tags of (f, g) when
+    The solution's parity tags are the flipped tags of fg when
     ``flip_parity`` holds, None otherwise.
     """
-    d, N, N_t = f.d, f.N, f.N_t
+    d, N, N_t = fg.d, fg.N, fg.N_t
     if N > freq.K_max:
         raise ParameterError(
             f"field cutoff N = {N} exceeds the certified window K_max = {freq.K_max}")
@@ -139,44 +126,52 @@ def _solve(f: FourierField, g: FourierField, freq: Frequency, L: np.ndarray,
     support[zero] = False
     min_div = float(np.min(absL[support])) if np.any(support) else np.inf
 
-    g_mean = np.zeros_like(g.coeffs)
-    g_mean[zero] = g.coeffs[zero]
+    f, g = fg.coeffs[..., :d], fg.coeffs[..., d:]
+    g_mean = np.zeros_like(g)
+    g_mean[zero] = g[zero]
     safe = L.copy()
     safe[zero] = 1.0
     safe = safe[..., None, None]
-    v = -g.coeffs / safe
-    v[zero] = f.coeffs[zero]
+    v = -g / safe
+    v[zero] = f[zero]
     v[~mask] = 0.0
-    u = (v - f.coeffs) / safe
+    u = (v - f) / safe
     u[zero] = 0.0
     u[~mask] = 0.0
 
-    def field(like, coeffs, tags=None):
-        tags = tuple(map(_flip_parity, tags)) if flip_parity and tags else None
-        return FourierField(d, like.m, N, like.q_y, like.r, coeffs, tags)
+    def field(coeffs, tags=None):
+        return FourierField(d, coeffs.shape[-1], N, fg.q_y, fg.r, coeffs, tags)
 
+    tags = tuple(map(_flip_parity, fg.parity)) if flip_parity and fg.parity else None
     Lc = L[..., None, None]
     return HomologicalSolution(
-        u=field(f, u, f.parity), v=field(g, v, g.parity), g_mean=field(g, g_mean),
+        uv=field(np.concatenate([u, v], axis=-1), tags), g_mean=field(g_mean),
         min_divisor=min_div,
-        residual_u=field(f, Lc * u - (v - f.coeffs)).sup_norm(),
-        residual_v=field(g, Lc * v + g.coeffs - g_mean).sup_norm())
+        residual_u=field(Lc * u - (v - f)).sup_norm(),
+        residual_v=field(Lc * v + g - g_mean).sup_norm())
 
 
-def solve_flow(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalSolution:
-    """Solve both flow equations; g's (k, l) = 0 block must vanish.
+def _check_pair(fg: FourierField, what: str):
+    """ShapeError unless fg holds a pair, f then g, of d components each."""
+    if fg.m != 2 * fg.d:
+        raise ShapeError(f"{what}: a pair field has m = 2d = {2 * fg.d} components, "
+                         f"got m = {fg.m}")
+
+
+def solve_flow(fg: FourierField, freq: Frequency) -> HomologicalSolution:
+    """Solve both flow equations for the pair fg; g's (k, l) = 0 block must vanish.
 
     For a reversible pair (f, g) even/odd the solution (u, v) is odd/even.
     """
-    f, g = _common_signature(f, g)
-    _check_mean(g, "solve_flow")
-    N, N_t = f.N, f.N_t
-    L = 1j * flow_divisors(freq, f.d, N)[..., N - N_t:N + N_t + 1]
-    return _solve(f, g, freq, L, 1.0, flip_parity=True)
+    _check_pair(fg, "solve_flow")
+    _check_mean(fg, "solve_flow")
+    N, N_t = fg.N, fg.N_t
+    L = 1j * flow_divisors(freq, fg.d, N)[..., N - N_t:N + N_t + 1]
+    return _solve(fg, freq, L, 1.0, flip_parity=True)
 
 
-def solve_map(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalSolution:
-    """Solve the map difference equations against g - g_mean.
+def solve_map(fg: FourierField, freq: Frequency) -> HomologicalSolution:
+    """Solve the map difference equations for the pair fg against g - g_mean.
 
     The angular average g_mean (a function of y alone) is returned in the
     solution for the caller to carry.  Each input channel produces a
@@ -186,9 +181,9 @@ def solve_map(f: FourierField, g: FourierField, freq: Frequency) -> HomologicalS
     u(2 Omega - x) = -u(x).  The combined solutions therefore carry no
     single pointwise parity, which is why their parity tags stay None.
     """
-    f, g = _common_signature(f, g)
-    if f.N_t > 0:
+    _check_pair(fg, "solve_map")
+    if fg.N_t > 0:
         raise StructureError(
-            f"solve_map: map fields cannot carry time harmonics (N_t = {f.N_t})")
-    L = map_divisors(freq, f.d, f.N)[..., None]  # one time slot, l = 0
-    return _solve(f, g, freq, L, _MAP_FLOOR_CONST, flip_parity=False)
+            f"solve_map: map fields cannot carry time harmonics (N_t = {fg.N_t})")
+    L = map_divisors(freq, fg.d, fg.N)[..., None]  # one time slot, l = 0
+    return _solve(fg, freq, L, _MAP_FLOOR_CONST, flip_parity=False)

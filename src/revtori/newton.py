@@ -21,14 +21,18 @@ one step of the true dynamics for the invariance check.  A flow enters as
 the pair (f, g) of callables (x, y, t) -> (S, d), a map as one callable
 A(x, y) -> (x1, y1) whose f = wrap(x1 - x - Omega - y) and g = y1 - y.
 
-Both remainders are formed point by point from grid-jet values at the
-inverted sample points and become fields only through the FFT fit: for
-flows, products of the values of f, g and the first derivatives of u and
-v; for maps, differences of the values of the shifted generators.  A
-step builds one grid jet per field pair, the pair stacked as components:
+Each pair, the perturbation (f, g), the generator (u, v) and its fitted
+inverse (U, V), is one FourierField of 2d components, the first half
+then the second, from the sampling of the input system to the step's
+output; only the diagnostics (convergence rows, budget warnings and the
+contraction check) take a pair apart.  Both remainders are formed point
+by point from grid-jet values at the inverted sample points and become
+fields only through the FFT fit: for flows, products of the values of f,
+g and the first derivatives of u and v; for maps, differences of the
+values of the shifted generators.  A step builds one grid jet per pair:
 (u, v), which also gives the flow remainder the first derivatives of u
 and v from its own tables; (f, g), for maps with g_mean and the shifted
-generators; and the fitted inverse (U, V).
+generators; and (U, V).  It makes two fits, (U, V) and the next (f, g).
 """
 
 import math
@@ -156,16 +160,15 @@ def make_schedule(d: int, mu: float, eps0: float, M: int) -> Schedule:
 class NearIdentityTransform:
     """One coordinate change  x = xi + U(xi, eta, t),  y = eta + V(xi, eta, t).
 
-    u and v are the generators produced by the homological solve (the
-    inverse direction, xi = x + u(x, y, t)); U and V are their fitted
-    inverses.  The step's diagnostics travel beside it in the dict
-    newton_step returns: exactly the step columns of a convergence row.
+    uv holds the generators u then v produced by the homological solve (the
+    inverse direction, xi = x + u(x, y, t)), UV their fitted inverses U
+    then V, each pair as the 2d components of one field.  The step's
+    diagnostics travel beside it in the dict newton_step returns: exactly
+    the step columns of a convergence row.
     """
 
-    u: FourierField
-    v: FourierField
-    U: FourierField
-    V: FourierField
+    uv: FourierField
+    UV: FourierField
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,7 @@ class _OrderedJet:
 def _invert_transform(uv: GridJet, eta):
     """Solve  xi = x + u(x, y, t),  eta = y + v(x, y, t)  for (x, y).
 
-    ``uv`` is one jet of the pair (u, v) stacked as components.  (xi, t)
+    ``uv`` is one jet of the pair field (u, v), u then v.  (xi, t)
     runs over the nodes of its grid, one sample of ``eta`` per node.
     Plain fixed-point iteration; contraction factor is the size of the
     derivatives of (u, v), far below one for the fields this module
@@ -297,12 +300,14 @@ def _invert_transform(uv: GridJet, eta):
 class _Dynamics:
     """What a forced flow and a map do differently; one instance of each.
 
-    remainder gives the transformed (f, g) at the grid nodes moved by dx,
-    at actions ys.  Autonomous fields have one time slot.  The parity
-    pairs tag (f, g) and (U, V), and the embedding like (U, V).  sample
-    fits the (f, g) of an input system, advance returns one step of it, the
-    angle the torus turns by and the time it ends at; both raise
-    ParameterError for a system the mode does not take.
+    remainder gives the transformed pair (f, g) at the grid nodes moved
+    by dx, at actions ys.  Autonomous fields have one time slot.  The
+    parity pairs give the tag of each half of the pair fields (f, g) and
+    (U, V) (:func:`_pair_tags` spreads them over the components), and tag the
+    embedding like (U, V).  sample fits the pair (f, g) of an input system,
+    advance returns one step of it, the angle the torus turns by and the
+    time it ends at; both raise ParameterError for a system the mode does
+    not take.
     """
 
     mode: str
@@ -313,45 +318,51 @@ class _Dynamics:
     sample: Callable
     advance: Callable
 
-    def solve(self, f, g, freq) -> "homological.HomologicalSolution":
+    def solve(self, fg, freq) -> "homological.HomologicalSolution":
         """solve_flow or solve_map, looked up at call time so module wrappers apply."""
-        return getattr(homological, "solve_" + self.mode)(f, g, freq)
+        return getattr(homological, "solve_" + self.mode)(fg, freq)
 
     def time_slots(self, n: int) -> int:
         """Time nodes of an n-node grid: all of them, or t = 0 alone."""
         return 1 if self.autonomous else n
 
 
-def _flow_remainder(jet, uv, f, g, g_mean, freq, dx, ys):
+def _pair_tags(halves: tuple, d: int):
+    """Component tags of a pair field whose halves are tagged ``halves``."""
+    return None if halves == (None, None) else (halves[0],) * d + (halves[1],) * d
+
+
+def _flow_remainder(jet, uv, fg, g_mean, freq, dx, ys):
     """Transformed remainders in the old variables, as products of jet values.
 
     T_f = (D_x u)(y + f) + (D_y u) g and T_g likewise with v, at the
-    nodes moved by dx and actions ys.  The values of f and g come from one
-    jet of the pair, the first derivatives of u and v from the step's jet
-    ``uv`` of (u, v); no derivative field is formed.
+    nodes moved by dx and actions ys, as one (S, 2d) array.  The values of
+    f and g come from one jet of the pair fg, the first derivatives of u
+    and v from the step's jet ``uv``; no derivative field is formed.
     """
-    d = f.d
-    fg = jet(stack_components(f, g)).evaluate(dx, ys)
-    W, G = ys + fg[:, :d], fg[:, d:]
+    d = fg.d
+    vals = jet(fg).evaluate(dx, ys)
+    W, G = ys + vals[:, :d], vals[:, d:]
     _, d_x, d_y = uv.evaluate_with_gradient(dx, ys)
-    T = sum(d_x[j] * W[:, j:j + 1] + d_y[j] * G[:, j:j + 1] for j in range(d))
-    return T[:, :d], T[:, d:]
+    return sum(d_x[j] * W[:, j:j + 1] + d_y[j] * G[:, j:j + 1] for j in range(d))
 
 
-def _map_remainder(jet, uv, f, g, g_mean, freq, dx, ys):
+def _map_remainder(jet, uv, fg, g_mean, freq, dx, ys):
     """Differences of the shifted generators along one step of the map.
 
     x1 = x + Omega + y + f, y1 = y + g; the generators shifted by the
     rotation Omega take the rest, so every jet offset stays small.  One
     jet holds f, g, g_mean and the shifted pair (u, v) as components.
+    Returns the pair as one (S, 2d) array.
     """
-    d = f.d
+    d = fg.d
     Omega = 2.0 * np.pi * freq.omega
-    both = jet(stack_components(f, g, g_mean, uv.field.shift_x(Omega)))
+    both = jet(stack_components(fg, g_mean, uv.field.shift_x(Omega)))
     here = both.evaluate(dx, ys)
     shifted = both.evaluate(dx + ys + here[:, :d], ys + here[:, d:2 * d])[:, 3 * d:]
     T = shifted - here[:, 3 * d:]
-    return T[:, :d], T[:, d:] + here[:, 2 * d:3 * d]
+    T[:, d:] += here[:, 2 * d:3 * d]
+    return T
 
 
 def _wrap_angle(delta: np.ndarray) -> np.ndarray:
@@ -367,9 +378,9 @@ def _as_pair(system):
 
 
 def _flow_sample(system, omega, d, N, q_y, r):
-    """Fit f and g at cutoff N, each with its parity."""
-    return tuple(field_from_function(h, d, d, N, q_y=q_y, r=r, parity=p)
-                 for h, p in zip(_as_pair(system), _FLOW.fg_parity))
+    """Fit f and g at cutoff N, each with its parity, as one pair field."""
+    return stack_components(*(field_from_function(h, d, d, N, q_y=q_y, r=r, parity=p)
+                              for h, p in zip(_as_pair(system), _FLOW.fg_parity)))
 
 
 def _flow_advance(system, omega, dt, tol):
@@ -416,9 +427,7 @@ def _map_sample(system, omega, d, N, q_y, r):
         return np.concatenate([_wrap_angle(np.reshape(x1, x.shape) - x - Omega - y),
                                np.reshape(y1, y.shape) - y], axis=-1)
 
-    both = field_from_function(fg, d, 2 * d, N, q_y=q_y, r=r, time_independent=True)
-    return tuple(FourierField(d, d, N, q_y, r, both.coeffs[..., i:i + d].copy())
-                 for i in (0, d))
+    return field_from_function(fg, d, 2 * d, N, q_y=q_y, r=r, time_independent=True)
 
 
 _FLOW = _Dynamics("flow", _flow_remainder, autonomous=False,
@@ -441,15 +450,15 @@ def _dynamics(mode) -> _Dynamics:
 # one Newton step
 # --------------------------------------------------------------------------- #
 
-def newton_step(f: FourierField, g: FourierField, freq: Frequency,
-                schedule: Schedule, m: int, mode: str = "flow"):
+def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
+                mode: str = "flow"):
     """Perform Newton step m: solve, transform, re-expand the remainder.
 
     Parameters
     ----------
-    f, g : FourierField
-        Current perturbation pair (m = d components each), defined on the
-        domain with strip s[m] and action radius r[m].
+    fg : FourierField
+        Current perturbation pair, f then g as the 2d components of one
+        field, defined on the domain with strip s[m] and action radius r[m].
     freq : Frequency
         Certified rotation vector.
     schedule : Schedule
@@ -461,26 +470,24 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
 
     Returns
     -------
-    (transform, f_next, g_next, diagnostics)
-        transform is the NearIdentityTransform for this step; f_next and
-        g_next are the transformed remainders fitted at cutoff N[m+1] on
-        the shrunk domain; diagnostics holds exactly the step columns of
-        a convergence row, the keys of _NO_STEP.
+    (transform, fg_next, diagnostics)
+        transform is the NearIdentityTransform for this step; fg_next is
+        the transformed remainder pair fitted at cutoff N[m+1] on the
+        shrunk domain; diagnostics holds exactly the step columns of a
+        convergence row, the keys of _NO_STEP.
     """
     dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
         raise ParameterError(f"step index {m} outside schedule of {schedule.M} steps")
-    d = f.d
-    if g.d != d or f.m != d or g.m != d:
-        raise ShapeError("newton_step expects m = d vector fields f, g")
+    d = fg.d
     if d != schedule.d:
         raise ShapeError(f"field dimension {d} does not match schedule d = {schedule.d}")
 
     r_m = float(schedule.r[m])
     r_next = float(schedule.r[m + 1])
-    N_m = max(f.N, g.N)
+    N_m = fg.N
     N_next = int(schedule.N[m + 1])
-    q_y_fit = max(f.q_y, g.q_y, 1)
+    q_y_fit = max(fg.q_y, 1)
 
     # Fitting grid: wide enough that the polynomial part of the transformed
     # remainder (bandwidth <= 2 N_m + N_next plus a margin for composition
@@ -488,8 +495,7 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     n_fit = max(N_next + 2 * N_m + 16, 2 * N_next + 2, 2 * (N_m + 8) + 2)
     N_UV = min(N_m + 8, (n_fit - 1) // 2)
 
-    sol = dyn.solve(f, g, freq)
-    u, v, g_mean, min_div = sol.u, sol.v, sol.g_mean, sol.min_divisor
+    sol = dyn.solve(fg, freq)
 
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.  Samples
@@ -505,47 +511,45 @@ def newton_step(f: FourierField, g: FourierField, freq: Frequency,
     def on_grid(h):
         return _OrderedJet(h, n_fit, n_t, taylor)
 
-    uv_jet = on_grid(stack_components(u, v))
-    dx, dy = np.empty((n_y * S, d)), np.empty((n_y * S, d))
+    uv_jet = on_grid(sol.uv)
+    dxy = np.empty((n_y * S, 2 * d))  # the inverse's offsets, dx then dy
     iters = 0
     for iy in range(n_y):
         sheet = slice(iy * S, (iy + 1) * S)
-        dx[sheet], dy[sheet], it = _invert_transform(uv_jet, eta[sheet])
+        dxy[sheet, :d], dxy[sheet, d:], it = _invert_transform(uv_jet, eta[sheet])
         iters = max(iters, it)
-    ys = eta + dy
+    dx, ys = dxy[:, :d], eta + dxy[:, d:]
     y_excursion = float(np.max(np.sqrt(np.sum(ys * ys, axis=1))))
     if y_excursion > _NESTING_SLACK * r_m + 1e-12:
         raise StepFailureError(
             f"step {m}: inverted action values reach |y| = {y_excursion:.3e}, "
             f"far outside the domain radius r = {r_m:.3e}")
 
-    f_vals, g_vals = dyn.remainder(on_grid, uv_jet, f, g, g_mean, freq, dx, ys)
+    def _fit(vals, N_out, halves):
+        vals = np.moveaxis(vals.reshape(n_y, S, 2 * d), 0, 1)
+        return field_from_grid_samples(vals.reshape(grid_shape + (n_y, 2 * d)), d, N_out,
+                                       q_y_fit, r_next, y_nodes=y_nodes,
+                                       parity=_pair_tags(halves, d))
 
-    def _fit(vals, N_out, parity):
-        vals = np.moveaxis(vals.reshape(n_y, S, d), 0, 1)
-        return field_from_grid_samples(vals.reshape(grid_shape + (n_y, d)), d, N_out,
-                                       q_y_fit, r_next, y_nodes=y_nodes, parity=parity)
-
-    U, V = (_fit(vals, N_UV, p) for vals, p in zip((dx, dy), dyn.uv_parity))
-    f_next, g_next = (_fit(vals, N_next, p)
-                      for vals, p in zip((f_vals, g_vals), dyn.fg_parity))
+    UV = _fit(dxy, N_UV, dyn.uv_parity)
+    fg_next = _fit(dyn.remainder(on_grid, uv_jet, fg, sol.g_mean, freq, dx, ys),
+                   N_next, dyn.fg_parity)
 
     # Cross-check the pair (u, v) / (U, V): pushing the grid forward through
     # xi = x + u and evaluating the fitted inverse there must cancel.
     uv_here = uv_jet.evaluate(np.zeros_like(eta), eta)
-    u_here, v_here = uv_here[:, :d], uv_here[:, d:]
     comp_res = float(np.max(np.abs(
-        uv_here + on_grid(stack_components(U, V)).evaluate(u_here, eta + v_here))))
-    tol_comp = max(1e-10, 1e-9 * max(u.majorant(r_m), v.majorant(r_m)))
+        uv_here + on_grid(UV).evaluate(uv_here[:, :d], eta + uv_here[:, d:]))))
+    tol_comp = max(1e-10, 1e-9 * sol.uv.majorant(r_m))
     if comp_res > tol_comp:
         raise StepFailureError(
             f"step {m}: transform composition residual {comp_res:.3e} exceeds "
             f"tolerance {tol_comp:.3e}")
 
-    diagnostics = {"min_divisor": float(min_div), "inversion_iters": iters,
+    diagnostics = {"min_divisor": float(sol.min_divisor), "inversion_iters": iters,
                    "composition_residual": comp_res, "n_fit": n_fit,
                    "y_excursion": y_excursion, "taylor_order": taylor[0]}
-    return NearIdentityTransform(u=u, v=v, U=U, V=V), f_next, g_next, diagnostics
+    return NearIdentityTransform(uv=sol.uv, UV=UV), fg_next, diagnostics
 
 
 # --------------------------------------------------------------------------- #
@@ -605,8 +609,11 @@ class ConvergenceReport:
         """Slope of log eps_{m+1} against log eps_m over the useful range.
 
         A quadratic scheme gives 2; the schedule only promises
-        1 + mu_tilde.  Entries at the roundoff floor or above 0.1 are
-        dropped; returns nan when fewer than two consecutive pairs remain.
+        1 + mu_tilde.  Entries of 0.1 or more are dropped, and so are
+        those of 1e-280 or less, a guard against log(0) and underflow, not
+        a rounding floor: small late majorants carry the later steps'
+        contraction and stay in.  Returns nan when fewer than two
+        consecutive pairs remain.
         """
         e = self.majorant_sequence()
         keep = (e > 1e-280) & (e < 0.1)
@@ -652,9 +659,15 @@ _NO_STEP = {"min_divisor": math.nan, "inversion_iters": 0,
             "y_excursion": math.nan, "taylor_order": 0}
 
 
-def _row(m: int, f: FourierField, g: FourierField, schedule: Schedule) -> dict:
-    """Convergence row of the pair (f, g) entering step m, before the step."""
+def _halves(fg: FourierField) -> tuple:
+    """The pair field fg as the two fields f and g, for the diagnostics."""
+    return fg.components(0, fg.d), fg.components(fg.d, 2 * fg.d)
+
+
+def _row(m: int, fg: FourierField, schedule: Schedule) -> dict:
+    """Convergence row of the pair fg entering step m, before the step."""
     r = float(schedule.r[m])
+    f, g = _halves(fg)
     sup_f, sup_g = f.majorant(r), g.majorant(r)
     return {"m": m, "sup_f": sup_f, "sup_g": sup_g,
             "osc_f": f.oscillating_part().majorant(r),
@@ -699,7 +712,7 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
     x = np.zeros((n ** d * n_t, d))
     y = np.zeros_like(x)
     for tr in reversed(chain):
-        w = GridJet(stack_components(tr.U, tr.V), n, n_t).evaluate(x, y)
+        w = GridJet(tr.UV, n, n_t).evaluate(x, y)
         x, y = x + w[:, :d], y + w[:, d:]
     x_offset, y_field = (_above_rounding(field_from_grid_samples(
         z.reshape(grid_shape + (1, d)), d, N, 0, 0.0, parity=p))
@@ -736,13 +749,13 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
     if freq.d != d:
         raise ShapeError(f"frequency dimension {freq.d} does not match schedule d = {d}")
     dyn = _dynamics(mode)
-    dec_f, dec_g = (decompose(h, schedule) for h in dyn.sample(
-        system, freq.omega, d, int(schedule.N[schedule.M]), q_y, schedule.r[0]))
+    dec = decompose(dyn.sample(system, freq.omega, d, int(schedule.N[schedule.M]), q_y,
+                               schedule.r[0]), schedule)
 
     warnings = []
-    for nu, (pf, pg) in enumerate(zip(dec_f, dec_g)):
+    for nu, pieces in enumerate(map(_halves, dec)):
         eps = schedule.eps[nu]
-        for name, piece, budget in (("f", pf, eps), ("g", pg, eps * schedule.s[nu] ** d)):
+        for name, piece, budget in zip("fg", pieces, (eps, eps * schedule.s[nu] ** d)):
             maj = piece.majorant(schedule.r[nu])
             if maj > 10.0 * budget:
                 warnings.append(
@@ -755,19 +768,18 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
                                       dt=verify_dt, tol=verify_tol).residual
 
     chain = []
-    cur_f, cur_g = dec_f[0], dec_g[0]
+    cur = dec[0]
     rows = []
     failure = None
 
     for m in range(schedule.M):
-        row = _row(m, cur_f, cur_g, schedule)
+        row = _row(m, cur, schedule)
         rows.append(row)
         if tol > 0.0 and max(row["sup_f"], row["sup_g"]) < tol:
             break
         try:
-            transform, f_next, g_next, diag = newton_step(
-                cur_f, cur_g, freq, schedule, m, mode=mode)
-            for name, h in (("f", f_next), ("g", g_next)):
+            transform, fg_next, diag = newton_step(cur, freq, schedule, m, mode=mode)
+            for name, h in zip("fg", _halves(fg_next)):
                 osc = row["osc_" + name]
                 rem = h.oscillating_part().majorant(schedule.r[m + 1])
                 if osc > _CONTRACTION_FLOOR and rem > _CONTRACTION_RATIO * osc:
@@ -782,13 +794,12 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
                 f"nominal radius {schedule.r[m]:.3e} (within the jet trust region)")
         chain.append(transform)
-        cur_f = f_next + dec_f[m + 1]
-        cur_g = g_next + dec_g[m + 1]
+        cur = fg_next + dec[m + 1]
         embedding, residual = check(chain)
         row["invariance_residual"] = residual
 
     if len(chain) == schedule.M:  # neither failed nor stopped at tol
-        rows.append(_row(schedule.M, cur_f, cur_g, schedule))
+        rows.append(_row(schedule.M, cur, schedule))
     if not chain:  # the identity embedding, after a failure or a stop at step 0
         embedding, residual = check(chain)
     rows[-1]["invariance_residual"] = residual

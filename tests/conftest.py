@@ -42,6 +42,11 @@ def random_reversible_pair(rng, d=1, N=8, q_y=2, r=0.1, amp=1.0):
     return f, g
 
 
+def halves(fg):
+    """The two halves f and g (u and v, U and V) of a pair field."""
+    return fg.components(0, fg.d), fg.components(fg.d, 2 * fg.d)
+
+
 def grid_parity_residual(field, parity=None, n=None):
     """Relative sup of F(-x,-t) -/+ F(x,t) on the synthesis grid.
 

@@ -18,7 +18,9 @@ from revtori import (diophantine, homological, lienard, newton, persistence,
                      smoothing, systems)
 from revtori.cli import main as cli_main
 
-from conftest import (GOLDEN, grid_parity_residual, random_parity_field,
+from revtori.fields import stack_components
+
+from conftest import (GOLDEN, grid_parity_residual, halves, random_parity_field,
                       random_reversible_pair)
 from test_homological import collocation_solve_flow
 
@@ -52,19 +54,19 @@ def map_m5(golden):
 def test_criterion_01_homological_exactness(capsys, rng, golden):
     t0 = time.perf_counter()
     f, g = random_reversible_pair(rng, d=1, N=8, q_y=2)
-    sol = homological.solve_flow(f, g, golden)
+    u, v = halves(homological.solve_flow(stack_components(f, g), golden).uv)
 
     u_hat, v_hat = collocation_solve_flow(f, g, float(golden.omega[0]))
-    gap_u = float(np.max(np.abs(sol.u.coeffs[..., 0] - u_hat))
+    gap_u = float(np.max(np.abs(u.coeffs[..., 0] - u_hat))
                   / np.max(np.abs(u_hat)))
-    gap_v = float(np.max(np.abs(sol.v.coeffs[..., 0] - v_hat))
+    gap_v = float(np.max(np.abs(v.coeffs[..., 0] - v_hat))
                   / np.max(np.abs(v_hat)))
 
     N = f.N
     modes = np.arange(-N, N + 1, dtype=float)
     D = modes[:, None] * float(golden.omega[0]) + modes[None, :]
-    res_v = 1j * D[..., None, None] * sol.v.coeffs + g.coeffs
-    res_u = 1j * D[..., None, None] * sol.u.coeffs - (sol.v.coeffs - f.coeffs)
+    res_v = 1j * D[..., None, None] * v.coeffs + g.coeffs
+    res_u = 1j * D[..., None, None] * u.coeffs - (v.coeffs - f.coeffs)
     res_v[N, N] = res_u[N, N] = 0.0  # zero modes carry the free constants
     coeff_res = max(float(np.max(np.abs(res_v))), float(np.max(np.abs(res_u))))
 
@@ -98,23 +100,24 @@ def test_criterion_02_parity_suite(capsys, rng, golden):
     # homological solutions flip to (u odd, v even)
     for _ in range(45):
         N = int(rng.integers(4, 9))
-        f, g = random_reversible_pair(rng, d=1, N=N,
-                                      q_y=int(rng.integers(0, 3)))
-        sol = homological.solve_flow(f, g, golden)
-        worst = max(worst, grid_parity_residual(sol.u, parity="odd"),
-                    grid_parity_residual(sol.v, parity="even"))
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=N,
+                                                      q_y=int(rng.integers(0, 3))))
+        u, v = halves(homological.solve_flow(fg, golden).uv)
+        worst = max(worst, grid_parity_residual(u, parity="odd"),
+                    grid_parity_residual(v, parity="even"))
         cases += 1
 
     # carried perturbations of a Newton step stay (f even, g odd)
     sched = newton.make_schedule(1, 0.1, 1e-3, 2)
     for _ in range(10):
-        f, g = random_reversible_pair(rng, d=1, N=4, q_y=2, r=sched.r[0],
-                                      amp=1e-5)
-        tr, f_next, g_next, _ = newton.newton_step(f, g, golden, sched, 0)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=4, q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
+        tr, fg_next, _ = newton.newton_step(fg, golden, sched, 0)
+        (f_next, g_next), (u, v) = halves(fg_next), halves(tr.uv)
         worst = max(worst, grid_parity_residual(f_next, parity="even"),
                     grid_parity_residual(g_next, parity="odd"),
-                    grid_parity_residual(tr.u, parity="odd"),
-                    grid_parity_residual(tr.v, parity="even"))
+                    grid_parity_residual(u, parity="odd"),
+                    grid_parity_residual(v, parity="even"))
         cases += 1
 
     elapsed = time.perf_counter() - t0

@@ -84,6 +84,19 @@ class TestDioph:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         assert "MKL_NUM_THREADS" not in os.environ
 
+    def test_threads_pin_every_pool(self, monkeypatch):
+        pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+        for var in pools:
+            monkeypatch.setenv(var, "3")
+        assert main(["dioph", "--threads", "2"]) == 0
+        assert [os.environ[var] for var in pools] == ["2"] * 4
+        # without the flag, set variables stand and unset ones get one thread
+        for var in pools[1:]:
+            monkeypatch.delenv(var)
+        assert main(["dioph"]) == 0
+        assert [os.environ[var] for var in pools] == ["2", "1", "1", "1"]
+
 
 class TestSmoothTest:
     def test_rate_fits_the_declared_regularity(self, capsys):

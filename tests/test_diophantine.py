@@ -110,8 +110,9 @@ def test_make_frequency_families():
     om = diophantine.make_frequency(3, "sqrt_prime")
     assert om.shape == (3,)
     assert np.all((om > 0) & (om < 1))
-    custom = diophantine.make_frequency(2, "custom", omega=[0.3, 0.4])
-    assert np.array_equal(custom, [0.3, 0.4])
+    # a given vector goes straight to certify; there is no "custom" family
+    with pytest.raises(ParameterError, match="unknown frequency kind 'custom'"):
+        diophantine.make_frequency(2, "custom")
 
 
 def test_to_dict_round_trip_values(golden):

@@ -423,6 +423,19 @@ class TestAlgebra:
         expected = a.evaluate(x, y, t) + b.evaluate(x, y, t)
         assert np.allclose(total.evaluate(x, y, t), expected, atol=1e-13)
 
+    def test_components_undo_stack_components(self, rng):
+        f = random_parity_field(rng, "even", d=2, N=3)
+        g = random_parity_field(rng, "odd", d=2, N=3)
+        fg = fields.stack_components(f, g)
+        for part, (lo, hi) in ((f, (0, 2)), (g, (2, 4))):
+            got = fg.components(lo, hi)
+            assert (got.d, got.m, got.N, got.N_t, got.q_y, got.r, got.parity) \
+                == (part.d, part.m, part.N, part.N_t, part.q_y, part.r, part.parity)
+            np.testing.assert_array_equal(got.coeffs, part.coeffs)
+        for lo, hi in ((-1, 1), (2, 2), (3, 5)):
+            with pytest.raises(ShapeError, match="components"):
+                fg.components(lo, hi)
+
     def test_sub_is_add_scale(self, rng):
         a = random_parity_field(rng, "even", N=4)
         b = random_parity_field(rng, "even", N=4)
@@ -473,6 +486,25 @@ class TestStructure:
         fld = FourierField(1, 1, 2, 0, 0.0, coeffs, ("odd",))
         with pytest.raises(StructureError):
             fields.project_structure(fld)
+
+    def test_each_component_is_checked_against_its_own_scale(self):
+        # a pair field: f = cos(x + t), and g = 0.05 sin(x + t) whose odd
+        # parity breaks by 1e-5 max|g|.  Against the largest coefficient of
+        # the whole field that deviation is 5e-7, under the 1e-6 tolerance;
+        # against g's own it is 1e-5.
+        n = 8
+        grid = 2.0 * np.pi * np.arange(n) / n
+        a = grid[:, None] + grid[None, :]
+
+        def fit(broken):
+            g = 0.05 * (np.sin(a) + broken * np.cos(a))
+            values = np.stack([np.cos(a), g], axis=-1)[:, :, None, :]
+            return fields.field_from_grid_samples(values, 1, 3, 0, 0.0,
+                                                  parity=("even", "odd"))
+
+        assert fit(0.0).parity == ("even", "odd")
+        with pytest.raises(StructureError, match="component 1 not odd .*1.000e-05"):
+            fit(1e-5)
 
     def test_projection_cleans_small_roundoff(self, rng):
         fld = random_parity_field(rng, "even", N=4)

@@ -18,9 +18,9 @@ import pytest
 from revtori import diophantine, homological
 from revtori.errors import (ParameterError, ShapeError, SmallDivisorError,
                             StructureError)
-from revtori.fields import field_from_function, harmonic_field
+from revtori.fields import field_from_function, harmonic_field, stack_components
 
-from conftest import GOLDEN, grid_parity_residual, random_parity_field, \
+from conftest import GOLDEN, grid_parity_residual, halves, random_parity_field, \
     random_reversible_pair
 
 
@@ -84,67 +84,69 @@ class TestFlowSolver:
     def test_matches_dense_collocation(self, rng, golden):
         t0 = time.perf_counter()
         f, g = random_reversible_pair(rng, d=1, N=8, q_y=2)
-        sol = homological.solve_flow(f, g, golden)
+        sol = homological.solve_flow(stack_components(f, g), golden)
         u_hat, v_hat = collocation_solve_flow(f, g, float(golden.omega[0]))
         scale_u = np.max(np.abs(u_hat))
         scale_v = np.max(np.abs(v_hat))
-        assert np.max(np.abs(sol.u.coeffs[..., 0] - u_hat)) < 1e-10 * scale_u
-        assert np.max(np.abs(sol.v.coeffs[..., 0] - v_hat)) < 1e-10 * scale_v
+        assert np.max(np.abs(sol.uv.coeffs[..., 0] - u_hat)) < 1e-10 * scale_u
+        assert np.max(np.abs(sol.uv.coeffs[..., 1] - v_hat)) < 1e-10 * scale_v
         assert time.perf_counter() - t0 < 1.0
 
     def test_coefficient_residuals(self, rng, golden):
         f, g = random_reversible_pair(rng, d=1, N=8, q_y=2)
-        sol = homological.solve_flow(f, g, golden)
+        sol = homological.solve_flow(stack_components(f, g), golden)
+        u, v = halves(sol.uv)
         N = f.N
         modes = np.arange(-N, N + 1, dtype=float)
         D = modes[:, None] * GOLDEN + modes[None, :]
-        lhs_v = 1j * D[..., None, None] * sol.v.coeffs
+        lhs_v = 1j * D[..., None, None] * v.coeffs
         res_v = lhs_v + g.coeffs
         res_v[N, N] = 0.0  # zero mode carries the free constant
         assert float(np.max(np.abs(res_v))) < 1e-13
-        lhs_u = 1j * D[..., None, None] * sol.u.coeffs
-        res_u = lhs_u - (sol.v.coeffs - f.coeffs)
+        lhs_u = 1j * D[..., None, None] * u.coeffs
+        res_u = lhs_u - (v.coeffs - f.coeffs)
         res_u[N, N] = 0.0
         assert float(np.max(np.abs(res_u))) < 1e-13
         assert sol.residual_u < 1e-12 and sol.residual_v < 1e-12
 
     def test_solution_parities_flip(self, rng, golden):
         f, g = random_reversible_pair(rng, d=1, N=6, q_y=1)
-        sol = homological.solve_flow(f, g, golden)
-        assert sol.u.parity == ("odd",)
-        assert sol.v.parity == ("even",)
-        assert grid_parity_residual(sol.u) < 1e-10
-        assert grid_parity_residual(sol.v) < 1e-10
+        sol = homological.solve_flow(stack_components(f, g), golden)
+        assert sol.uv.parity == ("odd", "even")
+        for h in halves(sol.uv):
+            assert grid_parity_residual(h) < 1e-10
 
     def test_min_divisor_respects_certificate(self, rng, golden):
-        f, g = random_reversible_pair(rng, d=1, N=8)
-        sol = homological.solve_flow(f, g, golden)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=8))
+        sol = homological.solve_flow(fg, golden)
         floor = golden.kappa / 8.0 ** golden.tau
         assert sol.min_divisor >= 0.5 * floor
 
     def test_inflated_certificate_trips_floor_check(self, rng, golden):
-        f, g = random_reversible_pair(rng, d=1, N=8)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=8))
         bogus = dataclasses.replace(golden, kappa=50.0 * golden.kappa)
         with pytest.raises(SmallDivisorError):
-            homological.solve_flow(f, g, bogus)
+            homological.solve_flow(fg, bogus)
 
     def test_window_violation_rejected(self, rng):
         freq = diophantine.certify([GOLDEN], K_max=6)
-        f, g = random_reversible_pair(rng, d=1, N=8)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=8))
         with pytest.raises(ParameterError):
-            homological.solve_flow(f, g, freq)
+            homological.solve_flow(fg, freq)
 
     def test_nonzero_action_mean_rejected(self, golden):
         f = harmonic_field(d=1, N=4, k=[1], l=1, amplitude=0.1)
         g = harmonic_field(d=1, N=4, k=[0], l=0, amplitude=0.3)  # pure mean
         with pytest.raises(StructureError):
-            homological.solve_flow(f, g, golden)
+            homological.solve_flow(stack_components(f, g), golden)
 
     def test_mismatched_pair_rejected(self, rng, golden):
-        f = random_parity_field(rng, "even", d=1, N=4)
-        g = random_parity_field(rng, "odd", d=2, N=4)
-        with pytest.raises(ShapeError):
-            homological.solve_flow(f, g, golden)
+        # a pair field holds m = 2d components, f then g
+        for d, m in ((1, 1), (1, 3), (2, 2)):
+            h = random_parity_field(rng, "even", d=d, N=4, m=m, N_t=0)
+            for solve in (homological.solve_flow, homological.solve_map):
+                with pytest.raises(ShapeError, match="m = 2d"):
+                    solve(h, golden)
 
 
 class TestMapSolver:
@@ -156,7 +158,8 @@ class TestMapSolver:
 
     def test_telescoping_sum_oracle(self, rng, golden):
         f, g = self._pair(rng)
-        sol = homological.solve_map(f, g, golden)
+        sol = homological.solve_map(stack_components(f, g), golden)
+        _, v = halves(sol.uv)
         Omega = 2.0 * np.pi * GOLDEN
         J = 10_000
         xs = np.array([[0.0], [1.1], [2.7], [4.2]])
@@ -164,14 +167,13 @@ class TestMapSolver:
         total = np.zeros((4, 1))
         for j in range(J):
             total += g.evaluate(xs + j * Omega, ys, np.zeros(4))
-        expected = sol.v.evaluate(xs, ys, np.zeros(4)) \
-            - sol.v.evaluate(xs + J * Omega, ys, np.zeros(4))
+        expected = v.evaluate(xs, ys, np.zeros(4)) \
+            - v.evaluate(xs + J * Omega, ys, np.zeros(4))
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(total - expected)) < 1e-8 * scale
 
     def test_difference_equation_residuals(self, rng, golden):
-        f, g = self._pair(rng)
-        sol = homological.solve_map(f, g, golden)
+        sol = homological.solve_map(stack_components(*self._pair(rng)), golden)
         assert sol.residual_u < 1e-11
         assert sol.residual_v < 1e-11
 
@@ -186,38 +188,38 @@ class TestMapSolver:
         zero = dataclasses.replace(f, coeffs=np.zeros_like(f.coeffs),
                                    parity=None)
 
-        sol_f = homological.solve_map(f, zero, golden)
-        su = float(np.max(np.abs(sol_f.u.evaluate(xs, None, t))))
-        ref = sol_f.u.evaluate(Omega - xs, None, t)
-        assert np.max(np.abs(ref + sol_f.u.evaluate(xs, None, t))) < 1e-12 * su
+        u, _ = halves(homological.solve_map(stack_components(f, zero), golden).uv)
+        su = float(np.max(np.abs(u.evaluate(xs, None, t))))
+        ref = u.evaluate(Omega - xs, None, t)
+        assert np.max(np.abs(ref + u.evaluate(xs, None, t))) < 1e-12 * su
 
-        sol_g = homological.solve_map(zero, g, golden)
-        sv = float(np.max(np.abs(sol_g.v.evaluate(xs, None, t))))
-        ref_v = sol_g.v.evaluate(Omega - xs, None, t)
-        assert np.max(np.abs(ref_v - sol_g.v.evaluate(xs, None, t))) < 1e-12 * sv
-        su = float(np.max(np.abs(sol_g.u.evaluate(xs, None, t))))
-        ref_u = sol_g.u.evaluate(2.0 * Omega - xs, None, t)
-        assert np.max(np.abs(ref_u + sol_g.u.evaluate(xs, None, t))) < 1e-12 * su
+        u, v = halves(homological.solve_map(stack_components(zero, g), golden).uv)
+        sv = float(np.max(np.abs(v.evaluate(xs, None, t))))
+        ref_v = v.evaluate(Omega - xs, None, t)
+        assert np.max(np.abs(ref_v - v.evaluate(xs, None, t))) < 1e-12 * sv
+        su = float(np.max(np.abs(u.evaluate(xs, None, t))))
+        ref_u = u.evaluate(2.0 * Omega - xs, None, t)
+        assert np.max(np.abs(ref_u + u.evaluate(xs, None, t))) < 1e-12 * su
 
     def test_time_harmonics_rejected(self, rng, golden):
         f = random_parity_field(rng, "even", d=1, N=6)  # carries l != 0 modes
         g = random_parity_field(rng, "odd", d=1, N=6)
         with pytest.raises(StructureError):
-            homological.solve_map(f, g, golden)
+            homological.solve_map(stack_components(f, g), golden)
 
     def test_nonzero_mean_is_carried(self, rng, golden):
         f, g_osc = self._pair(rng)
         # non-odd g: a pure function of y has a nonzero angular average
         g_mean = field_from_function(lambda x, y, t: 0.2 * y[:, 0], d=1, m=1, N=8,
                                      q_y=2, r=0.1, time_independent=True)
-        sol = homological.solve_map(f, g_mean, golden)
+        sol = homological.solve_map(stack_components(f, g_mean), golden)
         assert float(np.max(np.abs(sol.g_mean.coeffs - g_mean.coeffs))) < 1e-15
         assert sol.min_divisor > 0.0
         # with an oscillating part added, v solves against g - g_mean only
-        both = homological.solve_map(f, g_osc + g_mean, golden)
-        plain = homological.solve_map(f, g_osc, golden)
+        both = homological.solve_map(stack_components(f, g_osc + g_mean), golden)
+        plain = homological.solve_map(stack_components(f, g_osc), golden)
         assert float(np.max(np.abs(both.g_mean.coeffs - g_mean.coeffs))) < 1e-15
-        assert float(np.max(np.abs(both.v.coeffs - plain.v.coeffs))) < 1e-15
+        assert float(np.max(np.abs(both.uv.coeffs[..., 1] - plain.uv.coeffs[..., 1]))) < 1e-15
         assert both.residual_u < 1e-11 and both.residual_v < 1e-11
         assert not np.any(plain.g_mean.coeffs)
 

@@ -16,11 +16,11 @@ from scipy.integrate import solve_ivp
 
 from revtori import diophantine, fields, newton, persistence, systems
 from revtori.cli import main
-from revtori.errors import (ParameterError, PersistenceError, StepFailureError,
-                            StructureError)
-from revtori.fields import FourierField, field_from_function
+from revtori.errors import (ParameterError, PersistenceError, ShapeError,
+                            StepFailureError)
+from revtori.fields import FourierField, field_from_function, stack_components
 
-from conftest import (GOLDEN, grid_parity_residual, random_parity_field,
+from conftest import (GOLDEN, grid_parity_residual, halves, random_parity_field,
                       random_reversible_pair)
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -88,27 +88,21 @@ class TestNewtonStep:
     def test_zero_input_is_a_fixed_point(self, golden):
         sched = newton.make_schedule(1, 0.1, 1e-4, 2)
         N = sched.N[0]
-        f = FourierField.zeros(1, 1, N, 2, sched.r[0], ("even",))
-        g = FourierField.zeros(1, 1, N, 2, sched.r[0], ("odd",))
-        transform, f_next, g_next, diag = newton.newton_step(
-            f, g, golden, sched, 0)
-        assert float(np.max(np.abs(transform.u.coeffs))) == 0.0
-        assert float(np.max(np.abs(transform.v.coeffs))) == 0.0
-        assert float(np.max(np.abs(f_next.coeffs))) < 1e-15
-        assert float(np.max(np.abs(g_next.coeffs))) < 1e-15
+        fg = FourierField.zeros(1, 2, N, 2, sched.r[0], ("even", "odd"))
+        transform, fg_next, diag = newton.newton_step(fg, golden, sched, 0)
+        assert float(np.max(np.abs(transform.uv.coeffs))) == 0.0
+        assert float(np.max(np.abs(fg_next.coeffs))) < 1e-15
 
     def test_step_torus_block_contracts_quadratically(self, golden, rng):
         # the y-power-0 block of the remainder is the invariance error of
         # the embedded torus itself; halving the input must quarter it.
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = random_reversible_pair(rng, d=1, N=4, q_y=2, r=sched.r[0],
-                                      amp=1e-5)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=4, q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
         outputs = []
         for scale in (1.0, 0.5):
-            _, f_next, g_next, _ = newton.newton_step(
-                f.scale(scale), g.scale(scale), golden, sched, 0)
-            mass = max(float(np.abs(f_next.coeffs[..., 0, :]).sum()),
-                       float(np.abs(g_next.coeffs[..., 0, :]).sum()))
+            _, fg_next, _ = newton.newton_step(fg.scale(scale), golden, sched, 0)
+            mass = max(float(np.abs(h.coeffs[..., 0, :]).sum()) for h in halves(fg_next))
             outputs.append(mass)
         ratio = outputs[0] / outputs[1]
         assert 3.4 < ratio < 4.6  # 4 exactly for a pure quadratic remainder
@@ -121,43 +115,39 @@ class TestNewtonStep:
         # step still contracts hard in absolute terms; the schedule's
         # shrinking radii are what turn that into convergence.
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = random_reversible_pair(rng, d=1, N=4, q_y=2, r=sched.r[0],
-                                      amp=1e-5)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=4, q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
         outputs = []
         for scale in (1.0, 0.5):
-            _, f_next, g_next, _ = newton.newton_step(
-                f.scale(scale), g.scale(scale), golden, sched, 0)
-            outputs.append(max(f_next.majorant(sched.r[1]),
-                               g_next.majorant(sched.r[1])))
+            _, fg_next, _ = newton.newton_step(fg.scale(scale), golden, sched, 0)
+            # a majorant is the largest over the components: those of f and g
+            outputs.append(fg_next.majorant(sched.r[1]))
         ratio = outputs[0] / outputs[1]
         assert 1.8 < ratio < 2.5
-        maj_in = max(f.majorant(sched.r[0]), g.majorant(sched.r[0]))
+        maj_in = fg.majorant(sched.r[0])
         assert outputs[0] < 0.05 * maj_in
 
     def test_step_keeps_parity(self, golden, rng):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
-                                      r=sched.r[0], amp=1e-5)
-        transform, f_next, g_next, diag = newton.newton_step(
-            f, g, golden, sched, 0)
-        assert f_next.parity == ("even",) and g_next.parity == ("odd",)
-        assert grid_parity_residual(f_next) < 1e-10
-        assert grid_parity_residual(g_next) < 1e-10
-        assert grid_parity_residual(transform.u) < 1e-10
-        assert grid_parity_residual(transform.v) < 1e-10
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
+        transform, fg_next, diag = newton.newton_step(fg, golden, sched, 0)
+        assert fg_next.parity == ("even", "odd")
+        assert transform.uv.parity == ("odd", "even")
+        for h in halves(fg_next) + halves(transform.uv):
+            assert grid_parity_residual(h) < 1e-10
         assert diag["composition_residual"] < 1e-10
 
     def test_map_step_contracts_on_autonomous_fields(self, golden):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = _map_pair(sched)
-        assert f.N_t == g.N_t == 0
-        transform, f_next, g_next, diag = newton.newton_step(
-            f, g, golden, sched, 0, mode="map")
-        for fld in (transform.U, transform.V, f_next, g_next):
+        fg = _map_pair(sched)
+        assert fg.N_t == 0
+        transform, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode="map")
+        for fld in (transform.UV, fg_next):
             assert fld.N_t == 0 and fld.coeffs.shape[fld.d] == 1
-        assert f_next.N == g_next.N == sched.N[1]
+        assert fg_next.N == sched.N[1]
         # the oscillating parts are what the map iteration drives to zero
-        for before, after in ((f, f_next), (g, g_next)):
+        for before, after in zip(halves(fg), halves(fg_next)):
             osc_in = before.oscillating_part().majorant(sched.r[0])
             osc_out = after.oscillating_part().majorant(sched.r[1])
             assert osc_out < 0.05 * osc_in
@@ -182,13 +172,13 @@ class TestFlowRemainder:
         def jet(h):
             return fields.GridJet(h, n, n)
 
-        got = newton._flow_remainder(jet, jet(fields.stack_components(u, v)),
-                                     f, g, None, None, dx, ys)
+        got = newton._flow_remainder(jet, jet(stack_components(u, v)),
+                                     stack_components(f, g), None, None, dx, ys)
 
         x = nodes + dx
         W, G = ys + f.evaluate(x, ys, t), g.evaluate(x, ys, t)
         step = 1e-4
-        for w, T in zip((u, v), got):
+        for w, T in zip((u, v), (got[:, :d], got[:, d:])):
             fd = (w.evaluate(x + step * W, ys + step * G, t)
                   - w.evaluate(x - step * W, ys - step * G, t)) / (2.0 * step)
             scale = float(np.max(np.abs(fd)))
@@ -223,7 +213,7 @@ class _ScatteredJet:
 
 
 def _map_pair(sched, eps=1e-5):
-    """The (f, g) of the cosine kick, sampled from its map at cutoff N[0]."""
+    """The pair field (f, g) of the cosine kick, sampled from its map at cutoff N[0]."""
     mapping = systems.MapSystem(omega=GOLDEN, eps=eps)
     return newton._MAP.sample(mapping.A, np.array([GOLDEN]), 1, sched.N[0], 2,
                               sched.r[0])
@@ -237,47 +227,45 @@ class TestGridJetOracle:
                                                            monkeypatch, mode):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
         if mode == "flow":
-            f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
-                                          r=sched.r[0], amp=1e-5)
+            fg = stack_components(*random_reversible_pair(
+                rng, d=1, N=sched.N[0], q_y=2, r=sched.r[0], amp=1e-5))
         else:
-            f, g = _map_pair(sched)
+            fg = _map_pair(sched)
         runs = []
         for jet in (fields.GridJet, _ScatteredJet):
             monkeypatch.setattr(newton, "GridJet", jet)
-            tr, f_next, g_next, diag = newton.newton_step(f, g, golden, sched, 0,
-                                                          mode=mode)
+            tr, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode=mode)
             emb = newton.fit_embedding([tr, tr], golden, sched.r[0], mode,
-                                       tr.U.N + 8)
-            runs.append((tr, f_next, g_next, diag, emb))
-        (tr, f_next, g_next, diag, emb), ref = runs
-        pairs = [(tr.U, ref[0].U), (tr.V, ref[0].V), (f_next, ref[1]),
-                 (g_next, ref[2]), (emb.x_offset, ref[4].x_offset),
-                 (emb.y, ref[4].y)]
+                                       tr.UV.N + 8)
+            runs.append((tr, fg_next, diag, emb))
+        (tr, fg_next, diag, emb), ref = runs
+        pairs = [*zip(halves(tr.UV), halves(ref[0].UV)), *zip(halves(fg_next), halves(ref[1])),
+                 (emb.x_offset, ref[3].x_offset), (emb.y, ref[3].y)]
         # Differences are majorants (action powers weighted by r^|alpha|,
         # which undoes the 1/r^|alpha| of the fit on the action nodes), on
         # the scale of the evaluated generators: the map remainder is a
         # difference of u and v values, so it is rounded on their scale.
-        uv = max(tr.u.majorant(sched.r[0]), tr.v.majorant(sched.r[0]))
+        uv = tr.uv.majorant(sched.r[0])
         for got, want in pairs:
             scale = max(want.majorant(), uv)
             assert (got - want).majorant() <= 1e-13 * scale
         assert abs(diag["composition_residual"]
-                   - ref[3]["composition_residual"]) <= 1e-13 * uv
-        assert diag["inversion_iters"] == ref[3]["inversion_iters"]
+                   - ref[2]["composition_residual"]) <= 1e-13 * uv
+        assert diag["inversion_iters"] == ref[2]["inversion_iters"]
         assert diag["taylor_order"] >= 1
 
     def test_newton_step_and_fit_embedding_make_no_scattered_call(
             self, golden, rng, monkeypatch):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
-                                      r=sched.r[0], amp=1e-5)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
 
         def refuse(*args, **kwargs):
             raise AssertionError("scattered evaluation in a grid-anchored path")
 
         monkeypatch.setattr(FourierField, "evaluate_complex", refuse)
-        tr, _, _, _ = newton.newton_step(f, g, golden, sched, 0)
-        newton.fit_embedding([tr], golden, sched.r[0], "flow", tr.U.N + 8)
+        tr, _, _ = newton.newton_step(fg, golden, sched, 0)
+        newton.fit_embedding([tr], golden, sched.r[0], "flow", tr.UV.N + 8)
 
 
 @pytest.fixture
@@ -305,23 +293,23 @@ class TestOneJetPerFieldPair:
         monkeypatch.setattr(FourierField, "diff_x", refuse)
         monkeypatch.setattr(FourierField, "diff_y", refuse)
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
-                                      r=sched.r[0], amp=1e-5)
-        newton.newton_step(f, g, golden, sched, 0)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
+        newton.newton_step(fg, golden, sched, 0)
         # (u, v), (f, g), (U, V)
         assert [jet.m for jet in jets_made] == [2, 2, 2]
         jets_made.clear()
-        newton.newton_step(*_map_pair(sched), golden, sched, 0, mode="map")
+        newton.newton_step(_map_pair(sched), golden, sched, 0, mode="map")
         # (u, v), (f, g, g_mean, u and v shifted by Omega), (U, V)
         assert [jet.m for jet in jets_made] == [2, 5, 2]
 
     def test_fit_embedding_builds_one_jet_per_transform(self, golden, rng, jets_made):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
-                                      r=sched.r[0], amp=1e-5)
-        tr, _, _, _ = newton.newton_step(f, g, golden, sched, 0)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
+        tr, _, _ = newton.newton_step(fg, golden, sched, 0)
         jets_made.clear()
-        newton.fit_embedding([tr, tr, tr], golden, sched.r[0], "flow", tr.U.N + 8)
+        newton.fit_embedding([tr, tr, tr], golden, sched.r[0], "flow", tr.UV.N + 8)
         assert len(jets_made) == 3
 
     def test_flow_demo_run_builds_nine_jets(self, tmp_path, jets_made):
@@ -332,12 +320,58 @@ class TestOneJetPerFieldPair:
         assert len(jets_made) == 9
 
 
+@pytest.fixture
+def calls_counted(monkeypatch):
+    """Calls of the grid fit and of stack_components, from fields and newton alike."""
+    calls = dict.fromkeys(("field_from_grid_samples", "stack_components"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(fields, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        for module in (fields, newton):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneFieldPerPair:
+    """A pair travels as one field: a step makes one fit per pair, and a
+    flow run stacks its pair once, when it samples f and g."""
+
+    def test_flow_and_map_steps_fit_two_fields(self, golden, rng, calls_counted):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        flow = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                        r=sched.r[0], amp=1e-5))
+        mapping = _map_pair(sched)
+        calls_counted.update(dict.fromkeys(calls_counted, 0))
+        newton.newton_step(flow, golden, sched, 0)
+        # (U, V) and the remainder pair
+        assert calls_counted == {"field_from_grid_samples": 2, "stack_components": 0}
+        calls_counted.update(dict.fromkeys(calls_counted, 0))
+        newton.newton_step(mapping, golden, sched, 0, mode="map")
+        # the map remainder's jet stacks (f, g), g_mean and the shifted (u, v)
+        assert calls_counted == {"field_from_grid_samples": 2, "stack_components": 1}
+
+    def test_flow_demo_run_fits_ten_fields(self, tmp_path, calls_counted):
+        # f and g sampled, two per step, then two per embedding of the
+        # chains of one and two transforms
+        code = main(["kam", "run", "--config", str(_CONFIGS / "kam_flow.json"),
+                     "--out", str(tmp_path), "--set", "M=2"])
+        assert code == 0
+        assert calls_counted == {"field_from_grid_samples": 10, "stack_components": 1}
+
+    def test_step_rejects_a_field_that_is_not_a_pair(self, golden, rng):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        f, _ = random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2, r=sched.r[0])
+        with pytest.raises(ShapeError, match="m = 2d"):
+            newton.newton_step(f, golden, sched, 0)
+
+
 class TestTwoDimensionalStep:
     """d = 2 Newton steps (eps0 = 1e-2, N = 3): the oscillating parts contract."""
 
     @staticmethod
-    def _contracts(f, g, f_next, g_next, sched):
-        for before, after in ((f, f_next), (g, g_next)):
+    def _contracts(fg, fg_next, sched):
+        for before, after in zip(halves(fg), halves(fg_next)):
             osc_in = before.oscillating_part().majorant(sched.r[0])
             osc_out = after.oscillating_part().majorant(sched.r[1])
             assert osc_out < 0.5 * osc_in
@@ -359,9 +393,10 @@ class TestTwoDimensionalStep:
                                 2, 2, 3, q_y=2, r=sched.r[0], parity="even")
         g = field_from_function(lambda x, y, t: eps * s0 * harmonics(np.sin)(x, y, t),
                                 2, 2, 3, q_y=2, r=sched.r[0], parity="odd")
-        tr, f_next, g_next, diag = newton.newton_step(f, g, freq, sched, 0)
-        self._contracts(f, g, f_next, g_next, sched)
-        assert f_next.parity == ("even", "even") and g_next.parity == ("odd", "odd")
+        fg = stack_components(f, g)
+        tr, fg_next, diag = newton.newton_step(fg, freq, sched, 0)
+        self._contracts(fg, fg_next, sched)
+        assert fg_next.parity == ("even", "even", "odd", "odd")
         assert diag["composition_residual"] < 1e-10
 
     def test_map_step(self, rng):
@@ -371,10 +406,10 @@ class TestTwoDimensionalStep:
                                 amp=1e-5, N_t=0)
         g = random_parity_field(rng, "odd", d=2, N=3, q_y=2, r=sched.r[0],
                                 amp=1e-5, N_t=0)
-        tr, f_next, g_next, diag = newton.newton_step(f, g, freq, sched, 0,
-                                                      mode="map")
-        self._contracts(f, g, f_next, g_next, sched)
-        for fld in (tr.U, tr.V, f_next, g_next):
+        fg = stack_components(f, g)
+        tr, fg_next, diag = newton.newton_step(fg, freq, sched, 0, mode="map")
+        self._contracts(fg, fg_next, sched)
+        for fld in (tr.UV, fg_next):
             assert fld.N_t == 0
         assert diag["composition_residual"] < 1e-10
 
@@ -552,7 +587,7 @@ class TestMapSampling:
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_samples_are_the_closed_forms(self, eps):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = _map_pair(sched, eps)
+        f, g = halves(_map_pair(sched, eps))
         Omega = 2.0 * np.pi * GOLDEN
         n = 2 * sched.N[0] + 2
         x = 2.0 * np.pi * np.arange(n)[:, None] / n
@@ -574,8 +609,9 @@ class TestMapSampling:
             x1 = x + Omega + y - eps * np.cos(x)
             return x1, y + eps * (np.cos(x1) - np.cos(x))
 
-        f, g = newton._MAP.sample(kick, omega, 2, 4, 0, 0.0)
-        assert (f.d, f.m, g.d, g.m) == (2, 2, 2, 2)
+        fg = newton._MAP.sample(kick, omega, 2, 4, 0, 0.0)
+        assert (fg.d, fg.m) == (2, 4)
+        f, g = halves(fg)
         grid = 2.0 * np.pi * np.arange(10) / 10
         x = np.stack([a.ravel() for a in np.meshgrid(grid, grid, indexing="ij")], axis=-1)
         x1 = x + Omega - eps * np.cos(x)
@@ -603,8 +639,8 @@ class TestMapSampling:
         takes_pair, takes_map = "flow mode takes the pair", "map mode takes a callable map"
         for mode, system, message in (("map", (flow.f, flow.g), takes_map),
                                        ("flow", mapping.A, takes_pair),
-                                       ("flow", _map_pair(sched), takes_pair),
-                                       ("map", _map_pair(sched), takes_map)):
+                                       ("flow", halves(_map_pair(sched)), takes_pair),
+                                       ("map", halves(_map_pair(sched)), takes_map)):
             with pytest.raises(ParameterError, match=message):
                 newton.run_kam(mode, system, golden, sched)
         with pytest.raises(ParameterError, match=takes_map):
@@ -616,12 +652,11 @@ class TestMapRun:
                                                   golden):
         mapping, report = map_run
         sched = report.schedule
-        f, g = _map_pair(sched)
         with pytest.raises(ParameterError, match="banana"):
-            newton.newton_step(f, g, golden, sched, 0, mode="banana")
+            newton.newton_step(_map_pair(sched), golden, sched, 0, mode="banana")
         with pytest.raises(ParameterError, match="banana"):
             newton.fit_embedding(report.chain, golden, sched.r[0], "banana",
-                                 report.chain[0].U.N + 8)
+                                 report.chain[0].UV.N + 8)
         with pytest.raises(ParameterError, match="callable map"):
             newton.verify_invariance(report.embedding, 3)
         with pytest.raises(ParameterError, match="pair"):
@@ -677,10 +712,10 @@ class TestOneCheckPerChain:
     def test_failure_at_step_1_keeps_the_last_check(self, monkeypatch, golden):
         step = newton.newton_step
 
-        def fail_at_1(f, g, freq, schedule, m, **kwargs):
+        def fail_at_1(fg, freq, schedule, m, **kwargs):
             if m == 1:
                 raise StepFailureError("step 1: injected failure")
-            return step(f, g, freq, schedule, m, **kwargs)
+            return step(fg, freq, schedule, m, **kwargs)
 
         monkeypatch.setattr(newton, "newton_step", fail_at_1)
         report, calls = self._map_run(monkeypatch, golden, M=3)
@@ -694,8 +729,7 @@ class TestStepRow:
 
     def test_diagnostics_are_the_step_columns(self, golden):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
-        f, g = _map_pair(sched)
-        _, _, _, diag = newton.newton_step(f, g, golden, sched, 0, mode="map")
+        _, _, diag = newton.newton_step(_map_pair(sched), golden, sched, 0, mode="map")
         assert list(diag) == list(newton._NO_STEP)
 
     def test_excursion_warnings_follow_the_rows(self, golden):
