@@ -43,10 +43,10 @@ _EXPORTS = {
     "run_kam": "newton",
     "fit_embedding": "newton",
     "verify_invariance": "newton",
+    "load_embedding": "newton",
     "rotation_number": "newton",
     "TorusEmbedding": "newton",
     "ConvergenceReport": "newton",
-    "FlowSystem": "systems",
     "MapSystem": "systems",
     "single_mode_flow": "systems",
     "make_flow_perturbation": "systems",
@@ -69,8 +69,6 @@ _EXPORTS = {
     "load_json": "persistence",
     "emit_csv": "persistence",
     "sha256_file": "persistence",
-    "save_embedding": "persistence",
-    "load_embedding": "persistence",
 }
 
 __all__ = ["__version__", "DomainError", "ParameterError", "PersistenceError",

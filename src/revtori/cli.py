@@ -202,13 +202,12 @@ def _perturbation_params(pert_cfg: dict) -> dict:
 
 
 def _build_inputs(mode, pert_cfg: dict, omega: float):
-    """run_kam's system for a kam config: the pair (f, g) of a flow, the map A of a map."""
+    """run_kam's system for a kam config: the callable fg of a flow, the map A of a map."""
     from . import systems
     params = _perturbation_params(pert_cfg)
     kind = pert_cfg.get("kind", "standard")
     if mode == "flow":
-        system = systems.make_flow_perturbation(kind, **params)
-        return system.f, system.g
+        return systems.make_flow_perturbation(kind, **params)
     if mode == "map":
         return systems.make_map_perturbation(kind, omega, **params).A
     raise errors.ParameterError(f"mode must be 'flow' or 'map', got {mode!r}")
@@ -323,7 +322,7 @@ def _cmd_kam_run(args):
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,
         [("embedding.json",
-          lambda p: persistence.save_embedding(p, report.embedding)),
+          lambda p: persistence.save_json(p, report.embedding.to_dict())),
          ("convergence.csv",
           lambda p: persistence.emit_csv(p, report.csv_header(),
                                          report.csv_rows()))],
@@ -437,7 +436,7 @@ def _cmd_verify(args):
                "digests_ok": True}
     if "embedding.json" in manifest.outputs:
         cfg = manifest.config
-        embedding = persistence.load_embedding(run_dir / "embedding.json")
+        embedding = newton.load_embedding(run_dir / "embedding.json")
         system = _build_inputs(embedding.mode, cfg["perturbation"],
                                float(embedding.omega[0]))
         verify = _verify_settings(cfg)

@@ -2,6 +2,8 @@
 
 Everything raised on purpose derives from :class:`RevtoriError` so callers
 (and the CLI) can distinguish expected failure modes from genuine bugs.
+The parameter checks the perturbation factories share live here too, so
+that the oscillator model needs no other module for them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,33 @@ class RevtoriError(Exception):
 
 class ParameterError(RevtoriError):
     """A parameter is outside the range where the algorithms are defined."""
+
+
+def check_params(kind: str, params: dict, allowed: tuple) -> None:
+    """ParameterError unless every key of params is one of allowed."""
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ParameterError(
+            f"unknown parameters {unknown} for perturbation kind {kind!r}; "
+            f"valid: {', '.join(allowed) or '(no parameters)'}")
+
+
+def int_param(kind: str, params: dict, key: str, default: int) -> int:
+    """params[key] (or default) as an int.
+
+    A value with a fractional part, a non-finite value or a boolean raises
+    ParameterError instead of being truncated.
+    """
+    value = params.get(key, default)
+    try:
+        whole = not isinstance(value, bool) and float(value).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ParameterError(
+            f"parameter {key!r} of perturbation kind {kind!r} must be an integer, "
+            f"got {value!r}")
+    return int(value)
 
 
 class DomainError(ParameterError):

@@ -90,8 +90,12 @@ def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
     coefficient, so a small component of a stacked pair is held to its own
     scale, not to that of its largest neighbour.
     """
-    axes = tuple(range(coeffs.ndim - 1))
-    scale = np.max(np.abs(coeffs), axis=axes, initial=0.0)
+    m = coeffs.shape[-1]
+
+    def peak(a):  # per-component maxima, reduced over a component-major copy
+        return np.max(np.ascontiguousarray(a.reshape(-1, m).T), axis=1, initial=0.0)
+
+    scale = peak(np.abs(coeffs))
 
     def check(dev, i, fault):
         if dev > tol * scale[i]:
@@ -99,7 +103,7 @@ def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
                 f"{what}: component {i} {fault} (relative deviation {dev / scale[i]:.3e})")
 
     rev = _reverse_modes(coeffs, d)
-    for i, dev in enumerate(np.max(np.abs(coeffs - np.conj(rev)), axis=axes, initial=0.0)):
+    for i, dev in enumerate(peak(np.abs(coeffs - np.conj(rev)))):
         check(dev, i, "violates reality symmetry")
     out = 0.5 * (coeffs + np.conj(rev))
     for i, tag in enumerate(parity or ()):
@@ -444,10 +448,13 @@ class FourierField:
         return self.mode(np.zeros(self.d, dtype=int), 0)
 
     def components(self, lo: int, hi: int) -> "FourierField":
-        """Components lo..hi-1 as a field of their own; undoes :func:`stack_components`."""
+        """Components lo..hi-1 as a field of their own; undoes :func:`stack_components`.
+
+        Components without a tag make an untagged field (parity None).
+        """
         if not 0 <= lo < hi <= self.m:
             raise ShapeError(f"components {lo}..{hi - 1} outside 0..{self.m - 1}")
-        parity = None if self.parity is None else self.parity[lo:hi]
+        parity = self.parity[lo:hi] if self.parity and any(self.parity[lo:hi]) else None
         return replace(self, m=hi - lo, coeffs=self.coeffs[..., lo:hi].copy(), parity=parity)
 
     def oscillating_part(self) -> "FourierField":
@@ -945,13 +952,14 @@ def stack_components(*parts: FourierField) -> FourierField:
 
     Cutoffs and power degree are the largest of the parts, whose
     coefficients are zero-padded to them; the radius is the largest, and
-    the parity tags are joined (None if a part has none).  One
-    :class:`GridJet` of the result evaluates all the parts at once.
+    the parity tags are joined, an untagged part's components untagged
+    (None if no part has tags).  One :class:`GridJet` of the result
+    evaluates all the parts at once.
     """
     N, N_t, q_y = (max(getattr(p, a) for p in parts) for a in ("N", "N_t", "q_y"))
     coeffs = np.concatenate([p._padded_to(N, q_y, N_t) for p in parts], axis=-1)
-    parity = None if any(p.parity is None for p in parts) else sum(
-        (p.parity for p in parts), ())
+    parity = None if all(p.parity is None for p in parts) else sum(
+        (p.parity or (None,) * p.m for p in parts), ())
     return FourierField(parts[0].d, coeffs.shape[-1], N, q_y, max(p.r for p in parts),
                         coeffs, parity)
 

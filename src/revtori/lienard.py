@@ -22,9 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_params, int_param
 from .integrators import implicit_midpoint_step, yoshida_weights
-from .systems import _check_params, _int_param
 
 __all__ = [
     "Perturbation", "make_perturbation", "LienardProblem", "make_problem",
@@ -99,7 +98,7 @@ def make_perturbation(kind: str, **params) -> Perturbation:
     ParameterError.
     """
     if kind == "none":
-        _check_params(kind, params, ())
+        check_params(kind, params, ())
 
         def forcing(x, t):
             zero = np.zeros_like(np.asarray(x, dtype=float))
@@ -107,11 +106,11 @@ def make_perturbation(kind: str, **params) -> Perturbation:
 
         return Perturbation(kind=kind, forcing=forcing)
     if kind == "power":
-        _check_params(kind, params, ("f_amp", "g_amp", "p", "q"))
+        check_params(kind, params, ("f_amp", "g_amp", "p", "q"))
         f_amp = float(params.get("f_amp", 0.05))
         g_amp = float(params.get("g_amp", 0.05))
-        p = _int_param(kind, params, "p", 1)
-        q = _int_param(kind, params, "q", 1)
+        p = int_param(kind, params, "p", 1)
+        q = int_param(kind, params, "q", 1)
 
         def forcing(x, t):
             c = np.cos(2.0 * np.pi * t)
@@ -122,7 +121,7 @@ def make_perturbation(kind: str, **params) -> Perturbation:
                             p=p, q=q)
     if kind in ("rational_cubic", "rational_cubic_skew"):
         skew = kind == "rational_cubic_skew"
-        _check_params(kind, params, ("f_amp", "g_amp") + (("phase",) if skew else ()))
+        check_params(kind, params, ("f_amp", "g_amp") + (("phase",) if skew else ()))
         f_amp = float(params.get("f_amp", 0.05))
         g_amp = float(params.get("g_amp", 0.05))
         phase = float(params.get("phase", 0.4)) if skew else 0.0

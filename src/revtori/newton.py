@@ -17,17 +17,18 @@ selects one of two private dynamics objects, ``_FLOW`` and ``_MAP``, which
 supply only what differs: how the input system is sampled, the homological
 solve, the transformed remainder on grid jets, the number of time slots
 (autonomous map fields have one), the parity tags of (f, g) and (U, V), and
-one step of the true dynamics for the invariance check.  A flow enters as
-the pair (f, g) of callables (x, y, t) -> (S, d), a map as one callable
+one step of the true dynamics for the invariance check.  Either system is
+one callable: a flow fg(x, y, t) -> (S, 2d), f then g, a map
 A(x, y) -> (x1, y1) whose f = wrap(x1 - x - Omega - y) and g = y1 - y.
 
-Each pair, the perturbation (f, g), the generator (u, v) and its fitted
-inverse (U, V), is one FourierField of 2d components, the first half
-then the second, from the sampling of the input system to the step's
-output; only the diagnostics (convergence rows, budget warnings and the
-contraction check) take a pair apart.  Both remainders are formed point
-by point from grid-jet values at the inverted sample points and become
-fields only through the FFT fit: for flows, products of the values of f,
+Each pair, the perturbation (f, g), the generator (u, v), its fitted
+inverse (U, V) and the embedding's (x_offset, y), is one FourierField of
+2d components, the first half then the second, from the sampling of the
+input system to the step's output; only the diagnostics (convergence
+rows, budget warnings and the contraction check) and the embedding file
+take a pair apart.  Both remainders are formed point by point from
+grid-jet values at the inverted sample points and become fields only
+through the FFT fit: for flows, products of the values of f,
 g and the first derivatives of u and v; for maps, differences of the
 values of the shifted generators.  A step builds one grid jet per pair:
 (u, v), which also gives the flow remainder the first derivatives of u
@@ -35,25 +36,27 @@ and v from its own tables; (f, g), for maps with g_mean and the shifted
 generators; and (U, V).  It makes two fits, (U, V) and the next (f, g).
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field as _dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import homological
+from . import homological, persistence
 from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
-                     SmallDivisorError, StepFailureError)
+                     SmallDivisorError, StepFailureError, StructureError)
 from .fields import (FourierField, GridJet, default_action_nodes,
-                     field_from_function, field_from_grid_samples, stack_components)
+                     field_from_function, field_from_grid_samples, project_structure,
+                     stack_components)
 from .integrators import extrapolate
 from .smoothing import cutoff, decompose
 
 __all__ = [
     "Schedule", "make_schedule", "NearIdentityTransform", "TorusEmbedding",
     "ConvergenceReport", "InvarianceReport", "newton_step", "run_kam",
-    "fit_embedding", "verify_invariance", "rotation_number",
+    "fit_embedding", "verify_invariance", "load_embedding", "rotation_number",
 ]
 
 # Columns of the per-step convergence table, in emission order, and the
@@ -175,20 +178,21 @@ class NearIdentityTransform:
 class TorusEmbedding:
     """Parametrized invariant torus  K(theta, t) = (theta + x_offset, y).
 
-    For flows K(theta + omega t, t) follows the trajectories; for maps the
-    fields are autonomous (time cutoff N_t = 0), the image of K is
-    invariant and carries rotation vector omega.
+    xy holds x_offset then y as the 2d components of one field.  For
+    flows K(theta + omega t, t) follows the trajectories; for maps the
+    field is autonomous (time cutoff N_t = 0), the image of K is invariant
+    and carries rotation vector omega.  The ``torus-embedding/1`` record
+    keeps x_offset and y as two field records.
     """
 
-    x_offset: FourierField
-    y: FourierField
+    xy: FourierField
     omega: np.ndarray
     r0: float
     mode: str
 
     @property
     def d(self) -> int:
-        return self.x_offset.d
+        return self.xy.d
 
     def evaluate(self, theta, t=None):
         """Embedding values; theta (S, d) (or (S,) for d = 1), t (S,)."""
@@ -199,21 +203,21 @@ class TorusEmbedding:
             squeeze = True
         elif theta.ndim == 1:
             theta = theta.reshape(-1, 1) if self.d == 1 else theta.reshape(1, -1)
-        dx = self.x_offset.evaluate(theta, None, t, check_domain=False)
-        yv = self.y.evaluate(theta, None, t, check_domain=False)
-        x = theta + dx
+        xy = self.xy.evaluate(theta, None, t, check_domain=False)
+        x, yv = theta + xy[:, :self.d], xy[:, self.d:]
         if squeeze:
             return x[0], yv[0]
         return x, yv
 
     def to_dict(self) -> dict:
+        d = self.d
         return {
             "format": "torus-embedding/1",
             "mode": self.mode,
             "omega": [float(w) for w in np.atleast_1d(self.omega)],
             "r0": float(self.r0),
-            "x_offset": self.x_offset.to_dict(),
-            "y": self.y.to_dict(),
+            "x_offset": self.xy.components(0, d).to_dict(),
+            "y": self.xy.components(d, 2 * d).to_dict(),
         }
 
     @classmethod
@@ -228,15 +232,31 @@ class TorusEmbedding:
         except ParameterError:
             raise PersistenceError(f"unknown embedding mode {mode!r}") from None
         try:
-            x_offset = FourierField.from_dict(data["x_offset"])
-            y = FourierField.from_dict(data["y"])
+            parts = [FourierField.from_dict(data[key]) for key in ("x_offset", "y")]
             omega = np.asarray(data["omega"], dtype=float)
             r0 = float(data["r0"])
         except KeyError as exc:
             raise PersistenceError(f"embedding record missing key {exc}") from exc
-        if x_offset.d != len(omega) or y.d != len(omega):
+        if any((h.d, h.m) != (len(omega),) * 2 for h in parts):
             raise PersistenceError("embedding component dimensions disagree with omega")
-        return cls(x_offset=x_offset, y=y, omega=omega, r0=r0, mode=mode)
+        return cls(xy=stack_components(*parts), omega=omega, r0=r0, mode=mode)
+
+
+def load_embedding(path) -> TorusEmbedding:
+    """Read an embedding file and re-validate its declared symmetry tags.
+
+    Stored coefficients are checked against the parity they claim (within
+    1e-9 of each component's largest coefficient) and projected exactly
+    onto it, so downstream code can rely on the tags.  Violations surface
+    as PersistenceError naming the file.
+    """
+    emb = TorusEmbedding.from_dict(persistence.load_json(path))
+    try:
+        xy = project_structure(emb.xy, tol=1e-9)
+    except StructureError as exc:
+        raise PersistenceError(
+            f"{path}: embedding violates its declared symmetry: {exc}") from exc
+    return replace(emb, xy=xy)
 
 
 class _OrderedJet:
@@ -273,7 +293,8 @@ def _invert_transform(uv: GridJet, eta):
     dy = y - eta rather than on (x, y): forming x and subtracting xi back
     would drown increments near roundoff in the rounding of xi + dx, and
     the fitted transforms at late steps are exactly that small.
-    Returns (dx, dy, iterations).
+    Returns (dx, dy, iterations, uv0), uv0 the values of (u, v) at the
+    nodes themselves: the first iterate, negated.
     """
     d = eta.shape[1]
     dx = np.zeros_like(eta)
@@ -281,12 +302,14 @@ def _invert_transform(uv: GridJet, eta):
     scale = 1.0 + 2.0 * np.pi * (uv.n - 1) / uv.n  # 1 + the largest node angle
     for it in range(1, _INVERT_MAX_ITER + 1):
         w = uv.evaluate(dx, eta + dy)
+        if it == 1:
+            uv0 = w
         dx_new, dy_new = -w[:, :d], -w[:, d:]
         step = max(float(np.max(np.abs(dx_new - dx))),
                    float(np.max(np.abs(dy_new - dy))))
         dx, dy = dx_new, dy_new
         if step <= _INVERT_TOL * scale:
-            return dx, dy, it
+            return dx, dy, it, uv0
     raise StepFailureError(
         f"transform inversion stalled after {_INVERT_MAX_ITER} iterations "
         f"(last update {step:.3e})")
@@ -304,10 +327,9 @@ class _Dynamics:
     by dx, at actions ys.  Autonomous fields have one time slot.  The
     parity pairs give the tag of each half of the pair fields (f, g) and
     (U, V) (:func:`_pair_tags` spreads them over the components), and tag the
-    embedding like (U, V).  sample fits the pair (f, g) of an input system,
-    advance returns one step of it, the angle the torus turns by and the
-    time it ends at; both raise ParameterError for a system the mode does
-    not take.
+    embedding like (U, V).  An input system is one callable, ``takes``;
+    sample fits its pair (f, g), advance returns one step of it, the angle
+    the torus turns by and the time it ends at.
     """
 
     mode: str
@@ -315,8 +337,20 @@ class _Dynamics:
     autonomous: bool
     fg_parity: tuple
     uv_parity: tuple
+    takes: str
     sample: Callable
     advance: Callable
+
+    def checked(self, system) -> Callable:
+        """system if it takes the mode's arguments, (x, y) or (x, y, t); else ParameterError."""
+        try:
+            inspect.signature(system).bind(*"xyt"[:2 if self.autonomous else 3])
+        except TypeError:  # not callable, or not with these arguments
+            raise ParameterError(f"{self.mode} mode takes one callable {self.takes}, "
+                                 f"not {type(system).__name__}") from None
+        except ValueError:  # a callable without a signature to inspect
+            pass
+        return system
 
     def solve(self, fg, freq) -> "homological.HomologicalSolution":
         """solve_flow or solve_map, looked up at call time so module wrappers apply."""
@@ -369,37 +403,28 @@ def _wrap_angle(delta: np.ndarray) -> np.ndarray:
     return (delta + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _as_pair(system):
-    """The pair (f, g) of a flow; ParameterError for anything else."""
-    if isinstance(system, (tuple, list)) and len(system) == 2 and all(map(callable, system)):
-        return system
-    raise ParameterError(f"flow mode takes the pair (f, g) of callables (x, y, t) -> (S, d), "
-                         f"not {type(system).__name__}")
-
-
 def _flow_sample(system, omega, d, N, q_y, r):
-    """Fit f and g at cutoff N, each with its parity, as one pair field."""
-    return stack_components(*(field_from_function(h, d, d, N, q_y=q_y, r=r, parity=p)
-                              for h, p in zip(_as_pair(system), _FLOW.fg_parity)))
+    """Fit fg at cutoff N as one pair field, f even and g odd."""
+    return field_from_function(_FLOW.checked(system), d, 2 * d, N, q_y=q_y, r=r,
+                               parity=_pair_tags(_FLOW.fg_parity, d))
 
 
 def _flow_advance(system, omega, dt, tol):
-    """Integrate the pair (f, g) over [0, dt] by extrapolation at tolerance tol.
+    """Integrate the flow fg over [0, dt] by extrapolation at tolerance tol.
 
     ``integrators.extrapolate`` holds every component to the local error
     atol + tol |z| with atol = tol * 1e-3.  A non-finite right-hand side, a
     collapsed step size or too many steps raise StepFailureError.
     """
-    f_fn, g_fn = _as_pair(system)
+    fg = _FLOW.checked(system)
 
     def step(x0, y0):
         S, d = x0.shape
 
         def rhs(z, t):
             x, y = z
-            tt = np.full(S, t)
-            return np.stack([omega + y + np.asarray(f_fn(x, y, tt)).reshape(S, d),
-                             np.asarray(g_fn(x, y, tt)).reshape(S, d)])
+            vals = np.asarray(fg(x, y, np.full(S, t))).reshape(S, 2 * d)
+            return np.stack([omega + y + vals[:, :d], vals[:, d:]])
 
         try:
             x1, y1 = extrapolate(rhs, np.stack([x0, y0]), 0.0, dt, tol)
@@ -412,10 +437,7 @@ def _flow_advance(system, omega, dt, tol):
 
 def _map_advance(system, omega, dt, tol):
     """Apply the map A once; the torus turns by 2 pi omega."""
-    if not callable(system):
-        raise ParameterError(f"map mode takes a callable map A(x, y) -> (x1, y1), "
-                             f"not {type(system).__name__}")
-    return system, 2.0 * np.pi * omega, 0.0
+    return _MAP.checked(system), 2.0 * np.pi * omega, 0.0
 
 
 def _map_sample(system, omega, d, N, q_y, r):
@@ -432,9 +454,11 @@ def _map_sample(system, omega, d, N, q_y, r):
 
 _FLOW = _Dynamics("flow", _flow_remainder, autonomous=False,
                   fg_parity=("even", "odd"), uv_parity=("odd", "even"),
+                  takes="fg(x, y, t) -> (S, 2d), f then g",
                   sample=_flow_sample, advance=_flow_advance)
 _MAP = _Dynamics("map", _map_remainder, autonomous=True,
                  fg_parity=(None, None), uv_parity=(None, None),
+                 takes="A(x, y) -> (x1, y1)",
                  sample=_map_sample, advance=_map_advance)
 
 
@@ -513,10 +537,12 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
 
     uv_jet = on_grid(sol.uv)
     dxy = np.empty((n_y * S, 2 * d))  # the inverse's offsets, dx then dy
+    uv_here = np.empty_like(dxy)  # (u, v) at the nodes
     iters = 0
     for iy in range(n_y):
         sheet = slice(iy * S, (iy + 1) * S)
-        dxy[sheet, :d], dxy[sheet, d:], it = _invert_transform(uv_jet, eta[sheet])
+        dxy[sheet, :d], dxy[sheet, d:], it, uv_here[sheet] = _invert_transform(
+            uv_jet, eta[sheet])
         iters = max(iters, it)
     dx, ys = dxy[:, :d], eta + dxy[:, d:]
     y_excursion = float(np.max(np.sqrt(np.sum(ys * ys, axis=1))))
@@ -537,7 +563,6 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
 
     # Cross-check the pair (u, v) / (U, V): pushing the grid forward through
     # xi = x + u and evaluating the fitted inverse there must cancel.
-    uv_here = uv_jet.evaluate(np.zeros_like(eta), eta)
     comp_res = float(np.max(np.abs(
         uv_here + on_grid(UV).evaluate(uv_here[:, :d], eta + uv_here[:, d:]))))
     tol_comp = max(1e-10, 1e-9 * sol.uv.majorant(r_m))
@@ -697,11 +722,11 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
     on new coordinates.  It is evaluated on the grid of 2N+2 angle nodes
     per axis times the time nodes (all of them for flows, t = 0 for maps,
     whose embedding is autonomous), with one grid jet of (U, V) per
-    transform, and the offsets are fitted by FFT.  Each fitted component
-    keeps only its coefficients above eps times its largest modulus (eps
-    the float epsilon): the rest are rounding noise of the fit, and
-    dropping them makes the embedding that is verified, written and
-    reloaded one and the same.
+    transform, and the offsets (x, y) are fitted by one FFT as one pair
+    field.  Each fitted component keeps only its coefficients above eps
+    times its largest modulus (eps the float epsilon): the rest are
+    rounding noise of the fit, and dropping them makes the embedding that
+    is verified, written and reloaded one and the same.
     """
     dyn = _dynamics(mode)
     d = freq.d
@@ -709,16 +734,12 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
     n_t = dyn.time_slots(n)
     grid_shape = (n,) * d + (n_t,)
     # The chain moves each node by the small offsets its steps add up.
-    x = np.zeros((n ** d * n_t, d))
-    y = np.zeros_like(x)
+    xy = np.zeros((n ** d * n_t, 2 * d))
     for tr in reversed(chain):
-        w = GridJet(tr.UV, n, n_t).evaluate(x, y)
-        x, y = x + w[:, :d], y + w[:, d:]
-    x_offset, y_field = (_above_rounding(field_from_grid_samples(
-        z.reshape(grid_shape + (1, d)), d, N, 0, 0.0, parity=p))
-                         for z, p in zip((x, y), dyn.uv_parity))
-    return TorusEmbedding(x_offset=x_offset, y=y_field,
-                          omega=np.array(freq.omega, dtype=float),
+        xy += GridJet(tr.UV, n, n_t).evaluate(xy[:, :d], xy[:, d:])
+    fit = field_from_grid_samples(xy.reshape(grid_shape + (1, 2 * d)), d, N, 0, 0.0,
+                                  parity=_pair_tags(dyn.uv_parity, d))
+    return TorusEmbedding(xy=_above_rounding(fit), omega=np.array(freq.omega, dtype=float),
                           r0=float(r0), mode=mode)
 
 
@@ -729,11 +750,11 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
 
     mode is "flow", for dx/dt = omega + y + f(x, y, t), dy/dt = g(x, y, t),
     or "map", for x' = x + 2 pi omega + y + f(x, y), y' = y + g(x, y).
-    system is what verify_invariance takes: the pair (f, g) of callables
-    (x, y, t) -> (S, d) for a flow, one callable A(x, y) -> (x1, y1) for a
-    map.  (f, g) is sampled at the finest cutoff of the schedule, a map's
-    with one call of A per action node, and decomposed into band-limited
-    pieces fed to the steps one scale at a time.  A map carries the angular
+    system is what verify_invariance takes, one callable: fg(x, y, t) ->
+    (S, 2d), f then g, for a flow, A(x, y) -> (x1, y1) for a map.  (f, g)
+    is sampled at the finest cutoff of the schedule with one call of the
+    system per action node, and decomposed into band-limited pieces fed to
+    the steps one scale at a time.  A map carries the angular
     average of g along rather than solving it away, so a small mean
     survives in g; convergence is measured on the oscillating parts.
 
@@ -827,9 +848,9 @@ def verify_invariance(embedding: TorusEmbedding, system,
     A(K(theta)) is compared against K(theta + 2 pi omega); dt and tol play
     no part.  Angle mismatches are wrapped to (-pi, pi].
 
-    system defines the true dynamics, as for run_kam: flows take the pair
-    (f, g) of callables (x, y, t) -> (S, d), maps one callable
-    A(x, y) -> (x1, y1) such as a section map, called once.
+    system defines the true dynamics, as for run_kam: one callable, fg(x,
+    y, t) -> (S, 2d) for a flow and A(x, y) -> (x1, y1), such as a section
+    map, called once, for a map.
 
     samples must be a positive integer, tol finite and positive, and dt
     finite and nonzero (negative dt integrates backwards), in either mode;

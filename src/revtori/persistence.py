@@ -6,25 +6,25 @@ CSV with 17 significant digits and fixed column orders, and nothing ever
 records wall-clock time or machine identity.  A run directory holds
 ``manifest.json`` (the configuration snapshot plus content digests of the
 other files), the torus embedding, and the per-step convergence table.
+The formats of the artifacts themselves live with their types (the
+embedding's in ``newton``), so this module needs none of the solver.
 """
 
 import functools
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field as _dc_field, replace
+from dataclasses import dataclass, field as _dc_field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import PersistenceError, StructureError
-from .fields import project_structure
-from .newton import TorusEmbedding
+from .errors import PersistenceError
 
 __all__ = ["canonical_json", "save_json", "load_json", "emit_csv",
            "sha256_file", "RunManifest", "write_manifest", "load_manifest",
-           "save_embedding", "load_embedding", "package_versions"]
+           "package_versions"]
 
 MANIFEST_FORMAT = "kam-run/1"
 
@@ -181,23 +181,3 @@ def write_manifest(path, manifest: RunManifest) -> None:
 def load_manifest(path) -> RunManifest:
     return RunManifest.from_dict(load_json(path))
 
-
-def save_embedding(path, embedding: TorusEmbedding) -> None:
-    save_json(path, embedding.to_dict())
-
-
-def load_embedding(path) -> TorusEmbedding:
-    """Read an embedding and re-validate its declared symmetry tags.
-
-    Stored coefficients are checked against the parity they claim (within
-    1e-9 relative) and projected exactly onto it, so downstream code can
-    rely on the tags.  Violations surface as PersistenceError.
-    """
-    emb = TorusEmbedding.from_dict(load_json(path))
-    try:
-        x_offset = project_structure(emb.x_offset, tol=1e-9)
-        y = project_structure(emb.y, tol=1e-9)
-    except StructureError as exc:
-        raise PersistenceError(
-            f"{path}: embedding violates its declared symmetry: {exc}") from exc
-    return replace(emb, x_offset=x_offset, y=y)

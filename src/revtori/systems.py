@@ -1,9 +1,10 @@
 """Reference reversible systems for exercising the torus iteration.
 
 Two families live here: a band-limited periodically forced flow whose
-perturbation is a single harmonic, and a kicked circle-cylinder map built
-by conjugating an explicit involution, so its reversibility is exact by
-construction rather than by truncation.
+perturbation is a single harmonic, given as one callable fg(x, y, t) of f
+then g, and a kicked circle-cylinder map built by conjugating an explicit
+involution, so its reversibility is exact by construction rather than by
+truncation.
 """
 
 from dataclasses import dataclass
@@ -11,39 +12,26 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_params, int_param
 
 
-@dataclass(frozen=True)
-class FlowSystem:
-    """A reversible plane system  dx/dt = omega + y + f,  dy/dt = g.
-
-    f must be even and g odd under (x, t) -> (-x, -t); both callables take
-    (x, y, t) with x, y of shape (S, d) and t of shape (S,).
-    """
-
-    f: Callable
-    g: Callable
-    d: int = 1
-
-
-def single_mode_flow(eps: float, g_amp: float, k: int = 1, l: int = 1) -> FlowSystem:
-    """The standard one-harmonic test flow.
+def single_mode_flow(eps: float, g_amp: float, k: int = 1, l: int = 1) -> Callable:
+    """The standard one-harmonic test flow, as one callable fg(x, y, t).
 
     f = eps cos(k x + l t) (even) and g = eps * g_amp * sin(k x + l t)
-    (odd).  g_amp sets the ratio of the two perturbation sizes; the
-    iteration schedules expect g roughly a strip-width smaller than f.
+    (odd) under (x, t) -> (-x, -t).  fg takes x, y of shape (S, 1) and t of
+    shape (S,) and returns the (S, 2) array of f then g.  g_amp sets the
+    ratio of the two perturbation sizes; the iteration schedules expect g
+    roughly a strip-width smaller than f.
     """
     k = int(k)
     l = int(l)
 
-    def f(x, y, t):
-        return eps * np.cos(k * x[:, 0] + l * t)
+    def fg(x, y, t):
+        phase = k * x[:, 0] + l * t
+        return np.stack([eps * np.cos(phase), eps * g_amp * np.sin(phase)], axis=-1)
 
-    def g(x, y, t):
-        return eps * g_amp * np.sin(k * x[:, 0] + l * t)
-
-    return FlowSystem(f=f, g=g, d=1)
+    return fg
 
 
 @dataclass(frozen=True)
@@ -87,53 +75,26 @@ class MapSystem:
         return float(max(np.max(np.abs(dx)), np.max(np.abs(y2 - y))))
 
 
-def _check_params(kind: str, params: dict, allowed: tuple) -> None:
-    unknown = sorted(set(params) - set(allowed))
-    if unknown:
-        raise ParameterError(
-            f"unknown parameters {unknown} for perturbation kind {kind!r}; "
-            f"valid: {', '.join(allowed) or '(no parameters)'}")
-
-
-def _int_param(kind: str, params: dict, key: str, default: int) -> int:
-    """params[key] (or default) as an int.
-
-    A value with a fractional part, a non-finite value or a boolean raises
-    ParameterError instead of being truncated.
-    """
-    value = params.get(key, default)
-    try:
-        whole = not isinstance(value, bool) and float(value).is_integer()
-    except (TypeError, ValueError):
-        whole = False
-    if not whole:
-        raise ParameterError(
-            f"parameter {key!r} of perturbation kind {kind!r} must be an integer, "
-            f"got {value!r}")
-    return int(value)
-
-
-def make_flow_perturbation(kind: str, **params) -> FlowSystem:
-    """Perturbation factory used by configuration files."""
+def make_flow_perturbation(kind: str, **params) -> Callable:
+    """Flow factory used by configuration files: the callable fg(x, y, t)."""
     if kind in ("single_mode", "standard"):
-        _check_params(kind, params, ("eps", "g_amp", "k", "l"))
+        check_params(kind, params, ("eps", "g_amp", "k", "l"))
         return single_mode_flow(
             eps=float(params.get("eps", 1e-4)),
             g_amp=float(params.get("g_amp", 0.05)),
-            k=_int_param(kind, params, "k", 1), l=_int_param(kind, params, "l", 1))
+            k=int_param(kind, params, "k", 1), l=int_param(kind, params, "l", 1))
     if kind in ("none", "zero"):
-        _check_params(kind, params, ())
-        return FlowSystem(f=lambda x, y, t: np.zeros(x.shape[0]),
-                          g=lambda x, y, t: np.zeros(x.shape[0]), d=1)
+        check_params(kind, params, ())
+        return lambda x, y, t: np.zeros((x.shape[0], 2 * x.shape[1]))
     raise ParameterError(f"unknown flow perturbation kind {kind!r}")
 
 
 def make_map_perturbation(kind: str, omega: float, **params) -> MapSystem:
     """Map-family factory used by configuration files."""
     if kind in ("cosine_kick", "standard"):
-        _check_params(kind, params, ("eps",))
+        check_params(kind, params, ("eps",))
         return MapSystem(omega=float(omega), eps=float(params.get("eps", 1e-4)))
     if kind in ("none", "zero"):
-        _check_params(kind, params, ())
+        check_params(kind, params, ())
         return MapSystem(omega=float(omega), eps=0.0)
     raise ParameterError(f"unknown map perturbation kind {kind!r}")

@@ -37,7 +37,7 @@ def flow_m5(golden):
     flow = systems.make_flow_perturbation("single_mode", eps=1e-4,
                                           g_amp=sched.s[0])
     t0 = time.perf_counter()
-    report = newton.run_kam("flow", (flow.f, flow.g), golden, sched)
+    report = newton.run_kam("flow", flow, golden, sched)
     return report, sched, time.perf_counter() - t0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from revtori import integrators, lienard, persistence
+from revtori import integrators, lienard, newton, persistence
 from revtori.cli import main
 from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT, TorusEmbedding
 
@@ -239,11 +239,10 @@ class TestKamRun:
         assert checked["digests_ok"] is True
         assert checked["invariance_residual"] < 1e-8
         # a map torus is autonomous: one time slot, no time harmonics
-        embedding = persistence.load_embedding(run_dir / "embedding.json")
+        embedding = newton.load_embedding(run_dir / "embedding.json")
         assert embedding.mode == "map"
-        for fld in (embedding.x_offset, embedding.y):
-            assert fld.N_t == 0
-            assert fld.coeffs.shape[fld.d] == 1
+        assert embedding.xy.N_t == 0
+        assert embedding.xy.coeffs.shape[embedding.xy.d] == 1
 
     def test_map_mode_is_deterministic(self, tmp_path):
         argv = ["kam", "run", "--set", "mode=map", "--set", "M=2",
@@ -447,7 +446,7 @@ class TestShippedConfigs:
                      "--set", 'omega="sqrt_prime"', "--set", "eps0=1e-2"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: function returned 512 values on 512 samples, expected 2 per sample\n"
+        assert err == "error: function returned 1024 values on 512 samples, expected 4 per sample\n"
 
     def test_stability_demo(self, tmp_path):
         code = main(["lienard", "stability",

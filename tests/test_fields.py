@@ -6,6 +6,7 @@ match pointwise sums, derivatives must match the analytically
 differentiated harmonic.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -435,6 +436,17 @@ class TestAlgebra:
         for lo, hi in ((-1, 1), (2, 2), (3, 5)):
             with pytest.raises(ShapeError, match="components"):
                 fg.components(lo, hi)
+
+    def test_stacking_keeps_the_tags_of_tagged_parts(self, rng):
+        f = random_parity_field(rng, "even", d=1, N=3)
+        g = random_parity_field(rng, "odd", d=1, N=3)
+        untagged = dataclasses.replace(f, parity=None)
+        fg = fields.stack_components(untagged, g)
+        assert fg.parity == (None, "odd")
+        assert fg.components(0, 1).parity is None
+        assert fg.components(1, 2).parity == ("odd",)
+        assert fields.stack_components(untagged, untagged).parity is None
+        assert fields.stack_components(f, g, untagged).parity == ("even", "odd", None)
 
     def test_sub_is_add_scale(self, rng):
         a = random_parity_field(rng, "even", N=4)

@@ -240,7 +240,7 @@ class TestGridJetOracle:
             runs.append((tr, fg_next, diag, emb))
         (tr, fg_next, diag, emb), ref = runs
         pairs = [*zip(halves(tr.UV), halves(ref[0].UV)), *zip(halves(fg_next), halves(ref[1])),
-                 (emb.x_offset, ref[3].x_offset), (emb.y, ref[3].y)]
+                 *zip(halves(emb.xy), halves(ref[3].xy))]
         # Differences are majorants (action powers weighted by r^|alpha|,
         # which undoes the 1/r^|alpha| of the fit on the action nodes), on
         # the scale of the evaluated generators: the map remainder is a
@@ -335,7 +335,7 @@ def calls_counted(monkeypatch):
 
 class TestOneFieldPerPair:
     """A pair travels as one field: a step makes one fit per pair, and a
-    flow run stacks its pair once, when it samples f and g."""
+    flow run stacks none, since it samples f and g as one field."""
 
     def test_flow_and_map_steps_fit_two_fields(self, golden, rng, calls_counted):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
@@ -351,13 +351,13 @@ class TestOneFieldPerPair:
         # the map remainder's jet stacks (f, g), g_mean and the shifted (u, v)
         assert calls_counted == {"field_from_grid_samples": 2, "stack_components": 1}
 
-    def test_flow_demo_run_fits_ten_fields(self, tmp_path, calls_counted):
-        # f and g sampled, two per step, then two per embedding of the
+    def test_flow_demo_run_fits_seven_fields(self, tmp_path, calls_counted):
+        # (f, g) sampled, two per step, then one per embedding of the
         # chains of one and two transforms
         code = main(["kam", "run", "--config", str(_CONFIGS / "kam_flow.json"),
                      "--out", str(tmp_path), "--set", "M=2"])
         assert code == 0
-        assert calls_counted == {"field_from_grid_samples": 10, "stack_components": 1}
+        assert calls_counted == {"field_from_grid_samples": 7, "stack_components": 0}
 
     def test_step_rejects_a_field_that_is_not_a_pair(self, golden, rng):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
@@ -419,7 +419,7 @@ def short_run(golden):
     sched = newton.make_schedule(1, 0.1, 1e-4, 2)
     flow = systems.make_flow_perturbation("single_mode", eps=1e-4,
                                           g_amp=sched.s[0])
-    report = newton.run_kam("flow", (flow.f, flow.g), golden, sched)
+    report = newton.run_kam("flow", flow, golden, sched)
     return flow, report
 
 
@@ -434,13 +434,12 @@ class TestFlowRun:
 
     def test_invariance_certificate(self, short_run, golden):
         flow, report = short_run
-        inv = newton.verify_invariance(report.embedding, (flow.f, flow.g),
+        inv = newton.verify_invariance(report.embedding, flow,
                                        samples=32, dt=1.0, tol=1e-12)
         assert inv.residual < 1e-8
 
     def test_verification_settings_are_checked(self, short_run):
-        flow, report = short_run
-        system = (flow.f, flow.g)
+        system, report = short_run
         for bad in ({"samples": 0}, {"samples": -2}, {"samples": 2.5},
                     {"samples": True}, {"tol": 0.0}, {"tol": -1.0},
                     {"tol": math.nan}, {"dt": 0.0}, {"dt": math.nan},
@@ -454,38 +453,38 @@ class TestFlowRun:
 
     def test_non_finite_forcing_raises(self, short_run):
         flow, report = short_run
-        nan_f = lambda x, y, t: np.full(x.shape[0], np.nan)  # noqa: E731
+        nan_f = lambda x, y, t: flow(x, y, t) * [np.nan, 1.0]  # noqa: E731
         with pytest.raises(StepFailureError, match="non-finite"):
-            newton.verify_invariance(report.embedding, (nan_f, flow.g), samples=8)
+            newton.verify_invariance(report.embedding, nan_f, samples=8)
 
     def test_blow_up_fails_the_verification(self, short_run):
         # dy/dt = 1 + y^2 leaves every bound before t = pi/2 < dt
         flow, report = short_run
-        blow_up = lambda x, y, t: 1.0 + y[:, 0] ** 2  # noqa: E731
+        blow_up = lambda x, y, t: np.stack(  # noqa: E731
+            [flow(x, y, t)[:, 0], 1.0 + y[:, 0] ** 2], axis=-1)
         with pytest.raises(StepFailureError,
                            match="verification integration failed: step size"):
-            newton.verify_invariance(report.embedding, (flow.f, blow_up),
-                                     samples=8, dt=2.0)
+            newton.verify_invariance(report.embedding, blow_up, samples=8, dt=2.0)
 
     def test_corrupted_embedding_is_detected(self, short_run, golden):
         flow, report = short_run
         emb = report.embedding
-        bad_coeffs = emb.y.coeffs.copy()
-        N = emb.y.N
-        bad_coeffs[N + 1, N, 0, 0] += 5e-4  # break one mode pair
-        bad_coeffs[N - 1, N, 0, 0] += 5e-4
-        bad = dataclasses.replace(emb, y=dataclasses.replace(
-            emb.y, coeffs=bad_coeffs))
-        inv = newton.verify_invariance(bad, (flow.f, flow.g), samples=32,
+        bad_coeffs = emb.xy.coeffs.copy()
+        N = emb.xy.N
+        bad_coeffs[N + 1, N, 0, 1] += 5e-4  # break one mode pair of y
+        bad_coeffs[N - 1, N, 0, 1] += 5e-4
+        bad = dataclasses.replace(emb, xy=dataclasses.replace(
+            emb.xy, coeffs=bad_coeffs))
+        inv = newton.verify_invariance(bad, flow, samples=32,
                                        dt=1.0, tol=1e-12)
         assert inv.residual > 1e-4
 
     def test_embedding_reversibility(self, short_run):
         # a reversible torus satisfies x_offset odd, y even in (theta, t)
         _, report = short_run
-        emb = report.embedding
-        assert grid_parity_residual(emb.x_offset, parity="odd") < 1e-10
-        assert grid_parity_residual(emb.y, parity="even") < 1e-10
+        x_offset, y = halves(report.embedding.xy)
+        assert grid_parity_residual(x_offset, parity="odd") < 1e-10
+        assert grid_parity_residual(y, parity="even") < 1e-10
 
     def test_convergence_rows_schema(self, short_run):
         _, report = short_run
@@ -501,14 +500,13 @@ class TestFlowRun:
 
 
 def _dop853_advance(system, omega, x0, y0, dt, rtol, atol):
-    """The flow of (f, g) over [0, dt] by scipy's DOP853, as an oracle."""
-    f_fn, g_fn = system
+    """The flow of fg over [0, dt] by scipy's DOP853, as an oracle."""
     S, d = x0.shape
 
     def rhs(t, z):
         x, y, tt = z[: S * d].reshape(S, d), z[S * d:].reshape(S, d), np.full(S, t)
-        return np.concatenate([(omega + y + f_fn(x, y, tt).reshape(S, d)).ravel(),
-                               g_fn(x, y, tt).ravel()])
+        vals = system(x, y, tt).reshape(S, 2 * d)
+        return np.concatenate([(omega + y + vals[:, :d]).ravel(), vals[:, d:].ravel()])
 
     sol = solve_ivp(rhs, (0.0, dt), np.concatenate([x0.ravel(), y0.ravel()]),
                     method="DOP853", rtol=rtol, atol=atol)
@@ -517,18 +515,18 @@ def _dop853_advance(system, omega, x0, y0, dt, rtol, atol):
 
 
 def _demo_flow_points():
-    """The pair of configs/kam_flow.json and 64 points near its torus."""
+    """The flow of configs/kam_flow.json and 64 points near its torus."""
     cfg = json.loads((_CONFIGS / "kam_flow.json").read_text())
     pert = dict(cfg["perturbation"])
     flow = systems.make_flow_perturbation(pert.pop("kind"), **pert)
     theta = 2.0 * np.pi * np.arange(64)[:, None] / 64
-    return (flow.f, flow.g), theta + 1e-3 * np.sin(theta), 1e-3 * np.cos(theta)
+    return flow, theta + 1e-3 * np.sin(theta), 1e-3 * np.cos(theta)
 
 
 def _short_run_points(short_run):
     flow, report = short_run
     theta = 2.0 * np.pi * np.arange(64)[:, None] / 64
-    return ((flow.f, flow.g), *report.embedding.evaluate(theta, np.zeros(64)))
+    return (flow, *report.embedding.evaluate(theta, np.zeros(64)))
 
 
 class TestFlowVerificationOracle:
@@ -628,23 +626,27 @@ class TestMapSampling:
         other = newton.run_kam("map", wrapped, golden, report.schedule)
         assert not other.failed and other.steps_completed == report.steps_completed
         assert len(other.rows) == len(report.rows)
-        for name in ("x_offset", "y"):
-            ours, theirs = getattr(other.embedding, name), getattr(report.embedding, name)
-            assert np.max(np.abs(ours.coeffs - theirs.coeffs)) <= 1e-14
+        assert np.max(np.abs(other.embedding.xy.coeffs - report.embedding.xy.coeffs)) <= 1e-14
 
-    def test_each_mode_names_what_it_takes(self, map_run, golden):
+    def test_each_mode_names_what_it_takes(self, map_run, short_run, golden):
         mapping, report = map_run
         sched = report.schedule
         flow = systems.make_flow_perturbation("single_mode", eps=1e-4)
-        takes_pair, takes_map = "flow mode takes the pair", "map mode takes a callable map"
-        for mode, system, message in (("map", (flow.f, flow.g), takes_map),
-                                       ("flow", mapping.A, takes_pair),
-                                       ("flow", halves(_map_pair(sched)), takes_pair),
+        pair = (lambda x, y, t: flow(x, y, t)[:, :1], lambda x, y, t: flow(x, y, t)[:, 1:])
+        takes_flow = r"flow mode takes one callable fg\(x, y, t\) -> \(S, 2d\)"
+        takes_map = r"map mode takes one callable A\(x, y\) -> \(x1, y1\)"
+        for mode, system, message in (("map", flow, takes_map),
+                                       ("map", pair, takes_map),
+                                       ("flow", pair, takes_flow),
+                                       ("flow", mapping.A, takes_flow),
+                                       ("flow", halves(_map_pair(sched)), takes_flow),
                                        ("map", halves(_map_pair(sched)), takes_map)):
             with pytest.raises(ParameterError, match=message):
                 newton.run_kam(mode, system, golden, sched)
         with pytest.raises(ParameterError, match=takes_map):
             newton.verify_invariance(report.embedding, 3)
+        with pytest.raises(ParameterError, match=takes_flow):
+            newton.verify_invariance(short_run[1].embedding, pair)
 
 
 class TestMapRun:
@@ -657,9 +659,9 @@ class TestMapRun:
         with pytest.raises(ParameterError, match="banana"):
             newton.fit_embedding(report.chain, golden, sched.r[0], "banana",
                                  report.chain[0].UV.N + 8)
-        with pytest.raises(ParameterError, match="callable map"):
+        with pytest.raises(ParameterError, match="map mode takes one callable"):
             newton.verify_invariance(report.embedding, 3)
-        with pytest.raises(ParameterError, match="pair"):
+        with pytest.raises(ParameterError, match="flow mode takes one callable"):
             newton.verify_invariance(short_run[1].embedding, mapping.A)
         record = dict(report.embedding.to_dict(), mode="banana")
         with pytest.raises(PersistenceError, match="banana"):
@@ -706,8 +708,7 @@ class TestOneCheckPerChain:
         assert report.failed and report.steps_completed == 0
         assert report.failure.startswith("step 0:")
         assert calls == {"fit_embedding": 1, "verify_invariance": 1}
-        assert report.embedding.x_offset.majorant() == 0.0
-        assert report.embedding.y.majorant() == 0.0
+        assert report.embedding.xy.majorant() == 0.0
 
     def test_failure_at_step_1_keeps_the_last_check(self, monkeypatch, golden):
         step = newton.newton_step
@@ -736,7 +737,7 @@ class TestStepRow:
         # a strong forcing: both steps invert past the nominal radius
         sched = newton.make_schedule(1, 0.45, 1e-3, 2)
         flow = systems.make_flow_perturbation("single_mode", eps=0.06, g_amp=0.05)
-        report = newton.run_kam("flow", (flow.f, flow.g), golden, sched)
+        report = newton.run_kam("flow", flow, golden, sched)
         assert not report.failed
         warned = [w.split(":")[0] for w in report.warnings if "action excursion" in w]
         assert warned == [f"step {row['m']}" for row in report.rows
@@ -756,23 +757,20 @@ class TestEmbeddingFloor:
     """fit_embedding keeps each component's coefficients above eps max|c|."""
 
     def test_kept_coefficients_exceed_the_floor(self, short_run):
-        emb = short_run[1].embedding
-        for h in (emb.x_offset, emb.y):
-            for c in np.abs(h.coeffs).reshape(-1, h.m).T:
-                assert np.all(c[c > 0] > np.finfo(float).eps * c.max())
+        xy = short_run[1].embedding.xy
+        for c in np.abs(xy.coeffs).reshape(-1, xy.m).T:
+            assert np.all(c[c > 0] > np.finfo(float).eps * c.max())
 
     def test_floor_moves_values_by_rounding_only(self, short_run, golden, rng,
                                                 monkeypatch):
         _, report = short_run
         N = int(report.schedule.N[0]) + 8
         emb = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow", N)
-        for got, want in ((emb.x_offset, report.embedding.x_offset),
-                          (emb.y, report.embedding.y)):
-            np.testing.assert_array_equal(got.coeffs, want.coeffs)
+        np.testing.assert_array_equal(emb.xy.coeffs, report.embedding.xy.coeffs)
         # the fit of the same grid samples without the floor
         monkeypatch.setattr(newton, "_above_rounding", lambda h: h)
         raw = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow", N)
-        for kept, full in ((emb.x_offset, raw.x_offset), (emb.y, raw.y)):
+        for kept, full in zip(halves(emb.xy), halves(raw.xy)):
             assert np.count_nonzero(kept.coeffs) < np.count_nonzero(full.coeffs)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(256, 1))
         t = rng.uniform(0.0, 2.0 * np.pi, size=256)
@@ -782,11 +780,10 @@ class TestEmbeddingFloor:
     def test_reloaded_embedding_passes_the_reality_check(self, short_run, tmp_path):
         emb = short_run[1].embedding
         path = tmp_path / "embedding.json"
-        persistence.save_embedding(path, emb)
+        persistence.save_json(path, emb.to_dict())
         back = newton.TorusEmbedding.from_dict(json.loads(path.read_text()))
-        for got, want in ((back.x_offset, emb.x_offset), (back.y, emb.y)):
-            np.testing.assert_array_equal(got.coeffs, want.coeffs)
-        persistence.load_embedding(path)  # parity tags hold as well
+        np.testing.assert_array_equal(back.xy.coeffs, emb.xy.coeffs)
+        newton.load_embedding(path)  # parity tags hold as well
 
     def test_non_finite_component_is_kept_whole(self):
         h = fields.harmonic_field(1, 4, [1], 0, 1.0, q_y=0)

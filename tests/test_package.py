@@ -4,7 +4,8 @@ The command line entry point pins BLAS thread pools before numpy loads, so
 neither ``import revtori`` nor ``import revtori.cli`` may import numpy.  No
 module of the package imports scipy, which serves the tests only as an
 oracle, and the map demo and the section map run without
-``scipy.integrate``.  The README's library example runs, and every name its
+``scipy.integrate``.  The Liénard commands load none of the torus solver.
+The README's library example runs, and every name its
 module table quotes exists in that module.
 """
 
@@ -74,6 +75,19 @@ def test_commands_leave_scipy_integrate_unloaded(tmp_path):
         f"'--out', {str(tmp_path)!r}])]\n"
         "print(codes, 'scipy.integrate' in sys.modules)")
     assert out == "[0, 0] False", out
+
+
+def test_lienard_commands_leave_the_solver_unloaded(tmp_path):
+    # persistence and lienard import nothing of the torus solver or its model families
+    out = _fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "import revtori.cli, revtori.lienard, revtori.persistence\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = revtori.cli.main(['lienard', 'poincare', '--set', 'n_steps=4', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "solver = ('fields', 'newton', 'homological', 'smoothing', 'diophantine', 'systems')\n"
+        "print(code, [m for m in solver if 'revtori.' + m in sys.modules])")
+    assert out == "0 []", out
 
 
 # --------------------------------------------------------------------------- #

@@ -10,16 +10,21 @@ import pytest
 
 from revtori import fields, persistence
 from revtori.errors import PersistenceError
-from revtori.newton import TorusEmbedding
+from revtori.newton import TorusEmbedding, load_embedding
 
 from conftest import GOLDEN
 
 
-def small_embedding(amp: float = 1e-3) -> TorusEmbedding:
-    x_off = fields.harmonic_field(1, 4, [1], 1, amp, kind="sin")
+def small_embedding(amp: float = 1e-3, x_off=None) -> TorusEmbedding:
+    if x_off is None:
+        x_off = fields.harmonic_field(1, 4, [1], 1, amp, kind="sin")
     y = fields.harmonic_field(1, 4, [1], 1, 0.5 * amp, kind="cos")
-    return TorusEmbedding(x_offset=x_off, y=y, omega=np.array([GOLDEN]),
+    return TorusEmbedding(xy=fields.stack_components(x_off, y), omega=np.array([GOLDEN]),
                           r0=0.05, mode="flow")
+
+
+def save_embedding(path, emb: TorusEmbedding) -> None:
+    persistence.save_json(path, emb.to_dict())
 
 
 class TestCanonicalJson:
@@ -212,8 +217,8 @@ class TestEmbeddingFiles:
     def test_round_trip_preserves_values(self, tmp_path):
         emb = small_embedding()
         path = tmp_path / "embedding.json"
-        persistence.save_embedding(path, emb)
-        back = persistence.load_embedding(path)
+        save_embedding(path, emb)
+        back = load_embedding(path)
         theta = np.linspace(0.0, 2.0 * np.pi, 17)
         t = np.linspace(0.0, 2.0 * np.pi, 17)
         x0, y0 = emb.evaluate(theta, t)
@@ -225,13 +230,13 @@ class TestEmbeddingFiles:
     def test_save_is_deterministic(self, tmp_path):
         emb = small_embedding()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        persistence.save_embedding(a, emb)
-        persistence.save_embedding(b, emb)
+        save_embedding(a, emb)
+        save_embedding(b, emb)
         assert a.read_bytes() == b.read_bytes()
 
     def test_parity_tamper_is_caught(self, tmp_path):
         path = tmp_path / "embedding.json"
-        persistence.save_embedding(path, small_embedding())
+        save_embedding(path, small_embedding())
         data = persistence.load_json(path)
         # x_offset is tagged odd: a real part on a coefficient breaks it
         entry = next(e for e in data["x_offset"]["coeffs"]
@@ -242,27 +247,41 @@ class TestEmbeddingFiles:
         entry_conj["re"][0] = entry["re"][0]
         persistence.save_json(path, data)
         with pytest.raises(PersistenceError):
-            persistence.load_embedding(path)
+            load_embedding(path)
+
+    def test_untagged_x_offset_leaves_the_y_check_in_place(self, tmp_path):
+        x_off = fields.harmonic_field(1, 4, [1], 1, 1e-3, kind="sin")
+        path = tmp_path / "embedding.json"
+        save_embedding(path, small_embedding(x_off=replace(x_off, parity=None)))
+        assert load_embedding(path).xy.parity == (None, "even")
+        data = persistence.load_json(path)
+        assert data["x_offset"]["parity"] is None
+        # y is tagged even: an imaginary part on a coefficient pair breaks it
+        for entry in data["y"]["coeffs"]:
+            entry["im"][0] = 0.3 * entry["re"][0] * (1 if entry["k"][0] > 0 else -1)
+        persistence.save_json(path, data)
+        with pytest.raises(PersistenceError, match="component 1 not even"):
+            load_embedding(path)
 
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "embedding.json"
-        persistence.save_embedding(path, small_embedding())
+        save_embedding(path, small_embedding())
         data = persistence.load_json(path)
         data["format"] = "torus-embedding/0"
         persistence.save_json(path, data)
         with pytest.raises(PersistenceError):
-            persistence.load_embedding(path)
+            load_embedding(path)
 
     def test_nan_coefficients_are_written_and_rejected_on_load(self, tmp_path):
-        emb = small_embedding()
-        N, N_t = emb.x_offset.N, emb.x_offset.N_t
-        coeffs = np.zeros_like(emb.x_offset.coeffs)
+        x_off = fields.harmonic_field(1, 4, [1], 1, 1e-3, kind="sin")
+        N, N_t = x_off.N, x_off.N_t
+        coeffs = np.zeros_like(x_off.coeffs)
         coeffs[N, N_t] = 1.0
         coeffs[N - 1, N_t] = coeffs[N + 1, N_t] = np.nan
-        diverged = replace(emb, x_offset=replace(emb.x_offset, coeffs=coeffs, parity=None))
+        diverged = small_embedding(x_off=replace(x_off, coeffs=coeffs, parity=None))
         path = tmp_path / "embedding.json"
-        persistence.save_embedding(path, diverged)
+        save_embedding(path, diverged)
         entries = persistence.load_json(path)["x_offset"]["coeffs"]
         assert [e["k"] for e in entries] == [[-1], [0], [1]]
         with pytest.raises(PersistenceError, match="non-finite"):
-            persistence.load_embedding(path)
+            load_embedding(path)

@@ -11,32 +11,31 @@ from conftest import GOLDEN
 
 class TestSingleModeFlow:
     def test_parities_under_the_reversor(self, rng):
-        sys_ = systems.single_mode_flow(eps=1e-3, g_amp=0.05, k=2, l=3)
+        fg = systems.single_mode_flow(eps=1e-3, g_amp=0.05, k=2, l=3)
         x = rng.uniform(0, 2 * np.pi, size=(64, 1))
         y = rng.uniform(-0.1, 0.1, size=(64, 1))
         t = rng.uniform(0, 2 * np.pi, size=64)
-        np.testing.assert_allclose(sys_.f(-x, y, -t), sys_.f(x, y, t),
-                                   rtol=0, atol=1e-15)
-        np.testing.assert_allclose(sys_.g(-x, y, -t), -sys_.g(x, y, t),
-                                   rtol=0, atol=1e-15)
+        there, here = fg(-x, y, -t), fg(x, y, t)
+        np.testing.assert_allclose(there[:, 0], here[:, 0], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(there[:, 1], -here[:, 1], rtol=0, atol=1e-15)
 
     def test_matches_explicit_harmonic(self, rng):
         eps, g_amp = 2e-4, 0.3
-        sys_ = systems.single_mode_flow(eps=eps, g_amp=g_amp, k=1, l=1)
+        fg = systems.single_mode_flow(eps=eps, g_amp=g_amp, k=1, l=1)
         x = rng.uniform(0, 2 * np.pi, size=(32, 1))
         y = np.zeros((32, 1))
         t = rng.uniform(0, 2 * np.pi, size=32)
-        np.testing.assert_allclose(sys_.f(x, y, t),
-                                   eps * np.cos(x[:, 0] + t), atol=1e-15)
-        np.testing.assert_allclose(sys_.g(x, y, t),
-                                   eps * g_amp * np.sin(x[:, 0] + t),
+        vals = fg(x, y, t)
+        assert vals.shape == (32, 2)
+        np.testing.assert_allclose(vals[:, 0], eps * np.cos(x[:, 0] + t), atol=1e-15)
+        np.testing.assert_allclose(vals[:, 1], eps * g_amp * np.sin(x[:, 0] + t),
                                    atol=1e-15)
 
     def test_zero_kind_is_zero(self):
-        sys_ = systems.make_flow_perturbation("none")
+        fg = systems.make_flow_perturbation("none")
         x = np.linspace(0, 6, 10).reshape(-1, 1)
-        assert np.all(sys_.f(x, x, x[:, 0]) == 0.0)
-        assert np.all(sys_.g(x, x, x[:, 0]) == 0.0)
+        vals = fg(x, x, x[:, 0])
+        assert vals.shape == (10, 2) and np.all(vals == 0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
