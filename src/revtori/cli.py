@@ -201,8 +201,8 @@ def _perturbation_params(pert_cfg: dict) -> dict:
     return {k: _number(pert_cfg, k, float) for k in pert_cfg if k != "kind"}
 
 
-def _build_inputs(mode, pert_cfg: dict, omega: float):
-    """run_kam's system for a kam config: the callable fg of a flow, the map A of a map."""
+def _build_inputs(mode, pert_cfg: dict, omega):
+    """run_kam's system for a kam config: a flow's fg, or the map A turning by 2 pi omega."""
     from . import systems
     params = _perturbation_params(pert_cfg)
     kind = pert_cfg.get("kind", "standard")
@@ -272,7 +272,7 @@ def _cmd_homsolve(args):
     if args.g_amp is not None:
         pert["g_amp"] = args.g_amp
     dyn = newton._dynamics(args.mode)
-    sol = dyn.solve(dyn.sample(_build_inputs(args.mode, pert, float(freq.omega[0])),
+    sol = dyn.solve(dyn.sample(_build_inputs(args.mode, pert, freq.omega),
                                freq.omega, 1, args.n_modes, args.q_y, args.r), freq)
     return {"mode": args.mode, "min_divisor": sol.min_divisor,
             "residual_u": sol.residual_u, "residual_v": sol.residual_v,
@@ -316,7 +316,7 @@ def _cmd_kam_run(args):
     freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
-    system = _build_inputs(mode, cfg["perturbation"], float(freq.omega[0]))
+    system = _build_inputs(mode, cfg["perturbation"], freq.omega)
     report = newton.run_kam(
         mode, system, freq, schedule, tol=num["tol"], q_y=num["q_y"], **verify)
     run_dir = _write_run_dir(
@@ -420,7 +420,7 @@ def _cmd_lienard_stability(args):
 
 
 def _cmd_verify(args):
-    from . import newton, persistence
+    from . import persistence
     run_dir = Path(args.run)
     manifest = persistence.load_manifest(run_dir / "manifest.json")
     stale = []
@@ -435,10 +435,10 @@ def _cmd_verify(args):
     summary = {"run": str(run_dir), "command": manifest.command,
                "digests_ok": True}
     if "embedding.json" in manifest.outputs:
+        from . import newton
         cfg = manifest.config
         embedding = newton.load_embedding(run_dir / "embedding.json")
-        system = _build_inputs(embedding.mode, cfg["perturbation"],
-                               float(embedding.omega[0]))
+        system = _build_inputs(embedding.mode, cfg["perturbation"], embedding.omega)
         verify = _verify_settings(cfg)
         inv = newton.verify_invariance(
             embedding, system, samples=verify["verify_samples"],

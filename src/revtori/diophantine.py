@@ -123,8 +123,7 @@ def certify(omega, tau: float = None, K_max: int = 2000) -> Frequency:
     best_k = None
     best_j = None
     for lead, last in _half_lattice_rows(d, int(K_max)):
-        vals = float(np.dot(lead, omega[:-1])) + last * omega[-1] if d > 1 \
-            else last * omega[0]
+        vals = float(np.dot(lead, omega[:-1])) + last * omega[-1]
         dist, j = _dist_to_integers(vals)
         k_norm = sum(abs(a) for a in lead) + np.abs(last)
         i_res = int(np.argmin(dist))
@@ -160,8 +159,7 @@ def russmann_sum(freq, n: int) -> float:
         raise ParameterError(f"need n >= 1, got {n}")
     total = 0.0
     for lead, last in _half_lattice_rows(omega.size, int(n)):
-        vals = float(np.dot(lead, omega[:-1])) + last * omega[-1] \
-            if omega.size > 1 else last * omega[0]
+        vals = float(np.dot(lead, omega[:-1])) + last * omega[-1]
         j0 = -np.round(vals)
         for dj in (-1.0, 0.0, 1.0):
             res = np.abs(vals + j0 + dj)

@@ -874,73 +874,44 @@ def _power_matrix(y: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return out
 
 
-def coeffs_from_samples(values: np.ndarray, d: int, N: int) -> np.ndarray:
-    """Extract Fourier coefficients |k|+|l| <= N from uniform grid samples.
-
-    ``values`` has shape ``(n,)*d + (n_t,) + trailing``; the grid is
-    2 pi j / n per axis and must satisfy n >= 2N+1.  The time axis holds
-    either the same n nodes (time cutoff N_t = N) or the single node t = 0
-    (N_t = 0, an autonomous field); the result has shape
-    ``(2N+1,)*d + (2N_t+1,) + trailing``.  Frequencies above N in the
-    samples alias; callers choose n large enough for their spectra.
-    """
-    n = values.shape[0]
-    if values.ndim < d + 1 or any(values.shape[a] != n for a in range(d)) \
-            or values.shape[d] not in (1, n):
-        raise ShapeError("grid samples need n nodes per angle axis and 1 or n time nodes")
-    if n < 2 * N + 1:
-        raise ShapeError(f"grid size {n} too small for cutoff N = {N}")
-    n_t = values.shape[d]
-    N_t = N if n_t > 1 else 0
-    spec = np.fft.fftn(values, axes=tuple(range(d + 1))) / (float(n) ** d * n_t)
-    idx = np.arange(-N, N + 1) % n
-    coeffs = spec[np.ix_(*([idx] * d), np.arange(-N_t, N_t + 1) % n_t)]
-    out = np.ascontiguousarray(coeffs)
-    out[~mode_mask(d, N, N_t)] = 0.0
-    return out
-
-
 def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: float,
-                            y_nodes: Optional[np.ndarray] = None,
                             parity=None) -> FourierField:
-    """Fit a field to samples on (angle/time grid) x (action nodes).
+    """Fit a field to samples on (action nodes) x (angle/time grid).
 
-    ``values`` has shape ``(n,)*d + (n_t,) + (n_y, m)`` with real entries;
-    n_t = n fits a time-dependent field (N_t = N), n_t = 1 (samples at
-    t = 0) an autonomous one (N_t = 0).  The action nodes (``y_nodes``,
-    shape (n_y, d)) must determine polynomials of total degree q_y.  When
-    q_y = 0 the action axis may be omitted from ``y_nodes`` (n_y must be 1).
+    ``values`` holds real samples in sheets, one sheet of grid nodes per
+    action node of :func:`default_action_nodes`, shape ``(n_y,) + (n,)*d +
+    (n_t,) + (m,)``: the layout :class:`GridJet` reads.  The grid is
+    2 pi j / n per angle axis with n >= 2N+1; n_t = n fits a time-dependent
+    field (N_t = N), n_t = 1 (samples at t = 0) an autonomous one
+    (N_t = 0).  One FFT over the grid axes gives the modes |k|_1 + |l| <= N;
+    frequencies above N in the samples alias, so callers choose n large
+    enough for their spectra.  The tensor grid of q_y+1 nodes per action
+    axis determines the powers of total degree <= q_y.
 
-    The power basis is fitted in the scaled action y / max|y_nodes|, where
-    every coefficient is of the size of the samples, so the reality and
-    parity checks see one relative scale for all powers; the coefficients
-    are divided by scale^|alpha| afterwards.
+    The power basis is fitted in the scaled action y / r, where every
+    coefficient is of the size of the samples, so the reality and parity
+    checks see one relative scale for all powers; the coefficients are
+    divided by r^|alpha| afterwards.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != d + 3:
-        raise ShapeError(
-            f"expected samples of shape (n,)*{d} + (n_t, n_y, m), got {values.shape}")
-    n_y, m = values.shape[d + 1], values.shape[d + 2]
+    y_nodes = default_action_nodes(d, q_y, r)
+    n_y = len(y_nodes)
+    n = values.shape[1] if values.ndim == d + 3 else 0
+    if n < 2 * N + 1 or values.shape[:d + 1] != (n_y,) + (n,) * d \
+            or values.shape[d + 1] not in (1, n):
+        raise ShapeError(f"expected samples of shape ({n_y},) + (n,)*{d} + (1 or n, m) "
+                         f"with n >= {2 * N + 1}, got {values.shape}")
+    m, n_t = values.shape[-1], values.shape[d + 1]
+    N_t = N if n_t > 1 else 0
+    spec = np.fft.fftn(values, axes=tuple(range(1, d + 2))) / (float(n) ** d * n_t)
+    idx = np.arange(-N, N + 1) % n
+    modes = spec[(slice(None),) + np.ix_(*([idx] * d), np.arange(-N_t, N_t + 1) % n_t)]
+    modes[:, ~mode_mask(d, N, N_t)] = 0.0
     powers = action_powers(d, q_y)
-    scale = 1.0
-    if q_y == 0:
-        if n_y != 1:
-            raise ShapeError("q_y = 0 requires a single action node")
-        V = np.ones((1, 1))
-    else:
-        if y_nodes is None:
-            raise ParameterError("action nodes are required when q_y > 0")
-        y_nodes = np.asarray(y_nodes, dtype=float).reshape(n_y, d)
-        scale = float(np.max(np.abs(y_nodes))) or 1.0
-        V = _power_matrix(y_nodes / scale, powers)
-        if np.linalg.matrix_rank(V) < len(powers):
-            raise ParameterError("action nodes do not determine the power basis")
-    modes = coeffs_from_samples(values, d, N)          # (...modes..., n_y, m)
-    flat = modes.reshape(-1, n_y, m)
-    B = np.moveaxis(flat, 1, 0).reshape(n_y, -1)       # (n_y, modes*m)
-    C = np.linalg.lstsq(V, B, rcond=None)[0]           # (P, modes*m)
-    C = np.moveaxis(C.reshape(len(powers), flat.shape[0], m), 0, 1)
-    coeffs = C.reshape(modes.shape[: d + 1] + (len(powers), m))
+    scale = float(r) if q_y else 1.0  # the largest |y| of the nodes
+    C = np.linalg.lstsq(_power_matrix(y_nodes / scale, powers), modes.reshape(n_y, -1),
+                        rcond=None)[0]
+    coeffs = np.moveaxis(C.reshape((len(powers),) + modes.shape[1:]), 0, -2)
     parity = _as_parity(parity, m)
     coeffs = _finalize(coeffs, d, parity, what="fitted field")
     coeffs /= (scale ** powers.sum(axis=1).astype(float))[:, None]
@@ -996,14 +967,15 @@ def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,
     x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
     t = axes[d].ravel()
     S = len(t)
-    values = np.empty(axes[0].shape + (len(y_nodes), m), dtype=float)
+    values = np.empty((len(y_nodes), S, m), dtype=float)
     for iy, y in enumerate(y_nodes):  # one call per action node
         out = np.asarray(fn(x, np.broadcast_to(y, (S, d)), t), dtype=float)
         if out.size != S * m:
             raise ShapeError(f"function returned {out.size} values on {S} samples, "
                              f"expected {m} per sample")
-        values[..., iy, :] = out.reshape(axes[0].shape + (m,))
-    return field_from_grid_samples(values, d, N, q_y, r, y_nodes, parity)
+        values[iy] = out.reshape(S, m)
+    return field_from_grid_samples(values.reshape((len(y_nodes),) + axes[0].shape + (m,)),
+                                   d, N, q_y, r, parity)
 
 
 def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos",

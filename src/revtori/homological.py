@@ -59,17 +59,18 @@ class HomologicalSolution:
     residual_v: float
 
 
+def _k_omega(freq: Frequency, d: int, N: int) -> np.ndarray:
+    """<k, omega> over the (2N+1,)*d angle mode grid."""
+    modes = np.arange(-N, N + 1)
+    val = np.zeros(())
+    for a in range(d):
+        val = val[..., None] + freq.omega[a] * modes
+    return val
+
+
 def flow_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
     """D(k, l) = <k, omega> + l over the full mode grid."""
-    modes = np.arange(-N, N + 1)
-    D = np.zeros((2 * N + 1,) * (d + 1))
-    for a in range(d):
-        shape = [1] * (d + 1)
-        shape[a] = 2 * N + 1
-        D = D + freq.omega[a] * modes.reshape(shape)
-    shape = [1] * (d + 1)
-    shape[d] = 2 * N + 1
-    return D + modes.reshape(shape)
+    return _k_omega(freq, d, N)[..., None] + np.arange(-N, N + 1)
 
 
 def map_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
@@ -78,14 +79,8 @@ def map_divisors(freq: Frequency, d: int, N: int) -> np.ndarray:
     The phase is reduced to the nearest integer before exponentiation so
     large |k| do not lose precision.
     """
-    modes = np.arange(-N, N + 1)
-    val = np.zeros((2 * N + 1,) * d)
-    for a in range(d):
-        shape = [1] * d
-        shape[a] = 2 * N + 1
-        val = val + freq.omega[a] * modes.reshape(shape)
-    frac = val - np.round(val)
-    return np.exp(2j * np.pi * frac) - 1.0
+    val = _k_omega(freq, d, N)
+    return np.exp(2j * np.pi * (val - np.round(val))) - 1.0
 
 
 def _check_mean(fg: FourierField, what: str):

@@ -14,11 +14,11 @@ invariant torus with rotation vector omega.
 
 Flows and maps share one iteration.  The ``mode`` string ("flow" or "map")
 selects one of two private dynamics objects, ``_FLOW`` and ``_MAP``, which
-supply only what differs: how the input system is sampled, the homological
-solve, the transformed remainder on grid jets, the number of time slots
-(autonomous map fields have one), the parity tags of (f, g) and (U, V), and
-one step of the true dynamics for the invariance check.  Either system is
-one callable: a flow fg(x, y, t) -> (S, 2d), f then g, a map
+supply only what differs: the input system as a pair callable, the
+homological solve, the transformed remainder on grid jets, the number of
+time slots (autonomous map fields have one), the parity tags of (f, g) and
+(U, V), and one step of the true dynamics for the invariance check.  Either
+system is one callable: a flow fg(x, y, t) -> (S, 2d), f then g, a map
 A(x, y) -> (x1, y1) whose f = wrap(x1 - x - Omega - y) and g = y1 - y.
 
 Each pair, the perturbation (f, g), the generator (u, v), its fitted
@@ -27,10 +27,11 @@ inverse (U, V) and the embedding's (x_offset, y), is one FourierField of
 input system to the step's output; only the diagnostics (convergence
 rows, budget warnings and the contraction check) and the embedding file
 take a pair apart.  Both remainders are formed point by point from
-grid-jet values at the inverted sample points and become fields only
-through the FFT fit: for flows, products of the values of f,
-g and the first derivatives of u and v; for maps, differences of the
-values of the shifted generators.  A step builds one grid jet per pair:
+grid-jet values at the inverted sample points, in the sheets of grid
+nodes (one per action node) that the FFT fit reads, and become fields only
+through that fit: for flows, products of the values of f, g and the first
+derivatives of u and v; for maps, differences of the values of the
+shifted generators.  A step builds one grid jet per pair:
 (u, v), which also gives the flow remainder the first derivatives of u
 and v from its own tables; (f, g), for maps with g_mean and the shifted
 generators; and (U, V).  It makes two fits, (U, V) and the next (f, g).
@@ -328,8 +329,9 @@ class _Dynamics:
     parity pairs give the tag of each half of the pair fields (f, g) and
     (U, V) (:func:`_pair_tags` spreads them over the components), and tag the
     embedding like (U, V).  An input system is one callable, ``takes``;
-    sample fits its pair (f, g), advance returns one step of it, the angle
-    the torus turns by and the time it ends at.
+    pair gives it as the pair callable fg(x, y, t) -> (S, 2d), f then g,
+    which :meth:`sample` fits, and advance returns one step of it, the
+    angle the torus turns by and the time it ends at.
     """
 
     mode: str
@@ -338,7 +340,7 @@ class _Dynamics:
     fg_parity: tuple
     uv_parity: tuple
     takes: str
-    sample: Callable
+    pair: Callable
     advance: Callable
 
     def checked(self, system) -> Callable:
@@ -351,6 +353,12 @@ class _Dynamics:
         except ValueError:  # a callable without a signature to inspect
             pass
         return system
+
+    def sample(self, system, omega, d, N, q_y, r) -> FourierField:
+        """Fit the system's pair (f, g) at cutoff N, calling it once per action node."""
+        return field_from_function(self.pair(system, omega), d, 2 * d, N, q_y=q_y, r=r,
+                                   parity=_pair_tags(self.fg_parity, d),
+                                   time_independent=self.autonomous)
 
     def solve(self, fg, freq) -> "homological.HomologicalSolution":
         """solve_flow or solve_map, looked up at call time so module wrappers apply."""
@@ -403,12 +411,6 @@ def _wrap_angle(delta: np.ndarray) -> np.ndarray:
     return (delta + np.pi) % (2.0 * np.pi) - np.pi
 
 
-def _flow_sample(system, omega, d, N, q_y, r):
-    """Fit fg at cutoff N as one pair field, f even and g odd."""
-    return field_from_function(_FLOW.checked(system), d, 2 * d, N, q_y=q_y, r=r,
-                               parity=_pair_tags(_FLOW.fg_parity, d))
-
-
 def _flow_advance(system, omega, dt, tol):
     """Integrate the flow fg over [0, dt] by extrapolation at tolerance tol.
 
@@ -440,26 +442,26 @@ def _map_advance(system, omega, dt, tol):
     return _MAP.checked(system), 2.0 * np.pi * omega, 0.0
 
 
-def _map_sample(system, omega, d, N, q_y, r):
-    """Call A once per action node and fit (f, g) as one field of 2d components."""
-    A, Omega, _ = _map_advance(system, omega, None, None)
+def _map_pair(system, omega):
+    """The map A as the pair fg(x, y, t): f = wrap(x1 - x - Omega - y), g = y1 - y."""
+    A, Omega = _MAP.checked(system), 2.0 * np.pi * omega
 
     def fg(x, y, t):
         x1, y1 = A(x, y)
         return np.concatenate([_wrap_angle(np.reshape(x1, x.shape) - x - Omega - y),
                                np.reshape(y1, y.shape) - y], axis=-1)
 
-    return field_from_function(fg, d, 2 * d, N, q_y=q_y, r=r, time_independent=True)
+    return fg
 
 
 _FLOW = _Dynamics("flow", _flow_remainder, autonomous=False,
                   fg_parity=("even", "odd"), uv_parity=("odd", "even"),
                   takes="fg(x, y, t) -> (S, 2d), f then g",
-                  sample=_flow_sample, advance=_flow_advance)
+                  pair=lambda system, omega: _FLOW.checked(system), advance=_flow_advance)
 _MAP = _Dynamics("map", _map_remainder, autonomous=True,
                  fg_parity=(None, None), uv_parity=(None, None),
                  takes="A(x, y) -> (x1, y1)",
-                 sample=_map_sample, advance=_map_advance)
+                 pair=_map_pair, advance=_map_advance)
 
 
 def _dynamics(mode) -> _Dynamics:
@@ -552,10 +554,8 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
             f"far outside the domain radius r = {r_m:.3e}")
 
     def _fit(vals, N_out, halves):
-        vals = np.moveaxis(vals.reshape(n_y, S, 2 * d), 0, 1)
-        return field_from_grid_samples(vals.reshape(grid_shape + (n_y, 2 * d)), d, N_out,
-                                       q_y_fit, r_next, y_nodes=y_nodes,
-                                       parity=_pair_tags(halves, d))
+        return field_from_grid_samples(vals.reshape((n_y,) + grid_shape + (2 * d,)), d,
+                                       N_out, q_y_fit, r_next, parity=_pair_tags(halves, d))
 
     UV = _fit(dxy, N_UV, dyn.uv_parity)
     fg_next = _fit(dyn.remainder(on_grid, uv_jet, fg, sol.g_mean, freq, dx, ys),
@@ -713,31 +713,32 @@ def _above_rounding(h: FourierField) -> FourierField:
     return replace(h, coeffs=np.where(a <= floor, 0.0, h.coeffs))
 
 
-def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str,
-                  N: int) -> TorusEmbedding:
+def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
 
     chain lists the NearIdentityTransforms outermost first and applies
     innermost first, so it realizes step0 o step1 o ... o step_{M-1} acting
-    on new coordinates.  It is evaluated on the grid of 2N+2 angle nodes
-    per axis times the time nodes (all of them for flows, t = 0 for maps,
-    whose embedding is autonomous), with one grid jet of (U, V) per
-    transform, and the offsets (x, y) are fitted by one FFT as one pair
-    field.  Each fitted component keeps only its coefficients above eps
-    times its largest modulus (eps the float epsilon): the rest are
-    rounding noise of the fit, and dropping them makes the embedding that
-    is verified, written and reloaded one and the same.
+    on new coordinates.  The fit's cutoff N is the largest (U, V) cutoff of
+    the chain, 0 for an empty chain (the identity, a zero field).  The
+    chain is evaluated on the grid of 2N+2 angle nodes per axis times the
+    time nodes (all of them for flows, t = 0 for maps, whose embedding is
+    autonomous), with one grid jet of (U, V) per transform, and the
+    offsets (x, y) are fitted by one FFT as one pair field.  Each fitted
+    component keeps only its coefficients above eps times its largest
+    modulus (eps the float epsilon): the rest are rounding noise of the
+    fit, and dropping them makes the embedding that is verified, written
+    and reloaded one and the same.
     """
     dyn = _dynamics(mode)
     d = freq.d
+    N = max((tr.UV.N for tr in chain), default=0)
     n = 2 * N + 2
     n_t = dyn.time_slots(n)
-    grid_shape = (n,) * d + (n_t,)
     # The chain moves each node by the small offsets its steps add up.
     xy = np.zeros((n ** d * n_t, 2 * d))
     for tr in reversed(chain):
         xy += GridJet(tr.UV, n, n_t).evaluate(xy[:, :d], xy[:, d:])
-    fit = field_from_grid_samples(xy.reshape(grid_shape + (1, 2 * d)), d, N, 0, 0.0,
+    fit = field_from_grid_samples(xy.reshape((1,) + (n,) * d + (n_t, 2 * d)), d, N, 0, 0.0,
                                   parity=_pair_tags(dyn.uv_parity, d))
     return TorusEmbedding(xy=_above_rounding(fit), omega=np.array(freq.omega, dtype=float),
                           r0=float(r0), mode=mode)
@@ -784,7 +785,7 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
                     f"{budget:.3e}; the schedule may be too optimistic")
 
     def check(chain):  # each chain is fitted and verified once
-        emb = fit_embedding(chain, freq, schedule.r[0], mode, int(schedule.N[0]) + 8)
+        emb = fit_embedding(chain, freq, schedule.r[0], mode)
         return emb, verify_invariance(emb, system, samples=verify_samples,
                                       dt=verify_dt, tol=verify_tol).residual
 

@@ -48,10 +48,11 @@ class MapSystem:
     which matches the normal form x' = x + Omega + y + f, y' = y + g with
     f = -eps cos x and g = eps (cos x1 - cos x).  Since H0 and G are exact
     involutions, G o A o G = A^{-1} holds to machine precision, not just to
-    leading order in eps.
+    leading order in eps.  omega is a number or the rotation vector: on
+    points of shape (S, d), angle a turns by 2 pi omega_a.
     """
 
-    omega: float
+    omega: float | np.ndarray
     eps: float
 
     @property
@@ -67,7 +68,7 @@ class MapSystem:
 
     def reversibility_residual(self) -> float:
         """sup |G A G A (z) - z| over 256 points of a curve (should be ~1e-16)."""
-        x = 2.0 * np.pi * np.arange(256) / 256
+        x = 2.0 * np.pi * np.arange(256)[:, None] / 256 + np.zeros(np.shape(self.omega))
         y = 0.1 * np.cos(3.0 * x + 0.7)
         x1, y1 = self.A(x, y)
         x2, y2 = self.A(-x1, y1)
@@ -89,12 +90,13 @@ def make_flow_perturbation(kind: str, **params) -> Callable:
     raise ParameterError(f"unknown flow perturbation kind {kind!r}")
 
 
-def make_map_perturbation(kind: str, omega: float, **params) -> MapSystem:
-    """Map-family factory used by configuration files."""
+def make_map_perturbation(kind: str, omega, **params) -> MapSystem:
+    """Map-family factory used by configuration files; omega is the rotation vector."""
+    omega = np.array(omega, dtype=float)
     if kind in ("cosine_kick", "standard"):
         check_params(kind, params, ("eps",))
-        return MapSystem(omega=float(omega), eps=float(params.get("eps", 1e-4)))
+        return MapSystem(omega=omega, eps=float(params.get("eps", 1e-4)))
     if kind in ("none", "zero"):
         check_params(kind, params, ())
-        return MapSystem(omega=float(omega), eps=0.0)
+        return MapSystem(omega=omega, eps=0.0)
     raise ParameterError(f"unknown map perturbation kind {kind!r}")

@@ -405,13 +405,26 @@ class TestShippedConfigs:
     def test_kam_demos_take_higher_action_orders(self, tmp_path, capsys,
                                                  name, q_y):
         # the action fit scales the nodes to [-1, 1], so higher powers at
-        # the demos' small radius neither fail the rank check nor trip the
-        # reality check
+        # the demos' small radius do not trip the reality check
         code, data = run_json(capsys, [
             "kam", "run", "--config", str(self.CONFIGS / name),
             "--out", str(tmp_path), "--set", "M=2", "--set", f"q_y={q_y}"])
         assert code == 0
         assert data["invariance_residual"] <= 1e-8
+
+    def test_map_demo_runs_at_d_2(self, tmp_path, capsys):
+        # the map turns each axis by its own 2 pi omega_a, so the sampled f
+        # is the kick alone on both axes
+        code, data = run_json(capsys, [
+            "kam", "run", "--config", str(self.CONFIGS / "kam_map.json"),
+            "--out", str(tmp_path), "--set", "d=2", "--set", "omega=sqrt_prime",
+            "--set", "M=2"])
+        assert code == 0
+        assert (data["failed"], data["steps_completed"]) == (False, 2)
+        assert data["invariance_residual"] <= 1e-8
+        code, checked = run_json(capsys, ["verify", data["run_dir"]])
+        assert code == 0
+        assert checked["invariance_residual"] == data["invariance_residual"]
 
     @pytest.mark.parametrize("name", ["kam_flow.json", "kam_map.json"])
     def test_kam_demo_json_is_oracle_text(self, tmp_path, name):

@@ -18,7 +18,7 @@ from revtori.errors import (DomainError, ParameterError, PersistenceError,
 from revtori.fields import FourierField, harmonic_field
 from revtori.smoothing import smooth
 
-from conftest import grid_parity_residual, random_parity_field
+from conftest import grid_parity_residual, random_parity_field, random_reversible_pair
 
 
 def _sample_points(rng, S=40, d=1):
@@ -510,7 +510,7 @@ class TestStructure:
 
         def fit(broken):
             g = 0.05 * (np.sin(a) + broken * np.cos(a))
-            values = np.stack([np.cos(a), g], axis=-1)[:, :, None, :]
+            values = np.stack([np.cos(a), g], axis=-1)[None]  # one sheet
             return fields.field_from_grid_samples(values, 1, 3, 0, 0.0,
                                                   parity=("even", "odd"))
 
@@ -538,8 +538,8 @@ class TestStructure:
 
     def test_fit_recovers_high_action_powers_at_a_small_radius(self, rng):
         # y^0 .. y^6 at r = 2.5e-3 span 16 decades: the fit must neither
-        # lose the top powers to the rank check nor measure the reality
-        # check against the largest coefficient, c_6 ~ r^-6
+        # lose the top powers to rounding nor measure the reality check
+        # against the largest coefficient, c_6 ~ r^-6
         d, N, q_y, r = 1, 2, 6, 2.5e-3
         n = 2 * N + 2
         grid = 2.0 * np.pi * np.arange(n) / n
@@ -550,9 +550,9 @@ class TestStructure:
         def fn(x, y, t):
             return (1.0 + np.cos(x - t)) * np.polynomial.polynomial.polyval(y, c)
 
-        X, T, Y = np.meshgrid(grid, grid, y_nodes[:, 0], indexing="ij")
+        Y, X, T = np.meshgrid(y_nodes[:, 0], grid, grid, indexing="ij")  # sheets
         fld = fields.field_from_grid_samples(fn(X, Y, T)[..., None], d, N, q_y, r,
-                                             y_nodes, parity=("even",))
+                                             parity=("even",))
         np.testing.assert_allclose(fld.coeffs[N, N, :, 0].real * r ** powers,
                                    powers + 1.0, rtol=1e-10)
         x = rng.uniform(0.0, 2.0 * np.pi, 50)
@@ -560,6 +560,41 @@ class TestStructure:
         t = rng.uniform(0.0, 1.0, 50)
         np.testing.assert_allclose(fld.evaluate(x, y, t)[:, 0], fn(x, y, t),
                                    rtol=1e-10, atol=1e-10)
+
+
+class TestFitFromSheets:
+    """field_from_grid_samples reads the sheets GridJet.evaluate writes."""
+
+    @pytest.mark.parametrize("mode", ["flow", "map"])
+    def test_jet_sheets_give_back_the_coefficients(self, rng, mode):
+        d, N, q_y, r = 1, 5, 2, 0.05
+        if mode == "flow":  # f even, g odd, time cutoff N
+            fld = fields.stack_components(*random_reversible_pair(rng, d=d, N=N, q_y=q_y, r=r))
+        else:  # an untagged autonomous pair
+            parts = [random_parity_field(rng, tag, d=d, N=N, q_y=q_y, r=r, N_t=0)
+                     for tag in ("even", "odd")]
+            fld = dataclasses.replace(fields.stack_components(*parts), parity=None)
+        n = 2 * N + 2
+        n_t = n if fld.N_t else 1
+        y_nodes = fields.default_action_nodes(d, q_y, r)
+        S = n ** d * n_t
+        sheets = fields.GridJet(fld, n, n_t).evaluate(np.zeros((len(y_nodes) * S, d)),
+                                                     np.repeat(y_nodes, S, axis=0))
+        fit = fields.field_from_grid_samples(
+            sheets.reshape((len(y_nodes),) + (n,) * d + (n_t, fld.m)), d, N, q_y, r,
+            parity=fld.parity)
+        assert (fit.N_t, fit.parity) == (fld.N_t, fld.parity)
+        # coefficients weighted by r^|alpha|, as in a majorant
+        powers = fld.powers.sum(axis=1)
+        np.testing.assert_allclose(fit.coeffs * r ** powers[:, None],
+                                   fld.coeffs * r ** powers[:, None], rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(fld.coeffs)))
+
+    def test_sheets_must_match_the_action_nodes(self):
+        values = np.zeros((2, 6, 6, 1))  # q_y = 1 at d = 1 has two nodes; q_y = 2 three
+        assert fields.field_from_grid_samples(values, 1, 2, 1, 0.1).q_y == 1
+        with pytest.raises(ShapeError, match=r"expected samples of shape \(3,\)"):
+            fields.field_from_grid_samples(values, 1, 2, 2, 0.1)
 
 
 class TestSerialization:

@@ -235,8 +235,7 @@ class TestGridJetOracle:
         for jet in (fields.GridJet, _ScatteredJet):
             monkeypatch.setattr(newton, "GridJet", jet)
             tr, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode=mode)
-            emb = newton.fit_embedding([tr, tr], golden, sched.r[0], mode,
-                                       tr.UV.N + 8)
+            emb = newton.fit_embedding([tr, tr], golden, sched.r[0], mode)
             runs.append((tr, fg_next, diag, emb))
         (tr, fg_next, diag, emb), ref = runs
         pairs = [*zip(halves(tr.UV), halves(ref[0].UV)), *zip(halves(fg_next), halves(ref[1])),
@@ -265,7 +264,7 @@ class TestGridJetOracle:
 
         monkeypatch.setattr(FourierField, "evaluate_complex", refuse)
         tr, _, _ = newton.newton_step(fg, golden, sched, 0)
-        newton.fit_embedding([tr], golden, sched.r[0], "flow", tr.UV.N + 8)
+        newton.fit_embedding([tr], golden, sched.r[0], "flow")
 
 
 @pytest.fixture
@@ -309,7 +308,7 @@ class TestOneJetPerFieldPair:
                                                       r=sched.r[0], amp=1e-5))
         tr, _, _ = newton.newton_step(fg, golden, sched, 0)
         jets_made.clear()
-        newton.fit_embedding([tr, tr, tr], golden, sched.r[0], "flow", tr.UV.N + 8)
+        newton.fit_embedding([tr, tr, tr], golden, sched.r[0], "flow")
         assert len(jets_made) == 3
 
     def test_flow_demo_run_builds_nine_jets(self, tmp_path, jets_made):
@@ -657,8 +656,7 @@ class TestMapRun:
         with pytest.raises(ParameterError, match="banana"):
             newton.newton_step(_map_pair(sched), golden, sched, 0, mode="banana")
         with pytest.raises(ParameterError, match="banana"):
-            newton.fit_embedding(report.chain, golden, sched.r[0], "banana",
-                                 report.chain[0].UV.N + 8)
+            newton.fit_embedding(report.chain, golden, sched.r[0], "banana")
         with pytest.raises(ParameterError, match="map mode takes one callable"):
             newton.verify_invariance(report.embedding, 3)
         with pytest.raises(ParameterError, match="flow mode takes one callable"):
@@ -753,6 +751,29 @@ class TestChainAndEmbedding:
         assert np.atleast_1d(rot)[0] == pytest.approx(GOLDEN, abs=1e-10)
 
 
+class TestEmbeddingCutoff:
+    """fit_embedding fits at the largest (U, V) cutoff of its chain."""
+
+    @pytest.mark.parametrize("mode", ["flow", "map"])
+    def test_cutoff_is_the_chains_largest(self, golden, rng, mode):
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        fg = _map_pair(sched) if mode == "map" else stack_components(
+            *random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2, r=sched.r[0], amp=1e-5))
+        tr, _, _ = newton.newton_step(fg, golden, sched, 0, mode=mode)
+        coarse = dataclasses.replace(tr, UV=tr.UV.truncate(tr.UV.N - 5))
+        for chain, N in (([coarse, tr], tr.UV.N), ([tr, coarse], tr.UV.N),
+                         ([coarse], tr.UV.N - 5)):
+            emb = newton.fit_embedding(chain, golden, sched.r[0], mode)
+            assert emb.xy.N == N
+            assert emb.xy.N_t == (0 if mode == "map" else N)
+
+    @pytest.mark.parametrize("mode", ["flow", "map"])
+    def test_empty_chain_is_the_zero_field_at_N_0(self, golden, mode):
+        emb = newton.fit_embedding([], golden, 0.1, mode)
+        assert (emb.xy.N, emb.xy.m, emb.mode) == (0, 2, mode)
+        assert not np.any(emb.xy.coeffs)
+
+
 class TestEmbeddingFloor:
     """fit_embedding keeps each component's coefficients above eps max|c|."""
 
@@ -764,12 +785,11 @@ class TestEmbeddingFloor:
     def test_floor_moves_values_by_rounding_only(self, short_run, golden, rng,
                                                 monkeypatch):
         _, report = short_run
-        N = int(report.schedule.N[0]) + 8
-        emb = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow", N)
+        emb = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow")
         np.testing.assert_array_equal(emb.xy.coeffs, report.embedding.xy.coeffs)
         # the fit of the same grid samples without the floor
         monkeypatch.setattr(newton, "_above_rounding", lambda h: h)
-        raw = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow", N)
+        raw = newton.fit_embedding(report.chain, golden, report.schedule.r[0], "flow")
         for kept, full in zip(halves(emb.xy), halves(raw.xy)):
             assert np.count_nonzero(kept.coeffs) < np.count_nonzero(full.coeffs)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(256, 1))

@@ -90,6 +90,22 @@ def test_lienard_commands_leave_the_solver_unloaded(tmp_path):
     assert out == "0 []", out
 
 
+def test_verify_of_a_stability_run_leaves_the_solver_unloaded(tmp_path):
+    # a run without embedding.json is checked by its digests alone
+    from revtori.cli import main
+    assert main(["lienard", "stability", "--set", "t_max=1", "--set", "levels=[1.0]",
+                 "--set", "phases=[0.0]", "--out", str(tmp_path)]) == 0
+    out = _fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "from revtori.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['verify', {str(tmp_path / 'lienard-stability')!r}])\n"
+        "solver = ('fields', 'newton', 'homological', 'smoothing', 'diophantine',\n"
+        "          'integrators', 'systems', 'lienard')\n"
+        "print(code, [m for m in solver if 'revtori.' + m in sys.modules])")
+    assert out == "0 []", out
+
+
 # --------------------------------------------------------------------------- #
 # the README's library section, executed and cross-checked
 # --------------------------------------------------------------------------- #

@@ -83,6 +83,9 @@ class TestMapSystem:
     def test_reversibility_is_exact(self):
         mp = systems.MapSystem(omega=GOLDEN, eps=5e-3)
         assert mp.reversibility_residual() < 1e-13
+        # a rotation vector turns each angle by its own component
+        assert systems.MapSystem(omega=np.array([GOLDEN, np.sqrt(2.0) - 1.0]),
+                                 eps=5e-3).reversibility_residual() < 1e-13
         # independent pointwise check of G A G A = id
         x = 2 * np.pi * np.arange(17) / 17
         y = 0.08 * np.sin(2 * x + 0.3)
