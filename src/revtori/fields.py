@@ -301,10 +301,6 @@ class FourierField:
         at every node and action power, the order-0 table of a
         :class:`GridJet` on the same grid.  n must be at least 2N+1.
         """
-        if n < 2 * self.N + 1:
-            raise ShapeError(
-                f"grid size {n} too small for cutoff N = {self.N} (need >= {2 * self.N + 1})"
-            )
         spectrum = _node_spectrum(self, n, n if self.N_t else 1)
         return _node_tables(spectrum, [(0,) * self.d], self.N, n)[0]
 
@@ -580,47 +576,29 @@ def taylor_order(h: float) -> int:
     return K
 
 
-def _fold(a: np.ndarray, axis: int, k: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Sum the entries of ascending wave numbers ``k`` on ``axis`` mod n.
-
-    Returns the residues 0..size-1 (size <= n) and drops entries whose
-    residue lies past them.  At the nodes 2 pi j / n the folded sum equals
-    the unfolded one, for any number of modes.
-    """
-    res = k % n
-    out = np.zeros(a.shape[:axis] + (size,) + a.shape[axis + 1:], dtype=a.dtype)
-    # runs of consecutive wave numbers with consecutive residues add as slices
-    cuts = np.flatnonzero((np.diff(k) != 1) | (np.diff(res) != 1)) + 1
-    for lo, hi in zip([0, *cuts], [*cuts, len(k)]):
-        hi = min(hi, lo + size - int(res[lo]))
-        if hi > lo:
-            pre = (slice(None),) * axis
-            out[pre + (slice(res[lo], res[lo] + hi - lo),)] += a[pre + (slice(lo, hi),)]
-    return out
-
-
-def _half_modes(N: int, n: int) -> np.ndarray:
-    """Wave numbers -N..N whose residue mod n is at most n // 2."""
-    k = np.arange(-N, N + 1)
-    return k[k % n <= n // 2]
-
-
 def _node_spectrum(field: FourierField, n: int, n_t: int) -> np.ndarray:
     """The field's angle spectrum at the n_t time nodes, made Hermitian.
 
-    With G(k, t) the sum of the time modes at the nodes t = 2 pi j / n_t,
-    H(k, t) = (G(k, t) + conj G(-k, t)) / 2 synthesizes, in the angles, to
-    the real part of the field, and (ik)^alpha H(k, t) to that of its
-    derivative d^alpha.  H is the time sum of the coefficients' Hermitian
-    part (c(k, l) + conj c(-k, -l)) / 2, folded mod n_t, so only the wave
-    numbers of the last angle that a real inverse FFT reads
-    (:func:`_half_modes`) are transformed.  Shape (2N+1,)*(d-1) + (kept,) +
-    (n_t, P, m).
+    The grid must hold the field's modes: n >= 2N+1 nodes per angle axis,
+    and n_t = n time nodes, or n_t = 1 when N_t = 0; any other grid raises
+    ShapeError.  With G(k, t) the sum of the time modes at the nodes
+    t = 2 pi j / n_t, H(k, t) = (G(k, t) + conj G(-k, t)) / 2 synthesizes,
+    in the angles, to the real part of the field, and (ik)^alpha H(k, t)
+    to that of its derivative d^alpha.  H is the time transform of the
+    coefficients' Hermitian part (c(k, l) + conj c(-k, -l)) / 2, each time
+    mode l placed at l mod n_t; only the wave numbers k = 0..N of the last
+    angle, the half a real inverse FFT reads, are transformed.  Shape
+    (2N+1,)*(d-1) + (N+1,) + (n_t, P, m).
     """
-    d, c = field.d, field.coeffs
-    half = (slice(None),) * (d - 1) + (_half_modes(field.N, n) + field.N,)
+    d, c, N, N_t = field.d, field.coeffs, field.N, field.N_t
+    if n < 2 * N + 1 or not (n_t == n or (n_t == 1 and N_t == 0)):
+        raise ShapeError(f"a grid of {n} angle and {n_t} time nodes drops modes of "
+                         f"cutoffs N = {N}, N_t = {N_t} (need n >= {2 * N + 1} and "
+                         f"n_t = n, or n_t = 1 when N_t = 0)")
+    half = (slice(None),) * (d - 1) + (slice(N, None),)
     herm = 0.5 * (c[half] + np.conj(_reverse_modes(c, d)[half]))
-    G = _fold(herm, d, np.arange(-field.N_t, field.N_t + 1), n_t, n_t)
+    G = np.zeros(herm.shape[:d] + (n_t,) + herm.shape[d + 1:], dtype=complex)
+    G[(slice(None),) * d + (np.arange(-N_t, N_t + 1) % n_t,)] = herm
     return np.fft.ifft(G, axis=d, norm="forward")
 
 
@@ -628,26 +606,25 @@ def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int) -> np.ndarr
     """Real tables sum_k (ik)^alpha / alpha! H(k, t) e^(i <k, x>) at the nodes.
 
     ``spectrum`` is H from :func:`_node_spectrum`.  Every alpha is weighted
-    in one batch, the angle axes are folded mod n (the last into its
-    residues 0..n//2) and one real inverse FFT gives the tables, shape
-    (len(alphas),) + (n,)*d + (n_t, P, m).
+    in one batch.  Each of the first d-1 angle axes holds its wave numbers
+    k at k mod n on n points, the layout :func:`field_from_grid_samples`
+    reads, and one real inverse FFT, which pads the last axis's k = 0..N
+    with zeros itself, gives the tables, shape (len(alphas),) + (n,)*d +
+    (n_t, P, m).
     """
     d = len(alphas[0])
     k = np.arange(-N, N + 1)
-    half = _half_modes(N, n)
     top = max(max(alpha) for alpha in alphas)
     # (ik)^e / e! per angle axis and order e
     powers = [[(1j ** e / math.factorial(e)) * ka.astype(float) ** e for e in range(top + 1)]
-              for ka in [k] * (d - 1) + [half]]
-    spec = np.empty((len(alphas),) + spectrum.shape, dtype=complex)
+              for ka in [k] * (d - 1) + [k[N:]]]
+    spec = np.zeros((len(alphas),) + (n,) * (d - 1) + spectrum.shape[d - 1:], dtype=complex)
+    place = np.ix_(*[k % n] * (d - 1))
     for i, alpha in enumerate(alphas):
         weight = np.ones(())
         for a, e in enumerate(alpha):
             weight = np.multiply.outer(weight, powers[a][e])
-        np.multiply(spectrum, weight[..., None, None, None], out=spec[i])
-    for axis in range(1, d):
-        spec = _fold(spec, axis, k, n, n)
-    spec = _fold(spec, d, half, n, n // 2 + 1)
+        spec[(i,) + place] = spectrum * weight[..., None, None, None]
     return np.fft.irfftn(spec, s=(n,) * d, axes=tuple(range(1, d + 1)), norm="forward")
 
 
@@ -655,27 +632,28 @@ class GridJet:
     """A field evaluated at grid nodes plus small angle offsets.
 
     The grid has nodes 2 pi j / n on each angle axis and ``n_t`` time nodes
-    (n of them, or the single node t = 0).  ``evaluate(delta, y)`` takes one
-    point per node, in the row-major order of ``values_on_grid``, repeated
-    in as many consecutive sheets as the sample holds, and returns the real
-    field at (node + delta, y, node time):
+    (n of them, or the single node t = 0), and must hold the field's modes:
+    n >= 2N+1, and n_t = 1 only when N_t = 0; any other grid raises
+    ShapeError.  ``evaluate(delta, y)`` takes one point per node, in the
+    row-major order of ``values_on_grid``, repeated in as many consecutive
+    sheets as the sample holds, and returns the real field at
+    (node + delta, y, node time):
 
         F(x + delta, y, t) = sum_alpha  d^alpha F(x, y, t) / alpha!  delta^alpha.
 
     The time axis is transformed once, when the jet is made
     (:func:`_node_spectrum`).  The real tables d^alpha F / alpha! on the
     grid come from one real inverse FFT over the angles per batch of
-    multi-indices, with modes folded mod n, so the node values are exact
-    for any cutoff N.  The Taylor order K is set per call by
-    :func:`taylor_order` from h = N max |delta|_inf (offsets are first
-    re-anchored to their nearest node, so h <= pi N / n), which bounds the
-    truncation by 2^-53 times the majorant; the tables a call lacks are
-    added in one batch.  Points run in blocks of whole sheets.  The sum
-    runs by Horner in the first angle's offset, the other angles enter as
-    monomials, and the action powers of y are contracted exactly.  The
-    tables broadcast over the sheets; only re-anchored offsets gather rows
-    of them.  At most _JET_TABLE_ENTRIES table entries are kept between
-    calls.
+    multi-indices, each mode k at k mod n, as the fits read them.  The
+    Taylor order K is set per call by :func:`taylor_order` from
+    h = N max |delta|_inf (offsets are first re-anchored to their nearest
+    node, so h <= pi N / n), which bounds the truncation by 2^-53 times the
+    majorant; the tables a call lacks are added in one batch.  Points run
+    in blocks of whole sheets.  The sum runs by Horner in the first angle's
+    offset, the other angles enter as monomials, and the action powers of
+    y are contracted exactly.  The tables broadcast over the sheets; only
+    re-anchored offsets gather rows of them.  At most _JET_TABLE_ENTRIES
+    table entries are kept between calls.
 
     :meth:`evaluate_with_gradient` adds the first derivatives in x and y
     from the same tables: those of orders up to K + 1 give d/dx at order
@@ -685,8 +663,6 @@ class GridJet:
     """
 
     def __init__(self, field: FourierField, n: int, n_t: int):
-        if n < 1 or n_t not in (1, n):
-            raise ShapeError(f"grid needs n >= 1 and 1 or n time nodes, got n={n}, n_t={n_t}")
         self.field = field
         self.n = int(n)
         self.max_order = 0

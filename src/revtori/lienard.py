@@ -663,9 +663,8 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     the forcing.  The closing half-kick of one substep and the opening
     half-kick of the next see the same point, across step boundaries too,
     so the forces are evaluated once per point: a composition of S stages
-    calls the forcing S times per step, and again only where a freeze
-    resets x.  Inside a step the two half-kicks are one update: with
-    half-steps h_i, h_j on either side and s = r + g,
+    calls the forcing S times per step.  Inside a step the two half-kicks
+    are one update: with half-steps h_i, h_j on either side and s = r + g,
     y <- (y (1 - h_i f) - (h_i + h_j) s) / (1 + h_j f), or y <- y - (h_i + h_j) r
     unforced.  The half-kicks at step boundaries stay apart, because the
     state is recorded there.  Each step restarts its stage time from k dt.
@@ -675,12 +674,14 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     all-time excursion max |x| + |y| to the same max over the initial
     window t <= t_ref (default min(10, t_max)); an orbit that leaves
     [-1e6, 1e6] or produces non-finite values is recorded as failed at
-    that time and frozen, never raised.  The checks run on blocks of
-    steps at once: column maxima of |x| + |y| and of the energy, and its
-    column minimum, settle every orbit that stayed good through the
-    block, and only the columns that went bad look for their first bad
-    row.  Maxima are exact and rounding is monotone, so every number is
-    the one checking after every step would give, whatever the block size.
+    that time, never raised, and its later states count for nothing: it
+    runs on with the others, but no maximum or energy spread reads it.
+    The checks run on blocks of steps at once: column maxima of |x| + |y|
+    and of the energy, and its column minimum, settle every orbit that
+    stayed good through the block, and only the columns that went bad look
+    for their first bad row.  Maxima are exact and rounding is monotone,
+    so every number is the one checking after every step would give,
+    whatever the block size.
     """
     if not (math.isfinite(t_max) and math.isfinite(dt)) or t_max <= 0 or dt <= 0:
         raise ParameterError(f"t_max and dt must be positive and finite, "
@@ -689,7 +690,10 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
         raise ParameterError("levels and phases must each hold at least one value")
     if not (math.isfinite(threshold) and threshold > 0):
         raise ParameterError(f"threshold must be positive and finite, got {threshold}")
-    n_steps = int(round(t_max / dt))
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise ParameterError(f"t_max / dt overflows for t_max = {t_max}, dt = {dt}")
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ParameterError(f"t_max = {t_max} rounds to zero steps of dt = {dt}")
     t_ref = min(10.0, t_max) if t_ref is None else float(t_ref)
@@ -716,13 +720,12 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     alive = np.ones(B, dtype=bool)
     t_fail = np.full(B, math.nan)
 
-    k_ref = int(math.ceil(t_ref / dt))
+    # a window past t_max holds every row, as one ending at t_max does
+    k_ref = int(math.ceil(min(t_ref, t_max) / dt))
     cap = 1e6
     K = max(1, _STABILITY_BLOCK_ENTRIES // B)
     xs = np.empty((K, B))
     ys = np.empty((K, B))
-    x_start = np.empty(B)
-    y_start = np.empty(B)
 
     # Every ufunc below writes into these buffers, and its constants are
     # length-B arrays (per stage h, the half-steps and their sums, and the
@@ -805,8 +808,6 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
         fg = None if unforced else forcing(x, 0.0)
         for k0 in range(0, n_steps, K):
             count = min(K, n_steps - k0)
-            np.copyto(x_start, x)
-            np.copyto(y_start, y)
             for j in range(count):
                 fg = step(fg, (k0 + j) * dt)
                 xs[j] = x
@@ -826,15 +827,6 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
                 E[:, idx] = np.where(after, E0[idx], E[:, idx])
                 peak[idx] = norm[:, idx].max(axis=0)
                 t_fail[idx] = (k0 + first + 1) * dt
-                # freeze at the last good state: the row before the first
-                # bad one, or the block's start state
-                last = first - 1
-                x[idx] = np.where(last >= 0, X[last, idx], x_start[idx])
-                y[idx] = np.where(last >= 0, Y[last, idx], y_start[idx])
-                restore()
-                if not unforced:
-                    fv, gv = fg
-                    fv[idx], gv[idx] = forcing(x[idx], (k0 + count) * dt)
             np.maximum(running, peak, out=running, where=alive)
             if k0 < k_ref:
                 np.maximum(initial, norm[:k_ref - k0].max(axis=0), out=initial,

@@ -234,6 +234,7 @@ def test_criterion_08_chain_rule(capsys):
     assert elapsed < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_09_poincare_and_stability(capsys):
     t0 = time.perf_counter()
     problem = lienard.make_problem(1, "rational_cubic", f_amp=0.05,

@@ -589,6 +589,14 @@ class TestLienardCli:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("t_max, dt", [("1", "1e-320"), ("1e308", "1e-10")])
+    def test_step_count_overflow_exits_2(self, tmp_path, capsys, t_max, dt):
+        config = TestShippedConfigs.CONFIGS / "lienard_stability.json"
+        assert main(["lienard", "stability", "--config", str(config), "--out",
+                     str(tmp_path), "--set", f"t_max={t_max}", "--set", f"dt={dt}"]) == 2
+        assert "t_max / dt overflows" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("key", ["p", "q"])
     def test_fractional_power_exponent_exits_2(self, tmp_path, capsys, key):
         assert main(["lienard", "stability", "--out", str(tmp_path),

@@ -147,6 +147,19 @@ def _jet_field(rng, d, N, N_t, m=2, q_y=2, r=0.1):
     return FourierField(d, m, N, q_y, r, coeffs)
 
 
+def _rejects_grid(fld, n, n_t):
+    """True, once GridJet is seen to raise ShapeError, if the grid drops modes.
+
+    A grid holds the modes of ``fld`` when n >= 2N+1 and its time axis has
+    n nodes, or the single node t = 0 for N_t = 0.
+    """
+    if n >= 2 * fld.N + 1 and (n_t == n or (n_t == 1 and fld.N_t == 0)):
+        return False
+    with pytest.raises(ShapeError):
+        fields.GridJet(fld, n, n_t)
+    return True
+
+
 def _grid_nodes(d, n, n_t, sheets):
     """Nodes of the (n,)*d + (n_t,) grid in row-major order, repeated."""
     grid = 2.0 * np.pi * np.arange(n) / n
@@ -161,15 +174,18 @@ class TestGridJet:
 
     @pytest.mark.parametrize("d, N, N_t, n", [
         (1, 6, 0, 16), (1, 6, 6, 16),
-        (1, 12, 12, 16),  # N > n/2: modes fold mod n
-        (2, 4, 0, 9), (2, 4, 4, 9),
-        (2, 6, 6, 7),  # folded at d = 2
+        (1, 6, 6, 13), (1, 6, 6, 14),  # n = 2N+1 and 2N+2
+        (1, 12, 12, 16),  # N > n/2: the grid drops modes, rejected
+        (2, 4, 0, 9), (2, 4, 4, 9), (2, 4, 4, 10),
+        (2, 6, 6, 7),  # rejected at d = 2
     ])
     @pytest.mark.parametrize("offset", [0.0, 1e-4, 1.0,
                                         3.0])  # past half a cell: re-anchored
     def test_matches_scattered_evaluation(self, rng, monkeypatch, d, N, N_t, n, offset):
         fld = _jet_field(rng, d, N, N_t)
         n_t = n if N_t else 1
+        if _rejects_grid(fld, n, n_t):
+            return
         x, t = _grid_nodes(d, n, n_t, sheets=2)
         delta = rng.uniform(-offset / N, offset / N, size=x.shape)
         y = rng.uniform(-1.0, 1.0, size=x.shape)
@@ -207,14 +223,15 @@ class TestGridJet:
         np.testing.assert_array_equal(got, want)
         assert jet.max_order == 0
 
-    def test_time_cutoff_folds_to_one_time_node(self, rng):
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_time_cutoff_on_one_time_node_is_rejected(self, rng, d):
         # a time-dependent field on the single time node t = 0
-        fld = _jet_field(rng, 1, 5, 5)
-        x, t = _grid_nodes(1, 12, 1, sheets=1)
-        delta = rng.uniform(-0.05, 0.05, size=x.shape)
-        got = fields.GridJet(fld, 12, 1).evaluate(delta, None)
-        np.testing.assert_allclose(got, fld.evaluate_complex(x + delta, None, t).real,
-                                   rtol=0.0, atol=1e-14 * fld.majorant())
+        assert _rejects_grid(_jet_field(rng, d, 5, 5), 12, 1)
+        assert _rejects_grid(_jet_field(rng, d, 5, 2), 12, 1)
+
+    @pytest.mark.parametrize("d, N_t", [(1, 0), (1, 5), (2, 0), (2, 5)])
+    def test_grid_of_2N_nodes_is_rejected(self, rng, d, N_t):
+        assert _rejects_grid(_jet_field(rng, d, 5, N_t), 10, 10 if N_t else 1)
 
     def test_offsets_past_half_a_cell_re_anchor(self, rng):
         fld = _jet_field(rng, 2, 4, 4)
@@ -318,10 +335,12 @@ class TestGridJetTablesOracle:
 
     @pytest.mark.parametrize("d, N, N_t, n, n_t", [
         (1, 6, 0, 16, 1), (1, 6, 6, 16, 16),
-        (1, 6, 6, 16, 1),    # N_t > 0 folded onto one time node
-        (1, 12, 12, 16, 16), (1, 12, 12, 15, 1),  # N > n/2, n even and odd
+        (1, 6, 0, 13, 1), (1, 6, 6, 13, 13), (1, 6, 6, 14, 14),  # n = 2N+1, 2N+2
+        (1, 6, 6, 16, 1),    # N_t > 0 on one time node: rejected
+        (1, 12, 12, 16, 16), (1, 12, 12, 15, 1),  # N > n/2, n even and odd: rejected
         (2, 4, 0, 9, 1), (2, 4, 4, 9, 9), (2, 4, 4, 9, 1),
-        (2, 6, 6, 7, 7), (2, 6, 6, 8, 8),  # folded at d = 2
+        (2, 4, 4, 10, 10), (2, 4, 0, 10, 1),  # n = 2N+1 above, 2N+2 here
+        (2, 6, 6, 7, 7), (2, 6, 6, 8, 8),  # rejected at d = 2
     ])
     @pytest.mark.parametrize("kind", ["complex", "even", "odd"])
     def test_every_table_matches_the_oracle(self, rng, d, N, N_t, n, n_t, kind):
@@ -329,6 +348,8 @@ class TestGridJetTablesOracle:
             fld = _jet_field(rng, d, N, N_t)
         else:
             fld = random_parity_field(rng, kind, d=d, N=N, N_t=N_t, decay=0.0)
+        if _rejects_grid(fld, n, n_t):
+            return
         alphas = fields._multi_indices(d, 4)
         got = fields.GridJet(fld, n, n_t)._tables(alphas)
         for alpha, table, want in zip(alphas, got, _oracle_tables(fld, n, n_t, alphas)):
@@ -353,6 +374,8 @@ class TestGridJetTablesOracle:
     def test_tables_in_one_batch_equal_tables_added_on_demand(self, rng, d, N, N_t, n):
         fld = _jet_field(rng, d, N, N_t)
         n_t = n if N_t else 1
+        if _rejects_grid(fld, n, n_t):  # (1, 12, 12, 16) and (2, 6, 0, 7)
+            return
         x, _ = _grid_nodes(d, n, n_t, sheets=1)
 
         def offsets(K):  # the largest offset sets the Taylor order K

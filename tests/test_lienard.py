@@ -439,10 +439,21 @@ class TestStability:
         for t_max, dt, t_ref in ((-1.0, 1 / 64, None), (math.nan, 1 / 64, None),
                                  (math.inf, 1 / 64, None), (1.0, math.nan, None),
                                  (1.0, 0.0, None), (1.0, 10.0, None),
-                                 (1.0, 1 / 64, math.nan), (1.0, 1 / 64, -1.0)):
+                                 (1.0, 1 / 64, math.nan), (1.0, 1 / 64, -1.0),
+                                 # t_max / dt overflows to inf
+                                 (1.0, 1e-320, None), (1e308, 1e-10, None)):
             with pytest.raises(ParameterError):
                 lienard.lagrange_stability_experiment(
                     prob, t_max=t_max, dt=dt, t_ref=t_ref, orbit=orbits[1])
+
+    def test_window_past_the_horizon_holds_every_step(self, orbits):
+        # t_ref / dt overflows; a window ending at t_max gives the same rows
+        prob = lienard.make_problem(1, "rational_cubic", f_amp=0.05, g_amp=0.05)
+        rows = [lienard.lagrange_stability_experiment(
+            prob, t_max=1.0, t_ref=t_ref, orbit=orbits[1]).csv_rows()
+            for t_ref in (1e308, 1.0)]
+        np.testing.assert_array_equal(np.array(rows[0], float), np.array(rows[1], float))
+        assert all(row[2] == 1.0 for row in rows[0])  # ratio of a max to itself
 
     def test_bad_threshold(self, orbits):
         prob = lienard.make_problem(1)

@@ -158,7 +158,7 @@ class TestFlowRemainder:
     """T_w = (D_x w)(y + f) + (D_y w) g against a central difference of
     scattered sums: d/ds w(x + s (y + f), y + s g, t) at s = 0."""
 
-    @pytest.mark.parametrize("d, n", [(1, 12), (2, 6)])
+    @pytest.mark.parametrize("d, n", [(1, 12), (2, 9)])  # n >= 2N+1 for N = 4
     def test_matches_directional_difference(self, rng, d, n):
         r = 0.1
         f, g = random_reversible_pair(rng, d=d, N=3, q_y=2, r=r, amp=0.1)
@@ -375,6 +375,7 @@ class TestTwoDimensionalStep:
             osc_out = after.oscillating_part().majorant(sched.r[1])
             assert osc_out < 0.5 * osc_in
 
+    @pytest.mark.slow
     def test_flow_step(self):
         freq = diophantine.certify(diophantine.make_frequency(2, "sqrt_prime"))
         sched = newton.make_schedule(2, 0.1, 1e-2, 2)
