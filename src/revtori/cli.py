@@ -7,10 +7,14 @@ experiment (``lienard stability``).  Run-producing commands write a
 directory ``<out>/<name>/`` containing ``manifest.json`` plus their
 artifacts; ``verify`` rechecks such a directory against its manifest.
 
-Configuration comes from built-in defaults, overlaid by ``--config``
-(a JSON object) and then by repeatable ``--set KEY=VALUE`` flags (dotted
-keys reach into nested sections; values are parsed as JSON when they look
-like it).  Unknown top-level keys are rejected.
+Every command but ``verify`` reads its parameters from one place: its
+built-in defaults, overlaid by ``--config`` (a JSON object) and then by
+repeatable ``--set KEY=VALUE`` flags (dotted keys reach into nested
+sections; values are parsed as JSON when they look like it).  Unknown
+top-level keys are rejected.  ``verify`` takes no config: it reads the one
+its run directory's manifest recorded.  The remaining flags say where
+output goes and how it is printed (``--out``, ``--csv``,
+``--json-summary``), plus ``--threads`` and ``--seed``.
 
 Exit codes: 0 success, 2 invalid parameters or malformed input, 3 a
 certification or iteration failure (small divisors, a failed Newton
@@ -38,13 +42,20 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 # configuration plumbing
 # --------------------------------------------------------------------------- #
 
+# omega is a family name or the components; tau None means d + 1e-4.
+_DIOPH_DEFAULTS = {"omega": "golden", "d": 1, "tau": None, "K_max": 2000}
+
+_SMOOTH_DEFAULTS = {"ell_star": 2.5, "n_modes": 512, "n_scales": 6,
+                    "s_max": 0.5, "s_min": 0.05}
+
+# g_amp None means the flow factory's ratio of g to f.
+_HOMSOLVE_DEFAULTS = {"mode": "flow", "omega": "golden", "tau": None, "K_max": 2000,
+                      "n_modes": 8, "q_y": 2, "r": 0.1, "eps": 1e-3, "g_amp": None}
+
 _KAM_DEFAULTS = {
     "name": None,
     "mode": "flow",
-    "d": 1,
-    "omega": "golden",
-    "tau": None,
-    "K_max": 2000,
+    **_DIOPH_DEFAULTS,
     "mu": 0.1,
     "eps0": 1e-4,
     "M": 5,
@@ -69,6 +80,8 @@ _STABILITY_DEFAULTS = {
     "t_ref": None,
 }
 
+_ORBIT_DEFAULTS = {"n": 1, "samples": 8192, "csv_samples": 512}
+
 _POINCARE_DEFAULTS = {
     "n": 1,
     "perturbation": {"kind": "rational_cubic"},
@@ -76,6 +89,7 @@ _POINCARE_DEFAULTS = {
     "n_steps": 256,
     "theta_points": 8,
     "rho_levels": [0.8, 1.2, 1.8, 2.5],
+    "iterates": 32,  # section iterations per sample for --csv
 }
 
 
@@ -148,7 +162,7 @@ def _numbers(cfg: dict, key: str) -> list:
 
 def _merge_config(args, defaults: dict) -> dict:
     cfg = copy.deepcopy(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         from . import persistence
         data = persistence.load_json(args.config)
         if not isinstance(data, dict):
@@ -164,34 +178,22 @@ def _merge_config(args, defaults: dict) -> dict:
                 cfg[key].update(value)
             else:
                 cfg[key] = value
-    for item in getattr(args, "overrides", []) or []:
+    for item in args.overrides:
         _apply_override(cfg, item)
     return cfg
 
 
-def _resolve_frequency(omega_spec, d: int, tau, K_max: int):
+def _frequency(cfg: dict, d: int):
+    """The certified frequency of cfg's omega, tau and K_max.
+
+    omega is a family name (of dimension d) or the components themselves.
+    """
     from . import diophantine
-    if isinstance(omega_spec, str):
-        omega = diophantine.make_frequency(d, omega_spec)
-    else:
-        omega = [float(v) for v in omega_spec]
-    return diophantine.certify(omega, tau=tau, K_max=K_max)
-
-
-def _omega_spec(args):
-    """--omega as a float list, a family name, or fall back to --kind."""
-    if not args.omega:
-        return args.kind
-    tokens = [tok.strip() for tok in args.omega.split(",") if tok.strip()]
-    if not tokens:
-        raise errors.ParameterError("--omega is empty")
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError:
-        if len(tokens) == 1:
-            return tokens[0]
-        raise errors.ParameterError(
-            f"--omega must be comma-separated numbers, got {args.omega!r}")
+    omega = cfg["omega"]
+    omega = (diophantine.make_frequency(d, omega) if isinstance(omega, str)
+             else _numbers(cfg, "omega"))
+    tau = None if cfg["tau"] is None else _number(cfg, "tau", float)
+    return diophantine.certify(omega, tau=tau, K_max=_number(cfg, "K_max", int))
 
 
 def _perturbation_params(pert_cfg: dict) -> dict:
@@ -236,30 +238,33 @@ def _run_name(name) -> str:
 # --------------------------------------------------------------------------- #
 
 def _cmd_dioph(args):
-    freq = _resolve_frequency(_omega_spec(args), args.d, args.tau, args.k_max)
-    return freq.to_dict()
+    cfg = _merge_config(args, _DIOPH_DEFAULTS)
+    return _frequency(cfg, _number(cfg, "d", int)).to_dict()
 
 
 def _cmd_smooth_test(args):
     import numpy as np
     from . import smoothing
-    if not (args.s_min > 0 and args.s_max > 0):
+    cfg = _merge_config(args, _SMOOTH_DEFAULTS)
+    ell_star, s_max, s_min = (_number(cfg, key, float)
+                              for key in ("ell_star", "s_max", "s_min"))
+    n_modes, n_scales = (_number(cfg, key, int) for key in ("n_modes", "n_scales"))
+    if not (s_min > 0 and s_max > 0):
         raise errors.ParameterError(
-            f"--s-min and --s-max must be positive, got {args.s_min} and {args.s_max}")
-    if args.n_scales < 2:
+            f"s_min and s_max must be positive, got {s_min} and {s_max}")
+    if n_scales < 2:
         raise errors.ParameterError(
-            f"--n-scales must be at least 2 to fit a rate, got {args.n_scales}")
+            f"n_scales must be at least 2 to fit a rate, got {n_scales}")
     seed = 0 if args.seed is None else args.seed
-    field = smoothing.synthetic_rough_field(args.ell_star, N=args.n_modes,
-                                            seed=seed)
-    scales = np.geomspace(args.s_max, args.s_min, args.n_scales)
+    field = smoothing.synthetic_rough_field(ell_star, N=n_modes, seed=seed)
+    scales = np.geomspace(s_max, s_min, n_scales)
     errs = np.array([(field - smoothing.smooth(field, float(s))).sup_norm()
                      for s in scales])
     slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
     return {
-        "ell_star": args.ell_star,
+        "ell_star": ell_star,
         "fitted_rate": slope,
-        "relative_gap": abs(slope - args.ell_star) / args.ell_star,
+        "relative_gap": abs(slope - ell_star) / ell_star,
         "scales": [float(s) for s in scales],
         "errors": [float(e) for e in errs],
     }
@@ -267,14 +272,18 @@ def _cmd_smooth_test(args):
 
 def _cmd_homsolve(args):
     from . import newton
-    freq = _resolve_frequency(_omega_spec(args), 1, args.tau, args.k_max)
-    pert = {"kind": "standard", "eps": args.eps}
-    if args.g_amp is not None:
-        pert["g_amp"] = args.g_amp
-    dyn = newton._dynamics(args.mode)
-    sol = dyn.solve(dyn.sample(_build_inputs(args.mode, pert, freq.omega),
-                               freq.omega, 1, args.n_modes, args.q_y, args.r), freq)
-    return {"mode": args.mode, "min_divisor": sol.min_divisor,
+    cfg = _merge_config(args, _HOMSOLVE_DEFAULTS)
+    mode = cfg["mode"]
+    dyn = newton._dynamics(mode)
+    freq = _frequency(cfg, 1)
+    pert = {"kind": "standard", "eps": cfg["eps"]}
+    if cfg["g_amp"] is not None:
+        pert["g_amp"] = cfg["g_amp"]
+    fg = dyn.sample(_build_inputs(mode, pert, freq.omega), freq.omega, 1,
+                    _number(cfg, "n_modes", int), _number(cfg, "q_y", int),
+                    _number(cfg, "r", float))
+    sol = dyn.solve(fg, freq)
+    return {"mode": mode, "min_divisor": sol.min_divisor,
             "residual_u": sol.residual_u, "residual_v": sol.residual_v,
             "sup_u": sol.uv.components(0, 1).sup_norm(),
             "sup_v": sol.uv.components(1, 2).sup_norm(),
@@ -308,12 +317,10 @@ def _cmd_kam_run(args):
     mode = cfg["mode"]
     name = cfg["name"] = _run_name(cfg["name"] or f"kam-{mode}")
     num = {key: _number(cfg, key, kind) for key, kind in (
-        ("d", int), ("K_max", int), ("mu", float), ("eps0", float), ("M", int),
+        ("d", int), ("mu", float), ("eps0", float), ("M", int),
         ("tol", float), ("q_y", int))}
     verify = _verify_settings(cfg)
-    omega = cfg["omega"] if isinstance(cfg["omega"], str) else _numbers(cfg, "omega")
-    tau = None if cfg["tau"] is None else _number(cfg, "tau", float)
-    freq = _resolve_frequency(omega, num["d"], tau, num["K_max"])
+    freq = _frequency(cfg, num["d"])
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
     system = _build_inputs(mode, cfg["perturbation"], freq.omega)
@@ -337,12 +344,15 @@ def _cmd_kam_run(args):
 def _cmd_lienard_orbit(args):
     import numpy as np
     from . import lienard, persistence
-    if args.csv and args.csv_samples < 1:
+    cfg = _merge_config(args, _ORBIT_DEFAULTS)
+    n, samples, csv_samples = (_number(cfg, key, int)
+                               for key in ("n", "samples", "csv_samples"))
+    if args.csv and csv_samples < 1:
         raise errors.ParameterError(
-            f"--csv-samples must be at least 1, got {args.csv_samples}")
-    orbit = lienard.compute_reference_orbit(args.n, n_samples=args.samples)
+            f"config key 'csv_samples' must be at least 1, got {csv_samples}")
+    orbit = lienard.compute_reference_orbit(n, n_samples=samples)
     summary = {
-        "n": args.n,
+        "n": n,
         "period": orbit.period,
         "modes": (len(orbit.coeffs_x) - 1) // 2,
         "amplitude": orbit.amplitude(),
@@ -351,7 +361,7 @@ def _cmd_lienard_orbit(args):
         "energy_residual": orbit.energy_residual(),
     }
     if args.csv:
-        s = orbit.period * np.arange(args.csv_samples) / args.csv_samples
+        s = orbit.period * np.arange(csv_samples) / csv_samples
         phi = (2.0 * np.pi / orbit.period) * s
         x0, y0 = orbit.angle_data(phi)
         rows = zip(s, x0, y0)
@@ -364,8 +374,10 @@ def _cmd_lienard_poincare(args):
     import numpy as np
     from . import lienard, persistence
     cfg = _merge_config(args, _POINCARE_DEFAULTS)
-    if args.iterates < 0:
-        raise errors.ParameterError(f"--iterates must be >= 0, got {args.iterates}")
+    iterates = _number(cfg, "iterates", int)
+    if iterates < 0:
+        raise errors.ParameterError(
+            f"config key 'iterates' must be >= 0, got {iterates}")
     problem = _make_problem(cfg)
     n_steps = _number(cfg, "n_steps", int)
     theta_points = _number(cfg, "theta_points", int)
@@ -382,7 +394,7 @@ def _cmd_lienard_poincare(args):
         TH, RH = np.meshgrid(thetas, rhos, indexing="ij")
         theta, rho = TH.ravel(), RH.ravel()
         rows = [(i, 0, theta[i], rho[i], False) for i in range(len(theta))]
-        for it in range(1, args.iterates + 1):
+        for it in range(1, iterates + 1):
             res = lienard.poincare_map(system, theta, rho,
                                        n_steps=n_steps)
             theta, rho = np.mod(res.theta, 2.0 * np.pi), res.rho
@@ -453,8 +465,6 @@ def _cmd_verify(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="JSON config file overlaying the defaults")
     common.add_argument("--out", default="runs", metavar="DIR",
                         help="root directory for run outputs (default: runs)")
     common.add_argument("--threads", type=int, default=None, metavar="N",
@@ -464,10 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
                              "randomized diagnostics")
     common.add_argument("--json-summary", action="store_true",
                         help="print the summary as JSON instead of key = value")
-    common.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="override one config entry (repeatable; dotted "
-                             "keys reach nested sections)")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", metavar="PATH",
+                            help="JSON config file overlaying the defaults")
+    configured.add_argument("--set", dest="overrides", action="append", default=[],
+                            metavar="KEY=VALUE",
+                            help="override one config entry (repeatable; dotted "
+                                 "keys reach nested sections)")
+
+    def add_configured(sub, name, help, handler, defaults):
+        """A subcommand reading ``defaults`` overlaid by --config and --set."""
+        p = sub.add_parser(name, parents=[configured], help=help,
+                           description="config keys and their defaults: "
+                                       + json.dumps(defaults))
+        p.set_defaults(handler=handler)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="revtori",
@@ -475,76 +496,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "Lagrange stability experiment built on them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dioph", parents=[common],
-                       help="certify a frequency vector")
-    p.add_argument("--omega", help="comma-separated components; overrides --kind")
-    p.add_argument("--kind", default="golden",
-                   help="named frequency family (default: golden)")
-    p.add_argument("--d", type=int, default=1, help="dimension for --kind")
-    p.add_argument("--tau", type=float, default=None,
-                   help="Diophantine exponent (default: d + 1e-4)")
-    p.add_argument("--k-max", type=int, default=2000,
-                   help="largest |k|_1 scanned by the certifier")
-    p.set_defaults(handler=_cmd_dioph)
-
-    p = sub.add_parser("smooth-test", parents=[common],
-                       help="fit the smoothing approximation rate on a "
-                            "synthetic field of known regularity")
-    p.add_argument("--ell-star", type=float, default=2.5)
-    p.add_argument("--n-modes", type=int, default=512)
-    p.add_argument("--n-scales", type=int, default=6)
-    p.add_argument("--s-max", type=float, default=0.5)
-    p.add_argument("--s-min", type=float, default=0.05)
-    p.set_defaults(handler=_cmd_smooth_test)
-
-    p = sub.add_parser("homsolve", parents=[common],
-                       help="solve one homological system for a single-mode "
-                            "input and report residuals")
-    p.add_argument("--mode", choices=("flow", "map"), default="flow")
-    p.add_argument("--omega", help="comma-separated components; overrides --kind")
-    p.add_argument("--kind", default="golden")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--k-max", type=int, default=2000)
-    p.add_argument("--n-modes", type=int, default=8)
-    p.add_argument("--q-y", type=int, default=2)
-    p.add_argument("--r", type=float, default=0.1)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--g-amp", type=float, default=None,
-                   help="ratio of g to f in flow mode (default: 0.05)")
-    p.set_defaults(handler=_cmd_homsolve)
+    add_configured(sub, "dioph", "certify a frequency vector",
+                   _cmd_dioph, _DIOPH_DEFAULTS)
+    add_configured(sub, "smooth-test", "fit the smoothing approximation rate on "
+                   "a synthetic field of known regularity",
+                   _cmd_smooth_test, _SMOOTH_DEFAULTS)
+    add_configured(sub, "homsolve", "solve one homological system for a "
+                   "single-mode input and report residuals",
+                   _cmd_homsolve, _HOMSOLVE_DEFAULTS)
 
     p = sub.add_parser("kam", help="Newton iteration for invariant tori")
     kam_sub = p.add_subparsers(dest="kam_command", required=True)
-    p = kam_sub.add_parser("run", parents=[common],
-                           help="run the iteration and write a run directory")
-    p.set_defaults(handler=_cmd_kam_run)
+    add_configured(kam_sub, "run", "run the iteration and write a run directory",
+                   _cmd_kam_run, _KAM_DEFAULTS)
 
     p = sub.add_parser("lienard", help="forced oscillator experiments")
     lie_sub = p.add_subparsers(dest="lienard_command", required=True)
-    p = lie_sub.add_parser("orbit", parents=[common],
-                           help="reference orbit residuals")
-    p.add_argument("--n", type=int, default=1,
-                   help="power n in the restoring force x^(2n+1)")
-    p.add_argument("--samples", type=int, default=8192)
+    p = add_configured(lie_sub, "orbit", "reference orbit residuals",
+                       _cmd_lienard_orbit, _ORBIT_DEFAULTS)
     p.add_argument("--csv", metavar="PATH",
-                   help="also write (t, x, xdot) samples over one period")
-    p.add_argument("--csv-samples", type=int, default=512)
-    p.set_defaults(handler=_cmd_lienard_orbit)
-    p = lie_sub.add_parser("poincare", parents=[common],
-                           help="reversibility residual of the period-1 "
-                                "section map")
+                   help="also write csv_samples (t, x, xdot) rows over one period")
+    p = add_configured(lie_sub, "poincare", "reversibility residual of the "
+                       "period-1 section map",
+                       _cmd_lienard_poincare, _POINCARE_DEFAULTS)
     p.add_argument("--csv", metavar="PATH",
-                   help="also write section iterates as CSV")
-    p.add_argument("--iterates", type=int, default=32,
-                   help="section iterations per sample for --csv")
-    p.set_defaults(handler=_cmd_lienard_poincare)
-    p = lie_sub.add_parser("stability", parents=[common],
-                           help="long-time excursion ratios, written as a "
-                                "run directory")
-    p.set_defaults(handler=_cmd_lienard_stability)
+                   help="also write the section iterates of every sample")
+    add_configured(lie_sub, "stability", "long-time excursion ratios, written "
+                   "as a run directory",
+                   _cmd_lienard_stability, _STABILITY_DEFAULTS)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="recheck a run directory against its manifest")
+                       help="recheck a run directory against its manifest "
+                            "(takes no config)")
     p.add_argument("run", help="run directory containing manifest.json")
     p.set_defaults(handler=_cmd_verify)
 
@@ -565,7 +548,7 @@ def _print_summary(summary: dict, as_json: bool) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        threads = getattr(args, "threads", None)
+        threads = args.threads
         if threads is not None and threads < 1:
             raise errors.ParameterError(f"--threads must be at least 1, got {threads}")
         # Pin the BLAS/OpenMP pools before a handler first imports numpy: an

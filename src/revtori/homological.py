@@ -48,8 +48,9 @@ class HomologicalSolution:
 
     ``uv`` holds u then v as the 2d components of one field.  ``g_mean``
     is the (k, l) = 0 block of g, which the equations cannot remove.
-    ``residual_u`` and ``residual_v`` are grid sup norms of the defining
-    equations' residuals (zero up to roundoff by construction).
+    ``residual_u`` and ``residual_v`` are coefficient majorants of the
+    defining equations' residuals, upper bounds on their sup norms (zero up
+    to roundoff by construction).
     """
 
     uv: FourierField
@@ -142,8 +143,8 @@ def _solve(fg: FourierField, freq: Frequency, L: np.ndarray,
     return HomologicalSolution(
         uv=field(np.concatenate([u, v], axis=-1), tags), g_mean=field(g_mean),
         min_divisor=min_div,
-        residual_u=field(Lc * u - (v - f)).sup_norm(),
-        residual_v=field(Lc * v + g - g_mean).sup_norm())
+        residual_u=field(Lc * u - (v - f)).majorant(),
+        residual_v=field(Lc * v + g - g_mean).majorant())
 
 
 def _check_pair(fg: FourierField, what: str):

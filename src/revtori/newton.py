@@ -204,7 +204,7 @@ class TorusEmbedding:
             squeeze = True
         elif theta.ndim == 1:
             theta = theta.reshape(-1, 1) if self.d == 1 else theta.reshape(1, -1)
-        xy = self.xy.evaluate(theta, None, t, check_domain=False)
+        xy = self.xy.evaluate(theta, None, t)
         x, yv = theta + xy[:, :self.d], xy[:, self.d:]
         if squeeze:
             return x[0], yv[0]

@@ -47,30 +47,30 @@ class TestDioph:
         assert data["tau"] == pytest.approx(1.0001)
 
     def test_explicit_components(self, capsys):
-        code, data = run_json(capsys, ["dioph", "--omega",
-                                       f"{GOLDEN:.16f}"])
+        code, data = run_json(capsys, ["dioph", "--set",
+                                       f"omega={GOLDEN:.16f}"])
         assert code == 0
         assert data["kappa"] > 0
 
     def test_two_dimensional_family(self, capsys):
-        code, data = run_json(capsys, ["dioph", "--kind", "sqrt_prime",
-                                       "--d", "2", "--k-max", "400"])
+        code, data = run_json(capsys, ["dioph", "--set", "omega=sqrt_prime",
+                                       "--set", "d=2", "--set", "K_max=400"])
         assert code == 0
         assert len(data["omega"]) == 2
 
     def test_resonant_frequency_is_parameter_error(self, capsys):
-        assert main(["dioph", "--omega", "0.5"]) == 2
+        assert main(["dioph", "--set", "omega=0.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_family(self):
-        assert main(["dioph", "--kind", "banana"]) == 2
+        assert main(["dioph", "--set", "omega=banana"]) == 2
 
     def test_malformed_omega(self):
-        assert main(["dioph", "--omega", "1.0,x"]) == 2
+        assert main(["dioph", "--set", 'omega=[1.0,"x"]']) == 2
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])
     def test_non_finite_tau_exits_2(self, capsys, tau):
-        assert main(["dioph", "--tau", tau]) == 2
+        assert main(["dioph", "--set", f"tau={tau}"]) == 2
         assert "tau" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -100,13 +100,13 @@ class TestDioph:
 
 class TestSmoothTest:
     def test_rate_fits_the_declared_regularity(self, capsys):
-        code, data = run_json(capsys, ["smooth-test", "--ell-star", "3.1",
-                                       "--n-modes", "256"])
+        code, data = run_json(capsys, ["smooth-test", "--set", "ell_star=3.1",
+                                       "--set", "n_modes=256"])
         assert code == 0
         assert data["relative_gap"] < 0.25
 
     def test_seeded_output_is_reproducible(self, capsys):
-        argv = ["smooth-test", "--n-modes", "128", "--seed", "5",
+        argv = ["smooth-test", "--set", "n_modes=128", "--seed", "5",
                 "--json-summary"]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -114,26 +114,26 @@ class TestSmoothTest:
         assert capsys.readouterr().out == first
 
     @pytest.mark.parametrize("flags", [
-        ["--s-min", "0"], ["--s-max", "-0.5"], ["--n-scales", "0"],
-        ["--n-scales", "1"], ["--n-modes", "0"], ["--ell-star", "nan"],
-        ["--ell-star", "inf"],
+        ["--set", "s_min=0"], ["--set", "s_max=-0.5"], ["--set", "n_scales=0"],
+        ["--set", "n_scales=1"], ["--set", "n_modes=0"], ["--set", "ell_star=nan"],
+        ["--set", "ell_star=inf"],
     ])
     def test_bad_inputs_exit_2(self, capsys, flags):
-        assert main(["smooth-test", "--n-modes", "64", *flags]) == 2
+        assert main(["smooth-test", "--set", "n_modes=64", *flags]) == 2
         assert "error:" in capsys.readouterr().err
 
 
 class TestHomsolve:
     def test_flow_residuals(self, capsys):
-        code, data = run_json(capsys, ["homsolve", "--mode", "flow"])
+        code, data = run_json(capsys, ["homsolve", "--set", "mode=flow"])
         assert code == 0
         assert data["residual_u"] < 1e-12
         assert data["residual_v"] < 1e-12
         assert data["min_divisor"] > 0
 
     def test_map_summary(self, capsys):
-        code, data = run_json(capsys, ["homsolve", "--mode", "map",
-                                       "--eps", "1e-4"])
+        code, data = run_json(capsys, ["homsolve", "--set", "mode=map",
+                                       "--set", "eps=1e-4"])
         assert code == 0
         assert np.isfinite(data["sup_u"]) and data["sup_u"] > 0
         assert data["min_divisor"] > 0
@@ -141,17 +141,19 @@ class TestHomsolve:
         assert data["residual_v"] < 1e-12
 
     def test_modes_report_the_same_keys(self, capsys):
-        _, flow = run_json(capsys, ["homsolve", "--mode", "flow"])
-        _, mapping = run_json(capsys, ["homsolve", "--mode", "map"])
+        _, flow = run_json(capsys, ["homsolve", "--set", "mode=flow"])
+        _, mapping = run_json(capsys, ["homsolve", "--set", "mode=map"])
         assert list(flow) == list(mapping)
         assert flow["sup_mean_correction"] == 0.0
         assert mapping["sup_mean_correction"] > 0.0
 
     @pytest.mark.parametrize("flags", [
-        ["--n-modes", "-1"], ["--mode", "map", "--g-amp", "0.1"],
-        ["--eps", "nan"], ["--eps", "inf"], ["--mode", "map", "--eps", "nan"],
-        ["--tau", "nan"], ["--r", "nan"], ["--r", "inf"],
-        ["--mode", "map", "--r", "nan"], ["--q-y", "0", "--r", "nan"],
+        ["--set", "n_modes=-1"], ["--set", "mode=map", "--set", "g_amp=0.1"],
+        ["--set", "eps=nan"], ["--set", "eps=inf"],
+        ["--set", "mode=map", "--set", "eps=nan"], ["--set", "tau=nan"],
+        ["--set", "r=nan"], ["--set", "r=inf"],
+        ["--set", "mode=map", "--set", "r=nan"],
+        ["--set", "q_y=0", "--set", "r=nan"],
     ])
     def test_bad_inputs_exit_2(self, capsys, flags):
         assert main(["homsolve", *flags]) == 2
@@ -379,7 +381,7 @@ class TestDeterminism:
         for sub in ("a", "b"):
             csv_path = tmp_path / f"{sub}.csv"
             assert main(["lienard", "poincare", "--csv", str(csv_path),
-                         "--iterates", "2"]) == 0
+                         "--set", "iterates=2"]) == 0
             capsys.readouterr()
             tables.append(csv_path.read_bytes())
         assert tables[0] == tables[1]
@@ -481,7 +483,7 @@ class TestShippedConfigs:
 class TestLienardCli:
     def test_orbit_summary_and_csv(self, tmp_path, capsys):
         csv = tmp_path / "orbit.csv"
-        code, data = run_json(capsys, ["lienard", "orbit", "--n", "2",
+        code, data = run_json(capsys, ["lienard", "orbit", "--set", "n=2",
                                        "--csv", str(csv)])
         assert code == 0
         from test_lienard import closed_form_period
@@ -500,26 +502,25 @@ class TestLienardCli:
         assert np.array_equal(table[:, 2], y0)
 
     def test_orbit_bad_n(self):
-        assert main(["lienard", "orbit", "--n", "0"]) == 2
+        assert main(["lienard", "orbit", "--set", "n=0"]) == 2
 
     @pytest.mark.parametrize("samples", ["0", "-5", "8", "35"])
     def test_orbit_too_few_samples_exits_2(self, capsys, samples):
         # the kept band needs samples // 4 > 8 modes to stay unaliased
-        assert main(["lienard", "orbit", "--samples", samples]) == 2
+        assert main(["lienard", "orbit", "--set", f"samples={samples}"]) == 2
         assert "n_samples" in capsys.readouterr().err
-        assert main(["lienard", "orbit", "--samples", "36"]) == 0
+        assert main(["lienard", "orbit", "--set", "samples=36"]) == 0
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_orbit_no_csv_samples_exits_2(self, tmp_path, capsys, samples):
         csv = tmp_path / "orbit.csv"
         argv = ["lienard", "orbit", "--csv", str(csv)]
-        assert main([*argv, f"--csv-samples={samples}"]) == 2
-        assert "--csv-samples" in capsys.readouterr().err
+        assert main([*argv, "--set", f"csv_samples={samples}"]) == 2
+        assert "'csv_samples'" in capsys.readouterr().err
         assert not csv.exists()
-        with pytest.raises(SystemExit) as err:  # argparse refuses a fraction
-            main([*argv, "--csv-samples=0.5"])
-        assert err.value.code == 2
-        assert main([*argv, "--csv-samples=1"]) == 0
+        # a fraction is refused, not truncated
+        assert main([*argv, "--set", "csv_samples=0.5"]) == 2
+        assert main([*argv, "--set", "csv_samples=1"]) == 0
         assert len(csv.read_text().splitlines()) == 2
 
     def test_perturbation_key_typo_exits_2(self, tmp_path, capsys):
@@ -608,7 +609,7 @@ class TestLienardCli:
     def test_poincare_residual_and_iterates(self, tmp_path, capsys):
         csv = tmp_path / "section.csv"
         code, data = run_json(capsys, [
-            "lienard", "poincare", "--csv", str(csv), "--iterates", "2",
+            "lienard", "poincare", "--csv", str(csv), "--set", "iterates=2",
             "--set", "n_steps=64", "--set", "theta_points=4",
             "--set", "rho_levels=[0.8,1.2]"])
         assert code == 0
@@ -630,11 +631,11 @@ class TestLienardCli:
         csv = tmp_path / "section.csv"
         short = ["--set", "n_steps=8", "--set", "theta_points=2",
                  "--set", "rho_levels=[1.2]"]
-        assert main(["lienard", "poincare", "--iterates", "-1",
+        assert main(["lienard", "poincare", "--set", "iterates=-1",
                      "--csv", str(csv), *short]) == 2
-        assert "--iterates" in capsys.readouterr().err
+        assert "'iterates'" in capsys.readouterr().err
         assert not csv.exists()
-        assert main(["lienard", "poincare", "--iterates", "0",
+        assert main(["lienard", "poincare", "--set", "iterates=0",
                      "--csv", str(csv), *short]) == 0
         lines = csv.read_text().splitlines()
         assert len(lines) == 1 + 2  # the two samples at iterate 0
@@ -657,6 +658,30 @@ class TestLienardCli:
 
 
 class TestParser:
+    # every command that reads a config
+    CONFIGURED = [["dioph"], ["smooth-test"], ["homsolve"], ["kam", "run"],
+                  ["lienard", "orbit"], ["lienard", "poincare"],
+                  ["lienard", "stability"]]
+
+    @pytest.mark.parametrize("command", CONFIGURED, ids=" ".join)
+    def test_every_command_reads_its_config(self, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "out")]
+        assert main([*command, *out, "--set", "frobnicate=1"]) == 2
+        assert "'frobnicate'" in capsys.readouterr().err
+        bad_key = tmp_path / "bad_key.json"
+        bad_key.write_text(json.dumps({"frobnicate": 1}))
+        assert main([*command, *out, "--config", str(bad_key)]) == 2
+        assert "frobnicate" in capsys.readouterr().err
+        assert main([*command, *out, "--config", str(tmp_path / "absent.json")]) == 4
+        assert "absent.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_takes_no_config(self, kam_run):
+        for option in (["--set", "x=1"], ["--config", "cfg.json"]):
+            with pytest.raises(SystemExit) as err:
+                main(["verify", str(kam_run), *option])
+            assert err.value.code == 2
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])
