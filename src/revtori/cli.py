@@ -26,6 +26,7 @@ are only pulled in inside the command handlers.
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -186,12 +187,18 @@ def _merge_config(args, defaults: dict) -> dict:
 def _frequency(cfg: dict, d: int):
     """The certified frequency of cfg's omega, tau and K_max.
 
-    omega is a family name (of dimension d) or the components themselves.
+    omega is a family name (of dimension d) or the components themselves,
+    d of them.
     """
     from . import diophantine
     omega = cfg["omega"]
-    omega = (diophantine.make_frequency(d, omega) if isinstance(omega, str)
-             else _numbers(cfg, "omega"))
+    if isinstance(omega, str):
+        omega = diophantine.make_frequency(d, omega)
+    else:
+        omega = _numbers(cfg, "omega")
+        if len(omega) != d:
+            raise errors.ParameterError(
+                f"config key 'omega' has {len(omega)} components, but d = {d}")
     tau = None if cfg["tau"] is None else _number(cfg, "tau", float)
     return diophantine.certify(omega, tau=tau, K_max=_number(cfg, "K_max", int))
 
@@ -534,6 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built on the first call only."""
+    return build_parser()
+
+
 def _print_summary(summary: dict, as_json: bool) -> None:
     if as_json:
         from . import persistence
@@ -546,7 +559,7 @@ def _print_summary(summary: dict, as_json: bool) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = _parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         threads = args.threads
         if threads is not None and threads < 1:

@@ -23,6 +23,7 @@ F(-x, y, -t) = -F(x, y, t) (purely imaginary coefficients).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -46,16 +47,22 @@ _EVAL_BLOCK_ENTRIES = 1 << 18
 _JET_TABLE_ENTRIES = 1 << 21
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@functools.lru_cache(maxsize=None)
 def action_powers(d: int, q_y: int) -> np.ndarray:
     """Multi-indices alpha with |alpha| <= q_y in graded lexicographic order.
 
-    Returns an integer array of shape (P, d).
+    Returns a read-only integer array of shape (P, d), made once per (d, q_y).
     """
     if d < 1 or q_y < 0:
         raise ParameterError(f"need d >= 1 and q_y >= 0, got d={d}, q_y={q_y}")
     combos = [a for a in itertools.product(range(q_y + 1), repeat=d) if sum(a) <= q_y]
     combos.sort(key=lambda a: (sum(a), a))
-    return np.array(combos, dtype=int).reshape(len(combos), d)
+    return _read_only(np.array(combos, dtype=int).reshape(len(combos), d))
 
 
 def abs_order_grid(n_axes: int, N: int) -> np.ndarray:
@@ -587,7 +594,8 @@ def _node_spectrum(field: FourierField, n: int, n_t: int) -> np.ndarray:
     to that of its derivative d^alpha.  H is the time transform of the
     coefficients' Hermitian part (c(k, l) + conj c(-k, -l)) / 2, each time
     mode l placed at l mod n_t; only the wave numbers k = 0..N of the last
-    angle, the half a real inverse FFT reads, are transformed.  Shape
+    angle, the half the real synthesis of :func:`_node_tables` reads, are
+    transformed.  Shape
     (2N+1,)*(d-1) + (N+1,) + (n_t, P, m).
     """
     d, c, N, N_t = field.d, field.coeffs, field.N, field.N_t
@@ -605,27 +613,55 @@ def _node_spectrum(field: FourierField, n: int, n_t: int) -> np.ndarray:
 def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int) -> np.ndarray:
     """Real tables sum_k (ik)^alpha / alpha! H(k, t) e^(i <k, x>) at the nodes.
 
-    ``spectrum`` is H from :func:`_node_spectrum`.  Every alpha is weighted
-    in one batch.  Each of the first d-1 angle axes holds its wave numbers
-    k at k mod n on n points, the layout :func:`field_from_grid_samples`
-    reads, and one real inverse FFT, which pads the last axis's k = 0..N
-    with zeros itself, gives the tables, shape (len(alphas),) + (n,)*d +
-    (n_t, P, m).
+    ``spectrum`` is H from :func:`_node_spectrum`.  The weights of the
+    first d-1 angle axes are applied once per distinct leading part of the
+    alphas, each such axis holding its wave numbers k at k mod n on n
+    points, the layout :func:`field_from_grid_samples` reads, and one
+    complex inverse FFT over those axes follows (none when d = 1).  The
+    last angle axis, whose k = 0..N stand for the whole Hermitian range,
+    is synthesized per alpha as one real product: the rows of
+    :func:`_synthesis_matrix`, weighted by (ik)^alpha_d / alpha_d!, split
+    into real and imaginary parts, against [Re H; Im H].  Shape
+    (len(alphas),) + (n,)*d + (n_t, P, m).
     """
     d = len(alphas[0])
     k = np.arange(-N, N + 1)
     top = max(max(alpha) for alpha in alphas)
-    # (ik)^e / e! per angle axis and order e
-    powers = [[(1j ** e / math.factorial(e)) * ka.astype(float) ** e for e in range(top + 1)]
-              for ka in [k] * (d - 1) + [k[N:]]]
-    spec = np.zeros((len(alphas),) + (n,) * (d - 1) + spectrum.shape[d - 1:], dtype=complex)
-    place = np.ix_(*[k % n] * (d - 1))
+    # (ik)^e / e! for k = -N..N and order e
+    powers = [(1j ** e / math.factorial(e)) * k.astype(float) ** e for e in range(top + 1)]
+    heads = sorted({alpha[:-1] for alpha in alphas})
+    spec = spectrum[None]
+    if d > 1:
+        spec = np.zeros((len(heads),) + (n,) * (d - 1) + spectrum.shape[d - 1:], dtype=complex)
+        place = np.ix_(*[k % n] * (d - 1))
+        for i, head in enumerate(heads):
+            weight = np.ones(())
+            for e in head:
+                weight = np.multiply.outer(weight, powers[e])
+            spec[(i,) + place] = spectrum * weight[(...,) + (None,) * 4]
+        spec = np.fft.ifftn(spec, axes=tuple(range(1, d)), norm="forward")
+    parts = np.concatenate([spec.real, spec.imag], axis=d).reshape(
+        len(heads), n ** (d - 1), 2 * (N + 1), -1)
+    out = np.empty((len(alphas), n ** (d - 1), n, parts.shape[-1]))
     for i, alpha in enumerate(alphas):
-        weight = np.ones(())
-        for a, e in enumerate(alpha):
-            weight = np.multiply.outer(weight, powers[a][e])
-        spec[(i,) + place] = spectrum * weight[..., None, None, None]
-    return np.fft.irfftn(spec, s=(n,) * d, axes=tuple(range(1, d + 1)), norm="forward")
+        rows = _synthesis_matrix(n, N) * powers[alpha[-1]][N:]
+        np.matmul(np.concatenate([rows.real, -rows.imag], axis=1),
+                  parts[heads.index(alpha[:-1])], out=out[i])
+    return out.reshape((len(alphas),) + (n,) * d + spectrum.shape[d:])
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesis_matrix(n: int, N: int) -> np.ndarray:
+    """w_k e^(i k x_j) for the nodes x_j = 2 pi j / n and k = 0..N.
+
+    w_0 = 1 and w_k = 2 otherwise, so the real parts of its rows against
+    H(k), k = 0..N, give sum_k H(k) e^(i k x_j) over the Hermitian range
+    |k| <= N: the real matrix with rows w_k cos(k x_j), then
+    -w_k sin(k x_j), against [Re H; Im H].  Read-only, shape (n, N+1).
+    """
+    k = np.arange(N + 1)
+    angle = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
+    return _read_only(np.where(k > 0, 2.0, 1.0) * np.exp(1j * angle))
 
 
 class GridJet:
@@ -643,8 +679,10 @@ class GridJet:
 
     The time axis is transformed once, when the jet is made
     (:func:`_node_spectrum`).  The real tables d^alpha F / alpha! on the
-    grid come from one real inverse FFT over the angles per batch of
-    multi-indices, each mode k at k mod n, as the fits read them.  The
+    grid come per batch of multi-indices from :func:`_node_tables`: one
+    complex inverse FFT over the leading angles, each mode k at k mod n,
+    as the fits read them, and one real product per multi-index over the
+    last angle.  The
     Taylor order K is set per call by :func:`taylor_order` from
     h = N max |delta|_inf (offsets are first re-anchored to their nearest
     node, so h <= pi N / n), which bounds the truncation by 2^-53 times the
@@ -859,10 +897,17 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     (n_t,) + (m,)``: the layout :class:`GridJet` reads.  The grid is
     2 pi j / n per angle axis with n >= 2N+1; n_t = n fits a time-dependent
     field (N_t = N), n_t = 1 (samples at t = 0) an autonomous one
-    (N_t = 0).  One FFT over the grid axes gives the modes |k|_1 + |l| <= N;
-    frequencies above N in the samples alias, so callers choose n large
-    enough for their spectra.  The tensor grid of q_y+1 nodes per action
-    axis determines the powers of total degree <= q_y.
+    (N_t = 0).  The tensor grid of q_y+1 nodes per action axis determines
+    the powers of total degree <= q_y.
+
+    The action basis is solved first, on the real samples: one real
+    product with :func:`_action_solver` takes the sheets to one real grid
+    per power.  The least-squares solve and the grid FFT act on different
+    axes, so they commute.  One FFT over the grid axes, real in the last
+    angle, then gives the modes |k|_1 + |l| <= N: those with k_d >= 0 are
+    read off, the others follow by reality, c(k, l) = conj c(-k, -l).
+    Frequencies above N in the samples alias, so callers choose n large
+    enough for their spectra.
 
     The power basis is fitted in the scaled action y / r, where every
     coefficient is of the size of the samples, so the reality and parity
@@ -870,8 +915,9 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     divided by r^|alpha| afterwards.
     """
     values = np.asarray(values, dtype=float)
-    y_nodes = default_action_nodes(d, q_y, r)
-    n_y = len(y_nodes)
+    _check_radius(q_y, r)
+    solver = _action_solver(d, q_y)
+    P, n_y = solver.shape
     n = values.shape[1] if values.ndim == d + 3 else 0
     if n < 2 * N + 1 or values.shape[:d + 1] != (n_y,) + (n,) * d \
             or values.shape[d + 1] not in (1, n):
@@ -879,19 +925,33 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
                          f"with n >= {2 * N + 1}, got {values.shape}")
     m, n_t = values.shape[-1], values.shape[d + 1]
     N_t = N if n_t > 1 else 0
-    spec = np.fft.fftn(values, axes=tuple(range(1, d + 2))) / (float(n) ** d * n_t)
-    idx = np.arange(-N, N + 1) % n
-    modes = spec[(slice(None),) + np.ix_(*([idx] * d), np.arange(-N_t, N_t + 1) % n_t)]
+    per_power = (solver @ values.reshape(n_y, -1)).reshape((P,) + values.shape[1:])
+    # the real transform runs over the last angle axis, listed last
+    spec = np.fft.rfftn(per_power, axes=(*range(1, d), d + 1, d), norm="forward")
+    k, l = np.arange(-N, N + 1) % n, np.arange(-N_t, N_t + 1) % n_t
+    half = spec[(slice(None),) + np.ix_(*[k] * (d - 1), np.arange(N + 1), l)]
+    # k_d < 0: c(k', k_d, l) = conj c(-k', -k_d, -l), the reversed half without k_d = 0
+    mirror = np.conj(half[(slice(None),) + (slice(None, None, -1),) * (d - 1)
+                          + (slice(N, 0, -1), slice(None, None, -1))])
+    modes = np.concatenate([mirror, half], axis=d)
     modes[:, ~mode_mask(d, N, N_t)] = 0.0
-    powers = action_powers(d, q_y)
-    scale = float(r) if q_y else 1.0  # the largest |y| of the nodes
-    C = np.linalg.lstsq(_power_matrix(y_nodes / scale, powers), modes.reshape(n_y, -1),
-                        rcond=None)[0]
-    coeffs = np.moveaxis(C.reshape((len(powers),) + modes.shape[1:]), 0, -2)
     parity = _as_parity(parity, m)
-    coeffs = _finalize(coeffs, d, parity, what="fitted field")
-    coeffs /= (scale ** powers.sum(axis=1).astype(float))[:, None]
+    coeffs = _finalize(np.moveaxis(modes, 0, -2), d, parity, what="fitted field")
+    scale = float(r) if q_y else 1.0  # the largest |y| of the nodes
+    coeffs /= (scale ** action_powers(d, q_y).sum(axis=1).astype(float))[:, None]
     return FourierField(d, m, N, q_y, r, coeffs, parity)
+
+
+@functools.lru_cache(maxsize=None)
+def _action_solver(d: int, q_y: int) -> np.ndarray:
+    """Least-squares solver of the action powers at the nodes of radius 1.
+
+    The pseudo-inverse of the power matrix at ``default_action_nodes(d,
+    q_y, 1.0)``: it takes the n_y samples at the nodes to the P
+    coefficients of the powers in y / r.  Read-only, shape (P, n_y).
+    """
+    nodes = default_action_nodes(d, q_y, 1.0)
+    return _read_only(np.linalg.pinv(_power_matrix(nodes, action_powers(d, q_y))))
 
 
 def stack_components(*parts: FourierField) -> FourierField:
@@ -915,11 +975,15 @@ def default_action_nodes(d: int, q_y: int, r: float) -> np.ndarray:
     """Tensor grid of action fit nodes: q_y+1 equispaced points in [-r, r]."""
     if q_y == 0:
         return np.zeros((1, d))
-    if not (math.isfinite(r) and r > 0):
-        raise ParameterError(f"action powers q_y > 0 need a positive finite radius r, got {r}")
+    _check_radius(q_y, r)
     line = np.linspace(-r, r, q_y + 1)
     grids = np.meshgrid(*([line] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _check_radius(q_y: int, r: float) -> None:
+    if q_y and not (math.isfinite(r) and r > 0):
+        raise ParameterError(f"action powers q_y > 0 need a positive finite radius r, got {r}")
 
 
 def field_from_function(fn: Callable, d: int, m: int, N: int, q_y: int = 0,

@@ -538,15 +538,8 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
         return _OrderedJet(h, n_fit, n_t, taylor)
 
     uv_jet = on_grid(sol.uv)
-    dxy = np.empty((n_y * S, 2 * d))  # the inverse's offsets, dx then dy
-    uv_here = np.empty_like(dxy)  # (u, v) at the nodes
-    iters = 0
-    for iy in range(n_y):
-        sheet = slice(iy * S, (iy + 1) * S)
-        dxy[sheet, :d], dxy[sheet, d:], it, uv_here[sheet] = _invert_transform(
-            uv_jet, eta[sheet])
-        iters = max(iters, it)
-    dx, ys = dxy[:, :d], eta + dxy[:, d:]
+    dx, dy, iters, uv_here = _invert_transform(uv_jet, eta)  # uv_here: (u, v) at the nodes
+    ys = eta + dy
     y_excursion = float(np.max(np.sqrt(np.sum(ys * ys, axis=1))))
     if y_excursion > _NESTING_SLACK * r_m + 1e-12:
         raise StepFailureError(
@@ -557,7 +550,7 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
         return field_from_grid_samples(vals.reshape((n_y,) + grid_shape + (2 * d,)), d,
                                        N_out, q_y_fit, r_next, parity=_pair_tags(halves, d))
 
-    UV = _fit(dxy, N_UV, dyn.uv_parity)
+    UV = _fit(np.hstack([dx, dy]), N_UV, dyn.uv_parity)
     fg_next = _fit(dyn.remainder(on_grid, uv_jet, fg, sol.g_mean, freq, dx, ys),
                    N_next, dyn.fg_parity)
 

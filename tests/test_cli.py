@@ -68,6 +68,11 @@ class TestDioph:
     def test_malformed_omega(self):
         assert main(["dioph", "--set", 'omega=[1.0,"x"]']) == 2
 
+    @pytest.mark.parametrize("d, omega", [(3, "[0.6180339887498949]"), (1, "[0.1, 0.2]")])
+    def test_omega_list_must_have_d_components(self, capsys, d, omega):
+        assert main(["dioph", "--set", f"d={d}", "--set", f"omega={omega}"]) == 2
+        assert "'omega'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tau", ["nan", "inf"])
     def test_non_finite_tau_exits_2(self, capsys, tau):
         assert main(["dioph", "--set", f"tau={tau}"]) == 2
@@ -674,6 +679,10 @@ class TestParser:
         assert "frobnicate" in capsys.readouterr().err
         assert main([*command, *out, "--config", str(tmp_path / "absent.json")]) == 4
         assert "absent.json" in capsys.readouterr().err
+        not_json = tmp_path / "not_json.json"
+        not_json.write_text('{"M": 1,')
+        assert main([*command, *out, "--config", str(not_json)]) == 4
+        assert "not_json.json" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_verify_takes_no_config(self, kam_run):
@@ -681,6 +690,21 @@ class TestParser:
             with pytest.raises(SystemExit) as err:
                 main(["verify", str(kam_run), *option])
             assert err.value.code == 2
+
+    def test_repeated_calls_share_nothing_but_the_parser(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["dioph", "--help"])
+            assert err.value.code == 0
+            assert "K_max" in capsys.readouterr().out
+            with pytest.raises(SystemExit) as err:
+                main(["dioph", "--frobnicate"])
+            assert err.value.code == 2
+        code, data = run_json(capsys, ["dioph", "--set", "omega=sqrt_prime", "--set", "d=2",
+                                       "--set", "K_max=400"])
+        assert (code, len(data["omega"]), data["K_max"]) == (0, 2, 400)
+        code, data = run_json(capsys, ["dioph"])  # no --set left over from the last call
+        assert (code, len(data["omega"]), data["K_max"]) == (0, 1, 2000)
 
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

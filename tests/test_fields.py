@@ -620,6 +620,44 @@ class TestFitFromSheets:
             fields.field_from_grid_samples(values, 1, 2, 2, 0.1)
 
 
+def _lstsq_fit_oracle(values, d, N, q_y, r):
+    """The fit as one complex FFT over the grid, then a complex lstsq per mode.
+
+    Returns coefficients times r^|alpha|, shape (2N+1,)*d + (2N_t+1, P, m),
+    without the reality projection.
+    """
+    n, n_t = values.shape[1], values.shape[d + 1]
+    N_t = N if n_t > 1 else 0
+    spec = np.fft.fftn(values, axes=tuple(range(1, d + 2))) / (float(n) ** d * n_t)
+    idx = np.arange(-N, N + 1) % n
+    modes = spec[(slice(None),) + np.ix_(*([idx] * d), np.arange(-N_t, N_t + 1) % n_t)]
+    modes[:, ~fields.mode_mask(d, N, N_t)] = 0.0
+    powers = fields.action_powers(d, q_y)
+    y = fields.default_action_nodes(d, q_y, r) / (r if q_y else 1.0)
+    basis = np.stack([np.prod(y ** alpha, axis=1) for alpha in powers], axis=1)
+    C = np.linalg.lstsq(basis, modes.reshape(len(y), -1), rcond=None)[0]
+    return np.moveaxis(C.reshape((len(powers),) + modes.shape[1:]), 0, -2)
+
+
+class TestFitOracle:
+    """The fit against a complex FFT and lstsq on samples that alias."""
+
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 2)])
+    @pytest.mark.parametrize("extra", [1, 2, 5])  # n = 2N + extra
+    @pytest.mark.parametrize("full_time", [False, True])
+    @pytest.mark.parametrize("q_y", [0, 1, 2])
+    def test_coefficients_match(self, rng, d, N, extra, full_time, q_y):
+        n, r, m = 2 * N + extra, 0.3, 2
+        n_t = n if full_time else 1
+        n_y = len(fields.default_action_nodes(d, q_y, r))
+        values = rng.standard_normal((n_y,) + (n,) * d + (n_t, m))  # not band-limited
+        fit = fields.field_from_grid_samples(values, d, N, q_y, r)
+        got = fit.coeffs * (r ** fit.powers.sum(axis=1))[:, None]
+        want = _lstsq_fit_oracle(values, d, N, q_y, r)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, rng):
         fld = random_parity_field(rng, "odd", N=6, q_y=2, r=0.03)
