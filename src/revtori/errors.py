@@ -8,6 +8,8 @@ that the oscillator model needs no other module for them.
 
 from __future__ import annotations
 
+import numbers
+
 
 class RevtoriError(Exception):
     """Base class for all errors raised deliberately by this package."""
@@ -41,6 +43,13 @@ def int_param(kind: str, params: dict, key: str, default: int) -> int:
         raise ParameterError(
             f"parameter {key!r} of perturbation kind {kind!r} must be an integer, "
             f"got {value!r}")
+    return int(value)
+
+
+def positive_count(value, what: str) -> int:
+    """int(value) for a positive numbers.Integral that is no bool; else ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ParameterError(f"{what} must be a positive integer, got {value!r}")
     return int(value)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _dc_field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,51 +140,45 @@ class FourierField:
 
     Parameters
     ----------
-    d : int
-        Number of angle (and action) dimensions.
-    m : int
-        Number of components.
-    N : int
-        Mode cutoff: coefficients vanish unless |k|_1 + |l| <= N.
-    q_y : int
-        Maximal total action power.
+    coeffs : ndarray, complex
+        Shape ``(2N+1,)*d + (2N_t+1,) + (P, m)``, the field's signature,
+        read off once when the field is made: d equal odd angle axes give
+        the mode cutoff N (coefficients vanish unless |k|_1 + |l| <= N),
+        an odd time axis of at most 2N+1 the time cutoff :attr:`N_t` (N
+        for forced flows, 0 for autonomous fields), P the action powers of
+        total degree at most q_y, and m the components.
     r : float
         Action radius the field is intended to be used on.
-    coeffs : ndarray, complex
-        Shape ``(2N+1,)*d + (2N_t+1,) + (P, m)``; the length of the time
-        axis sets the time cutoff :attr:`N_t` (N for forced flows, 0 for
-        autonomous fields).
     parity : tuple or None
         Per-component parity tags ("even", "odd" or None).
     """
 
-    d: int
-    m: int
-    N: int
-    q_y: int
-    r: float
     coeffs: np.ndarray
+    r: float
     parity: Optional[tuple] = None
+    d: int = _dc_field(init=False)
+    m: int = _dc_field(init=False)
+    N: int = _dc_field(init=False)
+    q_y: int = _dc_field(init=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1 or self.N < 0 or self.q_y < 0:
-            raise ParameterError(
-                f"invalid field signature d={self.d}, m={self.m}, "
-                f"N={self.N}, q_y={self.q_y}"
-            )
         if not (math.isfinite(self.r) and self.r >= 0):
             raise ParameterError(f"action radius must be finite and nonnegative, got {self.r}")
-        P = len(action_powers(self.d, self.q_y))
-        shape = tuple(self.coeffs.shape)
-        N_t = shape[self.d] // 2 if len(shape) == self.d + 3 else self.N
-        want = (2 * self.N + 1,) * self.d + (2 * min(N_t, self.N) + 1, P, self.m)
-        if shape != want:
+        shape = np.shape(self.coeffs)
+        d, q_y = len(shape) - 3, 0
+        N = shape[0] // 2 if d >= 1 else 0
+        while d >= 1 and len(action_powers(d, q_y)) < shape[-2]:
+            q_y += 1
+        if (d < 1 or shape[:d] != (2 * N + 1,) * d or shape[d] % 2 == 0
+                or shape[d] > 2 * N + 1 or len(action_powers(d, q_y)) != shape[-2]
+                or shape[-1] < 1):
             raise ShapeError(
-                f"coefficient array has shape {shape}, expected {want} "
-                "(time axis of odd length at most 2N+1)"
-            )
+                f"coefficient array has shape {shape}, not (2N+1,)*d + (2N_t+1, P, m) with "
+                "2N_t+1 <= 2N+1, P a count of action powers and m >= 1")
         if not np.iscomplexobj(self.coeffs):
             raise ShapeError("coefficient array must be complex")
+        for name, value in zip(("d", "m", "N", "q_y"), (d, shape[-1], N, q_y)):
+            object.__setattr__(self, name, value)
         if self.parity is not None:
             if len(self.parity) != self.m:
                 raise ShapeError("parity tuple length must equal number of components")
@@ -201,7 +195,7 @@ class FourierField:
               parity=None) -> "FourierField":
         P = len(action_powers(d, q_y))
         coeffs = np.zeros((2 * N + 1,) * (d + 1) + (P, m), dtype=complex)
-        return cls(d, m, N, q_y, r, coeffs, _as_parity(parity, m))
+        return cls(coeffs, r, _as_parity(parity, m))
 
     @property
     def N_t(self) -> int:
@@ -372,8 +366,7 @@ class FourierField:
         N_t = max(self.N_t, other.N_t)
         coeffs = self._padded_to(N, q_y, N_t) + other._padded_to(N, q_y, N_t)
         parity = _merge_parity(self.parity, other.parity, self.m)
-        return FourierField(self.d, self.m, N, q_y, _combine_radius(self, other),
-                            coeffs, parity)
+        return FourierField(coeffs, _combine_radius(self, other), parity)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
         return self.__add__(other.scale(-1.0))
@@ -408,7 +401,7 @@ class FourierField:
             b = a.copy()
             b[j] -= 1
             coeffs[..., index_of[tuple(b)], :] += a[j] * self.coeffs[..., i, :]
-        return FourierField(self.d, self.m, self.N, q_y, self.r, coeffs, self.parity)
+        return replace(self, coeffs=coeffs)
 
     def truncate(self, N: int) -> "FourierField":
         """Drop modes above cutoff N."""
@@ -416,7 +409,7 @@ class FourierField:
         N_t = min(self.N_t, N_new)
         coeffs = self.coeffs[_centre(self.d, self.N, self.N_t, N_new, N_t)].copy()
         coeffs[~mode_mask(self.d, N_new, N_t)] = 0.0
-        return FourierField(self.d, self.m, N_new, self.q_y, self.r, coeffs, self.parity)
+        return replace(self, coeffs=coeffs)
 
     def shift_x(self, delta) -> "FourierField":
         """The field (x, y, t) -> F(x + delta, y, t); parity tags are dropped."""
@@ -458,7 +451,7 @@ class FourierField:
         if not 0 <= lo < hi <= self.m:
             raise ShapeError(f"components {lo}..{hi - 1} outside 0..{self.m - 1}")
         parity = self.parity[lo:hi] if self.parity and any(self.parity[lo:hi]) else None
-        return replace(self, m=hi - lo, coeffs=self.coeffs[..., lo:hi].copy(), parity=parity)
+        return replace(self, coeffs=self.coeffs[..., lo:hi].copy(), parity=parity)
 
     def oscillating_part(self) -> "FourierField":
         """Zero out the k = 0 modes, leaving the part that depends on the angles."""
@@ -559,7 +552,7 @@ class FourierField:
         scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
         if scale > 0 and float(np.max(np.abs(coeffs - np.conj(rev)))) > 1e-9 * scale:
             raise PersistenceError("field record violates reality symmetry")
-        return cls(d, m, N, q_y, r, coeffs, parity)
+        return cls(coeffs, r, parity)
 
 
 # ---------------------------------------------------------------------- #
@@ -939,7 +932,7 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     coeffs = _finalize(np.moveaxis(modes, 0, -2), d, parity, what="fitted field")
     scale = float(r) if q_y else 1.0  # the largest |y| of the nodes
     coeffs /= (scale ** action_powers(d, q_y).sum(axis=1).astype(float))[:, None]
-    return FourierField(d, m, N, q_y, r, coeffs, parity)
+    return FourierField(coeffs, r, parity)
 
 
 @functools.lru_cache(maxsize=None)
@@ -967,8 +960,7 @@ def stack_components(*parts: FourierField) -> FourierField:
     coeffs = np.concatenate([p._padded_to(N, q_y, N_t) for p in parts], axis=-1)
     parity = None if all(p.parity is None for p in parts) else sum(
         (p.parity or (None,) * p.m for p in parts), ())
-    return FourierField(parts[0].d, coeffs.shape[-1], N, q_y, max(p.r for p in parts),
-                        coeffs, parity)
+    return FourierField(coeffs, max(p.r for p in parts), parity)
 
 
 def default_action_nodes(d: int, q_y: int, r: float) -> np.ndarray:

@@ -136,7 +136,7 @@ def _solve(fg: FourierField, freq: Frequency, L: np.ndarray,
     u[~mask] = 0.0
 
     def field(coeffs, tags=None):
-        return FourierField(d, coeffs.shape[-1], N, fg.q_y, fg.r, coeffs, tags)
+        return FourierField(coeffs, fg.r, tags)
 
     tags = tuple(map(_flip_parity, fg.parity)) if flip_parity and fg.parity else None
     Lc = L[..., None, None]

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_params, int_param
+from .errors import DomainError, ParameterError, check_params, int_param, positive_count
 from .integrators import implicit_midpoint_step, yoshida_weights
 
 __all__ = [
@@ -149,9 +149,7 @@ class LienardProblem:
     perturbation: Perturbation
 
     def __post_init__(self):
-        if (not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool)
-                or self.n < 1):
-            raise ParameterError(f"n must be a positive integer, got {self.n!r}")
+        positive_count(self.n, "n")
 
     def restoring(self, x):
         """The restoring force x^(2n+1), as x (x^2)^n."""
@@ -233,10 +231,10 @@ class ReferenceOrbit:
     """Trigonometric interpolant of the orbit of x'' + x^(2n+1) = 0 from (0, 1).
 
     x0 is odd and y0 even in the time parameter s; period is the full
-    revolution time T0, and ``angle_data`` reads the orbit at the phase
-    phi = 2 pi s / T0.  closure_error records how far the generating
-    integration landed from its start after one period, symmetry_defect
-    the size of the parity components removed by projection.
+    revolution time T0 = 4 _quarter_period(n), and ``angle_data`` reads
+    the orbit at the phase phi = 2 pi s / T0.  closure_error records how
+    far the generating integration landed from its start after one
+    period, symmetry_defect the size of the parity components removed.
 
     coeffs_x and coeffs_y hold the complex modes -K..K; every evaluation
     is the real part of their sum, taken as one series in the phase
@@ -249,14 +247,15 @@ class ReferenceOrbit:
     """
 
     n: int
-    period: float
     coeffs_x: np.ndarray
     coeffs_y: np.ndarray
     closure_error: float
     symmetry_defect: float
+    period: float = _dc_field(init=False)
     _weights: np.ndarray = _dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "period", 4.0 * _quarter_period(self.n))
         K = (len(self.coeffs_x) - 1) // 2
         k = np.arange(1, K + 1)
         omega = 2.0 * np.pi / self.period
@@ -335,16 +334,13 @@ def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
     is the one the leapfrog makes, in the same order, so the samples are
     the same floats.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    n = positive_count(n, "n")
     if (isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer))
             or n_samples // 4 <= 8):
         raise ParameterError(
             f"n_samples must be an integer with n_samples // 4 > 8, got {n_samples!r}")
-    n = int(n)
     n_samples = int(n_samples)
-    T0 = 4.0 * _quarter_period(n)
-    h = T0 / n_samples
+    h = 4.0 * _quarter_period(n) / n_samples
     stages = [(w * h, 0.5 * (w * h)) for w in yoshida_weights(6).tolist()]
     p = 2 * n + 1
 
@@ -376,7 +372,7 @@ def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
     defect = max(float(np.max(np.abs(cx.real))), float(np.max(np.abs(cy.imag))))
     cx = 1j * cx.imag
     cy = cy.real + 0j
-    return ReferenceOrbit(n=n, period=T0, coeffs_x=cx, coeffs_y=cy,
+    return ReferenceOrbit(n=n, coeffs_x=cx, coeffs_y=cy,
                           closure_error=closure, symmetry_defect=defect)
 
 
@@ -398,25 +394,29 @@ class TransformedSystem:
     with c0 = beta c^(2 beta); F1 is jointly odd and F2 jointly even in
     (theta, t).  The class bounds behind the confinement argument hold for
     rho >= rho_star; rhs, the one evaluator of these equations, enforces
-    that floor.  The constants c^alpha, T0 / 2 pi and 2 beta - 1 are
-    computed once, when the system is built.
+    that floor.  alpha, beta, c, c0 and the constants c^alpha, T0 / 2 pi
+    and 2 beta - 1 are computed once, when the system is built.
     """
 
     problem: LienardProblem
     orbit: ReferenceOrbit
     rho_star: float
-    alpha: float
-    beta: float
-    c: float
-    c0: float
+    alpha: float = _dc_field(init=False)
+    beta: float = _dc_field(init=False)
+    c: float = _dc_field(init=False)
+    c0: float = _dc_field(init=False)
     _ca: float = _dc_field(init=False, repr=False, compare=False)
     _t_2pi: float = _dc_field(init=False, repr=False, compare=False)
     _twist_exp: float = _dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_ca", self.c ** self.alpha)
-        object.__setattr__(self, "_t_2pi", self.orbit.period / (2.0 * np.pi))
-        object.__setattr__(self, "_twist_exp", 2.0 * self.beta - 1.0)
+        alpha = 1.0 / (self.n + 2.0)
+        beta = 1.0 - alpha
+        c = 2.0 * np.pi / (beta * self.orbit.period)
+        derived = dict(alpha=alpha, beta=beta, c=c, c0=beta * c ** (2.0 * beta), _ca=c ** alpha,
+                       _t_2pi=self.orbit.period / (2.0 * np.pi), _twist_exp=2.0 * beta - 1.0)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -489,13 +489,7 @@ def action_angle(problem: LienardProblem, orbit: Optional[ReferenceOrbit] = None
     if orbit.n != problem.n:
         raise ParameterError(
             f"reference orbit was computed for n = {orbit.n}, problem has n = {problem.n}")
-    n = problem.n
-    alpha = 1.0 / (n + 2.0)
-    beta = 1.0 - alpha
-    c = 2.0 * np.pi / (beta * orbit.period)
-    c0 = beta * c ** (2.0 * beta)
-    return TransformedSystem(problem=problem, orbit=orbit, rho_star=float(rho_star),
-                             alpha=alpha, beta=beta, c=c, c0=c0)
+    return TransformedSystem(problem=problem, orbit=orbit, rho_star=float(rho_star))
 
 
 # --------------------------------------------------------------------------- #
@@ -529,9 +523,7 @@ def poincare_map(system: TransformedSystem, theta, rho,
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if theta.shape != rho.shape:
         raise ParameterError("theta and rho must have matching shapes")
-    if (isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer))
-            or n_steps < 1):
-        raise ParameterError(f"n_steps must be a positive integer, got {n_steps!r}")
+    positive_count(n_steps, "n_steps")
     if theta.size == 0:
         raise ParameterError("the section map needs at least one sample")
     if not (np.isfinite(theta).all() and np.isfinite(rho).all()):
@@ -622,9 +614,18 @@ class StabilityReport:
     dt: float
     t_ref: float
     threshold: float
-    max_ratio: float
-    stable: bool
     warnings: list
+
+    @property
+    def max_ratio(self) -> float:
+        """The largest finite excursion ratio, inf when there is none."""
+        finite_ratios = [r["ratio"] for r in self.rows if math.isfinite(r["ratio"])]
+        return max(finite_ratios) if finite_ratios else math.inf
+
+    @property
+    def stable(self) -> bool:
+        """No orbit failed and no ratio exceeds the threshold."""
+        return all(not r["failed"] for r in self.rows) and self.max_ratio <= self.threshold
 
     def csv_header(self) -> tuple:
         return STABILITY_COLUMNS
@@ -847,9 +848,5 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
             "failed": bool(~alive[i]),
             "t_fail": float(t_fail[i]),
         })
-    finite_ratios = [r["ratio"] for r in rows if math.isfinite(r["ratio"])]
-    max_ratio = max(finite_ratios) if finite_ratios else math.inf
-    stable = bool(alive.all()) and max_ratio <= threshold
     return StabilityReport(rows=rows, t_max=float(t_max), dt=float(dt),
-                           t_ref=t_ref, threshold=float(threshold),
-                           max_ratio=max_ratio, stable=stable, warnings=warnings)
+                           t_ref=t_ref, threshold=float(threshold), warnings=warnings)

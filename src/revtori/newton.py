@@ -47,7 +47,7 @@ import numpy as np
 from . import homological, persistence
 from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
-                     SmallDivisorError, StepFailureError, StructureError)
+                     SmallDivisorError, StepFailureError, StructureError, positive_count)
 from .fields import (FourierField, GridJet, default_action_nodes,
                      field_from_function, field_from_grid_samples, project_structure,
                      stack_components)
@@ -90,59 +90,65 @@ _INVERT_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class Schedule:
-    """Geometric data driving the iteration.
+    """The sequences driving the iteration, and the values they fix.
 
     eps[m] is the error budget entering step m, s[m] the analyticity strip
-    width, r[m] the action radius, and N[m] the mode cutoff that the
-    smoothing kernel assigns to scale s[m].  All sequences have M + 1
-    entries so that step m maps the state at index m to index m + 1.
+    width and r[m] the action radius, each of one length M + 1 >= 2 (else
+    ShapeError), so step m maps index m to m + 1.  M, eps0 = eps[0], the
+    mode cutoffs N[m] = cutoff(s[m]) and the exponents of (d, mu)
+    (:func:`_exponents`) are worked out once; :func:`make_schedule`
+    builds the paper's sequences.
     """
 
     d: int
     mu: float
-    ell: float
-    tau: float
-    mu_tilde: float
-    eps0: float
-    M: int
     eps: np.ndarray
     s: np.ndarray
     r: np.ndarray
-    N: tuple
+    ell: float = _dc_field(init=False)
+    tau: float = _dc_field(init=False)
+    mu_tilde: float = _dc_field(init=False)
+    eps0: float = _dc_field(init=False)
+    M: int = _dc_field(init=False)
+    N: tuple = _dc_field(init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d, "mu": self.mu, "ell": self.ell, "tau": self.tau,
-            "mu_tilde": self.mu_tilde, "eps0": self.eps0, "M": self.M,
-            "eps": [float(e) for e in self.eps],
-            "s": [float(s) for s in self.s],
-            "r": [float(r) for r in self.r],
-            "N": [int(n) for n in self.N],
-        }
+    def __post_init__(self):
+        lengths = tuple(len(getattr(self, name)) for name in ("eps", "s", "r"))
+        if len(set(lengths)) > 1 or lengths[0] < 2:
+            raise ShapeError(f"schedule sequences eps, s and r need one length of at "
+                             f"least 2, got {lengths}")
+        derived = dict(zip(("ell", "tau", "mu_tilde"), _exponents(self.d, self.mu)),
+                       eps0=float(self.eps[0]), M=lengths[0] - 1,
+                       N=tuple(cutoff(float(sv)) for sv in self.s))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+def _exponents(d: int, mu: float) -> tuple:
+    """(ell, tau, mu_tilde) of the smoothness budget.
+
+    ell = 2 d + 1 + mu, tau = d + mu / 100 and the superlinear rate
+    mu_tilde = mu / (100 (2 tau + 1 + mu)).
+    """
+    ell = 2.0 * d + 1.0 + mu
+    tau = d + mu / 100.0
+    return ell, tau, mu / (100.0 * (2.0 * tau + 1.0 + mu))
 
 
 def make_schedule(d: int, mu: float, eps0: float, M: int) -> Schedule:
-    """Build the loss-of-smoothness schedule for M Newton steps.
+    """Build the paper's loss-of-smoothness schedule for M Newton steps.
 
-    The exponents are tied together by the smoothness budget:
-    ell = 2 d + 1 + mu, tau = d + mu / 100, and the superlinear rate
-    mu_tilde = mu / (100 (2 tau + 1 + mu)).  From eps0 the sequences
-    follow as eps_m = eps0^((1 + mu_tilde)^m), s_m = eps_m^(1/ell),
+    With the exponents of :func:`_exponents`, the sequences follow from
+    eps0 as eps_m = eps0^((1 + mu_tilde)^m), s_m = eps_m^(1/ell),
     r_m = s_m^(d + 1 + mu/10).
     """
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {d!r}")
+    d = positive_count(d, "dimension")
     if not 0.0 < mu <= 0.5:
         raise ParameterError(f"smoothness margin mu must lie in (0, 0.5], got {mu}")
     if not 0.0 < eps0 < 1.0:
         raise ParameterError(f"initial error eps0 must lie in (0, 1), got {eps0}")
-    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
-        raise ParameterError(f"step count M must be a positive integer, got {M!r}")
-    d = int(d)
-    M = int(M)
-    ell = 2.0 * d + 1.0 + mu
-    tau = d + mu / 100.0
-    mu_tilde = mu / (100.0 * (2.0 * tau + 1.0 + mu))
+    M = positive_count(M, "step count M")
+    ell, _, mu_tilde = _exponents(d, mu)
     exps = (1.0 + mu_tilde) ** np.arange(M + 1)
     eps = eps0 ** exps
     s = eps ** (1.0 / ell)
@@ -151,9 +157,7 @@ def make_schedule(d: int, mu: float, eps0: float, M: int) -> Schedule:
         raise ParameterError(
             f"eps0 = {eps0} gives initial strip s0 = {s[0]:.4f} > 1/2; "
             "choose a smaller initial error")
-    N = tuple(cutoff(float(sv)) for sv in s)
-    return Schedule(d=d, mu=float(mu), ell=ell, tau=tau, mu_tilde=mu_tilde,
-                    eps0=float(eps0), M=M, eps=eps, s=s, r=r, N=N)
+    return Schedule(d=d, mu=float(mu), eps=eps, s=s, r=r)
 
 
 # --------------------------------------------------------------------------- #
@@ -519,7 +523,6 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
     # remainder (bandwidth <= 2 N_m + N_next plus a margin for composition
     # tails) does not alias into the retained modes.
     n_fit = max(N_next + 2 * N_m + 16, 2 * N_next + 2, 2 * (N_m + 8) + 2)
-    N_UV = min(N_m + 8, (n_fit - 1) // 2)
 
     sol = dyn.solve(fg, freq)
 
@@ -550,7 +553,7 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
         return field_from_grid_samples(vals.reshape((n_y,) + grid_shape + (2 * d,)), d,
                                        N_out, q_y_fit, r_next, parity=_pair_tags(halves, d))
 
-    UV = _fit(np.hstack([dx, dy]), N_UV, dyn.uv_parity)
+    UV = _fit(np.hstack([dx, dy]), N_m + 8, dyn.uv_parity)
     fg_next = _fit(dyn.remainder(on_grid, uv_jet, fg, sol.g_mean, freq, dx, ys),
                    N_next, dyn.fg_parity)
 
@@ -579,12 +582,16 @@ class InvarianceReport:
     """Result of checking an embedding against the true dynamics."""
 
     mode: str
-    residual: float
     x_residual: float
     y_residual: float
     samples: int
     dt: float
     tol: float
+
+    @property
+    def residual(self) -> float:
+        """The larger of the angle and action residuals."""
+        return max(self.x_residual, self.y_residual)
 
 
 @dataclass
@@ -594,7 +601,8 @@ class ConvergenceReport:
     rows holds one dict per Newton step (plus a closing row for the final
     state) with the majorants of the carried perturbation on entry, the
     step diagnostics, and the per-step invariance residual when it was
-    measured.  failed runs keep the last good chain and embedding.
+    measured, the last row's being the report's.  A run that failed keeps
+    the last good chain and embedding.
     """
 
     mode: str
@@ -603,10 +611,17 @@ class ConvergenceReport:
     rows: list
     chain: list
     embedding: Optional[TorusEmbedding]
-    invariance_residual: Optional[float]
-    failed: bool = False
     failure: Optional[str] = None
     warnings: list = _dc_field(default_factory=list)
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
+
+    @property
+    def invariance_residual(self) -> float:
+        """The residual of the report's embedding, as the last row holds it."""
+        return self.rows[-1]["invariance_residual"]
 
     @property
     def steps_completed(self) -> int:
@@ -662,8 +677,7 @@ class ConvergenceReport:
             "final_sup_f": self.final_sup_f,
             "final_sup_g": self.final_sup_g,
             "fitted_order": self.fitted_order(),
-            "invariance_residual": (None if self.invariance_residual is None
-                                    else float(self.invariance_residual)),
+            "invariance_residual": float(self.invariance_residual),
             "failed": self.failed,
             "failure": self.failure,
             "warnings": list(self.warnings),
@@ -821,9 +835,7 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
 
     return ConvergenceReport(
         mode=mode, omega=np.array(freq.omega, dtype=float), schedule=schedule,
-        rows=rows, chain=chain, embedding=embedding,
-        invariance_residual=residual, failed=failure is not None, failure=failure,
-        warnings=warnings)
+        rows=rows, chain=chain, embedding=embedding, failure=failure, warnings=warnings)
 
 
 # --------------------------------------------------------------------------- #
@@ -850,10 +862,7 @@ def verify_invariance(embedding: TorusEmbedding, system,
     finite and nonzero (negative dt integrates backwards), in either mode;
     anything else raises ParameterError.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) \
-            or samples < 1:
-        raise ParameterError(f"verification samples must be a positive integer, "
-                             f"got {samples!r}")
+    positive_count(samples, "verification samples")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"verification tolerance must be finite and positive, "
                              f"got {tol!r}")
@@ -873,8 +882,7 @@ def verify_invariance(embedding: TorusEmbedding, system,
     x_target, y_target = embedding.evaluate(theta + turn, np.full(S, t_end))
     x_res = float(np.max(np.abs(_wrap_angle(np.asarray(x1) - x_target))))
     y_res = float(np.max(np.abs(np.asarray(y1) - y_target)))
-    return InvarianceReport(mode=embedding.mode, residual=max(x_res, y_res),
-                            x_residual=x_res, y_residual=y_res,
+    return InvarianceReport(mode=embedding.mode, x_residual=x_res, y_residual=y_res,
                             samples=samples, dt=float(dt), tol=float(tol))
 
 

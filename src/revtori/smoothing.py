@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .fields import FourierField, action_powers, mode_orders
+from .fields import FourierField, mode_orders
 
 
 # The symbol is 1 on [0, PLATEAU * SCALE] and 0 from the kernel scale SCALE
@@ -76,15 +76,9 @@ def decompose(field: FourierField, s_values: Sequence[float]) -> tuple:
 
 
 def approximation_error(field: FourierField, s: float) -> float:
-    """Coefficient-majorant bound for ||S_s F - F|| on the real domain."""
+    """Bound for ||S_s F - F||: the majorant of F with its coefficients weighted by 1 - symbol."""
     sigma = symbol(float(s) * mode_orders(field.d, field.N, field.N_t))
-    weights = np.abs(1.0 - sigma).ravel()
-    P = len(action_powers(field.d, field.q_y))
-    A = np.abs(field.coeffs).reshape(-1, P, field.m)
-    deg = action_powers(field.d, field.q_y).sum(axis=1)
-    rpow = np.where(deg > 0, field.r ** deg, 1.0)
-    per_comp = np.einsum("xpm,x,p->m", A, weights, rpow)
-    return float(np.max(per_comp))
+    return replace(field, coeffs=field.coeffs * (1.0 - sigma)[..., None, None]).majorant()
 
 
 def synthetic_rough_field(ell_star: float, N: int = 512, seed: int = 0,

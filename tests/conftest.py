@@ -32,7 +32,7 @@ def random_parity_field(rng, parity, d=1, N=8, q_y=2, r=0.1, m=None,
         coeffs = 0.5j * (raw - raw[sl])
     else:
         raise ValueError(parity)
-    return FourierField(d, m, N, q_y, r, coeffs, (parity,) * m)
+    return FourierField(coeffs, r, (parity,) * m)
 
 
 def random_reversible_pair(rng, d=1, N=8, q_y=2, r=0.1, amp=1.0):

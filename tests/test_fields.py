@@ -77,7 +77,7 @@ def _random_complex_field(rng, d, N, m=2, q_y=2, r=0.1):
     shape = (2 * N + 1,) * (d + 1) + (P, m)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs[~fields.mode_mask(d, N, N)] = 0.0
-    return FourierField(d, m, N, q_y, r, coeffs)
+    return FourierField(coeffs, r)
 
 
 def _direct_sum(fld, x, y, t):
@@ -144,7 +144,7 @@ def _jet_field(rng, d, N, N_t, m=2, q_y=2, r=0.1):
     shape = (2 * N + 1,) * d + (2 * N_t + 1, P, m)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs[~fields.mode_mask(d, N, N_t)] = 0.0
-    return FourierField(d, m, N, q_y, r, coeffs)
+    return FourierField(coeffs, r)
 
 
 def _rejects_grid(fld, n, n_t):
@@ -510,7 +510,7 @@ class TestStructure:
     def test_projection_rejects_broken_reality(self):
         coeffs = np.zeros((5, 5, 1, 1), dtype=complex)
         coeffs[3, 2, 0, 0] = 1.0  # no conjugate partner
-        fld = FourierField(1, 1, 2, 0, 0.0, coeffs, None)
+        fld = FourierField(coeffs, 0.0, None)
         with pytest.raises(StructureError):
             fields.project_structure(fld)
 
@@ -518,7 +518,7 @@ class TestStructure:
         coeffs = np.zeros((5, 5, 1, 1), dtype=complex)
         coeffs[3, 2, 0, 0] = 1.0
         coeffs[1, 2, 0, 0] = 1.0  # real symmetric: even, not odd
-        fld = FourierField(1, 1, 2, 0, 0.0, coeffs, ("odd",))
+        fld = FourierField(coeffs, 0.0, ("odd",))
         with pytest.raises(StructureError):
             fields.project_structure(fld)
 
@@ -546,14 +546,36 @@ class TestStructure:
         dirty = fld.coeffs.copy()
         dirty += 1e-9 * (rng.standard_normal(dirty.shape)
                          + 1j * rng.standard_normal(dirty.shape))
-        noisy = FourierField(1, 1, 4, 2, 0.1, dirty, ("even",))
+        noisy = FourierField(dirty, 0.1, ("even",))
         cleaned = fields.project_structure(noisy)
         assert grid_parity_residual(cleaned) < 1e-14
         assert np.max(np.abs(cleaned.coeffs - dirty)) < 1e-8
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("full_time", [False, True])
+    @pytest.mark.parametrize("q_y", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_signature_is_read_off_the_layout(self, d, full_time, q_y, m):
+        N = 3
+        N_t = N if full_time else 0
+        P = len(fields.action_powers(d, q_y))
+        fld = FourierField(np.zeros((2 * N + 1,) * d + (2 * N_t + 1, P, m), dtype=complex), 0.1)
+        zeros = FourierField.zeros(d, m, N, q_y, 0.1)
+        assert (zeros.d, zeros.m, zeros.N, zeros.q_y, zeros.N_t) == (d, m, N, q_y, N)
+        assert (fld.d, fld.m, fld.N, fld.q_y, fld.N_t) == (d, m, N, q_y, N_t)
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((4, 1, 1, 1), complex),     # even angle axis
+        ((5, 7, 5, 1, 1), complex),  # unequal angle axes
+        ((5, 7, 1, 1), complex),     # time axis longer than 2N+1
+        ((5, 5, 5, 4, 1), complex),  # P = 4 counts no powers of d = 2
+        ((5, 5, 1, 0), complex),     # no component
+        ((5, 5, 1, 1), float),       # real coefficients
+    ], ids=["even-angle", "unequal-angles", "long-time", "power-count", "no-component",
+            "real"])
+    def test_bad_layout_rejected(self, shape, dtype):
         with pytest.raises(ShapeError):
-            FourierField(1, 1, 2, 0, 0.0, np.zeros((5, 5, 1, 2), dtype=complex))
+            FourierField(np.zeros(shape, dtype=dtype), 0.0)
 
     def test_harmonic_outside_cutoff_rejected(self):
         with pytest.raises(ParameterError):
@@ -742,7 +764,7 @@ class TestToDictOracle:
         coeffs[rng.random(shape[:-1]) < 0.3] = 0.0  # whole (k, l, power) blocks
         coeffs[rng.random(shape) < 0.2] = 0.0  # single components
         coeffs.real[rng.random(shape) < 0.1] = -0.0
-        fld = FourierField(d, m, N, q_y, 0.1, coeffs)
+        fld = FourierField(coeffs, 0.1)
         data = self._same(fld)
         assert 0 < len(data["coeffs"]) < np.count_nonzero(support) * P
 
@@ -769,7 +791,7 @@ def _at_l0(fld):
     coeffs = np.zeros((2 * fld.N + 1,) * (fld.d + 1) + fld.coeffs.shape[-2:],
                       dtype=complex)
     coeffs[(slice(None),) * fld.d + (fld.N,)] = fld.coeffs[(slice(None),) * fld.d + (0,)]
-    return FourierField(fld.d, fld.m, fld.N, fld.q_y, fld.r, coeffs, fld.parity)
+    return FourierField(coeffs, fld.r, fld.parity)
 
 
 class TestTimeCutoff:
@@ -836,7 +858,7 @@ class TestTimeCutoff:
     @pytest.mark.parametrize("n_t", [2, 7])
     def test_bad_time_axis_rejected(self, n_t):
         with pytest.raises(ShapeError):
-            FourierField(1, 1, 2, 0, 0.0, np.zeros((5, n_t, 1, 1), dtype=complex))
+            FourierField(np.zeros((5, n_t, 1, 1), dtype=complex), 0.0)
 
     def test_time_independent_fit_has_one_time_slot(self):
         fld = fields.field_from_function(

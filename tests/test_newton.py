@@ -77,11 +77,23 @@ class TestSchedule:
         with pytest.raises(ParameterError, match="step count"):
             newton.make_schedule(1, 0.1, 1e-4, True)
 
-    def test_to_dict_round_trips_values(self):
-        sched = newton.make_schedule(2, 0.2, 1e-3, 3)
-        data = sched.to_dict()
-        assert data["d"] == 2 and data["M"] == 3
-        assert data["eps"][0] == 1e-3
+    @pytest.mark.parametrize("args, N", [((1, 0.1, 1e-4, 5), (20,) * 6),
+                                         ((2, 0.2, 1e-3, 3), (4,) * 4)])
+    def test_derived_values(self, args, N):
+        d, mu, eps0, M = args
+        sched = newton.make_schedule(*args)
+        tau = d + mu / 100.0
+        assert (sched.M, sched.N, sched.eps0) == (M, N, eps0)
+        assert (sched.ell, sched.tau) == (2.0 * d + 1.0 + mu, tau)
+        assert sched.mu_tilde == mu / (100.0 * (2.0 * tau + 1.0 + mu))
+        again = newton.Schedule(sched.d, sched.mu, sched.eps, sched.s, sched.r)
+        assert (again.M, again.N, again.eps0, again.mu_tilde) == (M, N, eps0, sched.mu_tilde)
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 4), (1, 1, 1)])
+    def test_sequences_need_one_length_of_at_least_two(self, lengths):
+        eps, s, r = (np.geomspace(1e-4, 1e-5, n) for n in lengths)
+        with pytest.raises(ShapeError, match="one length"):
+            newton.Schedule(1, 0.1, eps, s, r)
 
 
 class TestNewtonStep:
