@@ -36,7 +36,6 @@ _EXPORTS = {
     "solve_flow": "homological",
     "solve_map": "homological",
     "yoshida_weights": "integrators",
-    "implicit_midpoint_step": "integrators",
     "Schedule": "newton",
     "make_schedule": "newton",
     "newton_step": "newton",

@@ -87,7 +87,7 @@ _POINCARE_DEFAULTS = {
     "n": 1,
     "perturbation": {"kind": "rational_cubic"},
     "rho_star": 0.25,
-    "n_steps": 256,
+    "n_steps": 8,
     "theta_points": 8,
     "rho_levels": [0.8, 1.2, 1.8, 2.5],
     "iterates": 32,  # section iterations per sample for --csv

@@ -516,6 +516,9 @@ class FourierField:
             entries = data["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(f"malformed field record: {exc}") from exc
+        for name, value, least in (("d", d, 1), ("m", m, 1), ("N", N, 0), ("q_y", q_y, 0)):
+            if value < least:
+                raise PersistenceError(f"field record has {name} = {value}, needs >= {least}")
         if parity is not None:
             parity = tuple(parity)
             if len(parity) != m or any(p not in _PARITIES for p in parity):

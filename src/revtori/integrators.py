@@ -1,16 +1,14 @@
-"""Time-symmetric steppers and one adaptive integrator.
+"""Composition weights for symmetric steps, and one adaptive integrator.
 
-The steppers are self-adjoint (symmetric under h -> -h), which is what
-makes discrete trajectories inherit the reversing symmetries of the flow:
-if the vector field X satisfies X(Lz, -t) = -L X(z, t) for a linear
-involution L, then a symmetric one-step map Phi_h built from X satisfies
-L Phi_h L = Phi_h^{-1} exactly (up to the tolerance of any inner solve).
-Higher orders come from Yoshida's palindromic compositions of a symmetric
-order-2 step.
+``yoshida_weights`` gives the substep scalings of Yoshida's palindromic
+compositions, which raise a symmetric (self-adjoint) order-2 step to
+order 4 or 6; the reference orbit and the stability experiment compose
+their split steps with them.
 
-``extrapolate`` is the explicit integrator with step-size control that
-checks a torus against the true flow: Gragg-Bulirsch-Stoer extrapolation
-of the modified midpoint rule.
+``extrapolate`` is the explicit integrator with step-size control, for
+every flow that needs an accurate end state: the check of a torus against
+the true flow and the period map of the Lienard section.  It is
+Gragg-Bulirsch-Stoer extrapolation of the modified midpoint rule.
 """
 
 from __future__ import annotations
@@ -32,11 +30,6 @@ _Y6_W2 = 0.235573213359357
 _Y6_W3 = 0.784513610477560
 _Y6_W0 = 1.0 - 2.0 * (_Y6_W1 + _Y6_W2 + _Y6_W3)
 
-# The implicit midpoint's inner fixed point: stop once an update falls
-# below MIDPOINT_TOL times the state scale, give up after MIDPOINT_MAX_ITER.
-MIDPOINT_TOL = 1e-14
-MIDPOINT_MAX_ITER = 100
-
 # Extrapolation: row j of the tableau runs the modified midpoint rule with
 # 2j substeps, for at most _GBS_ROWS rows (order 2 _GBS_ROWS).  A call
 # gives up after _GBS_MAX_STEPS steps, accepted or rejected, or once a
@@ -55,38 +48,6 @@ def yoshida_weights(order: int) -> np.ndarray:
     if order == 6:
         return np.array([_Y6_W3, _Y6_W2, _Y6_W1, _Y6_W0, _Y6_W1, _Y6_W2, _Y6_W3])
     raise ParameterError(f"no composition of order {order} (choose 2, 4 or 6)")
-
-
-def implicit_midpoint_step(rhs: Callable, z, t: float, h: float, guess=None):
-    """One implicit-midpoint step  z' = z + h f((z + z')/2, t + h/2).
-
-    The inner fixed point starts at ``guess``, a prediction of z' of z's
-    shape, or without one at the explicit Euler step, which costs one
-    evaluation of ``rhs``.  It iterates until the update is below
-    ``MIDPOINT_TOL`` relative to the state scale, for at most
-    ``MIDPOINT_MAX_ITER`` updates; ``z`` may be batched (any shape, as long
-    as ``rhs`` reads it).  The start moves the result only within that
-    tolerance.  A non-finite update raises StepFailureError at once.
-    """
-    z = np.asarray(z, dtype=float)
-    t_mid = t + 0.5 * h
-    if guess is None:
-        w = z + h * np.asarray(rhs(z, t_mid), dtype=float)
-    else:
-        w = np.asarray(guess, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(z)))
-    for _ in range(MIDPOINT_MAX_ITER):
-        w_next = z + h * np.asarray(rhs(0.5 * (z + w), t_mid), dtype=float)
-        delta = float(np.max(np.abs(w_next - w)))
-        w = w_next
-        if delta <= MIDPOINT_TOL * scale:
-            return w
-        if not math.isfinite(delta):
-            raise StepFailureError(f"implicit midpoint: non-finite update at t = {t:.6g}, "
-                                   f"h = {h:.3g}")
-    raise StepFailureError(
-        f"implicit midpoint inner iteration stalled (last update {delta:.3e} "
-        f"at t = {t:.6g}, h = {h:.3g})")
 
 
 def extrapolate(rhs: Callable, z, t0: float, t1: float, tol: float) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError, check_params, int_param, positive_count
-from .integrators import implicit_midpoint_step, yoshida_weights
+from .integrators import extrapolate, yoshida_weights
 
 __all__ = [
     "Perturbation", "make_perturbation", "LienardProblem", "make_problem",
@@ -39,6 +39,9 @@ STABILITY_COLUMNS = ("level", "phase", "ratio", "max_norm", "initial_max",
 # The stability experiment checks its B orbits once every K steps, on (K, B)
 # buffers of their states; this caps K * B, with K = max(1, cap // B).
 _STABILITY_BLOCK_ENTRIES = 1 << 15
+
+# The section map's local relative tolerance, per extrapolation step.
+_SECTION_TOL = 1e-12
 
 
 def _int_power(x, p: int):
@@ -504,20 +507,17 @@ class PoincareResult:
 
 
 def poincare_map(system: TransformedSystem, theta, rho,
-                 n_steps: int = 256) -> PoincareResult:
-    """Period-1 return map of the angle/action system, implicit midpoint.
+                 n_steps: int = 8) -> PoincareResult:
+    """Period-1 return map of the angle/action system.
 
-    The stepper is time-symmetric, so the discrete section map inherits
-    the reversibility P G P = G with G(theta, rho) = (-theta, rho) up to
-    the inner solve tolerance (1e-14).  From the third step on, the inner
-    iteration starts at z + 2 d1 - d2, extrapolated from the last two
-    increments at no evaluation (Hairer, Lubich and Wanner, Geometric
-    Numerical Integration, section VIII.6); the first two start at the
-    Euler step.  The state is one (2, S) array.  Samples whose action falls
-    below the validity floor get a zero drift (a 0/1 mask), so they are
-    frozen where that happened and flagged escaped instead of raising.
-    n_steps must be a positive integer and the samples finite, at least
-    one of them.
+    The period [0, 1] splits into n_steps equal segments, each one
+    ``integrators.extrapolate`` call at local tolerance _SECTION_TOL on
+    one (2, S) state.  The segment ends are the escape checkpoints: a
+    sample whose action is below the validity floor there gets a zero
+    drift (a 0/1 mask) from then on, so it is frozen at that checkpoint
+    and flagged escaped instead of raising.  Within a segment the drift
+    reads actions clamped to half the floor.  n_steps must be a positive
+    integer and the samples finite, at least one of them.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -532,21 +532,14 @@ def poincare_map(system: TransformedSystem, theta, rho,
     escaped = rho < floor
     live = np.logical_not(escaped).astype(float)
     z = np.array([theta, rho])
-    drift = np.empty_like(z)
-    h = 1.0 / n_steps
 
     def rhs(zz, t):
         td, rd = system.rhs(zz[0], np.maximum(zz[1], 0.5 * floor), t,
                             check_domain=False)
-        np.multiply(td, live, out=drift[0])
-        np.multiply(rd, live, out=drift[1])
-        return drift
+        return np.array([td * live, rd * live])
 
-    d1 = d2 = None
     for k in range(n_steps):
-        guess = None if k < 2 else z + (2.0 * d1 - d2)
-        z_next = implicit_midpoint_step(rhs, z, k * h, h, guess)
-        d1, d2, z = z_next - z, d1, z_next
+        z = extrapolate(rhs, z, k / n_steps, (k + 1) / n_steps, _SECTION_TOL)
         escaped |= z[1] < floor
         np.logical_not(escaped, out=live)
     return PoincareResult(theta=z[0], rho=z[1], escaped=escaped)
@@ -555,12 +548,12 @@ def poincare_map(system: TransformedSystem, theta, rho,
 def poincare_reversibility_residual(system: TransformedSystem,
                                     thetas: Optional[np.ndarray] = None,
                                     rhos: Optional[np.ndarray] = None,
-                                    n_steps: int = 256) -> float:
+                                    n_steps: int = 8) -> float:
     """sup |P G P (z) - G(z)| over a grid, G(theta, rho) = (-theta, rho).
 
-    Equality is the reversibility of the section map; for the symmetric
-    stepper it holds to the inner solve tolerance times the step count.
-    Escaped samples make the residual infinite.
+    Equality is the reversibility of the period map; the computed section
+    map keeps it to about the integration tolerance _SECTION_TOL.  Escaped
+    samples make the residual infinite.
     """
     if thetas is None:
         thetas = 2.0 * np.pi * np.arange(8) / 8

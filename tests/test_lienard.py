@@ -854,35 +854,8 @@ class TestSectionMapOracle:
 
 
 # --------------------------------------------------------------------------- #
-# the section map's predictor against today's Euler start
+# the section map against an independent solver
 # --------------------------------------------------------------------------- #
-
-def _euler_section_map(system, theta, rho, n_steps=256):
-    """The section map with every step started at the explicit Euler step.
-
-    The state is (S, 2) and escaped samples get a zero drift by masked
-    assignment.  Returns (theta, rho, escaped, the step of each escape).
-    """
-    floor = system.rho_star
-    escaped = rho < floor
-    escape_step = np.where(escaped, 0, -1)
-    z = np.stack([theta, rho], axis=-1)
-    h = 1.0 / n_steps
-
-    def rhs(zz, t):
-        td, rd = system.rhs(zz[..., 0], np.maximum(zz[..., 1], 0.5 * floor), t,
-                            check_domain=False)
-        out = np.stack([td, rd], axis=-1)
-        out[escaped] = 0.0
-        return out
-
-    for k in range(n_steps):
-        z = integrators.implicit_midpoint_step(rhs, z, k * h, h)
-        newly = ~escaped & (z[:, 1] < floor)
-        escape_step[newly] = k + 1
-        escaped |= newly
-    return z[:, 0], z[:, 1], escaped, escape_step
-
 
 def _shipped_grid():
     """configs/lienard_poincare.json: 8 angles times 4 actions."""
@@ -891,37 +864,58 @@ def _shipped_grid():
     return TH.ravel(), RH.ravel()
 
 
-class TestSectionMapPredictor:
-    """The extrapolated start moves the map only within the inner tolerance."""
+def _checkpoint_states(system, theta, rho, n_steps):
+    """The section map's (2, S) states at its n_steps checkpoints, none frozen."""
+    def rhs(z, t):
+        return np.array(system.rhs(z[0], z[1], t, check_domain=False))
 
-    def test_matches_the_euler_start(self, orbits):
-        sys_ = _oracle_systems(orbits)["rational_cubic"]
+    z, states = np.array([theta, rho]), []
+    for k in range(n_steps):
+        z = integrators.extrapolate(rhs, z, k / n_steps, (k + 1) / n_steps, 1e-12)
+        states.append(z)
+    return np.array(states)
+
+
+class TestSectionMapPredictor:
+    """The extrapolated section map against DOP853 and at its checkpoints."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_a_dop853_solve(self, orbits, n):
+        sys_ = lienard.action_angle(
+            lienard.make_problem(n, "rational_cubic", f_amp=0.05, g_amp=0.05),
+            orbit=orbits[n])
         theta, rho = _shipped_grid()
         got = lienard.poincare_map(sys_, theta, rho)
-        want = _euler_section_map(sys_, theta, rho)
-        np.testing.assert_allclose(got.theta, want[0], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(got.rho, want[1], rtol=0, atol=1e-13)
-        assert not got.escaped.any() and not want[2].any()
+        S = theta.size
+
+        def rhs(t, y):
+            return np.concatenate(sys_.rhs(y[:S], y[S:], t))
+
+        want = solve_ivp(rhs, (0.0, 1.0), np.concatenate([theta, rho]),
+                         method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+        assert not got.escaped.any()
+        np.testing.assert_allclose(got.theta, want[:S], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(got.rho, want[S:], rtol=0, atol=1e-11)
 
     def test_escape_partway_stays_frozen_and_flagged(self, orbits):
-        # a floor just below the lowest action: some samples cross it
-        # after the predictor has taken over, and the rest never do
+        # a floor just below the lowest action: some samples cross it at a
+        # checkpoint inside the period, and one never does
         sys_ = lienard.action_angle(
             lienard.make_problem(1, "rational_cubic", f_amp=0.05, g_amp=0.05),
             orbit=orbits[1], rho_star=0.7995)
         theta = 2.0 * np.pi * np.arange(8) / 8
         rho = np.full(8, 0.8)
         got = lienard.poincare_map(sys_, theta, rho)
-        want = _euler_section_map(sys_, theta, rho)
-        steps = want[3][want[2]]
-        assert want[2].any() and not want[2].all()
-        assert steps.min() > 2 and steps.max() < 256
-        np.testing.assert_array_equal(got.escaped, want[2])
-        np.testing.assert_allclose(got.theta, want[0], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(got.rho, want[1], rtol=0, atol=1e-13)
-        # frozen at the first state below the floor
-        assert np.all(got.rho[got.escaped] < sys_.rho_star)
-        assert np.all(got.rho[got.escaped] > sys_.rho_star - 1e-3)
+        assert np.flatnonzero(got.escaped).tolist() == [0, 1, 2, 3, 4, 6, 7]
+        # frozen at the unfrozen map's state at the first checkpoint below
+        # the floor
+        states = _checkpoint_states(sys_, theta, rho, 8)
+        first = np.argmax(states[:, 1] < sys_.rho_star, axis=0)
+        idx = np.flatnonzero(got.escaped)
+        want = states[first[idx], :, idx]
+        np.testing.assert_allclose(got.theta[idx], want[:, 0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.rho[idx], want[:, 1], rtol=0, atol=1e-12)
+        assert np.all(got.rho[idx] < sys_.rho_star)
 
     def test_evaluations_per_step(self, orbits, monkeypatch):
         sys_ = _oracle_systems(orbits)["rational_cubic"]
@@ -938,4 +932,4 @@ class TestSectionMapPredictor:
             counts.append(0)
             lienard.poincare_map(sys_, theta, rho)
         assert counts[0] == counts[1]
-        assert counts[0] <= 3.1 * 256
+        assert counts[0] <= 320

@@ -263,6 +263,16 @@ class TestEmbeddingFiles:
         with pytest.raises(PersistenceError, match="component 1 not even"):
             load_embedding(path)
 
+    @pytest.mark.parametrize("key,value", [("d", 0), ("m", 0), ("N", -1), ("q_y", -1)])
+    def test_out_of_range_record_sizes(self, tmp_path, key, value):
+        path = tmp_path / "embedding.json"
+        save_embedding(path, small_embedding())
+        data = persistence.load_json(path)
+        data["x_offset"][key] = value
+        persistence.save_json(path, data)
+        with pytest.raises(PersistenceError, match=f"{key} = {value}"):
+            load_embedding(path)
+
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "embedding.json"
         save_embedding(path, small_embedding())
