@@ -473,7 +473,9 @@ def _cmd_verify(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default="runs", metavar="DIR",
-                        help="root directory for run outputs (default: runs)")
+                        help="root of run directories (default: runs); only "
+                             "'kam run' and 'lienard stability' write one, "
+                             "the other commands accept and ignore it")
     common.add_argument("--threads", type=int, default=None, metavar="N",
                         help="BLAS/OpenMP threads (default: 1)")
     common.add_argument("--seed", type=int, default=None,

@@ -12,8 +12,11 @@ turns the outer dynamics into a twist system in angle/action coordinates
 (theta, rho), where invariant tori confine every orbit.  This module
 builds the reference orbit, the coordinate change and its pushed-forward
 vector field, the period-1 Poincare section, and a long-time stability
-experiment in the original plane variables.  A forcing pair (f, g) is one
-callable, ``Perturbation.forcing``, which every one of them reads.
+experiment in the original plane variables.  A forcing pair (f, g) is a
+time factor times a profile in x (``Perturbation``); the section map, the
+plane vector field and the structural checks read the pair through
+``Perturbation.forcing``, and the stability integrator calls the profile
+into its own buffers and the time factor as a Python-float cosine.
 """
 
 import math
@@ -37,8 +40,9 @@ STABILITY_COLUMNS = ("level", "phase", "ratio", "max_norm", "initial_max",
                      "energy_drift", "failed", "t_fail")
 
 # The stability experiment checks its B orbits once every K steps, on (K, B)
-# buffers of their states; this caps K * B, with K = max(1, cap // B).
-_STABILITY_BLOCK_ENTRIES = 1 << 15
+# buffers of their states; this caps K * B, with K = max(1, cap // B).  At
+# 128 KiB a buffer, the checks' half-dozen temporaries fit a 2 MiB L2 cache.
+_STABILITY_BLOCK_ENTRIES = 1 << 14
 
 # The section map's local relative tolerance, per extrapolation step.
 _SECTION_TOL = 1e-12
@@ -70,44 +74,65 @@ def _int_power(x, p: int):
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Forcing pair (f, g) as one callable.
+    """Forcing pair (f, g) = c(t) (f_amp phi(x), g_amp gamma(x)).
 
-    ``forcing(x, t)`` returns the pair (f(x, t), g(x, t)) elementwise, as
-    new arrays of x's shape, for a scalar t or an array t that broadcasts
-    to that shape, computing the time factor once.  ``p`` and ``q``
-    declare growth exponents: |f| = O(|x|^p) and |g| = O(|x|^q) for large
-    |x|.  They stay None for the zero forcing.
+    The time factor is c(t) = cos(omega t + phase), with omega = 2 pi for
+    every shipped kind; omega = 0 makes it the constant cos(phase).
+    ``profile(x, sq, f, g)`` writes phi(x) into f and gamma(x) into g,
+    buffers of x's shape, and may read sq = x * x, which the restoring
+    force computes anyway.
+    ``forcing(x, t)`` is the pair itself, as new arrays, for a scalar t or
+    an array t that broadcasts to x's shape; it forms phi (f_amp c), in
+    that order, and the stability integrator forms the same products.
+    ``p`` and ``q`` declare growth exponents: |f| = O(|x|^p) and
+    |g| = O(|x|^q) for large |x|.  They stay None for the zero forcing.
     """
 
     kind: str
-    forcing: Callable
-    params: dict = _dc_field(default_factory=dict)
+    profile: Callable
+    f_amp: float = 0.0
+    g_amp: float = 0.0
+    omega: float = 2.0 * math.pi
+    phase: float = 0.0
     p: Optional[int] = None
     q: Optional[int] = None
+
+    def time_factor(self, t):
+        """c(t) = cos(omega t + phase), for a scalar or an array t."""
+        return np.cos(self.omega * t + self.phase)
+
+    def forcing(self, x, t):
+        """(f(x, t), g(x, t)) elementwise: one profile call, one time factor."""
+        x = np.asarray(x, dtype=float)
+        f, g = np.empty_like(x), np.empty_like(x)
+        self.profile(x, x * x, f, g)
+        c = self.time_factor(t)
+        return f * (self.f_amp * c), g * (self.g_amp * c)
 
 
 def make_perturbation(kind: str, **params) -> Perturbation:
     """Build a forcing pair by name.
 
-    "none" is the unperturbed control; its forcing returns zeros, and the
-    stability experiment never calls it.  "rational_cubic" is the bounded
-    reversible pair f = f_amp x cos(2 pi t) / (1 + x^2),
-    g = g_amp x^3 cos(2 pi t) / (1 + x^2); both are jointly odd in (x, t).
-    "rational_cubic_skew" shifts the forcing phase, deliberately breaking
-    the parity so reversibility diagnostics have something to catch.
-    "power" is the homogeneous pair f = f_amp x^p cos(2 pi t),
-    g = g_amp x^q cos(2 pi t) (defaults p = q = 1); with odd exponents it
-    is reversible.  Parameters the kind does not take raise
-    ParameterError.
+    "none" is the unperturbed control: a zero profile and zero amplitudes,
+    which the stability experiment never calls per step.
+    "rational_cubic" is the bounded reversible pair with profile
+    phi = x / (1 + x^2), gamma = x^2 phi, so f = f_amp x cos(2 pi t) /
+    (1 + x^2) and g = g_amp x^3 cos(2 pi t) / (1 + x^2); both are jointly
+    odd in (x, t).  "rational_cubic_skew" shifts the forcing phase,
+    deliberately breaking the parity so reversibility diagnostics have
+    something to catch.  "power" is the homogeneous pair with profile
+    (x^p, x^q), f = f_amp x^p cos(2 pi t), g = g_amp x^q cos(2 pi t)
+    (defaults p = q = 1); with odd exponents it is reversible.  Parameters
+    the kind does not take raise ParameterError.
     """
     if kind == "none":
         check_params(kind, params, ())
 
-        def forcing(x, t):
-            zero = np.zeros_like(np.asarray(x, dtype=float))
-            return zero, zero
+        def profile(x, sq, f, g):
+            f.fill(0.0)
+            g.fill(0.0)
 
-        return Perturbation(kind=kind, forcing=forcing)
+        return Perturbation(kind=kind, profile=profile)
     if kind == "power":
         check_params(kind, params, ("f_amp", "g_amp", "p", "q"))
         f_amp = float(params.get("f_amp", 0.05))
@@ -115,12 +140,11 @@ def make_perturbation(kind: str, **params) -> Perturbation:
         p = int_param(kind, params, "p", 1)
         q = int_param(kind, params, "q", 1)
 
-        def forcing(x, t):
-            c = np.cos(2.0 * np.pi * t)
-            return (f_amp * c) * _int_power(x, p), (g_amp * c) * _int_power(x, q)
+        def profile(x, sq, f, g):
+            np.copyto(f, _int_power(x, p))
+            np.copyto(g, _int_power(x, q))
 
-        return Perturbation(kind=kind, forcing=forcing,
-                            params={"f_amp": f_amp, "g_amp": g_amp, "p": p, "q": q},
+        return Perturbation(kind=kind, profile=profile, f_amp=f_amp, g_amp=g_amp,
                             p=p, q=q)
     if kind in ("rational_cubic", "rational_cubic_skew"):
         skew = kind == "rational_cubic_skew"
@@ -128,19 +152,15 @@ def make_perturbation(kind: str, **params) -> Perturbation:
         f_amp = float(params.get("f_amp", 0.05))
         g_amp = float(params.get("g_amp", 0.05))
         phase = float(params.get("phase", 0.4)) if skew else 0.0
+        one = np.ones(())
 
-        def forcing(x, t):
-            c = np.cos(2.0 * np.pi * t + phase)
-            g = x * x
-            f = x / (1.0 + g)
-            g *= f
-            g *= g_amp * c
-            f *= f_amp * c
-            return f, g
+        def profile(x, sq, f, g):
+            np.add(one, sq, f)
+            np.divide(x, f, f)
+            np.multiply(sq, f, g)
 
-        return Perturbation(kind=kind, forcing=forcing,
-                            params={"f_amp": f_amp, "g_amp": g_amp, "phase": phase},
-                            p=0, q=1)
+        return Perturbation(kind=kind, profile=profile, f_amp=f_amp, g_amp=g_amp,
+                            phase=phase, p=0, q=1)
     raise ParameterError(f"unknown perturbation kind {kind!r}")
 
 
@@ -654,19 +674,23 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     half-kick handles the f(x, t) y damping term in closed form, so the
     cost per step is a handful of array operations; the unperturbed
     control (kind "none") drops to a plain kick-drift-kick and never calls
-    the forcing.  The closing half-kick of one substep and the opening
+    the profile.  The closing half-kick of one substep and the opening
     half-kick of the next see the same point, across step boundaries too,
     so the forces are evaluated once per point: a composition of S stages
-    calls the forcing S times per step.  Inside a step the two half-kicks
-    are one update: with half-steps h_i, h_j on either side and s = r + g,
-    y <- (y (1 - h_i f) - (h_i + h_j) s) / (1 + h_j f), or y <- y - (h_i + h_j) r
-    unforced.  The half-kicks at step boundaries stay apart, because the
-    state is recorded there.  Each step restarts its stage time from k dt.
-    The state and scratch arrays are allocated once, and every kick and
-    drift writes into them, so a step allocates nothing per stage beyond
-    the forcing's own result.  Each orbit reports the ratio of its
-    all-time excursion max |x| + |y| to the same max over the initial
-    window t <= t_ref (default min(10, t_max)); an orbit that leaves
+    calls the profile S times per step, and forms s = r + g once per point.
+    With half-steps h_i, h_j on either side of a drift, the two half-kicks
+    inside a step are one update, y <- y - (h_i + h_j) (f y + s) /
+    (1 + h_j f), or y <- y - (h_i + h_j) r unforced; a step opens with
+    y <- (y - h_0 s) / (1 + h_0 f) and closes with y <- y - h (f y + s),
+    because the state is recorded at step boundaries.  Each step restarts
+    its stage time from k dt.  The state, the forcing and the scratch
+    arrays are allocated once; every kick, drift and profile writes into
+    them, and every constant operand is an array (the stage's two time
+    factors are 0-d, set in place), so no ufunc call converts a scalar and,
+    for the rational kinds, a step allocates no array (the power kind's
+    profile forms its powers in temporaries).  Each orbit reports the
+    ratio of its all-time excursion max |x| + |y| to the same max over the
+    initial window t <= t_ref (default min(10, t_max)); an orbit that leaves
     [-1e6, 1e6] or produces non-finite values is recorded as failed at
     that time, never raised, and its later states count for nothing: it
     runs on with the others, but no maximum or energy spread reads it.
@@ -697,8 +721,8 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     warnings = problem.validate()
 
     n = problem.n
-    forcing = problem.perturbation.forcing
-    unforced = problem.perturbation.kind == "none"
+    pert = problem.perturbation
+    unforced = pert.kind == "none"
     lam = np.repeat(np.asarray(levels, dtype=float), len(phases))
     phs = np.tile(np.asarray(phases, dtype=float), len(levels))
     x0, y0 = orbit.angle_data(phs)
@@ -722,19 +746,23 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     ys = np.empty((K, B))
 
     # Every ufunc below writes into these buffers, and its constants are
-    # length-B arrays (per stage h, the half-steps and their sums, and the
-    # 1 of the implicit half-kick's denominator), so no call allocates or
-    # promotes a scalar.  The stage time advances by the Python float h.
+    # arrays (length B per stage: h, the half-steps and the sums of two
+    # neighbours, and the 1 of the implicit half-kick's denominator; 0-d:
+    # the two time factors, set in place per stage), so no call allocates
+    # or promotes a scalar.  The stage time advances by the Python float h
+    # and the time factor is a Python-float cosine of it.
     substeps = [float(w) * dt for w in yoshida_weights(order)]
     drifts = [(np.full(B, h), h) for h in substeps]
     halves = [np.full(B, 0.5 * h) for h in substeps]
-    # the merged kick between drifts i and j = i + 1: (h_i, h_i + h_j, h_j);
+    # the merged kick between drifts i and j = i + 1: (h_i + h_j, h_j);
     # None after the last drift, where the closing half-kick follows
-    joins = [(lo, lo + hi, hi) for lo, hi in zip(halves, halves[1:])] + [None]
+    joins = [(lo + hi, hi) for lo, hi in zip(halves, halves[1:])] + [None]
     one = np.ones(B)
-    r = np.empty(B)
-    sq = np.empty(B)
-    a = np.empty(B)
+    r, sq, a, b = (np.empty(B) for _ in range(4))
+    fv, gv, s = (np.empty(B) for _ in range(3))
+    cf, cg = np.empty(()), np.empty(())
+    profile, f_amp, g_amp = pert.profile, pert.f_amp, pert.g_amp
+    omega, phase, cos = pert.omega, pert.phase, math.cos
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
 
     def restore():
@@ -746,8 +774,18 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
             p = r
         mul(x, p, r)
 
-    def kick_drift_kick(fg, t_sub):
-        """One composed step of the unforced control; fg stays None."""
+    def force(t):
+        """f, g and s = r + g at the current point and time t."""
+        profile(x, sq, fv, gv)
+        c = cos(omega * t + phase)
+        cf[()] = f_amp * c
+        cg[()] = g_amp * c
+        mul(fv, cf, fv)
+        mul(gv, cg, gv)
+        add(r, gv, s)
+
+    def kick_drift_kick(t_sub):
+        """One composed step of the unforced control."""
         mul(halves[0], r, a)
         sub(y, a, y)
         for (h, _), join in zip(drifts, joins):
@@ -755,16 +793,13 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
             add(x, a, x)
             restore()
             # y = y - (h_i + h_j) r, or y - h_i r to close the step
-            mul(halves[-1] if join is None else join[1], r, a)
+            mul(halves[-1] if join is None else join[0], r, a)
             sub(y, a, y)
-        return fg
 
-    def split_step(fg, t_sub):
-        """One composed step; fg is the forcing at the current point."""
-        fv, gv = fg
-        # y = (y - half (r + g)) / (1 + half f)
-        add(r, gv, a)
-        mul(halves[0], a, a)
+    def split_step(t_sub):
+        """One composed step; f, g and s hold the forcing at the current point."""
+        # y = (y - h_0 s) / (1 + h_0 f)
+        mul(halves[0], s, a)
         sub(y, a, y)
         mul(halves[0], fv, a)
         add(one, a, a)
@@ -774,36 +809,33 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
             add(x, a, x)
             t_sub += dh
             restore()
-            fv, gv = forcing(x, t_sub)
+            force(t_sub)
             if join is None:
                 break
-            lo, both, hi = join
-            # y = (y (1 - lo f) - (lo + hi) (r + g)) / (1 + hi f)
-            mul(lo, fv, a)
-            sub(one, a, a)
-            mul(y, a, y)
-            add(r, gv, a)
+            both, hi = join
+            # y = y - (h_i + h_j) (f y + s) / (1 + h_j f)
+            mul(fv, y, a)
+            add(a, s, a)
             mul(both, a, a)
+            mul(hi, fv, b)
+            add(one, b, b)
+            div(a, b, a)
             sub(y, a, y)
-            mul(hi, fv, a)
-            add(one, a, a)
-            div(y, a, y)
-        # y = y - half (r + f y + g)
+        # y = y - h_last (f y + s)
         mul(fv, y, a)
-        add(r, a, a)
-        add(a, gv, a)
+        add(a, s, a)
         mul(halves[-1], a, a)
         sub(y, a, y)
-        return fv, gv
 
     step = kick_drift_kick if unforced else split_step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         restore()
-        fg = None if unforced else forcing(x, 0.0)
+        if not unforced:
+            force(0.0)
         for k0 in range(0, n_steps, K):
             count = min(K, n_steps - k0)
             for j in range(count):
-                fg = step(fg, (k0 + j) * dt)
+                step((k0 + j) * dt)
                 xs[j] = x
                 ys[j] = y
             X, Y = xs[:count], ys[:count]

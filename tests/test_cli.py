@@ -624,6 +624,14 @@ class TestLienardCli:
         assert lines[0] == "sample,iterate,theta,rho,escaped"
         assert len(lines) == 1 + 8 * 3  # 8 samples, iterates 0..2
 
+    def test_poincare_ignores_out(self, tmp_path, capsys):
+        # only kam run and lienard stability write a run directory
+        out = tmp_path / "runs"
+        assert main(["lienard", "poincare", "--out", str(out),
+                     "--set", "n_steps=8", "--set", "theta_points=2",
+                     "--set", "rho_levels=[1.2]"]) == 0
+        assert not out.exists()
+
     def test_poincare_section_without_kind_is_unforced(self, capsys):
         code, data = run_json(capsys, [
             "lienard", "poincare", "--set", "perturbation={}",

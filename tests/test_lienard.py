@@ -36,6 +36,15 @@ def rational_system(orbits):
     return lienard.action_angle(prob, orbit=orbits[1])
 
 
+def _counting(pert, calls):
+    """pert with a profile that appends the shape of each x it is given to calls."""
+    def counted(x, sq, f, g):
+        calls.append(np.shape(x))
+        pert.profile(x, sq, f, g)
+
+    return dataclasses.replace(pert, profile=counted)
+
+
 class TestPerturbationFactory:
     def test_none_is_zero(self):
         pert = lienard.make_perturbation("none")
@@ -86,17 +95,37 @@ class TestPerturbationFactory:
                 assert got.shape == x.shape
                 np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("kind,params", [
+        ("rational_cubic", {"f_amp": 0.3, "g_amp": 0.7}),
+        ("rational_cubic_skew", {"phase": 0.4}),
+        ("power", {"f_amp": 0.1, "g_amp": 0.2, "p": 1, "q": 3}),
+        ("power", {"f_amp": 0.1, "g_amp": 0.2, "p": 2, "q": 5}),
+        ("power", {"p": 0, "q": 2}),
+        ("none", {}),
+    ])
+    def test_forcing_is_time_factor_times_profile(self, kind, params):
+        # forcing(x, t) = phi (f_amp c), gamma (g_amp c), bit for bit; the
+        # stability loop forms c as a Python-float cosine of the same
+        # argument, which numpy matches to within rounding, not bit for bit
+        pert = lienard.make_perturbation(kind, **params)
+        x = np.concatenate([np.linspace(-4.0, 4.0, 33), [-1e5, -37.5, 0.5, 61.0, 1e5]])
+        phi, gamma = np.empty_like(x), np.empty_like(x)
+        pert.profile(x, x * x, phi, gamma)
+        for t in (0.0, 0.13, 7.3, -0.37, np.linspace(-0.4, 7.3, x.size)):
+            c = pert.time_factor(t)
+            assert np.array_equal(c, np.cos(2.0 * np.pi * t + params.get("phase", 0.0)))
+            if np.ndim(t) == 0:
+                np.testing.assert_array_max_ulp(
+                    c, math.cos(pert.omega * t + pert.phase), maxulp=1)
+            fv, gv = pert.forcing(x, t)
+            assert fv.tobytes() == (phi * (pert.f_amp * c)).tobytes()
+            assert gv.tobytes() == (gamma * (pert.g_amp * c)).tobytes()
+
     def test_zero_forcing_is_not_called_per_step(self, orbits):
         # the unforced control takes the plain kick-drift-kick branch
         calls = []
-        zero = lienard.make_perturbation("none").forcing
-
-        def counted(x, t):
-            calls.append(t)
-            return zero(x, t)
-
-        prob = lienard.LienardProblem(
-            n=1, perturbation=lienard.Perturbation(kind="none", forcing=counted))
+        prob = lienard.LienardProblem(n=1, perturbation=_counting(
+            lienard.make_perturbation("none"), calls))
         counts = []
         for t_max in (1.0, 2.0):
             calls.clear()
@@ -107,17 +136,11 @@ class TestPerturbationFactory:
 
     @pytest.mark.parametrize("order,stages", [(2, 1), (4, 3), (6, 7)])
     def test_forcing_called_once_per_stage(self, orbits, order, stages):
-        # the closing forcing of one step is the opening forcing of the
+        # the closing profile of one step is the opening profile of the
         # next; two horizons cancel the set-up calls
-        base = lienard.make_perturbation("rational_cubic")
         calls = []
-
-        def counted(x, t):
-            calls.append(t)
-            return base.forcing(x, t)
-
-        prob = lienard.LienardProblem(n=1, perturbation=lienard.Perturbation(
-            base.kind, counted, base.params, base.p, base.q))
+        prob = lienard.LienardProblem(n=1, perturbation=_counting(
+            lienard.make_perturbation("rational_cubic"), calls))
         counts = []
         for steps in (10, 30):
             calls.clear()
@@ -135,7 +158,7 @@ class TestPerturbationFactory:
         with pytest.raises(ParameterError, match="phase"):
             lienard.make_perturbation("rational_cubic", phase=0.3)
         assert lienard.make_perturbation(
-            "rational_cubic_skew", phase=0.3).params["phase"] == 0.3
+            "rational_cubic_skew", phase=0.3).phase == 0.3
 
 
 class TestProblem:
@@ -201,8 +224,7 @@ class TestProblem:
         # declare linear growth but actually grow cubically
         base = lienard.make_perturbation("power", f_amp=0.05, g_amp=0.05,
                                          p=1, q=3)
-        lying = lienard.Perturbation(kind="power", forcing=base.forcing,
-                                     params=base.params, p=1, q=1)
+        lying = dataclasses.replace(base, q=1)
         warnings = lienard.LienardProblem(n=2, perturbation=lying).validate()
         assert any("grows like x^3.00" in w for w in warnings)
 
@@ -593,7 +615,25 @@ class TestStabilityOracle:
                        params={"f_amp": 0.04, "g_amp": 0.03, "p": 1, "q": 3},
                        t_max=50.0, t_ref=10.0, order=6,
                        levels=(1.0, 2.0, 3.0), phases=(0.0, 1.0, 2.5)),
+        # (f) n = 3 under the power kind with g at its admissible growth
+        "n3_power": dict(n=3, kind="power",
+                         params={"f_amp": 0.04, "g_amp": 0.03, "p": 1, "q": 5},
+                         t_max=50.0, t_ref=10.0, order=4,
+                         levels=(1.0, 1.5, 2.0), phases=(0.0, 1.0, 2.5)),
     }
+
+    @staticmethod
+    def _problem(c):
+        if c["kind"] != "anti_damping":
+            return lienard.make_problem(c["n"], c["kind"], **c["params"])
+
+        def profile(x, sq, f, g):
+            f.fill(1.0)
+            g.fill(0.0)
+
+        # f = -8, g = 0: a constant factor (omega = 0) over a constant profile
+        return lienard.LienardProblem(n=c["n"], perturbation=lienard.Perturbation(
+            kind="anti_damping", profile=profile, f_amp=-8.0, omega=0.0))
 
     @pytest.mark.parametrize("cap", [None, 100])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -601,16 +641,7 @@ class TestStabilityOracle:
         c = self.CASES[case]
         if cap is not None:
             monkeypatch.setattr(lienard, "_STABILITY_BLOCK_ENTRIES", cap)
-        if c["kind"] == "anti_damping":
-            def forcing(x, t):
-                x = np.asarray(x, dtype=float)
-                return np.full_like(x, -8.0), np.zeros_like(x)
-
-            prob = lienard.LienardProblem(
-                n=c["n"], perturbation=lienard.Perturbation(
-                    kind="anti_damping", forcing=forcing))
-        else:
-            prob = lienard.make_problem(c["n"], c["kind"], **c["params"])
+        prob = self._problem(c)
         args = dict(t_max=c["t_max"], dt=1.0 / 64, levels=c["levels"],
                     phases=c["phases"], t_ref=c["t_ref"], orbit=orbits[c["n"]],
                     order=c["order"])
@@ -637,16 +668,7 @@ class TestStabilityOracle:
         # the per-column checks give every number that checking after each
         # step gives: blocks of one step against the shipped block size
         c = self.CASES[case]
-        if c["kind"] == "anti_damping":
-            def forcing(x, t):
-                x = np.asarray(x, dtype=float)
-                return np.full_like(x, -8.0), np.zeros_like(x)
-
-            prob = lienard.LienardProblem(
-                n=c["n"], perturbation=lienard.Perturbation(
-                    kind="anti_damping", forcing=forcing))
-        else:
-            prob = lienard.make_problem(c["n"], c["kind"], **c["params"])
+        prob = self._problem(c)
         args = dict(t_max=c["t_max"], dt=1.0 / 64, levels=c["levels"],
                     phases=c["phases"], t_ref=c["t_ref"], orbit=orbits[c["n"]],
                     order=c["order"])
@@ -798,22 +820,25 @@ class TestSectionMapOracle:
             assert not np.any(new_rhs[1])
             np.testing.assert_array_equal(new_rhs[0], sys_.twist(rho))
 
-    def test_one_forcing_call_per_rhs(self, orbits):
-        # a scalar t and an array t each make one forcing call
+    def test_one_forcing_call_per_rhs(self, orbits, monkeypatch):
+        # a scalar t and an array t each make one profile call and one
+        # time-factor call
         sys_ = _oracle_systems(orbits)["rational_cubic"]
-        pert = sys_.problem.perturbation
-        calls = []
+        calls, times = [], []
+        time_factor = lienard.Perturbation.time_factor
 
-        def counted(x, t):
-            calls.append(np.shape(t))
-            return pert.forcing(x, t)
+        def counted_time_factor(self, t):
+            times.append(np.shape(t))
+            return time_factor(self, t)
 
-        counting = dataclasses.replace(pert, forcing=counted)
+        monkeypatch.setattr(lienard.Perturbation, "time_factor", counted_time_factor)
+        counting = _counting(sys_.problem.perturbation, calls)
         sys_ = lienard.action_angle(
             lienard.LienardProblem(n=1, perturbation=counting), orbit=orbits[1])
         sys_.rhs(np.array([0.1, 0.2]), np.array([1.0, 2.0]), 0.25)
         sys_.rhs(np.array([0.1, 0.2]), np.array([1.0, 2.0]), np.array([0.1, 0.3]))
-        assert calls == [(), (2,)]
+        assert calls == [(2,), (2,)]
+        assert times == [(), (2,)]
 
     def test_section_map_matches_old_path(self, orbits, monkeypatch):
         # the shipped configs/lienard_poincare.json grid
