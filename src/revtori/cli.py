@@ -256,9 +256,9 @@ def _cmd_smooth_test(args):
     ell_star, s_max, s_min = (_number(cfg, key, float)
                               for key in ("ell_star", "s_max", "s_min"))
     n_modes, n_scales = (_number(cfg, key, int) for key in ("n_modes", "n_scales"))
-    if not (s_min > 0 and s_max > 0):
+    if not 0 < s_min < s_max:
         raise errors.ParameterError(
-            f"s_min and s_max must be positive, got {s_min} and {s_max}")
+            f"s_min and s_max must satisfy 0 < s_min < s_max, got {s_min} and {s_max}")
     if n_scales < 2:
         raise errors.ParameterError(
             f"n_scales must be at least 2 to fit a rate, got {n_scales}")
@@ -267,6 +267,10 @@ def _cmd_smooth_test(args):
     scales = np.geomspace(s_max, s_min, n_scales)
     errs = np.array([(field - smoothing.smooth(field, float(s))).sup_norm()
                      for s in scales])
+    if not np.all(errs > 0):
+        raise errors.ParameterError(
+            f"a rate needs a positive error at every scale, got {errs.tolist()}; "
+            "raise n_modes or s_max")
     slope = float(np.polyfit(np.log(scales), np.log(errs), 1)[0])
     return {
         "ell_star": ell_star,
@@ -361,17 +365,15 @@ def _cmd_lienard_orbit(args):
     summary = {
         "n": n,
         "period": orbit.period,
-        "modes": (len(orbit.coeffs_x) - 1) // 2,
+        "modes": len(orbit.y_cos) - 1,
         "amplitude": orbit.amplitude(),
         "closure_error": orbit.closure_error,
         "symmetry_defect": orbit.symmetry_defect,
         "energy_residual": orbit.energy_residual(),
     }
     if args.csv:
-        s = orbit.period * np.arange(csv_samples) / csv_samples
-        phi = (2.0 * np.pi / orbit.period) * s
-        x0, y0 = orbit.angle_data(phi)
-        rows = zip(s, x0, y0)
+        x0, y0 = orbit.angle_data(2.0 * np.pi * np.arange(csv_samples) / csv_samples)
+        rows = zip(orbit.period * np.arange(csv_samples) / csv_samples, x0, y0)
         persistence.emit_csv(args.csv, ("t", "x", "xdot"), rows)
         summary["csv"] = args.csv
     return summary
@@ -459,10 +461,9 @@ def _cmd_verify(args):
         embedding = newton.load_embedding(run_dir / "embedding.json")
         system = _build_inputs(embedding.mode, cfg["perturbation"], embedding.omega)
         verify = _verify_settings(cfg)
-        inv = newton.verify_invariance(
+        summary["invariance_residual"] = newton.verify_invariance(
             embedding, system, samples=verify["verify_samples"],
             dt=verify["verify_dt"], tol=verify["verify_tol"])
-        summary["invariance_residual"] = inv.residual
     return summary
 
 

@@ -140,21 +140,17 @@ def certify(omega, tau: float = None, K_max: int = 2000) -> Frequency:
                      K_max=int(K_max), argmin_k=best_k, argmin_j=best_j)
 
 
-def russmann_sum(freq, n: int) -> float:
+def russmann_sum(freq: Frequency, n: int) -> float:
     """Sum of |<k, omega> + j|^{-2} over 0 < |k|_1 <= n and |<k,omega>+j| <= 1.
 
     Both signs of k are counted.  Under DC(kappa, tau) this grows at most
     like n^{2 tau} (up to constants), which is what the growth diagnostic
     fits.  `freq` is a certified Frequency; n must stay inside its window.
-    A bare vector is also accepted, in which case no window check applies.
     """
-    if isinstance(freq, Frequency):
-        if n > freq.K_max:
-            raise ParameterError(
-                f"russmann_sum window n={n} exceeds certified K_max={freq.K_max}")
-        omega = freq.omega
-    else:
-        omega = np.atleast_1d(np.asarray(freq, dtype=float))
+    if n > freq.K_max:
+        raise ParameterError(
+            f"russmann_sum window n={n} exceeds certified K_max={freq.K_max}")
+    omega = freq.omega
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
     total = 0.0

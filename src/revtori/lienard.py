@@ -253,77 +253,49 @@ def make_problem(n: int, kind: str = "none", **params) -> LienardProblem:
 class ReferenceOrbit:
     """Trigonometric interpolant of the orbit of x'' + x^(2n+1) = 0 from (0, 1).
 
-    x0 is odd and y0 even in the time parameter s; period is the full
-    revolution time T0 = 4 _quarter_period(n), and ``angle_data`` reads
-    the orbit at the phase phi = 2 pi s / T0.  closure_error records how
-    far the generating integration landed from its start after one
-    period, symmetry_defect the size of the parity components removed.
-
-    coeffs_x and coeffs_y hold the complex modes -K..K; every evaluation
-    is the real part of their sum, taken as one series in the phase
-    phi = 2 pi s / T0: a table of e^(ik phi), k = 0..K, built once per call
-    as a running product of e^(i phi) (about k ulps at mode k), contracted
-    against a (4, K + 1) complex weight matrix whose rows give x0, y0, dx0
-    and dy0 (derivatives in s).  The (x0, y0) rows are always contracted
-    as one pair and the derivative rows as another, so the bits of x0 and
-    y0 do not depend on which rows a caller asks for.
+    The orbit is read at the angle theta = 2 pi s / T0 of its time s, T0 =
+    ``period`` = 4 _quarter_period(n) the full revolution time.  x0 is odd
+    and y0 even in theta, so each is one real series over the modes
+    k = 0..K: x0 = sum x_sin[k] sin(k theta) (x_sin[0] = 0) and
+    y0 = sum y_cos[k] cos(k theta).  closure_error records how far the
+    generating integration landed from its start after one period,
+    symmetry_defect the size of the parity components removed.
     """
 
     n: int
-    coeffs_x: np.ndarray
-    coeffs_y: np.ndarray
+    x_sin: np.ndarray
+    y_cos: np.ndarray
     closure_error: float
     symmetry_defect: float
     period: float = _dc_field(init=False)
-    _weights: np.ndarray = _dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "period", 4.0 * _quarter_period(self.n))
-        K = (len(self.coeffs_x) - 1) // 2
-        k = np.arange(1, K + 1)
-        omega = 2.0 * np.pi / self.period
-        weights = np.zeros((4, K + 1), dtype=complex)
-        for row, coeffs in enumerate((self.coeffs_x, self.coeffs_y)):
-            c = np.asarray(coeffs, dtype=complex)
-            # Re sum_k c_k e^(ik phi) = Re c_0 + Re sum_k>0 (cw_k - i sw_k) e^(ik phi)
-            cw = (c[K + k] + c[K - k]).real
-            sw = (c[K - k] - c[K + k]).imag
-            weights[row, 0] = c[K].real
-            weights[row, 1:] = cw - 1j * sw
-        # d/ds e^(ik phi) = ik omega e^(ik phi)
-        weights[2:] = (1j * omega * np.arange(K + 1)) * weights[:2]
-        object.__setattr__(self, "_weights", weights)
 
     def angle_data(self, theta, derivatives: bool = False):
-        """(x0, y0) at the angle theta = 2 pi s / T0, from one table.
+        """(x0, y0) at the angle theta, from one table of sin(k theta) and cos(k theta).
 
-        With ``derivatives`` also dx0 and dy0 (in s) from the same table.
+        With ``derivatives`` also dx0 and dy0 in theta, from the same
+        tables; x0 and y0 are the same contractions either way, so their
+        bits do not depend on it.
         """
-        phi = np.asarray(theta, dtype=float)
-        flat = phi.ravel()
-        table = np.empty((self._weights.shape[1], flat.size), dtype=complex)
-        table[0] = 1.0
-        np.cos(flat, out=table.real[1])
-        np.sin(flat, out=table.imag[1])
-        table[2:] = table[1]
-        np.multiply.accumulate(table[1:], axis=0, out=table[1:])
-        pairs = (slice(0, 2), slice(2, 4)) if derivatives else (slice(0, 2),)
-        return tuple(v.real.reshape(phi.shape) for rows in pairs
-                     for v in self._weights[rows] @ table)
-
-    def _period_phases(self, count: int) -> np.ndarray:
-        """Phases 2 pi s / T0 of ``count`` equispaced times s in one period."""
-        s = self.period * np.arange(count) / count
-        return (2.0 * np.pi / self.period) * s
+        theta = np.asarray(theta, dtype=float)
+        k = np.arange(len(self.y_cos))
+        k_theta = np.multiply.outer(k, theta.ravel())
+        sin, cos = np.sin(k_theta), np.cos(k_theta)
+        out = (self.x_sin @ sin, self.y_cos @ cos)
+        if derivatives:
+            out += ((k * self.x_sin) @ cos, -(k * self.y_cos) @ sin)
+        return tuple(v.reshape(theta.shape) for v in out)
 
     def amplitude(self) -> float:
-        """max |x0| over 4096 samples of one period."""
-        x0, _ = self.angle_data(self._period_phases(4096))
+        """max |x0| over 4096 equispaced angles."""
+        x0, _ = self.angle_data(2.0 * np.pi * np.arange(4096) / 4096)
         return float(np.max(np.abs(x0)))
 
     def energy_residual(self) -> float:
-        """sup |(n+1) y0^2 + x0^(2n+2) - (n+1)| over 2048 samples of one period."""
-        x0, y0 = self.angle_data(self._period_phases(2048))
+        """sup |(n+1) y0^2 + x0^(2n+2) - (n+1)| over 2048 equispaced angles."""
+        x0, y0 = self.angle_data(2.0 * np.pi * np.arange(2048) / 2048)
         E = (self.n + 1) * y0 ** 2 + x0 ** (2 * self.n + 2)
         return float(np.max(np.abs(E - (self.n + 1))))
 
@@ -389,13 +361,14 @@ def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
     keep = tail[np.maximum(mags[tail], mags[-tail]) > 1e-14 * mags.max()]
     K = max(int(keep.max()) if keep.size else 1, 8)
     idx = np.arange(-K, K + 1) % n_samples
-    cx, cy = cx[idx], cy[idx]
 
-    # x0 must be odd (purely imaginary coefficients), y0 even (real).
-    defect = max(float(np.max(np.abs(cx.real))), float(np.max(np.abs(cy.imag))))
-    cx = 1j * cx.imag
-    cy = cy.real + 0j
-    return ReferenceOrbit(n=n, coeffs_x=cx, coeffs_y=cy,
+    # x0 must be odd (purely imaginary coefficients), y0 even (real); the
+    # modes +-k of what is kept fold into one sine or cosine coefficient.
+    defect = max(float(np.max(np.abs(cx.real[idx]))), float(np.max(np.abs(cy.imag[idx]))))
+    k = np.arange(1, K + 1)
+    x_sin = np.concatenate([[0.0], cx.imag[-k] - cx.imag[k]])
+    y_cos = np.concatenate([cy.real[:1], cy.real[k] + cy.real[-k]])
+    return ReferenceOrbit(n=n, x_sin=x_sin, y_cos=y_cos,
                           closure_error=closure, symmetry_defect=defect)
 
 
@@ -407,9 +380,9 @@ def compute_reference_orbit(n: int, n_samples: int = 8192) -> ReferenceOrbit:
 class TransformedSystem:
     """The oscillator in scaled angle/action coordinates.
 
-    psi(theta, rho) = (c^alpha rho^alpha x0(phi), c^beta rho^beta y0(phi)),
-    phi = theta T0 / 2 pi, with alpha = 1/(n+2), beta = 1 - alpha and
-    c = 2 pi / (beta T0).  The pushed-forward equations are
+    psi(theta, rho) = (c^alpha rho^alpha x0(theta), c^beta rho^beta y0(theta)),
+    the reference orbit read at the angle theta, with alpha = 1/(n+2),
+    beta = 1 - alpha and c = 2 pi / (beta T0).  The pushed-forward equations are
 
         d theta/dt = c0 rho^(2 beta - 1) + F2(theta, rho, t),
         d rho/dt   = F1(theta, rho, t),
@@ -468,9 +441,9 @@ class TransformedSystem:
         x0, y0, dx0, dy0 = self.orbit.angle_data(theta, derivatives=True)
         ca, cb = self._ca, self.c ** self.beta
         J = np.empty(theta.shape + (2, 2))
-        J[..., 0, 0] = ca * rho ** self.alpha * dx0 * self._t_2pi
+        J[..., 0, 0] = ca * rho ** self.alpha * dx0
         J[..., 0, 1] = self.alpha * ca * rho ** (self.alpha - 1.0) * x0
-        J[..., 1, 0] = cb * rho ** self.beta * dy0 * self._t_2pi
+        J[..., 1, 0] = cb * rho ** self.beta * dy0
         J[..., 1, 1] = self.beta * cb * rho ** (self.beta - 1.0) * y0
         return J
 
@@ -669,7 +642,7 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     """Integrate a bundle of orbits for a long time and measure excursions.
 
     Initial conditions sit on rescaled copies of the reference orbit
-    (amplitude factor per level, position per phase).  The integrator is a
+    (amplitude factor per level, finite and nonzero, position per phase).  The integrator is a
     symmetric composition (order 2, 4 or 6) of a split step whose velocity
     half-kick handles the f(x, t) y damping term in closed form, so the
     cost per step is a handful of array operations; the unperturbed
@@ -706,6 +679,9 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
                              f"got t_max = {t_max}, dt = {dt}")
     if len(levels) == 0 or len(phases) == 0:
         raise ParameterError("levels and phases must each hold at least one value")
+    if not all(math.isfinite(v) and v != 0 for v in levels):
+        raise ParameterError(f"levels must be finite and nonzero (level 0 is the "
+                             f"equilibrium), got {list(levels)}")
     if not (math.isfinite(threshold) and threshold > 0):
         raise ParameterError(f"threshold must be positive and finite, got {threshold}")
     steps = t_max / dt

@@ -55,9 +55,8 @@ from .integrators import extrapolate
 from .smoothing import cutoff, decompose
 
 __all__ = [
-    "Schedule", "make_schedule", "NearIdentityTransform", "TorusEmbedding",
-    "ConvergenceReport", "InvarianceReport", "newton_step", "run_kam",
-    "fit_embedding", "verify_invariance", "load_embedding", "rotation_number",
+    "Schedule", "make_schedule", "TorusEmbedding", "ConvergenceReport", "newton_step",
+    "run_kam", "fit_embedding", "verify_invariance", "load_embedding", "rotation_number",
 ]
 
 # Columns of the per-step convergence table, in emission order, and the
@@ -163,21 +162,6 @@ def make_schedule(d: int, mu: float, eps0: float, M: int) -> Schedule:
 # --------------------------------------------------------------------------- #
 # transforms and their composition
 # --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class NearIdentityTransform:
-    """One coordinate change  x = xi + U(xi, eta, t),  y = eta + V(xi, eta, t).
-
-    uv holds the generators u then v produced by the homological solve (the
-    inverse direction, xi = x + u(x, y, t)), UV their fitted inverses U
-    then V, each pair as the 2d components of one field.  The step's
-    diagnostics travel beside it in the dict newton_step returns: exactly
-    the step columns of a convergence row.
-    """
-
-    uv: FourierField
-    UV: FourierField
-
 
 @dataclass(frozen=True)
 class TorusEmbedding:
@@ -500,11 +484,13 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
 
     Returns
     -------
-    (transform, fg_next, diagnostics)
-        transform is the NearIdentityTransform for this step; fg_next is
-        the transformed remainder pair fitted at cutoff N[m+1] on the
-        shrunk domain; diagnostics holds exactly the step columns of a
-        convergence row, the keys of _NO_STEP.
+    (UV, fg_next, diagnostics)
+        UV is the step's coordinate change x = xi + U(xi, eta, t),
+        y = eta + V(xi, eta, t): the fitted inverse of the generator (u, v)
+        of the homological solve (xi = x + u(x, y, t)), U then V as one
+        pair field; fg_next is the transformed remainder pair fitted at
+        cutoff N[m+1] on the shrunk domain; diagnostics holds exactly the
+        step columns of a convergence row, the keys of _NO_STEP.
     """
     dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
@@ -570,29 +556,12 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
     diagnostics = {"min_divisor": float(sol.min_divisor), "inversion_iters": iters,
                    "composition_residual": comp_res, "n_fit": n_fit,
                    "y_excursion": y_excursion, "taylor_order": taylor[0]}
-    return NearIdentityTransform(uv=sol.uv, UV=UV), fg_next, diagnostics
+    return UV, fg_next, diagnostics
 
 
 # --------------------------------------------------------------------------- #
 # full runs
 # --------------------------------------------------------------------------- #
-
-@dataclass
-class InvarianceReport:
-    """Result of checking an embedding against the true dynamics."""
-
-    mode: str
-    x_residual: float
-    y_residual: float
-    samples: int
-    dt: float
-    tol: float
-
-    @property
-    def residual(self) -> float:
-        """The larger of the angle and action residuals."""
-        return max(self.x_residual, self.y_residual)
-
 
 @dataclass
 class ConvergenceReport:
@@ -601,8 +570,9 @@ class ConvergenceReport:
     rows holds one dict per Newton step (plus a closing row for the final
     state) with the majorants of the carried perturbation on entry, the
     step diagnostics, and the per-step invariance residual when it was
-    measured, the last row's being the report's.  A run that failed keeps
-    the last good chain and embedding.
+    measured, the last row's being the report's.  chain lists each
+    completed step's coordinate change (U, V), as newton_step returns it.
+    A run that failed keeps the last good chain and embedding.
     """
 
     mode: str
@@ -723,13 +693,13 @@ def _above_rounding(h: FourierField) -> FourierField:
 def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str) -> TorusEmbedding:
     """Fit the composed chain at y = 0 to a torus embedding.
 
-    chain lists the NearIdentityTransforms outermost first and applies
+    chain lists the steps' pair fields (U, V) outermost first and applies
     innermost first, so it realizes step0 o step1 o ... o step_{M-1} acting
-    on new coordinates.  The fit's cutoff N is the largest (U, V) cutoff of
-    the chain, 0 for an empty chain (the identity, a zero field).  The
+    on new coordinates.  The fit's cutoff N is the largest cutoff of the
+    chain, 0 for an empty chain (the identity, a zero field).  The
     chain is evaluated on the grid of 2N+2 angle nodes per axis times the
     time nodes (all of them for flows, t = 0 for maps, whose embedding is
-    autonomous), with one grid jet of (U, V) per transform, and the
+    autonomous), with one grid jet per (U, V), and the
     offsets (x, y) are fitted by one FFT as one pair field.  Each fitted
     component keeps only its coefficients above eps times its largest
     modulus (eps the float epsilon): the rest are rounding noise of the
@@ -738,13 +708,13 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str) -> TorusEm
     """
     dyn = _dynamics(mode)
     d = freq.d
-    N = max((tr.UV.N for tr in chain), default=0)
+    N = max((UV.N for UV in chain), default=0)
     n = 2 * N + 2
     n_t = dyn.time_slots(n)
     # The chain moves each node by the small offsets its steps add up.
     xy = np.zeros((n ** d * n_t, 2 * d))
-    for tr in reversed(chain):
-        xy += GridJet(tr.UV, n, n_t).evaluate(xy[:, :d], xy[:, d:])
+    for UV in reversed(chain):
+        xy += GridJet(UV, n, n_t).evaluate(xy[:, :d], xy[:, d:])
     fit = field_from_grid_samples(xy.reshape((1,) + (n,) * d + (n_t, 2 * d)), d, N, 0, 0.0,
                                   parity=_pair_tags(dyn.uv_parity, d))
     return TorusEmbedding(xy=_above_rounding(fit), omega=np.array(freq.omega, dtype=float),
@@ -779,7 +749,7 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
         raise ShapeError(f"frequency dimension {freq.d} does not match schedule d = {d}")
     dyn = _dynamics(mode)
     dec = decompose(dyn.sample(system, freq.omega, d, int(schedule.N[schedule.M]), q_y,
-                               schedule.r[0]), schedule)
+                               schedule.r[0]), schedule.s)
 
     warnings = []
     for nu, pieces in enumerate(map(_halves, dec)):
@@ -794,7 +764,7 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
     def check(chain):  # each chain is fitted and verified once
         emb = fit_embedding(chain, freq, schedule.r[0], mode)
         return emb, verify_invariance(emb, system, samples=verify_samples,
-                                      dt=verify_dt, tol=verify_tol).residual
+                                      dt=verify_dt, tol=verify_tol)
 
     chain = []
     cur = dec[0]
@@ -807,7 +777,7 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
         if tol > 0.0 and max(row["sup_f"], row["sup_g"]) < tol:
             break
         try:
-            transform, fg_next, diag = newton_step(cur, freq, schedule, m, mode=mode)
+            UV, fg_next, diag = newton_step(cur, freq, schedule, m, mode=mode)
             for name, h in zip("fg", _halves(fg_next)):
                 osc = row["osc_" + name]
                 rem = h.oscillating_part().majorant(schedule.r[m + 1])
@@ -822,7 +792,7 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
             warnings.append(
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
                 f"nominal radius {schedule.r[m]:.3e} (within the jet trust region)")
-        chain.append(transform)
+        chain.append(UV)
         cur = fg_next + dec[m + 1]
         embedding, residual = check(chain)
         row["invariance_residual"] = residual
@@ -844,15 +814,16 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
 
 def verify_invariance(embedding: TorusEmbedding, system,
                       samples: int = 64, dt: float = 1.0,
-                      tol: float = 1e-12) -> InvarianceReport:
-    """Measure how close an embedding is to an invariant torus.
+                      tol: float = 1e-12) -> float:
+    """How far an embedding is from an invariant torus, as one residual.
 
     For flows the embedded circle of initial conditions K(theta, 0) is
     integrated for time dt by Gragg-Bulirsch-Stoer extrapolation
     (``integrators.extrapolate``) at local relative tolerance tol and
     compared against K(theta + omega dt, dt).  For maps the image
     A(K(theta)) is compared against K(theta + 2 pi omega); dt and tol play
-    no part.  Angle mismatches are wrapped to (-pi, pi].
+    no part.  The residual is the largest mismatch of either coordinate
+    over the samples, angle mismatches wrapped to (-pi, pi].
 
     system defines the true dynamics, as for run_kam: one callable, fg(x,
     y, t) -> (S, 2d) for a flow and A(x, y) -> (x1, y1), such as a section
@@ -880,10 +851,8 @@ def verify_invariance(embedding: TorusEmbedding, system,
     x0, y0 = embedding.evaluate(theta, np.zeros(S))
     x1, y1 = step(x0, y0)
     x_target, y_target = embedding.evaluate(theta + turn, np.full(S, t_end))
-    x_res = float(np.max(np.abs(_wrap_angle(np.asarray(x1) - x_target))))
-    y_res = float(np.max(np.abs(np.asarray(y1) - y_target)))
-    return InvarianceReport(mode=embedding.mode, x_residual=x_res, y_residual=y_res,
-                            samples=samples, dt=float(dt), tol=float(tol))
+    return max(float(np.max(np.abs(_wrap_angle(np.asarray(x1) - x_target)))),
+               float(np.max(np.abs(np.asarray(y1) - y_target))))
 
 
 def rotation_number(map_fn: Callable, z0, n_iter: int = 4096):

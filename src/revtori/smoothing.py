@@ -57,10 +57,8 @@ def decompose(field: FourierField, s_values: Sequence[float]) -> tuple:
 
     Returns the tuple of telescoping pieces: pieces[0] = S_{s_0} F and
     pieces[v] = (S_{s_v} - S_{s_{v-1}}) F, so that the partial sums equal
-    S_{s_v} F exactly.  ``s_values`` may also be any object carrying the
-    scales in an ``s`` attribute (a Newton schedule, say).
+    S_{s_v} F exactly.
     """
-    s_values = getattr(s_values, "s", s_values)
     s_values = [float(s) for s in s_values]
     if not s_values:
         raise ParameterError("need at least one smoothing scale")

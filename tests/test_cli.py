@@ -122,6 +122,10 @@ class TestSmoothTest:
         ["--set", "s_min=0"], ["--set", "s_max=-0.5"], ["--set", "n_scales=0"],
         ["--set", "n_scales=1"], ["--set", "n_modes=0"], ["--set", "ell_star=nan"],
         ["--set", "ell_star=inf"],
+        # no interval of scales to fit a rate over
+        ["--set", "s_min=1", "--set", "s_max=1"], ["--set", "s_min=0.3", "--set", "s_max=0.3"],
+        # one mode is kept whole at every scale: all errors are 0
+        ["--set", "n_modes=1"],
     ])
     def test_bad_inputs_exit_2(self, capsys, flags):
         assert main(["smooth-test", "--set", "n_modes=64", *flags]) == 2
@@ -498,11 +502,11 @@ class TestLienardCli:
         lines = csv.read_text().splitlines()
         assert lines[0] == "t,x,xdot"
         assert len(lines) == 513
-        # the columns are angle_data's values, bit for bit
+        # the columns are angle_data's values at equispaced angles, bit for bit
         orbit = lienard.compute_reference_orbit(2)
-        s = orbit.period * np.arange(512) / 512
-        x0, y0 = orbit.angle_data((2.0 * np.pi / orbit.period) * s)
+        x0, y0 = orbit.angle_data(2.0 * np.pi * np.arange(512) / 512)
         table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(table[:, 0], orbit.period * np.arange(512) / 512)
         assert np.array_equal(table[:, 1], x0)
         assert np.array_equal(table[:, 2], y0)
 
@@ -547,6 +551,7 @@ class TestLienardCli:
 
     @pytest.mark.parametrize("command,override", [
         ("stability", "levels=[]"),
+        ("stability", "levels=[0, 1]"),
         ("stability", "phases=[]"),
         ("stability", "t_max=nan"),
         ("stability", "t_max=Infinity"),

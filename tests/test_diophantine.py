@@ -87,7 +87,7 @@ class TestRussmannSum:
 
     def test_small_case_by_hand(self):
         # n = 1: k = +-1, register |omega + j| <= 1 for j in {-1, 0}
-        total = diophantine.russmann_sum(np.array([GOLDEN]), 1)
+        total = diophantine.russmann_sum(diophantine.certify([GOLDEN]), 1)
         expected = 2.0 * (GOLDEN ** -2 + (1.0 - GOLDEN) ** -2)
         assert total == pytest.approx(expected, rel=1e-12)
 

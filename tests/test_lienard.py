@@ -1,6 +1,7 @@
 """Forced oscillator: forcing, reference orbit, coordinates, section, stability."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -265,13 +266,15 @@ class TestReferenceOrbit:
         orb = orbits[2]
         theta = 2.0 * np.pi * (np.arange(257) + 0.123) / 257
         x0, y0, dx0, dy0 = orb.angle_data(theta, derivatives=True)
-        np.testing.assert_allclose(dx0, y0, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(dy0, -x0 ** 5, rtol=0, atol=1e-9)
+        # derivatives in theta = 2 pi s / T0, as derivatives in s
+        ds = 2.0 * np.pi / orb.period
+        np.testing.assert_allclose(dx0 * ds, y0, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(dy0 * ds, -x0 ** 5, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_values_do_not_depend_on_rows_requested(self, orbits, n):
         orb = orbits[n]
-        phi = (2.0 * np.pi / orb.period) * (orb.period * np.arange(512) / 512)
+        phi = 2.0 * np.pi * np.arange(512) / 512
         plain = orb.angle_data(phi)
         full = orb.angle_data(phi, derivatives=True)
         assert np.array_equal(plain[0], full[0])
@@ -298,7 +301,8 @@ class TestReferenceOrbit:
     def test_smallest_sample_count_keeps_its_band(self):
         # 36 samples: 9 > 8 modes of room, the kept band stays below it
         orb = lienard.compute_reference_orbit(1, n_samples=36)
-        assert (len(orb.coeffs_x) - 1) // 2 < 36 // 4
+        assert len(orb.x_sin) == len(orb.y_cos)
+        assert len(orb.y_cos) - 1 < 36 // 4
 
 
 class TestActionAngle:
@@ -491,6 +495,25 @@ class TestStability:
                 lienard.lagrange_stability_experiment(
                     prob, t_max=1.0, levels=levels, phases=phases,
                     orbit=orbits[1])
+
+    def test_zero_or_non_finite_level_rejected(self, orbits, monkeypatch):
+        # level 0 is the equilibrium, whose excursion ratio is 0 / 0
+        prob = lienard.make_problem(1, "rational_cubic", f_amp=0.05, g_amp=0.05)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lienard.ReferenceOrbit, "angle_data", refuse)
+            for levels in ((0.0, 1.0), (1.0, -0.0), (math.nan,), (1.0, math.inf)):
+                with pytest.raises(ParameterError, match="levels must be finite and nonzero"):
+                    lienard.lagrange_stability_experiment(
+                        prob, t_max=1.0, levels=levels, orbit=orbits[1])
+        # a negative level is the mirrored orbit, and stays valid
+        rep = lienard.lagrange_stability_experiment(
+            prob, t_max=1.0, levels=(-1.0, 1.0), phases=(0.0,), orbit=orbits[1])
+        ratios = [row["ratio"] for row in rep.rows]
+        assert all(math.isfinite(r) for r in ratios) and rep.stable
 
     def test_t_fail_is_a_column(self, orbits):
         prob = lienard.make_problem(1)
@@ -694,18 +717,19 @@ def _old_eval(orbit, coeffs, s):
 
 
 def _old_orbit_values(orbit, s):
-    """x0, y0, dx0, dy0, each from its own table."""
-    K = (len(orbit.coeffs_x) - 1) // 2
+    """x0, y0, dx0, dy0 (derivatives in s), each from its own table of the
+    old complex coefficients of the orbit."""
+    old = _old_reference_orbit(orbit.n)
+    cx, cy = old["coeffs_x"], old["coeffs_y"]
+    K = (len(cx) - 1) // 2
     dmul = 1j * np.arange(-K, K + 1) * (2.0 * np.pi / orbit.period)
-    return (_old_eval(orbit, orbit.coeffs_x, s), _old_eval(orbit, orbit.coeffs_y, s),
-            _old_eval(orbit, orbit.coeffs_x * dmul, s),
-            _old_eval(orbit, orbit.coeffs_y * dmul, s))
+    return (_old_eval(orbit, cx, s), _old_eval(orbit, cy, s),
+            _old_eval(orbit, cx * dmul, s), _old_eval(orbit, cy * dmul, s))
 
 
 def _old_angle_data(sys_, theta):
     s = np.asarray(theta, dtype=float) * sys_.orbit.period / (2.0 * np.pi)
-    return _old_eval(sys_.orbit, sys_.orbit.coeffs_x, s), \
-        _old_eval(sys_.orbit, sys_.orbit.coeffs_y, s)
+    return _old_orbit_values(sys_.orbit, s)[:2]
 
 
 def _old_F1(sys_, theta, rho, t):
@@ -731,6 +755,7 @@ def _old_rhs(sys_, theta, rho, t, check_domain=True):
             _old_F1(sys_, theta, rho, t))
 
 
+@functools.lru_cache(maxsize=None)
 def _old_reference_orbit(n, n_samples=8192):
     """The generating loop on numpy scalars: each stage a kick-drift-kick
     that evaluates both of its forces afresh."""
@@ -782,8 +807,9 @@ class TestSectionMapOracle:
     """One real table and one forcing call against the old composition.
 
     The old path built a complex-exponential table for each of x0 and y0
-    and evaluated F1 and F2 separately; the new one shares a sin/cos table
-    and a forcing evaluation, so values move by rounding only.
+    over the modes -K..K and evaluated F1 and F2 separately; the new one
+    contracts the real sine and cosine series with one sin/cos table and
+    shares a forcing evaluation, so values move by rounding only.
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -795,6 +821,8 @@ class TestSectionMapOracle:
         # the old path's own phase, so both see the same rounded angle
         theta = (2.0 * np.pi / orb.period) * s
         got = orb.angle_data(theta, derivatives=True)
+        # derivatives in theta against derivatives in s times ds/dtheta
+        want = want[:2] + tuple(w * (orb.period / (2.0 * np.pi)) for w in want[2:])
         for name, g, w in zip(("x0", "y0", "dx0", "dy0"), got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-14, err_msg=name)
         # scalar in, 0-d out, as before
@@ -858,9 +886,16 @@ class TestSectionMapOracle:
         orb = orbits[n]
         for name in ("period", "closure_error", "symmetry_defect"):
             assert getattr(orb, name) == want[name], name
-        for name in ("coeffs_x", "coeffs_y"):
-            np.testing.assert_array_equal(getattr(orb, name), want[name],
-                                          err_msg=name)
+        # the old complex modes -K..K folded into the sine and cosine series
+        cx, cy = want["coeffs_x"], want["coeffs_y"]
+        K = (len(cx) - 1) // 2
+        k = np.arange(1, K + 1)
+        np.testing.assert_array_equal(
+            orb.x_sin, np.concatenate([[0.0], (cx[K - k] - cx[K + k]).imag]), err_msg="x_sin")
+        np.testing.assert_array_equal(
+            orb.y_cos, np.concatenate([[cy[K].real], (cy[K + k] + cy[K - k]).real]),
+            err_msg="y_cos")
+        assert not np.iscomplexobj(orb.x_sin) and not np.iscomplexobj(orb.y_cos)
 
     def test_domain_errors_still_raise(self, orbits):
         sys_ = _oracle_systems(orbits)["rational_cubic"]

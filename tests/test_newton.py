@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from revtori import diophantine, fields, newton, persistence, systems
+from revtori import diophantine, fields, homological, newton, persistence, systems
 from revtori.cli import main
 from revtori.errors import (ParameterError, PersistenceError, ShapeError,
                             StepFailureError)
@@ -101,8 +101,9 @@ class TestNewtonStep:
         sched = newton.make_schedule(1, 0.1, 1e-4, 2)
         N = sched.N[0]
         fg = FourierField.zeros(1, 2, N, 2, sched.r[0], ("even", "odd"))
-        transform, fg_next, diag = newton.newton_step(fg, golden, sched, 0)
-        assert float(np.max(np.abs(transform.uv.coeffs))) == 0.0
+        UV, fg_next, diag = newton.newton_step(fg, golden, sched, 0)
+        assert float(np.max(np.abs(homological.solve_flow(fg, golden).uv.coeffs))) == 0.0
+        assert float(np.max(np.abs(UV.coeffs))) == 0.0
         assert float(np.max(np.abs(fg_next.coeffs))) < 1e-15
 
     def test_step_torus_block_contracts_quadratically(self, golden, rng):
@@ -143,10 +144,11 @@ class TestNewtonStep:
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
         fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
                                                       r=sched.r[0], amp=1e-5))
-        transform, fg_next, diag = newton.newton_step(fg, golden, sched, 0)
+        UV, fg_next, diag = newton.newton_step(fg, golden, sched, 0)
+        uv = homological.solve_flow(fg, golden).uv  # the generator the step inverts
         assert fg_next.parity == ("even", "odd")
-        assert transform.uv.parity == ("odd", "even")
-        for h in halves(fg_next) + halves(transform.uv):
+        assert uv.parity == UV.parity == ("odd", "even")
+        for h in halves(fg_next) + halves(uv) + halves(UV):
             assert grid_parity_residual(h) < 1e-10
         assert diag["composition_residual"] < 1e-10
 
@@ -154,8 +156,8 @@ class TestNewtonStep:
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
         fg = _map_pair(sched)
         assert fg.N_t == 0
-        transform, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode="map")
-        for fld in (transform.UV, fg_next):
+        UV, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode="map")
+        for fld in (UV, fg_next):
             assert fld.N_t == 0 and fld.coeffs.shape[fld.d] == 1
         assert fg_next.N == sched.N[1]
         # the oscillating parts are what the map iteration drives to zero
@@ -246,17 +248,18 @@ class TestGridJetOracle:
         runs = []
         for jet in (fields.GridJet, _ScatteredJet):
             monkeypatch.setattr(newton, "GridJet", jet)
-            tr, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode=mode)
-            emb = newton.fit_embedding([tr, tr], golden, sched.r[0], mode)
-            runs.append((tr, fg_next, diag, emb))
-        (tr, fg_next, diag, emb), ref = runs
-        pairs = [*zip(halves(tr.UV), halves(ref[0].UV)), *zip(halves(fg_next), halves(ref[1])),
+            UV, fg_next, diag = newton.newton_step(fg, golden, sched, 0, mode=mode)
+            emb = newton.fit_embedding([UV, UV], golden, sched.r[0], mode)
+            runs.append((UV, fg_next, diag, emb))
+        (UV, fg_next, diag, emb), ref = runs
+        pairs = [*zip(halves(UV), halves(ref[0])), *zip(halves(fg_next), halves(ref[1])),
                  *zip(halves(emb.xy), halves(ref[3].xy))]
         # Differences are majorants (action powers weighted by r^|alpha|,
         # which undoes the 1/r^|alpha| of the fit on the action nodes), on
-        # the scale of the evaluated generators: the map remainder is a
-        # difference of u and v values, so it is rounded on their scale.
-        uv = tr.uv.majorant(sched.r[0])
+        # the scale of the evaluated generators, those of the step's own
+        # solve: the map remainder is a difference of u and v values, so it
+        # is rounded on their scale.
+        uv = newton._dynamics(mode).solve(fg, golden).uv.majorant(sched.r[0])
         for got, want in pairs:
             scale = max(want.majorant(), uv)
             assert (got - want).majorant() <= 1e-13 * scale
@@ -275,8 +278,8 @@ class TestGridJetOracle:
             raise AssertionError("scattered evaluation in a grid-anchored path")
 
         monkeypatch.setattr(FourierField, "evaluate_complex", refuse)
-        tr, _, _ = newton.newton_step(fg, golden, sched, 0)
-        newton.fit_embedding([tr], golden, sched.r[0], "flow")
+        UV, _, _ = newton.newton_step(fg, golden, sched, 0)
+        newton.fit_embedding([UV], golden, sched.r[0], "flow")
 
 
 @pytest.fixture
@@ -318,9 +321,9 @@ class TestOneJetPerFieldPair:
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
         fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
                                                       r=sched.r[0], amp=1e-5))
-        tr, _, _ = newton.newton_step(fg, golden, sched, 0)
+        UV, _, _ = newton.newton_step(fg, golden, sched, 0)
         jets_made.clear()
-        newton.fit_embedding([tr, tr, tr], golden, sched.r[0], "flow")
+        newton.fit_embedding([UV, UV, UV], golden, sched.r[0], "flow")
         assert len(jets_made) == 3
 
     def test_flow_demo_run_builds_nine_jets(self, tmp_path, jets_made):
@@ -406,7 +409,7 @@ class TestTwoDimensionalStep:
         g = field_from_function(lambda x, y, t: eps * s0 * harmonics(np.sin)(x, y, t),
                                 2, 2, 3, q_y=2, r=sched.r[0], parity="odd")
         fg = stack_components(f, g)
-        tr, fg_next, diag = newton.newton_step(fg, freq, sched, 0)
+        _, fg_next, diag = newton.newton_step(fg, freq, sched, 0)
         self._contracts(fg, fg_next, sched)
         assert fg_next.parity == ("even", "even", "odd", "odd")
         assert diag["composition_residual"] < 1e-10
@@ -419,9 +422,9 @@ class TestTwoDimensionalStep:
         g = random_parity_field(rng, "odd", d=2, N=3, q_y=2, r=sched.r[0],
                                 amp=1e-5, N_t=0)
         fg = stack_components(f, g)
-        tr, fg_next, diag = newton.newton_step(fg, freq, sched, 0, mode="map")
+        UV, fg_next, diag = newton.newton_step(fg, freq, sched, 0, mode="map")
         self._contracts(fg, fg_next, sched)
-        for fld in (tr.UV, fg_next):
+        for fld in (UV, fg_next):
             assert fld.N_t == 0
         assert diag["composition_residual"] < 1e-10
 
@@ -446,9 +449,8 @@ class TestFlowRun:
 
     def test_invariance_certificate(self, short_run, golden):
         flow, report = short_run
-        inv = newton.verify_invariance(report.embedding, flow,
-                                       samples=32, dt=1.0, tol=1e-12)
-        assert inv.residual < 1e-8
+        assert newton.verify_invariance(report.embedding, flow,
+                                        samples=32, dt=1.0, tol=1e-12) < 1e-8
 
     def test_verification_settings_are_checked(self, short_run):
         system, report = short_run
@@ -459,9 +461,8 @@ class TestFlowRun:
             with pytest.raises(ParameterError, match="verification"):
                 newton.verify_invariance(report.embedding, system, **bad)
         # a negative time integrates backwards along the same torus
-        back = newton.verify_invariance(report.embedding, system, samples=32,
-                                        dt=-1.0)
-        assert back.residual < 1e-8
+        assert newton.verify_invariance(report.embedding, system, samples=32,
+                                        dt=-1.0) < 1e-8
 
     def test_non_finite_forcing_raises(self, short_run):
         flow, report = short_run
@@ -487,9 +488,8 @@ class TestFlowRun:
         bad_coeffs[N - 1, N, 0, 1] += 5e-4
         bad = dataclasses.replace(emb, xy=dataclasses.replace(
             emb.xy, coeffs=bad_coeffs))
-        inv = newton.verify_invariance(bad, flow, samples=32,
-                                       dt=1.0, tol=1e-12)
-        assert inv.residual > 1e-4
+        assert newton.verify_invariance(bad, flow, samples=32,
+                                        dt=1.0, tol=1e-12) > 1e-4
 
     def test_embedding_reversibility(self, short_run):
         # a reversible torus satisfies x_offset odd, y even in (theta, t)
@@ -592,7 +592,7 @@ class TestMapSampling:
         assert calls == [(n, 1)] * 3 + [(64, 1)] * 2
         # the run's residual is that of the map it was given
         inv = newton.verify_invariance(report.embedding, mapping.A)
-        assert inv.residual == report.invariance_residual < 1e-8
+        assert inv == report.invariance_residual < 1e-8
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_samples_are_the_closed_forms(self, eps):
@@ -772,10 +772,10 @@ class TestEmbeddingCutoff:
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
         fg = _map_pair(sched) if mode == "map" else stack_components(
             *random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2, r=sched.r[0], amp=1e-5))
-        tr, _, _ = newton.newton_step(fg, golden, sched, 0, mode=mode)
-        coarse = dataclasses.replace(tr, UV=tr.UV.truncate(tr.UV.N - 5))
-        for chain, N in (([coarse, tr], tr.UV.N), ([tr, coarse], tr.UV.N),
-                         ([coarse], tr.UV.N - 5)):
+        UV, _, _ = newton.newton_step(fg, golden, sched, 0, mode=mode)
+        coarse = UV.truncate(UV.N - 5)
+        for chain, N in (([coarse, UV], UV.N), ([UV, coarse], UV.N),
+                         ([coarse], UV.N - 5)):
             emb = newton.fit_embedding(chain, golden, sched.r[0], mode)
             assert emb.xy.N == N
             assert emb.xy.N_t == (0 if mode == "map" else N)

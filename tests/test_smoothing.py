@@ -82,13 +82,6 @@ class TestDecompose:
         with pytest.raises(ParameterError):
             smoothing.decompose(fld, [])
 
-    def test_accepts_schedule_like_object(self, rng):
-        from revtori import newton
-        fld = random_parity_field(rng, "even", N=8)
-        sched = newton.make_schedule(1, 0.1, 1e-4, 2)
-        pieces = smoothing.decompose(fld, sched)
-        assert len(pieces) == len(sched.s)
-
     def test_piece_majorants_sum_bounds_total(self, rng):
         fld = random_parity_field(rng, "even", N=16)
         pieces = smoothing.decompose(fld, [0.5, 0.125])
