@@ -24,7 +24,6 @@ _EXPORTS = {
     "field_from_function": "fields",
     "field_from_grid_samples": "fields",
     "harmonic_field": "fields",
-    "project_structure": "fields",
     "Frequency": "diophantine",
     "certify": "diophantine",
     "make_frequency": "diophantine",

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, PersistenceError, ShapeError, StructureError
 
-_PARITIES = ("even", "odd", None)
+# The parity tags, each to the tag of its component's x-derivative.
+_FLIPPED = {"even": "odd", "odd": "even", None: None}
 # Entries allowed in one point block: complex entries (2^18, 4 MiB) of the
 # GEMM output in FourierField.evaluate_complex, where points per block = this
 # // coefficient block width (2N+1)^(d-1) * (2N_t+1) * P * m, and real entries
@@ -89,9 +90,8 @@ def _reverse_modes(coeffs: np.ndarray, d: int) -> np.ndarray:
     return coeffs[sl]
 
 
-def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
-              what: str = "field") -> np.ndarray:
-    """Verify reality/parity up to ``tol`` and project exactly.
+def _finalize(coeffs: np.ndarray, d: int, parity: tuple, tol: float, what: str) -> np.ndarray:
+    """Verify reality and the m parity tags up to ``tol`` and project exactly.
 
     Each component's deviations are relative to its own largest
     coefficient, so a small component of a stacked pair is held to its own
@@ -113,7 +113,7 @@ def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
     for i, dev in enumerate(peak(np.abs(coeffs - np.conj(rev)))):
         check(dev, i, "violates reality symmetry")
     out = 0.5 * (coeffs + np.conj(rev))
-    for i, tag in enumerate(parity or ()):
+    for i, tag in enumerate(parity):
         comp = out[..., i]
         if tag == "even":
             check(np.max(np.abs(comp.imag)), i, "not even")
@@ -121,17 +121,21 @@ def _finalize(coeffs: np.ndarray, d: int, parity, tol: float = 1e-6,
         elif tag == "odd":
             check(np.max(np.abs(comp.real)), i, "not odd")
             out[..., i] = 1j * comp.imag
-        elif tag is not None:
-            raise ParameterError(f"unknown parity tag {tag!r}")
     return out
 
 
-def _flip_parity(tag):
-    if tag == "even":
-        return "odd"
-    if tag == "odd":
-        return "even"
-    return None
+def _tags(parity, m: int) -> tuple:
+    """The m per-component parity tags, each "even", "odd" or None.
+
+    None tags no component; anything but None or a sequence of m valid
+    tags (a bare string too) raises ParameterError.
+    """
+    if parity is None:
+        return (None,) * m
+    if isinstance(parity, str) or len(parity) != m or any(t not in _FLIPPED for t in parity):
+        raise ParameterError(f"parity needs {m} tags, each 'even', 'odd' or None, "
+                             f"got {parity!r}")
+    return tuple(parity)
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,8 @@ class FourierField:
     r : float
         Action radius the field is intended to be used on.
     parity : tuple or None
-        Per-component parity tags ("even", "odd" or None).
+        Per-component parity tags ("even", "odd" or None), m of them; None
+        (the default) tags no component and is kept as (None,) * m.
     """
 
     coeffs: np.ndarray
@@ -177,14 +182,9 @@ class FourierField:
                 "2N_t+1 <= 2N+1, P a count of action powers and m >= 1")
         if not np.iscomplexobj(self.coeffs):
             raise ShapeError("coefficient array must be complex")
-        for name, value in zip(("d", "m", "N", "q_y"), (d, shape[-1], N, q_y)):
+        for name, value in zip(("d", "m", "N", "q_y", "parity"),
+                               (d, shape[-1], N, q_y, _tags(self.parity, shape[-1]))):
             object.__setattr__(self, name, value)
-        if self.parity is not None:
-            if len(self.parity) != self.m:
-                raise ShapeError("parity tuple length must equal number of components")
-            for tag in self.parity:
-                if tag not in _PARITIES:
-                    raise ParameterError(f"unknown parity tag {tag!r}")
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -195,7 +195,7 @@ class FourierField:
               parity=None) -> "FourierField":
         P = len(action_powers(d, q_y))
         coeffs = np.zeros((2 * N + 1,) * (d + 1) + (P, m), dtype=complex)
-        return cls(coeffs, r, _as_parity(parity, m))
+        return cls(coeffs, r, parity)
 
     @property
     def N_t(self) -> int:
@@ -365,7 +365,7 @@ class FourierField:
         q_y = max(self.q_y, other.q_y)
         N_t = max(self.N_t, other.N_t)
         coeffs = self._padded_to(N, q_y, N_t) + other._padded_to(N, q_y, N_t)
-        parity = _merge_parity(self.parity, other.parity, self.m)
+        parity = tuple(a if a == b else None for a, b in zip(self.parity, other.parity))
         return FourierField(coeffs, _combine_radius(self, other), parity)
 
     def __sub__(self, other: "FourierField") -> "FourierField":
@@ -382,9 +382,7 @@ class FourierField:
         shape = [1] * self.coeffs.ndim
         shape[j] = 2 * self.N + 1
         coeffs = self.coeffs * modes.reshape(shape)
-        parity = None if self.parity is None else tuple(
-            _flip_parity(p) for p in self.parity)
-        return replace(self, coeffs=coeffs, parity=parity)
+        return replace(self, coeffs=coeffs, parity=tuple(map(_FLIPPED.get, self.parity)))
 
     def diff_y(self, j: int = 0) -> "FourierField":
         """Derivative in the j-th action; preserves parity."""
@@ -444,14 +442,14 @@ class FourierField:
         return self.mode(np.zeros(self.d, dtype=int), 0)
 
     def components(self, lo: int, hi: int) -> "FourierField":
-        """Components lo..hi-1 as a field of their own; undoes :func:`stack_components`.
+        """Components lo..hi-1, with their tags, as a field of their own.
 
-        Components without a tag make an untagged field (parity None).
+        Undoes :func:`stack_components`.
         """
         if not 0 <= lo < hi <= self.m:
             raise ShapeError(f"components {lo}..{hi - 1} outside 0..{self.m - 1}")
-        parity = self.parity[lo:hi] if self.parity and any(self.parity[lo:hi]) else None
-        return replace(self, coeffs=self.coeffs[..., lo:hi].copy(), parity=parity)
+        return replace(self, coeffs=self.coeffs[..., lo:hi].copy(),
+                       parity=self.parity[lo:hi])
 
     def oscillating_part(self) -> "FourierField":
         """Zero out the k = 0 modes, leaving the part that depends on the angles."""
@@ -470,7 +468,8 @@ class FourierField:
         Entries are sorted by (power, l, k), with power and k compared as
         lists; ``power`` is a bare int when d = 1.  A block holding NaN
         counts as nonzero, so a diverged field is written as it is and
-        :meth:`from_dict` rejects it.
+        :meth:`from_dict` rejects it.  A field without tags writes
+        ``"parity": null``.
         """
         d = self.d
         idx = np.nonzero((self.coeffs != 0).any(axis=-1))
@@ -494,7 +493,7 @@ class FourierField:
             "N_t": self.N_t,
             "q_y": self.q_y,
             "r": float(self.r),
-            "parity": None if self.parity is None else list(self.parity),
+            "parity": list(self.parity) if any(self.parity) else None,
             "coeffs": entries,
         }
 
@@ -502,8 +501,11 @@ class FourierField:
     def from_dict(cls, data: dict) -> "FourierField":
         """Rebuild a field from :meth:`to_dict` output; validates structure.
 
-        A record without ``N_t`` (written before fields had a time cutoff)
-        loads with N_t = N.
+        The coefficients are checked for reality and against the declared
+        tags, per component within 1e-9 of its largest coefficient, and
+        projected exactly onto them, so a hand-edited record cannot smuggle
+        in a complex field or a broken parity.  A record without ``N_t``
+        (written before fields had a time cutoff) loads with N_t = N.
         """
         try:
             d = int(data["d"])
@@ -512,17 +514,12 @@ class FourierField:
             N_t = int(data.get("N_t", N))
             q_y = int(data["q_y"])
             r = float(data["r"])
-            parity = data.get("parity")
             entries = data["coeffs"]
         except (KeyError, TypeError, ValueError) as exc:
             raise PersistenceError(f"malformed field record: {exc}") from exc
         for name, value, least in (("d", d, 1), ("m", m, 1), ("N", N, 0), ("q_y", q_y, 0)):
             if value < least:
                 raise PersistenceError(f"field record has {name} = {value}, needs >= {least}")
-        if parity is not None:
-            parity = tuple(parity)
-            if len(parity) != m or any(p not in _PARITIES for p in parity):
-                raise PersistenceError(f"malformed parity tags {parity!r}")
         if not 0 <= N_t <= N:
             raise PersistenceError(f"time cutoff N_t={N_t} outside [0, N={N}]")
         powers = action_powers(d, q_y)
@@ -550,11 +547,11 @@ class FourierField:
                 raise PersistenceError(f"unknown action power {power!r}")
             idx = tuple(a + N for a in k) + (l + N_t, index_of[alpha])
             coeffs[idx] = np.array(re) + 1j * np.array(im)
-        # verify reality so a hand-edited file cannot smuggle in a complex field
-        rev = _reverse_modes(coeffs, d)
-        scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-        if scale > 0 and float(np.max(np.abs(coeffs - np.conj(rev)))) > 1e-9 * scale:
-            raise PersistenceError("field record violates reality symmetry")
+        try:
+            parity = _tags(data.get("parity"), m)
+            coeffs = _finalize(coeffs, d, parity, 1e-9, "field record")
+        except (ParameterError, StructureError, TypeError) as exc:
+            raise PersistenceError(str(exc)) from exc
         return cls(coeffs, r, parity)
 
 
@@ -846,25 +843,10 @@ def _multi_indices(d: int, K: int) -> list:
 # ---------------------------------------------------------------------- #
 
 
-def _as_parity(parity, m: int):
-    if parity is None:
-        return None
-    if isinstance(parity, str):
-        return (parity,) * m
-    return tuple(parity)
-
-
-def _merge_parity(p1, p2, m):
-    if p1 is None or p2 is None:
-        return None
-    return tuple(a if a == b else None for a, b in zip(p1, p2))
-
-
-def _combine_radius(f1: FourierField, f2: FourierField) -> float:
-    eff1 = np.inf if f1.q_y == 0 else f1.r
-    eff2 = np.inf if f2.q_y == 0 else f2.r
-    r = min(eff1, eff2)
-    return max(f1.r, f2.r) if np.isinf(r) else float(r)
+def _combine_radius(*parts: FourierField) -> float:
+    """The smallest radius of the parts with action powers, else the largest one."""
+    r = min((p.r for p in parts if p.q_y), default=None)
+    return max(p.r for p in parts) if r is None else float(r)
 
 
 def _centre(d: int, N_from: int, N_t_from: int, N: int, N_t: int) -> tuple:
@@ -931,8 +913,8 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
                           + (slice(N, 0, -1), slice(None, None, -1))])
     modes = np.concatenate([mirror, half], axis=d)
     modes[:, ~mode_mask(d, N, N_t)] = 0.0
-    parity = _as_parity(parity, m)
-    coeffs = _finalize(np.moveaxis(modes, 0, -2), d, parity, what="fitted field")
+    parity = _tags(parity, m)
+    coeffs = _finalize(np.moveaxis(modes, 0, -2), d, parity, 1e-6, "fitted field")
     scale = float(r) if q_y else 1.0  # the largest |y| of the nodes
     coeffs /= (scale ** action_powers(d, q_y).sum(axis=1).astype(float))[:, None]
     return FourierField(coeffs, r, parity)
@@ -954,16 +936,14 @@ def stack_components(*parts: FourierField) -> FourierField:
     """The fields' components side by side, as the components of one field.
 
     Cutoffs and power degree are the largest of the parts, whose
-    coefficients are zero-padded to them; the radius is the largest, and
-    the parity tags are joined, an untagged part's components untagged
-    (None if no part has tags).  One :class:`GridJet` of the result
-    evaluates all the parts at once.
+    coefficients are zero-padded to them; the radius is that of a sum
+    (the smallest radius of the parts with action powers), and the parity
+    tags are joined.  One :class:`GridJet` of the result evaluates all the
+    parts at once.
     """
     N, N_t, q_y = (max(getattr(p, a) for p in parts) for a in ("N", "N_t", "q_y"))
     coeffs = np.concatenate([p._padded_to(N, q_y, N_t) for p in parts], axis=-1)
-    parity = None if all(p.parity is None for p in parts) else sum(
-        (p.parity or (None,) * p.m for p in parts), ())
-    return FourierField(coeffs, max(p.r for p in parts), parity)
+    return FourierField(coeffs, _combine_radius(*parts), sum((p.parity for p in parts), ()))
 
 
 def default_action_nodes(d: int, q_y: int, r: float) -> np.ndarray:
@@ -1029,7 +1009,7 @@ def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos
     index_of = {tuple(a): i for i, a in enumerate(powers)}
     if alpha not in index_of:
         raise ParameterError(f"action power {alpha} exceeds q_y = {q_y}")
-    field = FourierField.zeros(d, 1, N, q_y, r, "even" if kind == "cos" else "odd")
+    field = FourierField.zeros(d, 1, N, q_y, r, ("even" if kind == "cos" else "odd",))
     half = amplitude / 2.0 if kind == "cos" else amplitude / 2.0j
     idx_p = tuple(int(a) + N for a in k) + (l + N, index_of[alpha], 0)
     idx_m = tuple(-int(a) + N for a in k) + (-l + N, index_of[alpha], 0)
@@ -1037,9 +1017,3 @@ def harmonic_field(d: int, N: int, k, l: int, amplitude: float, kind: str = "cos
     field.coeffs[idx_m] += np.conj(half)
     return field
 
-
-def project_structure(field: FourierField, tol: float = 1e-6) -> FourierField:
-    """Verify reality/parity up to ``tol`` and project exactly onto them."""
-    coeffs = _finalize(field.coeffs, field.d, field.parity, tol=tol,
-                       what="projected field")
-    return replace(field, coeffs=coeffs)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .diophantine import Frequency
 from .errors import ParameterError, ShapeError, SmallDivisorError, StructureError
-from .fields import FourierField, _flip_parity, abs_order_grid, mode_mask
+from .fields import _FLIPPED, FourierField, abs_order_grid, mode_mask
 
 _MEAN_TOL = 1e-12
 _FLOOR_SAFETY = 0.5
@@ -95,14 +95,13 @@ def _check_mean(fg: FourierField, what: str):
 
 
 def _solve(fg: FourierField, freq: Frequency, L: np.ndarray,
-           floor_const: float, flip_parity: bool) -> HomologicalSolution:
+           floor_const: float, tags: tuple | None) -> HomologicalSolution:
     """Divide by the divisor table L, shared by flows and maps.
 
     L spans the mode axes of the pair field fg.  Every divisor with k != 0
     on the support must clear the floor
     _FLOOR_SAFETY * floor_const * kappa / |k|_1^tau of the certificate.
-    The solution's parity tags are the flipped tags of fg when
-    ``flip_parity`` holds, None otherwise.
+    The solution uv is tagged ``tags``.
     """
     d, N, N_t = fg.d, fg.N, fg.N_t
     if N > freq.K_max:
@@ -135,10 +134,9 @@ def _solve(fg: FourierField, freq: Frequency, L: np.ndarray,
     u[zero] = 0.0
     u[~mask] = 0.0
 
-    def field(coeffs, tags=None):
-        return FourierField(coeffs, fg.r, tags)
+    def field(coeffs, parity=None):
+        return FourierField(coeffs, fg.r, parity)
 
-    tags = tuple(map(_flip_parity, fg.parity)) if flip_parity and fg.parity else None
     Lc = L[..., None, None]
     return HomologicalSolution(
         uv=field(np.concatenate([u, v], axis=-1), tags), g_mean=field(g_mean),
@@ -163,7 +161,7 @@ def solve_flow(fg: FourierField, freq: Frequency) -> HomologicalSolution:
     _check_mean(fg, "solve_flow")
     N, N_t = fg.N, fg.N_t
     L = 1j * flow_divisors(freq, fg.d, N)[..., N - N_t:N + N_t + 1]
-    return _solve(fg, freq, L, 1.0, flip_parity=True)
+    return _solve(fg, freq, L, 1.0, tuple(map(_FLIPPED.get, fg.parity)))
 
 
 def solve_map(fg: FourierField, freq: Frequency) -> HomologicalSolution:
@@ -182,4 +180,4 @@ def solve_map(fg: FourierField, freq: Frequency) -> HomologicalSolution:
         raise StructureError(
             f"solve_map: map fields cannot carry time harmonics (N_t = {fg.N_t})")
     L = map_divisors(freq, fg.d, fg.N)[..., None]  # one time slot, l = 0
-    return _solve(fg, freq, L, _MAP_FLOOR_CONST, flip_parity=False)
+    return _solve(fg, freq, L, _MAP_FLOOR_CONST, None)

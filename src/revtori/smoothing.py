@@ -53,17 +53,18 @@ def smooth(field: FourierField, s: float) -> FourierField:
 
 
 def decompose(field: FourierField, s_values: Sequence[float]) -> tuple:
-    """Split a field along a decreasing sequence of smoothing scales.
+    """Split a field along a sequence of smoothing scales that never increase.
 
     Returns the tuple of telescoping pieces: pieces[0] = S_{s_0} F and
     pieces[v] = (S_{s_v} - S_{s_{v-1}}) F, so that the partial sums equal
-    S_{s_v} F exactly.
+    S_{s_v} F exactly.  A repeated scale gives an exactly zero piece, so a
+    schedule may hold its last scale.
     """
     s_values = [float(s) for s in s_values]
     if not s_values:
         raise ParameterError("need at least one smoothing scale")
-    if any(s2 >= s1 for s1, s2 in zip(s_values, s_values[1:])):
-        raise ParameterError("smoothing scales must decrease strictly")
+    if any(s2 > s1 for s1, s2 in zip(s_values, s_values[1:])):
+        raise ParameterError("smoothing scales must not increase")
     pieces = [smooth(field, s_values[0])]
     prev = pieces[0]
     for s in s_values[1:]:

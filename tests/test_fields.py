@@ -466,10 +466,23 @@ class TestAlgebra:
         untagged = dataclasses.replace(f, parity=None)
         fg = fields.stack_components(untagged, g)
         assert fg.parity == (None, "odd")
-        assert fg.components(0, 1).parity is None
+        assert fg.components(0, 1).parity == (None,)
         assert fg.components(1, 2).parity == ("odd",)
-        assert fields.stack_components(untagged, untagged).parity is None
+        assert fields.stack_components(untagged, untagged).parity == (None, None)
         assert fields.stack_components(f, g, untagged).parity == ("even", "odd", None)
+
+    def test_stack_and_sum_share_the_radius_rule(self, rng):
+        wide = random_parity_field(rng, "even", N=3, q_y=2, r=0.1)
+        narrow = random_parity_field(rng, "odd", N=3, q_y=2, r=0.01)
+        flat = random_parity_field(rng, "even", N=3, q_y=0, r=0.5)
+        stack = fields.stack_components(wide, narrow)
+        assert stack.r == (wide + narrow).r == 0.01
+        for fld in (stack, wide + narrow):
+            with pytest.raises(DomainError):
+                fld.evaluate([0.3], [0.05])
+        # parts without action powers leave the radius to the others
+        assert fields.stack_components(flat, narrow).r == (flat + narrow).r == 0.01
+        assert fields.stack_components(flat, flat).r == 0.5
 
     def test_sub_is_add_scale(self, rng):
         a = random_parity_field(rng, "even", N=4)
@@ -506,21 +519,74 @@ class TestAlgebra:
                            fld.evaluate(x + delta, y, t), atol=1e-12)
 
 
+class TestTags:
+    """A field's parity is always m tags, checked by one validator."""
+
+    def test_untagged_fields_hold_m_tags(self, rng):
+        f = random_parity_field(rng, "even", N=3, m=2)
+        bare = FourierField(f.coeffs, f.r)
+        assert bare.parity == (None, None)
+        assert bare.components(1, 2).parity == (None,)
+        assert fields.stack_components(bare, f).parity == (None, None, "even", "even")
+        data = bare.to_dict()
+        assert data["parity"] is None
+        assert FourierField.from_dict(data).parity == (None, None)
+
+    @pytest.mark.parametrize("parity", ["even", ("even",), ("even", "odd", None),
+                                        ("even", "bad")],
+                             ids=["bare_string", "too_few", "too_many", "unknown_tag"])
+    def test_bad_tags_rejected(self, rng, parity):
+        f = random_parity_field(rng, "even", N=3, m=2)
+        with pytest.raises(ParameterError, match="parity"):
+            FourierField(f.coeffs, f.r, parity)
+        with pytest.raises(ParameterError, match="parity"):
+            fields.field_from_grid_samples(np.zeros((1, 8, 1, 2)), 1, 3, 0, 0.0, parity=parity)
+        data = f.to_dict()
+        data["parity"] = parity if isinstance(parity, str) else list(parity)
+        with pytest.raises(PersistenceError, match="parity"):
+            FourierField.from_dict(data)
+
+    def test_relabelled_odd_harmonic_is_refused_on_read(self):
+        data = harmonic_field(1, 3, [1], 0, 1.0, kind="sin").to_dict()
+        assert data["parity"] == ["odd"]
+        data["parity"] = ["even"]
+        with pytest.raises(PersistenceError, match="component 0 not even"):
+            FourierField.from_dict(data)
+
+    def test_reality_is_checked_per_component_on_read(self):
+        # cos x and 1e-6 cos x, untagged: a break of the second component's
+        # reality by 2e-9 of its own largest coefficient is refused, by 5e-10
+        # projected away
+        small = 0.5e-6  # the second component's largest coefficient
+        fld = dataclasses.replace(fields.stack_components(harmonic_field(1, 3, [1], 0, 1.0),
+                                                          harmonic_field(1, 3, [1], 0, 2 * small)),
+                                  parity=None)
+        for rel, refused in ((2e-9, True), (5e-10, False)):
+            data = fld.to_dict()
+            next(e for e in data["coeffs"] if e["k"] == [1])["im"][1] = rel * small
+            if refused:
+                with pytest.raises(PersistenceError, match="component 1 violates reality"):
+                    FourierField.from_dict(data)
+            else:
+                back = FourierField.from_dict(data)
+                assert back.mode([1], 0)[0, 1] == np.conj(back.mode([-1], 0)[0, 1])
+
+
 class TestStructure:
     def test_projection_rejects_broken_reality(self):
         coeffs = np.zeros((5, 5, 1, 1), dtype=complex)
         coeffs[3, 2, 0, 0] = 1.0  # no conjugate partner
         fld = FourierField(coeffs, 0.0, None)
-        with pytest.raises(StructureError):
-            fields.project_structure(fld)
+        with pytest.raises(PersistenceError, match="component 0 violates reality"):
+            FourierField.from_dict(fld.to_dict())
 
     def test_projection_rejects_broken_parity(self):
         coeffs = np.zeros((5, 5, 1, 1), dtype=complex)
         coeffs[3, 2, 0, 0] = 1.0
         coeffs[1, 2, 0, 0] = 1.0  # real symmetric: even, not odd
         fld = FourierField(coeffs, 0.0, ("odd",))
-        with pytest.raises(StructureError):
-            fields.project_structure(fld)
+        with pytest.raises(PersistenceError, match="component 0 not odd"):
+            FourierField.from_dict(fld.to_dict())
 
     def test_each_component_is_checked_against_its_own_scale(self):
         # a pair field: f = cos(x + t), and g = 0.05 sin(x + t) whose odd
@@ -542,14 +608,17 @@ class TestStructure:
             fit(1e-5)
 
     def test_projection_cleans_small_roundoff(self, rng):
+        # noise 1e-12 of the coefficients' size, under the record check's 1e-9,
+        # on the modes a record may hold
         fld = random_parity_field(rng, "even", N=4)
         dirty = fld.coeffs.copy()
-        dirty += 1e-9 * (rng.standard_normal(dirty.shape)
-                         + 1j * rng.standard_normal(dirty.shape))
+        noise = rng.standard_normal(dirty.shape) + 1j * rng.standard_normal(dirty.shape)
+        noise[~fields.mode_mask(1, fld.N, fld.N_t)] = 0.0
+        dirty += 1e-12 * np.max(np.abs(dirty)) * noise
         noisy = FourierField(dirty, 0.1, ("even",))
-        cleaned = fields.project_structure(noisy)
+        cleaned = FourierField.from_dict(noisy.to_dict())
         assert grid_parity_residual(cleaned) < 1e-14
-        assert np.max(np.abs(cleaned.coeffs - dirty)) < 1e-8
+        assert np.max(np.abs(cleaned.coeffs - dirty)) < 1e-11 * np.max(np.abs(dirty))
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("full_time", [False, True])
@@ -735,7 +804,7 @@ def _to_dict_loop(fld):
         e["l"], e["k"]))
     return {"d": fld.d, "m": fld.m, "N": fld.N, "N_t": fld.N_t, "q_y": fld.q_y,
             "r": float(fld.r),
-            "parity": None if fld.parity is None else list(fld.parity),
+            "parity": list(fld.parity) if any(fld.parity) else None,
             "coeffs": entries}
 
 

@@ -405,9 +405,9 @@ class TestTwoDimensionalStep:
             return h
 
         f = field_from_function(lambda x, y, t: eps * harmonics(np.cos)(x, y, t),
-                                2, 2, 3, q_y=2, r=sched.r[0], parity="even")
+                                2, 2, 3, q_y=2, r=sched.r[0], parity=("even", "even"))
         g = field_from_function(lambda x, y, t: eps * s0 * harmonics(np.sin)(x, y, t),
-                                2, 2, 3, q_y=2, r=sched.r[0], parity="odd")
+                                2, 2, 3, q_y=2, r=sched.r[0], parity=("odd", "odd"))
         fg = stack_components(f, g)
         _, fg_next, diag = newton.newton_step(fg, freq, sched, 0)
         self._contracts(fg, fg_next, sched)
@@ -446,6 +446,17 @@ class TestFlowRun:
         maj = report.majorant_sequence()
         assert maj.shape == (3,)
         assert all(b < 1e-2 * a for a, b in zip(maj, maj[1:]))
+
+    def test_schedule_may_hold_its_last_scale(self, golden):
+        # the M = 2 paper schedule with its last entry held: s = (s_0, s_1, s_1)
+        paper = newton.make_schedule(1, 0.1, 1e-4, 2)
+        held = newton.Schedule(d=1, mu=paper.mu, **{
+            name: np.append(getattr(paper, name)[:-1], getattr(paper, name)[-2])
+            for name in ("eps", "s", "r")})
+        flow = systems.make_flow_perturbation("single_mode", eps=1e-4, g_amp=0.05)
+        report = newton.run_kam("flow", flow, golden, held)
+        assert not report.failed and report.steps_completed == 2
+        assert report.invariance_residual < 1e-13
 
     def test_invariance_certificate(self, short_run, golden):
         flow, report = short_run
@@ -571,6 +582,22 @@ def map_run(golden):
     sched = newton.make_schedule(1, 0.1, 1e-3, 2)
     mapping = systems.MapSystem(omega=GOLDEN, eps=1e-4)
     return mapping, newton.run_kam("map", mapping.A, golden, sched)
+
+
+class TestNonFiniteMismatch:
+    """A NaN in either coordinate's mismatch is the residual."""
+
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    def test_nan_mismatch_is_the_residual(self, golden, coordinate):
+        identity = newton.fit_embedding([], golden, 0.1, "map")
+        mapping = systems.MapSystem(omega=GOLDEN, eps=0.0)
+
+        def broken(x, y):
+            x1, y1 = mapping.A(x, y)
+            return (x1 * np.nan, y1) if coordinate == "x" else (x1, y1 * np.nan)
+
+        assert newton.verify_invariance(identity, mapping.A) < 1e-14
+        assert math.isnan(newton.verify_invariance(identity, broken))
 
 
 class TestMapSampling:
@@ -810,13 +837,15 @@ class TestEmbeddingFloor:
         for got, want in zip(emb.evaluate(theta, t), raw.evaluate(theta, t)):
             assert float(np.max(np.abs(got - want))) <= 1e-18
 
-    def test_reloaded_embedding_passes_the_reality_check(self, short_run, tmp_path):
-        emb = short_run[1].embedding
+    @pytest.mark.parametrize("mode", ["flow", "map"])
+    def test_reloaded_embedding_passes_the_reality_check(self, mode, request, tmp_path):
+        emb = request.getfixturevalue({"flow": "short_run", "map": "map_run"}[mode])[1].embedding
         path = tmp_path / "embedding.json"
         persistence.save_json(path, emb.to_dict())
-        back = newton.TorusEmbedding.from_dict(json.loads(path.read_text()))
-        np.testing.assert_array_equal(back.xy.coeffs, emb.xy.coeffs)
-        newton.load_embedding(path)  # parity tags hold as well
+        # the check on read projects onto the tags, and moves no bit of a run's own output
+        back = newton.load_embedding(path)
+        assert back.xy.parity == emb.xy.parity
+        assert back.xy.coeffs.tobytes() == emb.xy.coeffs.tobytes()
 
     def test_non_finite_component_is_kept_whole(self):
         h = fields.harmonic_field(1, 4, [1], 0, 1.0, q_y=0)

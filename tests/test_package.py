@@ -5,8 +5,9 @@ neither ``import revtori`` nor ``import revtori.cli`` may import numpy.  No
 module of the package imports scipy, which serves the tests only as an
 oracle, and the map demo and the section map run without
 ``scipy.integrate``.  The Liénard commands load none of the torus solver.
-The README's library example runs, and every name its
-module table quotes exists in that module.
+The README's library example runs, every name its
+module table quotes exists in that module, and its command table lists
+exactly each command's config keys.
 """
 
 import importlib
@@ -113,15 +114,15 @@ def test_verify_of_a_stability_run_leaves_the_solver_unloaded(tmp_path):
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _library_section() -> str:
+def _section(title: str) -> str:
     text = _README.read_text(encoding="utf-8")
-    start = text.index("\n## Library\n")
+    start = text.index(f"\n## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start:end if end >= 0 else None]
 
 
 def test_readme_library_example_runs():
-    section = _library_section()
+    section = _section("Library")
     code = section[section.index("```python\n") + len("```python\n"):]
     code = code[:code.index("```")]
     namespace = {}
@@ -131,7 +132,7 @@ def test_readme_library_example_runs():
 
 
 def test_readme_module_table_names_exist():
-    rows = [line for line in _library_section().splitlines()
+    rows = [line for line in _section("Library").splitlines()
             if line.startswith("| `revtori.")]
     assert len(rows) >= 10
     for row in rows:
@@ -139,3 +140,28 @@ def test_readme_module_table_names_exist():
         module = importlib.import_module(re.findall(r"`([^`]+)`", cells[1])[0])
         for name in re.findall(r"`([^`]+)`", cells[2]):
             assert hasattr(module, name), f"README names {module.__name__}.{name}"
+
+
+# the defaults each configured command starts from, by its name in the table
+_COMMAND_DEFAULTS = {"dioph": "_DIOPH_DEFAULTS", "smooth-test": "_SMOOTH_DEFAULTS",
+                     "homsolve": "_HOMSOLVE_DEFAULTS", "kam run": "_KAM_DEFAULTS",
+                     "lienard orbit": "_ORBIT_DEFAULTS",
+                     "lienard poincare": "_POINCARE_DEFAULTS",
+                     "lienard stability": "_STABILITY_DEFAULTS"}
+
+
+def test_readme_command_table_lists_the_config_keys():
+    # the table is the only documentation of the config keys; each key
+    # appears in it as `key` (default)
+    from revtori import cli
+    assert {name for name in vars(cli) if name.endswith("_DEFAULTS")} \
+        == set(_COMMAND_DEFAULTS.values())
+    rows = {}
+    for line in _section("Command line").splitlines():
+        cells = line.split("|")
+        command = re.fullmatch(r" `([a-z -]+)` ", cells[1]) if len(cells) == 4 else None
+        if command:
+            rows[command.group(1)] = sorted(re.findall(r"`([A-Za-z_]\w*)` \(", cells[2]))
+    assert set(rows) == set(_COMMAND_DEFAULTS)
+    for command, defaults in _COMMAND_DEFAULTS.items():
+        assert rows[command] == sorted(getattr(cli, defaults)), command

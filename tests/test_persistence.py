@@ -260,7 +260,8 @@ class TestEmbeddingFiles:
         for entry in data["y"]["coeffs"]:
             entry["im"][0] = 0.3 * entry["re"][0] * (1 if entry["k"][0] > 0 else -1)
         persistence.save_json(path, data)
-        with pytest.raises(PersistenceError, match="component 1 not even"):
+        with pytest.raises(PersistenceError,
+                           match=r"embedding\.json: y: .*component 0 not even"):
             load_embedding(path)
 
     @pytest.mark.parametrize("key,value", [("d", 0), ("m", 0), ("N", -1), ("q_y", -1)])

@@ -75,10 +75,13 @@ class TestDecompose:
             diff = partial - direct
             assert float(np.max(np.abs(diff.coeffs))) < 1e-15
 
-    def test_scales_must_decrease(self, rng):
+    def test_scales_must_not_increase(self, rng):
         fld = random_parity_field(rng, "even", N=8)
-        with pytest.raises(ParameterError):
-            smoothing.decompose(fld, [0.25, 0.25])
+        first, held = smoothing.decompose(fld, [0.25, 0.25])
+        assert not np.any(held.coeffs)
+        np.testing.assert_array_equal(first.coeffs, smoothing.smooth(fld, 0.25).coeffs)
+        with pytest.raises(ParameterError, match="must not increase"):
+            smoothing.decompose(fld, [0.25, 0.5])
         with pytest.raises(ParameterError):
             smoothing.decompose(fld, [])
 
