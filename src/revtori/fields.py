@@ -38,9 +38,9 @@ _FLIPPED = {"even": "odd", "odd": "even", None: None}
 # Entries allowed in one point block: complex entries (2^18, 4 MiB) of the
 # GEMM output in FourierField.evaluate_complex, where points per block = this
 # // coefficient block width (2N+1)^(d-1) * (2N_t+1) * P * m, and real entries
-# (2 MiB) of each Horner accumulator of a GridJet (one for the values, one per
-# angle for the x-derivatives), which runs in blocks of whole sheets (at least
-# one).
+# (2 MiB) of the Horner accumulator of a GridJet (it serves the values, then
+# each angle's x-derivatives in turn), which runs in blocks of whole sheets
+# (at least one).
 _EVAL_BLOCK_ENTRIES = 1 << 18
 # Real entries (2^21, 16 MiB) of derivative tables one GridJet keeps between
 # calls.  Missing tables are synthesized in batches of at most this many real
@@ -285,8 +285,8 @@ class FourierField:
                 h = sizes[a] // 2
                 acc = (tables[:, a, None, N - h:N + h + 1]
                        @ acc.reshape(hi - lo, sizes[a], -1))[:, 0]
-            out[lo:hi] = np.einsum("spm,sp->sm", acc.reshape(hi - lo, P, self.m),
-                                   Y[lo:hi])
+            out[lo:hi] = np.einsum("spm,ps->sm", acc.reshape(hi - lo, P, self.m),
+                                   Y[:, lo:hi])
         return out[0] if scalar else out
 
     def evaluate(self, x, y=None, t=None, check_domain: bool = True) -> np.ndarray:
@@ -302,6 +302,12 @@ class FourierField:
         at every node and action power, the order-0 table of a
         :class:`GridJet` on the same grid.  n must be at least 2N+1.
         """
+        table = self._order_zero_table(n)
+        return np.ascontiguousarray(table.T).reshape(
+            (n,) * self.d + (-1,) + self.coeffs.shape[-2:])
+
+    def _order_zero_table(self, n: int) -> np.ndarray:
+        """The power-major (P*m, nodes) table of values on the grid of ``values_on_grid``."""
         spectrum = _node_spectrum(self, n, n if self.N_t else 1)
         return _node_tables(spectrum, [(0,) * self.d], self.N, n)[0]
 
@@ -313,20 +319,14 @@ class FourierField:
         those samples and the components.  :meth:`majorant` bounds it from
         above.
         """
-        vals = self.values_on_grid(max(64, 2 * self.N + 1))
-        y_samples = [np.zeros(self.d)]
+        table = self._order_zero_table(max(64, 2 * self.N + 1))
+        y_samples = np.zeros((1, self.d))
         if self.q_y > 0 and self.r > 0:
-            for a in range(self.d):
-                e = np.zeros(self.d)
-                e[a] = self.r
-                y_samples.extend([e, -e])
-        powers = self.powers
-        value = 0.0
-        for ys in y_samples:
-            w = np.prod(ys.reshape(1, self.d) ** powers, axis=1)
-            pointwise = np.tensordot(vals, w, axes=([self.d + 1], [0]))
-            value = max(value, float(np.max(np.abs(pointwise))))
-        return value
+            axes = self.r * np.eye(self.d)
+            y_samples = np.concatenate([y_samples, axes, -axes])
+        Y = _power_matrix(y_samples, self.powers)
+        pointwise = Y.T @ table.reshape(len(Y), -1)
+        return float(np.max(np.abs(pointwise)))
 
     def majorant(self, r_eff: Optional[float] = None) -> float:
         """Coefficient majorant only (no grid sup); cheap convergence metric.
@@ -612,10 +612,13 @@ def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int) -> np.ndarr
     points, the layout :func:`field_from_grid_samples` reads, and one
     complex inverse FFT over those axes follows (none when d = 1).  The
     last angle axis, whose k = 0..N stand for the whole Hermitian range,
-    is synthesized per alpha as one real product: the rows of
+    is synthesized per alpha by real products: the rows of
     :func:`_synthesis_matrix`, weighted by (ik)^alpha_d / alpha_d!, split
-    into real and imaginary parts, against [Re H; Im H].  Shape
-    (len(alphas),) + (n,)*d + (n_t, P, m).
+    into real and imaginary parts, against [Re H; Im H], laid out
+    power-major once per call; one product per row of P*m and leading
+    nodes, or a single one when n_t = 1.  Shape
+    (len(alphas), P*m, nodes): the P*m axis leads and each of its rows
+    holds the nodes (n,)*d + (n_t,) in row-major order, contiguous.
     """
     d = len(alphas[0])
     k = np.arange(-N, N + 1)
@@ -633,14 +636,23 @@ def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int) -> np.ndarr
                 weight = np.multiply.outer(weight, powers[e])
             spec[(i,) + place] = spectrum * weight[(...,) + (None,) * 4]
         spec = np.fft.ifftn(spec, axes=tuple(range(1, d)), norm="forward")
-    parts = np.concatenate([spec.real, spec.imag], axis=d).reshape(
-        len(heads), n ** (d - 1), 2 * (N + 1), -1)
-    out = np.empty((len(alphas), n ** (d - 1), n, parts.shape[-1]))
+    n_t = spectrum.shape[d]
+    spec = spec.reshape(len(heads), n ** (d - 1), N + 1, n_t, -1)
+    # [Re H; Im H] along the wave numbers, P*m leading: (heads, P*m, n^(d-1), 2(N+1), n_t)
+    parts = np.empty((len(heads), spec.shape[-1], n ** (d - 1), 2 * (N + 1), n_t))
+    parts[..., :N + 1, :] = np.moveaxis(spec.real, -1, 1)
+    parts[..., N + 1:, :] = np.moveaxis(spec.imag, -1, 1)
+    out = np.empty((len(alphas),) + parts.shape[1:3] + (n, n_t))
     for i, alpha in enumerate(alphas):
         rows = _synthesis_matrix(n, N) * powers[alpha[-1]][N:]
-        np.matmul(np.concatenate([rows.real, -rows.imag], axis=1),
-                  parts[heads.index(alpha[:-1])], out=out[i])
-    return out.reshape((len(alphas),) + (n,) * d + spectrum.shape[d:])
+        rows = np.concatenate([rows.real, -rows.imag], axis=1)
+        part = parts[heads.index(alpha[:-1])]
+        if n_t == 1:  # one product for every row of nodes
+            np.matmul(part.reshape(-1, 2 * (N + 1)), np.ascontiguousarray(rows.T),
+                      out=out[i].reshape(-1, n))
+        else:
+            np.matmul(rows, part, out=out[i])
+    return out.reshape(len(alphas), parts.shape[1], -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -675,16 +687,21 @@ class GridJet:
     grid come per batch of multi-indices from :func:`_node_tables`: one
     complex inverse FFT over the leading angles, each mode k at k mod n,
     as the fits read them, and one real product per multi-index over the
-    last angle.  The
-    Taylor order K is set per call by :func:`taylor_order` from
-    h = N max |delta|_inf (offsets are first re-anchored to their nearest
-    node, so h <= pi N / n), which bounds the truncation by 2^-53 times the
+    last angle.  Each table is power-major, (P*m, nodes): one contiguous
+    row of grid nodes per action power and component.  The Taylor order K
+    is set per call by :func:`taylor_order` from h = N max |delta|_inf
+    (offsets are first re-anchored to their nearest node, so
+    h <= pi N / n), which bounds the truncation by 2^-53 times the
     majorant; the tables a call lacks are added in one batch.  Points run
-    in blocks of whole sheets.  The sum runs by Horner in the first angle's
-    offset, the other angles enter as monomials, and the action powers of
-    y are contracted exactly.  The tables broadcast over the sheets; only
-    re-anchored offsets gather rows of them.  At most _JET_TABLE_ENTRIES
-    table entries are kept between calls.
+    in blocks of whole sheets.  The sum runs by Horner in the first
+    angle's offset over (P*m, sheets, nodes) accumulators, the offsets
+    laid out (d, sheets, nodes), so every product runs along the nodes;
+    the other angles enter as monomials.  The action powers of y are then
+    contracted exactly, P multiply-adds per component, each written into
+    its column of the (S, m) result.  The tables broadcast over the sheets;
+    only re-anchored offsets gather rows of them.  At most
+    _JET_TABLE_ENTRIES table entries are kept between calls, and one
+    Horner accumulator of at most _EVAL_BLOCK_ENTRIES entries.
 
     :meth:`evaluate_with_gradient` adds the first derivatives in x and y
     from the same tables: those of orders up to K + 1 give d/dx at order
@@ -700,7 +717,8 @@ class GridJet:
         self._shape = (self.n,) * field.d + (int(n_t),)
         self._width = field.coeffs.shape[-2] * field.m
         self._spectrum = _node_spectrum(field, self.n, int(n_t))
-        self._held = {}  # multi-index -> (nodes, P*m) table
+        self._held = {}  # multi-index -> (P*m, nodes) table
+        self._accumulator = None  # Horner's (P*m, sheets, nodes), kept between calls
 
     def evaluate(self, delta, y=None) -> np.ndarray:
         """Real field values at (node + delta, y), shape (S, m).
@@ -754,29 +772,35 @@ class GridJet:
             idx = np.unravel_index(np.arange(S) % nodes, self._shape)
             rows = np.ravel_multi_index(
                 tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(d))
-                + idx[d:], self._shape)
+                + idx[d:], self._shape).reshape(-1, nodes)
         powers = f.powers
-        P = len(powers)
-        # d/dy_j of y^alpha is alpha_j y^(alpha - e_j)
-        lowered = [np.maximum(powers - e, 0) for e in np.eye(d, dtype=int)] if gradient else []
-        out = np.empty((len(sums) + len(lowered), S, f.m))
-        block = nodes * max(1, _EVAL_BLOCK_ENTRIES // (nodes * self._width))
-        for lo in range(0, S, block):
-            sheets = slice(lo, min(lo + block, S))
-            dl = delta[sheets].reshape(-1, nodes, d)
-            sub = None if rows is None else rows[sheets]
-            # an accumulator that is a table itself is spread over the sheets
-            accs = [np.broadcast_to(_horner(groups, dl, sub), dl.shape[:2] + (P * f.m,))
-                    .reshape(-1, P, f.m) for groups in sums]
-            Y = _power_matrix(y[sheets], powers)
-            dY = [powers[:, j] * _power_matrix(y[sheets], low) for j, low in enumerate(lowered)]
-            pairs = [(acc, Y) for acc in accs] + [(accs[0], dY_j) for dY_j in dY]
-            for i, (acc, Yi) in enumerate(pairs):
-                out[i, sheets] = np.einsum("spm,sp->sm", acc, Yi)
+        P, m = len(powers), f.m
+        # the action powers y^alpha, then their derivatives alpha_j y^(alpha - e_j) in y_j
+        weights = [_power_matrix(y, powers)] + [
+            powers[:, j, None] * _power_matrix(y, np.maximum(powers - e, 0))
+            for j, e in enumerate(np.eye(d, dtype=int) if gradient else [])]
+        # (output, weights) per Horner sum: the values' sum gives the values and d_y
+        uses = [[(0, weights[0])] + [(d + 1 + j, w) for j, w in enumerate(weights[1:])]]
+        uses += [[(1 + j, weights[0])] for j in range(len(sums) - 1)]
+        offsets = np.ascontiguousarray(delta.T).reshape(d, -1, nodes)
+        out = np.empty((2 * len(sums) - 1, S, m))
+        per_block = max(1, _EVAL_BLOCK_ENTRIES // (nodes * self._width))  # sheets
+        sheets = min(per_block, len(offsets[0]))
+        if self._accumulator is None or self._accumulator.shape[1] < sheets:
+            self._accumulator = np.empty((self._width, sheets, nodes))
+        for lo in range(0, len(offsets[0]), per_block):
+            dl = offsets[:, lo:lo + per_block]
+            sub = None if rows is None else rows[lo:lo + per_block]
+            points = slice(lo * nodes, (lo + per_block) * nodes)
+            for groups, pairs in zip(sums, uses):
+                acc = _horner(groups, dl, sub, self._accumulator[:, :dl.shape[1]])
+                for i, w in pairs:
+                    _contract(acc.reshape(P, m, -1, nodes), w[:, points].reshape(P, -1, nodes),
+                              out[i, points].reshape(-1, nodes, m))
         return out
 
     def _tables(self, alphas) -> list:
-        """The (nodes, P*m) tables of ``alphas``, synthesizing the missing ones."""
+        """The (P*m, nodes) tables of ``alphas``, synthesizing the missing ones."""
         out = {alpha: self._held[alpha] for alpha in alphas if alpha in self._held}
         missing = [alpha for alpha in alphas if alpha not in out]
         per = math.prod(self._shape) * self._width
@@ -784,32 +808,34 @@ class GridJet:
         for lo in range(0, len(missing), batch):
             chunk = missing[lo:lo + batch]
             tables = _node_tables(self._spectrum, chunk, self.field.N, self.n)
-            made = dict(zip(chunk, tables.reshape(len(chunk), -1, self._width)))
+            made = dict(zip(chunk, tables))
             out.update(made)
             if len(self._held) * per + tables.size <= _JET_TABLE_ENTRIES:
                 self._held.update(made)
         return [out[alpha] for alpha in alphas]
 
 
-def _horner(groups: list, dl: np.ndarray, rows) -> np.ndarray:
+def _horner(groups: list, dl: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     """sum_alpha weight_alpha * table_alpha * dl^alpha on one block of sheets.
 
     ``groups`` holds the (alpha, table, weight) entries by first index
     alpha_0 = K..0 (:func:`_by_first_index`); ``dl`` holds the offsets,
-    shape (sheets, nodes, d).  Horner runs in the first angle's offset and
-    the other angles enter as monomials.  The (nodes, P*m) tables broadcast
-    over the sheets, or give the rows ``rows`` where offsets were
-    re-anchored.  The result broadcasts to (sheets, nodes, P*m) and may be
-    a table itself.
+    shape (d, sheets, nodes).  Horner runs in the first angle's offset and
+    the other angles enter as monomials.  The (P*m, nodes) tables broadcast
+    over the sheets, or give the rows ``rows`` (sheets, nodes) where
+    offsets were re-anchored.  Every product runs along the contiguous
+    nodes.  The Horner steps accumulate in ``out``, shape (P*m, sheets,
+    nodes); the result broadcasts to that shape and, at K = 0, may be a
+    table itself.
     """
-    mono = [dl[..., a:a + 1] ** np.arange(len(groups)) for a in range(1, dl.shape[-1])]
+    mono = [dl[a] ** np.arange(len(groups))[:, None, None] for a in range(1, len(dl))]
     acc = None
     for i, group in enumerate(groups):
         part = None
         for alpha, table, weight in group:
-            term = table if rows is None else table[rows].reshape(dl.shape[:2] + (-1,))
+            term = table[:, None] if rows is None else table[:, rows]
             if any(alpha[1:]):
-                term = term * (weight * math.prod(mono[a][..., e:e + 1]
+                term = term * (weight * math.prod(mono[a][e]
                                                   for a, e in enumerate(alpha[1:]) if e))
                 if part is not None:
                     term += part
@@ -818,10 +844,28 @@ def _horner(groups: list, dl: np.ndarray, rows) -> np.ndarray:
             part = term
         if acc is None:
             acc = part
-        else:  # the first product is a new array, never a table
-            acc = np.multiply(acc, dl[..., :1], out=acc if i > 1 else None)
+        else:
+            acc = np.multiply(acc, dl[0], out=out)
             acc += part
     return acc
+
+
+def _contract(acc: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+    """out[..., c] = sum_p acc[p, c] * weights[p], the action powers contracted.
+
+    ``acc`` has shape (P, m) + a shape that broadcasts to that of
+    ``weights[p]``, (sheets, nodes); each component is P multiply-adds
+    along the nodes, written into its column of ``out``, (sheets, nodes, m).
+    """
+    term = np.empty(weights.shape[1:])
+    # a non-finite offset gives a non-finite accumulator, whose product
+    # with a zero power is NaN: the value is non-finite either way
+    with np.errstate(invalid="ignore"):
+        for c in range(acc.shape[1]):
+            col = out[..., c]
+            np.multiply(acc[0, c], weights[0], out=col)
+            for p in range(1, len(weights)):
+                col += np.multiply(acc[p, c], weights[p], out=term)
 
 
 def _by_first_index(entries: list, K: int) -> list:
@@ -856,13 +900,12 @@ def _centre(d: int, N_from: int, N_t_from: int, N: int, N_t: int) -> tuple:
 
 
 def _power_matrix(y: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Y[s, p] = prod_a y[s, a]^powers[p, a]."""
-    S = y.shape[0]
-    out = np.ones((S, len(powers)))
+    """Y[p, s] = prod_a y[s, a]^powers[p, a], power-major: one row per action power."""
+    out = np.ones((len(powers), y.shape[0]))
     for p, alpha in enumerate(powers):
         for a, e in enumerate(alpha):
             if e:
-                out[:, p] *= y[:, a] ** int(e)
+                out[p] *= y[:, a] ** int(e)
     return out
 
 
@@ -924,12 +967,13 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
 def _action_solver(d: int, q_y: int) -> np.ndarray:
     """Least-squares solver of the action powers at the nodes of radius 1.
 
-    The pseudo-inverse of the power matrix at ``default_action_nodes(d,
-    q_y, 1.0)``: it takes the n_y samples at the nodes to the P
-    coefficients of the powers in y / r.  Read-only, shape (P, n_y).
+    The pseudo-inverse of the (n_y, P) matrix of the powers at
+    ``default_action_nodes(d, q_y, 1.0)``, the transpose of
+    :func:`_power_matrix` there: it takes the n_y samples at the nodes to
+    the P coefficients of the powers in y / r.  Read-only, shape (P, n_y).
     """
     nodes = default_action_nodes(d, q_y, 1.0)
-    return _read_only(np.linalg.pinv(_power_matrix(nodes, action_powers(d, q_y))))
+    return _read_only(np.linalg.pinv(_power_matrix(nodes, action_powers(d, q_y)).T))
 
 
 def stack_components(*parts: FourierField) -> FourierField:

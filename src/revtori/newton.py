@@ -228,11 +228,22 @@ class TorusEmbedding:
                 parts.append(FourierField.from_dict(data[key]))
             except PersistenceError as exc:
                 raise PersistenceError(f"{key}: {exc}") from exc
-        omega = np.asarray(data["omega"], dtype=float)
-        r0 = float(data["r0"])
+        omega, r0 = data["omega"], data["r0"]
+        if not (isinstance(omega, list) and omega and all(map(_finite_number, omega))):
+            raise PersistenceError(
+                f"embedding record has omega = {omega!r}, needs a list of finite numbers")
+        if not _finite_number(r0):
+            raise PersistenceError(f"embedding record has r0 = {r0!r}, needs a finite number")
+        omega, r0 = np.array(omega, dtype=float), float(r0)
         if any((h.d, h.m) != (len(omega),) * 2 for h in parts):
             raise PersistenceError("embedding component dimensions disagree with omega")
         return cls(xy=stack_components(*parts), omega=omega, r0=r0, mode=mode)
+
+
+def _finite_number(value) -> bool:
+    """True for a finite int or float (a JSON number), not for a bool or a string."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def load_embedding(path) -> TorusEmbedding:

@@ -11,6 +11,7 @@ import pytest
 
 from revtori import integrators, lienard, newton, persistence
 from revtori.cli import main
+from revtori.errors import PersistenceError
 from revtori.newton import CONVERGENCE_COLUMNS, CONVERGENCE_FORMAT, TorusEmbedding
 
 from conftest import GOLDEN
@@ -450,6 +451,19 @@ class TestShippedConfigs:
             text = (run_dir / filename).read_text(encoding="ascii")
             back = record.from_dict(json.loads(text)).to_dict()
             assert text == persistence.canonical_json(back)
+
+    def test_map_demo_embedding_with_bad_omega_or_r0_is_a_persistence_error(self, tmp_path):
+        code = main(["kam", "run", "--config", str(self.CONFIGS / "kam_map.json"),
+                     "--out", str(tmp_path), "--set", "M=2"])
+        assert code == 0
+        (run_dir,) = tmp_path.iterdir()
+        for key, value in (("r0", "abc"), ("omega", ["x"]), ("omega", []), ("r0", None)):
+            data = persistence.load_json(run_dir / "embedding.json")
+            data[key] = value
+            path = tmp_path / f"{key}.json"
+            persistence.save_json(path, data)
+            with pytest.raises(PersistenceError, match=f"{key} = "):
+                newton.load_embedding(path)
 
     def test_flow_demo_embedding_is_small_and_verifies(self, tmp_path, capsys):
         # the embedding keeps each component's coefficients above eps max|c|

@@ -283,6 +283,33 @@ class TestGridJet:
         with pytest.raises(DomainError):
             fields.taylor_order(math.inf)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("offset", [0.5, 3.0])  # within a cell; re-anchored
+    def test_outputs_are_contiguous_float64(self, rng, monkeypatch, d, offset):
+        # m = 2 and q_y = 2; blocks of two sheets split the five
+        fld = _jet_field(rng, d, 4, 4)
+        n = 9
+        nodes = n ** (d + 1)
+        x, t = _grid_nodes(d, n, n, sheets=5)
+        delta = rng.uniform(-offset, offset, size=x.shape) * 2.0 * np.pi / n
+        y = rng.uniform(-0.05, 0.05, size=x.shape)
+        monkeypatch.setattr(fields, "_EVAL_BLOCK_ENTRIES",
+                            2 * nodes * fld.coeffs.shape[-2] * fld.m)
+        jet = fields.GridJet(fld, n, n)
+        vals = jet.evaluate(delta, y)
+        S = len(x)
+        got = (vals,) + jet.evaluate_with_gradient(delta, y)
+        for out, shape in zip(got, [(S, 2), (S, 2), (d, S, 2), (d, S, 2)]):
+            assert out.dtype == np.float64 and out.shape == shape
+            assert out.flags.c_contiguous
+        np.testing.assert_allclose(vals, fld.evaluate_complex(x + delta, y, t).real,
+                                   rtol=0.0, atol=1e-14 * fld.majorant())
+        np.testing.assert_array_equal(got[1], vals)
+        # one sheet after five reuses the held accumulator
+        one = jet.evaluate(delta[:nodes], y[:nodes])
+        assert one.shape == (nodes, 2) and one.flags.c_contiguous
+        np.testing.assert_array_equal(one, vals[:nodes])
+
     def test_bad_grids_and_samples_rejected(self, rng):
         fld = _jet_field(rng, 1, 3, 3)
         with pytest.raises(ShapeError):
@@ -353,8 +380,10 @@ class TestGridJetTablesOracle:
         alphas = fields._multi_indices(d, 4)
         got = fields.GridJet(fld, n, n_t)._tables(alphas)
         for alpha, table, want in zip(alphas, got, _oracle_tables(fld, n, n_t, alphas)):
-            assert table.dtype == np.float64 and table.shape == want.shape
-            np.testing.assert_allclose(table, want, rtol=0.0,
+            # the tables are power-major: one contiguous row of nodes per power and component
+            assert table.dtype == np.float64 and table.shape == want.T.shape
+            assert table.flags.c_contiguous
+            np.testing.assert_allclose(table, want.T, rtol=0.0,
                                        atol=1e-14 * _table_majorant(fld, alpha))
 
     @pytest.mark.parametrize("d, N, N_t, n", [(1, 6, 6, 16), (1, 12, 0, 25),
@@ -496,6 +525,11 @@ class TestAlgebra:
     def test_majorant_dominates_grid_sup(self, rng):
         fld = random_parity_field(rng, "odd", N=8, q_y=2, r=0.07)
         assert fld.majorant() >= fld.sup_norm() > 0.0
+
+    def test_sup_norm_of_a_non_finite_field_is_nan(self):
+        fld = harmonic_field(d=1, N=4, k=[1], l=0, amplitude=1.0)
+        fld.coeffs[4, 4, 0, 0] = math.nan
+        assert math.isnan(fld.sup_norm())
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_majorant_is_the_weighted_coefficient_sum(self, rng, d):
