@@ -61,7 +61,6 @@ _KAM_DEFAULTS = {
     "eps0": 1e-4,
     "M": 5,
     "q_y": 2,
-    "tol": 0.0,
     "perturbation": {"kind": "standard"},
     "verify_samples": 64,
     "verify_dt": 1.0,
@@ -328,21 +327,19 @@ def _cmd_kam_run(args):
     mode = cfg["mode"]
     name = cfg["name"] = _run_name(cfg["name"] or f"kam-{mode}")
     num = {key: _number(cfg, key, kind) for key, kind in (
-        ("d", int), ("mu", float), ("eps0", float), ("M", int),
-        ("tol", float), ("q_y", int))}
+        ("d", int), ("mu", float), ("eps0", float), ("M", int), ("q_y", int))}
     verify = _verify_settings(cfg)
     freq = _frequency(cfg, num["d"])
     cfg["omega"] = [float(w) for w in freq.omega]
     schedule = newton.make_schedule(num["d"], num["mu"], num["eps0"], num["M"])
     system = _build_inputs(mode, cfg["perturbation"], freq.omega)
-    report = newton.run_kam(
-        mode, system, freq, schedule, tol=num["tol"], q_y=num["q_y"], **verify)
+    report = newton.run_kam(mode, system, freq, schedule, q_y=num["q_y"], **verify)
     run_dir = _write_run_dir(
         args.out, name, "kam run", cfg, args.seed,
         [("embedding.json",
           lambda p: persistence.save_json(p, report.embedding.to_dict())),
          ("convergence.csv",
-          lambda p: persistence.emit_csv(p, report.csv_header(),
+          lambda p: persistence.emit_csv(p, newton.CONVERGENCE_COLUMNS,
                                          report.csv_rows()))],
         formats={"convergence.csv": newton.CONVERGENCE_FORMAT})
     summary = report.summary()
@@ -433,7 +430,7 @@ def _cmd_lienard_stability(args):
     run_dir = _write_run_dir(
         args.out, name, "lienard stability", cfg, args.seed,
         [("stability.csv",
-          lambda p: persistence.emit_csv(p, report.csv_header(),
+          lambda p: persistence.emit_csv(p, lienard.STABILITY_COLUMNS,
                                          report.csv_rows()))])
     summary = report.summary()
     summary["run_dir"] = str(run_dir)

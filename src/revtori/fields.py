@@ -254,15 +254,15 @@ class FourierField:
                 f"radius r = {self.r:.6e}"
             )
 
-    def evaluate_complex(self, x, y=None, t=None, check_domain: bool = True) -> np.ndarray:
+    def evaluate_complex(self, x, y=None, t=None) -> np.ndarray:
         """Evaluate the (complex) trigonometric sum at samples.
 
         ``x`` has shape (S, d) (or (S,) when d = 1), ``y`` likewise, ``t``
-        has shape (S,).  Returns an (S, m) array.
+        has shape (S,).  Returns an (S, m) array.  An action sample with
+        |y| past the radius r raises DomainError.
         """
         x, y, t, S, scalar = self._normalize_inputs(x, y, t)
-        if check_domain:
-            self._check_domain(y)
+        self._check_domain(y)
         # Separable contraction: one GEMM over the first angle's modes, then
         # per remaining angle and the time axis a multiply by that axis's
         # exponential table and a sum, then the action powers.  Points run in
@@ -289,9 +289,9 @@ class FourierField:
                                    Y[:, lo:hi])
         return out[0] if scalar else out
 
-    def evaluate(self, x, y=None, t=None, check_domain: bool = True) -> np.ndarray:
+    def evaluate(self, x, y=None, t=None) -> np.ndarray:
         """Evaluate as a real field (the real part of the trigonometric sum)."""
-        return self.evaluate_complex(x, y, t, check_domain=check_domain).real
+        return self.evaluate_complex(x, y, t).real
 
     def values_on_grid(self, n: int) -> np.ndarray:
         """Synthesize the real field values on the uniform angle/time grid.

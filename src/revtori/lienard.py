@@ -613,9 +613,6 @@ class StabilityReport:
         """No orbit failed and no ratio exceeds the threshold."""
         return all(not r["failed"] for r in self.rows) and self.max_ratio <= self.threshold
 
-    def csv_header(self) -> tuple:
-        return STABILITY_COLUMNS
-
     def csv_rows(self) -> list:
         return [[row.get(col, math.nan) for col in STABILITY_COLUMNS]
                 for row in self.rows]
@@ -642,8 +639,9 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     """Integrate a bundle of orbits for a long time and measure excursions.
 
     Initial conditions sit on rescaled copies of the reference orbit
-    (amplitude factor per level, finite and nonzero, position per phase).  The integrator is a
-    symmetric composition (order 2, 4 or 6) of a split step whose velocity
+    (amplitude factor per level, finite and nonzero, position per phase,
+    finite).  The integrator is a symmetric composition (order 2, 4 or 6)
+    of a split step whose velocity
     half-kick handles the f(x, t) y damping term in closed form, so the
     cost per step is a handful of array operations; the unperturbed
     control (kind "none") drops to a plain kick-drift-kick and never calls
@@ -682,6 +680,8 @@ def lagrange_stability_experiment(problem: LienardProblem, t_max: float = 1e4,
     if not all(math.isfinite(v) and v != 0 for v in levels):
         raise ParameterError(f"levels must be finite and nonzero (level 0 is the "
                              f"equilibrium), got {list(levels)}")
+    if not all(math.isfinite(v) for v in phases):
+        raise ParameterError(f"phases must be finite, got {list(phases)}")
     if not (math.isfinite(threshold) and threshold > 0):
         raise ParameterError(f"threshold must be positive and finite, got {threshold}")
     steps = t_max / dt

@@ -92,8 +92,8 @@ class Schedule:
 
     eps[m] is the error budget entering step m, s[m] the analyticity strip
     width and r[m] the action radius, each of one length M + 1 >= 2 (else
-    ShapeError), so step m maps index m to m + 1.  M, eps0 = eps[0], the
-    mode cutoffs N[m] = cutoff(s[m]) and the exponents of (d, mu)
+    ShapeError), so step m maps index m to m + 1.  M, the mode cutoffs
+    N[m] = cutoff(s[m]) and the superlinear rate mu_tilde of (d, mu)
     (:func:`_exponents`) are worked out once; :func:`make_schedule`
     builds the paper's sequences.
     """
@@ -103,10 +103,7 @@ class Schedule:
     eps: np.ndarray
     s: np.ndarray
     r: np.ndarray
-    ell: float = _dc_field(init=False)
-    tau: float = _dc_field(init=False)
     mu_tilde: float = _dc_field(init=False)
-    eps0: float = _dc_field(init=False)
     M: int = _dc_field(init=False)
     N: tuple = _dc_field(init=False)
 
@@ -115,8 +112,7 @@ class Schedule:
         if len(set(lengths)) > 1 or lengths[0] < 2:
             raise ShapeError(f"schedule sequences eps, s and r need one length of at "
                              f"least 2, got {lengths}")
-        derived = dict(zip(("ell", "tau", "mu_tilde"), _exponents(self.d, self.mu)),
-                       eps0=float(self.eps[0]), M=lengths[0] - 1,
+        derived = dict(mu_tilde=_exponents(self.d, self.mu)[2], M=lengths[0] - 1,
                        N=tuple(cutoff(float(sv)) for sv in self.s))
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -586,15 +582,14 @@ class ConvergenceReport:
     step diagnostics, and the per-step invariance residual when it was
     measured, the last row's being the report's.  chain lists each
     completed step's coordinate change (U, V), as newton_step returns it.
-    A run that failed keeps the last good chain and embedding.
+    A run that failed keeps the last good chain and embedding; the
+    embedding also carries the run's mode and omega.
     """
 
-    mode: str
-    omega: np.ndarray
     schedule: Schedule
     rows: list
     chain: list
-    embedding: Optional[TorusEmbedding]
+    embedding: TorusEmbedding
     failure: Optional[str] = None
     warnings: list = _dc_field(default_factory=list)
 
@@ -610,14 +605,6 @@ class ConvergenceReport:
     @property
     def steps_completed(self) -> int:
         return len(self.chain)
-
-    @property
-    def final_sup_f(self) -> float:
-        return float(self.rows[-1]["sup_f"]) if self.rows else math.nan
-
-    @property
-    def final_sup_g(self) -> float:
-        return float(self.rows[-1]["sup_g"]) if self.rows else math.nan
 
     def majorant_sequence(self) -> np.ndarray:
         return np.array([row["sup_f"] for row in self.rows])
@@ -642,9 +629,6 @@ class ConvergenceReport:
         ys = np.array([p[1] for p in pairs])
         return float(np.polyfit(xs, ys, 1)[0])
 
-    def csv_header(self) -> tuple:
-        return CONVERGENCE_COLUMNS
-
     def csv_rows(self) -> list:
         out = []
         for row in self.rows:
@@ -652,14 +636,15 @@ class ConvergenceReport:
         return out
 
     def summary(self) -> dict:
+        last = self.rows[-1]
         return {
-            "mode": self.mode,
-            "omega": [float(w) for w in np.atleast_1d(self.omega)],
+            "mode": self.embedding.mode,
+            "omega": [float(w) for w in np.atleast_1d(self.embedding.omega)],
             "d": self.schedule.d,
             "M": self.schedule.M,
             "steps_completed": self.steps_completed,
-            "final_sup_f": self.final_sup_f,
-            "final_sup_g": self.final_sup_g,
+            "final_sup_f": float(last["sup_f"]),
+            "final_sup_g": float(last["sup_g"]),
             "fitted_order": self.fitted_order(),
             "invariance_residual": float(self.invariance_residual),
             "failed": self.failed,
@@ -736,7 +721,7 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str) -> TorusEm
 
 
 def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
-            tol: float = 0.0, q_y: int = 2, verify_samples: int = 64,
+            q_y: int = 2, verify_samples: int = 64,
             verify_dt: float = 1.0, verify_tol: float = 1e-12) -> ConvergenceReport:
     """Run the full Newton iteration for a forced flow or a map.
 
@@ -750,7 +735,6 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
     average of g along rather than solving it away, so a small mean
     survives in g; convergence is measured on the oscillating parts.
 
-    The run stops early once both majorants fall below tol (when tol > 0).
     A step failure ends the run early with the last good chain; the report
     carries the failure text.  After every step the chain so far is fitted
     and checked once with verify_invariance at verify_samples, verify_dt
@@ -788,8 +772,6 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
     for m in range(schedule.M):
         row = _row(m, cur, schedule)
         rows.append(row)
-        if tol > 0.0 and max(row["sup_f"], row["sup_g"]) < tol:
-            break
         try:
             UV, fg_next, diag = newton_step(cur, freq, schedule, m, mode=mode)
             for name, h in zip("fg", _halves(fg_next)):
@@ -811,15 +793,14 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
         embedding, residual = check(chain)
         row["invariance_residual"] = residual
 
-    if len(chain) == schedule.M:  # neither failed nor stopped at tol
+    if failure is None:
         rows.append(_row(schedule.M, cur, schedule))
-    if not chain:  # the identity embedding, after a failure or a stop at step 0
+    if not chain:  # the identity embedding, after a failure at step 0
         embedding, residual = check(chain)
     rows[-1]["invariance_residual"] = residual
 
-    return ConvergenceReport(
-        mode=mode, omega=np.array(freq.omega, dtype=float), schedule=schedule,
-        rows=rows, chain=chain, embedding=embedding, failure=failure, warnings=warnings)
+    return ConvergenceReport(schedule=schedule, rows=rows, chain=chain,
+                             embedding=embedding, failure=failure, warnings=warnings)
 
 
 # --------------------------------------------------------------------------- #
@@ -876,9 +857,11 @@ def rotation_number(map_fn: Callable, z0, n_iter: int = 4096):
 
     The exponential bump w(t) = exp(-1 / (t (1 - t))) weights the angle
     increments (x_{j+1} - x_j) / 2 pi; on a smooth quasiperiodic orbit the
-    average converges faster than any power of 1/n_iter.  map_fn maps
-    (x, y) arrays of shape (1, d) to the next point; z0 = (x0, y0).
+    average converges faster than any power of 1/n_iter, a positive integer
+    (else ParameterError).  map_fn maps (x, y) arrays of shape (1, d) to
+    the next point; z0 = (x0, y0).
     """
+    n_iter = positive_count(n_iter, "iteration count n_iter")
     x = np.atleast_1d(np.asarray(z0[0], dtype=float)).reshape(1, -1)
     y = np.atleast_1d(np.asarray(z0[1], dtype=float)).reshape(1, -1)
     d = x.shape[1]

@@ -84,7 +84,7 @@ def make_flow_perturbation(kind: str, **params) -> Callable:
             eps=float(params.get("eps", 1e-4)),
             g_amp=float(params.get("g_amp", 0.05)),
             k=int_param(kind, params, "k", 1), l=int_param(kind, params, "l", 1))
-    if kind in ("none", "zero"):
+    if kind == "none":
         check_params(kind, params, ())
         return lambda x, y, t: np.zeros((x.shape[0], 2 * x.shape[1]))
     raise ParameterError(f"unknown flow perturbation kind {kind!r}")
@@ -96,7 +96,7 @@ def make_map_perturbation(kind: str, omega, **params) -> MapSystem:
     if kind in ("cosine_kick", "standard"):
         check_params(kind, params, ("eps",))
         return MapSystem(omega=omega, eps=float(params.get("eps", 1e-4)))
-    if kind in ("none", "zero"):
+    if kind == "none":
         check_params(kind, params, ())
         return MapSystem(omega=omega, eps=0.0)
     raise ParameterError(f"unknown map perturbation kind {kind!r}")

@@ -288,6 +288,11 @@ class TestKamRun:
         assert main(["kam", "run", "--out", out, "--set", "frobnicate=1"]) == 2
         assert main(["kam", "run", "--out", out, "--set", "nonsense"]) == 2
 
+    def test_tol_is_no_config_key(self, tmp_path, capsys):
+        assert main(["kam", "run", "--out", str(tmp_path), "--set", "tol=0"]) == 2
+        assert "unknown config key 'tol'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("override", [
         "M=abc", "M=2.5", "M=true", "eps0=abc", "d=x", "K_max=abc", "tau=abc",
         'omega=["x"]', "verify_samples=abc", "perturbation.eps=abc",

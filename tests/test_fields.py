@@ -68,8 +68,6 @@ class TestEvaluation:
         y_bad = np.full((1, 1), 0.2)
         with pytest.raises(DomainError):
             fld.evaluate(x, y_bad, np.zeros(1))
-        # and the escape hatch
-        fld.evaluate(x, y_bad, np.zeros(1), check_domain=False)
 
 
 def _random_complex_field(rng, d, N, m=2, q_y=2, r=0.1):

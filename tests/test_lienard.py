@@ -453,10 +453,12 @@ class TestStability:
         rep = lienard.lagrange_stability_experiment(
             prob, t_max=1.0, levels=(1.0, 2.0), phases=(0.0, np.pi),
             orbit=orbits[1])
-        assert rep.csv_header() == lienard.STABILITY_COLUMNS
         rows = rep.csv_rows()
         assert len(rows) == 4
         assert all(len(r) == len(lienard.STABILITY_COLUMNS) for r in rows)
+        columns = [dict(zip(lienard.STABILITY_COLUMNS, r)) for r in rows]
+        assert [(c["level"], c["phase"]) for c in columns] \
+            == [(1.0, 0.0), (1.0, np.pi), (2.0, 0.0), (2.0, np.pi)]
         summary = rep.summary()
         assert summary["n_orbits"] == 4 and summary["n_failed"] == 0
 
@@ -514,6 +516,18 @@ class TestStability:
             prob, t_max=1.0, levels=(-1.0, 1.0), phases=(0.0,), orbit=orbits[1])
         ratios = [row["ratio"] for row in rep.rows]
         assert all(math.isfinite(r) for r in ratios) and rep.stable
+
+    @pytest.mark.parametrize("phases", [(0.0, math.inf), (math.nan,), (-math.inf, 1.0)])
+    def test_non_finite_phase_rejected(self, orbits, monkeypatch, phases):
+        prob = lienard.make_problem(1, "rational_cubic", f_amp=0.05, g_amp=0.05)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(lienard.ReferenceOrbit, "angle_data", refuse)
+        with pytest.raises(ParameterError, match="phases must be finite"):
+            lienard.lagrange_stability_experiment(prob, t_max=1.0, phases=phases,
+                                                  orbit=orbits[1])
 
     def test_t_fail_is_a_column(self, orbits):
         prob = lienard.make_problem(1)

@@ -29,8 +29,9 @@ _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 class TestSchedule:
     def test_exponent_arithmetic_d1(self):
         sched = newton.make_schedule(1, 0.1, 1e-4, 5)
-        assert sched.ell == pytest.approx(2.0 + 1.0 + 0.1)
-        assert sched.tau == pytest.approx(1.0 + 0.1 / 100.0)
+        ell, tau, _ = newton._exponents(1, 0.1)
+        assert ell == pytest.approx(2.0 + 1.0 + 0.1)
+        assert tau == pytest.approx(1.0 + 0.1 / 100.0)
         mu_tilde = 0.1 / (100.0 * (2.0 * 1.001 + 1.0 + 0.1))
         assert sched.mu_tilde == pytest.approx(mu_tilde, rel=1e-14)
         assert sched.mu_tilde == pytest.approx(3.223727e-4, rel=1e-6)
@@ -42,7 +43,7 @@ class TestSchedule:
             assert sched.eps[m + 1] == pytest.approx(
                 sched.eps[m] ** (1.0 + sched.mu_tilde), rel=1e-13)
         # s^ell = eps and r = s^(d + 1 + mu/10), elementwise
-        assert np.allclose(sched.s ** sched.ell, sched.eps, rtol=1e-14)
+        assert np.allclose(sched.s ** newton._exponents(1, 0.1)[0], sched.eps, rtol=1e-14)
         assert np.allclose(sched.r, sched.s ** (1.0 + 1.0 + 0.1 / 10.0),
                            rtol=1e-14)
 
@@ -83,11 +84,11 @@ class TestSchedule:
         d, mu, eps0, M = args
         sched = newton.make_schedule(*args)
         tau = d + mu / 100.0
-        assert (sched.M, sched.N, sched.eps0) == (M, N, eps0)
-        assert (sched.ell, sched.tau) == (2.0 * d + 1.0 + mu, tau)
+        assert (sched.M, sched.N, sched.eps[0]) == (M, N, eps0)
+        assert newton._exponents(d, mu)[:2] == (2.0 * d + 1.0 + mu, tau)
         assert sched.mu_tilde == mu / (100.0 * (2.0 * tau + 1.0 + mu))
         again = newton.Schedule(sched.d, sched.mu, sched.eps, sched.s, sched.r)
-        assert (again.M, again.N, again.eps0, again.mu_tilde) == (M, N, eps0, sched.mu_tilde)
+        assert (again.M, again.N, again.mu_tilde) == (M, N, sched.mu_tilde)
 
     @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 4), (1, 1, 1)])
     def test_sequences_need_one_length_of_at_least_two(self, lengths):
@@ -202,10 +203,14 @@ class TestFlowRemainder:
 
 
 class _ScatteredJet:
-    """Test-only stand-in for fields.GridJet: the full Fourier sum per point."""
+    """Test-only stand-in for fields.GridJet: the full Fourier sum per point.
+
+    GridJet checks no domain (newton_step bounds the excursion itself), so
+    the stand-in sums a copy of the field whose radius holds every point.
+    """
 
     def __init__(self, field, n, n_t):
-        self.field, self.n, self.n_t = field, n, n_t
+        self.field, self.n, self.n_t = dataclasses.replace(field, r=1.0), n, n_t
         self.max_order = 0
 
     def evaluate(self, delta, y=None, field=None):
@@ -217,7 +222,7 @@ class _ScatteredJet:
         x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
         sheets = len(delta) // len(x)
         x, t = np.tile(x, (sheets, 1)), np.tile(axes[d].ravel(), sheets)
-        return field.evaluate_complex(x + delta, y, t, check_domain=False).real
+        return field.evaluate(x + delta, y, t)
 
     def evaluate_with_gradient(self, delta, y=None):
         d = self.field.d
@@ -710,7 +715,7 @@ class TestOneCheckPerChain:
     """run_kam fits and verifies each chain once: max(1, steps) calls of each."""
 
     @staticmethod
-    def _map_run(monkeypatch, golden, M, eps=1e-4, tol=0.0):
+    def _map_run(monkeypatch, golden, M, eps=1e-4):
         calls = {"fit_embedding": 0, "verify_invariance": 0}
         for name in calls:
             def counted(*args, _name=name, _call=getattr(newton, name), **kwargs):
@@ -719,7 +724,7 @@ class TestOneCheckPerChain:
             monkeypatch.setattr(newton, name, counted)
         sched = newton.make_schedule(1, 0.1, 1e-3, M)
         mapping = systems.MapSystem(omega=GOLDEN, eps=eps)
-        report = newton.run_kam("map", mapping.A, golden, sched, tol=tol)
+        report = newton.run_kam("map", mapping.A, golden, sched)
         assert report.invariance_residual == report.rows[-1]["invariance_residual"]
         return report, calls
 
@@ -730,16 +735,6 @@ class TestOneCheckPerChain:
         # the closing row repeats the last step's residual
         assert report.rows[-1]["invariance_residual"] \
             == report.rows[-2]["invariance_residual"]
-
-    def test_stop_at_tol(self, monkeypatch, golden):
-        full, _ = self._map_run(monkeypatch, golden, M=3)
-        sup = [max(row["sup_f"], row["sup_g"]) for row in full.rows]
-        report, calls = self._map_run(monkeypatch, golden, M=3,
-                                      tol=math.sqrt(sup[1] * sup[2]))
-        assert not report.failed and report.steps_completed == 2
-        assert len(report.rows) == 3
-        assert calls == {"fit_embedding": 2, "verify_invariance": 2}
-        assert report.invariance_residual == full.rows[1]["invariance_residual"]
 
     def test_failure_at_step_0_checks_the_identity(self, monkeypatch, golden):
         report, calls = self._map_run(monkeypatch, golden, M=2, eps=0.5)
@@ -789,6 +784,13 @@ class TestChainAndEmbedding:
         rot = newton.rotation_number(mp.A, (np.zeros((1, 1)),
                                             np.zeros((1, 1))), n_iter=2048)
         assert np.atleast_1d(rot)[0] == pytest.approx(GOLDEN, abs=1e-10)
+
+    @pytest.mark.parametrize("n_iter", [0, -3, 2.0, True])
+    def test_rotation_number_needs_a_positive_count(self, n_iter):
+        mp = systems.MapSystem(omega=GOLDEN, eps=0.0)
+        with pytest.raises(ParameterError, match="n_iter"):
+            newton.rotation_number(mp.A, (np.zeros((1, 1)), np.zeros((1, 1))),
+                                   n_iter=n_iter)
 
 
 class TestEmbeddingCutoff:

@@ -38,8 +38,9 @@ class TestSingleModeFlow:
         assert vals.shape == (10, 2) and np.all(vals == 0.0)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError):
-            systems.make_flow_perturbation("sawtooth")
+        for kind in ("sawtooth", "zero"):
+            with pytest.raises(ParameterError, match="unknown flow perturbation kind"):
+                systems.make_flow_perturbation(kind)
 
 
 class TestMapSystem:
@@ -107,5 +108,6 @@ class TestMapSystem:
         mp = systems.make_map_perturbation("cosine_kick", omega=GOLDEN,
                                            eps=3e-4)
         assert mp.eps == 3e-4 and mp.omega == GOLDEN
-        with pytest.raises(ParameterError):
-            systems.make_map_perturbation("poisson", omega=GOLDEN)
+        for kind in ("poisson", "zero"):
+            with pytest.raises(ParameterError, match="unknown map perturbation kind"):
+                systems.make_map_perturbation(kind, omega=GOLDEN)
