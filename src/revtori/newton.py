@@ -6,11 +6,12 @@ The target systems are the reversible plane models
     map:   x' = x + Omega + y + f(x, y),     y' = y + g(x, y),  Omega = 2 pi omega
 
 with f even and g odd under (x, t) -> (-x, -t) in the flow case, and the
-analogous reversibility for maps.  Each step solves the linearized
-(homological) equations, changes coordinates by the near-identity transform
-they generate, and re-expands the remainder on a shrinking analyticity
-schedule.  The output is a chain of transforms whose composition embeds an
-invariant torus with rotation vector omega.
+analogous reversibility for maps.  The iteration carries one field F.
+Step m solves the linearized (homological) equations for its head
+H = S_{s[m]} F, changes coordinates by the near-identity transform they
+generate, and re-expands all of F, the rest F - H included, on a shrinking
+analyticity schedule.  The output is a chain of transforms whose
+composition embeds an invariant torus with rotation vector omega.
 
 Flows and maps share one iteration.  The ``mode`` string ("flow" or "map")
 selects one of two private dynamics objects, ``_FLOW`` and ``_MAP``, which
@@ -25,16 +26,14 @@ Each pair, the perturbation (f, g), the generator (u, v), its fitted
 inverse (U, V) and the embedding's (x_offset, y), is one FourierField of
 2d components, the first half then the second, from the sampling of the
 input system to the step's output; only the diagnostics (convergence
-rows, budget warnings and the contraction check) and the embedding file
-take a pair apart.  Both remainders are formed point by point from
-grid-jet values at the inverted sample points, in the sheets of grid
-nodes (one per action node) that the FFT fit reads, and become fields only
-through that fit: for flows, products of the values of f, g and the first
-derivatives of u and v; for maps, differences of the values of the
-shifted generators.  A step builds one grid jet per pair:
-(u, v), which also gives the flow remainder the first derivatives of u
-and v from its own tables; (f, g), for maps with g_mean and the shifted
-generators; and (U, V).  It makes two fits, (U, V) and the next (f, g).
+rows, budget warnings and the contraction check, all on heads) and the
+embedding file take a pair apart.  The next F is formed point by point
+from grid-jet values at the inverted sample points, in the sheets of grid
+nodes (one per action node) that the FFT fit reads: the rest F - H plus,
+for flows, products of F and the first derivatives of u and v, for maps,
+differences of the shifted generators.  A step builds one grid jet per
+pair, (u, v) (also the flow's first derivatives), F - H, F (for maps with
+g_mean and the shifted generators) and (U, V), and fits (U, V) and F.
 """
 
 import inspect
@@ -51,7 +50,7 @@ from .errors import (ParameterError, PersistenceError, ShapeError,
 from .fields import (FourierField, GridJet, default_action_nodes,
                      field_from_function, field_from_grid_samples, stack_components)
 from .integrators import extrapolate
-from .smoothing import cutoff, decompose
+from .smoothing import cutoff, smooth
 
 __all__ = [
     "Schedule", "make_schedule", "TorusEmbedding", "ConvergenceReport", "newton_step",
@@ -92,7 +91,8 @@ class Schedule:
 
     eps[m] is the error budget entering step m, s[m] the analyticity strip
     width and r[m] the action radius, each of one length M + 1 >= 2 (else
-    ShapeError), so step m maps index m to m + 1.  M, the mode cutoffs
+    ShapeError), so step m maps index m to m + 1.  The widths s lie in
+    (0, 1] and never increase (else ParameterError).  M, the mode cutoffs
     N[m] = cutoff(s[m]) and the superlinear rate mu_tilde of (d, mu)
     (:func:`_exponents`) are worked out once; :func:`make_schedule`
     builds the paper's sequences.
@@ -112,6 +112,9 @@ class Schedule:
         if len(set(lengths)) > 1 or lengths[0] < 2:
             raise ShapeError(f"schedule sequences eps, s and r need one length of at "
                              f"least 2, got {lengths}")
+        s = [float(sv) for sv in self.s]
+        if not all(0.0 < b <= a <= 1.0 for a, b in zip([1.0] + s, s)):
+            raise ParameterError(f"strip widths s must lie in (0, 1] and never increase: {s}")
         derived = dict(mu_tilde=_exponents(self.d, self.mu)[2], M=lengths[0] - 1,
                        N=tuple(cutoff(float(sv)) for sv in self.s))
         for name, value in derived.items():
@@ -376,7 +379,8 @@ def _flow_remainder(jet, uv, fg, g_mean, freq, dx, ys):
     """Transformed remainders in the old variables, as products of jet values.
 
     T_f = (D_x u)(y + f) + (D_y u) g and T_g likewise with v, at the
-    nodes moved by dx and actions ys, as one (S, 2d) array.  The values of
+    nodes moved by dx and actions ys, as one (S, 2d) array, for the whole
+    carried pair fg (newton_step adds the rest).  The values of
     f and g come from one jet of the pair fg, the first derivatives of u
     and v from the step's jet ``uv``; no derivative field is formed.
     """
@@ -390,8 +394,9 @@ def _flow_remainder(jet, uv, fg, g_mean, freq, dx, ys):
 def _map_remainder(jet, uv, fg, g_mean, freq, dx, ys):
     """Differences of the shifted generators along one step of the map.
 
-    x1 = x + Omega + y + f, y1 = y + g; the generators shifted by the
-    rotation Omega take the rest, so every jet offset stays small.  One
+    x1 = x + Omega + y + f, y1 = y + g with (f, g) the whole carried pair;
+    the generators are shifted by the rotation Omega, so every jet offset
+    stays small; g_mean is the head's, and newton_step adds the rest.  One
     jet holds f, g, g_mean and the shifted pair (u, v) as components.
     Returns the pair as one (S, 2d) array.
     """
@@ -476,18 +481,17 @@ def _dynamics(mode) -> _Dynamics:
 
 def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
                 mode: str = "flow"):
-    """Perform Newton step m: solve, transform, re-expand the remainder.
+    """Perform Newton step m: solve the head, transform the whole field.
 
     Parameters
     ----------
     fg : FourierField
-        Current perturbation pair, f then g as the 2d components of one
-        field, defined on the domain with strip s[m] and action radius r[m].
+        Current pair F, f then g as the 2d components of one field; the
+        step solves its head S_{s[m]} F and carries the rest unsolved.
     freq : Frequency
         Certified rotation vector.
     schedule : Schedule
-        Geometry of the iteration; supplies r[m], r[m+1] and the output
-        cutoff N[m+1].
+        Geometry of the iteration; supplies s[m], r[m] and r[m+1].
     m : int
         Step index, 0 <= m < schedule.M.
     mode : {"flow", "map"}
@@ -497,10 +501,10 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
     (UV, fg_next, diagnostics)
         UV is the step's coordinate change x = xi + U(xi, eta, t),
         y = eta + V(xi, eta, t): the fitted inverse of the generator (u, v)
-        of the homological solve (xi = x + u(x, y, t)), U then V as one
-        pair field; fg_next is the transformed remainder pair fitted at
-        cutoff N[m+1] on the shrunk domain; diagnostics holds exactly the
-        step columns of a convergence row, the keys of _NO_STEP.
+        of the homological solve of H (xi = x + u(x, y, t)), U then V as
+        one pair field; fg_next is the whole pair F in the new coordinates,
+        fitted at fg's cutoff on the shrunk domain; diagnostics holds
+        exactly the step columns of a convergence row, the keys of _NO_STEP.
     """
     dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
@@ -509,18 +513,17 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
     if d != schedule.d:
         raise ShapeError(f"field dimension {d} does not match schedule d = {schedule.d}")
 
+    head = smooth(fg, float(schedule.s[m]))
     r_m = float(schedule.r[m])
     r_next = float(schedule.r[m + 1])
-    N_m = fg.N
-    N_next = int(schedule.N[m + 1])
     q_y_fit = max(fg.q_y, 1)
 
     # Fitting grid: wide enough that the polynomial part of the transformed
-    # remainder (bandwidth <= 2 N_m + N_next plus a margin for composition
+    # field (bandwidth <= 2 head.N + fg.N plus a margin for composition
     # tails) does not alias into the retained modes.
-    n_fit = max(N_next + 2 * N_m + 16, 2 * N_next + 2, 2 * (N_m + 8) + 2)
+    n_fit = max(fg.N + 2 * head.N + 16, 2 * fg.N + 2, 2 * (head.N + 8) + 2)
 
-    sol = dyn.solve(fg, freq)
+    sol = dyn.solve(head, freq)
 
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.  Samples
@@ -549,9 +552,11 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
         return field_from_grid_samples(vals.reshape((n_y,) + grid_shape + (2 * d,)), d,
                                        N_out, q_y_fit, r_next, parity=_pair_tags(halves, d))
 
-    UV = _fit(np.hstack([dx, dy]), N_m + 8, dyn.uv_parity)
-    fg_next = _fit(dyn.remainder(on_grid, uv_jet, fg, sol.g_mean, freq, dx, ys),
-                   N_next, dyn.fg_parity)
+    UV = _fit(np.hstack([dx, dy]), head.N + 8, dyn.uv_parity)
+    # the rest F - H at the inverted points; its jet is freed before the remainder's is made
+    rest = on_grid(fg - head).evaluate(dx, ys)
+    fg_next = _fit(dyn.remainder(on_grid, uv_jet, fg, sol.g_mean, freq, dx, ys) + rest,
+                   fg.N, dyn.fg_parity)
 
     # Cross-check the pair (u, v) / (U, V): pushing the grid forward through
     # xi = x + u and evaluating the fitted inverse there must cancel.
@@ -578,7 +583,7 @@ class ConvergenceReport:
     """Everything a run produces besides the embedding itself.
 
     rows holds one dict per Newton step (plus a closing row for the final
-    state) with the majorants of the carried perturbation on entry, the
+    state) with the majorants of the carried pair's head on entry, the
     step diagnostics, and the per-step invariance residual when it was
     measured, the last row's being the report's.  chain lists each
     completed step's coordinate change (U, V), as newton_step returns it.
@@ -665,17 +670,18 @@ def _halves(fg: FourierField) -> tuple:
     return fg.components(0, fg.d), fg.components(fg.d, 2 * fg.d)
 
 
-def _row(m: int, fg: FourierField, schedule: Schedule) -> dict:
-    """Convergence row of the pair fg entering step m, before the step."""
-    r = float(schedule.r[m])
-    f, g = _halves(fg)
-    sup_f, sup_g = f.majorant(r), g.majorant(r)
-    return {"m": m, "sup_f": sup_f, "sup_g": sup_g,
-            "osc_f": f.oscillating_part().majorant(r),
-            "osc_g": g.oscillating_part().majorant(r),
-            "c_f": sup_f / schedule.eps[m],
-            "c_g": sup_g / (schedule.eps[m] * schedule.s[m] ** schedule.d),
-            "invariance_residual": math.nan, **_NO_STEP}
+def _row(m: int, head: FourierField, schedule: Schedule, warnings: list) -> dict:
+    """Convergence row of the head entering step m; a c column over 10 adds a warning."""
+    r, eps = float(schedule.r[m]), schedule.eps[m]
+    row = {"m": m, "invariance_residual": math.nan, **_NO_STEP}
+    for name, h, budget in zip("fg", _halves(head), (eps, eps * schedule.s[m] ** schedule.d)):
+        row["sup_" + name] = h.majorant(r)
+        row["osc_" + name] = h.oscillating_part().majorant(r)
+        row["c_" + name] = row["sup_" + name] / budget
+        if row["c_" + name] > 10.0:
+            warnings.append(f"{name} head {m} has majorant {row['sup_' + name]:.3e}, over 10x "
+                            f"the budget {budget:.3e}; the schedule may be too optimistic")
+    return row
 
 
 def _above_rounding(h: FourierField) -> FourierField:
@@ -729,11 +735,12 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
     or "map", for x' = x + 2 pi omega + y + f(x, y), y' = y + g(x, y).
     system is what verify_invariance takes, one callable: fg(x, y, t) ->
     (S, 2d), f then g, for a flow, A(x, y) -> (x1, y1) for a map.  (f, g)
-    is sampled at the finest cutoff of the schedule with one call of the
-    system per action node, and decomposed into band-limited pieces fed to
-    the steps one scale at a time.  A map carries the angular
-    average of g along rather than solving it away, so a small mean
-    survives in g; convergence is measured on the oscillating parts.
+    is sampled once, at the finest cutoff of the schedule, with one call of
+    the system per action node, and carried whole: step m solves its head
+    S_{s[m]} F, on which the rows, budget warnings and contraction check
+    are measured.  A map carries the angular average of g along rather than
+    solving it away, so a small mean survives in g; convergence is measured
+    on the oscillating parts.
 
     A step failure ends the run early with the last good chain; the report
     carries the failure text.  After every step the chain so far is fitted
@@ -746,18 +753,9 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
     if freq.d != d:
         raise ShapeError(f"frequency dimension {freq.d} does not match schedule d = {d}")
     dyn = _dynamics(mode)
-    dec = decompose(dyn.sample(system, freq.omega, d, int(schedule.N[schedule.M]), q_y,
-                               schedule.r[0]), schedule.s)
-
-    warnings = []
-    for nu, pieces in enumerate(map(_halves, dec)):
-        eps = schedule.eps[nu]
-        for name, piece, budget in zip("fg", pieces, (eps, eps * schedule.s[nu] ** d)):
-            maj = piece.majorant(schedule.r[nu])
-            if maj > 10.0 * budget:
-                warnings.append(
-                    f"{name} piece {nu} has majorant {maj:.3e}, over 10x the budget "
-                    f"{budget:.3e}; the schedule may be too optimistic")
+    cur = dyn.sample(system, freq.omega, d, int(schedule.N[schedule.M]), q_y,
+                     schedule.r[0])
+    head = smooth(cur, float(schedule.s[0]))
 
     def check(chain):  # each chain is fitted and verified once
         emb = fit_embedding(chain, freq, schedule.r[0], mode)
@@ -765,16 +763,17 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
                                       dt=verify_dt, tol=verify_tol)
 
     chain = []
-    cur = dec[0]
     rows = []
+    warnings = []
     failure = None
 
     for m in range(schedule.M):
-        row = _row(m, cur, schedule)
+        row = _row(m, head, schedule, warnings)
         rows.append(row)
         try:
             UV, fg_next, diag = newton_step(cur, freq, schedule, m, mode=mode)
-            for name, h in zip("fg", _halves(fg_next)):
+            head_next = smooth(fg_next, float(schedule.s[m + 1]))
+            for name, h in zip("fg", _halves(head_next)):
                 osc = row["osc_" + name]
                 rem = h.oscillating_part().majorant(schedule.r[m + 1])
                 if osc > _CONTRACTION_FLOOR and rem > _CONTRACTION_RATIO * osc:
@@ -789,12 +788,12 @@ def run_kam(mode: str, system, freq: Frequency, schedule: Schedule, *,
                 f"step {m}: action excursion {diag['y_excursion']:.3e} past the "
                 f"nominal radius {schedule.r[m]:.3e} (within the jet trust region)")
         chain.append(UV)
-        cur = fg_next + dec[m + 1]
+        cur, head = fg_next, head_next
         embedding, residual = check(chain)
         row["invariance_residual"] = residual
 
     if failure is None:
-        rows.append(_row(schedule.M, cur, schedule))
+        rows.append(_row(schedule.M, head, schedule, warnings))
     if not chain:  # the identity embedding, after a failure at step 0
         embedding, residual = check(chain)
     rows[-1]["invariance_residual"] = residual

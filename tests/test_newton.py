@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from revtori import diophantine, fields, homological, newton, persistence, systems
+from revtori import (diophantine, fields, homological, lienard, newton, persistence,
+                     smoothing, systems)
 from revtori.cli import main
 from revtori.errors import (ParameterError, PersistenceError, ShapeError,
                             StepFailureError)
@@ -96,6 +97,14 @@ class TestSchedule:
         with pytest.raises(ShapeError, match="one length"):
             newton.Schedule(1, 0.1, eps, s, r)
 
+    @pytest.mark.parametrize("s", [(0.05, 0.06), (0.05, 0.0), (1.5, 0.5), (0.05, math.nan)])
+    def test_strip_widths_lie_in_the_unit_interval_and_never_increase(self, s):
+        eps, r = np.full(2, 1e-4), np.full(2, 1e-3)
+        with pytest.raises(ParameterError, match="strip widths"):
+            newton.Schedule(1, 0.1, eps, np.array(s), r)
+        # a held scale and the widest strip are both allowed
+        assert newton.Schedule(1, 0.1, eps, np.array([1.0, 1.0]), r).N == (1, 1)
+
 
 class TestNewtonStep:
     def test_zero_input_is_a_fixed_point(self, golden):
@@ -106,6 +115,22 @@ class TestNewtonStep:
         assert float(np.max(np.abs(homological.solve_flow(fg, golden).uv.coeffs))) == 0.0
         assert float(np.max(np.abs(UV.coeffs))) == 0.0
         assert float(np.max(np.abs(fg_next.coeffs))) < 1e-15
+
+    @pytest.mark.parametrize("mode", ["flow", "map"])
+    def test_a_rest_past_the_cutoff_is_carried_unchanged(self, golden, rng, mode):
+        # every mode lies past cutoff(s[0]), so the head is zero, the step
+        # changes no coordinates and hands its whole input on
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        N, N_t = sched.N[0] + 2, (None if mode == "flow" else 0)
+        fg = stack_components(*(random_parity_field(rng, tag, N=N, q_y=2, r=sched.r[0],
+                                                    amp=1e-5, N_t=N_t)
+                                for tag in ("even", "odd")))
+        past = fields.mode_orders(1, N, fg.N_t) > sched.N[0]
+        fg = dataclasses.replace(fg, coeffs=fg.coeffs * past[..., None, None])
+        UV, fg_next, _ = newton.newton_step(fg, golden, sched, 0, mode=mode)
+        assert float(np.max(np.abs(UV.coeffs))) == 0.0
+        assert fg_next.N == N
+        assert (fg_next - fg).majorant() <= 1e-13 * fg.majorant()
 
     def test_step_torus_block_contracts_quadratically(self, golden, rng):
         # the y-power-0 block of the remainder is the invariance error of
@@ -304,7 +329,7 @@ def jets_made(monkeypatch):
 class TestOneJetPerFieldPair:
     """A step evaluates its fields through one grid jet per field pair."""
 
-    def test_flow_and_map_steps_build_three_jets(self, golden, rng, monkeypatch,
+    def test_flow_and_map_steps_build_four_jets(self, golden, rng, monkeypatch,
                                                  jets_made):
         def refuse(*args, **kwargs):
             raise AssertionError("derivative field formed in a Newton step")
@@ -315,12 +340,12 @@ class TestOneJetPerFieldPair:
         fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
                                                       r=sched.r[0], amp=1e-5))
         newton.newton_step(fg, golden, sched, 0)
-        # (u, v), (f, g), (U, V)
-        assert [jet.m for jet in jets_made] == [2, 2, 2]
+        # (u, v), the rest of (f, g) past its head, (f, g), (U, V)
+        assert [jet.m for jet in jets_made] == [2, 2, 2, 2]
         jets_made.clear()
         newton.newton_step(_map_pair(sched), golden, sched, 0, mode="map")
-        # (u, v), (f, g, g_mean, u and v shifted by Omega), (U, V)
-        assert [jet.m for jet in jets_made] == [2, 5, 2]
+        # (u, v), the rest, (f, g, g_mean, u and v shifted by Omega), (U, V)
+        assert [jet.m for jet in jets_made] == [2, 2, 5, 2]
 
     def test_fit_embedding_builds_one_jet_per_transform(self, golden, rng, jets_made):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
@@ -331,12 +356,12 @@ class TestOneJetPerFieldPair:
         newton.fit_embedding([UV, UV, UV], golden, sched.r[0], "flow")
         assert len(jets_made) == 3
 
-    def test_flow_demo_run_builds_nine_jets(self, tmp_path, jets_made):
-        # two steps of three jets, then chains of one and two transforms
+    def test_flow_demo_run_builds_eleven_jets(self, tmp_path, jets_made):
+        # two steps of four jets, then chains of one and two transforms
         code = main(["kam", "run", "--config", str(_CONFIGS / "kam_flow.json"),
                      "--out", str(tmp_path), "--set", "M=2"])
         assert code == 0
-        assert len(jets_made) == 9
+        assert len(jets_made) == 11
 
 
 @pytest.fixture
@@ -386,11 +411,15 @@ class TestOneFieldPerPair:
 
 
 class TestTwoDimensionalStep:
-    """d = 2 Newton steps (eps0 = 1e-2, N = 3): the oscillating parts contract."""
+    """d = 2 Newton steps (N = 3): the oscillating parts of the heads
+    contract, S_{s[1]} of the output against the S_{s[0]} the step solved.
+    With eps0 = 1e-4 every input mode lies where the symbol of S_{s[0]} is
+    1, so the step solves its whole input."""
 
     @staticmethod
     def _contracts(fg, fg_next, sched):
-        for before, after in zip(halves(fg), halves(fg_next)):
+        heads = smoothing.smooth(fg, sched.s[0]), smoothing.smooth(fg_next, sched.s[1])
+        for before, after in zip(*map(halves, heads)):
             osc_in = before.oscillating_part().majorant(sched.r[0])
             osc_out = after.oscillating_part().majorant(sched.r[1])
             assert osc_out < 0.5 * osc_in
@@ -398,11 +427,11 @@ class TestTwoDimensionalStep:
     @pytest.mark.slow
     def test_flow_step(self):
         freq = diophantine.certify(diophantine.make_frequency(2, "sqrt_prime"))
-        sched = newton.make_schedule(2, 0.1, 1e-2, 2)
+        sched = newton.make_schedule(2, 0.1, 1e-4, 2)
         eps, s0 = 1e-4, sched.s[0]
 
-        # low harmonics with large divisors: at r ~ 0.07 a random field's
-        # small divisors make the linear jet coupling y D_x u outgrow f
+        # low harmonics with large divisors: a random field's small
+        # divisors can make the linear jet coupling y D_x u outgrow f
         def harmonics(trig):
             def h(x, y, t):
                 return np.stack([trig(x[:, 0] + t) + 0.5 * trig(x[:, 0] - x[:, 1]),
@@ -421,7 +450,7 @@ class TestTwoDimensionalStep:
 
     def test_map_step(self, rng):
         freq = diophantine.certify(diophantine.make_frequency(2, "sqrt_prime"))
-        sched = newton.make_schedule(2, 0.1, 1e-2, 2)
+        sched = newton.make_schedule(2, 0.1, 1e-4, 2)
         f = random_parity_field(rng, "even", d=2, N=3, q_y=2, r=sched.r[0],
                                 amp=1e-5, N_t=0)
         g = random_parity_field(rng, "odd", d=2, N=3, q_y=2, r=sched.r[0],
@@ -525,6 +554,77 @@ class TestFlowRun:
         sched = report.schedule
         order = report.fitted_order()
         assert order >= 1.0 + sched.mu_tilde / 2.0
+
+
+def _lienard_flow(system, omega):
+    """The oscillator's angle/action system as a forced flow in s = 2 pi t.
+
+    y = twist(rho) / 2 pi - omega, so rho(y) = (2 pi (y + omega) / c0)^(1/(2 beta - 1))
+    and the twist becomes the identity; f = F2 / 2 pi and g = twist'(rho)
+    F1 / 4 pi^2.  Returns fg(x, y, s), rho(y) and twist'(rho).
+    """
+    exponent = 2.0 * system.beta - 1.0
+
+    def rho(y):
+        return (2.0 * np.pi * (y + omega) / system.c0) ** (1.0 / exponent)
+
+    def twist_prime(r):
+        return system.c0 * exponent * r ** (exponent - 1.0)
+
+    def fg(x, y, s):
+        r = rho(y)
+        theta_dot, rho_dot = system.rhs(x, r, np.reshape(s, (-1, 1)) / (2.0 * np.pi),
+                                        check_domain=False)
+        return np.concatenate([(theta_dot - system.twist(r)) / (2.0 * np.pi),
+                               twist_prime(r) * rho_dot / (4.0 * np.pi ** 2)], axis=-1)
+
+    return fg, rho, twist_prime
+
+
+@pytest.fixture(scope="module")
+def rational_cubic():
+    """The n = 1 oscillator with rational cubic forcing at 5e-3, in angle/action form."""
+    return lienard.action_angle(
+        lienard.make_problem(1, "rational_cubic", f_amp=5e-3, g_amp=5e-3))
+
+
+class TestLienardTorus:
+    """run_kam on the Lienard oscillator through a test-local adapter to
+    the solver's normal form."""
+
+    def test_adapter_gives_back_the_angle_action_system(self, rational_cubic, rng):
+        system = rational_cubic
+        fg, rho, twist_prime = _lienard_flow(system, GOLDEN)
+        x = rng.uniform(-np.pi, np.pi, (64, 1))
+        y = rng.uniform(-0.01, 0.01, (64, 1))
+        s = rng.uniform(-np.pi, np.pi, 64)
+        vals = fg(x, y, s)
+        r = rho(y)
+        # the chain rule back to (d theta/dt, d rho/dt)
+        theta_dot, rho_dot = system.rhs(x, r, s[:, None] / (2.0 * np.pi))
+        back = (2.0 * np.pi * (GOLDEN + y + vals[:, :1]),
+                4.0 * np.pi ** 2 * vals[:, 1:] / twist_prime(r))
+        for got, want in zip(back, (theta_dot, rho_dot)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(system.twist(r) / (2.0 * np.pi) - GOLDEN - y)) <= 1e-14
+        # f even and g odd under (x, s) -> (-x, -s), the tags of run_kam's flow
+        mirrored = fg(-x, y, -s)
+        assert np.max(np.abs(mirrored[:, 0] - vals[:, 0])) <= 1e-15
+        assert np.max(np.abs(mirrored[:, 1] + vals[:, 1])) <= 1e-15
+
+    def test_shrinking_schedule_reaches_the_smoothing_floor(self, rational_cubic, golden):
+        # s shrinks geometrically from the paper's s0 to 0.012 over five
+        # steps and holds its last scale for a sixth
+        s0 = 1e-4 ** (1.0 / 3.1)
+        s = s0 * (0.012 / s0) ** (np.minimum(np.arange(7), 5) / 5.0)
+        sched = newton.Schedule(d=1, mu=0.1, eps=s ** 3.1, s=s, r=s ** 2.01)
+        fg, _, _ = _lienard_flow(rational_cubic, GOLDEN)
+        report = newton.run_kam("flow", fg, golden, sched, q_y=2, verify_dt=2.0 * np.pi)
+        assert not report.failed and report.steps_completed == 6
+        for before, after in zip(report.rows, report.rows[1:]):
+            for col in ("osc_f", "osc_g"):
+                assert after[col] < 0.9 * before[col]
+        assert report.invariance_residual <= 2e-10
 
 
 def _dop853_advance(system, omega, x0, y0, dt, rtol, atol):
