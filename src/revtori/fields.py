@@ -46,6 +46,9 @@ _EVAL_BLOCK_ENTRIES = 1 << 18
 # calls.  Missing tables are synthesized in batches of at most this many real
 # entries; tables past it serve the call that made them and are dropped.
 _JET_TABLE_ENTRIES = 1 << 21
+# Relative tolerance of the parity checks on fitted samples, per component
+# against its largest coefficient or sample.
+_FIT_TOL = 1e-6
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -97,12 +100,7 @@ def _finalize(coeffs: np.ndarray, d: int, parity: tuple, tol: float, what: str) 
     coefficient, so a small component of a stacked pair is held to its own
     scale, not to that of its largest neighbour.
     """
-    m = coeffs.shape[-1]
-
-    def peak(a):  # per-component maxima, reduced over a component-major copy
-        return np.max(np.ascontiguousarray(a.reshape(-1, m).T), axis=1, initial=0.0)
-
-    scale = peak(np.abs(coeffs))
+    scale = _peaks(np.abs(coeffs))
 
     def check(dev, i, fault):
         if dev > tol * scale[i]:
@@ -110,7 +108,7 @@ def _finalize(coeffs: np.ndarray, d: int, parity: tuple, tol: float, what: str) 
                 f"{what}: component {i} {fault} (relative deviation {dev / scale[i]:.3e})")
 
     rev = _reverse_modes(coeffs, d)
-    for i, dev in enumerate(peak(np.abs(coeffs - np.conj(rev)))):
+    for i, dev in enumerate(_peaks(np.abs(coeffs - np.conj(rev)))):
         check(dev, i, "violates reality symmetry")
     out = 0.5 * (coeffs + np.conj(rev))
     for i, tag in enumerate(parity):
@@ -122,6 +120,12 @@ def _finalize(coeffs: np.ndarray, d: int, parity: tuple, tol: float, what: str) 
             check(np.max(np.abs(comp.real)), i, "not odd")
             out[..., i] = 1j * comp.imag
     return out
+
+
+def _peaks(a: np.ndarray) -> np.ndarray:
+    """Per-component maxima of ``a``, components last, over a component-major copy."""
+    m = a.shape[-1]
+    return np.max(np.ascontiguousarray(a.reshape(-1, m).T), axis=1, initial=0.0)
 
 
 def _tags(parity, m: int) -> tuple:
@@ -309,7 +313,7 @@ class FourierField:
     def _order_zero_table(self, n: int) -> np.ndarray:
         """The power-major (P*m, nodes) table of values on the grid of ``values_on_grid``."""
         spectrum = _node_spectrum(self, n, n if self.N_t else 1)
-        return _node_tables(spectrum, [(0,) * self.d], self.N, n)[0]
+        return _node_tables(spectrum, [(0,) * self.d], self.N, n, n)[0]
 
     def sup_norm(self) -> float:
         """Grid supremum of |F| over the real torus.
@@ -586,73 +590,75 @@ def _node_spectrum(field: FourierField, n: int, n_t: int) -> np.ndarray:
     in the angles, to the real part of the field, and (ik)^alpha H(k, t)
     to that of its derivative d^alpha.  H is the time transform of the
     coefficients' Hermitian part (c(k, l) + conj c(-k, -l)) / 2, each time
-    mode l placed at l mod n_t; only the wave numbers k = 0..N of the last
-    angle, the half the real synthesis of :func:`_node_tables` reads, are
-    transformed.  Shape
-    (2N+1,)*(d-1) + (N+1,) + (n_t, P, m).
+    mode l placed at l mod n_t; only the wave numbers k = 0..N of the
+    leading angle, the half the real synthesis of :func:`_node_tables`
+    reads, are transformed.  Power-major, shape
+    (P*m, N+1) + (2N+1,)*(d-1) + (n_t,).
     """
     d, c, N, N_t = field.d, field.coeffs, field.N, field.N_t
     if n < 2 * N + 1 or not (n_t == n or (n_t == 1 and N_t == 0)):
         raise ShapeError(f"a grid of {n} angle and {n_t} time nodes drops modes of "
                          f"cutoffs N = {N}, N_t = {N_t} (need n >= {2 * N + 1} and "
                          f"n_t = n, or n_t = 1 when N_t = 0)")
-    half = (slice(None),) * (d - 1) + (slice(N, None),)
-    herm = 0.5 * (c[half] + np.conj(_reverse_modes(c, d)[half]))
-    G = np.zeros(herm.shape[:d] + (n_t,) + herm.shape[d + 1:], dtype=complex)
-    G[(slice(None),) * d + (np.arange(-N_t, N_t + 1) % n_t,)] = herm
-    return np.fft.ifft(G, axis=d, norm="forward")
+    herm = 0.5 * (c[N:] + np.conj(_reverse_modes(c, d)[N:]))
+    herm = np.moveaxis(herm.reshape(herm.shape[:d + 1] + (-1,)), -1, 0)
+    G = np.zeros(herm.shape[:-1] + (n_t,), dtype=complex)
+    G[..., np.arange(-N_t, N_t + 1) % n_t] = herm
+    return np.fft.ifft(G, axis=-1, norm="forward")
 
 
-def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int) -> np.ndarray:
+def _node_tables(spectrum: np.ndarray, alphas: list, N: int, n: int, rows: int) -> np.ndarray:
     """Real tables sum_k (ik)^alpha / alpha! H(k, t) e^(i <k, x>) at the nodes.
 
-    ``spectrum`` is H from :func:`_node_spectrum`.  The weights of the
-    first d-1 angle axes are applied once per distinct leading part of the
-    alphas, each such axis holding its wave numbers k at k mod n on n
+    ``spectrum`` is H from :func:`_node_spectrum`; the nodes are those of
+    the first ``rows`` rows of the leading angle axis.  The weights of the
+    other d-1 angle axes are applied once per distinct tail alpha[1:] of
+    the alphas, each such axis holding its wave numbers k at k mod n on n
     points, the layout :func:`field_from_grid_samples` reads, and one
     complex inverse FFT over those axes follows (none when d = 1).  The
-    last angle axis, whose k = 0..N stand for the whole Hermitian range,
-    is synthesized per alpha by real products: the rows of
-    :func:`_synthesis_matrix`, weighted by (ik)^alpha_d / alpha_d!, split
-    into real and imaginary parts, against [Re H; Im H], laid out
-    power-major once per call; one product per row of P*m and leading
-    nodes, or a single one when n_t = 1.  Shape
+    leading angle axis, whose k = 0..N stand for the whole Hermitian range,
+    is synthesized per alpha by one real product: the first ``rows`` rows
+    of :func:`_synthesis_matrix`, weighted by (ik)^alpha_0 / alpha_0!,
+    split into real and imaginary parts, against [Re H; Im H], batched
+    over the P*m rows, or a single product when the other axes hold one
+    node.  Shape
     (len(alphas), P*m, nodes): the P*m axis leads and each of its rows
-    holds the nodes (n,)*d + (n_t,) in row-major order, contiguous.
+    holds the nodes (rows,) + (n,)*(d-1) + (n_t,) in row-major order,
+    contiguous.
     """
     d = len(alphas[0])
     k = np.arange(-N, N + 1)
     top = max(max(alpha) for alpha in alphas)
     # (ik)^e / e! for k = -N..N and order e
     powers = [(1j ** e / math.factorial(e)) * k.astype(float) ** e for e in range(top + 1)]
-    heads = sorted({alpha[:-1] for alpha in alphas})
+    tails = sorted({alpha[1:] for alpha in alphas})
     spec = spectrum[None]
     if d > 1:
-        spec = np.zeros((len(heads),) + (n,) * (d - 1) + spectrum.shape[d - 1:], dtype=complex)
-        place = np.ix_(*[k % n] * (d - 1))
-        for i, head in enumerate(heads):
+        spec = np.zeros((len(tails),) + spectrum.shape[:2] + (n,) * (d - 1)
+                        + spectrum.shape[-1:], dtype=complex)
+        place = (slice(None),) * 2 + np.ix_(*[k % n] * (d - 1))
+        for i, tail in enumerate(tails):
             weight = np.ones(())
-            for e in head:
+            for e in tail:
                 weight = np.multiply.outer(weight, powers[e])
-            spec[(i,) + place] = spectrum * weight[(...,) + (None,) * 4]
-        spec = np.fft.ifftn(spec, axes=tuple(range(1, d)), norm="forward")
-    n_t = spectrum.shape[d]
-    spec = spec.reshape(len(heads), n ** (d - 1), N + 1, n_t, -1)
-    # [Re H; Im H] along the wave numbers, P*m leading: (heads, P*m, n^(d-1), 2(N+1), n_t)
-    parts = np.empty((len(heads), spec.shape[-1], n ** (d - 1), 2 * (N + 1), n_t))
-    parts[..., :N + 1, :] = np.moveaxis(spec.real, -1, 1)
-    parts[..., N + 1:, :] = np.moveaxis(spec.imag, -1, 1)
-    out = np.empty((len(alphas),) + parts.shape[1:3] + (n, n_t))
+            spec[i][place] = spectrum * weight[..., None]
+        spec = np.fft.ifftn(spec, axes=tuple(range(3, d + 2)), norm="forward")
+    # (tails, P*m, N+1, C), C = n^(d-1) n_t the nodes of one leading row
+    spec = spec.reshape(spec.shape[:3] + (-1,))
+    width, C = spec.shape[1], spec.shape[-1]
+    # [Re H; Im H] along the wave numbers: (tails, P*m, 2(N+1), C)
+    parts = np.concatenate([spec.real, spec.imag], axis=2)
+    out = np.empty((len(alphas), width, rows, C))
     for i, alpha in enumerate(alphas):
-        rows = _synthesis_matrix(n, N) * powers[alpha[-1]][N:]
-        rows = np.concatenate([rows.real, -rows.imag], axis=1)
-        part = parts[heads.index(alpha[:-1])]
-        if n_t == 1:  # one product for every row of nodes
-            np.matmul(part.reshape(-1, 2 * (N + 1)), np.ascontiguousarray(rows.T),
-                      out=out[i].reshape(-1, n))
+        mat = _synthesis_matrix(n, N)[:rows] * powers[alpha[0]][N:]
+        mat = np.concatenate([mat.real, -mat.imag], axis=1)
+        part = parts[tails.index(alpha[1:])]
+        if C == 1:  # one product for every row of P*m
+            np.matmul(part.reshape(width, -1), np.ascontiguousarray(mat.T),
+                      out=out[i].reshape(width, rows))
         else:
-            np.matmul(rows, part, out=out[i])
-    return out.reshape(len(alphas), parts.shape[1], -1)
+            np.matmul(mat, part, out=out[i])
+    return out.reshape(len(alphas), width, -1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -675,25 +681,32 @@ class GridJet:
     The grid has nodes 2 pi j / n on each angle axis and ``n_t`` time nodes
     (n of them, or the single node t = 0), and must hold the field's modes:
     n >= 2N+1, and n_t = 1 only when N_t = 0; any other grid raises
-    ShapeError.  ``evaluate(delta, y)`` takes one point per node, in the
-    row-major order of ``values_on_grid``, repeated in as many consecutive
-    sheets as the sample holds, and returns the real field at
-    (node + delta, y, node time):
+    ShapeError.  The jet's nodes are those of the first ``rows`` rows j of
+    the leading angle axis (all n by default), a prefix of the grid's
+    row-major order.  Fewer than n rows must be more than n/2 and need a
+    tag on every component (else ParameterError), as in the rows of
+    :func:`fundamental_rows`.  ``evaluate(delta, y)`` takes one point per
+    node, in the row-major order of ``values_on_grid``, repeated in as
+    many consecutive sheets as the sample holds, and returns the real
+    field at (node + delta, y, node time):
 
         F(x + delta, y, t) = sum_alpha  d^alpha F(x, y, t) / alpha!  delta^alpha.
 
     The time axis is transformed once, when the jet is made
-    (:func:`_node_spectrum`).  The real tables d^alpha F / alpha! on the
-    grid come per batch of multi-indices from :func:`_node_tables`: one
-    complex inverse FFT over the leading angles, each mode k at k mod n,
-    as the fits read them, and one real product per multi-index over the
-    last angle.  Each table is power-major, (P*m, nodes): one contiguous
-    row of grid nodes per action power and component.  The Taylor order K
+    (:func:`_node_spectrum`).  The real tables d^alpha F / alpha! at the
+    jet's nodes come per batch of multi-indices from :func:`_node_tables`:
+    one complex inverse FFT over the angles after the first, each mode k
+    at k mod n, as the fits read them, and one real product per
+    multi-index over the jet's rows of the first angle.  Each table is
+    power-major, (P*m, nodes): one contiguous row of nodes per action
+    power and component.  The Taylor order K
     is set per call by :func:`taylor_order` from h = N max |delta|_inf
     (offsets are first re-anchored to their nearest node, so
     h <= pi N / n), which bounds the truncation by 2^-53 times the
-    majorant; the tables a call lacks are added in one batch.  Points run
-    in blocks of whole sheets.  The sum runs by Horner in the first
+    majorant; the tables a call lacks are added in one batch.  An offset
+    re-anchored past the jet's rows reads a whole-grid table made for the
+    call by the mirror rule (:meth:`_whole`).  Points run in blocks of
+    whole sheets.  The sum runs by Horner in the first
     angle's offset over (P*m, sheets, nodes) accumulators, the offsets
     laid out (d, sheets, nodes), so every product runs along the nodes;
     the other angles enter as monomials.  The action powers of y are then
@@ -710,13 +723,20 @@ class GridJet:
     serves all their values and derivatives.
     """
 
-    def __init__(self, field: FourierField, n: int, n_t: int):
+    def __init__(self, field: FourierField, n: int, n_t: int, rows: Optional[int] = None):
         self.field = field
         self.n = int(n)
+        self.rows = self.n if rows is None else int(rows)
         self.max_order = 0
-        self._shape = (self.n,) * field.d + (int(n_t),)
+        self._grid = (self.n,) * field.d + (int(n_t),)
+        self._shape = (self.rows,) + self._grid[1:]
         self._width = field.coeffs.shape[-2] * field.m
         self._spectrum = _node_spectrum(field, self.n, int(n_t))
+        if not (self.n // 2 < self.rows <= self.n
+                and (self.rows == self.n or None not in field.parity)):
+            raise ParameterError(
+                f"a jet on {self.rows} of {self.n} rows needs more than half of them, "
+                f"and a parity tag on every component unless it has all of them")
         self._held = {}  # multi-index -> (P*m, nodes) table
         self._accumulator = None  # Horner's (P*m, sheets, nodes), kept between calls
 
@@ -761,18 +781,19 @@ class GridJet:
         self.max_order = max(self.max_order, K)
         alphas = _multi_indices(d, K + 1 if gradient else K)
         tables = dict(zip(alphas, self._tables(alphas)))
+        rows = None
+        if shift.any():  # re-anchored rows index the whole grid
+            idx = np.unravel_index(np.arange(S) % nodes, self._shape)
+            rows = np.ravel_multi_index(
+                tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(d))
+                + idx[d:], self._grid).reshape(-1, nodes)
+            tables = {alpha: self._whole(alpha, table) for alpha, table in tables.items()}
         order_K = alphas[:len(_multi_indices(d, K))]  # graded: |alpha| <= K lead
         sums = [_by_first_index([(a, tables[a], 1.0) for a in order_K], K)]
         for j in range(d if gradient else 0):
             # d/d delta_j of sum T_a delta^a is sum (b_j + 1) T_(b + e_j) delta^b
             sums.append(_by_first_index([(b, tables[b[:j] + (b[j] + 1,) + b[j + 1:]], b[j] + 1.0)
                                          for b in order_K], K))
-        rows = None
-        if shift.any():
-            idx = np.unravel_index(np.arange(S) % nodes, self._shape)
-            rows = np.ravel_multi_index(
-                tuple((idx[a] + shift[:, a].astype(int)) % self.n for a in range(d))
-                + idx[d:], self._shape).reshape(-1, nodes)
         powers = f.powers
         P, m = len(powers), f.m
         # the action powers y^alpha, then their derivatives alpha_j y^(alpha - e_j) in y_j
@@ -807,12 +828,49 @@ class GridJet:
         batch = max(1, _JET_TABLE_ENTRIES // per)
         for lo in range(0, len(missing), batch):
             chunk = missing[lo:lo + batch]
-            tables = _node_tables(self._spectrum, chunk, self.field.N, self.n)
+            tables = _node_tables(self._spectrum, chunk, self.field.N, self.n, self.rows)
             made = dict(zip(chunk, tables))
             out.update(made)
             if len(self._held) * per + tables.size <= _JET_TABLE_ENTRIES:
                 self._held.update(made)
         return [out[alpha] for alpha in alphas]
+
+    def _whole(self, alpha: tuple, table: np.ndarray) -> np.ndarray:
+        """The (P*m, nodes) table of ``alpha`` on the whole grid.
+
+        The rows past :attr:`rows` are those of the mirror nodes, times
+        sigma_c (-1)^|alpha|: d^alpha F(-x, y, -t) = sigma_c (-1)^|alpha|
+        d^alpha F(x, y, t) for a component c tagged even (sigma_c = 1) or
+        odd (sigma_c = -1).
+        """
+        if self.rows == self.n:
+            return table
+        sign = (-1.0) ** sum(alpha) * np.tile(_signs(self.field.parity), len(self.field.powers))
+        half = table.reshape((len(table),) + self._shape)
+        rest = _at_mirror(half, self.n, np.arange(self.rows, self.n), range(1, half.ndim))
+        rest *= sign[(slice(None),) + (None,) * (half.ndim - 1)]
+        return np.concatenate([half, rest], axis=1).reshape(len(table), -1)
+
+
+def _signs(parity: tuple) -> np.ndarray:
+    """sigma_c per component: 1 for an even tag, -1 for an odd one."""
+    return np.array([{"even": 1.0, "odd": -1.0}[tag] for tag in parity])
+
+
+def _at_mirror(a: np.ndarray, n: int, rows, axes) -> np.ndarray:
+    """The values of ``a`` at the mirror nodes of the rows ``rows``.
+
+    ``a`` holds the first rows of an n-node grid along its leading axis
+    axes[0], and the other grid axes, ``axes[1:]``, whole.  Under
+    (x, t) -> (-x, -t) the node (j, k', l) mirrors to (-j, -k', -l), each
+    index modulo its axis; every -j mod n must be one of the rows ``a``
+    holds.  The result has the layout of ``a`` with ``rows`` along axes[0].
+    """
+    out = np.take(a, -np.asarray(rows) % n, axis=axes[0])
+    for ax in axes[1:]:
+        size = a.shape[ax]
+        out = np.take(out, -np.arange(size) % size, axis=ax)
+    return out
 
 
 def _horner(groups: list, dl: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
@@ -957,10 +1015,61 @@ def field_from_grid_samples(values: np.ndarray, d: int, N: int, q_y: int, r: flo
     modes = np.concatenate([mirror, half], axis=d)
     modes[:, ~mode_mask(d, N, N_t)] = 0.0
     parity = _tags(parity, m)
-    coeffs = _finalize(np.moveaxis(modes, 0, -2), d, parity, 1e-6, "fitted field")
+    coeffs = _finalize(np.moveaxis(modes, 0, -2), d, parity, _FIT_TOL, "fitted field")
     scale = float(r) if q_y else 1.0  # the largest |y| of the nodes
     coeffs /= (scale ** action_powers(d, q_y).sum(axis=1).astype(float))[:, None]
     return FourierField(coeffs, r, parity)
+
+
+def fundamental_rows(n: int, parity) -> int:
+    """Rows 0..R-1 of the leading angle axis that determine fields tagged ``parity``.
+
+    When every tag is "even" or "odd", the involution (x, t) -> (-x, -t)
+    takes each row j > n/2 of an n-node grid to the row n - j < n/2, so the
+    rows j = 0..n//2 determine the field: R = n//2 + 1.  Otherwise R = n.
+    """
+    return n // 2 + 1 if all(tag in ("even", "odd") for tag in parity) else n
+
+
+def unfold_samples(values: np.ndarray, n: int, parity) -> np.ndarray:
+    """Samples on the whole grid from those on its first rows, by the parity tags.
+
+    ``values`` has the layout :func:`field_from_grid_samples` reads, with
+    the first R of the n rows of the leading angle axis: shape
+    (n_y, R) + (n,)*(d-1) + (n_t, m).  R = n returns the samples as they
+    are.  Otherwise every component must be tagged (else ParameterError),
+    and row j >= R is filled with sigma_c times the samples at the mirror
+    nodes (j, k', l) -> (-j, -k', -l), sigma_c = 1 for an even component
+    and -1 for an odd one.  The rows that mirror onto themselves, j = 0 and
+    for even n also j = n/2, hold both nodes of each mirror pair: they
+    must agree per component within _FIT_TOL of its largest sample, as the
+    fit's parity check would require, else StructureError.  A parity break
+    whose wrong-parity part vanishes on those rows passes unseen, and the
+    unfold folds it into the tagged parity.
+    """
+    R, m = values.shape[1], values.shape[-1]
+    if R == n:
+        return values
+    parity = _tags(parity, m)
+    if None in parity:
+        raise ParameterError(f"samples on {R} of {n} rows need a parity tag on every "
+                             f"component, got {parity}")
+    axes = range(1, values.ndim - 1)
+    selfs = [0, n // 2] if n % 2 == 0 else [0]
+    dev = _peaks(np.abs(values[:, selfs] - _signs(parity) * _at_mirror(values, n, selfs, axes)))
+    scale = _peaks(np.abs(values))
+    for c in range(m):
+        if dev[c] > _FIT_TOL * scale[c]:
+            raise StructureError(f"mirrored samples: component {c} is not {parity[c]} on "
+                                 f"the self-mirrored rows (relative deviation "
+                                 f"{dev[c] / scale[c]:.3e})")
+    out = np.empty(values.shape[:1] + (n,) + values.shape[2:])
+    out[:, :R] = values
+    out[:, R:] = _at_mirror(values, n, np.arange(R, n), axes)
+    for c in range(m):  # odd components change sign: one strided negation each
+        if parity[c] == "odd":
+            np.negative(out[:, R:, ..., c], out=out[:, R:, ..., c])
+    return out
 
 
 @functools.lru_cache(maxsize=None)

@@ -34,6 +34,9 @@ for flows, products of F and the first derivatives of u and v, for maps,
 differences of the shifted generators.  A step builds one grid jet per
 pair, (u, v) (also the flow's first derivatives), F - H, F (for maps with
 g_mean and the shifted generators) and (U, V), and fits (U, V) and F.
+A flow's pairs are all tagged, so its jets run on the rows j = 0..n//2 of
+the leading angle only, and the fits read samples that the tags unfold
+to the whole grid (:func:`fields.unfold_samples`).
 """
 
 import inspect
@@ -47,8 +50,9 @@ from . import homological, persistence
 from .diophantine import Frequency
 from .errors import (ParameterError, PersistenceError, ShapeError,
                      SmallDivisorError, StepFailureError, positive_count)
-from .fields import (FourierField, GridJet, default_action_nodes,
-                     field_from_function, field_from_grid_samples, stack_components)
+from .fields import (FourierField, GridJet, default_action_nodes, field_from_function,
+                     field_from_grid_samples, fundamental_rows, stack_components,
+                     unfold_samples)
 from .integrators import extrapolate
 from .smoothing import cutoff, smooth
 
@@ -269,8 +273,8 @@ class _OrderedJet:
     its last use.
     """
 
-    def __init__(self, field: FourierField, n: int, n_t: int, orders: list):
-        self.jet, self.field, self.n = GridJet(field, n, n_t), field, n
+    def __init__(self, field: FourierField, n: int, n_t: int, rows: int, orders: list):
+        self.jet, self.field, self.n = GridJet(field, n, n_t, rows), field, n
         self._orders = orders
 
     def evaluate(self, delta, y=None) -> np.ndarray:
@@ -505,6 +509,14 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
         one pair field; fg_next is the whole pair F in the new coordinates,
         fitted at fg's cutoff on the shrunk domain; diagnostics holds
         exactly the step columns of a convergence row, the keys of _NO_STEP.
+
+    When every component of the step's pair fields carries a tag (all
+    flows), the jets, the inversion, the rest, the remainder and the
+    composition check run on the rows j = 0..n_fit//2 of the leading
+    angle (:func:`fields.fundamental_rows`), and each fit reads the other
+    rows from the tags; the rows that mirror onto themselves must agree
+    with the tags, else StructureError (:func:`fields.unfold_samples`).
+    Maps and untagged fields use all n_fit rows.
     """
     dyn = _dynamics(mode)
     if not 0 <= m < schedule.M:
@@ -528,16 +540,19 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
     # Sample the new perturbation on (angle/time grid) x (action nodes in
     # the shrunk ball) by inverting the generator at each node.  Samples
     # are stacked in sheets of S grid nodes, one sheet per action node.
+    # When every pair is tagged, the sheets hold the rows of the leading
+    # angle that the tags determine the others from.
     n_t = dyn.time_slots(n_fit)
-    grid_shape = (n_fit,) * d + (n_t,)
-    S = n_fit ** d * n_t
+    rows = fundamental_rows(n_fit, fg.parity + sol.uv.parity + dyn.fg_parity + dyn.uv_parity)
+    grid_shape = (rows,) + (n_fit,) * (d - 1) + (n_t,)
+    S = math.prod(grid_shape)
     y_nodes = default_action_nodes(d, q_y_fit, r_next)
     n_y = len(y_nodes)
     eta = np.repeat(y_nodes, S, axis=0)
     taylor = [0]  # largest Taylor order of the step's jets, which are not kept
 
     def on_grid(h):
-        return _OrderedJet(h, n_fit, n_t, taylor)
+        return _OrderedJet(h, n_fit, n_t, rows, taylor)
 
     uv_jet = on_grid(sol.uv)
     dx, dy, iters, uv_here = _invert_transform(uv_jet, eta)  # uv_here: (u, v) at the nodes
@@ -549,8 +564,9 @@ def newton_step(fg: FourierField, freq: Frequency, schedule: Schedule, m: int,
             f"far outside the domain radius r = {r_m:.3e}")
 
     def _fit(vals, N_out, halves):
-        return field_from_grid_samples(vals.reshape((n_y,) + grid_shape + (2 * d,)), d,
-                                       N_out, q_y_fit, r_next, parity=_pair_tags(halves, d))
+        tags = _pair_tags(halves, d)
+        vals = unfold_samples(vals.reshape((n_y,) + grid_shape + (2 * d,)), n_fit, tags)
+        return field_from_grid_samples(vals, d, N_out, q_y_fit, r_next, parity=tags)
 
     UV = _fit(np.hstack([dx, dy]), head.N + 8, dyn.uv_parity)
     # the rest F - H at the inverted points; its jet is freed before the remainder's is made
@@ -705,7 +721,10 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str) -> TorusEm
     chain is evaluated on the grid of 2N+2 angle nodes per axis times the
     time nodes (all of them for flows, t = 0 for maps, whose embedding is
     autonomous), with one grid jet per (U, V), and the
-    offsets (x, y) are fitted by one FFT as one pair field.  Each fitted
+    offsets (x, y) are fitted by one FFT as one pair field.  A tagged chain
+    (all flows) is evaluated on the rows j = 0..n//2 of the leading angle
+    and unfolded to the whole grid by its tags before the fit, as in
+    :func:`newton_step`.  Each fitted
     component keeps only its coefficients above eps times its largest
     modulus (eps the float epsilon): the rest are rounding noise of the
     fit, and dropping them makes the embedding that is verified, written
@@ -716,12 +735,15 @@ def fit_embedding(chain: list, freq: Frequency, r0: float, mode: str) -> TorusEm
     N = max((UV.N for UV in chain), default=0)
     n = 2 * N + 2
     n_t = dyn.time_slots(n)
+    tags = _pair_tags(dyn.uv_parity, d)
+    rows = fundamental_rows(n, sum((UV.parity for UV in chain), tags))
+    grid_shape = (rows,) + (n,) * (d - 1) + (n_t,)
     # The chain moves each node by the small offsets its steps add up.
-    xy = np.zeros((n ** d * n_t, 2 * d))
+    xy = np.zeros((math.prod(grid_shape), 2 * d))
     for UV in reversed(chain):
-        xy += GridJet(UV, n, n_t).evaluate(xy[:, :d], xy[:, d:])
-    fit = field_from_grid_samples(xy.reshape((1,) + (n,) * d + (n_t, 2 * d)), d, N, 0, 0.0,
-                                  parity=_pair_tags(dyn.uv_parity, d))
+        xy += GridJet(UV, n, n_t, rows).evaluate(xy[:, :d], xy[:, d:])
+    xy = unfold_samples(xy.reshape((1,) + grid_shape + (2 * d,)), n, tags)
+    fit = field_from_grid_samples(xy, d, N, 0, 0.0, parity=tags)
     return TorusEmbedding(xy=_above_rounding(fit), omega=np.array(freq.omega, dtype=float),
                           r0=float(r0), mode=mode)
 

@@ -377,12 +377,23 @@ class TestGridJetTablesOracle:
             return
         alphas = fields._multi_indices(d, 4)
         got = fields.GridJet(fld, n, n_t)._tables(alphas)
-        for alpha, table, want in zip(alphas, got, _oracle_tables(fld, n, n_t, alphas)):
+        # a tagged field's tables on the rows j = 0..n//2 of the leading angle,
+        # whose nodes lead the row-major order
+        half = [] if kind == "complex" else fields.GridJet(fld, n, n_t, n // 2 + 1)._tables(alphas)
+        half_nodes = (n // 2 + 1) * n ** (d - 1) * n_t
+        for i, (alpha, want) in enumerate(zip(alphas, _oracle_tables(fld, n, n_t, alphas))):
+            tol = 1e-14 * _table_majorant(fld, alpha)
             # the tables are power-major: one contiguous row of nodes per power and component
+            table = got[i]
             assert table.dtype == np.float64 and table.shape == want.T.shape
             assert table.flags.c_contiguous
-            np.testing.assert_allclose(table, want.T, rtol=0.0,
-                                       atol=1e-14 * _table_majorant(fld, alpha))
+            np.testing.assert_allclose(table, want.T, rtol=0.0, atol=tol)
+            if half:
+                table = half[i]
+                assert table.dtype == np.float64
+                assert table.shape == (want.shape[1], half_nodes)
+                assert table.flags.c_contiguous
+                np.testing.assert_allclose(table, want.T[:, :half_nodes], rtol=0.0, atol=tol)
 
     @pytest.mark.parametrize("d, N, N_t, n", [(1, 6, 6, 16), (1, 12, 0, 25),
                                               (2, 4, 4, 9), (2, 3, 0, 8)])
@@ -439,6 +450,63 @@ class TestGridJetTablesOracle:
         np.testing.assert_allclose(blocks, whole, rtol=0.0, atol=tol)
         np.testing.assert_allclose(blocks, fld.evaluate_complex(x + delta, y, t).real,
                                    rtol=0.0, atol=tol)
+
+
+class TestHalfGrid:
+    """A tagged field on the rows j = 0..n//2 of the leading angle: the
+    involution (x, t) -> (-x, -t) gives every other node from them."""
+
+    @pytest.mark.parametrize("d, n", [(1, 13), (1, 14), (2, 9), (2, 10)])
+    @pytest.mark.parametrize("offset", [0.5, 3.0])  # within a cell; re-anchored
+    def test_half_jet_gives_the_whole_jet_values(self, rng, d, n, offset):
+        fld = fields.stack_components(*random_reversible_pair(rng, d=d, N=4, q_y=2, r=0.1))
+        rows = fields.fundamental_rows(n, fld.parity)
+        assert rows == n // 2 + 1
+        half = rows * n ** d  # nodes per sheet
+        x, t = _grid_nodes(d, n, n, sheets=3)
+        # the nodes of the half grid lead each whole sheet in row-major order
+        on_half = (np.arange(len(x)) % n ** (d + 1)) < half
+        delta = np.where(on_half[:, None], rng.uniform(-offset, offset, size=x.shape), 0.0)
+        delta *= 2.0 * np.pi / n
+        if offset > 1.0:  # the first sheet's offsets point down: row 0 re-anchors to rows n-3..n-1
+            delta[:half, 0] = -np.abs(delta[:half, 0])
+        y = rng.uniform(-0.05, 0.05, size=x.shape)
+        whole = fields.GridJet(fld, n, n).evaluate_with_gradient(delta, y)
+        jet = fields.GridJet(fld, n, n, rows)
+        got = jet.evaluate_with_gradient(delta[on_half], y[on_half])
+        scale = max(h.majorant() for j in range(d) for h in (fld, fld.diff_x(j), fld.diff_y(j)))
+        for g, w in zip(got, whole):  # values, d_x and d_y
+            np.testing.assert_allclose(g, w[..., on_half, :], rtol=0.0, atol=1e-14 * scale)
+        np.testing.assert_allclose(got[0], fld.evaluate_complex(
+            x[on_half] + delta[on_half], y[on_half], t[on_half]).real,
+            rtol=0.0, atol=1e-14 * fld.majorant())
+
+    def test_half_jet_needs_tags_and_more_than_half_the_rows(self, rng):
+        fld = fields.stack_components(*random_reversible_pair(rng, d=1, N=4))
+        untagged = dataclasses.replace(fld, parity=(None, "odd"))
+        assert fields.fundamental_rows(12, untagged.parity) == 12
+        for field, rows in ((untagged, 7), (fld, 6), (fld, 13)):
+            with pytest.raises(ParameterError, match="rows"):
+                fields.GridJet(field, 12, 12, rows)
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_unfold_gives_back_the_whole_grid_and_checks_the_self_mirrored_rows(
+            self, rng, n):
+        fld = fields.stack_components(*random_reversible_pair(rng, d=1, N=5, q_y=1, r=0.1))
+        whole = np.moveaxis(fld.values_on_grid(n), -2, 0)  # (P, n, n_t, m) as sheets
+        rows = n // 2 + 1
+        got = fields.unfold_samples(whole[:, :rows], n, fld.parity)
+        np.testing.assert_allclose(got, whole, rtol=0.0, atol=1e-15 * np.max(np.abs(whole)))
+        assert fields.unfold_samples(whole, n, (None, None)) is whole
+        with pytest.raises(ParameterError, match="parity tag"):
+            fields.unfold_samples(whole[:, :rows], n, ("even", None))
+        # an odd part in the even component, seen on a self-mirrored row
+        for j in (0, n // 2) if n % 2 == 0 else (0,):
+            broken = whole[:, :rows].copy()
+            broken[:, j, 1, 0] += 1e-5 * np.max(np.abs(whole[..., 0]))
+            with pytest.raises(StructureError, match="component 0 is not even on the "
+                                                     "self-mirrored rows"):
+                fields.unfold_samples(broken, n, fld.parity)
 
 
 class TestCalculus:

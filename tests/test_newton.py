@@ -18,7 +18,7 @@ from revtori import (diophantine, fields, homological, lienard, newton, persiste
                      smoothing, systems)
 from revtori.cli import main
 from revtori.errors import (ParameterError, PersistenceError, ShapeError,
-                            StepFailureError)
+                            StepFailureError, StructureError)
 from revtori.fields import FourierField, field_from_function, stack_components
 
 from conftest import (GOLDEN, grid_parity_residual, halves, random_parity_field,
@@ -232,18 +232,20 @@ class _ScatteredJet:
 
     GridJet checks no domain (newton_step bounds the excursion itself), so
     the stand-in sums a copy of the field whose radius holds every point.
+    Its nodes are those of the first ``rows`` rows of the leading angle.
     """
 
-    def __init__(self, field, n, n_t):
+    def __init__(self, field, n, n_t, rows=None):
         self.field, self.n, self.n_t = dataclasses.replace(field, r=1.0), n, n_t
+        self.rows = n if rows is None else rows
         self.max_order = 0
 
     def evaluate(self, delta, y=None, field=None):
         field = self.field if field is None else field
         d = field.d
         grid = 2.0 * np.pi * np.arange(self.n) / self.n
-        axes = np.meshgrid(*([grid] * d), grid if self.n_t > 1 else [0.0],
-                           indexing="ij")
+        axes = np.meshgrid(grid[:self.rows], *([grid] * (d - 1)),
+                           grid if self.n_t > 1 else [0.0], indexing="ij")
         x = np.stack([a.ravel() for a in axes[:d]], axis=-1)
         sheets = len(delta) // len(x)
         x, t = np.tile(x, (sheets, 1)), np.tile(axes[d].ravel(), sheets)
@@ -266,13 +268,15 @@ def _map_pair(sched, eps=1e-5):
 class TestGridJetOracle:
     """newton_step and fit_embedding on grid jets against scattered sums."""
 
-    @pytest.mark.parametrize("mode", ["flow", "map"])
+    # flows on an even and an odd grid (n_fit = fg.N + 2 N[0] + 16), and a map
+    @pytest.mark.parametrize("mode, extra_N", [("flow", 0), ("flow", 1), ("map", 0)],
+                             ids=["flow", "flow-odd-grid", "map"])
     def test_step_and_embedding_match_scattered_evaluation(self, golden, rng,
-                                                           monkeypatch, mode):
+                                                           monkeypatch, mode, extra_N):
         sched = newton.make_schedule(1, 0.1, 1e-3, 2)
         if mode == "flow":
             fg = stack_components(*random_reversible_pair(
-                rng, d=1, N=sched.N[0], q_y=2, r=sched.r[0], amp=1e-5))
+                rng, d=1, N=sched.N[0] + extra_N, q_y=2, r=sched.r[0], amp=1e-5))
         else:
             fg = _map_pair(sched)
         runs = []
@@ -297,6 +301,25 @@ class TestGridJetOracle:
                    - ref[2]["composition_residual"]) <= 1e-13 * uv
         assert diag["inversion_iters"] == ref[2]["inversion_iters"]
         assert diag["taylor_order"] >= 1
+        assert diag["n_fit"] == 46 + extra_N  # fg.N + 2 N[0] + 16 with N[0] = 10
+
+    def test_two_dimensional_flow_step_matches_scattered_evaluation(self, rng, monkeypatch):
+        freq = diophantine.certify(diophantine.make_frequency(2, "sqrt_prime"))
+        sched = newton.make_schedule(2, 0.1, 1e-4, 2)
+        fg = stack_components(*random_reversible_pair(rng, d=2, N=1, q_y=1, r=sched.r[0],
+                                                      amp=1e-5))
+        runs = []
+        for jet in (fields.GridJet, _ScatteredJet):
+            monkeypatch.setattr(newton, "GridJet", jet)
+            runs.append(newton.newton_step(fg, freq, sched, 0))
+        (UV, fg_next, diag), ref = runs
+        uv = homological.solve_flow(fg, freq).uv.majorant(sched.r[0])
+        for got, want in [*zip(halves(UV), halves(ref[0])),
+                          *zip(halves(fg_next), halves(ref[1]))]:
+            assert (got - want).majorant() <= 1e-13 * max(want.majorant(), uv)
+        assert abs(diag["composition_residual"]
+                   - ref[2]["composition_residual"]) <= 1e-13 * uv
+        assert diag["inversion_iters"] == ref[2]["inversion_iters"]
 
     def test_newton_step_and_fit_embedding_make_no_scattered_call(
             self, golden, rng, monkeypatch):
@@ -312,15 +335,114 @@ class TestGridJetOracle:
         newton.fit_embedding([UV], golden, sched.r[0], "flow")
 
 
+class TestMirroredHalf:
+    """A flow step's pairs are all tagged, so its jets run on the rows
+    j = 0..n//2 of the leading angle and the fits read mirrored samples;
+    the checks of parity stay live on the input and the self-mirrored rows."""
+
+    def test_flow_jets_run_on_half_the_rows_and_map_jets_on_all(
+            self, golden, rng, monkeypatch):
+        grids = []
+
+        class RecordedJet(fields.GridJet):
+            def __init__(self, field, n, n_t, rows=None):
+                super().__init__(field, n, n_t, rows)
+                grids.append((self.n, self.rows))
+
+        monkeypatch.setattr(newton, "GridJet", RecordedJet)
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
+        UV, _, diag = newton.newton_step(fg, golden, sched, 0)
+        n = diag["n_fit"]
+        assert grids == [(n, n // 2 + 1)] * 4
+        grids.clear()
+        newton.fit_embedding([UV], golden, sched.r[0], "flow")
+        assert grids == [(2 * UV.N + 2, UV.N + 2)]
+        grids.clear()
+        _, _, diag = newton.newton_step(_map_pair(sched), golden, sched, 0, mode="map")
+        assert grids == [(diag["n_fit"], diag["n_fit"])] * 4
+
+    # d = 1 on an even and an odd grid (n_fit = fg.N + 2 N[0] + 16), and d = 2
+    @pytest.mark.parametrize("d, extra_N", [(1, 0), (1, 1), (2, 0)],
+                             ids=["d1", "d1-odd-grid", "d2"])
+    def test_half_grid_step_and_embedding_match_the_whole_grid(self, rng, monkeypatch,
+                                                               d, extra_N):
+        freq = diophantine.certify(diophantine.make_frequency(d, "golden" if d == 1
+                                                              else "sqrt_prime"))
+        sched = newton.make_schedule(d, 0.1, 1e-3 if d == 1 else 1e-4, 2)
+        N = sched.N[0] + extra_N if d == 1 else 1
+        fg = stack_components(*random_reversible_pair(rng, d=d, N=N, q_y=2 if d == 1 else 1,
+                                                      r=sched.r[0], amp=1e-5))
+        whole_rows = []
+
+        def all_rows(n, parity):  # the step as it runs without the tags' help
+            whole_rows.append(n)
+            return n
+
+        runs = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(newton, "fundamental_rows", all_rows)
+            UV, fg_next, diag = newton.newton_step(fg, freq, sched, 0)
+            emb = newton.fit_embedding([UV, UV], freq, sched.r[0], "flow")
+            runs.append((UV, fg_next, diag, emb))
+        (UV, fg_next, diag, emb), ref = runs
+        assert whole_rows == [diag["n_fit"], 2 * UV.N + 2]
+        if d == 1:
+            assert diag["n_fit"] == 46 + extra_N  # fg.N + 2 N[0] + 16 with N[0] = 10
+        uv = homological.solve_flow(fg, freq).uv.majorant(sched.r[0])
+        for got, want in [*zip(halves(UV), halves(ref[0])),
+                          *zip(halves(fg_next), halves(ref[1])),
+                          *zip(halves(emb.xy), halves(ref[3].xy))]:
+            assert (got - want).majorant() <= 1e-13 * max(want.majorant(), uv)
+        assert abs(diag["composition_residual"]
+                   - ref[2]["composition_residual"]) <= 1e-13 * uv
+        assert diag["inversion_iters"] == ref[2]["inversion_iters"]
+
+    def test_a_remainder_odd_in_x_and_t_fails_the_self_mirrored_check(
+            self, golden, rng, monkeypatch):
+        remainder = newton._flow_remainder
+
+        def broken(jet, uv, fg, g_mean, freq, dx, ys):
+            T = remainder(jet, uv, fg, g_mean, freq, dx, ys)
+            # dx = -u at the nodes is odd in (x, t); f is tagged even
+            T[:, :1] += dx * (np.max(np.abs(T[:, :1])) / np.max(np.abs(dx)))
+            return T
+
+        monkeypatch.setattr(newton, "_FLOW", dataclasses.replace(newton._FLOW,
+                                                                   remainder=broken))
+        sched = newton.make_schedule(1, 0.1, 1e-3, 2)
+        fg = stack_components(*random_reversible_pair(rng, d=1, N=sched.N[0], q_y=2,
+                                                      r=sched.r[0], amp=1e-5))
+        with pytest.raises(StructureError, match="component 0 is not even on the "
+                                                 "self-mirrored rows"):
+            newton.newton_step(fg, golden, sched, 0)
+
+    def test_run_kam_refuses_a_flow_input_whose_parity_is_broken(self, golden):
+        flow = systems.make_flow_perturbation("single_mode", eps=1e-4, g_amp=0.05)
+
+        def broken(x, y, t):
+            # sin x is odd and vanishes on the self-mirrored rows x = 0 and x = pi:
+            # only a check of the whole sampling grid sees it
+            out = np.array(flow(x, y, t))
+            out[:, 0] += 1e-4 * np.sin(x[:, 0])
+            return out
+
+        sched = newton.make_schedule(1, 0.1, 1e-4, 2)
+        with pytest.raises(StructureError, match="component 0 not even"):
+            newton.run_kam("flow", broken, golden, sched)
+
+
 @pytest.fixture
 def jets_made(monkeypatch):
     """The fields of the grid jets newton builds while the test runs."""
     made = []
 
     class CountedJet(fields.GridJet):
-        def __init__(self, field, n, n_t):
+        def __init__(self, field, n, n_t, rows=None):
             made.append(field)
-            super().__init__(field, n, n_t)
+            super().__init__(field, n, n_t, rows)
 
     monkeypatch.setattr(newton, "GridJet", CountedJet)
     return made
